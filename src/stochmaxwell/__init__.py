@@ -20,14 +20,13 @@ from .geometry import (
     VectorFieldC3,
 )
 from .greens import FreeConvolver, dyadic_green, helmholtz_g
-from .forward import MaxwellSolver, SolverError, solve_maxwell, pde_residual
+from .forward import MaxwellSolver, SolverError, pde_residual
 from .sphharm import VshBasis
-from .capacity import CapacityOperator, boundary_functional, build_capacity
+from .capacity import CapacityOperator, boundary_functional
 from .ensemble import generate_ensemble, read_ensemble, write_ensemble
 from .cgo import CgoParams, CgoSolution, StabilityConstants, build_zeta_eta, solve_cgo_remainder
 from .reconstruct import (
     ReconstructionResult,
-    estimate_correlation,
     measure_epsilon,
     reconstruct_sigma,
     select_parameters,
@@ -51,12 +50,10 @@ __all__ = [
     "helmholtz_g",
     "MaxwellSolver",
     "SolverError",
-    "solve_maxwell",
     "pde_residual",
     "VshBasis",
     "CapacityOperator",
     "boundary_functional",
-    "build_capacity",
     "generate_ensemble",
     "read_ensemble",
     "write_ensemble",
@@ -66,7 +63,6 @@ __all__ = [
     "build_zeta_eta",
     "solve_cgo_remainder",
     "ReconstructionResult",
-    "estimate_correlation",
     "measure_epsilon",
     "reconstruct_sigma",
     "select_parameters",

@@ -13,14 +13,12 @@ import numpy as np
 from scipy.special import spherical_jn, spherical_yn
 
 from .geometry import SphereMesh, integrate_sphere
-from .sphharm import VshBasis, VshExpansion, scalar_ylm_table
+from .sphharm import VshBasis, scalar_ylm_table
 
 __all__ = [
     "spherical_h1",
     "radiating_multipole",
     "CapacityOperator",
-    "build_capacity",
-    "capacity_apply",
     "boundary_functional",
 ]
 
@@ -136,20 +134,6 @@ class CapacityOperator:
         """Apply to tangential samples (..., N, 3) on the operator's mesh."""
         c = self.basis.decompose(samples)
         return self.basis.synthesize(self.apply_coeffs(c))
-
-
-def build_capacity(k: float, R: float, lmax: int, mesh: SphereMesh | None = None) -> CapacityOperator:
-    if mesh is None:
-        mesh = SphereMesh(R, lmax)
-    elif mesh.radius != R:
-        raise ValueError("mesh radius does not match R")
-    return CapacityOperator(k, VshBasis(mesh, lmax))
-
-
-def capacity_apply(op: CapacityOperator, trace_samples: np.ndarray, mesh: SphereMesh) -> np.ndarray:
-    if mesh != op.basis.mesh:
-        raise ValueError("trace mesh does not match capacity operator mesh")
-    return op.apply(trace_samples)
 
 
 def boundary_functional(

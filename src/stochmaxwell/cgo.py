@@ -33,7 +33,8 @@ from .geometry import (
     evaluate_on_grid,
     trilinear_interpolate,
 )
-from .forward import SolverError, curl_grid
+from .forward import SolverError, curl_grid, neumann_solve
+from .greens import padded_fft_apply
 
 __all__ = [
     "CgoParams",
@@ -41,6 +42,8 @@ __all__ = [
     "StabilityConstants",
     "build_frame",
     "build_zeta_eta",
+    "box_radius",
+    "plane_wave_on",
     "solve_cgo_remainder",
     "cgo_product_remainder",
     "cgo_on_sphere",
@@ -62,12 +65,16 @@ def build_frame(xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=np.float64)
     if xi.shape != (3,):
         raise ValueError("xi must be a 3-vector")
-    norm = np.linalg.norm(xi)
-    if norm == 0.0:
+    scale = np.max(np.abs(xi))
+    if scale == 0.0:
         return np.array(
             [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
         )
-    xh = xi / norm
+    # scale by the power of two at the largest component so the squared norm
+    # of a tiny xi cannot underflow; a power-of-two scale is exact, so xi_hat
+    # keeps its bits wherever the unscaled norm did not underflow
+    xs = np.ldexp(xi, -np.frexp(scale)[1])
+    xh = xs / np.linalg.norm(xs)
     axis = np.zeros(3)
     axis[int(np.argmin(np.abs(xh)))] = 1.0
     d1 = np.cross(xh, axis)
@@ -158,6 +165,19 @@ def build_zeta_eta(
     )
 
 
+def box_radius(grid: Grid3) -> float:
+    """Distance from the origin to the farthest grid-box corner, the radius the
+    overflow guard of `build_zeta_eta` is checked at."""
+    return float(np.sqrt(3.0) * max(abs(ax[0]) for ax in grid.axes()))
+
+
+def plane_wave_on(zeta: np.ndarray, eta: np.ndarray, points: np.ndarray):
+    """(U, curl U) of the exact plane-wave part U = eta e^{i zeta . x} at
+    points (N, 3); curl U = i zeta x eta e^{i zeta . x}."""
+    phase = np.exp(1j * points @ zeta)
+    return phase[:, None] * eta[None, :], phase[:, None] * np.cross(1j * zeta, eta)[None, :]
+
+
 @dataclass(frozen=True)
 class StabilityConstants:
     """Frozen constants of the stability theory (calibrated, not derived)."""
@@ -198,10 +218,6 @@ class CgoSolution:
         ]
         return amp + self.V.values
 
-    def phase_on(self, points: np.ndarray) -> np.ndarray:
-        """e^{i zeta . x} at points of shape (N, 3)."""
-        return np.exp(1j * points @ self.zeta)
-
     def field_values(self) -> np.ndarray:
         phase = np.exp(1j * np.tensordot(self.zeta, self.grid.nodes(), axes=1))
         return phase[None] * self.amplitude()
@@ -227,7 +243,6 @@ class ConjugatedResolvent:
     def __init__(self, zeta: np.ndarray, k: float, grid: Grid3):
         self.zeta = np.asarray(zeta, dtype=np.complex128)
         self.k = float(k)
-        self.grid = grid
         n = grid.dims
         self.padded = tuple(2 * v for v in n)
         h = grid.spacing
@@ -258,18 +273,16 @@ class ConjugatedResolvent:
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """A^{-1} f for amplitude-level values of shape (3, nx, ny, nz)."""
-        n = self.grid.dims
-        fh = []
-        for c in range(3):
-            pad = np.zeros(self.padded, dtype=np.complex128)
-            pad[: n[0], : n[1], : n[2]] = f[c]
-            fh.append(sfft.fftn(pad, workers=-1))
-        qdot = self._q[0] * fh[0] + self._q[1] * fh[1] + self._q[2] * fh[2]
-        out = np.empty((3,) + n, dtype=np.complex128)
-        for c in range(3):
-            tot = (fh[c] - self._q[c] * qdot / self.k ** 2) * self._inv
-            out[c] = sfft.ifftn(tot, workers=-1)[: n[0], : n[1], : n[2]]
-        return out
+        q = self._q
+
+        def symbol(fh):
+            qdot = q[0] * fh[0] + q[1] * fh[1] + q[2] * fh[2]
+            out = np.empty_like(fh)
+            for c in range(3):
+                out[c] = (fh[c] - q[c] * qdot / self.k ** 2) * self._inv
+            return out
+
+        return padded_fft_apply(f, self.padded, symbol)
 
 
 def solve_cgo_remainder(
@@ -299,8 +312,7 @@ def solve_cgo_remainder(
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
     # re-check the guard against the actual grid
-    box_radius = float(np.sqrt(3.0) * max(abs(ax[0]) for ax in grid.axes()))
-    build_zeta_eta(np.asarray(params.xi), params.t, params.k, box_radius)
+    build_zeta_eta(np.asarray(params.xi), params.t, params.k, box_radius(grid))
 
     zeta = params.zeta(which)
     eta = params.eta(which)
@@ -323,27 +335,13 @@ def solve_cgo_remainder(
         eta[:, None, None, None], (3,) + grid.dims
     )
     b = resolvent.apply(src)
-    bnorm = np.linalg.norm(b)
-    W = b.copy()
-    history = []
-    res = np.inf
-    for _ in range(max_iter):
-        AW = W + resolvent.apply(k ** 2 * m_grid[None] * W)
-        res = np.linalg.norm(AW - b) / bnorm
-        history.append(res)
-        if res <= tol:
-            break
-        if len(history) > 1 and res > 0.9 * history[-2]:
-            raise SolverError(
-                f"CGO remainder iteration stagnated at residual {res:.3e}; "
-                "the medium contrast is too strong for this t",
-                history,
-            )
-        W = b - (AW - W)
-    if res > tol:
+    W, iters, res, history = neumann_solve(
+        lambda W: W + resolvent.apply(k ** 2 * m_grid[None] * W), b, tol, max_iter
+    )
+    if res > tol:  # stagnated or out of iterations
         raise SolverError(
-            f"CGO remainder did not converge below {tol:.1e} "
-            f"(reached {res:.3e})",
+            f"CGO remainder iteration stopped at residual {res:.3e} (tol {tol:.1e}) "
+            f"after {iters} iterations; the medium contrast is too strong for this t",
             history,
         )
 
@@ -410,10 +408,8 @@ def cgo_on_sphere(sol: CgoSolution, mesh) -> tuple[np.ndarray, np.ndarray]:
     interpolated trilinearly and its curl taken by grid stencils first.
     """
     pts = mesh.nodes
-    phase = sol.phase_on(pts)
-    zeta, eta = sol.zeta, sol.eta
-    U = phase[:, None] * eta[None, :]
-    curlU = phase[:, None] * np.cross(1j * zeta, eta)[None, :]
+    zeta = sol.zeta
+    U, curlU = plane_wave_on(zeta, sol.eta, pts)
     if np.any(sol.f.values) or np.any(sol.V.values):
         W = sol.f.values[None] * zeta[:, None, None, None] + sol.V.values
         phase_grid = np.exp(1j * np.tensordot(zeta, sol.grid.nodes(), axes=1))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .capacity import CapacityOperator, boundary_functional, radiating_multipole
 from .cgo import build_zeta_eta, cgo_product_remainder, cgo_on_sphere, solve_cgo_remainder
-from .config import ExperimentConfig, format_bumps
+from .config import ExperimentConfig
 from .ensemble import generate_ensemble, manifest_hash, read_ensemble, write_ensemble
 from .forward import MaxwellSolver, SolverError, noise_values
 from .geometry import (
@@ -32,16 +32,10 @@ from .geometry import (
     SourceStrength,
     VectorFieldC3,
     evaluate_on_grid,
-    integrate_sphere,
     write_field,
 )
 from .greens import FreeConvolver, dyadic_green
-from .reconstruct import (
-    dual_functional_vector,
-    measure_epsilon,
-    reconstruct_sigma,
-    stability_sweep,
-)
+from .reconstruct import reconstruct_sigma, stability_sweep
 from .sphharm import VshBasis
 
 __all__ = ["main", "run_forward", "run_verify", "run_reconstruct", "run_sweep"]

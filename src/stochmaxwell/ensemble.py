@@ -135,17 +135,26 @@ def write_ensemble(out_dir, traces: np.ndarray, manifest: dict) -> dict:
 
 
 def read_ensemble(out_dir) -> tuple[np.ndarray, dict]:
-    with open(os.path.join(out_dir, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    if manifest_hash(manifest) != manifest["hash"]:
-        raise ValueError("manifest hash mismatch; the run directory is corrupt")
-    with open(os.path.join(out_dir, manifest["records"]), "rb") as fh:
-        magic = fh.read(8)
-        if magic != _TRACE_MAGIC:
-            raise ValueError(f"bad trace magic {magic!r}")
-        M, N = np.frombuffer(fh.read(16), dtype="<i8")
-        payload = fh.read()
-    if hashlib.sha256(payload).hexdigest() != manifest["data_sha256"]:
-        raise ValueError("trace data does not match its manifest digest")
-    raw = np.frombuffer(payload, dtype="<f8").reshape(int(M), int(N), 3, 2)
+    """Read a store written by `write_ensemble`; a corrupt store raises
+    ConfigurationError."""
+    try:
+        with open(os.path.join(out_dir, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        shape = (manifest["realizations"], manifest["mesh_nodes"])
+        records, digest = manifest["records"], manifest["data_sha256"]
+        stored_hash = manifest["hash"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigurationError(f"unreadable ensemble manifest: {exc!r}") from exc
+    if manifest_hash(manifest) != stored_hash:
+        raise ConfigurationError("manifest hash mismatch; the run directory is corrupt")
+    with open(os.path.join(out_dir, records), "rb") as fh:
+        magic, header, payload = fh.read(8), fh.read(16), fh.read()
+    if magic != _TRACE_MAGIC:
+        raise ConfigurationError(f"bad trace magic {magic!r}")
+    if hashlib.sha256(payload).hexdigest() != digest:
+        raise ConfigurationError("trace data does not match its manifest digest")
+    # the (M, N) header sits outside the digest, so it is checked on its own
+    if header != np.asarray(shape, dtype="<i8").tobytes():
+        raise ConfigurationError(f"trace header does not match the manifest shape {shape}")
+    raw = np.frombuffer(payload, dtype="<f8").reshape(shape + (3, 2))
     return raw[..., 0] + 1j * raw[..., 1], manifest

@@ -18,24 +18,20 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .geometry import (
     Grid3,
     MediumSpec,
-    ScalarFieldC,
-    SourceStrength,
     SphereMesh,
     VectorFieldC3,
     evaluate_on_grid,
     trilinear_interpolate,
 )
-from .greens import FreeConvolver, dyadic_green
+from .greens import FreeConvolver
 
 __all__ = [
-    "NoiseRealization",
     "TangentialTrace",
     "ForwardSolution",
     "SolverError",
-    "sample_white_noise",
     "noise_values",
+    "neumann_solve",
     "MaxwellSolver",
-    "solve_maxwell",
     "extract_trace",
     "pde_residual",
     "HomogeneousTraceMap",
@@ -53,15 +49,6 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class NoiseRealization:
-    """One realization of the white-noise current J = sqrt(sigma) xi / h^{3/2}."""
-
-    master_seed: int
-    index: int
-    field: VectorFieldC3
-
-
-@dataclass(frozen=True)
 class TangentialTrace:
     """Complex tangential vectors on a sphere mesh, pointwise orthogonal to nu."""
 
@@ -73,9 +60,6 @@ class TangentialTrace:
         if v.shape != (self.mesh.n_nodes, 3):
             raise ValueError("trace shape does not match mesh")
         object.__setattr__(self, "values", v)
-
-    def max_normal_component(self) -> float:
-        return float(np.max(np.abs(np.sum(self.values * self.mesh.normals, axis=1))))
 
 
 @dataclass(frozen=True)
@@ -95,16 +79,25 @@ def noise_values(sigma_grid: np.ndarray, spacing: float, master_seed: int, index
     return xi * amp[None]
 
 
-def sample_white_noise(
-    sigma: SourceStrength, grid: Grid3, master_seed: int, index: int
-) -> NoiseRealization:
-    sig = evaluate_on_grid(sigma, grid)
-    J = noise_values(sig.values, grid.spacing, master_seed, index)
-    return NoiseRealization(
-        master_seed=int(master_seed),
-        index=int(index),
-        field=VectorFieldC3(grid, J.astype(np.complex128)),
-    )
+def neumann_solve(apply, b: np.ndarray, tol: float, max_iter: int):
+    """Neumann iteration x <- b - (A x - x) for A x = b, with A = `apply`.
+
+    Stops when the relative residual ||A x - b|| / ||b|| reaches tol or stops
+    contracting (above 0.9 times the previous one), and returns the current
+    iterate with the iteration count, the residual and the residual history;
+    the caller decides what a stagnated or unconverged iterate means.
+    """
+    bnorm = np.linalg.norm(b)
+    x = b.copy()
+    history = []
+    for it in range(1, max_iter + 1):
+        Ax = apply(x)
+        res = np.linalg.norm(Ax - b) / bnorm
+        history.append(res)
+        if res <= tol or (it > 1 and res > 0.9 * history[-2]):
+            return x, it, res, history
+        x = b - (Ax - x)  # x <- b - K x, reusing Ax = x + K x
+    return x, max_iter, res, history
 
 
 class MaxwellSolver:
@@ -137,12 +130,11 @@ class MaxwellSolver:
             raise ValueError("source grid does not match solver grid")
         b = self.convolver.apply_resolvent_array(source.values)
         bnorm = np.linalg.norm(b)
-        history = []
         if self.homogeneous or bnorm == 0.0:
             E, iters, res = b, 1, 0.0
         else:
-            E, iters, res = self._neumann(b, bnorm, tol, max_iter, history)
-            if res > tol:
+            E, iters, res, history = neumann_solve(self._apply_ls, b, tol, max_iter)
+            if res > tol:  # stagnation: hand off to GMRES
                 E, iters, res = self._gmres(b, bnorm, tol, max_iter, E, history)
             if res > tol:
                 raise SolverError(
@@ -152,21 +144,6 @@ class MaxwellSolver:
         field = VectorFieldC3(self.grid, E)
         trace = extract_trace(field, mesh) if mesh is not None else None
         return ForwardSolution(field=field, iterations=iters, residual=res, trace=trace)
-
-    def _neumann(self, b, bnorm, tol, max_iter, history):
-        E = b.copy()
-        res_prev = np.inf
-        for it in range(1, max_iter + 1):
-            AE = self._apply_ls(E)
-            res = np.linalg.norm(AE - b) / bnorm
-            history.append(res)
-            if res <= tol:
-                return E, it, res
-            if res > 0.9 * res_prev:  # stagnation: hand off to GMRES
-                return E, it, res
-            res_prev = res
-            E = b - (AE - E)  # E <- b - k^2 R0(m E), reusing AE = E + k^2 R0(m E)
-        return E, max_iter, res
 
     def _gmres(self, b, bnorm, tol, max_iter, x0, history):
         shape = b.shape
@@ -190,17 +167,6 @@ class MaxwellSolver:
         history.append(res)
         iters = len(history)
         return E, iters, res
-
-
-def solve_maxwell(
-    k: float,
-    medium: MediumSpec,
-    source: VectorFieldC3,
-    tol: float = 1e-10,
-    max_iter: int = 60,
-    mesh: SphereMesh | None = None,
-) -> ForwardSolution:
-    return MaxwellSolver(k, medium, source.grid).solve(source, tol, max_iter, mesh)
 
 
 def extract_trace(E: VectorFieldC3, mesh: SphereMesh) -> TangentialTrace:

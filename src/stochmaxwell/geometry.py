@@ -5,8 +5,7 @@ parallel workers.
 """
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -70,12 +69,6 @@ class Grid3:
     @property
     def cell_volume(self) -> float:
         return self.spacing ** 3
-
-    @property
-    def half_widths(self) -> np.ndarray:
-        return np.asarray(
-            [self.origin[i] + (self.dims[i] - 1) * self.spacing for i in range(3)]
-        )
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return tuple(
@@ -215,9 +208,6 @@ class MediumSpec:
         for b in self.bumps:
             out += b(x, y, z)
         return out
-
-    def refractive_index(self, x, y, z) -> np.ndarray:
-        return 1.0 - self.contrast(x, y, z)
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,29 @@ __all__ = [
     "helmholtz_g",
     "dyadic_green",
     "FreeConvolver",
-    "free_convolve",
+    "padded_fft_apply",
     "resolvent_decay_probe",
     "SingularityError",
 ]
 
 _FFT_WORKERS = -1
+
+
+def padded_fft_apply(f: np.ndarray, padded: tuple, symbol) -> np.ndarray:
+    """Aperiodic Fourier-multiplier action on base-grid values (..., nx, ny, nz).
+
+    The values are zero-padded to `padded`, transformed over the last three
+    axes, passed through `symbol` (transforms in, transforms out, same shape),
+    transformed back and cropped to the base grid. The complex cast keeps real
+    inputs on the complex transform path.
+    """
+    n = f.shape[-3:]
+    axes = (-3, -2, -1)
+    f_hat = sfft.fftn(
+        np.asarray(f, dtype=np.complex128), s=padded, axes=axes, workers=_FFT_WORKERS
+    )
+    out = sfft.ifftn(symbol(f_hat), axes=axes, workers=_FFT_WORKERS)
+    return out[..., : n[0], : n[1], : n[2]]
 
 
 class SingularityError(ValueError):
@@ -218,32 +235,22 @@ class FreeConvolver:
             for j in range(i, 3)
         }
 
-    def scalar_convolve_hat(self, comp: np.ndarray) -> np.ndarray:
-        """FFT of g * comp on the padded grid (comp given on the base grid)."""
-        pad = np.zeros(self.padded, dtype=np.complex128)
-        n = self.grid.dims
-        pad[: n[0], : n[1], : n[2]] = comp
-        return sfft.fftn(pad, workers=_FFT_WORKERS) * self.kernel_hat
-
     def apply_array(self, f: np.ndarray) -> np.ndarray:
         """Apply the dyadic convolution G * f to values of shape (3, nx, ny, nz)."""
         if not np.all(np.isfinite(f)):
             raise ValueError("non-finite values in resolvent input")
         lam = self.lam
-        n = self.grid.dims
-        f_hat = []
-        for c in range(3):
-            pad = np.zeros(self.padded, dtype=np.complex128)
-            pad[: n[0], : n[1], : n[2]] = f[c]
-            f_hat.append(sfft.fftn(pad, workers=_FFT_WORKERS))
-        out = np.empty((3,) + n, dtype=np.complex128)
-        for i in range(3):
-            tot_hat = 1j * lam * self.kernel_hat * f_hat[i]
-            for j in range(3):
-                hij = self.hess_hat[(i, j) if i <= j else (j, i)]
-                tot_hat += (1j / lam) * hij * f_hat[j]
-            out[i] = sfft.ifftn(tot_hat, workers=_FFT_WORKERS)[: n[0], : n[1], : n[2]]
-        return out * self.grid.cell_volume
+
+        def symbol(f_hat):
+            out = np.empty_like(f_hat)
+            for i in range(3):
+                out[i] = 1j * lam * self.kernel_hat * f_hat[i]
+                for j in range(3):
+                    hij = self.hess_hat[(i, j) if i <= j else (j, i)]
+                    out[i] += (1j / lam) * hij * f_hat[j]
+            return out
+
+        return padded_fft_apply(f, self.padded, symbol) * self.grid.cell_volume
 
     def apply(self, f: VectorFieldC3) -> VectorFieldC3:
         if f.grid != self.grid:
@@ -258,11 +265,6 @@ class FreeConvolver:
         the fixed-point solver is the convolution divided by i*lam.
         """
         return self.apply_array(f) / (1j * self.lam)
-
-
-def free_convolve(lam: float, f: VectorFieldC3) -> VectorFieldC3:
-    """One-shot convenience wrapper around FreeConvolver."""
-    return FreeConvolver(lam, f.grid).apply(f)
 
 
 def electric_dipole_field(k: float, source: np.ndarray, moment: np.ndarray, points: np.ndarray):

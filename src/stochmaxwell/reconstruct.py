@@ -20,7 +20,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .capacity import CapacityOperator
-from .cgo import StabilityConstants, build_zeta_eta, cgo_on_sphere, solve_cgo_remainder
+from .cgo import (
+    StabilityConstants,
+    box_radius,
+    build_zeta_eta,
+    cgo_on_sphere,
+    plane_wave_on,
+    solve_cgo_remainder,
+)
 from .geometry import (
     ConfigurationError,
     Grid3,
@@ -29,18 +36,13 @@ from .geometry import (
     SourceStrength,
     evaluate_on_grid,
 )
-from .forward import TangentialTrace
 
 __all__ = [
-    "CovarianceEstimate",
     "KernelEpsilon",
     "ReconstructionResult",
     "dual_functional_vector",
-    "trace_functionals",
-    "estimate_correlation",
     "measure_epsilon",
     "select_parameters",
-    "estimate_sigma_hat",
     "build_xi_lattice",
     "hermitian_symmetrize",
     "fourier_synthesis",
@@ -51,19 +53,6 @@ __all__ = [
 # |1 - |xi|^2/4t^2| below this means the leading product coefficient is about
 # to vanish and the Fourier sample is unrecoverable at this t
 LEADING_GUARD = 1e-3
-
-
-@dataclass(frozen=True)
-class CovarianceEstimate:
-    """Empirical mean of the bilinear product B_1 B_2 over an ensemble."""
-
-    value: complex
-    sample_count: int
-    stderr: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError("covariance estimate is not finite")
 
 
 @dataclass(frozen=True)
@@ -100,12 +89,7 @@ class ReconstructionResult:
 
 def _trace_array(traces) -> np.ndarray:
     """Normalize an ensemble to a (M, N, 3) complex array."""
-    if isinstance(traces, np.ndarray):
-        arr = np.asarray(traces, dtype=np.complex128)
-    else:
-        arr = np.stack(
-            [t.values if isinstance(t, TangentialTrace) else np.asarray(t) for t in traces]
-        ).astype(np.complex128)
+    arr = np.asarray(traces, dtype=np.complex128)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError("trace ensemble must have shape (M, n_nodes, 3)")
     return arr
@@ -128,34 +112,6 @@ def dual_functional_vector(
     e = capacity.apply_coeffs_transpose(d)
     proj = np.conj(basis.synthesize(np.conj(e)))
     return -(mesh.weights[:, None] * (1j * k * proj + curlu_samples))
-
-
-def trace_functionals(traces, dual: np.ndarray) -> np.ndarray:
-    """Batch evaluation F_r = sum_n trace_{r,n} . D_n, one value per realization."""
-    arr = _trace_array(traces)
-    return np.tensordot(arr, dual, axes=([1, 2], [0, 1]))
-
-
-def estimate_correlation(
-    traces, u1_data, u2_data, capacity: CapacityOperator, k: float | None = None
-) -> CovarianceEstimate:
-    """Empirical mean of B_1 B_2 (bilinear, no conjugation) over the ensemble.
-
-    u_j_data are (U_j, curl U_j) sampled at the mesh nodes. The estimator
-    converges to -k^2 int sigma U_1 . U_2 by the Ito isometry.
-    """
-    arr = _trace_array(traces)
-    if arr.shape[0] == 0:
-        raise ValueError("trace ensemble is empty")
-    if k is not None and k != capacity.k:
-        raise ValueError("wavenumber does not match the capacity operator")
-    d1 = dual_functional_vector(capacity, *u1_data)
-    d2 = dual_functional_vector(capacity, *u2_data)
-    prods = trace_functionals(arr, d1) * trace_functionals(arr, d2)
-    M = prods.size
-    value = complex(prods.mean())
-    stderr = float(np.std(prods, ddof=1) / np.sqrt(M)) if M > 1 else float("inf")
-    return CovarianceEstimate(value=value, sample_count=M, stderr=stderr)
 
 
 def measure_epsilon(traces, capacity: CapacityOperator) -> KernelEpsilon:
@@ -216,21 +172,6 @@ def select_parameters(
     return float(t), float(rho)
 
 
-def estimate_sigma_hat(cov: CovarianceEstimate, xi, t: float, k: float) -> complex:
-    """Fourier sample of sigma at xi from the correlation estimate.
-
-    sigma_hat(xi) ~ (-cov/k^2) / (1 - |xi|^2/4t^2); the remainder of the CGO
-    product is not subtracted (it vanishes identically for a homogeneous
-    medium).
-    """
-    lead = 1.0 - float(np.dot(xi, xi)) / (4.0 * t * t)
-    if abs(lead) < LEADING_GUARD:
-        raise ConfigurationError(
-            f"leading coefficient {lead:.2e} below guard; |xi| too large for t={t}"
-        )
-    return complex((-cov.value / k ** 2) / lead)
-
-
 def build_xi_lattice(rho: float, R_prime: float) -> tuple[np.ndarray, float]:
     """Uniform Cartesian xi-lattice clipped to the ball |xi| <= rho.
 
@@ -281,18 +222,6 @@ def fourier_synthesis(
     return ScalarFieldC(grid, rec.real.astype(np.complex128)), residue
 
 
-def _cgo_pair_on_mesh(xi, t, k, medium, grid, mesh, azimuth, tol):
-    """Boundary data (U_j, curl U_j) of the conjugate pair plus its leading
-    coefficient. The remainder solve degenerates to the exact plane-wave pair
-    for a homogeneous medium."""
-    params = build_zeta_eta(xi, t, k, azimuth=azimuth)
-    data = []
-    for which in (1, 2):
-        sol = solve_cgo_remainder(params, which, medium, grid, tol=tol)
-        data.append(cgo_on_sphere(sol, mesh))
-    return params.leading, data
-
-
 def reconstruct_sigma(
     traces,
     capacity: CapacityOperator,
@@ -311,6 +240,9 @@ def reconstruct_sigma(
 ) -> ReconstructionResult:
     """Full pipeline: measured epsilon -> (t, rho) -> Fourier samples -> sigma.
 
+    Each sample is sigma_hat(xi) = -mean(B_1 B_2) / (k^2 (1 - |xi|^2/4t^2));
+    the CGO product remainder is not subtracted (it vanishes for m = 0).
+
     `rho_override` widens (or narrows) the low-pass ball beyond the worst-case
     schedule value; for a homogeneous medium the Fourier estimator is unbiased
     at every admissible xi, so the schedule's pessimistic cutoff needlessly
@@ -322,16 +254,24 @@ def reconstruct_sigma(
     M = arr.shape[0]
     if M == 0:
         raise ValueError("trace ensemble is empty")
+    if k != capacity.k:
+        raise ValueError("wavenumber does not match the capacity operator")
     if epsilon is None:
         epsilon = measure_epsilon(arr, capacity).epsilon
     t, rho = select_parameters(epsilon, constants.s, R_prime, k, constants.M1, t_max)
     if rho_override is not None:
         rho = float(rho_override)
+    # |xi| <= rho keeps the leading coefficient 1 - |xi|^2/4t^2 above the guard
     if rho > 2.0 * t * np.sqrt(1.0 - LEADING_GUARD):
         raise ConfigurationError(
             f"cutoff rho={rho:.2f} exceeds the admissible band for t={t:.2f}"
         )
     xi_nodes, dxi = build_xi_lattice(rho, R_prime)
+    # the overflow guard grows with |xi|, so the largest node checks them all
+    xi_far = xi_nodes[np.argmax(np.einsum("ni,ni->n", xi_nodes, xi_nodes))]
+    build_zeta_eta(xi_far, t, k, box_radius(grid))
+    # for m = 0 the CGO pair is the exact plane-wave pair, with no remainder
+    homogeneous = not np.any(evaluate_on_grid(medium, grid).values.real)
     mesh = capacity.basis.mesh
     flat = arr.reshape(M, -1)
 
@@ -345,25 +285,24 @@ def reconstruct_sigma(
         duals = []
         leads = []
         for xi in sub:
-            lead = None
             for az in azimuths:
-                lead, pair = _cgo_pair_on_mesh(
-                    xi, t, k, medium, grid, mesh, az, cgo_tol
-                )
-                for U, curlU in pair:
+                params = build_zeta_eta(xi, t, k, azimuth=az)
+                for which in (1, 2):
+                    if homogeneous:
+                        U, curlU = plane_wave_on(
+                            params.zeta(which), params.eta(which), mesh.nodes
+                        )
+                    else:
+                        sol = solve_cgo_remainder(params, which, medium, grid, tol=cgo_tol)
+                        U, curlU = cgo_on_sphere(sol, mesh)
                     duals.append(dual_functional_vector(capacity, U, curlU).ravel())
-            leads.append(lead)
+            leads.append(params.leading)
         B = flat @ np.stack(duals).T  # (M, n_sub * n_frames * 2)
         B = B.reshape(M, len(sub), n_frames, 2)
         prods = (B[..., 0] * B[..., 1]).mean(axis=2)  # frame average per realization
         mean = prods.mean(axis=0)
         sd = prods.std(axis=0, ddof=1) / np.sqrt(M) if M > 1 else np.full(len(sub), np.inf)
         for j, lead in enumerate(leads):
-            if abs(lead) < LEADING_GUARD:
-                raise ConfigurationError(
-                    f"leading coefficient {lead:.2e} below guard at |xi|="
-                    f"{np.linalg.norm(sub[j]):.2f}, t={t:.2f}"
-                )
             sigma_hat[lo + j] = (-mean[j] / k ** 2) / lead
             stderr[lo + j] = sd[j] / (k ** 2 * abs(lead))
 

@@ -12,7 +12,7 @@ from scipy.special import sph_harm_y
 
 from .geometry import SphereMesh
 
-__all__ = ["VshBasis", "VshExpansion", "scalar_ylm_table"]
+__all__ = ["VshBasis", "scalar_ylm_table"]
 
 
 def scalar_ylm_table(lmax: int, theta: np.ndarray, phi: np.ndarray):
@@ -58,7 +58,6 @@ class VshBasis:
         self.n_modes = len(self.modes)
 
         Y, dY = scalar_ylm_table(lmax, mesh.theta, mesh.phi)
-        self.ylm = Y
         inv_sin = 1.0 / np.sin(mesh.theta)
         R = mesh.radius
 
@@ -77,10 +76,6 @@ class VshBasis:
         self._stack = np.concatenate([grad, curl], axis=0)
         self._stack_w = np.conj(self._stack) * mesh.weights[None, :, None]
 
-    def scalar_y(self, l: int, m: int) -> np.ndarray:
-        """Y_lm normalized on the mesh sphere (surface measure R^2 dOmega)."""
-        return self.ylm[(l, m)] / self.mesh.radius
-
     def mode_index(self, l: int, m: int) -> int:
         return self.modes.index((l, m))
 
@@ -96,28 +91,3 @@ class VshBasis:
             raise ValueError("coefficient vector has wrong length")
         return np.tensordot(coeffs, self._stack, axes=([-1], [0]))
 
-
-class VshExpansion:
-    """Coefficients of one tangential trace in a VshBasis."""
-
-    def __init__(self, basis: VshBasis, coeffs: np.ndarray):
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if coeffs.shape != (2 * basis.n_modes,):
-            raise ValueError("coefficient vector has wrong length")
-        self.basis = basis
-        self.coeffs = coeffs
-
-    @property
-    def lmax(self) -> int:
-        return self.basis.lmax
-
-    def coefficient(self, family: str, l: int, m: int) -> complex:
-        idx = self.basis.mode_index(l, m)
-        if family == "grad":
-            return complex(self.coeffs[idx])
-        if family == "curl":
-            return complex(self.coeffs[self.basis.n_modes + idx])
-        raise ValueError("family must be 'grad' or 'curl'")
-
-    def synthesize(self) -> np.ndarray:
-        return self.basis.synthesize(self.coeffs)

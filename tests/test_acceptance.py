@@ -16,9 +16,9 @@ from stochmaxwell.cli import main
 from stochmaxwell.config import ExperimentConfig
 from stochmaxwell.forward import (
     HomogeneousTraceMap,
+    MaxwellSolver,
     noise_values,
     pde_residual,
-    solve_maxwell,
 )
 from stochmaxwell.geometry import (
     Bump,
@@ -166,7 +166,8 @@ class TestCriterion3ForwardSolver:
         p = np.array([0.3, -1.0, 0.5])
         src = np.zeros((3,) + grid.dims, dtype=np.complex128)
         src[:, c, c, c] = 1j * K_DESK * p / grid.cell_volume
-        sol = solve_maxwell(K_DESK, hom_medium, VectorFieldC3(grid, src))
+        solver = MaxwellSolver(K_DESK, hom_medium, grid)
+        sol = solver.solve(VectorFieldC3(grid, src))
         probe_idx = (c + 7, c, c)
         x = grid.nodes()[(slice(None),) + probe_idx]
         E_ref, _ = electric_dipole_field(K_DESK, src_pos, p, np.array([x]))
@@ -176,7 +177,7 @@ class TestCriterion3ForwardSolver:
         prof = np.exp(-(x ** 2 + y ** 2 + z ** 2) / (2 * 0.35 ** 2))
         smooth = VectorFieldC3(grid, np.stack([prof, np.zeros_like(prof), 0.4 * prof]) + 0j)
         tol = 1e-10
-        sol2 = solve_maxwell(K_DESK, hom_medium, smooth, tol=tol)
+        sol2 = solver.solve(smooth, tol=tol)
         res = pde_residual(sol2.field, K_DESK, hom_medium, smooth)
         bound = max(10 * tol, PDE_RESIDUAL_CONSTANT * grid.spacing ** 2)
 

@@ -5,8 +5,6 @@ from hypothesis import given, settings, strategies as st
 from stochmaxwell.capacity import (
     CapacityOperator,
     boundary_functional,
-    build_capacity,
-    capacity_apply,
     radiating_multipole,
     spherical_h1,
 )
@@ -19,7 +17,7 @@ from stochmaxwell.geometry import (
     evaluate_on_grid,
 )
 from stochmaxwell.greens import electric_dipole_field
-from stochmaxwell.sphharm import VshBasis, VshExpansion
+from stochmaxwell.sphharm import VshBasis
 
 from conftest import K_DESK, rel_err
 
@@ -35,12 +33,16 @@ class TestVshBasis:
         assert rel_err(back, trace) < 1e-12
 
     def test_expansion_coefficient_lookup(self, desk_basis):
-        rng = np.random.default_rng(6)
-        coeffs = rng.standard_normal(2 * desk_basis.n_modes) + 0j
-        exp = VshExpansion(desk_basis, coeffs)
+        """Coefficient (family, l, m) sits at mode_index(l, m), the curl family
+        n_modes further on: synthesizing a unit vector there gives that
+        family's harmonic."""
         idx = desk_basis.mode_index(3, -1)
-        assert exp.coefficient("grad", 3, -1) == coeffs[idx]
-        assert exp.coefficient("curl", 3, -1) == coeffs[desk_basis.n_modes + idx]
+        assert desk_basis.modes[idx] == (3, -1)
+        unit = np.zeros(2 * desk_basis.n_modes, dtype=complex)
+        unit[idx] = 1.0
+        assert np.allclose(desk_basis.synthesize(unit), desk_basis.grad_family[idx])
+        unit = np.roll(unit, desk_basis.n_modes)
+        assert np.allclose(desk_basis.synthesize(unit), desk_basis.curl_family[idx])
 
     def test_batched_decompose_matches_loop(self, desk_basis):
         rng = np.random.default_rng(7)
@@ -122,17 +124,10 @@ class TestCoefficientAction:
 
 
 class TestConstruction:
-    def test_build_capacity_checks_radius(self):
-        mesh = SphereMesh(1.0, 6)
-        with pytest.raises(ValueError):
-            build_capacity(2.0, 1.2, 6, mesh=mesh)
-
     def test_capacity_apply_checks_mesh(self, desk_capacity):
         other = SphereMesh(1.0, 5)
         with pytest.raises(ValueError):
-            capacity_apply(
-                desk_capacity, np.zeros((other.n_nodes, 3), dtype=complex), other
-            )
+            desk_capacity.apply(np.zeros((other.n_nodes, 3), dtype=complex))
 
     def test_nonpositive_wavenumber_rejected(self, desk_basis):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stochmaxwell.cgo import (
     StabilityConstants,
@@ -32,6 +32,7 @@ class TestFrame:
             st.floats(-5, 5, allow_nan=False),
         )
     )
+    @example((0.0, 0.0, 5.8e-160))  # squared norm underflows to a subnormal
     @settings(max_examples=50, deadline=None)
     def test_orthonormal_right_handed(self, xi):
         frame = build_frame(np.array(xi))

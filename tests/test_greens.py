@@ -7,7 +7,6 @@ from stochmaxwell.greens import (
     SingularityError,
     dyadic_green,
     electric_dipole_field,
-    free_convolve,
     helmholtz_g,
     resolvent_decay_probe,
 )
@@ -95,12 +94,16 @@ class TestFreeConvolver:
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_wrapper_consistency(self):
+        """The field wrapper, the array action and the resolvent scaling are
+        one operator; a real input takes the same complex path as its cast."""
         grid = Grid3.cube(0.8, 12)
         rng = np.random.default_rng(4)
-        f = VectorFieldC3(grid, rng.standard_normal((3,) + grid.dims) + 0j)
-        assert np.array_equal(
-            free_convolve(1.5, f).values, FreeConvolver(1.5, grid).apply(f).values
-        )
+        real = rng.standard_normal((3,) + grid.dims)
+        conv = FreeConvolver(1.5, grid)
+        arr = conv.apply_array(real + 0j)
+        assert np.array_equal(conv.apply(VectorFieldC3(grid, real + 0j)).values, arr)
+        assert np.array_equal(conv.apply_array(real), arr)
+        assert np.array_equal(conv.apply_resolvent_array(real), arr / (1j * 1.5))
 
 
 class TestDipole:

@@ -148,6 +148,31 @@ class TestEnsembleStore:
         with pytest.raises(ValueError):
             read_ensemble(tmp_path)
 
+    @pytest.mark.parametrize(
+        "fname, offset, new",
+        [
+            ("traces.bin", 0, b"X"),  # magic
+            ("traces.bin", 8, b"\x06"),  # (M, N) header, outside the digest
+            ("manifest.json", 0, b"#"),  # not JSON
+        ],
+    )
+    def test_corruption_is_a_configuration_error(self, tmp_path, fname, offset, new):
+        write_ensemble(tmp_path, self._traces(), {"kind": "trace-ensemble"})
+        path = tmp_path / fname
+        blob = bytearray(path.read_bytes())
+        blob[offset : offset + len(new)] = new
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ConfigurationError):
+            read_ensemble(tmp_path)
+
+    def test_manifest_without_digest_rejected(self, tmp_path):
+        manifest = write_ensemble(tmp_path, self._traces(), {"kind": "trace-ensemble"})
+        del manifest["data_sha256"]
+        manifest["hash"] = manifest_hash(manifest)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigurationError):
+            read_ensemble(tmp_path)
+
     def test_generation_is_deterministic(self, small_cfg):
         args = (
             small_cfg.k,
@@ -262,6 +287,15 @@ class TestCliReconstruct:
         main(["reconstruct", "--config", config_path, "--out", out])
         for f, blob in first.items():
             assert (rec / f).read_bytes() == blob
+
+    def test_corrupt_store_exits_2(self, config_path, tmp_path):
+        out = str(tmp_path / "r")
+        assert main(["forward", "--config", config_path, "--out", out]) == EXIT_OK
+        path = tmp_path / "r" / "ensemble" / "traces.bin"
+        blob = bytearray(path.read_bytes())
+        blob[-5] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        assert main(["reconstruct", "--config", config_path, "--out", out]) == EXIT_CONFIG
 
     def test_physics_mismatch_exits_2(self, small_cfg, config_path, tmp_path):
         out = str(tmp_path / "r")

@@ -13,17 +13,13 @@ from stochmaxwell.geometry import (
     evaluate_on_grid,
 )
 from stochmaxwell.reconstruct import (
-    CovarianceEstimate,
     build_xi_lattice,
     dual_functional_vector,
-    estimate_correlation,
-    estimate_sigma_hat,
     fourier_synthesis,
     hermitian_symmetrize,
     measure_epsilon,
     reconstruct_sigma,
     select_parameters,
-    trace_functionals,
 )
 
 from conftest import K_DESK, RP_DESK, rel_err
@@ -65,6 +61,22 @@ def _plane_pair(xi, t, mesh):
     return p, data
 
 
+def _correlation(traces, data, capacity):
+    """Sample mean and standard error of B_1 B_2 over the ensemble, where
+    B_j = sum_n trace_n . D_j,n pairs each trace with the dual vector of the
+    j-th member's boundary data."""
+    flat = traces.reshape(len(traces), -1)
+    b1, b2 = (flat @ dual_functional_vector(capacity, *d).ravel() for d in data)
+    prods = b1 * b2
+    return prods.mean(), prods.std(ddof=1) / np.sqrt(len(prods))
+
+
+def _reconstruct(traces, capacity, grid, medium, k=K_DESK, **kwargs):
+    return reconstruct_sigma(
+        traces, capacity, k=k, R_prime=RP_DESK, medium=medium, grid=grid, **kwargs
+    )
+
+
 class TestDualVector:
     def test_reproduces_boundary_functional(self, desk_capacity):
         """The folded dual vector gives the identical value as the explicit
@@ -87,34 +99,26 @@ class TestDualVector:
             got = np.sum(tr * dual)
             assert abs(got - want) < 1e-12 * abs(want)
 
-    def test_batch_functional_matches_loop(self, desk_capacity):
-        mesh = desk_capacity.basis.mesh
-        rng = np.random.default_rng(22)
-        dual = rng.standard_normal((mesh.n_nodes, 3)) + 0j
-        trs = rng.standard_normal((6, mesh.n_nodes, 3)) + 0j
-        batch = trace_functionals(trs, dual)
-        for r in range(6):
-            assert batch[r] == pytest.approx(np.sum(trs[r] * dual))
-
 
 class TestCorrelation:
-    def test_zero_traces_give_zero(self, desk_capacity):
+    def test_zero_traces_give_zero(self, grid, hom_medium, desk_capacity):
         mesh = desk_capacity.basis.mesh
         zeros = np.zeros((8, mesh.n_nodes, 3), dtype=complex)
-        _, data = _plane_pair([0.5, 0.0, 0.0], 5.0, mesh)
-        cov = estimate_correlation(zeros, data[0], data[1], desk_capacity)
-        assert cov.value == 0.0
-        assert cov.sample_count == 8
+        result = _reconstruct(zeros, desk_capacity, grid, hom_medium, epsilon=0.1)
+        assert np.all(result.sigma_hat == 0.0)
+        assert result.sample_count == 8
 
-    def test_empty_ensemble_rejected(self, desk_capacity):
+    def test_empty_ensemble_rejected(self, grid, hom_medium, desk_capacity):
+        """Rejected before any estimate even when epsilon is given, so the
+        empty check does not lean on measure_epsilon."""
         mesh = desk_capacity.basis.mesh
-        _, data = _plane_pair([0.0, 0.0, 0.0], 5.0, mesh)
         with pytest.raises(ValueError):
-            estimate_correlation(
+            _reconstruct(
                 np.zeros((0, mesh.n_nodes, 3), dtype=complex),
-                data[0],
-                data[1],
                 desk_capacity,
+                grid,
+                hom_medium,
+                epsilon=0.1,
             )
 
     def test_pooling_halves_matches_full(self, small_ensemble, desk_capacity):
@@ -122,10 +126,10 @@ class TestCorrelation:
         estimates reproduces the full-ensemble value exactly."""
         mesh = desk_capacity.basis.mesh
         _, data = _plane_pair([1.0, -0.5, 0.0], 5.0, mesh)
-        full = estimate_correlation(small_ensemble, data[0], data[1], desk_capacity)
-        a = estimate_correlation(small_ensemble[:200], data[0], data[1], desk_capacity)
-        b = estimate_correlation(small_ensemble[200:], data[0], data[1], desk_capacity)
-        assert abs(0.5 * (a.value + b.value) - full.value) < 1e-12 * abs(full.value)
+        full, _ = _correlation(small_ensemble, data, desk_capacity)
+        a, _ = _correlation(small_ensemble[:200], data, desk_capacity)
+        b, _ = _correlation(small_ensemble[200:], data, desk_capacity)
+        assert abs(0.5 * (a + b) - full) < 1e-12 * abs(full)
 
     def test_isometry_against_volume_integral(
         self, small_ensemble, grid, wide_sigma, desk_capacity
@@ -137,18 +141,16 @@ class TestCorrelation:
         nodes = grid.nodes()
         for xi in ([0.0, 0.0, 0.0], [1.0, 0.5, -0.5]):
             p, data = _plane_pair(xi, 5.0, mesh)
-            cov = estimate_correlation(small_ensemble, data[0], data[1], desk_capacity)
+            mean, stderr = _correlation(small_ensemble, data, desk_capacity)
             phase = np.exp(-1j * np.tensordot(np.asarray(xi, float), nodes, axes=(0, 0)))
             volume = -K_DESK ** 2 * p.leading * np.sum(sig * phase) * grid.cell_volume
-            assert abs(cov.value - volume) < 3.0 * cov.stderr
+            assert abs(mean - volume) < 3.0 * stderr
 
-    def test_wavenumber_mismatch_rejected(self, small_ensemble, desk_capacity):
-        mesh = desk_capacity.basis.mesh
-        _, data = _plane_pair([0.0, 0.0, 0.0], 5.0, mesh)
+    def test_wavenumber_mismatch_rejected(
+        self, small_ensemble, grid, hom_medium, desk_capacity
+    ):
         with pytest.raises(ValueError):
-            estimate_correlation(
-                small_ensemble, data[0], data[1], desk_capacity, k=3.0
-            )
+            _reconstruct(small_ensemble, desk_capacity, grid, hom_medium, k=3.0)
 
 
 class TestEpsilon:
@@ -196,19 +198,37 @@ class TestParameterSchedule:
 
 
 class TestSigmaHatEstimator:
-    def test_inverts_known_leading(self):
-        xi = np.array([1.0, 0.0, 0.0])
-        t, k, truth = 5.0, 2.0, 0.3 + 0.1j
-        lead = 1.0 - 1.0 / (4 * t * t)
-        cov = CovarianceEstimate(value=-k ** 2 * lead * truth, sample_count=10, stderr=0.0)
-        assert estimate_sigma_hat(cov, xi, t, k) == pytest.approx(truth)
+    def test_inverts_known_leading(self, small_ensemble, grid, hom_medium, desk_capacity):
+        """Each sample is -mean(B_1 B_2) / (k^2 lead), averaged with the
+        conjugate of its antipode's."""
+        traces = small_ensemble[:100]
+        result = _reconstruct(
+            traces, desk_capacity, grid, hom_medium, epsilon=0.1, rho_override=1.5
+        )
+        mesh = desk_capacity.basis.mesh
 
-    def test_guard_near_vanishing_leading(self):
-        t = 5.0
-        xi = np.array([2.0 * t * (1.0 - 1e-9), 0.0, 0.0])
-        cov = CovarianceEstimate(value=1.0, sample_count=10, stderr=0.0)
+        def sample(xi):
+            p, data = _plane_pair(xi, result.t, mesh)
+            mean, _ = _correlation(traces, data, desk_capacity)
+            return (-mean / K_DESK ** 2) / p.leading
+
+        for i in (0, len(result.xi_nodes) // 3):
+            xi = result.xi_nodes[i]
+            want = 0.5 * (sample(xi) + np.conj(sample(-xi)))
+            assert result.sigma_hat[i] == pytest.approx(want, rel=1e-10)
+
+    def test_guard_near_vanishing_leading(self, small_ensemble, grid, hom_medium, desk_capacity):
+        """A cutoff just inside |xi| = 2t, where the leading coefficient
+        nearly vanishes, is rejected; epsilon = 0.1 gives t = 5."""
         with pytest.raises(ConfigurationError):
-            estimate_sigma_hat(cov, xi, t, 2.0)
+            _reconstruct(
+                small_ensemble,
+                desk_capacity,
+                grid,
+                hom_medium,
+                epsilon=0.1,
+                rho_override=2.0 * 5.0 * (1.0 - 1e-9),
+            )
 
 
 class TestXiLattice:
