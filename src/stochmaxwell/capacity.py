@@ -23,14 +23,18 @@ __all__ = [
 ]
 
 
-def spherical_h1(l: int, z: float, derivative: bool = False) -> complex:
-    """Spherical Hankel function of the first kind (or its derivative)."""
-    val = spherical_jn(l, z, derivative) + 1j * spherical_yn(l, z, derivative)
-    if not np.isfinite(val):
+def spherical_h1(l: int, z: float | np.ndarray, derivative: bool = False):
+    """Spherical Hankel function of the first kind (or its derivative),
+    elementwise over z. Raises OverflowError if any value is not finite."""
+    with np.errstate(invalid="ignore"):  # 1j * -inf; reported below
+        val = spherical_jn(l, z, derivative) + 1j * spherical_yn(l, z, derivative)
+    bad = ~np.isfinite(val)
+    if np.any(bad):
         raise OverflowError(
-            f"spherical Hankel overflow at l={l}, z={z}; use a smaller degree cutoff"
+            f"spherical Hankel overflow at l={l}, z={np.asarray(z)[bad][0]}; "
+            "use a smaller degree cutoff"
         )
-    return complex(val)
+    return val
 
 
 def radiating_multipole(kind: str, l: int, m: int, k: float, points: np.ndarray):
@@ -59,8 +63,8 @@ def radiating_multipole(kind: str, l: int, m: int, k: float, points: np.ndarray)
     rot_s = ga[:, None] * phat - gb[:, None] * that
 
     z = k * r
-    h = np.array([spherical_h1(l, zi) for zi in z])
-    psi_p = h + z * np.array([spherical_h1(l, zi, derivative=True) for zi in z])
+    h = spherical_h1(l, z)
+    psi_p = h + z * spherical_h1(l, z, derivative=True)
 
     M = -h[:, None] * rot_s
     N = (l * (l + 1) * h / z)[:, None] * y[:, None] * rhat + (psi_p / z)[:, None] * grad_s

@@ -236,9 +236,20 @@ class ConjugatedResolvent:
     carry the cell average of the reciprocal symbol (the set has codimension
     two, so the average is finite); this tames the otherwise arbitrarily large
     near-resonant multipliers of the coarse s-lattice.
+
+    The cell average is the midpoint rule on a _SUBSAMPLE^3 grid of offsets o
+    about the bin centre s0. With c = s0 + zeta the symbol there is
+    d0 + X(o_x) + Y(o_y) + Z(o_z), each term 2 o_i c_i + o_i^2, so the
+    samples are an outer sum; the offsets are symmetric about 0, so each
+    antipodal pair in x folds into one division,
+    1/(B + L) + 1/(B - L) = 2B / (B^2 - L^2) with L = 2 o_x c_x. Bins go in
+    chunks of _CHUNK to keep the tensor in cache. The result differs from a
+    pointwise mean only by rounding (about 1e-10 relative at worst, from
+    the s^2 + 2 s.zeta cancellation near the characteristic set).
     """
 
     _SUBSAMPLE = 12
+    _CHUNK = 16
 
     def __init__(self, zeta: np.ndarray, k: float, grid: Grid3):
         self.zeta = np.asarray(zeta, dtype=np.complex128)
@@ -257,17 +268,25 @@ class ConjugatedResolvent:
         near = np.abs(denom) < grad_scale * ds
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = np.where(near, 0.0, 1.0 / np.where(near, 1.0, denom))
-        q1 = ((np.arange(self._SUBSAMPLE) + 0.5) / self._SUBSAMPLE - 0.5) * ds
-        OX, OY, OZ = (a.ravel() for a in np.meshgrid(q1, q1, q1, indexing="ij"))
-        for (i, j, l) in np.argwhere(near):
-            s0x, s0y, s0z = kv[0][i] + OX, kv[1][j] + OY, kv[2][l] + OZ
-            dn = (
-                s0x ** 2
-                + s0y ** 2
-                + s0z ** 2
-                + 2.0 * (s0x * z[0] + s0y * z[1] + s0z * z[2])
-            )
-            inv[i, j, l] = np.mean(1.0 / dn)
+        S = self._SUBSAMPLE
+        q1 = ((np.arange(S) + 0.5) / S - 0.5) * ds
+        half = q1[S // 2:]  # q1 is symmetric about 0: fold x onto +half
+        idx = np.nonzero(near)
+        c = np.stack([kv[a][idx[a]] for a in range(3)], axis=1) + z
+        L2 = (2.0 * half * c[:, :1]) ** 2
+        X = denom[idx][:, None] + half ** 2
+        Y = 2.0 * q1 * c[:, 1:2] + q1 ** 2
+        Z = 2.0 * q1 * c[:, 2:3] + q1 ** 2
+        YZ = (Y[:, :, None] + Z[:, None, :]).reshape(len(c), S * S)
+        avg = np.empty(len(c), dtype=np.complex128)
+        for b in range(0, len(c), self._CHUNK):
+            e = slice(b, b + self._CHUNK)
+            B = X[e, :, None] + YZ[e, None, :]
+            D = B * B
+            D -= L2[e, :, None]
+            B /= D
+            avg[e] = B.sum(axis=(1, 2))
+        inv[idx] = avg * (2.0 / S ** 3)
         self._inv = inv
         self._q = (sx + z[0], sy + z[1], sz + z[2])
 

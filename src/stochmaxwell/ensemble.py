@@ -147,8 +147,11 @@ def read_ensemble(out_dir) -> tuple[np.ndarray, dict]:
         raise ConfigurationError(f"unreadable ensemble manifest: {exc!r}") from exc
     if manifest_hash(manifest) != stored_hash:
         raise ConfigurationError("manifest hash mismatch; the run directory is corrupt")
-    with open(os.path.join(out_dir, records), "rb") as fh:
-        magic, header, payload = fh.read(8), fh.read(16), fh.read()
+    try:
+        with open(os.path.join(out_dir, records), "rb") as fh:
+            magic, header, payload = fh.read(8), fh.read(16), fh.read()
+    except OSError as exc:
+        raise ConfigurationError(f"unreadable trace records {records!r}: {exc}") from exc
     if magic != _TRACE_MAGIC:
         raise ConfigurationError(f"bad trace magic {magic!r}")
     if hashlib.sha256(payload).hexdigest() != digest:

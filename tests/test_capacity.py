@@ -136,6 +136,17 @@ class TestConstruction:
     def test_hankel_overflow_guard(self):
         with pytest.raises(OverflowError):
             spherical_h1(120, 0.1)
+        with pytest.raises(OverflowError):
+            spherical_h1(120, np.array([2.0, 0.1, 3.0]))
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_hankel_array_matches_scalar(self, derivative):
+        z = np.linspace(0.5, 4.0, 17)
+        for l in (1, 5, 12):
+            h = spherical_h1(l, z, derivative)
+            want = [spherical_h1(l, float(zi), derivative) for zi in z]
+            assert h.shape == z.shape
+            assert np.array_equal(h, want)
 
 
 class TestBoundaryFunctional:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stochmaxwell.cgo import (
+    ConjugatedResolvent,
     StabilityConstants,
     build_frame,
     build_zeta_eta,
@@ -113,6 +114,56 @@ def grid():
 @pytest.fixture(scope="module")
 def contrast_medium():
     return MediumSpec((Bump((0.1, 0.0, -0.1), 0.6, 0.05),), ball_radius=1.0)
+
+
+class TestConjugatedResolvent:
+    """The resolvent's multipliers against a direct evaluation: far bins are
+    the reciprocal Faddeev symbol, near-resonant bins the midpoint mean of
+    its reciprocal over a 12^3 subgrid of the spectral cell."""
+
+    GRID = Grid3.for_ball(1.3, 10)
+
+    @staticmethod
+    def symbol_lattice(zeta, grid):
+        kv = [2.0 * np.pi * np.fft.fftfreq(2 * n, d=grid.spacing) for n in grid.dims]
+        sx, sy, sz = np.meshgrid(*kv, indexing="ij")
+        denom = sx ** 2 + sy ** 2 + sz ** 2 + 2.0 * (
+            sx * zeta[0] + sy * zeta[1] + sz * zeta[2]
+        )
+        return kv, denom
+
+    @staticmethod
+    def cell_mean(zeta, s0, ds, sub=12):
+        q = ((np.arange(sub) + 0.5) / sub - 0.5) * ds
+        ox, oy, oz = (a.ravel() for a in np.meshgrid(q, q, q, indexing="ij"))
+        s = np.stack([s0[0] + ox, s0[1] + oy, s0[2] + oz])
+        dn = np.sum(s * s, axis=0) + 2.0 * np.tensordot(zeta, s, axes=1)
+        return np.mean(1.0 / dn)
+
+    @pytest.mark.parametrize(
+        "xi, azimuth",
+        [
+            ((0.0, 0.0, 0.0), 0.0),
+            ((0.6, -0.3, 0.2), 0.0),
+            ((1.0, 0.5, -0.8), 1.1),
+            ((1.43, 0.0, 0.0), 0.4),
+        ],
+    )
+    def test_multipliers_match_direct_cell_means(self, xi, azimuth):
+        grid = self.GRID
+        p = build_zeta_eta(np.array(xi), 5.0, K, azimuth=azimuth)
+        for zeta in (p.zeta1, p.zeta2):
+            res = ConjugatedResolvent(zeta, K, grid)
+            kv, denom = self.symbol_lattice(zeta, grid)
+            ds = kv[0][1] - kv[0][0]
+            near = np.abs(denom) < 4.0 * (np.abs(zeta).max() + K) * ds
+            assert 0 < near.sum() < near.size
+            assert np.array_equal(res._inv[~near], 1.0 / denom[~near])
+            worst = 0.0
+            for i, j, l in np.argwhere(near):
+                want = self.cell_mean(zeta, (kv[0][i], kv[1][j], kv[2][l]), ds)
+                worst = max(worst, abs(res._inv[i, j, l] - want) / abs(want))
+            assert worst < 1e-9
 
 
 class TestHomogeneousSolution:

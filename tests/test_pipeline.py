@@ -297,6 +297,12 @@ class TestCliReconstruct:
         path.write_bytes(bytes(blob))
         assert main(["reconstruct", "--config", config_path, "--out", out]) == EXIT_CONFIG
 
+    def test_missing_traces_exits_2(self, config_path, tmp_path):
+        out = str(tmp_path / "r")
+        assert main(["forward", "--config", config_path, "--out", out]) == EXIT_OK
+        (tmp_path / "r" / "ensemble" / "traces.bin").unlink()
+        assert main(["reconstruct", "--config", config_path, "--out", out]) == EXIT_CONFIG
+
     def test_physics_mismatch_exits_2(self, small_cfg, config_path, tmp_path):
         out = str(tmp_path / "r")
         run_forward(small_cfg, os.path.join(out, "ensemble"))
