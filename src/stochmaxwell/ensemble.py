@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _TRACE_MAGIC = b"EMTRC001"
+_REALIZATION_CHUNK = 256  # currents per trace-map product in generate_ensemble
 
 
 def generate_ensemble(
@@ -54,10 +55,11 @@ def generate_ensemble(
 ) -> np.ndarray:
     """Boundary traces E x nu of M independent white-noise realizations.
 
-    Homogeneous media go through the direct Green-superposition trace map (a
-    single matrix product); inhomogeneous media solve the volume integral
-    equation per realization, parallelized across threads. Any solver failure
-    aborts the run (failure budget is zero).
+    Homogeneous media go through the direct Green-superposition trace map,
+    one matrix product per chunk of _REALIZATION_CHUNK currents, so memory is
+    the map, one chunk and the output; inhomogeneous media solve the volume
+    integral equation per realization, parallelized across threads. Any
+    solver failure aborts the run (failure budget is zero).
     """
     if M < 1:
         raise ConfigurationError("ensemble size must be at least 1")
@@ -67,10 +69,14 @@ def generate_ensemble(
         if not np.any(mask):
             return np.zeros((M, mesh.n_nodes, 3), dtype=np.complex128)
         tmap = HomogeneousTraceMap(k, grid, mask, mesh)
-        J = np.empty((M, tmap.n_cells, 3))
-        for r in range(M):
-            J[r] = noise_values(sig, grid.spacing, master_seed, r)[:, mask].T
-        return tmap.traces(J)
+        traces = np.empty((M, mesh.n_nodes, 3), dtype=np.complex128)
+        J = np.empty((min(M, _REALIZATION_CHUNK), tmap.n_cells, 3))
+        for lo in range(0, M, _REALIZATION_CHUNK):
+            n = min(_REALIZATION_CHUNK, M - lo)
+            for i in range(n):
+                J[i] = noise_values(sig, grid.spacing, master_seed, lo + i)[:, mask].T
+            traces[lo : lo + n] = tmap.traces(J[:n])
+        return traces
 
     solver = MaxwellSolver(k, medium, grid)
 
@@ -107,16 +113,14 @@ def write_ensemble(out_dir, traces: np.ndarray, manifest: dict) -> dict:
     """Write trace records and the JSON manifest; returns the final manifest.
 
     The binary layout is the magic, (M, N) as little-endian int64, then the
-    records as interleaved re/im float64 in realization-major order. The
-    manifest gains the data digest and the overall manifest hash.
+    records as interleaved re/im float64 in realization-major order, which is
+    the memory layout of little-endian complex128. The manifest gains the data
+    digest and the overall manifest hash.
     """
     os.makedirs(out_dir, exist_ok=True)
-    arr = np.ascontiguousarray(traces, dtype=np.complex128)
+    arr = np.ascontiguousarray(traces, dtype="<c16")
     M, N, _ = arr.shape
-    inter = np.empty(arr.shape + (2,), dtype="<f8")
-    inter[..., 0] = arr.real
-    inter[..., 1] = arr.imag
-    payload = inter.tobytes()
+    payload = arr.tobytes()
     bin_path = os.path.join(out_dir, "traces.bin")
     with open(bin_path, "wb") as fh:
         fh.write(_TRACE_MAGIC)
@@ -149,7 +153,11 @@ def read_ensemble(out_dir) -> tuple[np.ndarray, dict]:
         raise ConfigurationError("manifest hash mismatch; the run directory is corrupt")
     try:
         with open(os.path.join(out_dir, records), "rb") as fh:
-            magic, header, payload = fh.read(8), fh.read(16), fh.read()
+            magic, header = fh.read(8), fh.read(16)
+            # read into a mutable buffer, so the returned array is writable
+            # without a copy
+            payload = bytearray(max(0, os.fstat(fh.fileno()).st_size - fh.tell()))
+            fh.readinto(payload)
     except OSError as exc:
         raise ConfigurationError(f"unreadable trace records {records!r}: {exc}") from exc
     if magic != _TRACE_MAGIC:
@@ -159,5 +167,4 @@ def read_ensemble(out_dir) -> tuple[np.ndarray, dict]:
     # the (M, N) header sits outside the digest, so it is checked on its own
     if header != np.asarray(shape, dtype="<i8").tobytes():
         raise ConfigurationError(f"trace header does not match the manifest shape {shape}")
-    raw = np.frombuffer(payload, dtype="<f8").reshape(shape + (3, 2))
-    return raw[..., 0] + 1j * raw[..., 1], manifest
+    return np.frombuffer(payload, dtype="<c16").reshape(shape + (3,)), manifest

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 NOISE_STREAM_TAG = 0x57484E53  # stream tag for white-noise draws in the seed law
+_NODE_BLOCK = 16  # mesh nodes per block of the trace-map build
 
 
 class SolverError(RuntimeError):
@@ -233,6 +234,20 @@ class HomogeneousTraceMap:
     the convolution solver within quadrature tolerance and makes large
     Monte Carlo ensembles cheap. Consistency of the two routes is asserted in
     the test suite.
+
+    The map is one C-contiguous complex (3C, 3N) array, 3C * 3N * 16 bytes
+    for C support cells and N mesh nodes: row 3c + j takes component j of the
+    current in cell c, column 3n + i gives component i of the trace E x nu at
+    node n. The tangential cross product is folded into the map, and each
+    entry carries the ik source factor and the h^3 cell weight. The build
+    fills it in blocks of _NODE_BLOCK mesh nodes, writing the Green tensor
+    ik G = alpha I + beta rhat rhat^T straight into its final layout, so the
+    build needs the map plus one block of temporaries.
+
+    `traces` applies the map to a real current as one real matrix product
+    with the map viewed as a real (3C, 6N) array, whose result, viewed as
+    complex, is the trace; a complex current takes two such products, one
+    for its real part and one for its imaginary part.
     """
 
     def __init__(self, k: float, grid: Grid3, support_mask: np.ndarray, mesh: SphereMesh):
@@ -241,33 +256,44 @@ class HomogeneousTraceMap:
         self.mesh = mesh
         self.support_mask = np.asarray(support_mask, dtype=bool)
         coords = grid.nodes()[:, self.support_mask].T  # (C, 3)
-        self.n_cells = coords.shape[0]
-        h3 = grid.cell_volume
+        self.n_cells = C = coords.shape[0]
         N = mesh.n_nodes
-        # G[n, i, c, j] = ik * G_ij(x_n, y_c) * h^3, assembled in blocks
-        T = np.empty((N, 3, self.n_cells, 3), dtype=np.complex128)
-        d = mesh.nodes[:, None, :] - coords[None, :, :]
-        r = np.linalg.norm(d, axis=2)
-        rhat = d / r[:, :, None]
-        g = np.exp(1j * k * r) / (4.0 * np.pi * r)
-        a = 1j * k - 1.0 / r
-        gp = g * a
-        gpp = g * (a * a + 1.0 / r ** 2)
-        P = rhat[:, :, :, None] * rhat[:, :, None, :]
-        eye = np.eye(3)[None, None]
-        Gt = 1j * k * g[:, :, None, None] * eye + (1j / k) * (
-            gpp[:, :, None, None] * P + (gp / r)[:, :, None, None] * (eye - P)
-        )
-        # E = R0(k)(i k J) = G * J, so each column carries only the h^3 weight
-        T[:] = h3 * np.transpose(Gt, (0, 2, 1, 3))
-        # fold the cross product with nu into the map: trace = (E x nu)
-        self._flat = T.reshape(N, 3, 3 * self.n_cells)
+        h3 = grid.cell_volume
+        self._flat = np.empty((3 * C, 3 * N), dtype=np.complex128)
+        out = self._flat.reshape(C, 3, N, 3)  # [c, j, n, i]
+        for lo in range(0, N, _NODE_BLOCK):
+            x = mesh.nodes[lo : lo + _NODE_BLOCK]
+            nu = mesh.normals[lo : lo + _NODE_BLOCK]
+            d = x[None, :, :] - coords[:, None, :]  # (C, B, 3)
+            r = np.linalg.norm(d, axis=2)
+            rhat = d / r[:, :, None]
+            g = np.exp(1j * k * r) / (4.0 * np.pi * r)
+            a = 1j * k - 1.0 / r
+            gp_r = g * a / r  # g'/r
+            gpp = g * (a * a + 1.0 / r ** 2)  # g''
+            # ik G = ik g I + (i/k) hess g, hess g = g'' P + (g'/r)(I - P)
+            alpha = -h3 * (1j * k * g + (1j / k) * gp_r)
+            beta = -h3 * (1j / k) * (gpp - gp_r)
+            # E x nu = -[nu]_x E, and [nu]_x (alpha I + beta P) =
+            # alpha [nu]_x + beta (nu x rhat) rhat^T
+            nu_x = np.cross(nu[:, None, :], np.eye(3)[None])  # [b, j, i] = (nu x e_j)_i
+            nu_rhat = np.cross(nu[None], rhat)  # (C, B, 3)
+            out[:, :, lo : lo + _NODE_BLOCK, :] = (
+                alpha[:, None, :, None] * nu_x.transpose(1, 0, 2)[None]
+                + beta[:, None, :, None] * rhat.transpose(0, 2, 1)[..., None] * nu_rhat[:, None]
+            )
 
     def traces(self, J_support: np.ndarray) -> np.ndarray:
-        """Boundary traces for a batch of currents restricted to the support.
+        """Boundary traces E x nu for a batch of currents restricted to the
+        support.
 
         J_support: (M, C, 3) real or complex -> traces (M, N, 3).
         """
-        Jb = np.asarray(J_support).reshape(J_support.shape[0], -1)
-        E = np.tensordot(Jb, self._flat, axes=(1, 2))  # (M, N, 3)
-        return np.cross(E, self.mesh.normals[None])
+        J = np.asarray(J_support)
+        Jb = J.reshape(J.shape[0], -1)
+        W = self._flat.view(np.float64)  # (3C, 6N): re/im interleaved per column
+        if np.iscomplexobj(Jb):
+            T = (Jb.real @ W).view(np.complex128) + 1j * (Jb.imag @ W).view(np.complex128)
+        else:
+            T = (Jb @ W).view(np.complex128)
+        return T.reshape(J.shape[0], self.mesh.n_nodes, 3)

@@ -282,10 +282,10 @@ def reconstruct_sigma(
     chunk = max(1, 4096 // (2 * n_frames))
     for lo in range(0, n_xi, chunk):
         sub = xi_nodes[lo : lo + chunk]
-        duals = []
+        duals = np.empty((len(sub), n_frames, 2, flat.shape[1]), dtype=np.complex128)
         leads = []
-        for xi in sub:
-            for az in azimuths:
+        for j, xi in enumerate(sub):
+            for f, az in enumerate(azimuths):
                 params = build_zeta_eta(xi, t, k, azimuth=az)
                 for which in (1, 2):
                     if homogeneous:
@@ -295,9 +295,9 @@ def reconstruct_sigma(
                     else:
                         sol = solve_cgo_remainder(params, which, medium, grid, tol=cgo_tol)
                         U, curlU = cgo_on_sphere(sol, mesh)
-                    duals.append(dual_functional_vector(capacity, U, curlU).ravel())
+                    duals[j, f, which - 1] = dual_functional_vector(capacity, U, curlU).ravel()
             leads.append(params.leading)
-        B = flat @ np.stack(duals).T  # (M, n_sub * n_frames * 2)
+        B = flat @ duals.reshape(-1, flat.shape[1]).T  # (M, n_sub * n_frames * 2)
         B = B.reshape(M, len(sub), n_frames, 2)
         prods = (B[..., 0] * B[..., 1]).mean(axis=2)  # frame average per realization
         mean = prods.mean(axis=0)

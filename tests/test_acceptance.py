@@ -14,6 +14,7 @@ from stochmaxwell.capacity import boundary_functional, radiating_multipole
 from stochmaxwell.cgo import build_zeta_eta, solve_cgo_remainder
 from stochmaxwell.cli import main
 from stochmaxwell.config import ExperimentConfig
+from stochmaxwell.ensemble import generate_ensemble
 from stochmaxwell.forward import (
     HomogeneousTraceMap,
     MaxwellSolver,
@@ -68,20 +69,10 @@ def hom_medium():
 
 
 @pytest.fixture(scope="module")
-def big_ensemble(grid, desk_sigma, desk_capacity):
-    """10^4 boundary-trace realizations, generated in chunks to bound memory."""
+def big_ensemble(grid, desk_sigma, hom_medium, desk_capacity):
+    """10^4 boundary-trace realizations through the program's ensemble path."""
     mesh = desk_capacity.basis.mesh
-    sig = evaluate_on_grid(desk_sigma, grid).values.real
-    mask = sig > 0
-    tmap = HomogeneousTraceMap(K_DESK, grid, mask, mesh)
-    traces = np.empty((BIG_M, mesh.n_nodes, 3), dtype=np.complex128)
-    chunk = 500
-    for lo in range(0, BIG_M, chunk):
-        J = np.empty((min(chunk, BIG_M - lo), tmap.n_cells, 3))
-        for i in range(J.shape[0]):
-            J[i] = noise_values(sig, grid.spacing, BIG_SEED, lo + i)[:, mask].T
-        traces[lo : lo + J.shape[0]] = tmap.traces(J)
-    return traces
+    return generate_ensemble(K_DESK, hom_medium, desk_sigma, grid, mesh, BIG_M, BIG_SEED)
 
 
 class TestCriterion1GreenKernel:

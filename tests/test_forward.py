@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from stochmaxwell.geometry import (
     VectorFieldC3,
     evaluate_on_grid,
 )
-from stochmaxwell.greens import electric_dipole_field
+from stochmaxwell.greens import dyadic_green, electric_dipole_field
 
 from conftest import rel_err
 
@@ -187,3 +189,46 @@ class TestHomogeneousTraceMap:
         both = tmap.traces(J)
         summed = tmap.traces((J[0] + 2.0 * J[1])[None])[0]
         assert np.allclose(summed, both[0] + 2.0 * both[1], atol=1e-12)
+
+    def test_matches_direct_green_sum(self, sigma):
+        """The map is the direct sum h^3 sum_c (ik G(x_n, y_c) J_c) x nu_n,
+        where dyadic_green already is ik G = ik g I + (i/k) hess g; N = 162 is
+        not a multiple of the build's node block."""
+        g = Grid3.for_ball(1.3, 13)
+        mesh = SphereMesh(1.0, 8)
+        mask = evaluate_on_grid(sigma, g).values.real > 0
+        tmap = HomogeneousTraceMap(K, g, mask, mesh)
+        coords = g.nodes()[:, mask].T
+        J = np.random.default_rng(3).standard_normal((1, len(coords), 3))
+        want = np.zeros((mesh.n_nodes, 3), dtype=np.complex128)
+        for n, (x, nu) in enumerate(zip(mesh.nodes, mesh.normals)):
+            E = sum(dyadic_green(K, x, y) @ Jc for y, Jc in zip(coords, J[0]))
+            want[n] = np.cross(g.cell_volume * E, nu)
+        assert rel_err(tmap.traces(J)[0], want) < 1e-12
+
+    def test_complex_current(self, sigma):
+        g = Grid3.for_ball(1.3, 17)
+        mask = evaluate_on_grid(sigma, g).values.real > 0
+        tmap = HomogeneousTraceMap(K, g, mask, SphereMesh(1.0, 6))
+        rng = np.random.default_rng(4)
+        shape = (3, tmap.n_cells, 3)
+        J = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = tmap.traces(J.real) + 1j * tmap.traces(J.imag)
+        assert rel_err(tmap.traces(J), want) < 1e-14
+        assert np.linalg.norm(tmap.traces(1j * J.real)) > 0
+
+    def test_build_peak_memory_within_twice_the_map(self):
+        """The blocked build holds the map plus one node block, not a dense
+        per-pair tensor and its temporaries."""
+        g = Grid3.for_ball(1.3, 17)
+        sig = SourceStrength((Bump((0.0, 0.0, 0.0), 0.95, 0.1),), ball_radius=1.0)
+        mask = evaluate_on_grid(sig, g).values.real > 0
+        mesh = SphereMesh(1.0, 8)
+        tracemalloc.start()
+        try:
+            tmap = HomogeneousTraceMap(K, g, mask, mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        map_bytes = 3 * tmap.n_cells * 3 * mesh.n_nodes * 16
+        assert peak <= 2 * map_bytes, f"build peak {peak / map_bytes:.2f} x the map"

@@ -15,12 +15,22 @@ from stochmaxwell.cli import (
 )
 from stochmaxwell.config import ExperimentConfig, format_bumps, parse_bumps
 from stochmaxwell.ensemble import (
+    _REALIZATION_CHUNK,
     generate_ensemble,
     manifest_hash,
     read_ensemble,
     write_ensemble,
 )
-from stochmaxwell.geometry import Bump, ConfigurationError, Grid3, MediumSpec, SourceStrength, SphereMesh
+from stochmaxwell.forward import HomogeneousTraceMap, noise_values
+from stochmaxwell.geometry import (
+    Bump,
+    ConfigurationError,
+    Grid3,
+    MediumSpec,
+    SourceStrength,
+    SphereMesh,
+    evaluate_on_grid,
+)
 
 
 SMALL_CONFIG = """
@@ -184,6 +194,21 @@ class TestEnsembleStore:
             small_cfg.master_seed,
         )
         assert np.array_equal(generate_ensemble(*args), generate_ensemble(*args))
+
+    def test_streamed_chunks_match_single_realizations(self):
+        grid, mesh = Grid3.for_ball(1.3, 13), SphereMesh(1.0, 6)
+        sigma = SourceStrength((Bump((0.0, 0.0, 0.0), 0.95, 0.1),), ball_radius=1.0)
+        M = _REALIZATION_CHUNK + 3
+        args = (2.0, MediumSpec(ball_radius=1.0), sigma, grid, mesh, M, 5)
+        traces = generate_ensemble(*args)
+        assert np.array_equal(traces, generate_ensemble(*args))
+        sig = evaluate_on_grid(sigma, grid).values.real
+        tmap = HomogeneousTraceMap(2.0, grid, sig > 0, mesh)
+        single = np.stack([
+            tmap.traces(noise_values(sig, grid.spacing, 5, r)[:, sig > 0].T[None])[0]
+            for r in range(M)
+        ])
+        assert np.linalg.norm(traces - single) <= 1e-13 * np.linalg.norm(single)
 
     def test_zero_source_gives_zero_traces(self):
         grid = Grid3.for_ball(1.3, 25)
