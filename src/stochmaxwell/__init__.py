@@ -20,7 +20,7 @@ from .geometry import (
     VectorFieldC3,
 )
 from .greens import FreeConvolver, dyadic_green, helmholtz_g
-from .forward import MaxwellSolver, SolverError, pde_residual
+from .forward import MaxwellSolver, SolverError
 from .sphharm import VshBasis
 from .capacity import CapacityOperator, boundary_functional
 from .ensemble import generate_ensemble, read_ensemble, write_ensemble
@@ -50,7 +50,6 @@ __all__ = [
     "helmholtz_g",
     "MaxwellSolver",
     "SolverError",
-    "pde_residual",
     "VshBasis",
     "CapacityOperator",
     "boundary_functional",

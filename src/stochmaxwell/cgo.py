@@ -218,16 +218,6 @@ class CgoSolution:
         ]
         return amp + self.V.values
 
-    def field_values(self) -> np.ndarray:
-        phase = np.exp(1j * np.tensordot(self.zeta, self.grid.nodes(), axes=1))
-        return phase[None] * self.amplitude()
-
-    def remainder_norm(self, radius: float) -> float:
-        """||f||_L2 + ||V||_L2 over the ball of the given radius."""
-        return self.f.l2_norm(within_radius=radius) + self.V.l2_norm(
-            within_radius=radius
-        )
-
 
 class ConjugatedResolvent:
     """Fourier-multiplier inverse of e^{-i zeta x}(curl curl - k^2) e^{i zeta x}.

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,7 +48,6 @@ def generate_ensemble(
     mesh: SphereMesh,
     M: int,
     master_seed: int,
-    workers: int = 1,
     tol: float = 1e-10,
     max_iter: int = 60,
 ) -> np.ndarray:
@@ -58,18 +56,18 @@ def generate_ensemble(
     Homogeneous media go through the direct Green-superposition trace map,
     one matrix product per chunk of _REALIZATION_CHUNK currents, so memory is
     the map, one chunk and the output; inhomogeneous media solve the volume
-    integral equation per realization, parallelized across threads. Any
-    solver failure aborts the run (failure budget is zero).
+    integral equation per realization. Any solver failure aborts the run
+    (failure budget is zero).
     """
     if M < 1:
         raise ConfigurationError("ensemble size must be at least 1")
     sig = evaluate_on_grid(sigma, grid).values.real
+    traces = np.zeros((M, mesh.n_nodes, 3), dtype=np.complex128)
     if medium.is_homogeneous:
         mask = sig > 0
         if not np.any(mask):
-            return np.zeros((M, mesh.n_nodes, 3), dtype=np.complex128)
+            return traces
         tmap = HomogeneousTraceMap(k, grid, mask, mesh)
-        traces = np.empty((M, mesh.n_nodes, 3), dtype=np.complex128)
         J = np.empty((min(M, _REALIZATION_CHUNK), tmap.n_cells, 3))
         for lo in range(0, M, _REALIZATION_CHUNK):
             n = min(_REALIZATION_CHUNK, M - lo)
@@ -79,8 +77,7 @@ def generate_ensemble(
         return traces
 
     solver = MaxwellSolver(k, medium, grid)
-
-    def one(r: int) -> np.ndarray:
+    for r in range(M):
         J = noise_values(sig, grid.spacing, master_seed, r)
         src = VectorFieldC3(grid, 1j * k * J.astype(np.complex128))
         try:
@@ -89,16 +86,7 @@ def generate_ensemble(
             raise SolverError(
                 f"realization {r} failed: {exc}", exc.residual_history
             ) from exc
-        return sol.trace.values
-
-    traces = np.empty((M, mesh.n_nodes, 3), dtype=np.complex128)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for r, tr in enumerate(pool.map(one, range(M))):
-                traces[r] = tr
-    else:
-        for r in range(M):
-            traces[r] = one(r)
+        traces[r] = sol.trace.values
     return traces
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "neumann_solve",
     "MaxwellSolver",
     "extract_trace",
-    "pde_residual",
     "HomogeneousTraceMap",
 ]
 
@@ -197,32 +196,6 @@ def curl_grid(F: np.ndarray, h: float) -> np.ndarray:
             dF[1][0] - dF[0][1],
         ]
     )
-
-
-def pde_residual(
-    E: VectorFieldC3,
-    k: float,
-    medium: MediumSpec,
-    source: VectorFieldC3,
-    collar_cells: int = 5,
-) -> float:
-    """Relative interior residual of curl curl E - k^2 n E = source.
-
-    Curls use compact 4th-order stencils; the outer collar (where the stencil
-    wraps and the box truncates the radiating field) is excluded. Normalized
-    by ||source|| when the source is nonzero, else by ||E||.
-    """
-    h = E.grid.spacing
-    cc = curl_grid(curl_grid(E.values, h), h)
-    n_grid = 1.0 - evaluate_on_grid(medium, E.grid).values.real
-    res = cc - k ** 2 * n_grid[None] * E.values - source.values
-    c = collar_cells
-    sl = (slice(None), slice(c, -c), slice(c, -c), slice(c, -c))
-    num = np.linalg.norm(res[sl])
-    den = np.linalg.norm(source.values)
-    if den == 0.0:
-        den = np.linalg.norm(E.values[sl])
-    return float(num / den) if den > 0 else 0.0
 
 
 class HomogeneousTraceMap:

@@ -63,10 +63,6 @@ class Grid3:
         return cls.cube(side / 2.0, n)
 
     @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.dims
-
-    @property
     def cell_volume(self) -> float:
         return self.spacing ** 3
 
@@ -216,12 +212,11 @@ class SourceStrength:
 
     bumps: tuple[Bump, ...] = ()
     ball_radius: float = 1.0
-    nonnegative: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "bumps", tuple(self.bumps))
         _check_bumps_in_ball(self.bumps, self.ball_radius)
-        if self.nonnegative and any(b.amplitude < 0 for b in self.bumps):
+        if any(b.amplitude < 0 for b in self.bumps):
             raise ConfigurationError("source strength bumps must have amplitude >= 0")
 
     def __call__(self, x, y, z) -> np.ndarray:
@@ -229,9 +224,6 @@ class SourceStrength:
         for b in self.bumps:
             out += b(x, y, z)
         return out
-
-    def integral(self) -> float:
-        return sum(b.integral() for b in self.bumps)
 
 
 def evaluate_on_grid(spec, grid: Grid3) -> ScalarFieldC:
@@ -305,14 +297,11 @@ class SphereMesh:
 
 
 def integrate_sphere(values: np.ndarray, mesh: SphereMesh):
-    """Quadrature sum over the sphere: scalar samples (N,) give a complex number,
-    vector samples (N, k) give one complex number per column."""
+    """Quadrature sum of scalar samples (N,) over the sphere."""
     v = np.asarray(values)
-    if v.shape[0] != mesh.n_nodes:
-        raise ValueError(f"got {v.shape[0]} samples for a {mesh.n_nodes}-node mesh")
-    if v.ndim == 1:
-        return complex(np.sum(mesh.weights * v))
-    return np.tensordot(mesh.weights, v, axes=(0, 0))
+    if v.shape != (mesh.n_nodes,):
+        raise ValueError(f"got samples of shape {v.shape} for a {mesh.n_nodes}-node mesh")
+    return complex(np.sum(mesh.weights * v))
 
 
 def trilinear_interpolate(values: np.ndarray, grid: Grid3, points: np.ndarray) -> np.ndarray:

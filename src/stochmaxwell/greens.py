@@ -25,11 +25,8 @@ __all__ = [
     "dyadic_green",
     "FreeConvolver",
     "padded_fft_apply",
-    "resolvent_decay_probe",
     "SingularityError",
 ]
-
-_FFT_WORKERS = -1
 
 
 def padded_fft_apply(f: np.ndarray, padded: tuple, symbol) -> np.ndarray:
@@ -42,10 +39,8 @@ def padded_fft_apply(f: np.ndarray, padded: tuple, symbol) -> np.ndarray:
     """
     n = f.shape[-3:]
     axes = (-3, -2, -1)
-    f_hat = sfft.fftn(
-        np.asarray(f, dtype=np.complex128), s=padded, axes=axes, workers=_FFT_WORKERS
-    )
-    out = sfft.ifftn(symbol(f_hat), axes=axes, workers=_FFT_WORKERS)
+    f_hat = sfft.fftn(np.asarray(f, dtype=np.complex128), s=padded, axes=axes)
+    out = sfft.ifftn(symbol(f_hat), axes=axes)
     return out[..., : n[0], : n[1], : n[2]]
 
 
@@ -228,9 +223,9 @@ class FreeConvolver:
                         for j in range(i, 3):
                             hess[i, j][idx] = hv[i, j]
 
-        self.kernel_hat = sfft.fftn(kern, workers=_FFT_WORKERS)
+        self.kernel_hat = sfft.fftn(kern)
         self.hess_hat = {
-            (i, j): sfft.fftn(hess[i, j], workers=_FFT_WORKERS)
+            (i, j): sfft.fftn(hess[i, j])
             for i in range(3)
             for j in range(i, 3)
         }
@@ -266,39 +261,3 @@ class FreeConvolver:
         """
         return self.apply_array(f) / (1j * self.lam)
 
-
-def electric_dipole_field(k: float, source: np.ndarray, moment: np.ndarray, points: np.ndarray):
-    """Analytic (E, H) of a point electric dipole: E is the Green-tensor column,
-    H = curl E / (i k) = grad g x moment in closed form."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    E = np.array([dyadic_green(k, x, source) @ moment for x in pts])
-    d = pts - np.asarray(source)[None, :]
-    r = np.linalg.norm(d, axis=1)
-    if np.any(r == 0):
-        raise SingularityError("dipole field evaluated at the source point")
-    g = np.exp(1j * k * r) / (4.0 * np.pi * r)
-    gp = g * (1j * k - 1.0 / r)
-    H = np.cross((gp / r)[:, None] * d, np.asarray(moment)[None, :])
-    return E, H
-
-
-def resolvent_decay_probe(lam_list, f: VectorFieldC3) -> list[tuple[float, float]]:
-    """Norm ratios ||chi R0(lam) chi f|| / ||f|| on the grid box for each lam.
-
-    Used to check empirically that lam * ratio stays bounded, reflecting the
-    1/|lam| decay of the compactly cut free resolvent.
-    """
-    lams = [float(v) for v in lam_list]
-    if not lams:
-        raise ValueError("empty wavenumber list")
-    if any(b <= a for a, b in zip(lams, lams[1:])) or lams[0] < 1:
-        raise ValueError("wavenumber list must be increasing with entries >= 1")
-    fnorm = f.l2_norm()
-    out = []
-    for lam in lams:
-        if fnorm == 0.0:
-            out.append((lam, 0.0))
-            continue
-        g = FreeConvolver(lam, f.grid).apply(f)
-        out.append((lam, g.l2_norm() / fnorm))
-    return out

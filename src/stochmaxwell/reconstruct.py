@@ -234,8 +234,7 @@ def reconstruct_sigma(
     rho_override: float | None = None,
     n_frames: int = 1,
     epsilon: float | None = None,
-    ground_truth: SourceStrength | ScalarFieldC | None = None,
-    out_grid: Grid3 | None = None,
+    ground_truth: SourceStrength | None = None,
     cgo_tol: float = 1e-10,
 ) -> ReconstructionResult:
     """Full pipeline: measured epsilon -> (t, rho) -> Fourier samples -> sigma.
@@ -307,17 +306,13 @@ def reconstruct_sigma(
             stderr[lo + j] = sd[j] / (k ** 2 * abs(lead))
 
     sigma_hat = hermitian_symmetrize(xi_nodes, sigma_hat, dxi)
-    og = out_grid if out_grid is not None else grid
-    sigma_rec, residue = fourier_synthesis(xi_nodes, sigma_hat, dxi, og)
+    sigma_rec, residue = fourier_synthesis(xi_nodes, sigma_hat, dxi, grid)
 
     l2 = linf = rel = None
     if ground_truth is not None:
-        if isinstance(ground_truth, ScalarFieldC):
-            gt = ground_truth.values.real
-        else:
-            gt = evaluate_on_grid(ground_truth, og).values.real
+        gt = evaluate_on_grid(ground_truth, grid).values.real
         diff = sigma_rec.values.real - gt
-        h3 = og.cell_volume
+        h3 = grid.cell_volume
         l2 = float(np.linalg.norm(diff) * np.sqrt(h3))
         linf = float(np.max(np.abs(diff)))
         gt_norm = np.linalg.norm(gt) * np.sqrt(h3)

@@ -10,17 +10,10 @@ import os
 import numpy as np
 import pytest
 
-from stochmaxwell.capacity import boundary_functional, radiating_multipole
 from stochmaxwell.cgo import build_zeta_eta, solve_cgo_remainder
 from stochmaxwell.cli import main
-from stochmaxwell.config import ExperimentConfig
 from stochmaxwell.ensemble import generate_ensemble
-from stochmaxwell.forward import (
-    HomogeneousTraceMap,
-    MaxwellSolver,
-    noise_values,
-    pde_residual,
-)
+from stochmaxwell.forward import HomogeneousTraceMap, MaxwellSolver, noise_values
 from stochmaxwell.geometry import (
     Bump,
     Grid3,
@@ -29,14 +22,22 @@ from stochmaxwell.geometry import (
     VectorFieldC3,
     evaluate_on_grid,
 )
-from stochmaxwell.greens import (
-    FreeConvolver,
-    dyadic_green,
+from stochmaxwell.reconstruct import reconstruct_sigma, stability_sweep
+from stochmaxwell.verify import (
+    capacity_identity,
+    cgo_residual,
+    convolution_vs_direct,
     electric_dipole_field,
-    helmholtz_g,
+    green_reciprocity,
+    helmholtz_residual,
+    ibp_identity,
+    ito_isometry,
+    multipoles,
+    pde_residual,
+    plane_waves,
+    remainder_norm,
     resolvent_decay_probe,
 )
-from stochmaxwell.reconstruct import measure_epsilon, reconstruct_sigma, stability_sweep
 
 from conftest import K_DESK, RP_DESK, rel_err
 
@@ -78,47 +79,11 @@ def big_ensemble(grid, desk_sigma, hom_medium, desk_capacity):
 class TestCriterion1GreenKernel:
     def test_identities(self):
         rng = np.random.default_rng(100)
-        worst = 0.0
-        pairs = 0
-        while pairs < 100:
-            x, y = rng.uniform(-1, 1, (2, 3))
-            if np.linalg.norm(x - y) < 0.05:
-                continue
-            worst = max(
-                worst,
-                float(np.max(np.abs(dyadic_green(K_DESK, x, y) - dyadic_green(K_DESK, y, x).T))),
-            )
-            pairs += 1
-
+        worst = green_reciprocity(K_DESK, rng, 100, 0.05)
         # (Delta + lam^2) g = 0 off the origin: centered residual O(h^2)
-        lam, x0 = 3.0, np.array([0.4, 0.3, -0.2])
-        res = []
-        for h in (1e-2, 5e-3):
-            acc = -6.0 * helmholtz_g(lam, np.linalg.norm(x0))
-            for ax in range(3):
-                for sgn in (-1.0, 1.0):
-                    x = x0.copy()
-                    x[ax] += sgn * h
-                    acc += helmholtz_g(lam, np.linalg.norm(x))
-            res.append(abs(acc / h ** 2 + lam ** 2 * helmholtz_g(lam, np.linalg.norm(x0))))
+        res = [helmholtz_residual(3.0, [0.4, 0.3, -0.2], h) for h in (1e-2, 5e-3)]
         second_order = res[1] < res[0] / 3.0
-
-        g = Grid3.cube(1.0, 24)
-        f = np.zeros((3,) + g.dims, dtype=np.complex128)
-        c = g.dims[0] // 2
-        f[:, c - 2 : c + 2, c - 2 : c + 2, c - 2 : c + 2] = rng.standard_normal(
-            (3, 4, 4, 4)
-        ) + 1j * rng.standard_normal((3, 4, 4, 4))
-        conv = FreeConvolver(K_DESK, g).apply_array(f)
-        nodes = g.nodes()
-        sup = np.abs(f).sum(axis=0) > 0
-        ys, fy = nodes[:, sup].T, f[:, sup].T
-        conv_err = 0.0
-        for _ in range(10):
-            idx = tuple(rng.integers(0, 4, 3))
-            x = nodes[(slice(None),) + idx]
-            direct = sum(dyadic_green(K_DESK, x, y) @ v for y, v in zip(ys, fy)) * g.cell_volume
-            conv_err = max(conv_err, rel_err(conv[(slice(None),) + idx], direct))
+        conv_err = convolution_vs_direct(K_DESK, rng)
 
         ok = worst <= 1e-12 and second_order and conv_err <= 1e-2
         report(
@@ -183,20 +148,14 @@ class TestCriterion3ForwardSolver:
 class TestCriterion4CapacityOperator:
     def test_multipole_and_dipole(self, desk_basis, desk_capacity):
         mesh = desk_basis.mesh
-        worst = 0.0
-        for l in range(1, desk_basis.lmax + 1):
-            for m in range(-l, l + 1):
-                for kind in ("te", "tm"):
-                    E, H = radiating_multipole(kind, l, m, K_DESK, mesh.nodes)
-                    got = desk_capacity.apply(np.cross(E, mesh.normals))
-                    worst = max(worst, rel_err(got, np.cross(H, mesh.normals)))
+        modes = [(l, m) for l in range(1, desk_basis.lmax + 1) for m in range(-l, l + 1)]
+        fields = multipoles(K_DESK, mesh.nodes, modes)
+        worst = max(rel_err(got, want) for got, want in capacity_identity(desk_capacity, fields))
 
         src = np.array([0.2, -0.1, 0.15])
         p = np.array([0.4, 1.0, -0.3])
-        E, H = electric_dipole_field(K_DESK, src, p, mesh.nodes)
-        dip = rel_err(
-            desk_capacity.apply(np.cross(E, mesh.normals)), np.cross(H, mesh.normals)
-        )
+        dipole = electric_dipole_field(K_DESK, src, p, mesh.nodes)
+        dip = rel_err(*capacity_identity(desk_capacity, [dipole])[0])
 
         ok = worst <= 1e-10 and dip <= 1e-6
         report(4, ok, f"multipole identity {worst:.1e} (<=1e-10), dipole {dip:.1e} (<=1e-6)")
@@ -212,23 +171,8 @@ class TestCriterion5IntegralIdentity:
         J = np.stack([prof, 0.3 * prof, -0.6 * prof]).astype(complex)
         mask = prof > 0
         trace = HomogeneousTraceMap(k, grid, mask, mesh).traces(J[:, mask].T[None])[0]
-        tm = desk_capacity.apply(trace)
-        f = 1j * k * J
-
-        rng = np.random.default_rng(55)
-        worst = 0.0
-        for _ in range(5):
-            d = rng.standard_normal(3)
-            d *= k / np.linalg.norm(d)
-            eta = rng.standard_normal(3)
-            eta -= d * (d @ eta) / k ** 2
-            phase_grid = np.exp(1j * np.tensordot(d, grid.nodes(), axes=1))
-            vol = np.sum(f * phase_grid[None] * eta[:, None, None, None]) * grid.cell_volume
-            phase = np.exp(1j * mesh.nodes @ d)
-            U = phase[:, None] * eta[None, :]
-            curlU = phase[:, None] * np.cross(1j * d, eta)[None, :]
-            bnd = boundary_functional(trace, tm, U, curlU, k, mesh)
-            worst = max(worst, float(abs(bnd - vol) / abs(vol)))
+        waves = plane_waves(np.random.default_rng(55), k, 5)
+        worst = ibp_identity(desk_capacity, grid, 1j * k * J, trace, waves)
         ok = worst <= 1e-2
         report(5, ok, f"boundary vs volume functional {worst:.1e} (<=1e-2)")
 
@@ -237,38 +181,9 @@ class TestCriterion6ItoIsometry:
     def test_three_cgo_pairs(self, grid, desk_sigma):
         """E[(int J.U1)(int J.U2)] equals int sigma U1.U2 within 3 standard
         errors for three conjugate CGO pairs at M = 10^4."""
-        sig = evaluate_on_grid(desk_sigma, grid).values.real
-        coords = grid.nodes()
-        h3 = grid.cell_volume
-        t = 5.0
-        pairs = []
-        for xi in ([0.0, 0.0, 0.0], [1.0, 0.5, -0.5], [2.0, 0.0, 1.0]):
-            p = build_zeta_eta(np.asarray(xi, float), t, K_DESK)
-            u1 = (
-                np.exp(1j * np.tensordot(p.zeta1, coords, axes=1))[None]
-                * p.eta1[:, None, None, None]
-            )
-            u2 = (
-                np.exp(1j * np.tensordot(p.zeta2, coords, axes=1))[None]
-                * p.eta2[:, None, None, None]
-            )
-            target = np.sum(sig * (u1 * u2).sum(axis=0)) * h3
-            pairs.append((u1, u2, target))
-
-        M = BIG_M
-        prods = np.zeros((3, M), dtype=np.complex128)
-        for r in range(M):
-            J = noise_values(sig, grid.spacing, BIG_SEED, r)
-            for j, (u1, u2, _) in enumerate(pairs):
-                B1 = h3 * np.sum(J * u1)
-                B2 = h3 * np.sum(J * u2)
-                prods[j, r] = B1 * B2
-
-        worst = 0.0
-        for j, (_, _, target) in enumerate(pairs):
-            stderr = float(np.std(prods[j], ddof=1) / np.sqrt(M))
-            dev = abs(prods[j].mean() - target) / stderr
-            worst = max(worst, float(dev))
+        xis = ([0.0, 0.0, 0.0], [1.0, 0.5, -0.5], [2.0, 0.0, 1.0])
+        pairs = [build_zeta_eta(np.asarray(xi, float), 5.0, K_DESK) for xi in xis]
+        worst = float(np.max(ito_isometry(K_DESK, desk_sigma, grid, pairs, BIG_SEED, BIG_M)))
         ok = worst <= 3.0
         report(6, ok, f"worst isometry deviation {worst:.2f} standard errors (<=3)")
 
@@ -276,8 +191,8 @@ class TestCriterion6ItoIsometry:
 class TestCriterion7CgoCertification:
     def test_residuals_remainder_bound_and_decay(self, grid, hom_medium):
         p = build_zeta_eta(np.array([1.0, 0.0, 0.5]), 5.0, K_DESK)
-        hom = solve_cgo_remainder(p, 1, hom_medium, grid)
-        hom_ok = hom.residual <= 1e-10
+        hom_residual = cgo_residual(p, hom_medium, grid, members=(1,))[0]
+        hom_ok = hom_residual <= 1e-10
 
         medium = MediumSpec((Bump((0.0, 0.1, 0.0), 0.6, 0.05),), ball_radius=1.0)
         directions = [
@@ -293,20 +208,20 @@ class TestCriterion7CgoCertification:
                 sol = solve_cgo_remainder(params, 1, medium, grid)
                 b = float(np.linalg.norm(params.zeta1.imag))
                 bound = M2_FROZEN * float(np.linalg.norm(params.eta1)) / b
-                worst_bound = max(worst_bound, sol.remainder_norm(1.0) / bound)
+                worst_bound = max(worst_bound, remainder_norm(sol, 1.0) / bound)
                 points += 1
 
         decay = []
         for t in (5.0, 10.0):
             params = build_zeta_eta(np.array([0.5, 0.0, 0.0]), t, K_DESK)
-            decay.append(solve_cgo_remainder(params, 1, medium, grid).remainder_norm(1.0))
+            decay.append(remainder_norm(solve_cgo_remainder(params, 1, medium, grid), 1.0))
         decay_ratio = decay[0] / decay[1]
 
         ok = hom_ok and worst_bound <= 1.0 and points >= 20 and decay_ratio >= 1.5
         report(
             7,
             ok,
-            f"m=0 residual {hom.residual:.1e} (<=1e-10), remainder/bound "
+            f"m=0 residual {hom_residual:.1e} (<=1e-10), remainder/bound "
             f"{worst_bound:.3f} (<=1, {points} points, M2={M2_FROZEN}), "
             f"decay per t-doubling {decay_ratio:.2f} (>=1.5)",
         )

@@ -10,7 +10,6 @@ from stochmaxwell.forward import (
     curl_grid,
     extract_trace,
     noise_values,
-    pde_residual,
 )
 from stochmaxwell.geometry import (
     Bump,
@@ -21,7 +20,8 @@ from stochmaxwell.geometry import (
     VectorFieldC3,
     evaluate_on_grid,
 )
-from stochmaxwell.greens import dyadic_green, electric_dipole_field
+from stochmaxwell.greens import dyadic_green
+from stochmaxwell.verify import electric_dipole_field, pde_residual
 
 from conftest import rel_err
 

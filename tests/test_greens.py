@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from stochmaxwell.geometry import Grid3, VectorFieldC3
-from stochmaxwell.greens import (
-    FreeConvolver,
-    SingularityError,
-    dyadic_green,
+from stochmaxwell.greens import FreeConvolver, SingularityError, dyadic_green, helmholtz_g
+from stochmaxwell.verify import (
+    convolution_vs_direct,
     electric_dipole_field,
-    helmholtz_g,
+    green_reciprocity,
+    helmholtz_residual,
     resolvent_decay_probe,
 )
 
@@ -26,28 +26,13 @@ class TestScalarKernel:
 
     def test_helmholtz_equation_residual_order(self):
         # (Delta + lam^2) g = 0 away from the origin; centered FD residual O(h^2)
-        lam = 3.0
-        x0 = np.array([0.4, 0.3, -0.2])
-        res = []
-        for h in (1e-2, 5e-3):
-            acc = -6.0 * helmholtz_g(lam, np.linalg.norm(x0))
-            for ax in range(3):
-                for sgn in (-1.0, 1.0):
-                    x = x0.copy()
-                    x[ax] += sgn * h
-                    acc += helmholtz_g(lam, np.linalg.norm(x))
-            res.append(abs(acc / h ** 2 + lam ** 2 * helmholtz_g(lam, np.linalg.norm(x0))))
+        res = [helmholtz_residual(3.0, [0.4, 0.3, -0.2], h) for h in (1e-2, 5e-3)]
         assert res[1] < res[0] / 3.0  # halving h shrinks the residual ~4x
 
 
 class TestDyadicGreen:
     def test_reciprocity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            x, y = rng.uniform(-1, 1, (2, 3))
-            if np.linalg.norm(x - y) < 0.05:
-                continue
-            assert np.max(np.abs(dyadic_green(2.0, x, y) - dyadic_green(2.0, y, x).T)) < 1e-12
+        assert green_reciprocity(2.0, np.random.default_rng(5), 50, 0.05) < 1e-12
 
     def test_symmetric_tensor(self):
         G = dyadic_green(2.0, np.array([0.3, 0.1, 0.2]), np.zeros(3))
@@ -61,27 +46,9 @@ class TestDyadicGreen:
 class TestFreeConvolver:
     def test_matches_direct_summation(self):
         """FFT convolution equals direct Green summation at exterior probes."""
-        k = 2.0
-        grid = Grid3.cube(1.0, 24)
-        rng = np.random.default_rng(9)
-        f = np.zeros((3,) + grid.dims, dtype=np.complex128)
-        c = grid.dims[0] // 2
-        f[:, c - 2 : c + 2, c - 2 : c + 2, c - 2 : c + 2] = rng.standard_normal(
-            (3, 4, 4, 4)
-        ) + 1j * rng.standard_normal((3, 4, 4, 4))
-        conv = FreeConvolver(k, grid).apply_array(f)
-        nodes = grid.nodes()
-        sup = np.abs(f).sum(axis=0) > 0
-        ys, fy = nodes[:, sup].T, f[:, sup].T
-        h3 = grid.cell_volume
-        checked = 0
-        for idx in [(0, 0, 0), (23, 23, 23), (0, 12, 23), (3, 1, 2), (20, 2, 11),
-                    (1, 22, 3), (12, 0, 1), (23, 11, 0), (2, 3, 22), (22, 21, 1)]:
-            x = nodes[(slice(None),) + idx]
-            direct = sum(dyadic_green(k, x, y) @ v for y, v in zip(ys, fy)) * h3
-            assert rel_err(conv[(slice(None),) + idx], direct) < 1e-2
-            checked += 1
-        assert checked >= 10
+        probes = [(0, 0, 0), (23, 23, 23), (0, 12, 23), (3, 1, 2), (20, 2, 11),
+                  (1, 22, 3), (12, 0, 1), (23, 11, 0), (2, 3, 22), (22, 21, 1)]
+        assert convolution_vs_direct(2.0, np.random.default_rng(9), probes) < 1e-2
 
     def test_linearity(self):
         grid = Grid3.cube(0.8, 16)

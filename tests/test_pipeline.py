@@ -4,15 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from stochmaxwell.cli import (
-    EXIT_CONFIG,
-    EXIT_OK,
-    EXIT_VERIFY,
-    main,
-    run_forward,
-    run_reconstruct,
-    run_verify,
-)
+from stochmaxwell import verify
+from stochmaxwell.cgo import build_zeta_eta
+from stochmaxwell.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main, run_forward
 from stochmaxwell.config import ExperimentConfig, format_bumps, parse_bumps
 from stochmaxwell.ensemble import (
     _REALIZATION_CHUNK,
@@ -234,7 +228,6 @@ class TestEnsembleStore:
             small_cfg.mesh(),
             2,
             small_cfg.master_seed,
-            workers=2,
         )
         assert traces.shape == (2, small_cfg.mesh().n_nodes, 3)
         assert np.all(np.isfinite(traces))
@@ -271,6 +264,11 @@ class TestCliForward:
             == EXIT_CONFIG
         )
 
+    def test_zero_workers_exits_2(self, config_path, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["forward", "--config", config_path, "--out", str(tmp_path), "--workers", "0"])
+        assert exc.value.code == EXIT_CONFIG
+
 
 class TestCliVerify:
     def test_all_checks_pass(self, config_path, tmp_path):
@@ -290,6 +288,24 @@ class TestCliVerify:
         report = json.loads((tmp_path / "v" / "verify.json").read_text())
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert "capacity_multipole_identity" in failed
+
+    def test_unresolved_probe_exits_2(self, tmp_path, capsys):
+        """On an 8^3 grid the probe source falls between the nodes: verify
+        refuses the vacuous check with one line instead of passing it."""
+        p = tmp_path / "coarse.ini"
+        p.write_text(SMALL_CONFIG.replace("n = 25", "n = 8"))
+        assert main(["verify", "--config", str(p), "--out", str(tmp_path / "v")]) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "ibp_identity" in lines[0]
+
+    def test_unresolved_contrast_and_source_rejected(self):
+        grid = Grid3.for_ball(1.3, 8)  # the bump falls between the nodes
+        params = build_zeta_eta(np.array([1.0, 0.0, 0.5]), 5.0, 2.0)
+        bump = Bump((0.0, 0.1, 0.0), 0.6, 0.05)
+        with pytest.raises(ConfigurationError):
+            verify.cgo_residual(params, MediumSpec((bump,)), grid)
+        with pytest.raises(ConfigurationError):
+            verify.ito_isometry(2.0, SourceStrength((bump,)), grid, [params], 1, 10)
 
 
 class TestCliReconstruct:
@@ -334,6 +350,53 @@ class TestCliReconstruct:
         other = tmp_path / "other.ini"
         other.write_text(SMALL_CONFIG.replace("0 0.1 0 0.5 0.2", "0 0 0 0.4 0.3"))
         assert main(["reconstruct", "--config", str(other), "--out", out]) == EXIT_CONFIG
+
+
+INHOM_CONFIG = """
+[physics]
+k = 2.0
+R = 1.0
+R_prime = 1.3
+
+[grid]
+n = 10
+
+[medium]
+bumps = 0 0.1 0 0.6 0.05
+
+[source]
+bumps = 0 0 0 0.95 0.1
+
+[ensemble]
+realizations = 20
+master_seed = 99
+
+[stability]
+lmax = 4
+
+[reconstruction]
+n_frames = 1
+"""
+
+
+class TestInhomogeneousRoute:
+    def test_rerun_is_bit_identical(self, tmp_path):
+        """Forward (Lippmann-Schwinger per realization) and reconstruct (CGO
+        remainder solves) on a medium bump; n = 10 is the coarsest grid that
+        resolves the bump."""
+        cfg = tmp_path / "inhom.ini"
+        cfg.write_text(INHOM_CONFIG)
+        blobs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            for command in ("forward", "reconstruct"):
+                assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            blobs.append({
+                f"{sub}/{f}": (out / sub / f).read_bytes()
+                for sub in ("ensemble", "reconstruction")
+                for f in sorted(os.listdir(out / sub))
+            })
+        assert len(blobs[0]) == 5 and blobs[0] == blobs[1]
 
 
 class TestCliSweep:
