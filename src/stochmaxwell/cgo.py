@@ -173,9 +173,15 @@ def box_radius(grid: Grid3) -> float:
 
 def plane_wave_on(zeta: np.ndarray, eta: np.ndarray, points: np.ndarray):
     """(U, curl U) of the exact plane-wave part U = eta e^{i zeta . x} at
-    points (N, 3); curl U = i zeta x eta e^{i zeta . x}."""
-    phase = np.exp(1j * points @ zeta)
-    return phase[:, None] * eta[None, :], phase[:, None] * np.cross(1j * zeta, eta)[None, :]
+    points (N, 3); curl U = i zeta x eta e^{i zeta . x}.
+
+    Stacked pairs zeta, eta of shape (C, 3) give (C, N, 3) arrays. The phase
+    is an elementwise sum over the three coordinates, so each column has the
+    same bits as its own single-pair call.
+    """
+    arg = sum(zeta[..., i, None] * points[:, i] for i in range(3))
+    phase = np.exp(1j * arg)[..., None]
+    return phase * eta[..., None, :], phase * np.cross(1j * zeta, eta)[..., None, :]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ epsilon.
 
 Each boundary functional is folded into a single dual vector D on the mesh
 (F(trace) = sum_n trace_n . D_n), so evaluating 10^4-realization ensembles at
-hundreds of frequencies reduces to one complex matrix product.
+hundreds of frequencies reduces to one complex matrix product. The dual
+vectors themselves are built per block of CGO columns, one stacked
+spherical-harmonic analysis and synthesis per block.
 """
 from __future__ import annotations
 
@@ -53,6 +55,10 @@ __all__ = [
 # |1 - |xi|^2/4t^2| below this means the leading product coefficient is about
 # to vanish and the Fourier sample is unrecoverable at this t
 LEADING_GUARD = 1e-3
+
+# CGO columns (xi, frame, member) whose test data and dual vectors are built
+# together; larger blocks gain little and raise the inhomogeneous peak memory
+DUAL_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -125,7 +131,7 @@ def measure_epsilon(traces, capacity: CapacityOperator) -> KernelEpsilon:
     arr = _trace_array(traces)
     M = arr.shape[0]
     if M < 2:
-        raise ValueError("kernel estimation needs at least two realizations")
+        raise ConfigurationError("kernel estimation needs at least two realizations")
     mesh = capacity.basis.mesh
     sw = np.sqrt(mesh.weights)
     X0 = arr * sw[None, :, None]
@@ -207,15 +213,22 @@ def fourier_synthesis(
 ) -> tuple[ScalarFieldC, float]:
     """Trapezoidal inverse transform (2pi)^{-3} sum sigma_hat e^{i xi . x} dxi^3.
 
+    The nodes lie on the dxi lattice and the grid is Cartesian, so the phase
+    factors per axis: the samples are scattered into the (2 nmax + 1)^3 index
+    cube, which is contracted with one (2 nmax + 1, n) phase table per axis.
     Returns the real part as a field plus the relative norm of the discarded
     imaginary residue.
     """
-    nodes = grid.nodes()
-    rec = np.zeros(grid.dims, dtype=np.complex128)
-    for lo in range(0, len(xi_nodes), 64):
-        chunk = xi_nodes[lo : lo + 64]
-        phases = np.exp(1j * np.tensordot(chunk, nodes, axes=(1, 0)))
-        rec += np.tensordot(sigma_hat[lo : lo + 64], phases, axes=(0, 0))
+    idx = np.rint(np.asarray(xi_nodes) / dxi).astype(np.int64)
+    if not np.allclose(idx * dxi, xi_nodes, rtol=0.0, atol=1e-9 * dxi):
+        raise ValueError("xi nodes must lie on the dxi lattice")
+    nmax = int(np.abs(idx).max())
+    rec = np.zeros((2 * nmax + 1,) * 3, dtype=np.complex128)
+    np.add.at(rec, tuple((idx + nmax).T), sigma_hat)
+    freqs = np.arange(-nmax, nmax + 1) * dxi
+    for ax in grid.axes():
+        # contracts the leading frequency axis and appends this grid axis
+        rec = np.tensordot(rec, np.exp(1j * np.multiply.outer(freqs, ax)), axes=(0, 0))
     rec *= dxi ** 3 / (2.0 * np.pi) ** 3
     norm = np.linalg.norm(rec)
     residue = float(np.linalg.norm(rec.imag) / norm) if norm > 0 else 0.0
@@ -281,29 +294,31 @@ def reconstruct_sigma(
     chunk = max(1, 4096 // (2 * n_frames))
     for lo in range(0, n_xi, chunk):
         sub = xi_nodes[lo : lo + chunk]
-        duals = np.empty((len(sub), n_frames, 2, flat.shape[1]), dtype=np.complex128)
-        leads = []
-        for j, xi in enumerate(sub):
-            for f, az in enumerate(azimuths):
-                params = build_zeta_eta(xi, t, k, azimuth=az)
-                for which in (1, 2):
-                    if homogeneous:
-                        U, curlU = plane_wave_on(
-                            params.zeta(which), params.eta(which), mesh.nodes
-                        )
-                    else:
-                        sol = solve_cgo_remainder(params, which, medium, grid, tol=cgo_tol)
-                        U, curlU = cgo_on_sphere(sol, mesh)
-                    duals[j, f, which - 1] = dual_functional_vector(capacity, U, curlU).ravel()
-            leads.append(params.leading)
-        B = flat @ duals.reshape(-1, flat.shape[1]).T  # (M, n_sub * n_frames * 2)
+        # one column per (xi, frame, member), in that order
+        pairs = [build_zeta_eta(xi, t, k, azimuth=az) for xi in sub for az in azimuths]
+        columns = [(p, which) for p in pairs for which in (1, 2)]
+        duals = np.empty((len(columns), mesh.n_nodes, 3), dtype=np.complex128)
+        for b in range(0, len(columns), DUAL_BLOCK):
+            block = columns[b : b + DUAL_BLOCK]
+            if homogeneous:
+                zeta_eta = np.array([(p.zeta(w), p.eta(w)) for p, w in block])
+                U, curlU = plane_wave_on(zeta_eta[:, 0], zeta_eta[:, 1], mesh.nodes)
+            else:
+                U = np.empty((len(block), mesh.n_nodes, 3), dtype=np.complex128)
+                curlU = np.empty_like(U)
+                for c, (p, w) in enumerate(block):
+                    sol = solve_cgo_remainder(p, w, medium, grid, tol=cgo_tol)
+                    U[c], curlU[c] = cgo_on_sphere(sol, mesh)
+            duals[b : b + len(block)] = dual_functional_vector(capacity, U, curlU)
+        del U, curlU
+        B = flat @ duals.reshape(len(columns), -1).T  # (M, n_sub * n_frames * 2)
         B = B.reshape(M, len(sub), n_frames, 2)
         prods = (B[..., 0] * B[..., 1]).mean(axis=2)  # frame average per realization
         mean = prods.mean(axis=0)
         sd = prods.std(axis=0, ddof=1) / np.sqrt(M) if M > 1 else np.full(len(sub), np.inf)
-        for j, lead in enumerate(leads):
-            sigma_hat[lo + j] = (-mean[j] / k ** 2) / lead
-            stderr[lo + j] = sd[j] / (k ** 2 * abs(lead))
+        lead = np.array([p.leading for p in pairs[::n_frames]])
+        sigma_hat[lo : lo + len(sub)] = (-mean / k ** 2) / lead
+        stderr[lo : lo + len(sub)] = sd / (k ** 2 * np.abs(lead))
 
     sigma_hat = hermitian_symmetrize(xi_nodes, sigma_hat, dxi)
     sigma_rec, residue = fourier_synthesis(xi_nodes, sigma_hat, dxi, grid)

@@ -9,6 +9,7 @@ from stochmaxwell.cgo import (
     build_zeta_eta,
     cgo_on_sphere,
     cgo_product_remainder,
+    plane_wave_on,
     solve_cgo_remainder,
 )
 from stochmaxwell.forward import SolverError, curl_grid
@@ -190,6 +191,25 @@ class TestHomogeneousSolution:
         assert np.allclose(U, phase[:, None] * p.eta2[None, :], atol=1e-12)
         want = phase[:, None] * np.cross(1j * p.zeta2, p.eta2)[None, :]
         assert np.allclose(curlU, want, atol=1e-12)
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_stacked_plane_waves_match_single_calls(self, which):
+        """Stacked (C, 3) phase/polarization pairs give (C, N, 3) samples
+        equal, column by column, to one call per pair."""
+        mesh = SphereMesh(1.0, 8)
+        pairs = [
+            build_zeta_eta(np.array(xi), 5.0, K, azimuth=az)
+            for xi in ([0.0, 0.0, 0.0], [1.2, -0.4, 2.0], [-3.0, 0.5, 0.1])
+            for az in (0.0, 0.9)
+        ]
+        zeta = np.array([p.zeta(which) for p in pairs])
+        eta = np.array([p.eta(which) for p in pairs])
+        U, curlU = plane_wave_on(zeta, eta, mesh.nodes)
+        assert U.shape == curlU.shape == (len(pairs), mesh.n_nodes, 3)
+        for c in range(len(pairs)):
+            U1, curlU1 = plane_wave_on(zeta[c], eta[c], mesh.nodes)
+            assert rel_err(U[c], U1) <= 1e-15
+            assert rel_err(curlU[c], curlU1) <= 1e-15
 
 
 class TestContrastSolution:

@@ -351,6 +351,20 @@ class TestCliReconstruct:
         other.write_text(SMALL_CONFIG.replace("0 0.1 0 0.5 0.2", "0 0 0 0.4 0.3"))
         assert main(["reconstruct", "--config", str(other), "--out", out]) == EXIT_CONFIG
 
+    def test_single_realization_exits_2(self, tmp_path, capsys):
+        """One realization gives no kernel estimate: one line, not a traceback."""
+        text = INHOM_CONFIG.replace("[medium]\nbumps = 0 0.1 0 0.6 0.05\n\n", "")
+        text = text.replace("realizations = 20", "realizations = 1")
+        assert "[medium]" not in text and "realizations = 1\n" in text
+        cfg = tmp_path / "one.ini"
+        cfg.write_text(text)
+        out = str(tmp_path / "r")
+        assert main(["forward", "--config", str(cfg), "--out", out]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", str(cfg), "--out", out]) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "two realizations" in lines[0]
+
 
 INHOM_CONFIG = """
 [physics]

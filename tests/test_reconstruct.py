@@ -13,6 +13,7 @@ from stochmaxwell.geometry import (
     evaluate_on_grid,
 )
 from stochmaxwell.reconstruct import (
+    DUAL_BLOCK,
     build_xi_lattice,
     dual_functional_vector,
     fourier_synthesis,
@@ -80,7 +81,8 @@ def _reconstruct(traces, capacity, grid, medium, k=K_DESK, **kwargs):
 class TestDualVector:
     def test_reproduces_boundary_functional(self, desk_capacity):
         """The folded dual vector gives the identical value as the explicit
-        surface functional for arbitrary traces and test data."""
+        surface functional for arbitrary traces and test data, column by
+        column for stacked test data."""
         mesh = desk_capacity.basis.mesh
         rng = np.random.default_rng(21)
         U, curlU = (
@@ -98,6 +100,17 @@ class TestDualVector:
             )
             got = np.sum(tr * dual)
             assert abs(got - want) < 1e-12 * abs(want)
+        # a (3, N, 3) stack of test data gives each column's own dual vector
+        Us, curlUs = (
+            rng.standard_normal((3, mesh.n_nodes, 3))
+            + 1j * rng.standard_normal((3, mesh.n_nodes, 3))
+            for _ in range(2)
+        )
+        stacked = dual_functional_vector(desk_capacity, Us, curlUs)
+        assert stacked.shape == Us.shape
+        for c in range(3):
+            want = dual_functional_vector(desk_capacity, Us[c], curlUs[c])
+            assert rel_err(stacked[c], want) < 1e-13
 
 
 class TestCorrelation:
@@ -212,7 +225,10 @@ class TestSigmaHatEstimator:
             mean, _ = _correlation(traces, data, desk_capacity)
             return (-mean / K_DESK ** 2) / p.leading
 
-        for i in (0, len(result.xi_nodes) // 3):
+        n = len(result.xi_nodes)
+        # two columns per xi at one frame: the last xi lies past the first block
+        assert 2 * (n - 1) >= DUAL_BLOCK
+        for i in (0, n // 3, n - 1):
             xi = result.xi_nodes[i]
             want = 0.5 * (sample(xi) + np.conj(sample(-xi)))
             assert result.sigma_hat[i] == pytest.approx(want, rel=1e-10)
