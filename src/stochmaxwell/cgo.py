@@ -47,6 +47,9 @@ __all__ = [
     "solve_cgo_remainder",
     "cgo_product_remainder",
     "cgo_on_sphere",
+    "cgo_columns_on_sphere",
+    "cgo_pairs",
+    "CgoRemainderSolver",
 ]
 
 # e^{|Im zeta| R'} appears squared in products; cap the exponent well below
@@ -60,27 +63,28 @@ def build_frame(xi) -> np.ndarray:
     d1 is the normalized cross product of xi_hat with the coordinate axis
     least aligned with it (smallest absolute component; ties break to the
     smallest index), and d2 = xi_hat x d1. The convention xi = 0 maps to the
-    frame (e3, e1, e2).
+    frame (e3, e1, e2). Stacked xi of shape (..., 3) give frames of shape
+    (..., 3, 3).
+
+    Every step is odd in xi or even in it, so build_frame(-xi) is
+    (-xi_hat, -d1, d2) bit for bit.
     """
     xi = np.asarray(xi, dtype=np.float64)
-    if xi.shape != (3,):
+    if xi.ndim == 0 or xi.shape[-1] != 3:
         raise ValueError("xi must be a 3-vector")
-    scale = np.max(np.abs(xi))
-    if scale == 0.0:
-        return np.array(
-            [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
-        )
+    scale = np.max(np.abs(xi), axis=-1, keepdims=True)
+    zero = scale[..., 0] == 0.0
     # scale by the power of two at the largest component so the squared norm
     # of a tiny xi cannot underflow; a power-of-two scale is exact, so xi_hat
     # keeps its bits wherever the unscaled norm did not underflow
     xs = np.ldexp(xi, -np.frexp(scale)[1])
-    xh = xs / np.linalg.norm(xs)
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(xh)))] = 1.0
-    d1 = np.cross(xh, axis)
-    d1 /= np.linalg.norm(d1)
-    d2 = np.cross(xh, d1)
-    return np.array([xh, d1, d2])
+    xs[zero] = (0.0, 0.0, 1.0)
+    xh = xs / np.linalg.norm(xs, axis=-1, keepdims=True)
+    d1 = np.cross(xh, np.eye(3)[np.argmin(np.abs(xh), axis=-1)])
+    d1 /= np.linalg.norm(d1, axis=-1, keepdims=True)
+    frame = np.stack([xh, d1, np.cross(xh, d1)], axis=-2)
+    frame[zero] = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    return frame
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,8 @@ class CgoParams:
         zeta_2 = (-|xi|/2, -i b, -t),    eta_2 = (1, 0, -|xi|/2t)
 
     with b = sqrt(t^2 - k^2 + |xi|^2/4), so that zeta_j . zeta_j = k^2,
-    zeta_j . eta_j = 0 and zeta_1 + zeta_2 = -xi.
+    zeta_j . eta_j = 0 and zeta_1 + zeta_2 = -xi. `leading` is
+    eta_1 . eta_2 = 1 - |xi|^2 / 4t^2, the leading product coefficient.
     """
 
     k: float
@@ -103,12 +108,7 @@ class CgoParams:
     zeta2: np.ndarray = field(repr=False)
     eta1: np.ndarray = field(repr=False)
     eta2: np.ndarray = field(repr=False)
-
-    @property
-    def leading(self) -> float:
-        """eta_1 . eta_2 = 1 - |xi|^2 / 4t^2, the leading product coefficient."""
-        xi_norm = float(np.linalg.norm(self.xi))
-        return 1.0 - xi_norm ** 2 / (4.0 * self.t ** 2)
+    leading: float = field(repr=False)
 
     def zeta(self, which: int) -> np.ndarray:
         return self.zeta1 if which == 1 else self.zeta2
@@ -117,10 +117,12 @@ class CgoParams:
         return self.eta1 if which == 1 else self.eta2
 
 
-def build_zeta_eta(
-    xi, t: float, k: float, box_radius: float | None = None, azimuth: float = 0.0
-) -> CgoParams:
-    """Construct the conjugate CGO pair for frequency xi and growth parameter t.
+def cgo_pairs(xi, t: float, k: float, azimuth=0.0, box_radius: float | None = None):
+    """Conjugate CGO pairs (see `CgoParams`) for stacked frequencies.
+
+    xi (..., 3) and azimuth (...) broadcast to a shape S. Returns zeta and
+    eta of shape S + (2, 3), member 1 then member 2 on the second-to-last
+    axis, and the leading coefficients of shape S.
 
     Requires t^2 >= k^2 - |xi|^2/4 (real b) and t > 0. When box_radius is
     given, enforces the overflow guard t*r + |xi|*r <= 60. `azimuth` rotates
@@ -128,40 +130,59 @@ def build_zeta_eta(
     admissible pair with the same product coefficient, which is what makes
     frame averaging an unbiased variance reducer for the correlation
     estimator. Rotating by pi swaps the two members, so distinct frames live
-    in [0, pi).
+    in [0, pi). At azimuth 0 the pairs of xi and -xi mirror each other bit
+    for bit: zeta_1(-xi) = -conj(zeta_2(xi)) and zeta_2(-xi) =
+    -conj(zeta_1(xi)).
     """
     xi = np.asarray(xi, dtype=np.float64)
     t = float(t)
-    xi_norm = float(np.linalg.norm(xi))
     if t <= 0:
         raise ConfigurationError("CGO parameter t must be positive")
+    xi_norm = np.linalg.norm(xi, axis=-1)
     b2 = t * t - k * k + xi_norm ** 2 / 4.0
-    if b2 < 0:
+    if np.any(b2 < 0):
         raise ConfigurationError(
-            f"t={t} too small for k={k}, |xi|={xi_norm}: need t^2 >= k^2 - |xi|^2/4"
+            f"t={t} too small for k={k}, |xi|={np.min(xi_norm)}: need t^2 >= k^2 - |xi|^2/4"
         )
-    if box_radius is not None and (t + xi_norm) * box_radius > OVERFLOW_GUARD:
+    reach = (t + np.max(xi_norm)) * box_radius if box_radius is not None else 0.0
+    if reach > OVERFLOW_GUARD:
         raise ConfigurationError(
-            f"(t + |xi|) * r = {(t + xi_norm) * box_radius:.1f} exceeds the "
+            f"(t + |xi|) * r = {reach:.1f} exceeds the "
             f"overflow guard {OVERFLOW_GUARD}; reduce t or the box radius"
         )
-    b = np.sqrt(b2)
-    xh, d1, d2 = build_frame(xi)
-    if azimuth != 0.0:
-        ca, sa = np.cos(azimuth), np.sin(azimuth)
-        d1, d2 = ca * d1 + sa * d2, -sa * d1 + ca * d2
-    zeta1 = -0.5 * xi_norm * xh + 1j * b * d1 + t * d2
-    zeta2 = -0.5 * xi_norm * xh - 1j * b * d1 - t * d2
-    eta1 = xh + (xi_norm / (2.0 * t)) * d2
-    eta2 = xh - (xi_norm / (2.0 * t)) * d2
+    frame = build_frame(xi)
+    az = np.asarray(azimuth, dtype=np.float64)[..., None]
+    ca, sa = np.cos(az), np.sin(az)
+    xh = frame[..., 0, :]
+    d1 = ca * frame[..., 1, :] + sa * frame[..., 2, :]
+    d2 = -sa * frame[..., 1, :] + ca * frame[..., 2, :]
+    r = xi_norm[..., None]
+    b = np.sqrt(b2)[..., None]
+    zeta = np.stack([-0.5 * r * xh + 1j * b * d1 + t * d2,
+                     -0.5 * r * xh - 1j * b * d1 - t * d2], axis=-2)
+    eta = np.stack([xh + (r / (2.0 * t)) * d2, xh - (r / (2.0 * t)) * d2], axis=-2)
+    leading = np.broadcast_to(1.0 - xi_norm ** 2 / (4.0 * t ** 2), zeta.shape[:-2])
+    return zeta, eta.astype(np.complex128), leading
+
+
+def build_zeta_eta(
+    xi, t: float, k: float, box_radius: float | None = None, azimuth: float = 0.0
+) -> CgoParams:
+    """The conjugate CGO pair for one frequency xi and growth parameter t;
+    `cgo_pairs` states the conditions and the role of `azimuth`."""
+    xi = np.asarray(xi, dtype=np.float64)
+    if xi.shape != (3,):
+        raise ValueError("xi must be a 3-vector")
+    zeta, eta, leading = cgo_pairs(xi, t, k, azimuth, box_radius)
     return CgoParams(
         k=float(k),
         xi=tuple(float(v) for v in xi),
-        t=t,
-        zeta1=zeta1.astype(np.complex128),
-        zeta2=zeta2.astype(np.complex128),
-        eta1=eta1.astype(np.complex128),
-        eta2=eta2.astype(np.complex128),
+        t=float(t),
+        zeta1=zeta[0],
+        zeta2=zeta[1],
+        eta1=eta[0],
+        eta2=eta[1],
+        leading=float(leading),
     )
 
 
@@ -242,18 +263,32 @@ class ConjugatedResolvent:
     chunks of _CHUNK to keep the tensor in cache. The result differs from a
     pointwise mean only by rounding (about 1e-10 relative at worst, from
     the s^2 + 2 s.zeta cancellation near the characteristic set).
+
+    Mirror identity: the symbol of zeta' = -conj(zeta) at s is the conjugate
+    of the symbol of zeta at -s, and the offsets are symmetric, so both the
+    reciprocal and the cell averages of zeta' at s are the conjugates of
+    those of zeta at -s. `mirror`, the `near` data (flat bin indices, cell
+    averages) of a resolvent for -conj(zeta) on the same grid, lends its
+    averages by index reflection (i -> -i mod p per axis) and conjugation.
+    The exception is the Nyquist planes (index p/2 on any axis): -s is not
+    on the lattice there, so those bins, and any near bin the partner does
+    not hold, are averaged directly. Far bins are always 1/denom, computed
+    directly.
+
+    The projection I - q q^T/k^2 of the inverse is folded in at build time:
+    with g = q inv / k^2 the multiplier maps f to f inv - g (q . f).
     """
 
     _SUBSAMPLE = 12
     _CHUNK = 16
 
-    def __init__(self, zeta: np.ndarray, k: float, grid: Grid3):
+    def __init__(self, zeta: np.ndarray, k: float, grid: Grid3, mirror=None):
         self.zeta = np.asarray(zeta, dtype=np.complex128)
         self.k = float(k)
         n = grid.dims
-        self.padded = tuple(2 * v for v in n)
+        self.padded = p = tuple(2 * v for v in n)
         h = grid.spacing
-        kv = [2.0 * np.pi * sfft.fftfreq(p, d=h) for p in self.padded]
+        kv = [2.0 * np.pi * sfft.fftfreq(v, d=h) for v in p]
         sx = kv[0][:, None, None]
         sy = kv[1][None, :, None]
         sz = kv[2][None, None, :]
@@ -264,10 +299,20 @@ class ConjugatedResolvent:
         near = np.abs(denom) < grad_scale * ds
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = np.where(near, 0.0, 1.0 / np.where(near, 1.0, denom))
+        todo = near
+        if mirror is not None:
+            m_idx, m_avg = mirror
+            src = np.unravel_index(m_idx, p)
+            dst = np.ravel_multi_index(tuple(-i % v for i, v in zip(src, p)), p)
+            off_nyquist = ~np.any([i == v // 2 for i, v in zip(src, p)], axis=0)
+            lend = off_nyquist & near.ravel()[dst]
+            inv.ravel()[dst[lend]] = np.conj(m_avg[lend])
+            todo = near.copy()
+            todo.ravel()[dst[lend]] = False
         S = self._SUBSAMPLE
         q1 = ((np.arange(S) + 0.5) / S - 0.5) * ds
         half = q1[S // 2:]  # q1 is symmetric about 0: fold x onto +half
-        idx = np.nonzero(near)
+        idx = np.nonzero(todo)
         c = np.stack([kv[a][idx[a]] for a in range(3)], axis=1) + z
         L2 = (2.0 * half * c[:, :1]) ** 2
         X = denom[idx][:, None] + half ** 2
@@ -284,20 +329,79 @@ class ConjugatedResolvent:
             avg[e] = B.sum(axis=(1, 2))
         inv[idx] = avg * (2.0 / S ** 3)
         self._inv = inv
+        near_idx = np.flatnonzero(near)
+        self.near = (near_idx, inv.ravel()[near_idx])
         self._q = (sx + z[0], sy + z[1], sz + z[2])
+        self._g = np.stack([qc * inv for qc in self._q]) / self.k ** 2
+
+    def _symbol(self, fh: np.ndarray) -> np.ndarray:
+        q = self._q
+        qdot = q[0] * fh[0] + q[1] * fh[1] + q[2] * fh[2]
+        fh *= self._inv
+        fh -= self._g * qdot
+        return fh
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """A^{-1} f for amplitude-level values of shape (3, nx, ny, nz)."""
-        q = self._q
+        return padded_fft_apply(f, self.padded, self._symbol)
 
-        def symbol(fh):
-            qdot = q[0] * fh[0] + q[1] * fh[1] + q[2] * fh[2]
-            out = np.empty_like(fh)
-            for c in range(3):
-                out[c] = (fh[c] - q[c] * qdot / self.k ** 2) * self._inv
-            return out
 
-        return padded_fft_apply(f, self.padded, symbol)
+class CgoRemainderSolver:
+    """CGO remainder solves for one (k, medium, grid).
+
+    With U0 = eta e^{i zeta x} exact for m = 0, the amplitude correction W
+    solves the conjugated fixed point W = A^{-1}(-k^2 m (eta + W)) by Neumann
+    iteration. The contrast is sampled once. A solve whose zeta is
+    -conj(zeta) of one of the last _UNPAIRED directly built resolvents builds
+    its resolvent as that one's mirror (see `ConjugatedResolvent`), and the
+    partner's near-bin data is then dropped; so callers that solve mirror
+    partners close together, such as xi next to -xi, build half the
+    near-resonant averages.
+    """
+
+    _UNPAIRED = 2
+
+    def __init__(self, k: float, medium: MediumSpec, grid: Grid3,
+                 tol: float = 1e-10, max_iter: int = 60):
+        self.k = float(k)
+        self.grid = grid
+        self.tol = tol
+        self.max_iter = max_iter
+        m_grid = evaluate_on_grid(medium, grid).values.real
+        self.homogeneous = not np.any(m_grid)
+        self._km = self.k ** 2 * m_grid[None]
+        self._unpaired = []  # (zeta, near data) of recent direct builds
+
+    def _resolvent(self, zeta: np.ndarray) -> ConjugatedResolvent:
+        partner = -np.conj(zeta)
+        for i, (z, near) in enumerate(self._unpaired):
+            if np.array_equal(z, partner):
+                del self._unpaired[i]
+                return ConjugatedResolvent(zeta, self.k, self.grid, mirror=near)
+        res = ConjugatedResolvent(zeta, self.k, self.grid)
+        self._unpaired = self._unpaired[1 - self._UNPAIRED:] + [(zeta, res.near)]
+        return res
+
+    def solve(self, zeta: np.ndarray, eta: np.ndarray):
+        """The correction W, shape (3, nx, ny, nz), of the CGO solution with
+        phase zeta and polarization eta, and its fixed-point residual; W = 0
+        and residual 0 for m = 0. Raises SolverError if the iteration
+        stagnates or runs out of iterations above the tolerance."""
+        if self.homogeneous:
+            return np.zeros((3,) + self.grid.dims, dtype=np.complex128), 0.0
+        resolvent = self._resolvent(zeta)
+        km = self._km
+        b = resolvent.apply(-km * eta[:, None, None, None])
+        W, iters, res, history = neumann_solve(
+            lambda W: W + resolvent.apply(km * W), b, self.tol, self.max_iter
+        )
+        if res > self.tol:
+            raise SolverError(
+                f"CGO remainder iteration stopped at residual {res:.3e} (tol {self.tol:.1e}) "
+                f"after {iters} iterations; the medium contrast is too strong for this t",
+                history,
+            )
+        return W, float(res)
 
 
 def solve_cgo_remainder(
@@ -308,15 +412,13 @@ def solve_cgo_remainder(
     tol: float = 1e-10,
     max_iter: int = 60,
 ) -> CgoSolution:
-    """Solve the CGO correction for one member of the conjugate pair.
+    """Solve the CGO correction for one member of the conjugate pair
+    (`CgoRemainderSolver`), after checking the overflow guard on the grid.
 
-    With U0 = eta e^{i zeta x} exact for m = 0, the amplitude correction W
-    solves the conjugated fixed point W = A^{-1}(-k^2 m (eta + W)) by Neumann
-    iteration. The split uses the pointwise minimal-norm (Hermitian)
-    projection f = W . conj(zeta)/|zeta|^2, V = W - f zeta, which keeps both
-    parts within the remainder estimate; the bilinear projection does not,
-    because the non-decaying part of W is parallel to zeta and |zeta| grows
-    with t.
+    The split uses the pointwise minimal-norm (Hermitian) projection
+    f = W . conj(zeta)/|zeta|^2, V = W - f zeta, which keeps both parts
+    within the remainder estimate; the bilinear projection does not, because
+    the non-decaying part of W is parallel to zeta and |zeta| grows with t.
 
     For m = 0 the residual is algebraically zero (curl curl of the plane
     phase reproduces k^2 U0 exactly since zeta.zeta = k^2 and zeta.eta = 0);
@@ -326,40 +428,11 @@ def solve_cgo_remainder(
     """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    # re-check the guard against the actual grid
     build_zeta_eta(np.asarray(params.xi), params.t, params.k, box_radius(grid))
-
     zeta = params.zeta(which)
-    eta = params.eta(which)
-    k = params.k
-    m_grid = evaluate_on_grid(medium, grid).values.real
-
-    if not np.any(m_grid):
-        zero = np.zeros(grid.dims, dtype=np.complex128)
-        return CgoSolution(
-            params=params,
-            which=which,
-            grid=grid,
-            f=ScalarFieldC(grid, zero),
-            V=VectorFieldC3(grid, np.zeros((3,) + grid.dims, dtype=np.complex128)),
-            residual=0.0,
-        )
-
-    resolvent = ConjugatedResolvent(zeta, k, grid)
-    src = -(k ** 2) * m_grid[None] * np.broadcast_to(
-        eta[:, None, None, None], (3,) + grid.dims
+    W, res = CgoRemainderSolver(params.k, medium, grid, tol, max_iter).solve(
+        zeta, params.eta(which)
     )
-    b = resolvent.apply(src)
-    W, iters, res, history = neumann_solve(
-        lambda W: W + resolvent.apply(k ** 2 * m_grid[None] * W), b, tol, max_iter
-    )
-    if res > tol:  # stagnated or out of iterations
-        raise SolverError(
-            f"CGO remainder iteration stopped at residual {res:.3e} (tol {tol:.1e}) "
-            f"after {iters} iterations; the medium contrast is too strong for this t",
-            history,
-        )
-
     zh = np.conj(zeta) / np.sum(np.abs(zeta) ** 2)
     f_vals = np.tensordot(zh, W, axes=1)
     V_vals = W - f_vals[None] * zeta[:, None, None, None]
@@ -369,7 +442,7 @@ def solve_cgo_remainder(
         grid=grid,
         f=ScalarFieldC(grid, f_vals),
         V=VectorFieldC3(grid, V_vals),
-        residual=float(res),
+        residual=res,
     )
 
 
@@ -416,20 +489,32 @@ def cgo_product_remainder(sol1: CgoSolution, sol2: CgoSolution):
 
 
 def cgo_on_sphere(sol: CgoSolution, mesh) -> tuple[np.ndarray, np.ndarray]:
-    """(U, curl U) of a CGO solution sampled at the mesh nodes.
+    """(U, curl U) of a CGO solution sampled at the mesh nodes, (N, 3) each;
+    one column of `cgo_columns_on_sphere`."""
+    W = sol.f.values[None] * sol.zeta[:, None, None, None] + sol.V.values
+    U, curlU = cgo_columns_on_sphere(sol.zeta[None], sol.eta[None], W[None], sol.grid, mesh)
+    return U[0], curlU[0]
+
+
+def cgo_columns_on_sphere(zeta, eta, W, grid: Grid3, mesh) -> tuple[np.ndarray, np.ndarray]:
+    """(U, curl U) at the mesh nodes of the CGO solutions
+    U_c = e^{i zeta_c x}(eta_c + W_c): zeta, eta (C, 3), corrections W
+    (C, 3, nx, ny, nz); returns (C, N, 3) arrays.
 
     The plane-phase part is analytic: curl(eta e^{i zeta x}) =
-    i zeta x eta e^{i zeta x}. The correction W (inhomogeneous media only) is
-    interpolated trilinearly and its curl taken by grid stencils first.
+    i zeta x eta e^{i zeta x}. The corrections (inhomogeneous media only)
+    are interpolated trilinearly and their curls taken by grid stencils
+    first, all columns at once; every step is elementwise per column, so a
+    column has the same bits as its own single-column call.
     """
     pts = mesh.nodes
-    zeta = sol.zeta
-    U, curlU = plane_wave_on(zeta, sol.eta, pts)
-    if np.any(sol.f.values) or np.any(sol.V.values):
-        W = sol.f.values[None] * zeta[:, None, None, None] + sol.V.values
-        phase_grid = np.exp(1j * np.tensordot(zeta, sol.grid.nodes(), axes=1))
-        W = W * phase_grid[None]
-        curlW = curl_grid(W, sol.grid.spacing)
-        U = U + trilinear_interpolate(W, sol.grid, pts).T
-        curlU = curlU + trilinear_interpolate(curlW, sol.grid, pts).T
+    U, curlU = plane_wave_on(zeta, eta, pts)
+    if np.any(W):
+        X = grid.nodes()
+        phase = np.exp(1j * sum(zeta[:, i, None, None, None] * X[i] for i in range(3)))
+        W = W * phase[:, None]
+        both = np.concatenate([W, curl_grid(W, grid.spacing)], axis=1)
+        vals = trilinear_interpolate(both, grid, pts).swapaxes(1, 2)  # (C, N, 6)
+        U = U + vals[..., :3]
+        curlU = curlU + vals[..., 3:]
     return U, curlU

@@ -268,8 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--config", required=True, help="INI config file")
         q.add_argument("--out", default=None, help="output directory (default from config)")
         q.add_argument(
-            "--workers", type=_fft_workers, default=-1,
-            help="scipy.fft worker count; -1 (default) uses every CPU",
+            "--workers", type=_fft_workers, default=1,
+            help="scipy.fft worker count (default 1); -1 uses every CPU",
         )
         q.add_argument("--seed", type=int, default=None, help="master seed override")
     return p

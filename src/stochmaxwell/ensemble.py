@@ -17,6 +17,7 @@ from .forward import (
     HomogeneousTraceMap,
     MaxwellSolver,
     SolverError,
+    noise_amplitude,
     noise_values,
 )
 from .geometry import (
@@ -62,23 +63,25 @@ def generate_ensemble(
     if M < 1:
         raise ConfigurationError("ensemble size must be at least 1")
     sig = evaluate_on_grid(sigma, grid).values.real
+    amp = noise_amplitude(sig, grid.spacing)
     traces = np.zeros((M, mesh.n_nodes, 3), dtype=np.complex128)
     if medium.is_homogeneous:
         mask = sig > 0
         if not np.any(mask):
             return traces
         tmap = HomogeneousTraceMap(k, grid, mask, mesh)
+        amp = amp[mask]
         J = np.empty((min(M, _REALIZATION_CHUNK), tmap.n_cells, 3))
         for lo in range(0, M, _REALIZATION_CHUNK):
             n = min(_REALIZATION_CHUNK, M - lo)
             for i in range(n):
-                J[i] = noise_values(sig, grid.spacing, master_seed, lo + i)[:, mask].T
+                J[i] = noise_values(amp, master_seed, lo + i, mask).T
             traces[lo : lo + n] = tmap.traces(J[:n])
         return traces
 
     solver = MaxwellSolver(k, medium, grid)
     for r in range(M):
-        J = noise_values(sig, grid.spacing, master_seed, r)
+        J = noise_values(amp, master_seed, r)
         src = VectorFieldC3(grid, 1j * k * J.astype(np.complex128))
         try:
             sol = solver.solve(src, tol=tol, max_iter=max_iter, mesh=mesh)

@@ -29,6 +29,7 @@ __all__ = [
     "TangentialTrace",
     "ForwardSolution",
     "SolverError",
+    "noise_amplitude",
     "noise_values",
     "neumann_solve",
     "MaxwellSolver",
@@ -70,13 +71,26 @@ class ForwardSolution:
     trace: TangentialTrace | None = None
 
 
-def noise_values(sigma_grid: np.ndarray, spacing: float, master_seed: int, index: int) -> np.ndarray:
-    """Raw J samples: three independent real Gaussians per cell, scaled by
-    sqrt(sigma)/h^{3/2}. Bit-identical regeneration from (master_seed, index)."""
+def noise_amplitude(sigma_grid: np.ndarray, spacing: float) -> np.ndarray:
+    """Per-cell standard deviation sqrt(sigma)/h^{3/2} of each current
+    component (negative sigma counts as 0)."""
+    return np.sqrt(np.maximum(np.asarray(sigma_grid).real, 0.0)) / spacing ** 1.5
+
+
+def noise_values(amplitude: np.ndarray, master_seed: int, index: int, support=None) -> np.ndarray:
+    """Raw J samples: three independent real Gaussians per grid cell, scaled
+    by `amplitude` (see `noise_amplitude`); shape (3,) + grid dims.
+    Bit-identical regeneration from (master_seed, index).
+
+    With a boolean grid mask `support`, only its C cells are scaled and
+    returned, shape (3, C), and `amplitude` holds their C values. The draw
+    covers the whole grid either way, so the samples of a cell do not depend
+    on the mask.
+    """
+    grid_shape = np.shape(amplitude) if support is None else support.shape
     rng = np.random.default_rng([int(master_seed), int(index), NOISE_STREAM_TAG])
-    xi = rng.standard_normal((3,) + sigma_grid.shape)
-    amp = np.sqrt(np.maximum(sigma_grid.real, 0.0)) / spacing ** 1.5
-    return xi * amp[None]
+    xi = rng.standard_normal((3,) + grid_shape)
+    return xi * amplitude if support is None else xi[:, support] * amplitude
 
 
 def neumann_solve(apply, b: np.ndarray, tol: float, max_iter: int):
@@ -187,14 +201,15 @@ def _diff4(f: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 
 def curl_grid(F: np.ndarray, h: float) -> np.ndarray:
-    """Curl of (3, nx, ny, nz) samples with compact 4th-order stencils."""
-    dF = [[_diff4(F[c], ax, h) for ax in range(3)] for c in range(3)]
+    """Curl of (..., 3, nx, ny, nz) samples with compact 4th-order stencils."""
+    dF = [[_diff4(F[..., c, :, :, :], ax, h) for ax in (-3, -2, -1)] for c in range(3)]
     return np.stack(
         [
             dF[2][1] - dF[1][2],
             dF[0][2] - dF[2][0],
             dF[1][0] - dF[0][1],
-        ]
+        ],
+        axis=-4,
     )
 
 

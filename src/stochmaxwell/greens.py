@@ -36,12 +36,24 @@ def padded_fft_apply(f: np.ndarray, padded: tuple, symbol) -> np.ndarray:
     axes, passed through `symbol` (transforms in, transforms out, same shape),
     transformed back and cropped to the base grid. The complex cast keeps real
     inputs on the complex transform path.
+
+    The transforms go one axis at a time, padding that axis as it is
+    transformed and cropping each inverse axis right after its transform, so
+    lines that hold only padding are never transformed: a 2x padding of an
+    n^3 grid takes 7 n^2 lines each way instead of 12 n^2. The result equals
+    the full padded `fftn`/`ifftn` pair to rounding.
     """
-    n = f.shape[-3:]
-    axes = (-3, -2, -1)
-    f_hat = sfft.fftn(np.asarray(f, dtype=np.complex128), s=padded, axes=axes)
-    out = sfft.ifftn(symbol(f_hat), axes=axes)
-    return out[..., : n[0], : n[1], : n[2]]
+    g = np.asarray(f, dtype=np.complex128)
+    n = g.shape
+    for ax in (-1, -2, -3):
+        g = sfft.fft(g, n=padded[ax], axis=ax)
+    g = symbol(g)
+    for ax in (-3, -2, -1):
+        g = sfft.ifft(g, axis=ax, overwrite_x=True)
+        crop = [slice(None)] * g.ndim
+        crop[ax] = slice(n[ax])
+        g = g[tuple(crop)]
+    return g
 
 
 class SingularityError(ValueError):

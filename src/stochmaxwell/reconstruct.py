@@ -23,12 +23,12 @@ import numpy as np
 
 from .capacity import CapacityOperator
 from .cgo import (
+    CgoRemainderSolver,
     StabilityConstants,
     box_radius,
-    build_zeta_eta,
-    cgo_on_sphere,
+    cgo_columns_on_sphere,
+    cgo_pairs,
     plane_wave_on,
-    solve_cgo_remainder,
 )
 from .geometry import (
     ConfigurationError,
@@ -59,6 +59,10 @@ LEADING_GUARD = 1e-3
 # CGO columns (xi, frame, member) whose test data and dual vectors are built
 # together; larger blocks gain little and raise the inhomogeneous peak memory
 DUAL_BLOCK = 128
+# columns of one stacked sphere evaluation of remainder solutions; a whole
+# dual block took the same CPU time and raised the peak RSS of the 10^3-grid
+# inhomogeneous reconstruction from 123 to 165 MB
+SPHERE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -279,46 +283,52 @@ def reconstruct_sigma(
             f"cutoff rho={rho:.2f} exceeds the admissible band for t={t:.2f}"
         )
     xi_nodes, dxi = build_xi_lattice(rho, R_prime)
-    # the overflow guard grows with |xi|, so the largest node checks them all
-    xi_far = xi_nodes[np.argmax(np.einsum("ni,ni->n", xi_nodes, xi_nodes))]
-    build_zeta_eta(xi_far, t, k, box_radius(grid))
-    # for m = 0 the CGO pair is the exact plane-wave pair, with no remainder
-    homogeneous = not np.any(evaluate_on_grid(medium, grid).values.real)
+    n_xi = len(xi_nodes)
+    # the lattice is symmetric, node n_xi - 1 - i being -xi_i; visiting each
+    # node next to its antipode puts every remainder solve next to the solve
+    # whose resolvent it mirrors (CgoRemainderSolver)
+    lower = np.arange(n_xi // 2)
+    order = np.concatenate(
+        [np.stack([lower, n_xi - 1 - lower], axis=1).ravel(), np.arange(n_xi // 2, n_xi - n_xi // 2)]
+    )
+    azimuths = np.pi * np.arange(n_frames) / n_frames
+    # one column per (xi, frame, member); the overflow guard is checked here,
+    # at the largest |xi|, for every column
+    zeta, eta, lead = cgo_pairs(xi_nodes[order, None], t, k, azimuths[None], box_radius(grid))
+    lead = lead[:, 0]
+    solver = CgoRemainderSolver(k, medium, grid, tol=cgo_tol)
     mesh = capacity.basis.mesh
     flat = arr.reshape(M, -1)
 
-    n_xi = len(xi_nodes)
     sigma_hat = np.empty(n_xi, dtype=np.complex128)
     stderr = np.empty(n_xi)
-    azimuths = np.pi * np.arange(n_frames) / n_frames
     chunk = max(1, 4096 // (2 * n_frames))
     for lo in range(0, n_xi, chunk):
-        sub = xi_nodes[lo : lo + chunk]
-        # one column per (xi, frame, member), in that order
-        pairs = [build_zeta_eta(xi, t, k, azimuth=az) for xi in sub for az in azimuths]
-        columns = [(p, which) for p in pairs for which in (1, 2)]
-        duals = np.empty((len(columns), mesh.n_nodes, 3), dtype=np.complex128)
-        for b in range(0, len(columns), DUAL_BLOCK):
-            block = columns[b : b + DUAL_BLOCK]
-            if homogeneous:
-                zeta_eta = np.array([(p.zeta(w), p.eta(w)) for p, w in block])
-                U, curlU = plane_wave_on(zeta_eta[:, 0], zeta_eta[:, 1], mesh.nodes)
+        ids = order[lo : lo + chunk]
+        z_cols = zeta[lo : lo + chunk].reshape(-1, 3)
+        e_cols = eta[lo : lo + chunk].reshape(-1, 3)
+        duals = np.empty((len(z_cols), mesh.n_nodes, 3), dtype=np.complex128)
+        for b in range(0, len(z_cols), DUAL_BLOCK):
+            zb, eb = z_cols[b : b + DUAL_BLOCK], e_cols[b : b + DUAL_BLOCK]
+            if solver.homogeneous:  # the CGO pair is the exact plane-wave pair
+                U, curlU = plane_wave_on(zb, eb, mesh.nodes)
             else:
-                U = np.empty((len(block), mesh.n_nodes, 3), dtype=np.complex128)
+                U = np.empty((len(zb), mesh.n_nodes, 3), dtype=np.complex128)
                 curlU = np.empty_like(U)
-                for c, (p, w) in enumerate(block):
-                    sol = solve_cgo_remainder(p, w, medium, grid, tol=cgo_tol)
-                    U[c], curlU[c] = cgo_on_sphere(sol, mesh)
-            duals[b : b + len(block)] = dual_functional_vector(capacity, U, curlU)
+                for s in range(0, len(zb), SPHERE_BLOCK):
+                    zs, es = zb[s : s + SPHERE_BLOCK], eb[s : s + SPHERE_BLOCK]
+                    W = np.stack([solver.solve(z, e)[0] for z, e in zip(zs, es)])
+                    cols = slice(s, s + SPHERE_BLOCK)
+                    U[cols], curlU[cols] = cgo_columns_on_sphere(zs, es, W, grid, mesh)
+            duals[b : b + len(zb)] = dual_functional_vector(capacity, U, curlU)
         del U, curlU
-        B = flat @ duals.reshape(len(columns), -1).T  # (M, n_sub * n_frames * 2)
-        B = B.reshape(M, len(sub), n_frames, 2)
+        B = flat @ duals.reshape(len(z_cols), -1).T  # (M, n_sub * n_frames * 2)
+        B = B.reshape(M, len(ids), n_frames, 2)
         prods = (B[..., 0] * B[..., 1]).mean(axis=2)  # frame average per realization
         mean = prods.mean(axis=0)
-        sd = prods.std(axis=0, ddof=1) / np.sqrt(M) if M > 1 else np.full(len(sub), np.inf)
-        lead = np.array([p.leading for p in pairs[::n_frames]])
-        sigma_hat[lo : lo + len(sub)] = (-mean / k ** 2) / lead
-        stderr[lo : lo + len(sub)] = sd / (k ** 2 * np.abs(lead))
+        sd = prods.std(axis=0, ddof=1) / np.sqrt(M) if M > 1 else np.full(len(ids), np.inf)
+        sigma_hat[ids] = (-mean / k ** 2) / lead[lo : lo + chunk]
+        stderr[ids] = sd / (k ** 2 * np.abs(lead[lo : lo + chunk]))
 
     sigma_hat = hermitian_symmetrize(xi_nodes, sigma_hat, dxi)
     sigma_rec, residue = fourier_synthesis(xi_nodes, sigma_hat, dxi, grid)

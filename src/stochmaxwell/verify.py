@@ -13,7 +13,7 @@ import numpy as np
 
 from .capacity import boundary_functional, radiating_multipole
 from .cgo import CgoSolution, cgo_product_remainder, plane_wave_on, solve_cgo_remainder
-from .forward import curl_grid, noise_values
+from .forward import curl_grid, noise_amplitude, noise_values
 from .geometry import (
     ConfigurationError, Grid3, MediumSpec, SourceStrength, VectorFieldC3, evaluate_on_grid,
 )
@@ -176,8 +176,9 @@ def ito_isometry(k: float, sigma: SourceStrength, grid: Grid3, pairs, master_see
         for p in pairs
     ]
     prods = np.empty((len(us), M), dtype=np.complex128)
+    amp = noise_amplitude(sig, grid.spacing)
     for r in range(M):
-        J = noise_values(sig, grid.spacing, master_seed, r)
+        J = noise_values(amp, master_seed, r)
         for i, (u1, u2) in enumerate(us):
             prods[i, r] = (1j * k * h3 * np.sum(J * u1)) * (1j * k * h3 * np.sum(J * u2))
     gaps = np.empty(len(us))

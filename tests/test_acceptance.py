@@ -13,7 +13,7 @@ import pytest
 from stochmaxwell.cgo import build_zeta_eta, solve_cgo_remainder
 from stochmaxwell.cli import main
 from stochmaxwell.ensemble import generate_ensemble
-from stochmaxwell.forward import HomogeneousTraceMap, MaxwellSolver, noise_values
+from stochmaxwell.forward import HomogeneousTraceMap, MaxwellSolver, noise_amplitude, noise_values
 from stochmaxwell.geometry import (
     Bump,
     Grid3,
@@ -272,7 +272,7 @@ class TestCriterion9StabilityInequality:
             J = np.empty((M, tmap.n_cells, 3))
             scaled = alpha * sig_grid
             for r in range(M):
-                J[r] = noise_values(scaled, grid.spacing, BIG_SEED, r)[:, mask].T
+                J[r] = noise_values(noise_amplitude(scaled, grid.spacing), BIG_SEED, r)[:, mask].T
             return tmap.traces(J)
 
         alphas = (1.0, 0.1, 0.01, 0.001)

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from stochmaxwell import cgo
 from stochmaxwell.cgo import (
+    CgoRemainderSolver,
     ConjugatedResolvent,
     StabilityConstants,
     build_frame,
     build_zeta_eta,
+    cgo_columns_on_sphere,
     cgo_on_sphere,
+    cgo_pairs,
     cgo_product_remainder,
     plane_wave_on,
     solve_cgo_remainder,
@@ -19,6 +23,7 @@ from stochmaxwell.geometry import (
     Grid3,
     MediumSpec,
     SphereMesh,
+    trilinear_interpolate,
 )
 from stochmaxwell.verify import cgo_product_identity, remainder_norm
 
@@ -168,6 +173,86 @@ class TestConjugatedResolvent:
             assert worst < 1e-9
 
 
+    @pytest.mark.parametrize(
+        "xi, azimuth",
+        [((0.0, 0.0, 0.7), 0.0), ((0.6, -0.3, 0.2), 0.0), ((1.43, 0.0, 0.0), 0.0)],
+    )
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_mirror_matches_direct_build(self, xi, azimuth, which):
+        """The resolvent of zeta' = -conj(zeta), built from the near data of
+        the resolvent of zeta, equals a direct build on every bin; the bins it
+        borrows are exactly the near bins off the Nyquist planes."""
+        grid = self.GRID
+        xi = np.array(xi)
+        p = build_zeta_eta(xi, 5.0, K, azimuth=azimuth)
+        q = build_zeta_eta(-xi, 5.0, K, azimuth=azimuth)
+        zeta = q.zeta(3 - which)
+        assert np.array_equal(zeta, -np.conj(p.zeta(which)))
+        near = ConjugatedResolvent(p.zeta(which), K, grid).near
+        direct = ConjugatedResolvent(zeta, K, grid)
+        mirrored = ConjugatedResolvent(zeta, K, grid, mirror=near)
+        assert np.max(np.abs(mirrored._inv - direct._inv) / np.abs(direct._inv)) <= 1e-12
+        # a corrupted partner shows which bins were borrowed
+        doubled = ConjugatedResolvent(zeta, K, grid, mirror=(near[0], 2.0 * near[1]))
+        borrowed = doubled._inv != mirrored._inv
+        nyquist = np.zeros(borrowed.shape, dtype=bool)
+        for axis, p_ax in enumerate(direct.padded):
+            nyquist[(slice(None),) * axis + (p_ax // 2,)] = True
+        near_mask = np.zeros(borrowed.size, dtype=bool)
+        near_mask[direct.near[0]] = True
+        assert np.array_equal(borrowed, near_mask.reshape(borrowed.shape) & ~nyquist)
+
+
+class TestRemainderSolver:
+    GRID = Grid3.for_ball(1.3, 10)
+
+    @pytest.fixture
+    def mirrors(self, monkeypatch):
+        """Records, per resolvent build, whether it borrowed a partner's data."""
+        seen = []
+        init = ConjugatedResolvent.__init__
+
+        def recording(self, zeta, k, grid, mirror=None):
+            seen.append(mirror is not None)
+            init(self, zeta, k, grid, mirror)
+
+        monkeypatch.setattr(cgo.ConjugatedResolvent, "__init__", recording)
+        return seen
+
+    def test_antipodes_mirror_and_match_direct_solves(self, contrast_medium, mirrors):
+        xi = np.array([0.9, 0.4, -0.2])
+        zeta, eta, _ = cgo_pairs(np.stack([xi, -xi]), 5.0, K)
+        solver = CgoRemainderSolver(K, contrast_medium, self.GRID)
+        got = [solver.solve(zeta[i, w], eta[i, w])[0] for i in (0, 1) for w in (0, 1)]
+        assert mirrors == [False, False, True, True]
+        for (i, w), W in zip([(i, w) for i in (0, 1) for w in (0, 1)], got):
+            fresh = CgoRemainderSolver(K, contrast_medium, self.GRID)
+            assert rel_err(W, fresh.solve(zeta[i, w], eta[i, w])[0]) <= 1e-12
+
+    def test_zero_frequency_builds_directly(self, contrast_medium, mirrors):
+        """xi = 0 has no partner: -conj(zeta_2(0)) is not zeta_1(0)."""
+        zeta, eta, _ = cgo_pairs(np.zeros(3), 5.0, K)
+        solver = CgoRemainderSolver(K, contrast_medium, self.GRID)
+        for w in (0, 1, 0):
+            solver.solve(zeta[w], eta[w])
+        assert mirrors == [False, False, False]
+
+    def test_stacked_pairs_match_single_builds(self):
+        xis = np.array([[0.0, 0.0, 0.0], [0.9, 0.4, -0.2], [-1e-300, 0.0, 2e-300]])
+        azimuths = np.array([0.0, 0.7])
+        zeta, eta, lead = cgo_pairs(xis[:, None], 5.0, K, azimuths[None])
+        assert zeta.shape == eta.shape == (3, 2, 2, 3)
+        for i, xi in enumerate(xis):
+            for f, az in enumerate(azimuths):
+                p = build_zeta_eta(xi, 5.0, K, azimuth=az)
+                for w in (1, 2):
+                    assert np.array_equal(zeta[i, f, w - 1], p.zeta(w))
+                    assert np.array_equal(eta[i, f, w - 1], p.eta(w))
+                assert lead[i, f] == p.leading
+        with pytest.raises(ConfigurationError):
+            cgo_pairs(xis, 50.0, K, box_radius=2.0)
+
+
 class TestHomogeneousSolution:
     def test_zero_remainder_and_exact_pde(self, grid):
         """With m = 0 the plane-phase CGO field solves curl curl U = k^2 U
@@ -213,6 +298,31 @@ class TestHomogeneousSolution:
 
 
 class TestContrastSolution:
+    def test_stacked_columns_match_single_calls(self, contrast_medium):
+        """Stacked remainder solutions on the sphere equal, column by column,
+        one `cgo_on_sphere` call per solution and a per-column evaluation
+        written out here (phase, stencil curl, trilinear interpolation)."""
+        grid = Grid3.for_ball(1.3, 10)
+        mesh = SphereMesh(1.0, 8)
+        sols = [
+            solve_cgo_remainder(build_zeta_eta(np.array(xi), 5.0, K), w, contrast_medium, grid)
+            for xi in ([0.0, 0.0, 0.0], [1.2, -0.4, 0.3]) for w in (1, 2)
+        ]
+        zeta = np.array([s.zeta for s in sols])
+        W = np.array([s.f.values[None] * s.zeta[:, None, None, None] + s.V.values for s in sols])
+        assert np.any(W)
+        U, curlU = cgo_columns_on_sphere(zeta, np.array([s.eta for s in sols]), W, grid, mesh)
+        for c, sol in enumerate(sols):
+            U1, curlU1 = cgo_on_sphere(sol, mesh)
+            assert rel_err(U[c], U1) <= 1e-14
+            assert rel_err(curlU[c], curlU1) <= 1e-14
+            Wc = W[c] * np.exp(1j * np.tensordot(sol.zeta, grid.nodes(), axes=1))[None]
+            U0, curlU0 = plane_wave_on(sol.zeta, sol.eta, mesh.nodes)
+            U2 = U0 + trilinear_interpolate(Wc, grid, mesh.nodes).T
+            curlU2 = curlU0 + trilinear_interpolate(curl_grid(Wc, grid.spacing), grid, mesh.nodes).T
+            assert rel_err(U[c], U2) <= 1e-14
+            assert rel_err(curlU[c], curlU2) <= 1e-14
+
     def test_converges_below_tolerance(self, grid, contrast_medium):
         p = build_zeta_eta(np.array([1.0, 0.0, 0.5]), 4.0, K)
         sol = solve_cgo_remainder(p, 1, contrast_medium, grid, tol=1e-10)

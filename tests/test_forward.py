@@ -9,6 +9,7 @@ from stochmaxwell.forward import (
     SolverError,
     curl_grid,
     extract_trace,
+    noise_amplitude,
     noise_values,
 )
 from stochmaxwell.geometry import (
@@ -45,19 +46,30 @@ def solve(medium, src, **kwargs):
 class TestNoise:
     def test_bit_identical_regeneration(self, grid, sigma):
         sig = evaluate_on_grid(sigma, grid).values.real
-        a = noise_values(sig, grid.spacing, master_seed=42, index=7)
-        b = noise_values(sig, grid.spacing, master_seed=42, index=7)
+        a = noise_values(noise_amplitude(sig, grid.spacing), master_seed=42, index=7)
+        b = noise_values(noise_amplitude(sig, grid.spacing), master_seed=42, index=7)
         assert np.array_equal(a, b)
 
     def test_distinct_indices_differ(self, grid, sigma):
         sig = evaluate_on_grid(sigma, grid).values.real
-        a = noise_values(sig, grid.spacing, master_seed=42, index=0)
-        b = noise_values(sig, grid.spacing, master_seed=42, index=1)
+        a = noise_values(noise_amplitude(sig, grid.spacing), master_seed=42, index=0)
+        b = noise_values(noise_amplitude(sig, grid.spacing), master_seed=42, index=1)
         assert not np.array_equal(a, b)
+
+    def test_support_cells_match_full_grid(self, grid, sigma):
+        """The support form scales only the masked cells and returns the
+        same bits as the full-grid draw restricted to them."""
+        sig = evaluate_on_grid(sigma, grid).values.real
+        amp = noise_amplitude(sig, grid.spacing)
+        mask = sig > 0
+        assert 0 < mask.sum() < mask.size
+        for index in (0, 9):
+            full = noise_values(amp, 4, index)
+            assert np.array_equal(noise_values(amp[mask], 4, index, mask), full[:, mask])
 
     def test_support_respected(self, grid, sigma):
         sig = evaluate_on_grid(sigma, grid).values.real
-        J = noise_values(sig, grid.spacing, 1, 0)
+        J = noise_values(noise_amplitude(sig, grid.spacing), 1, 0)
         assert np.all(J[:, sig == 0] == 0)
 
     def test_cell_variance_scaling(self, sigma):
@@ -70,7 +82,7 @@ class TestNoise:
             acc = 0.0
             M = 200
             for r in range(M):
-                J = noise_values(sig, g.spacing, 5, r)
+                J = noise_values(noise_amplitude(sig, g.spacing), 5, r)
                 acc += np.mean(np.abs(J[:, mask]) ** 2 / sig[mask])
             rng_checks.append(acc / M * g.spacing ** 3)
         assert rng_checks[0] == pytest.approx(1.0, rel=0.05)
@@ -172,7 +184,7 @@ class TestHomogeneousTraceMap:
         sig = evaluate_on_grid(sigma, grid).values.real
         mask = sig > 0
         tmap = HomogeneousTraceMap(K, grid, mask, mesh)
-        J = noise_values(sig, grid.spacing, 12, 0)
+        J = noise_values(noise_amplitude(sig, grid.spacing), 12, 0)
         direct = tmap.traces(J[:, mask].T[None])[0]
         src = VectorFieldC3(grid, 1j * K * J.astype(complex))
         solved = solve(MediumSpec(ball_radius=1.0), src, mesh=mesh).trace

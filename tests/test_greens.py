@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from stochmaxwell.geometry import Grid3, VectorFieldC3
-from stochmaxwell.greens import FreeConvolver, SingularityError, dyadic_green, helmholtz_g
+from scipy import fft as sfft
+
+from stochmaxwell.greens import (
+    FreeConvolver,
+    SingularityError,
+    dyadic_green,
+    helmholtz_g,
+    padded_fft_apply,
+)
 from stochmaxwell.verify import (
     convolution_vs_direct,
     electric_dipole_field,
@@ -41,6 +49,21 @@ class TestDyadicGreen:
     def test_coincidence_rejected(self):
         with pytest.raises(SingularityError):
             dyadic_green(2.0, np.zeros(3), np.zeros(3))
+
+
+class TestPaddedFftApply:
+    def test_matches_full_padded_transforms(self):
+        """The axis-by-axis pruned transform equals zero-padded fftn, the
+        symbol, ifftn and a crop, on a non-cubic grid with a batch axis."""
+        rng = np.random.default_rng(3)
+        f = rng.standard_normal((2, 5, 6, 7)) + 1j * rng.standard_normal((2, 5, 6, 7))
+        padded = (10, 12, 15)
+        mult = rng.standard_normal(padded) + 1j * rng.standard_normal(padded)
+        got = padded_fft_apply(f, padded, lambda fh: fh * mult)
+        axes = (-3, -2, -1)
+        want = sfft.ifftn(sfft.fftn(f, s=padded, axes=axes) * mult, axes=axes)[..., :5, :6, :7]
+        assert got.shape == f.shape
+        assert rel_err(got, want) <= 1e-14
 
 
 class TestFreeConvolver:

@@ -15,7 +15,7 @@ from stochmaxwell.ensemble import (
     read_ensemble,
     write_ensemble,
 )
-from stochmaxwell.forward import HomogeneousTraceMap, noise_values
+from stochmaxwell.forward import HomogeneousTraceMap, noise_amplitude, noise_values
 from stochmaxwell.geometry import (
     Bump,
     ConfigurationError,
@@ -199,7 +199,7 @@ class TestEnsembleStore:
         sig = evaluate_on_grid(sigma, grid).values.real
         tmap = HomogeneousTraceMap(2.0, grid, sig > 0, mesh)
         single = np.stack([
-            tmap.traces(noise_values(sig, grid.spacing, 5, r)[:, sig > 0].T[None])[0]
+            tmap.traces(noise_values(noise_amplitude(sig, grid.spacing), 5, r)[:, sig > 0].T[None])[0]
             for r in range(M)
         ])
         assert np.linalg.norm(traces - single) <= 1e-13 * np.linalg.norm(single)

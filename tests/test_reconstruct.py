@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stochmaxwell.capacity import boundary_functional
+from stochmaxwell.capacity import CapacityOperator, boundary_functional
 from stochmaxwell.cgo import StabilityConstants, build_zeta_eta, cgo_on_sphere, solve_cgo_remainder
 from stochmaxwell.ensemble import generate_ensemble
 from stochmaxwell.geometry import (
@@ -10,8 +10,10 @@ from stochmaxwell.geometry import (
     Grid3,
     MediumSpec,
     SourceStrength,
+    SphereMesh,
     evaluate_on_grid,
 )
+from stochmaxwell.sphharm import VshBasis
 from stochmaxwell.reconstruct import (
     DUAL_BLOCK,
     build_xi_lattice,
@@ -337,6 +339,48 @@ class TestReconstructSigma:
         assert result.rel_l2_error < 0.9
         assert result.imag_residue < 1e-10
         assert result.t == 5.0  # admissibility clamp at this data size
+
+    def test_inhomogeneous_matches_column_reference(self):
+        """The blocked inhomogeneous route (one remainder solver, mirrored
+        resolvents, stacked sphere evaluation) gives the sigma_hat of a
+        column-by-column reference: one `solve_cgo_remainder`,
+        `cgo_on_sphere` and `dual_functional_vector` per (xi, member), then
+        the correlation and the average with the antipode."""
+        grid = Grid3.for_ball(RP_DESK, 8)
+        medium = MediumSpec((Bump((0.0, 0.0, 0.0), 0.9, 0.1),), ball_radius=1.0)
+        assert np.any(evaluate_on_grid(medium, grid).values)
+        mesh = SphereMesh(1.0, 6)
+        capacity = CapacityOperator(K_DESK, VshBasis(mesh, 6))
+        rng = np.random.default_rng(8)
+        shape = (6, mesh.n_nodes, 3)
+        traces = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        kwargs = dict(k=K_DESK, R_prime=RP_DESK, grid=grid, epsilon=0.1)
+        result = reconstruct_sigma(traces, capacity, medium=medium, **kwargs)
+        flat = traces.reshape(len(traces), -1)
+
+        def sample(xi):
+            p = build_zeta_eta(xi, result.t, K_DESK)
+            b1, b2 = (
+                flat @ dual_functional_vector(
+                    capacity, *cgo_on_sphere(solve_cgo_remainder(p, w, medium, grid), mesh)
+                ).ravel()
+                for w in (1, 2)
+            )
+            return (-np.mean(b1 * b2) / K_DESK ** 2) / p.leading
+
+        n = len(result.xi_nodes)
+        # the first and last xi and their antipodes are solved in different
+        # dual blocks; n // 2 is xi = 0, which has no mirror partner
+        assert 2 * n > 2 * DUAL_BLOCK
+        ids = [0, 1, n // 5, n // 2 - 1, n // 2, n - 1]
+        want = np.array([
+            0.5 * (sample(xi) + np.conj(sample(-xi))) for xi in result.xi_nodes[ids]
+        ])
+        scale = np.max(np.abs(result.sigma_hat))
+        assert np.max(np.abs(result.sigma_hat[ids] - want)) <= 1e-12 * scale
+        # the remainder matters: the plane-wave estimate is far off
+        plane = reconstruct_sigma(traces, capacity, medium=MediumSpec(ball_radius=1.0), **kwargs)
+        assert np.max(np.abs(plane.sigma_hat[ids] - want)) > 1e-3 * scale
 
     def test_deterministic_rerun(self, small_ensemble, grid, hom_medium, desk_capacity):
         kwargs = dict(
