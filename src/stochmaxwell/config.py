@@ -65,6 +65,8 @@ class ExperimentConfig:
     output_dir: str = "runs/out"
 
     def __post_init__(self):
+        if not self.k > 0:
+            raise ConfigurationError("wavenumber k must be positive")
         if not (0 < self.R < self.R_prime):
             raise ConfigurationError("need 0 < R < R'")
         if self.grid_half_width is not None and self.grid_half_width <= self.R_prime:
@@ -75,7 +77,8 @@ class ExperimentConfig:
             raise ConfigurationError("tolerances and smoothness must be positive")
         if self.lmax < 1 or self.n_frames < 1:
             raise ConfigurationError("lmax and n_frames must be at least 1")
-        # constructing the specs validates bump geometry against B_R
+        # constructing the grid and specs validates them (bump geometry against B_R)
+        self.grid()
         self.medium()
         self.source()
 

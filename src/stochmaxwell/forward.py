@@ -23,7 +23,7 @@ from .geometry import (
     evaluate_on_grid,
     trilinear_interpolate,
 )
-from .greens import FreeConvolver
+from .greens import FreeConvolver, _green_coeffs
 
 __all__ = [
     "TangentialTrace",
@@ -115,9 +115,8 @@ def neumann_solve(apply, b: np.ndarray, tol: float, max_iter: int):
 
 
 class MaxwellSolver:
-    """Reusable solver: the kernel transform is precomputed once per (k, grid)
-    and shared read-only; each solve owns its workspaces, so concurrent solves
-    on one instance are safe."""
+    """Reusable solver: the kernel transforms are computed once per (k, grid)
+    and shared read-only by every solve."""
 
     def __init__(self, k: float, medium: MediumSpec, grid: Grid3):
         self.k = float(k)
@@ -216,20 +215,16 @@ def curl_grid(F: np.ndarray, h: float) -> np.ndarray:
 class HomogeneousTraceMap:
     """Linear map from current samples on the source support to the boundary
     trace, for the homogeneous medium where E = R0(k)(i k J) is an exact
-    superposition of Green-tensor columns.
-
-    This is the direct-summation route (no FFT, no interpolation); it matches
-    the convolution solver within quadrature tolerance and makes large
-    Monte Carlo ensembles cheap. Consistency of the two routes is asserted in
-    the test suite.
+    superposition of Green-tensor columns: direct summation, with no FFT and
+    no interpolation, which makes large Monte Carlo ensembles cheap.
 
     The map is one C-contiguous complex (3C, 3N) array, 3C * 3N * 16 bytes
     for C support cells and N mesh nodes: row 3c + j takes component j of the
     current in cell c, column 3n + i gives component i of the trace E x nu at
     node n. The tangential cross product is folded into the map, and each
-    entry carries the ik source factor and the h^3 cell weight. The build
-    fills it in blocks of _NODE_BLOCK mesh nodes, writing the Green tensor
-    ik G = alpha I + beta rhat rhat^T straight into its final layout, so the
+    entry carries the h^3 cell weight; the ik source factor cancels the
+    1/(ik) of R0 = G/(ik). The build fills it in blocks of _NODE_BLOCK mesh
+    nodes, writing G = a I + b d d^T straight into its final layout, so the
     build needs the map plus one block of temporaries.
 
     `traces` applies the map to a real current as one real matrix product
@@ -246,29 +241,19 @@ class HomogeneousTraceMap:
         coords = grid.nodes()[:, self.support_mask].T  # (C, 3)
         self.n_cells = C = coords.shape[0]
         N = mesh.n_nodes
-        h3 = grid.cell_volume
         self._flat = np.empty((3 * C, 3 * N), dtype=np.complex128)
         out = self._flat.reshape(C, 3, N, 3)  # [c, j, n, i]
         for lo in range(0, N, _NODE_BLOCK):
-            x = mesh.nodes[lo : lo + _NODE_BLOCK]
             nu = mesh.normals[lo : lo + _NODE_BLOCK]
-            d = x[None, :, :] - coords[:, None, :]  # (C, B, 3)
-            r = np.linalg.norm(d, axis=2)
-            rhat = d / r[:, :, None]
-            g = np.exp(1j * k * r) / (4.0 * np.pi * r)
-            a = 1j * k - 1.0 / r
-            gp_r = g * a / r  # g'/r
-            gpp = g * (a * a + 1.0 / r ** 2)  # g''
-            # ik G = ik g I + (i/k) hess g, hess g = g'' P + (g'/r)(I - P)
-            alpha = -h3 * (1j * k * g + (1j / k) * gp_r)
-            beta = -h3 * (1j / k) * (gpp - gp_r)
-            # E x nu = -[nu]_x E, and [nu]_x (alpha I + beta P) =
-            # alpha [nu]_x + beta (nu x rhat) rhat^T
-            nu_x = np.cross(nu[:, None, :], np.eye(3)[None])  # [b, j, i] = (nu x e_j)_i
-            nu_rhat = np.cross(nu[None], rhat)  # (C, B, 3)
-            out[:, :, lo : lo + _NODE_BLOCK, :] = (
-                alpha[:, None, :, None] * nu_x.transpose(1, 0, 2)[None]
-                + beta[:, None, :, None] * rhat.transpose(0, 2, 1)[..., None] * nu_rhat[:, None]
+            d = mesh.nodes[lo : lo + _NODE_BLOCK][None, :, :] - coords[:, None, :]  # (C, B, 3)
+            a, b = _green_coeffs(self.k, np.linalg.norm(d, axis=2))
+            # E x nu = -[nu]_x E, and [nu]_x (a I + b d d^T) =
+            # a [nu]_x + b (nu x d) d^T
+            nu_x = np.cross(nu[:, None, :], np.eye(3)[None])  # [n, j, i] = (nu_n x e_j)_i
+            nu_d = np.cross(nu[None], d)  # (C, B, 3)
+            out[:, :, lo : lo + _NODE_BLOCK, :] = -grid.cell_volume * (
+                a[:, None, :, None] * nu_x.transpose(1, 0, 2)[None]
+                + b[:, None, :, None] * d.transpose(0, 2, 1)[..., None] * nu_d[:, None]
             )
 
     def traces(self, J_support: np.ndarray) -> np.ndarray:

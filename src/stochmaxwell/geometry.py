@@ -1,7 +1,6 @@
 """Grids, complex fields, bump-parameterized media/sources, and sphere quadrature.
 
-Everything here is immutable after construction and safe to share between
-parallel workers.
+Everything here is immutable after construction.
 """
 from __future__ import annotations
 
@@ -50,6 +49,8 @@ class Grid3:
     @classmethod
     def cube(cls, half_width: float, n: int) -> "Grid3":
         """Cube of side 2*half_width centered at the origin, n nodes per axis."""
+        if n < 2:
+            raise ConfigurationError("need at least 2 nodes per axis")
         h = 2.0 * half_width / (n - 1)
         return cls(origin=(-half_width,) * 3, spacing=h, dims=(n, n, n))
 

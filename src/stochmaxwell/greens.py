@@ -20,13 +20,7 @@ from scipy import fft as sfft
 
 from .geometry import Grid3, VectorFieldC3
 
-__all__ = [
-    "helmholtz_g",
-    "dyadic_green",
-    "FreeConvolver",
-    "padded_fft_apply",
-    "SingularityError",
-]
+__all__ = ["helmholtz_g", "dyadic_green", "FreeConvolver", "padded_fft_apply", "SingularityError"]
 
 
 def padded_fft_apply(f: np.ndarray, padded: tuple, symbol) -> np.ndarray:
@@ -89,17 +83,32 @@ def dyadic_green(lam: float, x, y) -> np.ndarray:
 
 
 _CORRECTION_CELLS = 3
+# Storage order of the six distinct entries (i, j), i <= j, of the symmetric
+# G, and the storage index of entry (i, j) in either order.
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_ENTRY = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 
 
-def _gauss_cell(q: int):
-    x, w = np.polynomial.legendre.leggauss(q)
-    X, Y, Z = np.meshgrid(x, x, x, indexing="ij")
-    W = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
-    return np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1), W
+def _green_coeffs(lam: float, r):
+    """Coefficients (a, b) of G(d) = a I + b d d^T at distance r = |d| > 0.
+
+    With g' = g (i lam - 1/r) and g'' = g ((i lam - 1/r)^2 + 1/r^2), the
+    Hessian is hess(g) = (g'/r) I + (g'' - g'/r) d d^T / r^2. The convolver
+    and the trace map take G from here only; `dyadic_green` writes it out
+    separately, as the reference both are tested against.
+    """
+    g = np.exp(1j * lam * r) / (4.0 * np.pi * r)
+    c = 1j * lam - 1.0 / r
+    gp_r = g * c / r
+    a = 1j * lam * g + (1j / lam) * gp_r
+    b = (1j / lam) * (g * (c * c + 1.0 / r ** 2) - gp_r) / r ** 2
+    return a, b
 
 
 def _near_cell_averages(lam: float, h: float, nc: int):
-    """Exact cell averages of g and hess(g) for displacement cells within nc.
+    """Exact cell averages of G over the displacement cells within nc cells
+    of the origin: the integer offsets (n, 3) and the averages (6, n) of the
+    entries in `_UPPER` order.
 
     Regular cells use tensor Gauss-Legendre quadrature; the singular cell is
     integrated in spherical coordinates about the origin, where the traceless
@@ -107,31 +116,25 @@ def _near_cell_averages(lam: float, h: float, nc: int):
     angular mean is zero) and the isotropic part carries (1/3)(Delta g - delta)
     = -(lam^2 g + delta)/3.
     """
-    offs = [
-        (i, j, k)
-        for i in range(-nc, nc + 1)
-        for j in range(-nc, nc + 1)
-        for k in range(-nc, nc + 1)
-    ]
-    pts_ref, w_ref = _gauss_cell(12)  # reference cube [-1, 1]^3, sum w = 8
-    g_avg = {}
-    hess_avg = {}
-    eye = np.eye(3)
-    for off in offs:
-        if off == (0, 0, 0):
-            continue
-        pts = np.asarray(off, dtype=np.float64) * h + 0.5 * h * pts_ref
-        r = np.linalg.norm(pts, axis=1)
-        g = np.exp(1j * lam * r) / (4.0 * np.pi * r)
-        a = 1j * lam - 1.0 / r
-        gp_over_r = g * a / r
-        coef = g * (a * a + 1.0 / r ** 2) / r ** 2 - gp_over_r / r ** 2
-        wn = w_ref / 8.0  # average over the cell
-        g_avg[off] = complex(np.sum(wn * g))
-        H = np.einsum(
-            "q,qi,qj->ij", wn * coef, pts, pts
-        ) + eye * np.sum(wn * gp_over_r)
-        hess_avg[off] = H
+    def cube(x):  # tensor-product nodes of the 1D nodes x, (len(x)^3, 3)
+        return np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
+
+    side = 2 * nc + 1
+    offs = cube(np.arange(-nc, nc + 1))
+    x, w = np.polynomial.legendre.leggauss(12)
+    pts_ref = cube(x)  # Gauss nodes of the reference cube [-1, 1]^3
+    wn = np.prod(cube(w), axis=1) / 8.0  # weights of the average over the cell
+    iu, ju = np.array(_UPPER).T
+    avg = np.empty((6, len(offs)), dtype=np.complex128)
+    # one line of offsets at a time bounds the quadrature temporaries; the
+    # singular cell's value here is finite (no Gauss node at the origin) and
+    # is replaced below
+    for lo in range(0, len(offs), side):
+        sl = slice(lo, lo + side)
+        pts = offs[sl, None, :] * h + 0.5 * h * pts_ref  # (S, q, 3)
+        a, b = _green_coeffs(lam, np.linalg.norm(pts, axis=2))
+        avg[:, sl] = np.einsum("sq,sqe->es", b * wn, pts[..., iu] * pts[..., ju])
+        avg[iu == ju, sl] += a @ wn
 
     # singular cell: directions x radial closed form / quadrature
     nu, nphi = 64, 128
@@ -147,23 +150,20 @@ def _near_cell_averages(lam: float, h: float, nc: int):
     e = np.exp(1j * lam * rho)
     rad_g = rho * e / (1j * lam) + (e - 1.0) / lam ** 2
     int_g = np.sum(wang * rad_g) / (4.0 * np.pi)
-    g_avg[(0, 0, 0)] = complex(int_g / h ** 3)
 
-    # traceless part: int_{h/2}^{rho} (g'' - g'/r) r^2 dr per direction
+    # traceless part: int_{h/2}^{rho} b r^4 dr = (i/lam) int (g'' - g'/r) r^2 dr
+    # per direction
     xg, wg = np.polynomial.legendre.leggauss(24)
     mid = 0.5 * (rho + 0.5 * h)
     half = 0.5 * (rho - 0.5 * h)
     rr = mid[:, None] + half[:, None] * xg[None, :]
-    gr = np.exp(1j * lam * rr) / (4.0 * np.pi * rr)
-    ar = 1j * lam - 1.0 / rr
-    w_tl = gr * (ar * ar + 1.0 / rr ** 2 - ar / rr)
-    rad_tl = np.sum(wg[None, :] * w_tl * rr ** 2, axis=1) * half
-    T = np.einsum("q,qi,qj->ij", wang * rad_tl, omega, omega) - eye * np.sum(
-        wang * rad_tl
-    ) / 3.0
+    rad_tl = np.sum(wg[None, :] * _green_coeffs(lam, rr)[1] * rr ** 4, axis=1) * half
+    wt = wang * rad_tl
+    T = np.einsum("q,qi,qj->ij", wt, omega, omega) - np.eye(3) * np.sum(wt) / 3.0
     iso = (-(lam ** 2) * int_g - 1.0) / 3.0
-    hess_avg[(0, 0, 0)] = (T + iso * eye) / h ** 3
-    return g_avg, hess_avg
+    G0 = (T + (1j * lam * int_g + (1j / lam) * iso) * np.eye(3)) / h ** 3
+    avg[:, len(offs) // 2] = G0[iu, ju]
+    return offs, avg
 
 
 class FreeConvolver:
@@ -171,11 +171,10 @@ class FreeConvolver:
 
     The kernel transforms are computed once on the 2x zero-padded grid
     (aperiodic convolution; no wrap-around of the slowly decaying kernel) and
-    shared read-only between calls. Ten transforms are stored: the scalar g
-    and the six independent Hessian components, combined into the three
-    diagonal and three off-diagonal entries of G. Singular cells hold the
-    closed-form average over the ball of equal cell volume, which restores
-    O(h^2) accuracy of the trapezoidal convolution.
+    shared read-only between calls. One (6, ...) array holds the transforms
+    of the six distinct entries of the symmetric G, with the h^3 cell weight
+    folded in, so an application is the padded transform pair around one
+    symmetric 3x3 contraction.
     """
 
     def __init__(self, lam: float, grid: Grid3):
@@ -183,81 +182,44 @@ class FreeConvolver:
             raise ValueError("wavenumber lam must be positive")
         self.lam = float(lam)
         self.grid = grid
-        n = np.asarray(grid.dims)
-        self.padded = tuple(int(2 * v) for v in n)
+        self.padded = tuple(int(2 * v) for v in grid.dims)
         h = grid.spacing
 
         # circulant displacement coordinates on the padded grid
-        deltas = []
-        for p in self.padded:
-            idx = ((np.arange(p) + p // 2) % p) - p // 2
-            deltas.append(idx * h)
-        dx, dy, dz = np.meshgrid(*deltas, indexing="ij")
-        r = np.sqrt(dx * dx + dy * dy + dz * dz)
-        mask = r > 0
-        rs = r[mask]
-        g = np.exp(1j * lam * rs) / (4.0 * np.pi * rs)
-        a = 1j * lam - 1.0 / rs
-        gp_over_r = g * a / rs
-        coef = g * (a * a + 1.0 / rs ** 2) / rs ** 2 - gp_over_r / rs ** 2
+        d = np.meshgrid(
+            *[(((np.arange(p) + p // 2) % p) - p // 2) * h for p in self.padded], indexing="ij"
+        )
+        r = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        r[0, 0, 0] = h  # the singular cell is overwritten below
+        a, b = _green_coeffs(self.lam, r)
+        G = np.empty((6,) + self.padded, dtype=np.complex128)
+        for e, (i, j) in enumerate(_UPPER):
+            np.multiply(b, d[i] * d[j], out=G[e])
+            if i == j:
+                G[e] += a
 
-        kern = np.empty(self.padded, dtype=np.complex128)
-        kern[mask] = g
-        kern[~mask] = 0.0
-
-        # hess_ij(g) = g'' rhat_i rhat_j + (g'/r)(delta_ij - rhat_i rhat_j)
-        #            = coef * d_i d_j + (g'/r) delta_ij        (d = displacement)
-        hess = np.zeros((3, 3) + self.padded, dtype=np.complex128)
-        for i, di in enumerate((dx, dy, dz)):
-            for j, dj in enumerate((dx, dy, dz)):
-                if j < i:
-                    continue
-                hess[i, j][mask] = coef * di[mask] * dj[mask]
-                if i == j:
-                    hess[i, j][mask] += gp_over_r
-
-        # Product integration: point sampling of the 1/r^3 traceless part does
-        # not converge near the origin, so replace the entries within the
-        # correction radius by exact cell averages. The singular cell's value
-        # includes the distributional -(1/3) delta I of grad grad^T g. Cells
-        # at >= 4h keep exact point values, so a one-cell source reproduces
-        # the analytic Green column exactly beyond that radius.
+        # Product integration (module docstring) within the correction radius.
+        # Cells at >= 4h keep exact point values, so a one-cell source
+        # reproduces the analytic Green column exactly beyond that radius.
         nc = min(_CORRECTION_CELLS, min(self.padded) // 2 - 1)
-        g_avg, hess_avg = _near_cell_averages(self.lam, h, nc)
-        offs = range(-nc, nc + 1)
-        for oi in offs:
-            for oj in offs:
-                for ok in offs:
-                    idx = (oi % self.padded[0], oj % self.padded[1], ok % self.padded[2])
-                    kern[idx] = g_avg[(oi, oj, ok)]
-                    hv = hess_avg[(oi, oj, ok)]
-                    for i in range(3):
-                        for j in range(i, 3):
-                            hess[i, j][idx] = hv[i, j]
-
-        self.kernel_hat = sfft.fftn(kern)
-        self.hess_hat = {
-            (i, j): sfft.fftn(hess[i, j])
-            for i in range(3)
-            for j in range(i, 3)
-        }
+        offs, avg = _near_cell_averages(self.lam, h, nc)
+        G[(slice(None),) + tuple((offs % self.padded).T)] = avg
+        G *= grid.cell_volume
+        self._green_hat = sfft.fftn(G, axes=(1, 2, 3), overwrite_x=True)
 
     def apply_array(self, f: np.ndarray) -> np.ndarray:
         """Apply the dyadic convolution G * f to values of shape (3, nx, ny, nz)."""
         if not np.all(np.isfinite(f)):
             raise ValueError("non-finite values in resolvent input")
-        lam = self.lam
+        G = self._green_hat
 
         def symbol(f_hat):
             out = np.empty_like(f_hat)
-            for i in range(3):
-                out[i] = 1j * lam * self.kernel_hat * f_hat[i]
-                for j in range(3):
-                    hij = self.hess_hat[(i, j) if i <= j else (j, i)]
-                    out[i] += (1j / lam) * hij * f_hat[j]
+            for i, (e0, e1, e2) in enumerate(_ENTRY):
+                out[i] = G[e0] * f_hat[0] + G[e1] * f_hat[1] + G[e2] * f_hat[2]
             return out
 
-        return padded_fft_apply(f, self.padded, symbol) * self.grid.cell_volume
+        return padded_fft_apply(f, self.padded, symbol)
 
     def apply(self, f: VectorFieldC3) -> VectorFieldC3:
         if f.grid != self.grid:
@@ -272,4 +234,3 @@ class FreeConvolver:
         the fixed-point solver is the convolution divided by i*lam.
         """
         return self.apply_array(f) / (1j * self.lam)
-

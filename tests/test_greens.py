@@ -50,6 +50,32 @@ class TestDyadicGreen:
         with pytest.raises(SingularityError):
             dyadic_green(2.0, np.zeros(3), np.zeros(3))
 
+    def test_matches_finite_difference_hessian(self):
+        """The closed form equals i lam g I + (i/lam) H, with H the central-
+        difference Hessian of helmholtz_g: a check that shares no algebra
+        with dyadic_green, which the convolver and trace-map tests trust."""
+        lam, step = 2.0, 1e-4
+        rng = np.random.default_rng(11)
+        eye = np.eye(3)
+
+        def g(x, y):
+            return helmholtz_g(lam, np.linalg.norm(x - y))
+
+        checked = 0
+        while checked < 20:
+            x, y = rng.uniform(-1.0, 1.0, (2, 3))
+            if np.linalg.norm(x - y) < 0.1:
+                continue
+            H = np.empty((3, 3), dtype=np.complex128)
+            for i in range(3):
+                for j in range(3):
+                    ei, ej = step * eye[i], step * eye[j]
+                    H[i, j] = (g(x + ei + ej, y) - g(x + ei - ej, y) - g(x - ei + ej, y)
+                               + g(x - ei - ej, y)) / (4.0 * step ** 2)
+            want = 1j * lam * g(x, y) * eye + (1j / lam) * H
+            assert rel_err(dyadic_green(lam, x, y), want) <= 1e-5
+            checked += 1
+
 
 class TestPaddedFftApply:
     def test_matches_full_padded_transforms(self):
@@ -72,6 +98,26 @@ class TestFreeConvolver:
         probes = [(0, 0, 0), (23, 23, 23), (0, 12, 23), (3, 1, 2), (20, 2, 11),
                   (1, 22, 3), (12, 0, 1), (23, 11, 0), (2, 3, 22), (22, 21, 1)]
         assert convolution_vs_direct(2.0, np.random.default_rng(9), probes) < 1e-2
+
+    def test_far_field_is_exact_green_column(self):
+        """A unit current in one cell off the grid centre reproduces
+        h^3 G(x, y) e_j at every node outside the 7^3 block of corrected
+        cells, for each j: every stored entry of G in both orientations."""
+        grid = Grid3.cube(1.0, 12)
+        conv = FreeConvolver(2.0, grid)
+        src = (3, 5, 8)
+        nodes = grid.nodes()
+        y = nodes[(slice(None),) + src]
+        idx = np.indices(grid.dims)
+        far = np.max(np.abs(idx - np.reshape(src, (3, 1, 1, 1))), axis=0) > 3
+        for j in range(3):
+            f = np.zeros((3,) + grid.dims)
+            f[(j,) + src] = 1.0
+            got = conv.apply_array(f)[:, far].T
+            want = grid.cell_volume * np.array([dyadic_green(2.0, x, y)[:, j]
+                                                for x in nodes[:, far].T])
+            gap = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+            assert np.max(gap) <= 1e-12
 
     def test_linearity(self):
         grid = Grid3.cube(0.8, 16)

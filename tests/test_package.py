@@ -1,4 +1,6 @@
 import importlib
+import importlib.util
+import os
 import pkgutil
 
 import pytest
@@ -15,3 +17,25 @@ def test_every_export_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names undefined {missing}"
+
+
+def test_benchmark_tracer_targets_exist():
+    """Every layer the benchmark tracer wraps exists under its name, so a
+    refactor that drops one fails here rather than only in a traced run.
+    The tracer module is loaded by path and not installed."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+
+    def mod(name):
+        return importlib.import_module(f"stochmaxwell.{name}")
+
+    missing = []
+    for span, (owner, attr, _) in tracer.FUNCTIONS.items():
+        if not callable(getattr(mod(owner), attr, None)):
+            missing.append(span)
+    for span, (owner, cls_name, meth) in tracer.METHODS.items():
+        if not callable(getattr(getattr(mod(owner), cls_name, None), meth, None)):
+            missing.append(span)
+    assert not missing, f"tracer targets missing from the program: {missing}"

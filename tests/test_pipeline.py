@@ -269,6 +269,21 @@ class TestCliForward:
             main(["forward", "--config", config_path, "--out", str(tmp_path), "--workers", "0"])
         assert exc.value.code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["forward", "reconstruct"])
+    @pytest.mark.parametrize("old, new", [
+        ("k = 2.0", "k = 0"),
+        ("k = 2.0", "k = -1"),
+        ("n = 25", "n = 1\nhalf_width = 2.0"),
+    ], ids=["zero-k", "negative-k", "one-node-grid"])
+    def test_invalid_wavenumber_or_grid_exits_2(self, tmp_path, capsys, command, old, new):
+        """A non-positive wavenumber or a one-node grid is refused when the
+        config loads, with one line instead of a traceback or silent traces."""
+        assert SMALL_CONFIG.count(old) == 1
+        p = tmp_path / "bad.ini"
+        p.write_text(SMALL_CONFIG.replace(old, new))
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
 
 class TestCliVerify:
     def test_all_checks_pass(self, config_path, tmp_path):
