@@ -24,7 +24,7 @@ from .forward import MaxwellSolver, SolverError
 from .sphharm import VshBasis
 from .capacity import CapacityOperator, boundary_functional
 from .ensemble import generate_ensemble, read_ensemble, write_ensemble
-from .cgo import CgoParams, CgoSolution, StabilityConstants, build_zeta_eta, solve_cgo_remainder
+from .cgo import CgoSolution, StabilityConstants, build_zeta_eta, solve_cgo_remainder
 from .reconstruct import (
     ReconstructionResult,
     measure_epsilon,
@@ -56,7 +56,6 @@ __all__ = [
     "generate_ensemble",
     "read_ensemble",
     "write_ensemble",
-    "CgoParams",
     "CgoSolution",
     "StabilityConstants",
     "build_zeta_eta",

@@ -19,7 +19,7 @@ bilinear dot product throughout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
@@ -37,7 +37,6 @@ from .forward import SolverError, curl_grid, neumann_solve
 from .greens import padded_fft_apply
 
 __all__ = [
-    "CgoParams",
     "CgoSolution",
     "StabilityConstants",
     "build_frame",
@@ -47,8 +46,6 @@ __all__ = [
     "solve_cgo_remainder",
     "cgo_product_remainder",
     "cgo_on_sphere",
-    "cgo_columns_on_sphere",
-    "cgo_pairs",
     "CgoRemainderSolver",
 ]
 
@@ -87,42 +84,20 @@ def build_frame(xi) -> np.ndarray:
     return frame
 
 
-@dataclass(frozen=True)
-class CgoParams:
-    """One conjugate pair of CGO phase/polarization vectors for (xi, t, k).
+def build_zeta_eta(xi, t: float, k: float, azimuth=0.0, box_radius: float | None = None):
+    """Conjugate CGO pairs of phase and polarization vectors for stacked
+    frequencies xi and growth parameter t.
 
-    In the adapted frame (xi_hat, d1, d2):
+    In the adapted frame (xi_hat, d1, d2) of each xi:
 
         zeta_1 = (-|xi|/2,  i b,  t),    eta_1 = (1, 0,  |xi|/2t)
         zeta_2 = (-|xi|/2, -i b, -t),    eta_2 = (1, 0, -|xi|/2t)
 
     with b = sqrt(t^2 - k^2 + |xi|^2/4), so that zeta_j . zeta_j = k^2,
-    zeta_j . eta_j = 0 and zeta_1 + zeta_2 = -xi. `leading` is
-    eta_1 . eta_2 = 1 - |xi|^2 / 4t^2, the leading product coefficient.
-    """
-
-    k: float
-    xi: tuple
-    t: float
-    zeta1: np.ndarray = field(repr=False)
-    zeta2: np.ndarray = field(repr=False)
-    eta1: np.ndarray = field(repr=False)
-    eta2: np.ndarray = field(repr=False)
-    leading: float = field(repr=False)
-
-    def zeta(self, which: int) -> np.ndarray:
-        return self.zeta1 if which == 1 else self.zeta2
-
-    def eta(self, which: int) -> np.ndarray:
-        return self.eta1 if which == 1 else self.eta2
-
-
-def cgo_pairs(xi, t: float, k: float, azimuth=0.0, box_radius: float | None = None):
-    """Conjugate CGO pairs (see `CgoParams`) for stacked frequencies.
-
-    xi (..., 3) and azimuth (...) broadcast to a shape S. Returns zeta and
-    eta of shape S + (2, 3), member 1 then member 2 on the second-to-last
-    axis, and the leading coefficients of shape S.
+    zeta_j . eta_j = 0 and zeta_1 + zeta_2 = -xi. xi (..., 3) and azimuth
+    (...) broadcast to a shape S. Returns zeta and eta of shape S + (2, 3),
+    member 1 then member 2 on the second-to-last axis, and the leading
+    product coefficients eta_1 . eta_2 = 1 - |xi|^2 / 4t^2 of shape S.
 
     Requires t^2 >= k^2 - |xi|^2/4 (real b) and t > 0. When box_radius is
     given, enforces the overflow guard t*r + |xi|*r <= 60. `azimuth` rotates
@@ -165,27 +140,6 @@ def cgo_pairs(xi, t: float, k: float, azimuth=0.0, box_radius: float | None = No
     return zeta, eta.astype(np.complex128), leading
 
 
-def build_zeta_eta(
-    xi, t: float, k: float, box_radius: float | None = None, azimuth: float = 0.0
-) -> CgoParams:
-    """The conjugate CGO pair for one frequency xi and growth parameter t;
-    `cgo_pairs` states the conditions and the role of `azimuth`."""
-    xi = np.asarray(xi, dtype=np.float64)
-    if xi.shape != (3,):
-        raise ValueError("xi must be a 3-vector")
-    zeta, eta, leading = cgo_pairs(xi, t, k, azimuth, box_radius)
-    return CgoParams(
-        k=float(k),
-        xi=tuple(float(v) for v in xi),
-        t=float(t),
-        zeta1=zeta[0],
-        zeta2=zeta[1],
-        eta1=eta[0],
-        eta2=eta[1],
-        leading=float(leading),
-    )
-
-
 def box_radius(grid: Grid3) -> float:
     """Distance from the origin to the farthest grid-box corner, the radius the
     overflow guard of `build_zeta_eta` is checked at."""
@@ -210,12 +164,10 @@ class StabilityConstants:
     """Frozen constants of the stability theory (calibrated, not derived)."""
 
     M1: float = 1.0
-    M2: float = 0.5
     s: float = 1.0
-    Q: float = 10.0
 
     def __post_init__(self):
-        if min(self.M1, self.M2, self.s, self.Q) <= 0:
+        if min(self.M1, self.s) <= 0:
             raise ConfigurationError("stability constants must be positive")
 
 
@@ -223,20 +175,12 @@ class StabilityConstants:
 class CgoSolution:
     """A certified CGO solution U = e^{i zeta x}(eta + f zeta + V) on a grid."""
 
-    params: CgoParams
-    which: int  # 1 or 2 of the conjugate pair
+    zeta: np.ndarray
+    eta: np.ndarray
     grid: Grid3
     f: ScalarFieldC
     V: VectorFieldC3
     residual: float
-
-    @property
-    def zeta(self) -> np.ndarray:
-        return self.params.zeta(self.which)
-
-    @property
-    def eta(self) -> np.ndarray:
-        return self.params.eta(self.which)
 
     def amplitude(self) -> np.ndarray:
         """eta + f zeta + V sampled on the grid, shape (3, nx, ny, nz)."""
@@ -405,15 +349,18 @@ class CgoRemainderSolver:
 
 
 def solve_cgo_remainder(
-    params: CgoParams,
+    xi,
+    t: float,
+    k: float,
     which: int,
     medium: MediumSpec,
     grid: Grid3,
     tol: float = 1e-10,
     max_iter: int = 60,
 ) -> CgoSolution:
-    """Solve the CGO correction for one member of the conjugate pair
-    (`CgoRemainderSolver`), after checking the overflow guard on the grid.
+    """Solve the CGO correction for member `which` (1 or 2) of the conjugate
+    pair of one frequency xi (`build_zeta_eta`, with the overflow guard
+    checked on the grid) by `CgoRemainderSolver`.
 
     The split uses the pointwise minimal-norm (Hermitian) projection
     f = W . conj(zeta)/|zeta|^2, V = W - f zeta, which keeps both parts
@@ -428,17 +375,17 @@ def solve_cgo_remainder(
     """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    build_zeta_eta(np.asarray(params.xi), params.t, params.k, box_radius(grid))
-    zeta = params.zeta(which)
-    W, res = CgoRemainderSolver(params.k, medium, grid, tol, max_iter).solve(
-        zeta, params.eta(which)
-    )
+    if np.shape(xi) != (3,):
+        raise ValueError("xi must be a 3-vector")
+    zeta, eta, _ = build_zeta_eta(xi, t, k, box_radius=box_radius(grid))
+    zeta, eta = zeta[which - 1], eta[which - 1]
+    W, res = CgoRemainderSolver(k, medium, grid, tol, max_iter).solve(zeta, eta)
     zh = np.conj(zeta) / np.sum(np.abs(zeta) ** 2)
     f_vals = np.tensordot(zh, W, axes=1)
     V_vals = W - f_vals[None] * zeta[:, None, None, None]
     return CgoSolution(
-        params=params,
-        which=which,
+        zeta=zeta,
+        eta=eta,
         grid=grid,
         f=ScalarFieldC(grid, f_vals),
         V=VectorFieldC3(grid, V_vals),
@@ -447,30 +394,25 @@ def solve_cgo_remainder(
 
 
 def cgo_product_remainder(sol1: CgoSolution, sol2: CgoSolution):
-    """Leading coefficient and remainder r of U1 . U2 = e^{-i xi x}(leading + r).
+    """Leading coefficient eta1 . eta2 and remainder r of
+    U1 . U2 = e^{-i xi x}(leading + r).
 
     Expanding the bilinear product of the two amplitudes,
 
         r = f2 (eta1.zeta2) + f1 (eta2.zeta1) + eta1.V2 + eta2.V1
             + f1 f2 (zeta1.zeta2) + f1 (zeta1.V2) + f2 (zeta2.V1) + V1.V2,
 
-    collecting every cross term of (eta, f zeta, V). Both solutions must
-    share the grid and the (xi, t) pair.
+    collecting every cross term of (eta, f zeta, V). The solutions must be
+    one conjugate pair (zeta1 + zeta2 = -xi real) on one grid.
     """
-    p = sol1.params
-    if sol2.params is not p and (
-        sol2.params.xi != p.xi or sol2.params.t != p.t or sol2.params.k != p.k
-    ):
-        raise ValueError("solutions do not share (xi, t, k)")
-    if {sol1.which, sol2.which} != {1, 2}:
-        raise ValueError("need one solution of each member of the conjugate pair")
+    if np.any((sol1.zeta + sol2.zeta).imag):
+        raise ValueError("solutions are not one conjugate pair (zeta1 + zeta2 is not real)")
     if sol1.grid != sol2.grid:
         raise ValueError("solutions do not share a grid")
-    s1, s2 = (sol1, sol2) if sol1.which == 1 else (sol2, sol1)
-    z1, z2 = p.zeta1, p.zeta2
-    e1, e2 = p.eta1, p.eta2
-    f1, f2 = s1.f.values, s2.f.values
-    V1, V2 = s1.V.values, s2.V.values
+    z1, z2 = sol1.zeta, sol2.zeta
+    e1, e2 = sol1.eta, sol2.eta
+    f1, f2 = sol1.f.values, sol2.f.values
+    V1, V2 = sol1.V.values, sol2.V.values
 
     def dot_vec(c, F):
         return np.tensordot(c, F, axes=1)
@@ -485,31 +427,23 @@ def cgo_product_remainder(sol1: CgoSolution, sol2: CgoSolution):
         + f2 * dot_vec(z2, V1)
         + np.sum(V1 * V2, axis=0)
     )
-    return p.leading, ScalarFieldC(s1.grid, r)
+    return e1 @ e2, ScalarFieldC(sol1.grid, r)
 
 
-def cgo_on_sphere(sol: CgoSolution, mesh) -> tuple[np.ndarray, np.ndarray]:
-    """(U, curl U) of a CGO solution sampled at the mesh nodes, (N, 3) each;
-    one column of `cgo_columns_on_sphere`."""
-    W = sol.f.values[None] * sol.zeta[:, None, None, None] + sol.V.values
-    U, curlU = cgo_columns_on_sphere(sol.zeta[None], sol.eta[None], W[None], sol.grid, mesh)
-    return U[0], curlU[0]
-
-
-def cgo_columns_on_sphere(zeta, eta, W, grid: Grid3, mesh) -> tuple[np.ndarray, np.ndarray]:
+def cgo_on_sphere(zeta, eta, W, grid: Grid3, mesh) -> tuple[np.ndarray, np.ndarray]:
     """(U, curl U) at the mesh nodes of the CGO solutions
     U_c = e^{i zeta_c x}(eta_c + W_c): zeta, eta (C, 3), corrections W
-    (C, 3, nx, ny, nz); returns (C, N, 3) arrays.
+    (C, 3, nx, ny, nz), or None for m = 0; returns (C, N, 3) arrays.
 
     The plane-phase part is analytic: curl(eta e^{i zeta x}) =
-    i zeta x eta e^{i zeta x}. The corrections (inhomogeneous media only)
-    are interpolated trilinearly and their curls taken by grid stencils
-    first, all columns at once; every step is elementwise per column, so a
-    column has the same bits as its own single-column call.
+    i zeta x eta e^{i zeta x}. The corrections are interpolated trilinearly
+    and their curls taken by grid stencils first, all columns at once; every
+    step is elementwise per column, so a column has the same bits as its own
+    single-column call.
     """
     pts = mesh.nodes
     U, curlU = plane_wave_on(zeta, eta, pts)
-    if np.any(W):
+    if W is not None:
         X = grid.nodes()
         phase = np.exp(1j * sum(zeta[:, i, None, None, None] * X[i] for i in range(3)))
         W = W * phase[:, None]

@@ -87,8 +87,9 @@ def _verify_table(cfg: ExperimentConfig) -> list:
     medium = MediumSpec(ball_radius=cfg.R)
     bumpy = MediumSpec((Bump((0.0, 0.1, 0.0), 0.6, 0.05),), ball_radius=cfg.R)
     sig = SourceStrength((Bump((0.0, 0.1, 0.0), 0.5, 0.1),), ball_radius=cfg.R)
-    params = build_zeta_eta(np.array([1.0, 0.0, 0.5]), 5.0, k)
-    contrast = functools.cache(lambda: verify.cgo_residual(params, bumpy, grid, tol))
+    xi, t = np.array([1.0, 0.0, 0.5]), 5.0
+    zeta, eta, _ = build_zeta_eta(xi, t, k)
+    contrast = functools.cache(lambda: verify.cgo_residual(xi, t, k, bumpy, grid, tol))
 
     def capacity():
         fields = verify.multipoles(k, mesh.nodes, [(l, 1) for l in range(1, cfg.lmax + 1)])
@@ -99,7 +100,7 @@ def _verify_table(cfg: ExperimentConfig) -> list:
         prof = evaluate_on_grid(sig, grid).values
         src = np.stack([prof, np.zeros_like(prof), 0.5 * prof])
         trace = MaxwellSolver(k, medium, grid).solve(VectorFieldC3(grid, src), mesh=mesh).trace
-        return verify.ibp_identity(cap, grid, src, trace.values, verify.plane_waves(rng, k, 5))
+        return verify.ibp_identity(cap, grid, src, trace, verify.plane_waves(rng, k, 5))
 
     return [
         ("green_reciprocity", lambda: verify.green_reciprocity(k, rng, 100, 0.1), 1e-12),
@@ -107,12 +108,13 @@ def _verify_table(cfg: ExperimentConfig) -> list:
         ("capacity_multipole_identity", capacity, 1e-10),
         ("ibp_identity", ibp, 1e-2),
         ("cgo_homogeneous_residual",
-         lambda: verify.cgo_residual(params, medium, grid, tol, members=(1,))[0], 1e-10),
+         lambda: verify.cgo_residual(xi, t, k, medium, grid, tol, members=(1,))[0], 1e-10),
         ("cgo_contrast_residual", lambda: contrast()[0], 10 * tol),
         ("cgo_product_identity",
          lambda: _sup_gap(*verify.cgo_product_identity(*contrast()[1])), 1e-10),
         ("ito_isometry",
-         lambda: verify.ito_isometry(k, sig, grid, [params], cfg.master_seed, 400)[0], 3.0),
+         lambda: verify.ito_isometry(k, sig, grid, zeta[None], eta[None], cfg.master_seed, 400)[0],
+         3.0),
     ]
 
 
@@ -187,7 +189,6 @@ def run_reconstruct(cfg: ExperimentConfig, out_dir: str) -> dict:
             "epsilon": result.epsilon,
             "M": result.sample_count,
             "s": cfg.s,
-            "M2": cfg.M2,
             "n_frames": cfg.n_frames,
         },
         "imag_residue": result.imag_residue,

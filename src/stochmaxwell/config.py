@@ -52,9 +52,7 @@ class ExperimentConfig:
     master_seed: int = 1234
     lmax: int = 12
     s: float = 1.0
-    Q: float = 10.0
     M1: float = 1.0
-    M2: float = 0.5
     tol: float = 1e-10
     max_iter: int = 60
     t_max: float = 8.0
@@ -99,7 +97,7 @@ class ExperimentConfig:
         return SphereMesh(self.R, self.lmax)
 
     def constants(self) -> StabilityConstants:
-        return StabilityConstants(M1=self.M1, M2=self.M2, s=self.s, Q=self.Q)
+        return StabilityConstants(M1=self.M1, s=self.s)
 
     # -- serialization -----------------------------------------------------
 
@@ -138,9 +136,7 @@ class ExperimentConfig:
         get("ensemble", "master_seed", int)
         get("stability", "lmax", int)
         get("stability", "s", float)
-        get("stability", "Q", float)
         get("stability", "M1", float)
-        get("stability", "M2", float)
         get("solver", "tol", float)
         get("solver", "max_iter", int)
         get("reconstruction", "t_max", float)
@@ -174,9 +170,7 @@ class ExperimentConfig:
         cp["stability"] = {
             "lmax": str(self.lmax),
             "s": repr(self.s),
-            "Q": repr(self.Q),
             "M1": repr(self.M1),
-            "M2": repr(self.M2),
         }
         cp["solver"] = {"tol": repr(self.tol), "max_iter": str(self.max_iter)}
         recon = {"t_max": repr(self.t_max), "n_frames": str(self.n_frames)}

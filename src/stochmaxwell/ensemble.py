@@ -89,7 +89,7 @@ def generate_ensemble(
             raise SolverError(
                 f"realization {r} failed: {exc}", exc.residual_history
             ) from exc
-        traces[r] = sol.trace.values
+        traces[r] = sol.trace
     return traces
 
 

@@ -26,7 +26,6 @@ from .geometry import (
 from .greens import FreeConvolver, _green_coeffs
 
 __all__ = [
-    "TangentialTrace",
     "ForwardSolution",
     "SolverError",
     "noise_amplitude",
@@ -50,25 +49,11 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TangentialTrace:
-    """Complex tangential vectors on a sphere mesh, pointwise orthogonal to nu."""
-
-    mesh: SphereMesh
-    values: np.ndarray  # (n_nodes, 3)
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.complex128)
-        if v.shape != (self.mesh.n_nodes, 3):
-            raise ValueError("trace shape does not match mesh")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class ForwardSolution:
     field: VectorFieldC3
-    iterations: int
+    iterations: int  # Neumann iterations plus GMRES inner iterations
     residual: float
-    trace: TangentialTrace | None = None
+    trace: np.ndarray | None = None  # (n_nodes, 3) E x nu on the mesh
 
 
 def noise_amplitude(sigma_grid: np.ndarray, spacing: float) -> np.ndarray:
@@ -166,6 +151,7 @@ class MaxwellSolver:
 
         n = b.size
         A = LinearOperator((n, n), matvec=mv, dtype=np.complex128)
+        inner = []  # one residual estimate per GMRES inner iteration
         sol, info = gmres(
             A,
             b.ravel(),
@@ -174,20 +160,23 @@ class MaxwellSolver:
             atol=0.0,
             restart=30,
             maxiter=max_iter,
+            callback=inner.append,
+            callback_type="pr_norm",
         )
         E = sol.reshape(shape)
+        iters = len(history) + len(inner)
         res = np.linalg.norm(self._apply_ls(E) - b) / bnorm
         history.append(res)
-        iters = len(history)
         return E, iters, res
 
 
-def extract_trace(E: VectorFieldC3, mesh: SphereMesh) -> TangentialTrace:
-    """Tangential trace E x nu on the mesh, with E interpolated trilinearly."""
+def extract_trace(E: VectorFieldC3, mesh: SphereMesh) -> np.ndarray:
+    """Tangential trace E x nu at the mesh nodes, (N, 3), with E interpolated
+    trilinearly."""
     if not E.grid.contains_ball(mesh.radius):
         raise ValueError("measurement sphere is not inside the grid box")
     Ev = trilinear_interpolate(E.values, E.grid, mesh.nodes).T  # (N, 3)
-    return TangentialTrace(mesh, np.cross(Ev, mesh.normals))
+    return np.cross(Ev, mesh.normals)
 
 
 def _diff4(f: np.ndarray, axis: int, h: float) -> np.ndarray:

@@ -26,9 +26,8 @@ from .cgo import (
     CgoRemainderSolver,
     StabilityConstants,
     box_radius,
-    cgo_columns_on_sphere,
-    cgo_pairs,
-    plane_wave_on,
+    build_zeta_eta,
+    cgo_on_sphere,
 )
 from .geometry import (
     ConfigurationError,
@@ -59,7 +58,7 @@ LEADING_GUARD = 1e-3
 # CGO columns (xi, frame, member) whose test data and dual vectors are built
 # together; larger blocks gain little and raise the inhomogeneous peak memory
 DUAL_BLOCK = 128
-# columns of one stacked sphere evaluation of remainder solutions; a whole
+# columns of one stacked sphere evaluation; for remainder solutions a whole
 # dual block took the same CPU time and raised the peak RSS of the 10^3-grid
 # inhomogeneous reconstruction from 123 to 165 MB
 SPHERE_BLOCK = 16
@@ -294,7 +293,9 @@ def reconstruct_sigma(
     azimuths = np.pi * np.arange(n_frames) / n_frames
     # one column per (xi, frame, member); the overflow guard is checked here,
     # at the largest |xi|, for every column
-    zeta, eta, lead = cgo_pairs(xi_nodes[order, None], t, k, azimuths[None], box_radius(grid))
+    zeta, eta, lead = build_zeta_eta(
+        xi_nodes[order, None], t, k, azimuths[None], box_radius(grid)
+    )
     lead = lead[:, 0]
     solver = CgoRemainderSolver(k, medium, grid, tol=cgo_tol)
     mesh = capacity.basis.mesh
@@ -310,16 +311,16 @@ def reconstruct_sigma(
         duals = np.empty((len(z_cols), mesh.n_nodes, 3), dtype=np.complex128)
         for b in range(0, len(z_cols), DUAL_BLOCK):
             zb, eb = z_cols[b : b + DUAL_BLOCK], e_cols[b : b + DUAL_BLOCK]
-            if solver.homogeneous:  # the CGO pair is the exact plane-wave pair
-                U, curlU = plane_wave_on(zb, eb, mesh.nodes)
-            else:
-                U = np.empty((len(zb), mesh.n_nodes, 3), dtype=np.complex128)
-                curlU = np.empty_like(U)
-                for s in range(0, len(zb), SPHERE_BLOCK):
-                    zs, es = zb[s : s + SPHERE_BLOCK], eb[s : s + SPHERE_BLOCK]
-                    W = np.stack([solver.solve(z, e)[0] for z, e in zip(zs, es)])
-                    cols = slice(s, s + SPHERE_BLOCK)
-                    U[cols], curlU[cols] = cgo_columns_on_sphere(zs, es, W, grid, mesh)
+            U = np.empty((len(zb), mesh.n_nodes, 3), dtype=np.complex128)
+            curlU = np.empty_like(U)
+            for s in range(0, len(zb), SPHERE_BLOCK):
+                zs, es = zb[s : s + SPHERE_BLOCK], eb[s : s + SPHERE_BLOCK]
+                # for m = 0 the CGO pair is the exact plane-wave pair
+                W = None if solver.homogeneous else np.stack(
+                    [solver.solve(z, e)[0] for z, e in zip(zs, es)]
+                )
+                cols = slice(s, s + SPHERE_BLOCK)
+                U[cols], curlU[cols] = cgo_on_sphere(zs, es, W, grid, mesh)
             duals[b : b + len(zb)] = dual_functional_vector(capacity, U, curlU)
         del U, curlU
         B = flat @ duals.reshape(len(z_cols), -1).T  # (M, n_sub * n_frames * 2)

@@ -145,12 +145,14 @@ def remainder_norm(sol: CgoSolution, radius: float) -> float:
     return sol.f.l2_norm(within_radius=radius) + sol.V.l2_norm(within_radius=radius)
 
 
-def cgo_residual(params, medium: MediumSpec, grid: Grid3, tol: float = 1e-10, members=(1, 2)):
-    """Worst fixed-point residual of the CGO solutions of `members`, with the
-    solutions; zero for m = 0, where the plane-wave pair is exact."""
+def cgo_residual(xi, t: float, k: float, medium: MediumSpec, grid: Grid3, tol: float = 1e-10,
+                 members=(1, 2)):
+    """Worst fixed-point residual of the CGO solutions of `members` of the
+    conjugate pair of (xi, t), with the solutions; zero for m = 0, where the
+    plane-wave pair is exact."""
     if not medium.is_homogeneous and not np.any(evaluate_on_grid(medium, grid).values):
         raise ConfigurationError("the medium contrast samples to zero on this grid")
-    sols = [solve_cgo_remainder(params, which, medium, grid, tol=tol) for which in members]
+    sols = [solve_cgo_remainder(xi, t, k, which, medium, grid, tol=tol) for which in members]
     return max(s.residual for s in sols), sols
 
 
@@ -162,20 +164,21 @@ def cgo_product_identity(sol1: CgoSolution, sol2: CgoSolution):
     return np.sum(sol1.amplitude() * sol2.amplitude(), axis=0), lead + rem.values
 
 
-def ito_isometry(k: float, sigma: SourceStrength, grid: Grid3, pairs, master_seed: int, M: int):
+def ito_isometry(k: float, sigma: SourceStrength, grid: Grid3, zeta, eta, master_seed: int,
+                 M: int):
     """Per CGO pair, the gap between the mean of B1 B2 over seed-law currents
     0..M-1 of strength sigma and its Ito-isometry value -k^2 int sigma U1.U2,
-    in standard errors; B_j = ik int J . U_j, U_j = eta_j e^{i zeta_j . x}."""
+    in standard errors; B_j = ik int J . U_j, U_j = eta_j e^{i zeta_j . x},
+    for stacked pairs zeta, eta of shape (P, 2, 3)."""
     sig = evaluate_on_grid(sigma, grid).values.real
     if not np.any(sig):
         raise ConfigurationError("the probe source strength samples to zero on this grid")
     # J vanishes off the support of sigma, so the pairings run over its cells
     mask = sig > 0
     h3, coords, sig = grid.cell_volume, grid.nodes()[:, mask], sig[mask]
-    us = np.array([[np.exp(1j * (p.zeta(j) @ coords)) * p.eta(j)[:, None] for j in (1, 2)]
-                   for p in pairs])  # (pairs, 2, 3, C)
+    us = np.exp(1j * (zeta @ coords))[:, :, None] * eta[..., None]  # (P, 2, 3, C)
     amp = noise_amplitude(sig, grid.spacing)
-    B = np.empty((M, len(pairs), 2), dtype=np.complex128)
+    B = np.empty((M, len(zeta), 2), dtype=np.complex128)
     for r in range(M):
         B[r] = 1j * k * h3 * np.einsum("pjic,ic->pj", us, noise_values(amp, master_seed, r, mask))
     prods = B[..., 0] * B[..., 1]

@@ -181,17 +181,17 @@ class TestCriterion6ItoIsometry:
     def test_three_cgo_pairs(self, grid, desk_sigma):
         """E[(int J.U1)(int J.U2)] equals int sigma U1.U2 within 3 standard
         errors for three conjugate CGO pairs at M = 10^4."""
-        xis = ([0.0, 0.0, 0.0], [1.0, 0.5, -0.5], [2.0, 0.0, 1.0])
-        pairs = [build_zeta_eta(np.asarray(xi, float), 5.0, K_DESK) for xi in xis]
-        worst = float(np.max(ito_isometry(K_DESK, desk_sigma, grid, pairs, BIG_SEED, BIG_M)))
+        xis = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, -0.5], [2.0, 0.0, 1.0]])
+        zeta, eta, _ = build_zeta_eta(xis, 5.0, K_DESK)
+        worst = float(np.max(ito_isometry(K_DESK, desk_sigma, grid, zeta, eta, BIG_SEED, BIG_M)))
         ok = worst <= 3.0
         report(6, ok, f"worst isometry deviation {worst:.2f} standard errors (<=3)")
 
 
 class TestCriterion7CgoCertification:
     def test_residuals_remainder_bound_and_decay(self, grid, hom_medium):
-        p = build_zeta_eta(np.array([1.0, 0.0, 0.5]), 5.0, K_DESK)
-        hom_residual = cgo_residual(p, hom_medium, grid, members=(1,))[0]
+        xi0 = np.array([1.0, 0.0, 0.5])
+        hom_residual = cgo_residual(xi0, 5.0, K_DESK, hom_medium, grid, members=(1,))[0]
         hom_ok = hom_residual <= 1e-10
 
         medium = MediumSpec((Bump((0.0, 0.1, 0.0), 0.6, 0.05),), ball_radius=1.0)
@@ -204,17 +204,16 @@ class TestCriterion7CgoCertification:
         for d in directions:
             for t, scale in ((3.0, 0.5), (4.0, 1.0), (5.0, 1.5), (6.0, 2.0)):
                 xi = scale * d / np.linalg.norm(d)
-                params = build_zeta_eta(xi, t, K_DESK)
-                sol = solve_cgo_remainder(params, 1, medium, grid)
-                b = float(np.linalg.norm(params.zeta1.imag))
-                bound = M2_FROZEN * float(np.linalg.norm(params.eta1)) / b
+                sol = solve_cgo_remainder(xi, t, K_DESK, 1, medium, grid)
+                b = float(np.linalg.norm(sol.zeta.imag))
+                bound = M2_FROZEN * float(np.linalg.norm(sol.eta)) / b
                 worst_bound = max(worst_bound, remainder_norm(sol, 1.0) / bound)
                 points += 1
 
         decay = []
         for t in (5.0, 10.0):
-            params = build_zeta_eta(np.array([0.5, 0.0, 0.0]), t, K_DESK)
-            decay.append(remainder_norm(solve_cgo_remainder(params, 1, medium, grid), 1.0))
+            sol = solve_cgo_remainder(np.array([0.5, 0.0, 0.0]), t, K_DESK, 1, medium, grid)
+            decay.append(remainder_norm(sol, 1.0))
         decay_ratio = decay[0] / decay[1]
 
         ok = hom_ok and worst_bound <= 1.0 and points >= 20 and decay_ratio >= 1.5

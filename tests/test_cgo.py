@@ -9,9 +9,7 @@ from stochmaxwell.cgo import (
     StabilityConstants,
     build_frame,
     build_zeta_eta,
-    cgo_columns_on_sphere,
     cgo_on_sphere,
-    cgo_pairs,
     cgo_product_remainder,
     plane_wave_on,
     solve_cgo_remainder,
@@ -30,6 +28,11 @@ from stochmaxwell.verify import cgo_product_identity, remainder_norm
 from conftest import rel_err
 
 K = 2.0
+
+
+def correction(sol):
+    """The amplitude correction W = f zeta + V of a CGO solution."""
+    return sol.f.values[None] * sol.zeta[:, None, None, None] + sol.V.values
 
 
 class TestFrame:
@@ -61,18 +64,18 @@ class TestFrame:
 
 
 class TestZetaEta:
-    def check_identities(self, p, xi):
-        assert p.zeta1 @ p.zeta1 == pytest.approx(K ** 2, abs=1e-10)
-        assert p.zeta2 @ p.zeta2 == pytest.approx(K ** 2, abs=1e-10)
-        assert abs(p.zeta1 @ p.eta1) < 1e-12
-        assert abs(p.zeta2 @ p.eta2) < 1e-12
-        assert np.allclose(p.zeta1 + p.zeta2, -np.asarray(xi), atol=1e-12)
-        want = 1.0 - np.dot(xi, xi) / (4 * p.t ** 2)
-        assert p.leading == pytest.approx(want, abs=1e-12)
+    def check_identities(self, xi, t, **kwargs):
+        zeta, eta, lead = build_zeta_eta(xi, t, K, **kwargs)
+        for z, e in zip(zeta, eta):
+            assert z @ z == pytest.approx(K ** 2, abs=1e-10)
+            assert abs(z @ e) < 1e-12
+        assert np.allclose(zeta[0] + zeta[1], -np.asarray(xi), atol=1e-12)
+        want = 1.0 - np.dot(xi, xi) / (4 * t ** 2)
+        assert lead == pytest.approx(want, abs=1e-12)
+        assert eta[0] @ eta[1] == pytest.approx(want, abs=1e-12)
 
     def test_reference_pair(self):
-        xi = np.array([1.0, -0.5, 0.25])
-        self.check_identities(build_zeta_eta(xi, 5.0, K), xi)
+        self.check_identities(np.array([1.0, -0.5, 0.25]), 5.0)
 
     @given(
         az=st.floats(0.0, np.pi, exclude_max=True),
@@ -80,15 +83,14 @@ class TestZetaEta:
     )
     @settings(max_examples=30, deadline=None)
     def test_every_azimuth_admissible(self, az, t):
-        xi = np.array([0.7, 0.2, -1.1])
-        self.check_identities(build_zeta_eta(xi, t, K, azimuth=az), xi)
+        self.check_identities(np.array([0.7, 0.2, -1.1]), t, azimuth=az)
 
     def test_azimuth_pi_swaps_the_pair(self):
         xi = np.array([0.5, 1.0, 0.0])
-        a = build_zeta_eta(xi, 4.0, K)
-        b = build_zeta_eta(xi, 4.0, K, azimuth=np.pi)
-        assert np.allclose(b.zeta1, a.zeta2, atol=1e-12)
-        assert np.allclose(b.eta1, a.eta2, atol=1e-12)
+        za, ea, _ = build_zeta_eta(xi, 4.0, K)
+        zb, eb, _ = build_zeta_eta(xi, 4.0, K, azimuth=np.pi)
+        assert np.allclose(zb[0], za[1], atol=1e-12)
+        assert np.allclose(eb[0], ea[1], atol=1e-12)
 
     def test_small_t_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -106,11 +108,12 @@ class TestZetaEta:
 class TestStabilityConstants:
     def test_defaults_valid(self):
         c = StabilityConstants()
-        assert c.M1 == 1.0 and c.Q == 10.0
+        assert c.M1 == 1.0 and c.s == 1.0
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ConfigurationError):
-            StabilityConstants(M2=0.0)
+        for kwargs in ({"M1": 0.0}, {"s": -1.0}):
+            with pytest.raises(ConfigurationError):
+                StabilityConstants(**kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -158,8 +161,7 @@ class TestConjugatedResolvent:
     )
     def test_multipliers_match_direct_cell_means(self, xi, azimuth):
         grid = self.GRID
-        p = build_zeta_eta(np.array(xi), 5.0, K, azimuth=azimuth)
-        for zeta in (p.zeta1, p.zeta2):
+        for zeta in build_zeta_eta(np.array(xi), 5.0, K, azimuth=azimuth)[0]:
             res = ConjugatedResolvent(zeta, K, grid)
             kv, denom = self.symbol_lattice(zeta, grid)
             ds = kv[0][1] - kv[0][0]
@@ -184,11 +186,10 @@ class TestConjugatedResolvent:
         borrows are exactly the near bins off the Nyquist planes."""
         grid = self.GRID
         xi = np.array(xi)
-        p = build_zeta_eta(xi, 5.0, K, azimuth=azimuth)
-        q = build_zeta_eta(-xi, 5.0, K, azimuth=azimuth)
-        zeta = q.zeta(3 - which)
-        assert np.array_equal(zeta, -np.conj(p.zeta(which)))
-        near = ConjugatedResolvent(p.zeta(which), K, grid).near
+        zp = build_zeta_eta(xi, 5.0, K, azimuth=azimuth)[0][which - 1]
+        zeta = build_zeta_eta(-xi, 5.0, K, azimuth=azimuth)[0][2 - which]
+        assert np.array_equal(zeta, -np.conj(zp))
+        near = ConjugatedResolvent(zp, K, grid).near
         direct = ConjugatedResolvent(zeta, K, grid)
         mirrored = ConjugatedResolvent(zeta, K, grid, mirror=near)
         assert np.max(np.abs(mirrored._inv - direct._inv) / np.abs(direct._inv)) <= 1e-12
@@ -221,7 +222,7 @@ class TestRemainderSolver:
 
     def test_antipodes_mirror_and_match_direct_solves(self, contrast_medium, mirrors):
         xi = np.array([0.9, 0.4, -0.2])
-        zeta, eta, _ = cgo_pairs(np.stack([xi, -xi]), 5.0, K)
+        zeta, eta, _ = build_zeta_eta(np.stack([xi, -xi]), 5.0, K)
         solver = CgoRemainderSolver(K, contrast_medium, self.GRID)
         got = [solver.solve(zeta[i, w], eta[i, w])[0] for i in (0, 1) for w in (0, 1)]
         assert mirrors == [False, False, True, True]
@@ -231,7 +232,7 @@ class TestRemainderSolver:
 
     def test_zero_frequency_builds_directly(self, contrast_medium, mirrors):
         """xi = 0 has no partner: -conj(zeta_2(0)) is not zeta_1(0)."""
-        zeta, eta, _ = cgo_pairs(np.zeros(3), 5.0, K)
+        zeta, eta, _ = build_zeta_eta(np.zeros(3), 5.0, K)
         solver = CgoRemainderSolver(K, contrast_medium, self.GRID)
         for w in (0, 1, 0):
             solver.solve(zeta[w], eta[w])
@@ -240,58 +241,57 @@ class TestRemainderSolver:
     def test_stacked_pairs_match_single_builds(self):
         xis = np.array([[0.0, 0.0, 0.0], [0.9, 0.4, -0.2], [-1e-300, 0.0, 2e-300]])
         azimuths = np.array([0.0, 0.7])
-        zeta, eta, lead = cgo_pairs(xis[:, None], 5.0, K, azimuths[None])
+        zeta, eta, lead = build_zeta_eta(xis[:, None], 5.0, K, azimuths[None])
         assert zeta.shape == eta.shape == (3, 2, 2, 3)
         for i, xi in enumerate(xis):
             for f, az in enumerate(azimuths):
-                p = build_zeta_eta(xi, 5.0, K, azimuth=az)
-                for w in (1, 2):
-                    assert np.array_equal(zeta[i, f, w - 1], p.zeta(w))
-                    assert np.array_equal(eta[i, f, w - 1], p.eta(w))
-                assert lead[i, f] == p.leading
+                z1, e1, lead1 = build_zeta_eta(xi, 5.0, K, azimuth=az)
+                assert np.array_equal(zeta[i, f], z1)
+                assert np.array_equal(eta[i, f], e1)
+                assert lead[i, f] == lead1
         with pytest.raises(ConfigurationError):
-            cgo_pairs(xis, 50.0, K, box_radius=2.0)
+            build_zeta_eta(xis, 50.0, K, box_radius=2.0)
 
 
 class TestHomogeneousSolution:
     def test_zero_remainder_and_exact_pde(self, grid):
         """With m = 0 the plane-phase CGO field solves curl curl U = k^2 U
         exactly; the solver must return a zero correction and zero residual."""
-        p = build_zeta_eta(np.array([0.8, -0.3, 0.2]), 4.0, K)
-        sol = solve_cgo_remainder(p, 1, MediumSpec(ball_radius=1.0), grid)
+        hom = MediumSpec(ball_radius=1.0)
+        sol = solve_cgo_remainder(np.array([0.8, -0.3, 0.2]), 4.0, K, 1, hom, grid)
         assert sol.residual == 0.0
         assert remainder_norm(sol, 1.0) == 0.0
-        U = np.exp(1j * np.tensordot(p.zeta1, grid.nodes(), axes=1))[None] * sol.amplitude()
+        U = np.exp(1j * np.tensordot(sol.zeta, grid.nodes(), axes=1))[None] * sol.amplitude()
         ccU = curl_grid(curl_grid(U, grid.spacing), grid.spacing)
         # fourth-order stencils on a field growing like e^{t r}: modest tol
         sl = (slice(None), slice(6, -6), slice(6, -6), slice(6, -6))
         assert rel_err(ccU[sl], K ** 2 * U[sl]) < 1e-2
 
     def test_sphere_samples_are_analytic(self, grid):
-        p = build_zeta_eta(np.array([0.5, 0.5, 0.0]), 3.0, K)
-        sol = solve_cgo_remainder(p, 2, MediumSpec(ball_radius=1.0), grid)
+        xi = np.array([0.5, 0.5, 0.0])
+        sol = solve_cgo_remainder(xi, 3.0, K, 2, MediumSpec(ball_radius=1.0), grid)
+        zeta, eta, _ = build_zeta_eta(xi, 3.0, K)
+        zeta, eta = zeta[1], eta[1]
+        assert np.array_equal(sol.zeta, zeta) and np.array_equal(sol.eta, eta)
         mesh = SphereMesh(1.0, 8)
-        U, curlU = cgo_on_sphere(sol, mesh)
-        phase = np.exp(1j * mesh.nodes @ p.zeta2)
-        assert np.allclose(U, phase[:, None] * p.eta2[None, :], atol=1e-12)
-        want = phase[:, None] * np.cross(1j * p.zeta2, p.eta2)[None, :]
-        assert np.allclose(curlU, want, atol=1e-12)
+        for W in (correction(sol)[None], None):
+            U, curlU = cgo_on_sphere(zeta[None], eta[None], W, grid, mesh)
+            phase = np.exp(1j * mesh.nodes @ zeta)
+            assert np.allclose(U[0], phase[:, None] * eta[None, :], atol=1e-12)
+            want = phase[:, None] * np.cross(1j * zeta, eta)[None, :]
+            assert np.allclose(curlU[0], want, atol=1e-12)
 
     @pytest.mark.parametrize("which", [1, 2])
     def test_stacked_plane_waves_match_single_calls(self, which):
         """Stacked (C, 3) phase/polarization pairs give (C, N, 3) samples
         equal, column by column, to one call per pair."""
         mesh = SphereMesh(1.0, 8)
-        pairs = [
-            build_zeta_eta(np.array(xi), 5.0, K, azimuth=az)
-            for xi in ([0.0, 0.0, 0.0], [1.2, -0.4, 2.0], [-3.0, 0.5, 0.1])
-            for az in (0.0, 0.9)
-        ]
-        zeta = np.array([p.zeta(which) for p in pairs])
-        eta = np.array([p.eta(which) for p in pairs])
+        xis = np.array([[0.0, 0.0, 0.0], [1.2, -0.4, 2.0], [-3.0, 0.5, 0.1]])
+        zeta, eta, _ = build_zeta_eta(xis[:, None], 5.0, K, np.array([0.0, 0.9])[None])
+        zeta, eta = zeta[..., which - 1, :].reshape(-1, 3), eta[..., which - 1, :].reshape(-1, 3)
         U, curlU = plane_wave_on(zeta, eta, mesh.nodes)
-        assert U.shape == curlU.shape == (len(pairs), mesh.n_nodes, 3)
-        for c in range(len(pairs)):
+        assert U.shape == curlU.shape == (len(zeta), mesh.n_nodes, 3)
+        for c in range(len(zeta)):
             U1, curlU1 = plane_wave_on(zeta[c], eta[c], mesh.nodes)
             assert rel_err(U[c], U1) <= 1e-15
             assert rel_err(curlU[c], curlU1) <= 1e-15
@@ -300,22 +300,23 @@ class TestHomogeneousSolution:
 class TestContrastSolution:
     def test_stacked_columns_match_single_calls(self, contrast_medium):
         """Stacked remainder solutions on the sphere equal, column by column,
-        one `cgo_on_sphere` call per solution and a per-column evaluation
-        written out here (phase, stencil curl, trilinear interpolation)."""
+        one single-column `cgo_on_sphere` call per solution and a per-column
+        evaluation written out here (phase, stencil curl, trilinear
+        interpolation)."""
         grid = Grid3.for_ball(1.3, 10)
         mesh = SphereMesh(1.0, 8)
         sols = [
-            solve_cgo_remainder(build_zeta_eta(np.array(xi), 5.0, K), w, contrast_medium, grid)
+            solve_cgo_remainder(np.array(xi), 5.0, K, w, contrast_medium, grid)
             for xi in ([0.0, 0.0, 0.0], [1.2, -0.4, 0.3]) for w in (1, 2)
         ]
-        zeta = np.array([s.zeta for s in sols])
-        W = np.array([s.f.values[None] * s.zeta[:, None, None, None] + s.V.values for s in sols])
+        zeta, eta = np.array([s.zeta for s in sols]), np.array([s.eta for s in sols])
+        W = np.array([correction(s) for s in sols])
         assert np.any(W)
-        U, curlU = cgo_columns_on_sphere(zeta, np.array([s.eta for s in sols]), W, grid, mesh)
+        U, curlU = cgo_on_sphere(zeta, eta, W, grid, mesh)
         for c, sol in enumerate(sols):
-            U1, curlU1 = cgo_on_sphere(sol, mesh)
-            assert rel_err(U[c], U1) <= 1e-14
-            assert rel_err(curlU[c], curlU1) <= 1e-14
+            U1, curlU1 = cgo_on_sphere(zeta[c : c + 1], eta[c : c + 1], W[c : c + 1], grid, mesh)
+            assert rel_err(U[c], U1[0]) <= 1e-14
+            assert rel_err(curlU[c], curlU1[0]) <= 1e-14
             Wc = W[c] * np.exp(1j * np.tensordot(sol.zeta, grid.nodes(), axes=1))[None]
             U0, curlU0 = plane_wave_on(sol.zeta, sol.eta, mesh.nodes)
             U2 = U0 + trilinear_interpolate(Wc, grid, mesh.nodes).T
@@ -324,8 +325,8 @@ class TestContrastSolution:
             assert rel_err(curlU[c], curlU2) <= 1e-14
 
     def test_converges_below_tolerance(self, grid, contrast_medium):
-        p = build_zeta_eta(np.array([1.0, 0.0, 0.5]), 4.0, K)
-        sol = solve_cgo_remainder(p, 1, contrast_medium, grid, tol=1e-10)
+        sol = solve_cgo_remainder(np.array([1.0, 0.0, 0.5]), 4.0, K, 1, contrast_medium, grid,
+                                  tol=1e-10)
         assert sol.residual <= 1e-10
         assert remainder_norm(sol, 1.0) > 0.0
 
@@ -336,23 +337,20 @@ class TestContrastSolution:
         xi = np.array([0.6, -0.2, 0.3])
         norms = []
         for t in (5.0, 10.0):
-            p = build_zeta_eta(xi, t, K)
-            s1 = solve_cgo_remainder(p, 1, contrast_medium, grid)
-            s2 = solve_cgo_remainder(p, 2, contrast_medium, grid)
+            s1 = solve_cgo_remainder(xi, t, K, 1, contrast_medium, grid)
+            s2 = solve_cgo_remainder(xi, t, K, 2, contrast_medium, grid)
             _, r = cgo_product_remainder(s1, s2)
             norms.append(r.l2_norm(within_radius=1.0))
         assert norms[0] / norms[1] > 1.5
 
     def test_strong_contrast_raises(self, grid):
         hard = MediumSpec((Bump((0.0, 0.0, 0.0), 0.8, 0.95),), ball_radius=1.0)
-        p = build_zeta_eta(np.array([0.5, 0.0, 0.0]), 2.2, K)
         with pytest.raises(SolverError):
-            solve_cgo_remainder(p, 1, hard, grid, max_iter=60)
+            solve_cgo_remainder(np.array([0.5, 0.0, 0.0]), 2.2, K, 1, hard, grid, max_iter=60)
 
     def test_invalid_member_rejected(self, grid, contrast_medium):
-        p = build_zeta_eta(np.zeros(3), 3.0, K)
         with pytest.raises(ValueError):
-            solve_cgo_remainder(p, 3, contrast_medium, grid)
+            solve_cgo_remainder(np.zeros(3), 3.0, K, 3, contrast_medium, grid)
 
 
 class TestProductExpansion:
@@ -360,28 +358,27 @@ class TestProductExpansion:
         """U1 . U2 equals e^{-i xi x}(leading + r) pointwise inside the unit
         ball, with r assembled from the cross terms: at amplitude level, the
         product of the amplitudes equals leading + r."""
-        p = build_zeta_eta(np.array([0.9, 0.4, -0.2]), 3.5, K)
-        s1 = solve_cgo_remainder(p, 1, contrast_medium, grid)
-        s2 = solve_cgo_remainder(p, 2, contrast_medium, grid)
+        xi = np.array([0.9, 0.4, -0.2])
+        s1 = solve_cgo_remainder(xi, 3.5, K, 1, contrast_medium, grid)
+        s2 = solve_cgo_remainder(xi, 3.5, K, 2, contrast_medium, grid)
         direct, expansion = cgo_product_identity(s1, s2)
         inside = grid.radii() < 1.0
         assert rel_err(direct[inside], expansion[inside]) < 1e-10
 
     def test_homogeneous_remainder_is_zero(self, grid):
-        p = build_zeta_eta(np.array([0.3, 0.0, 0.0]), 3.0, K)
+        xi = np.array([0.3, 0.0, 0.0])
         hom = MediumSpec(ball_radius=1.0)
-        s1 = solve_cgo_remainder(p, 1, hom, grid)
-        s2 = solve_cgo_remainder(p, 2, hom, grid)
+        s1 = solve_cgo_remainder(xi, 3.0, K, 1, hom, grid)
+        s2 = solve_cgo_remainder(xi, 3.0, K, 2, hom, grid)
         leading, r = cgo_product_remainder(s1, s2)
         assert np.all(r.values == 0.0)
-        assert leading == pytest.approx(p.leading)
+        assert leading == pytest.approx(build_zeta_eta(xi, 3.0, K)[2])
 
     def test_mismatched_pair_rejected(self, grid, contrast_medium):
-        p = build_zeta_eta(np.array([0.3, 0.0, 0.0]), 3.0, K)
-        s1 = solve_cgo_remainder(p, 1, contrast_medium, grid)
+        xi = np.array([0.3, 0.0, 0.0])
+        s1 = solve_cgo_remainder(xi, 3.0, K, 1, contrast_medium, grid)
         with pytest.raises(ValueError):
             cgo_product_remainder(s1, s1)
-        q = build_zeta_eta(np.array([0.3, 0.0, 0.0]), 4.0, K)
-        s2q = solve_cgo_remainder(q, 2, contrast_medium, grid)
+        s2q = solve_cgo_remainder(xi, 4.0, K, 2, contrast_medium, grid)
         with pytest.raises(ValueError):
             cgo_product_remainder(s1, s2q)

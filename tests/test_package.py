@@ -6,6 +6,7 @@ import pkgutil
 import pytest
 
 import stochmaxwell
+from stochmaxwell import cgo, reconstruct
 
 MODULES = ["stochmaxwell"] + [
     f"stochmaxwell.{m.name}" for m in pkgutil.iter_modules(stochmaxwell.__path__)
@@ -39,3 +40,11 @@ def test_benchmark_tracer_targets_exist():
         if not callable(getattr(getattr(mod(owner), cls_name, None), meth, None)):
             missing.append(span)
     assert not missing, f"tracer targets missing from the program: {missing}"
+
+
+def test_reconstruction_calls_the_traced_cgo_layers():
+    """The reconstruction builds its CGO pairs and sphere samples through
+    the very functions the benchmark tracer wraps, so their spans and counts
+    cover the reconstruct stage."""
+    assert reconstruct.build_zeta_eta is cgo.build_zeta_eta
+    assert reconstruct.cgo_on_sphere is cgo.cgo_on_sphere

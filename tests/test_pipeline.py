@@ -114,11 +114,18 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_file(tmp_path / "absent.ini")
 
+    def test_dropped_stability_keys_still_load(self, small_cfg):
+        """Q and M2 are no longer read; a config that still sets them loads
+        as if they were absent."""
+        text = SMALL_CONFIG.replace("[stability]\n", "[stability]\nQ = 3.0\nM2 = 0.25\n")
+        assert "M2 = 0.25" in text
+        assert ExperimentConfig.from_text(text) == small_cfg
+
     def test_derived_objects(self, small_cfg):
         assert small_cfg.grid().contains_ball(1.3)
         assert small_cfg.mesh().radius == 1.0
         assert small_cfg.medium().is_homogeneous
-        assert small_cfg.constants().M2 == 0.5
+        assert small_cfg.constants().M1 == 1.0
 
 
 class TestEnsembleStore:
@@ -315,12 +322,13 @@ class TestCliVerify:
 
     def test_unresolved_contrast_and_source_rejected(self):
         grid = Grid3.for_ball(1.3, 8)  # the bump falls between the nodes
-        params = build_zeta_eta(np.array([1.0, 0.0, 0.5]), 5.0, 2.0)
+        xi, t = np.array([1.0, 0.0, 0.5]), 5.0
+        zeta, eta, _ = build_zeta_eta(xi, t, 2.0)
         bump = Bump((0.0, 0.1, 0.0), 0.6, 0.05)
         with pytest.raises(ConfigurationError):
-            verify.cgo_residual(params, MediumSpec((bump,)), grid)
+            verify.cgo_residual(xi, t, 2.0, MediumSpec((bump,)), grid)
         with pytest.raises(ConfigurationError):
-            verify.ito_isometry(2.0, SourceStrength((bump,)), grid, [params], 1, 10)
+            verify.ito_isometry(2.0, SourceStrength((bump,)), grid, zeta[None], eta[None], 1, 10)
 
 
 class TestCliReconstruct:

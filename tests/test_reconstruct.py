@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stochmaxwell.capacity import CapacityOperator, boundary_functional
-from stochmaxwell.cgo import StabilityConstants, build_zeta_eta, cgo_on_sphere, solve_cgo_remainder
+from stochmaxwell.cgo import build_zeta_eta, cgo_on_sphere, solve_cgo_remainder
 from stochmaxwell.ensemble import generate_ensemble
 from stochmaxwell.geometry import (
     Bump,
@@ -52,16 +52,16 @@ def small_ensemble(grid, wide_sigma, hom_medium, desk_capacity):
 
 
 def _plane_pair(xi, t, mesh):
-    """Boundary data of the conjugate CGO pair for a homogeneous medium."""
-    p = build_zeta_eta(np.asarray(xi, float), t, K_DESK)
+    """Leading coefficient and boundary data of the conjugate CGO pair for a
+    homogeneous medium."""
+    zeta, eta, lead = build_zeta_eta(np.asarray(xi, float), t, K_DESK)
     data = []
-    for which in (1, 2):
-        z, e = p.zeta(which), p.eta(which)
+    for z, e in zip(zeta, eta):
         phase = np.exp(1j * mesh.nodes @ z)
         data.append(
             (phase[:, None] * e[None, :], phase[:, None] * np.cross(1j * z, e)[None, :])
         )
-    return p, data
+    return lead, data
 
 
 def _correlation(traces, data, capacity):
@@ -155,10 +155,10 @@ class TestCorrelation:
         sig = evaluate_on_grid(wide_sigma, grid).values.real
         nodes = grid.nodes()
         for xi in ([0.0, 0.0, 0.0], [1.0, 0.5, -0.5]):
-            p, data = _plane_pair(xi, 5.0, mesh)
+            lead, data = _plane_pair(xi, 5.0, mesh)
             mean, stderr = _correlation(small_ensemble, data, desk_capacity)
             phase = np.exp(-1j * np.tensordot(np.asarray(xi, float), nodes, axes=(0, 0)))
-            volume = -K_DESK ** 2 * p.leading * np.sum(sig * phase) * grid.cell_volume
+            volume = -K_DESK ** 2 * lead * np.sum(sig * phase) * grid.cell_volume
             assert abs(mean - volume) < 3.0 * stderr
 
     def test_wavenumber_mismatch_rejected(
@@ -223,9 +223,9 @@ class TestSigmaHatEstimator:
         mesh = desk_capacity.basis.mesh
 
         def sample(xi):
-            p, data = _plane_pair(xi, result.t, mesh)
+            lead, data = _plane_pair(xi, result.t, mesh)
             mean, _ = _correlation(traces, data, desk_capacity)
-            return (-mean / K_DESK ** 2) / p.leading
+            return (-mean / K_DESK ** 2) / lead
 
         n = len(result.xi_nodes)
         # two columns per xi at one frame: the last xi lies past the first block
@@ -343,7 +343,7 @@ class TestReconstructSigma:
     def test_inhomogeneous_matches_column_reference(self):
         """The blocked inhomogeneous route (one remainder solver, mirrored
         resolvents, stacked sphere evaluation) gives the sigma_hat of a
-        column-by-column reference: one `solve_cgo_remainder`,
+        column-by-column reference: one `solve_cgo_remainder`, single-column
         `cgo_on_sphere` and `dual_functional_vector` per (xi, member), then
         the correlation and the average with the antipode."""
         grid = Grid3.for_ball(RP_DESK, 8)
@@ -358,15 +358,15 @@ class TestReconstructSigma:
         result = reconstruct_sigma(traces, capacity, medium=medium, **kwargs)
         flat = traces.reshape(len(traces), -1)
 
+        def column(xi, w):
+            sol = solve_cgo_remainder(xi, result.t, K_DESK, w, medium, grid)
+            W = sol.f.values[None] * sol.zeta[:, None, None, None] + sol.V.values
+            U, curlU = cgo_on_sphere(sol.zeta[None], sol.eta[None], W[None], grid, mesh)
+            return flat @ dual_functional_vector(capacity, U[0], curlU[0]).ravel()
+
         def sample(xi):
-            p = build_zeta_eta(xi, result.t, K_DESK)
-            b1, b2 = (
-                flat @ dual_functional_vector(
-                    capacity, *cgo_on_sphere(solve_cgo_remainder(p, w, medium, grid), mesh)
-                ).ravel()
-                for w in (1, 2)
-            )
-            return (-np.mean(b1 * b2) / K_DESK ** 2) / p.leading
+            lead = build_zeta_eta(xi, result.t, K_DESK)[2]
+            return (-np.mean(column(xi, 1) * column(xi, 2)) / K_DESK ** 2) / lead
 
         n = len(result.xi_nodes)
         # the first and last xi and their antipodes are solved in different
