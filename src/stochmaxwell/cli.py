@@ -30,6 +30,7 @@ from .forward import MaxwellSolver, SolverError
 from .geometry import (
     Bump,
     ConfigurationError,
+    Grid3,
     MediumSpec,
     SourceStrength,
     VectorFieldC3,
@@ -89,6 +90,9 @@ def _verify_table(cfg: ExperimentConfig) -> list:
     sig = SourceStrength((Bump((0.0, 0.1, 0.0), 0.5, 0.1),), ball_radius=cfg.R)
     xi, t = np.array([1.0, 0.0, 0.5]), 5.0
     zeta, eta, _ = build_zeta_eta(xi, t, k)
+    # the plane-wave probe scales with k, so |zeta| h and the stencil error do not
+    pw_zeta, pw_eta, _ = build_zeta_eta(0.5 * k * xi, 1.25 * k, k)
+    pw_grid = Grid3.cube(2.0 / k, 33)
     contrast = functools.cache(lambda: verify.cgo_residual(xi, t, k, bumpy, grid, tol))
 
     def capacity():
@@ -104,11 +108,19 @@ def _verify_table(cfg: ExperimentConfig) -> list:
 
     return [
         ("green_reciprocity", lambda: verify.green_reciprocity(k, rng, 100, 0.1), 1e-12),
+        ("green_hessian_fd",
+         lambda: verify.green_hessian_fd(k, (0.3, -0.2, 0.5), (-0.1, 0.2, 0.1), 1e-4), 1e-6),
+        ("green_near_cell",
+         lambda: verify.near_cell_probe(k, Grid3.cube(1.0, 12), np.array([1.0, 0.5j, -0.25]),
+                                        [(1, 0, 0), (2, -1, 3)]), 1e-6),
         ("convolution_vs_direct", lambda: verify.convolution_vs_direct(k, rng), 1e-2),
         ("capacity_multipole_identity", capacity, 1e-10),
         ("ibp_identity", ibp, 1e-2),
         ("cgo_homogeneous_residual",
          lambda: verify.cgo_residual(xi, t, k, medium, grid, tol, members=(1,))[0], 1e-10),
+        ("cgo_plane_wave_stencil",
+         lambda: max(verify.cgo_stencil_residual(z, e, k, pw_grid)
+                     for z, e in zip(pw_zeta, pw_eta)), 1e-3),
         ("cgo_contrast_residual", lambda: contrast()[0], 10 * tol),
         ("cgo_product_identity",
          lambda: _sup_gap(*verify.cgo_product_identity(*contrast()[1])), 1e-10),

@@ -16,6 +16,9 @@ from .geometry import Bump, ConfigurationError, Grid3, MediumSpec, SourceStrengt
 
 __all__ = ["ExperimentConfig", "parse_bumps", "format_bumps"]
 
+# keys that earlier versions read and that still load, as if absent
+_RETIRED_KEYS = {("stability", "q"), ("stability", "m2")}
+
 
 def parse_bumps(text: str) -> tuple[Bump, ...]:
     bumps = []
@@ -118,8 +121,10 @@ class ExperimentConfig:
     @classmethod
     def _from_parser(cls, cp: configparser.ConfigParser) -> "ExperimentConfig":
         kw = {}
+        known = set(_RETIRED_KEYS)
 
         def get(section, option, conv, key=None):
+            known.add((section, option.lower()))
             if cp.has_option(section, option):
                 raw = cp.get(section, option).strip()
                 if raw:
@@ -149,6 +154,14 @@ class ExperimentConfig:
         )
         get("verify", "fault_scale", float)
         get("output", "directory", str, "output_dir")
+        if cp.defaults():  # its keys would reach every section
+            raise ConfigurationError("unknown config section [DEFAULT]")
+        for section in cp.sections():
+            if not any(s == section for s, _ in known):
+                raise ConfigurationError(f"unknown config section [{section}]")
+            for option in cp.options(section):
+                if (section, option) not in known:
+                    raise ConfigurationError(f"unknown config key {option!r} in [{section}]")
         try:
             return cls(**kw)
         except TypeError as exc:

@@ -283,18 +283,11 @@ def reconstruct_sigma(
         )
     xi_nodes, dxi = build_xi_lattice(rho, R_prime)
     n_xi = len(xi_nodes)
-    # the lattice is symmetric, node n_xi - 1 - i being -xi_i; visiting each
-    # node next to its antipode puts every remainder solve next to the solve
-    # whose resolvent it mirrors (CgoRemainderSolver)
-    lower = np.arange(n_xi // 2)
-    order = np.concatenate(
-        [np.stack([lower, n_xi - 1 - lower], axis=1).ravel(), np.arange(n_xi // 2, n_xi - n_xi // 2)]
-    )
     azimuths = np.pi * np.arange(n_frames) / n_frames
     # one column per (xi, frame, member); the overflow guard is checked here,
     # at the largest |xi|, for every column
     zeta, eta, lead = build_zeta_eta(
-        xi_nodes[order, None], t, k, azimuths[None], box_radius(grid)
+        xi_nodes[:, None], t, k, azimuths[None], box_radius(grid)
     )
     lead = lead[:, 0]
     solver = CgoRemainderSolver(k, medium, grid, tol=cgo_tol)
@@ -305,9 +298,9 @@ def reconstruct_sigma(
     stderr = np.empty(n_xi)
     chunk = max(1, 4096 // (2 * n_frames))
     for lo in range(0, n_xi, chunk):
-        ids = order[lo : lo + chunk]
-        z_cols = zeta[lo : lo + chunk].reshape(-1, 3)
-        e_cols = eta[lo : lo + chunk].reshape(-1, 3)
+        ids = slice(lo, lo + chunk)
+        z_cols = zeta[ids].reshape(-1, 3)
+        e_cols = eta[ids].reshape(-1, 3)
         duals = np.empty((len(z_cols), mesh.n_nodes, 3), dtype=np.complex128)
         for b in range(0, len(z_cols), DUAL_BLOCK):
             zb, eb = z_cols[b : b + DUAL_BLOCK], e_cols[b : b + DUAL_BLOCK]
@@ -324,12 +317,12 @@ def reconstruct_sigma(
             duals[b : b + len(zb)] = dual_functional_vector(capacity, U, curlU)
         del U, curlU
         B = flat @ duals.reshape(len(z_cols), -1).T  # (M, n_sub * n_frames * 2)
-        B = B.reshape(M, len(ids), n_frames, 2)
+        B = B.reshape(M, -1, n_frames, 2)
         prods = (B[..., 0] * B[..., 1]).mean(axis=2)  # frame average per realization
         mean = prods.mean(axis=0)
-        sd = prods.std(axis=0, ddof=1) / np.sqrt(M) if M > 1 else np.full(len(ids), np.inf)
-        sigma_hat[ids] = (-mean / k ** 2) / lead[lo : lo + chunk]
-        stderr[ids] = sd / (k ** 2 * np.abs(lead[lo : lo + chunk]))
+        sd = prods.std(axis=0, ddof=1) / np.sqrt(M) if M > 1 else np.full(len(mean), np.inf)
+        sigma_hat[ids] = (-mean / k ** 2) / lead[ids]
+        stderr[ids] = sd / (k ** 2 * np.abs(lead[ids]))
 
     sigma_hat = hermitian_symmetrize(xi_nodes, sigma_hat, dxi)
     sigma_rec, residue = fourier_synthesis(xi_nodes, sigma_hat, dxi, grid)

@@ -20,9 +20,10 @@ from .geometry import (
 from .greens import FreeConvolver, dyadic_green, helmholtz_g
 
 __all__ = [
-    "green_reciprocity", "helmholtz_residual", "convolution_vs_direct", "resolvent_decay_probe",
-    "electric_dipole_field", "multipoles", "capacity_identity", "plane_waves", "ibp_identity",
-    "pde_residual", "remainder_norm", "cgo_residual", "cgo_product_identity", "ito_isometry",
+    "green_reciprocity", "green_hessian_fd", "near_cell_probe", "helmholtz_residual",
+    "convolution_vs_direct", "resolvent_decay_probe", "electric_dipole_field", "multipoles",
+    "capacity_identity", "plane_waves", "ibp_identity", "pde_residual", "remainder_norm",
+    "cgo_residual", "cgo_stencil_residual", "cgo_product_identity", "ito_isometry",
 ]
 
 
@@ -34,6 +35,43 @@ def green_reciprocity(k: float, rng, n: int, min_sep: float) -> float:
         if np.linalg.norm(x - y) >= min_sep:
             G1, G2 = dyadic_green(k, x, y), dyadic_green(k, y, x)
             worst = max(worst, float(np.max(np.abs(G1 - G2.T))))
+    return worst
+
+
+def green_hessian_fd(k: float, x, y, h: float) -> float:
+    """Relative Frobenius gap between dyadic_green(k, x, y) and
+    i k g I + (i/k) H_h g, with H_h the central-difference Hessian of
+    g(|x - y|) in x at step h: O(h^2) plus rounding of order 1e-16 / h^2.
+    Shares no algebra with the closed form."""
+    x, y, E = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64), h * np.eye(3)
+
+    def g(p):
+        return helmholtz_g(k, np.linalg.norm(p - y))
+
+    H = np.array([[g(x + E[i] + E[j]) - g(x + E[i] - E[j]) - g(x - E[i] + E[j])
+                   + g(x - E[i] - E[j]) for j in range(3)] for i in range(3)]) / (4.0 * h * h)
+    want = 1j * k * g(x) * np.eye(3) + (1j / k) * H
+    return float(np.linalg.norm(dyadic_green(k, x, y) - want) / np.linalg.norm(want))
+
+
+def near_cell_probe(k: float, grid: Grid3, v, offsets) -> float:
+    """Worst relative gap between the FFT convolution of a one-cell source v
+    at the grid centre, read at node `offsets` (in cells, inside the
+    product-integrated 7^3 block, off the singular cell), and v times the
+    mean of dyadic_green over the displaced cell by 16^3 Gauss-Legendre
+    nodes (the convolver integrates `_green_coeffs` with 12 per axis)."""
+    h, c = grid.spacing, np.array(grid.dims) // 2
+    f = np.zeros((3,) + grid.dims, dtype=np.complex128)
+    f[(slice(None),) + tuple(c)] = v
+    conv = FreeConvolver(k, grid).apply_array(f) / grid.cell_volume
+    x, w = np.polynomial.legendre.leggauss(16)
+    nodes = 0.5 * h * np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
+    wts = np.einsum("i,j,l->ijl", w, w, w).ravel() / 8.0
+    worst = 0.0
+    for o in np.asarray(offsets):
+        want = sum(wq * dyadic_green(k, o * h + q, np.zeros(3)) for q, wq in zip(nodes, wts)) @ v
+        got = conv[(slice(None),) + tuple(c + o)]
+        worst = max(worst, float(np.linalg.norm(got - want) / np.linalg.norm(want)))
     return worst
 
 
@@ -154,6 +192,17 @@ def cgo_residual(xi, t: float, k: float, medium: MediumSpec, grid: Grid3, tol: f
         raise ConfigurationError("the medium contrast samples to zero on this grid")
     sols = [solve_cgo_remainder(xi, t, k, which, medium, grid, tol=tol) for which in members]
     return max(s.residual for s in sols), sols
+
+
+def cgo_stencil_residual(zeta, eta, k: float, grid: Grid3) -> float:
+    """||curl curl U - k^2 U|| / ||k^2 U|| for the m = 0 CGO field
+    U = eta e^{i zeta . x} on the grid, curls by the grid stencils, over the
+    interior without the 5-cell collar where the stencils wrap; small when
+    zeta . zeta = k^2, zeta . eta = 0 and |zeta| h is small."""
+    U = eta[:, None, None, None] * np.exp(1j * np.tensordot(zeta, grid.nodes(), axes=1))[None]
+    res = curl_grid(curl_grid(U, grid.spacing), grid.spacing) - k ** 2 * U
+    inner = (slice(None),) + (slice(5, -5),) * 3
+    return float(np.linalg.norm(res[inner]) / np.linalg.norm(k ** 2 * U[inner]))
 
 
 def cgo_product_identity(sol1: CgoSolution, sol2: CgoSolution):

@@ -23,7 +23,7 @@ from stochmaxwell.geometry import (
     SphereMesh,
     trilinear_interpolate,
 )
-from stochmaxwell.verify import cgo_product_identity, remainder_norm
+from stochmaxwell.verify import cgo_product_identity, cgo_stencil_residual, remainder_norm
 
 from conftest import rel_err
 
@@ -181,9 +181,10 @@ class TestConjugatedResolvent:
     )
     @pytest.mark.parametrize("which", [1, 2])
     def test_mirror_matches_direct_build(self, xi, azimuth, which):
-        """The resolvent of zeta' = -conj(zeta), built from the near data of
-        the resolvent of zeta, equals a direct build on every bin; the bins it
-        borrows are exactly the near bins off the Nyquist planes."""
+        """The resolvent of zeta' = -conj(zeta), lent the near data of the
+        resolvent of zeta with P = -I and conjugation, equals a direct build
+        on every bin; the bins it borrows are exactly the near bins off the
+        Nyquist planes."""
         grid = self.GRID
         xi = np.array(xi)
         zp = build_zeta_eta(xi, 5.0, K, azimuth=azimuth)[0][which - 1]
@@ -191,52 +192,128 @@ class TestConjugatedResolvent:
         assert np.array_equal(zeta, -np.conj(zp))
         near = ConjugatedResolvent(zp, K, grid).near
         direct = ConjugatedResolvent(zeta, K, grid)
-        mirrored = ConjugatedResolvent(zeta, K, grid, mirror=near)
+        mirrored = ConjugatedResolvent(zeta, K, grid, lend=(near, -np.eye(3), True))
         assert np.max(np.abs(mirrored._inv - direct._inv) / np.abs(direct._inv)) <= 1e-12
-        # a corrupted partner shows which bins were borrowed
-        doubled = ConjugatedResolvent(zeta, K, grid, mirror=(near[0], 2.0 * near[1]))
-        borrowed = doubled._inv != mirrored._inv
-        nyquist = np.zeros(borrowed.shape, dtype=bool)
-        for axis, p_ax in enumerate(direct.padded):
-            nyquist[(slice(None),) * axis + (p_ax // 2,)] = True
-        near_mask = np.zeros(borrowed.size, dtype=bool)
-        near_mask[direct.near[0]] = True
-        assert np.array_equal(borrowed, near_mask.reshape(borrowed.shape) & ~nyquist)
+        assert np.array_equal(borrowed_bins(zeta, grid, near, -np.eye(3), True),
+                              near_off_nyquist(direct, -np.eye(3)))
+
+    def test_signed_permutation_borrows_off_flipped_nyquist_planes(self):
+        """Lent through a permutation that reflects two of three axes, the
+        resolvent equals a direct build within 1e-9 relative, and the bins it
+        borrows are the near bins off the Nyquist planes of the reflected
+        axes only."""
+        grid = self.GRID
+        P = np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+        zp = build_zeta_eta(np.array([0.6, -0.3, 0.2]), 5.0, K)[0][0]
+        zeta = np.conj(P @ zp)
+        near = ConjugatedResolvent(zp, K, grid).near
+        direct = ConjugatedResolvent(zeta, K, grid)
+        lent = ConjugatedResolvent(zeta, K, grid, lend=(near, P, True))
+        assert np.max(np.abs(lent._inv - direct._inv) / np.abs(direct._inv)) <= 1e-9
+        want = near_off_nyquist(direct, P)
+        assert np.array_equal(borrowed_bins(zeta, grid, near, P, True), want)
+        # the unreflected axis keeps its Nyquist plane
+        half = [p_ax // 2 for p_ax in direct.padded]
+        assert np.any(want[:, half[1]]) and not np.any(want[half[0]])
+
+
+def borrowed_bins(zeta, grid, near, P, conj):
+    """Bins whose multiplier changes when the lender's averages are doubled."""
+    lent = ConjugatedResolvent(zeta, K, grid, lend=(near, P, conj))
+    doubled = ConjugatedResolvent(zeta, K, grid, lend=((near[0], 2.0 * near[1]), P, conj))
+    return doubled._inv != lent._inv
+
+
+def near_off_nyquist(res, P):
+    """The near bins of `res` off the Nyquist planes of the axes P reflects."""
+    mask = np.zeros(res._inv.size, dtype=bool)
+    mask[res.near[0]] = True
+    mask = mask.reshape(res._inv.shape)
+    for axis, p_ax in enumerate(res.padded):
+        if P[axis].sum() < 0:
+            mask[(slice(None),) * axis + (p_ax // 2,)] = False
+    return mask
 
 
 class TestRemainderSolver:
     GRID = Grid3.for_ball(1.3, 10)
 
     @pytest.fixture
-    def mirrors(self, monkeypatch):
-        """Records, per resolvent build, whether it borrowed a partner's data."""
+    def lent(self, monkeypatch):
+        """Records, per resolvent build, whether it borrowed another's data."""
         seen = []
         init = ConjugatedResolvent.__init__
 
-        def recording(self, zeta, k, grid, mirror=None):
-            seen.append(mirror is not None)
-            init(self, zeta, k, grid, mirror)
+        def recording(self, zeta, k, grid, lend=None):
+            seen.append(lend is not None)
+            init(self, zeta, k, grid, lend)
 
         monkeypatch.setattr(cgo.ConjugatedResolvent, "__init__", recording)
         return seen
 
-    def test_antipodes_mirror_and_match_direct_solves(self, contrast_medium, mirrors):
+    def test_antipodes_mirror_and_match_direct_solves(self, contrast_medium, lent):
         xi = np.array([0.9, 0.4, -0.2])
         zeta, eta, _ = build_zeta_eta(np.stack([xi, -xi]), 5.0, K)
         solver = CgoRemainderSolver(K, contrast_medium, self.GRID)
         got = [solver.solve(zeta[i, w], eta[i, w])[0] for i in (0, 1) for w in (0, 1)]
-        assert mirrors == [False, False, True, True]
+        assert lent == [False, False, True, True]
         for (i, w), W in zip([(i, w) for i in (0, 1) for w in (0, 1)], got):
             fresh = CgoRemainderSolver(K, contrast_medium, self.GRID)
             assert rel_err(W, fresh.solve(zeta[i, w], eta[i, w])[0]) <= 1e-12
 
-    def test_zero_frequency_builds_directly(self, contrast_medium, mirrors):
-        """xi = 0 has no partner: -conj(zeta_2(0)) is not zeta_1(0)."""
+    def test_zero_frequency_builds_directly(self, contrast_medium, lent):
+        """xi = 0 builds one resolvent directly: zeta_2(0) = -zeta_1(0)
+        shares the orbit of zeta_1(0), so it and the repeat borrow."""
         zeta, eta, _ = build_zeta_eta(np.zeros(3), 5.0, K)
+        assert np.array_equal(zeta[1], -zeta[0])
         solver = CgoRemainderSolver(K, contrast_medium, self.GRID)
         for w in (0, 1, 0):
             solver.solve(zeta[w], eta[w])
-        assert mirrors == [False, False, False]
+        assert lent == [False, True, True]
+
+    def test_lends_only_within_the_match_tolerance(self, contrast_medium, lent):
+        """A zeta whose canonical form is 1e-10 relative off every orbit's
+        builds directly; one 1e-14 off borrows."""
+        zeta = build_zeta_eta(np.array([0.6, -0.3, 0.2]), 5.0, K)[0][0]
+        solver = CgoRemainderSolver(K, contrast_medium, self.GRID)
+        for z in (zeta, (1.0 + 1e-10) * zeta, (1.0 + 1e-14) * zeta):
+            solver._resolvent(z)
+        assert lent == [False, False, True]
+
+    SWAP = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    CYCLE = np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    SWAP_XZ = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
+    BOX = Grid3(origin=(-1.6, -1.9, -1.6), spacing=0.33, dims=(10, 12, 10))
+
+    @pytest.mark.parametrize(
+        "grid, xi, azimuth, P, want",
+        [
+            (GRID, (0.6, -0.3, 0.2), 0.0, CYCLE, [False, False, True, True]),
+            (GRID, (1.0, 0.0, 0.0), 0.0, SWAP, [False, True, True, True]),
+            (GRID, (0.0, 0.0, 0.0), 0.0, CYCLE, [False, True, True, True]),
+            # |xi| = 1.43, the schedule cutoff 5^(2/9) at t = 5
+            (GRID, (0.858, 0.0, 1.144), 0.0, CYCLE, [False, True, True, True]),
+            (GRID, (1.0, 0.5, -0.8), 1.1, SWAP, [False, False, True, True]),
+            (BOX, (0.6, -0.3, 0.2), 0.0, SWAP_XZ, [False, False, True, True]),
+            (BOX, (0.6, -0.3, 0.2), 0.0, -np.eye(3), [False, False, True, True]),
+            (BOX, (0.6, -0.3, 0.2), 0.0, SWAP, [False, False, False, False]),
+        ],
+        ids=["generic", "axis-aligned", "zero", "cutoff", "azimuth", "box-swap-equal",
+             "box-reflect", "box-swap-unequal"],
+    )
+    def test_lent_resolvents_match_direct_builds(self, contrast_medium, lent, grid, xi,
+                                                 azimuth, P, want):
+        """The solver builds both members of xi and of P xi; whatever it lends
+        equals a direct build within 1e-9 relative on every bin. On the
+        10 x 12 x 10 box only the two axes of length 10 may be exchanged."""
+        xi = np.array(xi)
+        solver = CgoRemainderSolver(K, contrast_medium, grid)
+        zetas = [z for x in (xi, P @ xi) for z in build_zeta_eta(x, 5.0, K, azimuth=azimuth)[0]]
+        got = [solver._resolvent(z) for z in zetas]
+        assert lent == want
+        for zeta, res in zip(zetas, got):
+            direct = ConjugatedResolvent(zeta, K, grid)
+            assert np.max(np.abs(res._inv - direct._inv) / np.abs(direct._inv)) <= 1e-9
 
     def test_stacked_pairs_match_single_builds(self):
         xis = np.array([[0.0, 0.0, 0.0], [0.9, 0.4, -0.2], [-1e-300, 0.0, 2e-300]])
@@ -266,6 +343,17 @@ class TestHomogeneousSolution:
         # fourth-order stencils on a field growing like e^{t r}: modest tol
         sl = (slice(None), slice(6, -6), slice(6, -6), slice(6, -6))
         assert rel_err(ccU[sl], K ** 2 * U[sl]) < 1e-2
+
+    def test_stencil_residual_detects_a_broken_pair(self):
+        """The m = 0 CGO field passes the stencil probe of `stochmaxwell
+        verify`; a phase off zeta . zeta = k^2 by 0.2 % or a polarization
+        off zeta . eta = 0 fails it."""
+        grid = Grid3.cube(1.0, 33)
+        zeta, eta, _ = build_zeta_eta(np.array([1.0, 0.0, 0.5]), 2.5, K)
+        for z, e in zip(zeta, eta):
+            assert cgo_stencil_residual(z, e, K, grid) <= 1e-3
+            assert cgo_stencil_residual(1.001 * z, e, K, grid) > 1e-3
+            assert cgo_stencil_residual(z, e + 0.01 * z, K, grid) > 1e-3
 
     def test_sphere_samples_are_analytic(self, grid):
         xi = np.array([0.5, 0.5, 0.0])

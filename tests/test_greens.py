@@ -4,6 +4,7 @@ import pytest
 from stochmaxwell.geometry import Grid3, VectorFieldC3
 from scipy import fft as sfft
 
+from stochmaxwell import greens, verify
 from stochmaxwell.greens import (
     FreeConvolver,
     SingularityError,
@@ -14,8 +15,10 @@ from stochmaxwell.greens import (
 from stochmaxwell.verify import (
     convolution_vs_direct,
     electric_dipole_field,
+    green_hessian_fd,
     green_reciprocity,
     helmholtz_residual,
+    near_cell_probe,
     resolvent_decay_probe,
 )
 
@@ -54,27 +57,34 @@ class TestDyadicGreen:
         """The closed form equals i lam g I + (i/lam) H, with H the central-
         difference Hessian of helmholtz_g: a check that shares no algebra
         with dyadic_green, which the convolver and trace-map tests trust."""
-        lam, step = 2.0, 1e-4
         rng = np.random.default_rng(11)
-        eye = np.eye(3)
-
-        def g(x, y):
-            return helmholtz_g(lam, np.linalg.norm(x - y))
-
         checked = 0
         while checked < 20:
             x, y = rng.uniform(-1.0, 1.0, (2, 3))
             if np.linalg.norm(x - y) < 0.1:
                 continue
-            H = np.empty((3, 3), dtype=np.complex128)
-            for i in range(3):
-                for j in range(3):
-                    ei, ej = step * eye[i], step * eye[j]
-                    H[i, j] = (g(x + ei + ej, y) - g(x + ei - ej, y) - g(x - ei + ej, y)
-                               + g(x - ei - ej, y)) / (4.0 * step ** 2)
-            want = 1j * lam * g(x, y) * eye + (1j / lam) * H
-            assert rel_err(dyadic_green(lam, x, y), want) <= 1e-5
+            assert green_hessian_fd(2.0, x, y, 1e-4) <= 1e-5
             checked += 1
+
+
+class TestVerifyProbes:
+    """The Green-tensor probes of `stochmaxwell verify` pass on the program
+    and fail on a fault."""
+
+    def test_hessian_probe_detects_a_scaled_green_tensor(self, monkeypatch):
+        args = (2.0, (0.3, -0.2, 0.5), (-0.1, 0.2, 0.1), 1e-4)
+        assert green_hessian_fd(*args) <= 1e-6
+        monkeypatch.setattr(verify, "dyadic_green",
+                            lambda lam, x, y: (1.0 + 1e-5) * dyadic_green(lam, x, y))
+        assert green_hessian_fd(*args) > 1e-6
+
+    def test_near_cell_probe_needs_the_corrected_block(self, monkeypatch):
+        """With product integration cut to the 3^3 block, the probe at
+        (2, -1, 3) cells reads a point value, not the cell average."""
+        probe = (2.0, Grid3.cube(1.0, 12), np.array([1.0, 0.5j, -0.25]), [(1, 0, 0), (2, -1, 3)])
+        assert near_cell_probe(*probe) <= 1e-6
+        monkeypatch.setattr(greens, "_CORRECTION_CELLS", 1)
+        assert near_cell_probe(*probe) > 1e-3
 
 
 class TestPaddedFftApply:

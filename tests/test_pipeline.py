@@ -292,6 +292,24 @@ class TestCliForward:
         assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+    @pytest.mark.parametrize("old, new, named", [
+        ("n_frames = 1", "n_frame = 1", "'n_frame' in [reconstruction]"),
+        ("[reconstruction]", "[reconstuction]", "[reconstuction]"),
+        ("[sweep]", "[sweep]\nQ = 2.0", "'q' in [sweep]"),
+        ("[sweep]", "[DEFAULT]\nt_max = 3.0\n[sweep]", "[DEFAULT]"),
+    ], ids=["misspelled-key", "misspelled-section", "retired-key-elsewhere", "default-section"])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, old, new, named):
+        """A key or section the config does not read is refused with one line
+        naming it, instead of falling back to a default."""
+        assert SMALL_CONFIG.count(old) == 1
+        p = tmp_path / "bad.ini"
+        p.write_text(SMALL_CONFIG.replace(old, new))
+        assert main(["forward", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and named in lines[0]
+        assert not (tmp_path / "o").exists()
+
+
 class TestCliVerify:
     def test_all_checks_pass(self, config_path, tmp_path):
         out = str(tmp_path / "v")
@@ -299,7 +317,8 @@ class TestCliVerify:
         report = json.loads((tmp_path / "v" / "verify.json").read_text())
         assert report["passed"]
         names = {c["name"] for c in report["checks"]}
-        assert {"green_reciprocity", "capacity_multipole_identity", "ito_isometry"} <= names
+        assert {"green_reciprocity", "capacity_multipole_identity", "ito_isometry",
+                "green_hessian_fd", "green_near_cell", "cgo_plane_wave_stencil"} <= names
 
     def test_faulted_operator_exits_4(self, tmp_path):
         cfg_text = SMALL_CONFIG + "\n[verify]\nfault_scale = 1.05\n"

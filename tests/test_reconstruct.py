@@ -1,8 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from stochmaxwell import cgo
 from stochmaxwell.capacity import CapacityOperator, boundary_functional
-from stochmaxwell.cgo import build_zeta_eta, cgo_on_sphere, solve_cgo_remainder
+from stochmaxwell.cgo import (
+    CgoRemainderSolver,
+    ConjugatedResolvent,
+    build_zeta_eta,
+    cgo_on_sphere,
+    solve_cgo_remainder,
+)
 from stochmaxwell.ensemble import generate_ensemble
 from stochmaxwell.geometry import (
     Bump,
@@ -49,6 +58,21 @@ def small_ensemble(grid, wide_sigma, hom_medium, desk_capacity):
     return generate_ensemble(
         K_DESK, hom_medium, wide_sigma, grid, mesh, M=400, master_seed=77
     )
+
+
+@pytest.fixture(scope="module")
+def small_inhomogeneous():
+    """An inhomogeneous reconstruction small enough to repeat: 8^3 grid,
+    six random traces on an lmax-6 mesh, t = 5 and 389 xi nodes."""
+    grid = Grid3.for_ball(RP_DESK, 8)
+    medium = MediumSpec((Bump((0.0, 0.0, 0.0), 0.9, 0.1),), ball_radius=1.0)
+    assert np.any(evaluate_on_grid(medium, grid).values)
+    capacity = CapacityOperator(K_DESK, VshBasis(SphereMesh(1.0, 6), 6))
+    rng = np.random.default_rng(8)
+    shape = (6, capacity.basis.mesh.n_nodes, 3)
+    traces = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    kwargs = dict(k=K_DESK, R_prime=RP_DESK, grid=grid, medium=medium, epsilon=0.1)
+    return traces, capacity, kwargs
 
 
 def _plane_pair(xi, t, mesh):
@@ -340,22 +364,15 @@ class TestReconstructSigma:
         assert result.imag_residue < 1e-10
         assert result.t == 5.0  # admissibility clamp at this data size
 
-    def test_inhomogeneous_matches_column_reference(self):
-        """The blocked inhomogeneous route (one remainder solver, mirrored
-        resolvents, stacked sphere evaluation) gives the sigma_hat of a
+    def test_inhomogeneous_matches_column_reference(self, small_inhomogeneous):
+        """The blocked inhomogeneous route (one remainder solver, resolvents
+        lent across symmetry orbits, stacked sphere evaluation) gives the sigma_hat of a
         column-by-column reference: one `solve_cgo_remainder`, single-column
         `cgo_on_sphere` and `dual_functional_vector` per (xi, member), then
         the correlation and the average with the antipode."""
-        grid = Grid3.for_ball(RP_DESK, 8)
-        medium = MediumSpec((Bump((0.0, 0.0, 0.0), 0.9, 0.1),), ball_radius=1.0)
-        assert np.any(evaluate_on_grid(medium, grid).values)
-        mesh = SphereMesh(1.0, 6)
-        capacity = CapacityOperator(K_DESK, VshBasis(mesh, 6))
-        rng = np.random.default_rng(8)
-        shape = (6, mesh.n_nodes, 3)
-        traces = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        kwargs = dict(k=K_DESK, R_prime=RP_DESK, grid=grid, epsilon=0.1)
-        result = reconstruct_sigma(traces, capacity, medium=medium, **kwargs)
+        traces, capacity, kwargs = small_inhomogeneous
+        grid, medium, mesh = kwargs["grid"], kwargs["medium"], capacity.basis.mesh
+        result = reconstruct_sigma(traces, capacity, **kwargs)
         flat = traces.reshape(len(traces), -1)
 
         def column(xi, w):
@@ -370,7 +387,7 @@ class TestReconstructSigma:
 
         n = len(result.xi_nodes)
         # the first and last xi and their antipodes are solved in different
-        # dual blocks; n // 2 is xi = 0, which has no mirror partner
+        # dual blocks; n // 2 is xi = 0
         assert 2 * n > 2 * DUAL_BLOCK
         ids = [0, 1, n // 5, n // 2 - 1, n // 2, n - 1]
         want = np.array([
@@ -379,8 +396,54 @@ class TestReconstructSigma:
         scale = np.max(np.abs(result.sigma_hat))
         assert np.max(np.abs(result.sigma_hat[ids] - want)) <= 1e-12 * scale
         # the remainder matters: the plane-wave estimate is far off
-        plane = reconstruct_sigma(traces, capacity, medium=MediumSpec(ball_radius=1.0), **kwargs)
+        plane = reconstruct_sigma(traces, capacity, **dict(kwargs, medium=MediumSpec(ball_radius=1.0)))
         assert np.max(np.abs(plane.sigma_hat[ids] - want)) > 1e-3 * scale
+
+    def test_orbit_lending_matches_direct_builds(self, small_inhomogeneous, monkeypatch):
+        """Lending near-resonant averages across symmetry orbits of zeta gives
+        the sigma_hat and stderr of a run that builds every resolvent
+        directly, and averages directly once per orbit: per distinct image
+        set of the columns under the 48 signed axis permutations and
+        conjugation, counted here by brute force. Two frames: the rotated
+        pairs have components that tie up to rounding, which the canonical
+        form must not split into separate orbits."""
+        traces, capacity, kwargs = small_inhomogeneous
+        kwargs = dict(kwargs, n_frames=2)
+        direct_builds = []
+        init = ConjugatedResolvent.__init__
+
+        def counting(self, zeta, k, grid, lend=None):
+            direct_builds.append(lend is None)
+            init(self, zeta, k, grid, lend)
+
+        monkeypatch.setattr(cgo.ConjugatedResolvent, "__init__", counting)
+        lent = reconstruct_sigma(traces, capacity, **kwargs)
+        n_direct = sum(direct_builds)
+        monkeypatch.setattr(CgoRemainderSolver, "_resolvent",
+                            lambda self, zeta: ConjugatedResolvent(zeta, self.k, self.grid))
+        direct = reconstruct_sigma(traces, capacity, **kwargs)
+        scale = np.max(np.abs(direct.sigma_hat))
+        assert np.max(np.abs(lent.sigma_hat - direct.sigma_hat)) <= 1e-11 * scale
+        assert np.max(np.abs(lent.stderr - direct.stderr) / direct.stderr) <= 1e-11
+
+        azimuths = np.array([0.0, 0.5 * np.pi])
+        cols = build_zeta_eta(lent.xi_nodes[:, None], lent.t, K_DESK, azimuths[None])[0]
+        cols = cols.reshape(-1, 3)
+        # one build per column in each run, every one direct in the second
+        assert direct_builds[len(cols):] == [True] * len(cols)
+        signed = []
+        for perm in itertools.permutations(range(3)):
+            for signs in itertools.product((1.0, -1.0), repeat=3):
+                P = np.zeros((3, 3))
+                P[np.arange(3), perm] = signs
+                signed.append(P)
+        orbits = []
+        for z in cols:
+            images = np.concatenate([np.array(signed) @ z, np.conj(np.array(signed) @ z)])
+            tol = 1e-12 * np.abs(z).max()
+            if not any(np.abs(images - r).max(axis=1).min() <= tol for r in orbits):
+                orbits.append(z)
+        assert len(cols) == 1556 and n_direct == len(orbits) < 80
 
     def test_deterministic_rerun(self, small_ensemble, grid, hom_medium, desk_capacity):
         kwargs = dict(
