@@ -16,6 +16,10 @@ the scalar denominator being the Faddeev symbol. Unlike the outgoing kernel,
 this inverse decays like 1/|Im zeta|, which is what gives the remainder
 estimate its 1/t behaviour. Phase constraints (zeta . zeta = k^2) use the
 bilinear dot product throughout.
+
+The correction enters its equation only through m W, so it is iterated on
+the bounding box of supp(m) with the same discrete operator restricted to
+the box (`greens.box_multiplier`); one full-grid apply then gives W.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ from .geometry import (
     trilinear_interpolate,
 )
 from .forward import SolverError, curl_grid, neumann_solve
-from .greens import padded_fft_apply
+from .greens import _UPPER, box_multiplier, padded_fft_apply, symmetric_symbol
 
 __all__ = [
     "CgoSolution",
@@ -220,7 +224,7 @@ class ConjugatedResolvent:
     there, and near bins the lender lacks, are averaged directly.
 
     The projection I - q q^T/k^2 of the inverse is folded in at build time:
-    with g = q inv / k^2 the multiplier maps f to f inv - g (q . f).
+    the symmetric multiplier inv (I - q q^T/k^2) is stored as its six entries.
     """
 
     _SUBSAMPLE = 12
@@ -238,9 +242,9 @@ class ConjugatedResolvent:
         sz = kv[2][None, None, :]
         z = self.zeta
         denom = sx ** 2 + sy ** 2 + sz ** 2 + 2.0 * (sx * z[0] + sy * z[1] + sz * z[2])
-        ds = kv[0][1] - kv[0][0]
+        ds = [kv[a][1] - kv[a][0] for a in range(3)]  # spectral cell widths
         grad_scale = 4.0 * (abs(z).max() + k)
-        near = np.abs(denom) < grad_scale * ds
+        near = np.abs(denom) < grad_scale * max(ds)
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = np.where(near, 0.0, 1.0 / np.where(near, 1.0, denom))
         todo = near
@@ -255,14 +259,14 @@ class ConjugatedResolvent:
             todo = near.copy()
             todo.ravel()[dst[ok]] = False
         S = self._SUBSAMPLE
-        q1 = ((np.arange(S) + 0.5) / S - 0.5) * ds
-        half = q1[S // 2:]  # q1 is symmetric about 0: fold x onto +half
+        qx, qy, qz = (((np.arange(S) + 0.5) / S - 0.5) * d for d in ds)
+        half = qx[S // 2:]  # the offsets are symmetric about 0: fold x onto +half
         idx = np.nonzero(todo)
         c = np.stack([kv[a][idx[a]] for a in range(3)], axis=1) + z
         L2 = (2.0 * half * c[:, :1]) ** 2
         X = denom[idx][:, None] + half ** 2
-        Y = 2.0 * q1 * c[:, 1:2] + q1 ** 2
-        Z = 2.0 * q1 * c[:, 2:3] + q1 ** 2
+        Y = 2.0 * qy * c[:, 1:2] + qy ** 2
+        Z = 2.0 * qz * c[:, 2:3] + qz ** 2
         YZ = (Y[:, :, None] + Z[:, None, :]).reshape(len(c), S * S)
         avg = np.empty(len(c), dtype=np.complex128)
         for b in range(0, len(c), self._CHUNK):
@@ -276,19 +280,23 @@ class ConjugatedResolvent:
         self._inv = inv
         near_idx = np.flatnonzero(near)
         self.near = (near_idx, inv.ravel()[near_idx])
-        self._q = (sx + z[0], sy + z[1], sz + z[2])
-        self._g = np.stack([qc * inv for qc in self._q]) / self.k ** 2
-
-    def _symbol(self, fh: np.ndarray) -> np.ndarray:
-        q = self._q
-        qdot = q[0] * fh[0] + q[1] * fh[1] + q[2] * fh[2]
-        fh *= self._inv
-        fh -= self._g * qdot
-        return fh
+        q = (sx + z[0], sy + z[1], sz + z[2])
+        self._mult = np.empty((6,) + p, dtype=np.complex128)
+        for e, (i, j) in enumerate(_UPPER):  # inv (delta_ij - q_i q_j / k^2)
+            np.multiply(-q[i] * q[j] / self.k ** 2, inv, out=self._mult[e])
+            if i == j:
+                self._mult[e] += inv
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """A^{-1} f for amplitude-level values of shape (3, nx, ny, nz)."""
-        return padded_fft_apply(f, self.padded, self._symbol)
+        return padded_fft_apply(f, self.padded, symmetric_symbol(self._mult))
+
+    def on_box(self, dims: tuple):
+        """A^{-1} restricted to a box of `dims` cells anywhere in the grid, as
+        a function of values of shape (3,) + dims (`box_multiplier`)."""
+        padded = tuple(2 * s for s in dims)
+        symbol = symmetric_symbol(box_multiplier(self._mult, dims))
+        return lambda f: padded_fft_apply(f, padded, symbol)
 
 
 def _orbit(zeta: np.ndarray, dims: tuple):
@@ -318,13 +326,16 @@ class CgoRemainderSolver:
     """CGO remainder solves for one (k, medium, grid).
 
     With U0 = eta e^{i zeta x} exact for m = 0, the amplitude correction W
-    solves the conjugated fixed point W = A^{-1}(-k^2 m (eta + W)) by Neumann
-    iteration. The contrast is sampled once. The first zeta of each symmetry
-    orbit (`_orbit`) builds its resolvent directly, and the near-bin data
-    are kept for the solver's lifetime; every later zeta whose canonical form
-    agrees to 1e-12 relative borrows them (see `ConjugatedResolvent`). On a
-    cubic grid the 778 columns of a 389-node xi lattice fall into about 30
-    orbits; a non-cubic grid shares only reflections and conjugation.
+    solves the conjugated fixed point W = A^{-1}(-k^2 m (eta + W)). The
+    contrast and the bounding box B of its support are found once. Neumann
+    iteration with A^{-1} restricted to B (`ConjugatedResolvent.on_box`)
+    gives W_B, and one full-grid `apply` of -k^2 m (eta + W_B) gives W. The
+    first zeta of each symmetry orbit (`_orbit`) builds its resolvent
+    directly, and the near-bin data are kept for the solver's lifetime;
+    every later zeta whose canonical form agrees to 1e-12 relative borrows
+    them (see `ConjugatedResolvent`). On a cubic grid the 778 columns of a
+    389-node xi lattice fall into about 30 orbits; a non-cubic grid shares
+    only reflections and conjugation.
     """
 
     def __init__(self, k: float, medium: MediumSpec, grid: Grid3,
@@ -335,7 +346,10 @@ class CgoRemainderSolver:
         self.max_iter = max_iter
         m_grid = evaluate_on_grid(medium, grid).values.real
         self.homogeneous = not np.any(m_grid)
-        self._km = self.k ** 2 * m_grid[None]
+        if not self.homogeneous:  # m W vanishes off supp(m): iterate on its bounding box
+            support = [slice(a.min(), a.max() + 1) for a in np.nonzero(m_grid)]
+            self._box = (slice(None), *support)
+            self._km = self.k ** 2 * m_grid[None][self._box]
         self._canon = np.empty((0, 3), dtype=np.complex128)  # one row per orbit
         self._lenders = []  # per orbit: (near data, P, conj) of its direct build
 
@@ -355,16 +369,19 @@ class CgoRemainderSolver:
 
     def solve(self, zeta: np.ndarray, eta: np.ndarray):
         """The correction W, shape (3, nx, ny, nz), of the CGO solution with
-        phase zeta and polarization eta, and its fixed-point residual; W = 0
-        and residual 0 for m = 0. Raises SolverError if the iteration
-        stagnates or runs out of iterations above the tolerance."""
+        phase zeta and polarization eta, and the relative fixed-point
+        residual of the box system; W = 0 and residual 0 for m = 0. Raises
+        SolverError if the iteration stagnates or runs out of iterations
+        above the tolerance."""
         if self.homogeneous:
             return np.zeros((3,) + self.grid.dims, dtype=np.complex128), 0.0
         resolvent = self._resolvent(zeta)
         km = self._km
-        b = resolvent.apply(-km * eta[:, None, None, None])
+        on_box = resolvent.on_box(km.shape[1:])
+        src = -km * eta[:, None, None, None]
+        b = on_box(src)
         W, iters, res, history = neumann_solve(
-            lambda W: W + resolvent.apply(km * W), b, self.tol, self.max_iter
+            lambda W: W + on_box(km * W), b, self.tol, self.max_iter
         )
         if res > self.tol:
             raise SolverError(
@@ -372,7 +389,9 @@ class CgoRemainderSolver:
                 f"after {iters} iterations; the medium contrast is too strong for this t",
                 history,
             )
-        return W, float(res)
+        full = np.zeros((3,) + self.grid.dims, dtype=np.complex128)
+        full[self._box] = src - km * W  # -k^2 m (eta + W_B)
+        return resolvent.apply(full), float(res)
 
 
 def solve_cgo_remainder(
@@ -396,9 +415,10 @@ def solve_cgo_remainder(
 
     For m = 0 the residual is algebraically zero (curl curl of the plane
     phase reproduces k^2 U0 exactly since zeta.zeta = k^2 and zeta.eta = 0);
-    otherwise the reported residual is the converged fixed-point residual of
-    the conjugated equation, which is the consistency measure the
-    reconstruction relies on.
+    otherwise the reported residual is the converged relative fixed-point
+    residual of the conjugated equation on the contrast's support box (the
+    full-grid residual of W is A^{-1} k^2 m applied to it), which is the
+    consistency measure the reconstruction relies on.
     """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")

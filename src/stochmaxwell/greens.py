@@ -50,6 +50,33 @@ def padded_fft_apply(f: np.ndarray, padded: tuple, symbol) -> np.ndarray:
     return g
 
 
+def symmetric_symbol(S: np.ndarray):
+    """Multiplier callback for `padded_fft_apply` of the symmetric 3x3 symbol
+    stored as its six distinct entries S (6, ...) in `_UPPER` order."""
+    def symbol(f_hat):
+        out = np.empty_like(f_hat)
+        for i, (e0, e1, e2) in enumerate(_ENTRY):
+            out[i] = S[e0] * f_hat[0] + S[e1] * f_hat[1] + S[e2] * f_hat[2]
+        return out
+
+    return symbol
+
+
+def box_multiplier(S: np.ndarray, dims: tuple) -> np.ndarray:
+    """Symbol on the 2s lattice of the padded multiplier S (..., p0, p1, p2)
+    restricted to a box of s = `dims` cells: the kernel (inverse transform of
+    S) pruned axis by axis to the box's displacements -(s_a - 1) .. s_a - 1,
+    embedded circulantly in 2 s_a points (s_a never occurs) and transformed,
+    so `padded_fft_apply(f, 2s, ...)` with it is the padded apply on the box."""
+    K = S
+    for ax in (-1, -2, -3):
+        K = np.moveaxis(sfft.ifft(K, axis=ax), ax, 0)  # displacements first
+        s, p = dims[ax], len(K)
+        K = np.concatenate([K[:s], np.zeros_like(K[:1]), K[p - s + 1:]])
+        K = np.moveaxis(K, 0, ax)
+    return sfft.fftn(K, axes=(-3, -2, -1), overwrite_x=True)
+
+
 class SingularityError(ValueError):
     """Kernel evaluated at a singular point (r = 0 or x = y)."""
 
@@ -211,15 +238,7 @@ class FreeConvolver:
         """Apply the dyadic convolution G * f to values of shape (3, nx, ny, nz)."""
         if not np.all(np.isfinite(f)):
             raise ValueError("non-finite values in resolvent input")
-        G = self._green_hat
-
-        def symbol(f_hat):
-            out = np.empty_like(f_hat)
-            for i, (e0, e1, e2) in enumerate(_ENTRY):
-                out[i] = G[e0] * f_hat[0] + G[e1] * f_hat[1] + G[e2] * f_hat[2]
-            return out
-
-        return padded_fft_apply(f, self.padded, symbol)
+        return padded_fft_apply(f, self.padded, symmetric_symbol(self._green_hat))
 
     def apply(self, f: VectorFieldC3) -> VectorFieldC3:
         if f.grid != self.grid:

@@ -14,13 +14,14 @@ from stochmaxwell.cgo import (
     plane_wave_on,
     solve_cgo_remainder,
 )
-from stochmaxwell.forward import SolverError, curl_grid
+from stochmaxwell.forward import SolverError, curl_grid, neumann_solve
 from stochmaxwell.geometry import (
     Bump,
     ConfigurationError,
     Grid3,
     MediumSpec,
     SphereMesh,
+    evaluate_on_grid,
     trilinear_interpolate,
 )
 from stochmaxwell.verify import cgo_product_identity, cgo_stencil_residual, remainder_norm
@@ -28,6 +29,8 @@ from stochmaxwell.verify import cgo_product_identity, cgo_stencil_residual, rema
 from conftest import rel_err
 
 K = 2.0
+# a non-cubic grid: its axes have spectral cells of two widths
+BOX = Grid3(origin=(-1.6, -1.9, -1.6), spacing=0.33, dims=(10, 12, 10))
 
 
 def correction(sol):
@@ -144,11 +147,30 @@ class TestConjugatedResolvent:
 
     @staticmethod
     def cell_mean(zeta, s0, ds, sub=12):
-        q = ((np.arange(sub) + 0.5) / sub - 0.5) * ds
-        ox, oy, oz = (a.ravel() for a in np.meshgrid(q, q, q, indexing="ij"))
+        """Midpoint mean of the reciprocal symbol over the cell of widths ds
+        about s0."""
+        q = [((np.arange(sub) + 0.5) / sub - 0.5) * d for d in ds]
+        ox, oy, oz = (a.ravel() for a in np.meshgrid(*q, indexing="ij"))
         s = np.stack([s0[0] + ox, s0[1] + oy, s0[2] + oz])
         dn = np.sum(s * s, axis=0) + 2.0 * np.tensordot(zeta, s, axes=1)
         return np.mean(1.0 / dn)
+
+    @classmethod
+    def assert_cell_means(cls, grid, xi, azimuth):
+        """Far bins are 1/denom bit for bit; near bins, taken at the widest
+        spectral cell, are within 1e-9 of the mean over each axis's cell."""
+        for zeta in build_zeta_eta(np.array(xi), 5.0, K, azimuth=azimuth)[0]:
+            res = ConjugatedResolvent(zeta, K, grid)
+            kv, denom = cls.symbol_lattice(zeta, grid)
+            ds = [v[1] - v[0] for v in kv]
+            near = np.abs(denom) < 4.0 * (np.abs(zeta).max() + K) * max(ds)
+            assert 0 < near.sum() < near.size
+            assert np.array_equal(res._inv[~near], 1.0 / denom[~near])
+            worst = 0.0
+            for i, j, l in np.argwhere(near):
+                want = cls.cell_mean(zeta, (kv[0][i], kv[1][j], kv[2][l]), ds)
+                worst = max(worst, abs(res._inv[i, j, l] - want) / abs(want))
+            assert worst < 1e-9
 
     @pytest.mark.parametrize(
         "xi, azimuth",
@@ -160,19 +182,29 @@ class TestConjugatedResolvent:
         ],
     )
     def test_multipliers_match_direct_cell_means(self, xi, azimuth):
-        grid = self.GRID
-        for zeta in build_zeta_eta(np.array(xi), 5.0, K, azimuth=azimuth)[0]:
-            res = ConjugatedResolvent(zeta, K, grid)
-            kv, denom = self.symbol_lattice(zeta, grid)
-            ds = kv[0][1] - kv[0][0]
-            near = np.abs(denom) < 4.0 * (np.abs(zeta).max() + K) * ds
-            assert 0 < near.sum() < near.size
-            assert np.array_equal(res._inv[~near], 1.0 / denom[~near])
-            worst = 0.0
-            for i, j, l in np.argwhere(near):
-                want = self.cell_mean(zeta, (kv[0][i], kv[1][j], kv[2][l]), ds)
-                worst = max(worst, abs(res._inv[i, j, l] - want) / abs(want))
-            assert worst < 1e-9
+        self.assert_cell_means(self.GRID, xi, azimuth)
+
+    def test_non_cubic_cells_average_over_their_own_widths(self):
+        """On the 10 x 12 x 10 box the y cells are narrower than the x and z
+        cells."""
+        self.assert_cell_means(BOX, (0.6, -0.3, 0.2), 0.0)
+
+    @pytest.mark.parametrize(
+        "grid, lo, dims",
+        [(GRID, (4, 5, 3), (1, 1, 1)), (BOX, (0, 7, 3), (3, 5, 2)), (GRID, (0, 0, 0), (10, 10, 10))],
+        ids=["one-cell", "off-centre-face", "whole-grid"],
+    )
+    def test_box_operator_is_the_restricted_apply(self, grid, lo, dims):
+        """On values supported in a box, the box operator equals the full
+        padded apply read on the box."""
+        zeta = build_zeta_eta(np.array([0.6, -0.3, 0.2]), 5.0, K)[0][0]
+        res = ConjugatedResolvent(zeta, K, grid)
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal((3,) + dims) + 1j * rng.standard_normal((3,) + dims)
+        box = (slice(None),) + tuple(slice(a, a + s) for a, s in zip(lo, dims))
+        full = np.zeros((3,) + grid.dims, dtype=np.complex128)
+        full[box] = f
+        assert rel_err(res.on_box(dims)(f), res.apply(full)[box]) <= 1e-13
 
 
     @pytest.mark.parametrize(
@@ -283,7 +315,6 @@ class TestRemainderSolver:
     SWAP = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
     CYCLE = np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
     SWAP_XZ = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
-    BOX = Grid3(origin=(-1.6, -1.9, -1.6), spacing=0.33, dims=(10, 12, 10))
 
     @pytest.mark.parametrize(
         "grid, xi, azimuth, P, want",
@@ -314,6 +345,42 @@ class TestRemainderSolver:
         for zeta, res in zip(zetas, got):
             direct = ConjugatedResolvent(zeta, K, grid)
             assert np.max(np.abs(res._inv - direct._inv) / np.abs(direct._inv)) <= 1e-9
+
+    @pytest.mark.parametrize("grid", [GRID, BOX], ids=["cube", "non-cubic"])
+    def test_box_solve_matches_full_grid_iteration(self, contrast_medium, grid):
+        """The solve on the contrast's support box agrees with the Neumann
+        iteration over the full-grid apply, and the W it returns meets the
+        full-grid fixed point."""
+        tol = 1e-13
+        zeta, eta, _ = build_zeta_eta(np.array([0.9, 0.4, -0.2]), 5.0, K)
+        zeta, eta = zeta[0], eta[0]
+        W, _ = CgoRemainderSolver(K, contrast_medium, grid, tol=tol).solve(zeta, eta)
+        res = ConjugatedResolvent(zeta, K, grid)
+        km = K ** 2 * evaluate_on_grid(contrast_medium, grid).values.real[None]
+        b = res.apply(-km * eta[:, None, None, None])
+
+        def fixed_point(W):
+            return W + res.apply(km * W)
+
+        want, _, _, _ = neumann_solve(fixed_point, b, tol, 60)
+        assert rel_err(W, want) <= 10 * tol
+        assert rel_err(fixed_point(W), b) <= 10 * tol
+
+    def test_one_full_grid_apply_per_solve(self, contrast_medium, monkeypatch):
+        """The iteration runs on the support box; only the final evaluation
+        of W on the whole grid goes through the full-grid apply."""
+        calls = []
+        apply = ConjugatedResolvent.apply
+
+        def counted(self, f):
+            calls.append(f.shape)
+            return apply(self, f)
+
+        monkeypatch.setattr(cgo.ConjugatedResolvent, "apply", counted)
+        zeta, eta, _ = build_zeta_eta(np.array([0.9, 0.4, -0.2]), 5.0, K)
+        W, _ = CgoRemainderSolver(K, contrast_medium, self.GRID).solve(zeta[0], eta[0])
+        assert np.any(W)
+        assert len(calls) == 1
 
     def test_stacked_pairs_match_single_builds(self):
         xis = np.array([[0.0, 0.0, 0.0], [0.9, 0.4, -0.2], [-1e-300, 0.0, 2e-300]])
