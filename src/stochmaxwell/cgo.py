@@ -37,7 +37,7 @@ from .geometry import (
     evaluate_on_grid,
     trilinear_interpolate,
 )
-from .forward import SolverError, curl_grid, neumann_solve
+from .forward import SolverError, _bounding_box, curl_grid, neumann_solve
 from .greens import _UPPER, box_multiplier, padded_fft_apply, symmetric_symbol
 
 __all__ = [
@@ -347,8 +347,7 @@ class CgoRemainderSolver:
         m_grid = evaluate_on_grid(medium, grid).values.real
         self.homogeneous = not np.any(m_grid)
         if not self.homogeneous:  # m W vanishes off supp(m): iterate on its bounding box
-            support = [slice(a.min(), a.max() + 1) for a in np.nonzero(m_grid)]
-            self._box = (slice(None), *support)
+            self._box = (slice(None), *_bounding_box(m_grid))
             self._km = self.k ** 2 * m_grid[None][self._box]
         self._canon = np.empty((0, 3), dtype=np.complex128)  # one row per orbit
         self._lenders = []  # per orbit: (near data, P, conj) of its direct build

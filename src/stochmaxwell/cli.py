@@ -26,7 +26,7 @@ from .capacity import CapacityOperator
 from .cgo import build_zeta_eta
 from .config import ExperimentConfig
 from .ensemble import generate_ensemble, manifest_hash, read_ensemble, write_ensemble
-from .forward import MaxwellSolver, SolverError
+from .forward import MaxwellSolver, SolverError, extract_trace
 from .geometry import (
     Bump,
     ConfigurationError,
@@ -103,7 +103,8 @@ def _verify_table(cfg: ExperimentConfig) -> list:
     def ibp():
         prof = evaluate_on_grid(sig, grid).values
         src = np.stack([prof, np.zeros_like(prof), 0.5 * prof])
-        trace = MaxwellSolver(k, medium, grid).solve(VectorFieldC3(grid, src), mesh=mesh).trace
+        field = MaxwellSolver(k, medium, grid).solve(VectorFieldC3(grid, src)).field
+        trace = extract_trace(field, mesh)
         return verify.ibp_identity(cap, grid, src, trace, verify.plane_waves(rng, k, 5))
 
     return [

@@ -20,6 +20,10 @@ __all__ = ["ExperimentConfig", "parse_bumps", "format_bumps"]
 _RETIRED_KEYS = {("stability", "q"), ("stability", "m2")}
 
 
+def _one_line(exc: Exception) -> str:
+    return " ".join(str(exc).split())
+
+
 def parse_bumps(text: str) -> tuple[Bump, ...]:
     bumps = []
     for part in text.split(";"):
@@ -107,7 +111,10 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         cp = configparser.ConfigParser()
-        read = cp.read(path)
+        try:
+            read = cp.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigurationError(_one_line(exc)) from exc
         if not read:
             raise ConfigurationError(f"cannot read config file {path}")
         return cls._from_parser(cp)
@@ -115,7 +122,10 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         cp = configparser.ConfigParser()
-        cp.read_string(text)
+        try:
+            cp.read_string(text)
+        except configparser.Error as exc:
+            raise ConfigurationError(_one_line(exc)) from exc
         return cls._from_parser(cp)
 
     @classmethod
@@ -126,9 +136,12 @@ class ExperimentConfig:
         def get(section, option, conv, key=None):
             known.add((section, option.lower()))
             if cp.has_option(section, option):
-                raw = cp.get(section, option).strip()
-                if raw:
-                    kw[key or option] = conv(raw)
+                try:
+                    raw = cp.get(section, option).strip()
+                    if raw:
+                        kw[key or option] = conv(raw)
+                except (configparser.Error, ValueError) as exc:
+                    raise ConfigurationError(f"[{section}] {option}: {_one_line(exc)}") from exc
 
         get("physics", "k", float)
         get("physics", "R", float)

@@ -13,20 +13,13 @@ import os
 
 import numpy as np
 
-from .forward import (
-    HomogeneousTraceMap,
-    MaxwellSolver,
-    SolverError,
-    noise_amplitude,
-    noise_values,
-)
+from .forward import HomogeneousTraceMap, noise_amplitude, noise_values
 from .geometry import (
     ConfigurationError,
     Grid3,
     MediumSpec,
     SourceStrength,
     SphereMesh,
-    VectorFieldC3,
     evaluate_on_grid,
 )
 
@@ -54,42 +47,27 @@ def generate_ensemble(
 ) -> np.ndarray:
     """Boundary traces E x nu of M independent white-noise realizations.
 
-    Homogeneous media go through the direct Green-superposition trace map,
-    one matrix product per chunk of _REALIZATION_CHUNK currents, so memory is
-    the map, one chunk and the output; inhomogeneous media solve the volume
-    integral equation per realization. Any solver failure aborts the run
-    (failure budget is zero).
+    One `HomogeneousTraceMap` of the medium (its scattered term solved to
+    tol within max_iter iterations) is applied to _REALIZATION_CHUNK
+    currents at a time, one matrix product per chunk, so memory is the map,
+    one chunk and the output. A solver failure in the map build raises
+    SolverError (failure budget is zero).
     """
     if M < 1:
         raise ConfigurationError("ensemble size must be at least 1")
     sig = evaluate_on_grid(sigma, grid).values.real
-    amp = noise_amplitude(sig, grid.spacing)
+    mask = sig > 0
     traces = np.zeros((M, mesh.n_nodes, 3), dtype=np.complex128)
-    if medium.is_homogeneous:
-        mask = sig > 0
-        if not np.any(mask):
-            return traces
-        tmap = HomogeneousTraceMap(k, grid, mask, mesh)
-        amp = amp[mask]
-        J = np.empty((min(M, _REALIZATION_CHUNK), tmap.n_cells, 3))
-        for lo in range(0, M, _REALIZATION_CHUNK):
-            n = min(_REALIZATION_CHUNK, M - lo)
-            for i in range(n):
-                J[i] = noise_values(amp, master_seed, lo + i, mask).T
-            traces[lo : lo + n] = tmap.traces(J[:n])
+    if not np.any(mask):
         return traces
-
-    solver = MaxwellSolver(k, medium, grid)
-    for r in range(M):
-        J = noise_values(amp, master_seed, r)
-        src = VectorFieldC3(grid, 1j * k * J.astype(np.complex128))
-        try:
-            sol = solver.solve(src, tol=tol, max_iter=max_iter, mesh=mesh)
-        except SolverError as exc:
-            raise SolverError(
-                f"realization {r} failed: {exc}", exc.residual_history
-            ) from exc
-        traces[r] = sol.trace
+    tmap = HomogeneousTraceMap(k, grid, mask, mesh, medium, tol, max_iter)
+    amp = noise_amplitude(sig, grid.spacing)[mask]
+    J = np.empty((min(M, _REALIZATION_CHUNK), tmap.n_cells, 3))
+    for lo in range(0, M, _REALIZATION_CHUNK):
+        n = min(_REALIZATION_CHUNK, M - lo)
+        for i in range(n):
+            J[i] = noise_values(amp, master_seed, lo + i, mask).T
+        traces[lo : lo + n] = tmap.traces(J[:n])
     return traces
 
 

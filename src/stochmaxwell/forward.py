@@ -1,4 +1,5 @@
-"""White-noise current sampling and the volume-integral Maxwell solver.
+"""White-noise current sampling, the volume-integral Maxwell solver and the
+boundary trace map.
 
 The inhomogeneous-medium problem is solved in Lippmann-Schwinger form
 
@@ -7,6 +8,10 @@ The inhomogeneous-medium problem is solved in Lippmann-Schwinger form
 by Neumann iteration with an automatic switch to restarted GMRES when the
 contrast is too strong for the fixed point to contract. The radiation
 condition is inherited from the outgoing convolution kernel.
+
+Ensembles go through `HomogeneousTraceMap`, the current-to-trace map of any
+medium; the full-grid `MaxwellSolver.solve` with `extract_trace` is the
+reference it is checked against.
 """
 from __future__ import annotations
 
@@ -38,6 +43,7 @@ __all__ = [
 
 NOISE_STREAM_TAG = 0x57484E53  # stream tag for white-noise draws in the seed law
 _NODE_BLOCK = 16  # mesh nodes per block of the trace-map build
+_SCATTER_BYTES = 1 << 25  # padded transforms per node block of the scattered term
 
 
 class SolverError(RuntimeError):
@@ -53,7 +59,6 @@ class ForwardSolution:
     field: VectorFieldC3
     iterations: int  # Neumann iterations plus GMRES inner iterations
     residual: float
-    trace: np.ndarray | None = None  # (n_nodes, 3) E x nu on the mesh
 
 
 def noise_amplitude(sigma_grid: np.ndarray, spacing: float) -> np.ndarray:
@@ -109,64 +114,52 @@ class MaxwellSolver:
         self.medium = medium
         self.convolver = FreeConvolver(self.k, grid)
         self.m_grid = evaluate_on_grid(medium, grid).values.real
-        self.homogeneous = not np.any(self.m_grid)
 
     def _apply_ls(self, E: np.ndarray) -> np.ndarray:
         """(I + k^2 R0 M) E with R0 the true resolvent (curl curl - k^2)^{-1}."""
-        return E + self.k ** 2 * self.convolver.apply_resolvent_array(
-            self.m_grid[None] * E
-        )
+        return E + self.k ** 2 * self.convolver.apply_resolvent_array(self.m_grid * E)
 
-    def solve(
-        self,
-        source: VectorFieldC3,
-        tol: float = 1e-10,
-        max_iter: int = 60,
-        mesh: SphereMesh | None = None,
-    ) -> ForwardSolution:
+    def solve(self, source: VectorFieldC3, tol: float = 1e-10,
+              max_iter: int = 60) -> ForwardSolution:
         if source.grid != self.grid:
             raise ValueError("source grid does not match solver grid")
         b = self.convolver.apply_resolvent_array(source.values)
+        E, iters, res = self.solve_incident(b, tol, max_iter)
+        return ForwardSolution(field=VectorFieldC3(self.grid, E), iterations=iters, residual=res)
+
+    def solve_incident(self, b: np.ndarray, tol: float = 1e-10, max_iter: int = 60):
+        """E = b - k^2 R0(m E) for incident fields b of shape
+        (..., 3, nx, ny, nz), by Neumann iteration with a hand-off to
+        restarted GMRES on stagnation.
+
+        A batch is solved as one system: its relative residual
+        ||(I + k^2 R0 m) E - b|| / ||b|| is taken over the whole batch.
+        Returns (E, iterations, residual), the iterations counting the GMRES
+        inner ones; raises SolverError when the residual misses tol.
+        """
         bnorm = np.linalg.norm(b)
-        if self.homogeneous or bnorm == 0.0:
-            E, iters, res = b, 1, 0.0
-        else:
-            E, iters, res, history = neumann_solve(self._apply_ls, b, tol, max_iter)
-            if res > tol:  # stagnation: hand off to GMRES
-                E, iters, res = self._gmres(b, bnorm, tol, max_iter, E, history)
-            if res > tol:
-                raise SolverError(
-                    f"Maxwell solve stagnated at residual {res:.3e} (tol {tol:.1e})",
-                    history,
-                )
-        field = VectorFieldC3(self.grid, E)
-        trace = extract_trace(field, mesh) if mesh is not None else None
-        return ForwardSolution(field=field, iterations=iters, residual=res, trace=trace)
-
-    def _gmres(self, b, bnorm, tol, max_iter, x0, history):
-        shape = b.shape
-
-        def mv(v):
-            return self._apply_ls(v.reshape(shape)).ravel()
-
-        n = b.size
-        A = LinearOperator((n, n), matvec=mv, dtype=np.complex128)
-        inner = []  # one residual estimate per GMRES inner iteration
-        sol, info = gmres(
-            A,
-            b.ravel(),
-            x0=x0.ravel(),
-            rtol=tol,
-            atol=0.0,
-            restart=30,
-            maxiter=max_iter,
-            callback=inner.append,
-            callback_type="pr_norm",
-        )
-        E = sol.reshape(shape)
-        iters = len(history) + len(inner)
-        res = np.linalg.norm(self._apply_ls(E) - b) / bnorm
-        history.append(res)
+        if not np.any(self.m_grid) or bnorm == 0.0:
+            return b, 1, 0.0
+        E, iters, res, history = neumann_solve(self._apply_ls, b, tol, max_iter)
+        if res > tol:  # stagnation: hand off to GMRES
+            n = b.size
+            A = LinearOperator(
+                (n, n), matvec=lambda v: self._apply_ls(v.reshape(b.shape)).ravel(),
+                dtype=np.complex128,
+            )
+            inner = []  # one residual estimate per GMRES inner iteration
+            sol, _ = gmres(
+                A, b.ravel(), x0=E.ravel(), rtol=tol, atol=0.0, restart=30,
+                maxiter=max_iter, callback=inner.append, callback_type="pr_norm",
+            )
+            E = sol.reshape(b.shape)
+            iters += len(inner)
+            res = np.linalg.norm(self._apply_ls(E) - b) / bnorm
+            history.append(res)
+        if res > tol:
+            raise SolverError(
+                f"Maxwell solve stagnated at residual {res:.3e} (tol {tol:.1e})", history
+            )
         return E, iters, res
 
 
@@ -201,20 +194,65 @@ def curl_grid(F: np.ndarray, h: float) -> np.ndarray:
     )
 
 
+def _dipole_block(k: float, weight: float, coords: np.ndarray, mesh: SphereMesh, nodes: slice):
+    """Trace-map rows of the cells at `coords` (C, 3) for a block of mesh
+    nodes, (C, 3, B, 3): [c, j, n, i] is component i of the trace E x nu at
+    node n per unit current J_j in cell c, that is `weight` G(x_n - y_c)
+    contracted with nu_n x e_i. Read along (c, j), column (n, i) is the field
+    in the cells of the tangential dipole nu_n x e_i at x_n (G is
+    symmetric)."""
+    nu = mesh.normals[nodes]
+    d = mesh.nodes[nodes][None, :, :] - coords[:, None, :]  # (C, B, 3)
+    a, b = _green_coeffs(k, np.linalg.norm(d, axis=2))
+    # E x nu = -[nu]_x E, and [nu]_x (a I + b d d^T) = a [nu]_x + b (nu x d) d^T
+    nu_x = np.cross(nu[:, None, :], np.eye(3)[None])  # [n, j, i] = (nu_n x e_j)_i
+    nu_d = np.cross(nu[None], d)  # (C, B, 3)
+    return -weight * (
+        a[:, None, :, None] * nu_x.transpose(1, 0, 2)[None]
+        + b[:, None, :, None] * d.transpose(0, 2, 1)[..., None] * nu_d[:, None]
+    )
+
+
+def _sub_grid(grid: Grid3, box: tuple) -> Grid3:
+    """The grid of the cells in `box`, a tuple of three index slices."""
+    lo = np.array([s.start for s in box])
+    return Grid3(tuple(np.asarray(grid.origin) + lo * grid.spacing), grid.spacing,
+                 tuple(s.stop - s.start for s in box))
+
+
+def _bounding_box(mask: np.ndarray) -> tuple:
+    """Index slices of the smallest box holding the nonzero cells of `mask`."""
+    return tuple(slice(int(a.min()), int(a.max()) + 1) for a in np.nonzero(mask))
+
+
 class HomogeneousTraceMap:
     """Linear map from current samples on the source support to the boundary
-    trace, for the homogeneous medium where E = R0(k)(i k J) is an exact
-    superposition of Green-tensor columns: direct summation, with no FFT and
-    no interpolation, which makes large Monte Carlo ensembles cheap.
+    trace, in any medium: E = R0(k)(i k J) - k^2 R0(k)(m E) is linear in J,
+    so the trace of every current is one matrix product, which makes large
+    Monte Carlo ensembles cheap.
 
     The map is one C-contiguous complex (3C, 3N) array, 3C * 3N * 16 bytes
     for C support cells and N mesh nodes: row 3c + j takes component j of the
     current in cell c, column 3n + i gives component i of the trace E x nu at
     node n. The tangential cross product is folded into the map, and each
     entry carries the h^3 cell weight; the ik source factor cancels the
-    1/(ik) of R0 = G/(ik). The build fills it in blocks of _NODE_BLOCK mesh
-    nodes, writing G = a I + b d d^T straight into its final layout, so the
-    build needs the map plus one block of temporaries.
+    1/(ik) of R0 = G/(ik).
+
+    In the homogeneous medium (m = 0 on the grid) the map is the direct
+    superposition of closed-form Green-tensor columns, with no FFT and no
+    interpolation. The build fills it in blocks of _NODE_BLOCK mesh nodes,
+    writing G = a I + b d d^T straight into its final layout, so the build
+    needs the map plus one block of temporaries.
+
+    A contrast m adds a scattered term, by reciprocity (the discrete kernel
+    is symmetric): column (n, i) over the contrast's cells is the incident
+    field of a tangential dipole at node n. `MaxwellSolver.solve_incident`
+    solves a block of them at once (to tol within max_iter, SolverError
+    otherwise) on the bounding box of supp(m), and -k^2 R0(m E), read at the
+    source cells, is added to the column. Both box convolvers are the
+    full-grid operator restricted to their box, so the map is
+    T_src J + T_med(ik m E) with E the full-grid solution. Fields are taken
+    at grid cells inside the ball only, never at a mesh node.
 
     `traces` applies the map to a real current as one real matrix product
     with the map viewed as a real (3C, 6N) array, whose result, viewed as
@@ -222,7 +260,8 @@ class HomogeneousTraceMap:
     for its real part and one for its imaginary part.
     """
 
-    def __init__(self, k: float, grid: Grid3, support_mask: np.ndarray, mesh: SphereMesh):
+    def __init__(self, k: float, grid: Grid3, support_mask: np.ndarray, mesh: SphereMesh,
+                 medium: MediumSpec | None = None, tol: float = 1e-10, max_iter: int = 60):
         self.k = float(k)
         self.grid = grid
         self.mesh = mesh
@@ -233,17 +272,44 @@ class HomogeneousTraceMap:
         self._flat = np.empty((3 * C, 3 * N), dtype=np.complex128)
         out = self._flat.reshape(C, 3, N, 3)  # [c, j, n, i]
         for lo in range(0, N, _NODE_BLOCK):
-            nu = mesh.normals[lo : lo + _NODE_BLOCK]
-            d = mesh.nodes[lo : lo + _NODE_BLOCK][None, :, :] - coords[:, None, :]  # (C, B, 3)
-            a, b = _green_coeffs(self.k, np.linalg.norm(d, axis=2))
-            # E x nu = -[nu]_x E, and [nu]_x (a I + b d d^T) =
-            # a [nu]_x + b (nu x d) d^T
-            nu_x = np.cross(nu[:, None, :], np.eye(3)[None])  # [n, j, i] = (nu_n x e_j)_i
-            nu_d = np.cross(nu[None], d)  # (C, B, 3)
-            out[:, :, lo : lo + _NODE_BLOCK, :] = -grid.cell_volume * (
-                a[:, None, :, None] * nu_x.transpose(1, 0, 2)[None]
-                + b[:, None, :, None] * d.transpose(0, 2, 1)[..., None] * nu_d[:, None]
-            )
+            nodes = slice(lo, lo + _NODE_BLOCK)
+            out[:, :, nodes, :] = _dipole_block(self.k, grid.cell_volume, coords, mesh, nodes)
+        if medium is not None:
+            self._add_scattering(medium, tol, max_iter)
+
+    def _add_scattering(self, medium: MediumSpec, tol: float, max_iter: int) -> None:
+        grid, mesh, k = self.grid, self.mesh, self.k
+        contrast = evaluate_on_grid(medium, grid).values.real != 0
+        if not np.any(contrast):
+            return
+        box = _bounding_box(contrast)
+        solver = MaxwellSolver(k, medium, _sub_grid(grid, box))
+        cells = solver.m_grid != 0
+        cell_coords = solver.grid.nodes()[:, cells].T
+        outer = _bounding_box(contrast | self.support_mask)
+        conv = FreeConvolver(k, _sub_grid(grid, outer))
+        inner = tuple(slice(b.start - o.start, b.stop - o.start) for b, o in zip(box, outer))
+        sources = self.support_mask[outer]
+        # The dipole moments nu_n x e_i of a node's three columns are tangential,
+        # so two dipoles, nu_n x theta_n and nu_n x phi_n, span them: with
+        # P_n = [theta_n; phi_n], P_n^T P_n = I - nu_n nu_n^T, and column (n, i)
+        # is sum_t P_n[t, i] times the t-th dipole's column.
+        tangents = np.stack([mesh.theta_hat, mesh.phi_hat], axis=1)  # (N, 2, 3)
+        # nodes per block: the padded transforms of one node's two dipoles
+        # take 6 * prod(padded) complex values
+        block = int(np.clip(_SCATTER_BYTES // (96 * np.prod(conv.padded)), 1, _NODE_BLOCK))
+        out = self._flat.reshape(self.n_cells, 3, mesh.n_nodes, 3)
+        for lo in range(0, mesh.n_nodes, block):
+            nodes = slice(lo, lo + block)
+            P = tangents[nodes]
+            inc = _dipole_block(k, grid.cell_volume, cell_coords, mesh, nodes)
+            b = np.zeros((len(P), 2, 3) + solver.grid.dims, dtype=np.complex128)
+            b[..., cells] = np.einsum("cjni,nti->ntjc", inc, P)
+            E, _, _ = solver.solve_incident(b, tol, max_iter)
+            mE = np.zeros(b.shape[:3] + conv.grid.dims, dtype=np.complex128)
+            mE[(Ellipsis,) + inner] = solver.m_grid * E
+            scat = -k ** 2 * conv.apply_resolvent_array(mE)[..., sources]  # [n, t, j, c]
+            out[:, :, nodes, :] += np.einsum("ntjc,nti->cjni", scat, P)
 
     def traces(self, J_support: np.ndarray) -> np.ndarray:
         """Boundary traces E x nu for a batch of currents restricted to the

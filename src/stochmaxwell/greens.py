@@ -52,11 +52,13 @@ def padded_fft_apply(f: np.ndarray, padded: tuple, symbol) -> np.ndarray:
 
 def symmetric_symbol(S: np.ndarray):
     """Multiplier callback for `padded_fft_apply` of the symmetric 3x3 symbol
-    stored as its six distinct entries S (6, ...) in `_UPPER` order."""
+    stored as its six distinct entries S (6, ...) in `_UPPER` order; the
+    transforms (..., 3, p0, p1, p2) may carry leading batch axes."""
     def symbol(f_hat):
         out = np.empty_like(f_hat)
+        f = [f_hat[..., j, :, :, :] for j in range(3)]
         for i, (e0, e1, e2) in enumerate(_ENTRY):
-            out[i] = S[e0] * f_hat[0] + S[e1] * f_hat[1] + S[e2] * f_hat[2]
+            out[..., i, :, :, :] = S[e0] * f[0] + S[e1] * f[1] + S[e2] * f[2]
         return out
 
     return symbol
@@ -228,14 +230,17 @@ class FreeConvolver:
         # Product integration (module docstring) within the correction radius.
         # Cells at >= 4h keep exact point values, so a one-cell source
         # reproduces the analytic Green column exactly beyond that radius.
-        nc = min(_CORRECTION_CELLS, min(self.padded) // 2 - 1)
-        offs, avg = _near_cell_averages(self.lam, h, nc)
-        G[(slice(None),) + tuple((offs % self.padded).T)] = avg
+        # Only displacements that occur on the grid are set, so the operator
+        # of a sub-box of a grid is that grid's operator restricted to it.
+        offs, avg = _near_cell_averages(self.lam, h, _CORRECTION_CELLS)
+        occur = np.all(np.abs(offs) < np.asarray(grid.dims), axis=1)
+        G[(slice(None),) + tuple((offs[occur] % self.padded).T)] = avg[:, occur]
         G *= grid.cell_volume
         self._green_hat = sfft.fftn(G, axes=(1, 2, 3), overwrite_x=True)
 
     def apply_array(self, f: np.ndarray) -> np.ndarray:
-        """Apply the dyadic convolution G * f to values of shape (3, nx, ny, nz)."""
+        """Apply the dyadic convolution G * f to values of shape
+        (..., 3, nx, ny, nz)."""
         if not np.all(np.isfinite(f)):
             raise ValueError("non-finite values in resolvent input")
         return padded_fft_apply(f, self.padded, symmetric_symbol(self._green_hat))

@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import gmres
 
+from stochmaxwell import forward
 from stochmaxwell.forward import (
     HomogeneousTraceMap,
     MaxwellSolver,
@@ -225,7 +227,7 @@ class TestHomogeneousTraceMap:
         J = noise_values(noise_amplitude(sig, grid.spacing), 12, 0)
         direct = tmap.traces(J[:, mask].T[None])[0]
         src = VectorFieldC3(grid, 1j * K * J.astype(complex))
-        solved = solve(MediumSpec(ball_radius=1.0), src, mesh=mesh).trace
+        solved = extract_trace(solve(MediumSpec(ball_radius=1.0), src).field, mesh)
         # trilinear interpolation of the near-singular field limits agreement
         assert rel_err(solved, direct) < 0.05
 
@@ -282,3 +284,62 @@ class TestHomogeneousTraceMap:
             tracemalloc.stop()
         map_bytes = 3 * tmap.n_cells * 3 * mesh.n_nodes * 16
         assert peak <= 2 * map_bytes, f"build peak {peak / map_bytes:.2f} x the map"
+
+
+# the benchmark's medium bump
+BENCH_MEDIUM = MediumSpec((Bump((0.0, 0.1, 0.0), 0.6, 0.05),), ball_radius=1.0)
+BENCH_SIGMA = SourceStrength((Bump((0.0, 0.0, 0.0), 0.95, 0.1),), ball_radius=1.0)
+
+
+def scattering_reference(k, medium, sigma, grid, mesh, seeds, tol):
+    """Seed-law currents J on the source support, (M, C, 3), and their
+    reference traces T_src J + T_med(ik m E), with E the full-grid
+    Lippmann-Schwinger field at the contrast's cells solved to tol."""
+    sig = evaluate_on_grid(sigma, grid).values.real
+    m = evaluate_on_grid(medium, grid).values.real
+    src, med = sig > 0, m != 0
+    amp = noise_amplitude(sig, grid.spacing)
+    t_src = HomogeneousTraceMap(k, grid, src, mesh)
+    t_med = HomogeneousTraceMap(k, grid, med, mesh)
+    solver = MaxwellSolver(k, medium, grid)
+    J = np.stack([noise_values(amp, 1, r)[:, src].T for r in seeds])
+    want = t_src.traces(J)
+    for i, Ji in enumerate(J):
+        full = np.zeros((3,) + grid.dims)
+        full[:, src] = Ji.T
+        E = solver.solve(VectorFieldC3(grid, 1j * k * full), tol=tol).field.values
+        want[i] += t_med.traces((1j * k * m * E)[:, med].T[None])[0]
+    return J, want
+
+
+class TestMediumTraceMap:
+    @pytest.mark.parametrize("n", [10, 17])
+    def test_matches_full_grid_solve(self, n):
+        """On the benchmark's medium bump the map gives T_src J + T_med(ik m E),
+        E the full-grid solve at tol 1e-12, for three seed-law currents; the
+        scattered term is 0.2-0.4 % of the trace at n = 10."""
+        grid, mesh = Grid3.for_ball(1.3, n), SphereMesh(1.0, 12)
+        J, want = scattering_reference(K, BENCH_MEDIUM, BENCH_SIGMA, grid, mesh, (0, 1, 2), 1e-12)
+        mask = evaluate_on_grid(BENCH_SIGMA, grid).values.real > 0
+        tmap = HomogeneousTraceMap(K, grid, mask, mesh, BENCH_MEDIUM)
+        hom = HomogeneousTraceMap(K, grid, mask, mesh).traces(J)
+        assert rel_err(want, hom) > 1e-3
+        for got, ref in zip(tmap.traces(J), want):
+            assert rel_err(got, ref) <= 1e-9
+
+    def test_gmres_hand_off_in_map_build(self, sigma, monkeypatch):
+        """On the medium of `test_gmres_hand_off_converges` the batched
+        Neumann iteration stagnates and the build hands off to GMRES; the
+        map still gives the full-grid reference, and a tolerance GMRES cannot
+        reach raises SolverError."""
+        k, grid, mesh = 6.0, Grid3.for_ball(1.3, 13), SphereMesh(1.0, 4)
+        medium = MediumSpec((Bump((0.0, 0.0, 0.0), 0.95, 0.95),), ball_radius=1.0)
+        calls = []
+        monkeypatch.setattr(forward, "gmres", lambda *a, **kw: calls.append(1) or gmres(*a, **kw))
+        mask = evaluate_on_grid(sigma, grid).values.real > 0
+        tmap = HomogeneousTraceMap(k, grid, mask, mesh, medium)
+        assert calls
+        J, want = scattering_reference(k, medium, sigma, grid, mesh, (0,), 1e-12)
+        assert rel_err(tmap.traces(J)[0], want[0]) <= 1e-8
+        with pytest.raises(SolverError):
+            HomogeneousTraceMap(k, grid, mask, mesh, medium, tol=1e-18, max_iter=2)

@@ -129,6 +129,26 @@ class TestFreeConvolver:
             gap = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
             assert np.max(gap) <= 1e-12
 
+    @pytest.mark.parametrize("lo, dims", [((3, 2, 4), (2, 6, 3)), ((5, 5, 5), (1, 1, 1)),
+                                          ((0, 0, 0), (12, 12, 12))],
+                             ids=["thin", "one-cell", "whole-grid"])
+    def test_sub_box_is_the_restricted_operator(self, lo, dims):
+        """A convolver built on a box of the grid's cells, batched over a
+        leading axis, is the grid's operator restricted to the box, near-cell
+        corrections included on boxes thinner than the correction block."""
+        grid = Grid3.cube(1.0, 12)
+        box = (slice(None),) + tuple(slice(a, a + d) for a, d in zip(lo, dims))
+        origin = tuple(o + a * grid.spacing for o, a in zip(grid.origin, lo))
+        sub = FreeConvolver(2.0, Grid3(origin, grid.spacing, dims))
+        rng = np.random.default_rng(6)
+        f = rng.standard_normal((2, 3) + dims) + 1j * rng.standard_normal((2, 3) + dims)
+        full = FreeConvolver(2.0, grid)
+        got = sub.apply_array(f)
+        for fb, gb in zip(f, got):
+            embedded = np.zeros((3,) + grid.dims, dtype=complex)
+            embedded[box] = fb
+            assert rel_err(gb, full.apply_array(embedded)[box]) <= 1e-13
+
     def test_linearity(self):
         grid = Grid3.cube(0.8, 16)
         rng = np.random.default_rng(2)

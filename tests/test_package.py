@@ -6,7 +6,8 @@ import pkgutil
 import pytest
 
 import stochmaxwell
-from stochmaxwell import cgo, reconstruct
+from stochmaxwell import cgo, ensemble, forward, reconstruct
+from stochmaxwell.geometry import Bump, Grid3, MediumSpec, SourceStrength, SphereMesh
 
 MODULES = ["stochmaxwell"] + [
     f"stochmaxwell.{m.name}" for m in pkgutil.iter_modules(stochmaxwell.__path__)
@@ -48,3 +49,26 @@ def test_reconstruction_calls_the_traced_cgo_layers():
     cover the reconstruct stage."""
     assert reconstruct.build_zeta_eta is cgo.build_zeta_eta
     assert reconstruct.cgo_on_sphere is cgo.cgo_on_sphere
+
+
+def test_ensemble_of_a_medium_is_one_map_build(monkeypatch):
+    """A medium bump takes the route of every medium: one trace-map build
+    (the class the benchmark tracer wraps) and no full-grid Maxwell solve."""
+    assert ensemble.HomogeneousTraceMap is forward.HomogeneousTraceMap
+    calls = {"solve": 0, "build": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(forward.MaxwellSolver, "solve",
+                        counted("solve", forward.MaxwellSolver.solve))
+    monkeypatch.setattr(forward.HomogeneousTraceMap, "__init__",
+                        counted("build", forward.HomogeneousTraceMap.__init__))
+    medium = MediumSpec((Bump((0.0, 0.1, 0.0), 0.6, 0.05),), ball_radius=1.0)
+    sigma = SourceStrength((Bump((0.0, 0.0, 0.0), 0.95, 0.1),), ball_radius=1.0)
+    grid, mesh = Grid3.for_ball(1.3, 10), SphereMesh(1.0, 4)
+    ensemble.generate_ensemble(2.0, medium, sigma, grid, mesh, 3, 1)
+    assert calls == {"solve": 0, "build": 1}

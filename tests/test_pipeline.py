@@ -6,7 +6,7 @@ import pytest
 
 from stochmaxwell import verify
 from stochmaxwell.cgo import build_zeta_eta
-from stochmaxwell.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main, run_forward
+from stochmaxwell.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, main, run_forward
 from stochmaxwell.config import ExperimentConfig, format_bumps, parse_bumps
 from stochmaxwell.ensemble import (
     _REALIZATION_CHUNK,
@@ -238,6 +238,21 @@ class TestEnsembleStore:
         )
         assert traces.shape == (2, small_cfg.mesh().n_nodes, 3)
         assert np.all(np.isfinite(traces))
+        normal = np.abs(np.einsum("mnj,nj->mn", traces, small_cfg.mesh().normals))
+        assert normal.max() <= 1e-12 * np.abs(traces).max()
+
+    def test_unresolved_medium_gives_homogeneous_ensemble(self):
+        """A medium bump that falls between the nodes of an 8^3 grid samples
+        to m = 0, so the ensemble is the homogeneous one, bit for bit."""
+        grid, mesh = Grid3.for_ball(1.3, 8), SphereMesh(1.0, 6)
+        medium = MediumSpec((Bump((0.0, 0.1, 0.0), 0.6, 0.05),), ball_radius=1.0)
+        assert not np.any(evaluate_on_grid(medium, grid).values)
+        sigma = SourceStrength((Bump((0.0, 0.0, 0.0), 0.95, 0.1),), ball_radius=1.0)
+        args = (sigma, grid, mesh, 5, 3)
+        assert np.array_equal(
+            generate_ensemble(2.0, medium, *args),
+            generate_ensemble(2.0, MediumSpec(ball_radius=1.0), *args),
+        )
 
 
 class TestCliForward:
@@ -291,6 +306,22 @@ class TestCliForward:
         assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("realizations = 20", "realizations = ten", "[ensemble] realizations"),
+        ("0 0.1 0 0.5 0.2", "0 0 0 0.5 x", "[source] bumps"),
+        ("\n[physics]", "k = 2.0\n[physics]", "no section headers"),
+        ("realizations = 20", "realizations = 20\nrealizations = 30", "'realizations'"),
+    ], ids=["non-numeric-value", "non-numeric-bump", "no-section-header", "repeated-key"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, old, new, named):
+        """A value that does not convert, a file without a section header and
+        a repeated key are refused with one line naming the fault."""
+        assert SMALL_CONFIG.count(old) == 1
+        p = tmp_path / "bad.ini"
+        p.write_text(SMALL_CONFIG.replace(old, new))
+        assert main(["forward", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and named in lines[0]
 
     @pytest.mark.parametrize("old, new, named", [
         ("n_frames = 1", "n_frame = 1", "'n_frame' in [reconstruction]"),
@@ -437,9 +468,9 @@ n_frames = 1
 
 class TestInhomogeneousRoute:
     def test_rerun_is_bit_identical(self, tmp_path):
-        """Forward (Lippmann-Schwinger per realization) and reconstruct (CGO
-        remainder solves) on a medium bump; n = 10 is the coarsest grid that
-        resolves the bump."""
+        """Forward (the medium's trace map) and reconstruct (CGO remainder
+        solves) on a medium bump; n = 10 is the coarsest grid that resolves
+        the bump."""
         cfg = tmp_path / "inhom.ini"
         cfg.write_text(INHOM_CONFIG)
         blobs = []
@@ -453,6 +484,16 @@ class TestInhomogeneousRoute:
                 for f in sorted(os.listdir(out / sub))
             })
         assert len(blobs[0]) == 5 and blobs[0] == blobs[1]
+
+
+    def test_map_build_failure_exits_3(self, tmp_path, capsys):
+        """A tolerance the map build's solve cannot reach ends in exit 3 with
+        one line, not a traceback."""
+        cfg = tmp_path / "hard.ini"
+        cfg.write_text(INHOM_CONFIG + "\n[solver]\ntol = 1e-18\nmax_iter = 2\n")
+        assert main(["forward", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_SOLVER
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("solver failure")
 
 
 class TestCliSweep:
