@@ -80,7 +80,9 @@ def noise_values(amplitude: np.ndarray, master_seed: int, index: int, support=No
     grid_shape = np.shape(amplitude) if support is None else support.shape
     rng = np.random.default_rng([int(master_seed), int(index), NOISE_STREAM_TAG])
     xi = rng.standard_normal((3,) + grid_shape)
-    return xi * amplitude if support is None else xi[:, support] * amplitude
+    if support is not None:  # np.take on flat indices gathers faster than a boolean mask
+        xi = np.take(xi.reshape(3, -1), np.flatnonzero(support), axis=1)
+    return xi * amplitude
 
 
 def neumann_solve(apply, b: np.ndarray, tol: float, max_iter: int):
@@ -196,21 +198,19 @@ def curl_grid(F: np.ndarray, h: float) -> np.ndarray:
 
 def _dipole_block(k: float, weight: float, coords: np.ndarray, mesh: SphereMesh, nodes: slice):
     """Trace-map rows of the cells at `coords` (C, 3) for a block of mesh
-    nodes, (C, 3, B, 3): [c, j, n, i] is component i of the trace E x nu at
-    node n per unit current J_j in cell c, that is `weight` G(x_n - y_c)
-    contracted with nu_n x e_i. Read along (c, j), column (n, i) is the field
-    in the cells of the tangential dipole nu_n x e_i at x_n (G is
-    symmetric)."""
-    nu = mesh.normals[nodes]
+    nodes, (C, 3, B, 2): [c, j, n, t] = (E x nu) . e_t = E . (nu x e_t) at node n
+    (e_0, e_1 = theta_hat_n, phi_hat_n) per unit current J_j in cell c, which is
+    `weight` (G(x_n - y_c) u)_j for u = nu_n x e_t = phi_hat_n, -theta_hat_n:
+    column (n, t) is the field in the cells of the dipole u at x_n (G is symmetric)."""
+    u = np.stack([mesh.phi_hat[nodes], -mesh.theta_hat[nodes]], axis=2)  # (B, 3, 2)
     d = mesh.nodes[nodes][None, :, :] - coords[:, None, :]  # (C, B, 3)
-    a, b = _green_coeffs(k, np.linalg.norm(d, axis=2))
-    # E x nu = -[nu]_x E, and [nu]_x (a I + b d d^T) = a [nu]_x + b (nu x d) d^T
-    nu_x = np.cross(nu[:, None, :], np.eye(3)[None])  # [n, j, i] = (nu_n x e_j)_i
-    nu_d = np.cross(nu[None], d)  # (C, B, 3)
-    return -weight * (
-        a[:, None, :, None] * nu_x.transpose(1, 0, 2)[None]
-        + b[:, None, :, None] * d.transpose(0, 2, 1)[..., None] * nu_d[:, None]
-    )
+    a, b = (weight * c[:, :, None] for c in _green_coeffs(k, np.linalg.norm(d, axis=2)))
+    bdu = b * (d[..., 0, None] * u[:, 0] + d[..., 1, None] * u[:, 1] + d[..., 2, None] * u[:, 2])
+    out = np.empty((len(d), 3) + bdu.shape[1:], dtype=np.complex128)
+    for j in range(3):  # (G u)_j = a u_j + b d_j (d . u)
+        np.multiply(a, u[:, j], out=out[:, j])
+        out[:, j] += bdu * d[:, :, j, None]
+    return out
 
 
 def _sub_grid(grid: Grid3, box: tuple) -> Grid3:
@@ -231,22 +231,21 @@ class HomogeneousTraceMap:
     so the trace of every current is one matrix product, which makes large
     Monte Carlo ensembles cheap.
 
-    The map is one C-contiguous complex (3C, 3N) array, 3C * 3N * 16 bytes
+    The map is one C-contiguous complex (3C, 2N) array, 3C * 2N * 16 bytes
     for C support cells and N mesh nodes: row 3c + j takes component j of the
-    current in cell c, column 3n + i gives component i of the trace E x nu at
-    node n. The tangential cross product is folded into the map, and each
-    entry carries the h^3 cell weight; the ik source factor cancels the
-    1/(ik) of R0 = G/(ik).
+    current in cell c, column 2n + t gives the trace E x nu at node n along
+    theta_hat_n (t = 0) or phi_hat_n (t = 1). Each entry carries the h^3 cell
+    weight; the ik source factor cancels the 1/(ik) of R0 = G/(ik).
 
     In the homogeneous medium (m = 0 on the grid) the map is the direct
     superposition of closed-form Green-tensor columns, with no FFT and no
     interpolation. The build fills it in blocks of _NODE_BLOCK mesh nodes,
-    writing G = a I + b d d^T straight into its final layout, so the build
-    needs the map plus one block of temporaries.
+    writing G u = a u + b d (d . u) for each node's two tangential dipoles u
+    into its final layout, so the build needs the map and one block more.
 
     A contrast m adds a scattered term, by reciprocity (the discrete kernel
-    is symmetric): column (n, i) over the contrast's cells is the incident
-    field of a tangential dipole at node n. `MaxwellSolver.solve_incident`
+    is symmetric): column (n, t) over the contrast's cells is the incident
+    field of the tangential dipole u_{n,t} at node n. `MaxwellSolver.solve_incident`
     solves a block of them at once (to tol within max_iter, SolverError
     otherwise) on the bounding box of supp(m), and -k^2 R0(m E), read at the
     source cells, is added to the column. Both box convolvers are the
@@ -255,9 +254,10 @@ class HomogeneousTraceMap:
     at grid cells inside the ball only, never at a mesh node.
 
     `traces` applies the map to a real current as one real matrix product
-    with the map viewed as a real (3C, 6N) array, whose result, viewed as
-    complex, is the trace; a complex current takes two such products, one
-    for its real part and one for its imaginary part.
+    with the map viewed as a real (3C, 4N) array, whose result, viewed as
+    complex, gives the trace T_theta theta_hat + T_phi phi_hat; a complex
+    current takes two such products, one for its real and one for its
+    imaginary part.
     """
 
     def __init__(self, k: float, grid: Grid3, support_mask: np.ndarray, mesh: SphereMesh,
@@ -269,8 +269,8 @@ class HomogeneousTraceMap:
         coords = grid.nodes()[:, self.support_mask].T  # (C, 3)
         self.n_cells = C = coords.shape[0]
         N = mesh.n_nodes
-        self._flat = np.empty((3 * C, 3 * N), dtype=np.complex128)
-        out = self._flat.reshape(C, 3, N, 3)  # [c, j, n, i]
+        self._flat = np.empty((3 * C, 2 * N), dtype=np.complex128)
+        out = self._flat.reshape(C, 3, N, 2)  # [c, j, n, t]
         for lo in range(0, N, _NODE_BLOCK):
             nodes = slice(lo, lo + _NODE_BLOCK)
             out[:, :, nodes, :] = _dipole_block(self.k, grid.cell_volume, coords, mesh, nodes)
@@ -290,26 +290,19 @@ class HomogeneousTraceMap:
         conv = FreeConvolver(k, _sub_grid(grid, outer))
         inner = tuple(slice(b.start - o.start, b.stop - o.start) for b, o in zip(box, outer))
         sources = self.support_mask[outer]
-        # The dipole moments nu_n x e_i of a node's three columns are tangential,
-        # so two dipoles, nu_n x theta_n and nu_n x phi_n, span them: with
-        # P_n = [theta_n; phi_n], P_n^T P_n = I - nu_n nu_n^T, and column (n, i)
-        # is sum_t P_n[t, i] times the t-th dipole's column.
-        tangents = np.stack([mesh.theta_hat, mesh.phi_hat], axis=1)  # (N, 2, 3)
         # nodes per block: the padded transforms of one node's two dipoles
         # take 6 * prod(padded) complex values
         block = int(np.clip(_SCATTER_BYTES // (96 * np.prod(conv.padded)), 1, _NODE_BLOCK))
-        out = self._flat.reshape(self.n_cells, 3, mesh.n_nodes, 3)
+        out = self._flat.reshape(self.n_cells, 3, mesh.n_nodes, 2)
         for lo in range(0, mesh.n_nodes, block):
             nodes = slice(lo, lo + block)
-            P = tangents[nodes]
-            inc = _dipole_block(k, grid.cell_volume, cell_coords, mesh, nodes)
-            b = np.zeros((len(P), 2, 3) + solver.grid.dims, dtype=np.complex128)
-            b[..., cells] = np.einsum("cjni,nti->ntjc", inc, P)
+            b = np.zeros((2, len(mesh.nodes[nodes]), 3) + solver.grid.dims, dtype=np.complex128)
+            b[..., cells] = _dipole_block(k, grid.cell_volume, cell_coords, mesh, nodes).T
             E, _, _ = solver.solve_incident(b, tol, max_iter)
             mE = np.zeros(b.shape[:3] + conv.grid.dims, dtype=np.complex128)
             mE[(Ellipsis,) + inner] = solver.m_grid * E
-            scat = -k ** 2 * conv.apply_resolvent_array(mE)[..., sources]  # [n, t, j, c]
-            out[:, :, nodes, :] += np.einsum("ntjc,nti->cjni", scat, P)
+            scat = -k ** 2 * conv.apply_resolvent_array(mE)[..., sources]  # [t, n, j, c]
+            out[:, :, nodes, :] += scat.T
 
     def traces(self, J_support: np.ndarray) -> np.ndarray:
         """Boundary traces E x nu for a batch of currents restricted to the
@@ -317,11 +310,11 @@ class HomogeneousTraceMap:
 
         J_support: (M, C, 3) real or complex -> traces (M, N, 3).
         """
-        J = np.asarray(J_support)
-        Jb = J.reshape(J.shape[0], -1)
-        W = self._flat.view(np.float64)  # (3C, 6N): re/im interleaved per column
+        Jb = np.reshape(J_support, (len(J_support), -1))
+        W = self._flat.view(np.float64)  # (3C, 4N): re/im interleaved per column
         if np.iscomplexobj(Jb):
             T = (Jb.real @ W).view(np.complex128) + 1j * (Jb.imag @ W).view(np.complex128)
         else:
             T = (Jb @ W).view(np.complex128)
-        return T.reshape(J.shape[0], self.mesh.n_nodes, 3)
+        T = T.reshape(len(Jb), self.mesh.n_nodes, 2, 1)
+        return T[:, :, 0] * self.mesh.theta_hat + T[:, :, 1] * self.mesh.phi_hat

@@ -15,6 +15,8 @@ integration); the singular cell's average includes the distributional
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy import fft as sfft
 
@@ -57,8 +59,10 @@ def symmetric_symbol(S: np.ndarray):
     def symbol(f_hat):
         out = np.empty_like(f_hat)
         f = [f_hat[..., j, :, :, :] for j in range(3)]
-        for i, (e0, e1, e2) in enumerate(_ENTRY):
-            out[..., i, :, :, :] = S[e0] * f[0] + S[e1] * f[1] + S[e2] * f[2]
+        for i, (e0, e1, e2) in enumerate(_ENTRY):  # summed in place, in this order
+            o = np.multiply(S[e0], f[0], out=out[..., i, :, :, :])
+            o += S[e1] * f[1]
+            o += S[e2] * f[2]
         return out
 
     return symbol
@@ -134,10 +138,11 @@ def _green_coeffs(lam: float, r):
     return a, b
 
 
+@lru_cache(maxsize=8)
 def _near_cell_averages(lam: float, h: float, nc: int):
     """Exact cell averages of G over the displacement cells within nc cells
     of the origin: the integer offsets (n, 3) and the averages (6, n) of the
-    entries in `_UPPER` order.
+    entries in `_UPPER` order; cached per (lam, h, nc), so both read-only.
 
     Regular cells use tensor Gauss-Legendre quadrature; the singular cell is
     integrated in spherical coordinates about the origin, where the traceless
@@ -192,6 +197,7 @@ def _near_cell_averages(lam: float, h: float, nc: int):
     iso = (-(lam ** 2) * int_g - 1.0) / 3.0
     G0 = (T + (1j * lam * int_g + (1j / lam) * iso) * np.eye(3)) / h ** 3
     avg[:, len(offs) // 2] = G0[iu, ju]
+    offs.flags.writeable = avg.flags.writeable = False
     return offs, avg
 
 

@@ -285,6 +285,29 @@ class TestHomogeneousTraceMap:
         map_bytes = 3 * tmap.n_cells * 3 * mesh.n_nodes * 16
         assert peak <= 2 * map_bytes, f"build peak {peak / map_bytes:.2f} x the map"
 
+    def test_map_holds_two_complex_columns_per_node(self, sigma):
+        """The built map keeps the two tangential trace components of each
+        node, 3C * 2N complex values, not a third (normal) column."""
+        g = Grid3.for_ball(1.3, 13)
+        mask = evaluate_on_grid(sigma, g).values.real > 0
+        mesh = SphereMesh(1.0, 8)
+        tracemalloc.start()
+        try:
+            tmap = HomogeneousTraceMap(K, g, mask, mesh)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        node_bytes = 3 * tmap.n_cells * 16  # one complex column over the cells
+        assert 2 * mesh.n_nodes * node_bytes <= held < 2.5 * mesh.n_nodes * node_bytes
+
+    def test_traces_are_tangential(self, sigma):
+        g = Grid3.for_ball(1.3, 13)
+        mesh = SphereMesh(1.0, 8)
+        mask = evaluate_on_grid(sigma, g).values.real > 0
+        tmap = HomogeneousTraceMap(K, g, mask, mesh)
+        T = tmap.traces(np.random.default_rng(7).standard_normal((4, tmap.n_cells, 3)))
+        assert np.max(np.abs(np.einsum("mni,ni->mn", T, mesh.normals))) <= 1e-14 * np.max(np.abs(T))
+
 
 # the benchmark's medium bump
 BENCH_MEDIUM = MediumSpec((Bump((0.0, 0.1, 0.0), 0.6, 0.05),), ball_radius=1.0)
@@ -326,6 +349,13 @@ class TestMediumTraceMap:
         assert rel_err(want, hom) > 1e-3
         for got, ref in zip(tmap.traces(J), want):
             assert rel_err(got, ref) <= 1e-9
+
+    def test_traces_are_tangential(self):
+        grid, mesh = Grid3.for_ball(1.3, 10), SphereMesh(1.0, 12)
+        mask = evaluate_on_grid(BENCH_SIGMA, grid).values.real > 0
+        tmap = HomogeneousTraceMap(K, grid, mask, mesh, BENCH_MEDIUM)
+        T = tmap.traces(np.random.default_rng(8).standard_normal((4, tmap.n_cells, 3)))
+        assert np.max(np.abs(np.einsum("mni,ni->mn", T, mesh.normals))) <= 1e-14 * np.max(np.abs(T))
 
     def test_gmres_hand_off_in_map_build(self, sigma, monkeypatch):
         """On the medium of `test_gmres_hand_off_converges` the batched

@@ -11,6 +11,7 @@ from stochmaxwell.greens import (
     dyadic_green,
     helmholtz_g,
     padded_fft_apply,
+    symmetric_symbol,
 )
 from stochmaxwell.verify import (
     convolution_vs_direct,
@@ -100,6 +101,30 @@ class TestPaddedFftApply:
         want = sfft.ifftn(sfft.fftn(f, s=padded, axes=axes) * mult, axes=axes)[..., :5, :6, :7]
         assert got.shape == f.shape
         assert rel_err(got, want) <= 1e-14
+
+
+class TestSymmetricSymbol:
+    def test_matches_three_term_sum_on_batched_input(self):
+        """The in-place accumulation gives the bits of the explicit sum
+        S[e0] f0 + S[e1] f1 + S[e2] f2 per output component."""
+        rng = np.random.default_rng(5)
+        S = rng.standard_normal((6, 4, 5, 6)) + 1j * rng.standard_normal((6, 4, 5, 6))
+        f = rng.standard_normal((2, 3, 3, 4, 5, 6)) + 1j * rng.standard_normal((2, 3, 3, 4, 5, 6))
+        fj = [f[..., j, :, :, :] for j in range(3)]
+        want = np.stack([S[a] * fj[0] + S[b] * fj[1] + S[c] * fj[2] for a, b, c in greens._ENTRY],
+                        axis=-4)
+        assert np.array_equal(symmetric_symbol(S)(f), want)
+
+
+class TestNearCellAverages:
+    def test_cached_equals_uncached_and_is_read_only(self):
+        offs, avg = greens._near_cell_averages(1.7, 0.11, 2)
+        assert greens._near_cell_averages(1.7, 0.11, 2)[1] is avg
+        want_offs, want_avg = greens._near_cell_averages.__wrapped__(1.7, 0.11, 2)
+        assert np.array_equal(offs, want_offs) and np.array_equal(avg, want_avg)
+        for arr in (offs, avg):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestFreeConvolver:
