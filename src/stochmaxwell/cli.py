@@ -5,8 +5,8 @@ Every run directory is reproducible from its manifest: the manifest embeds
 the full config text and the master seed, and no output carries timestamps,
 so reruns are bit-identical.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 verification failure.
+Exit codes: 0 success, 2 configuration error (or an output directory that
+cannot be written), 3 solver failure, 4 verification failure.
 """
 from __future__ import annotations
 
@@ -59,6 +59,23 @@ def _traces(cfg: ExperimentConfig) -> np.ndarray:
         cfg.k, cfg.medium(), cfg.source(), cfg.grid(), cfg.mesh(), cfg.realizations,
         cfg.master_seed, tol=cfg.tol, max_iter=cfg.max_iter,
     )
+
+
+def _recon_args(cfg: ExperimentConfig) -> dict:
+    """The reconstruction arguments that `reconstruct` and `sweep` share."""
+    return dict(
+        k=cfg.k, R_prime=cfg.R_prime, medium=cfg.medium(), grid=cfg.grid(),
+        constants=cfg.constants(), t_max=cfg.t_max, rho_override=cfg.rho_override,
+        n_frames=cfg.n_frames, cgo_tol=cfg.tol,
+    )
+
+
+def _write_csv(path: str, header: list, rows) -> None:
+    """One header line, then each row of numbers in `.12g`."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([f"{v:.12g}" for v in row] for row in rows)
 
 
 def run_forward(cfg: ExperimentConfig, out_dir: str) -> dict:
@@ -164,32 +181,19 @@ def run_reconstruct(cfg: ExperimentConfig, out_dir: str) -> dict:
         manifest = run_forward(cfg, ens_dir)
         traces, _ = read_ensemble(ens_dir)
 
-    cap = _capacity(cfg)
     result = reconstruct_sigma(
-        traces,
-        cap,
-        k=cfg.k,
-        R_prime=cfg.R_prime,
-        medium=cfg.medium(),
-        grid=cfg.grid(),
-        constants=cfg.constants(),
-        t_max=cfg.t_max,
-        rho_override=cfg.rho_override,
-        n_frames=cfg.n_frames,
-        ground_truth=cfg.source() if cfg.source_bumps else None,
-        cgo_tol=cfg.tol,
+        traces, _capacity(cfg), ground_truth=cfg.source() if cfg.source_bumps else None,
+        **_recon_args(cfg),
     )
 
     rec_dir = os.path.join(out_dir, "reconstruction")
     os.makedirs(rec_dir, exist_ok=True)
-    with open(os.path.join(rec_dir, "sigma_hat.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["xi_x", "xi_y", "xi_z", "re_sigma_hat", "im_sigma_hat", "stderr"])
-        for xi, sh, se in zip(result.xi_nodes, result.sigma_hat, result.stderr):
-            w.writerow(
-                [f"{xi[0]:.12g}", f"{xi[1]:.12g}", f"{xi[2]:.12g}",
-                 f"{sh.real:.12g}", f"{sh.imag:.12g}", f"{se:.12g}"]
-            )
+    _write_csv(
+        os.path.join(rec_dir, "sigma_hat.csv"),
+        ["xi_x", "xi_y", "xi_z", "re_sigma_hat", "im_sigma_hat", "stderr"],
+        [(*xi, sh.real, sh.imag, se)
+         for xi, sh, se in zip(result.xi_nodes, result.sigma_hat, result.stderr)],
+    )
     write_field(os.path.join(rec_dir, "sigma_rec.bin"), result.sigma_rec)
     run_manifest = {
         "kind": "reconstruction",
@@ -221,37 +225,16 @@ def run_reconstruct(cfg: ExperimentConfig, out_dir: str) -> dict:
 def run_sweep(cfg: ExperimentConfig, out_dir: str) -> list:
     """Source-strength sweep: regenerate the ensemble per alpha and tabulate
     the logarithmic-stability check quantity."""
-    cap = _capacity(cfg)
-
     def factory(alpha):
         bumps = tuple(replace(b, amplitude=b.amplitude * alpha) for b in cfg.source_bumps)
         return _traces(replace(cfg, source_bumps=bumps))
 
-    rows = stability_sweep(
-        factory,
-        cfg.source(),
-        cap,
-        k=cfg.k,
-        R_prime=cfg.R_prime,
-        medium=cfg.medium(),
-        grid=cfg.grid(),
-        alphas=cfg.alphas,
-        constants=cfg.constants(),
-        t_max=cfg.t_max,
-        rho_override=cfg.rho_override,
-        n_frames=cfg.n_frames,
-        cgo_tol=cfg.tol,
-    )
+    rows = stability_sweep(factory, cfg.source(), _capacity(cfg), alphas=cfg.alphas,
+                           **_recon_args(cfg))
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["alpha", "epsilon", "sigma_l2", "rel_l2_error", "check_quantity"])
-        for row in rows:
-            w.writerow(
-                [f"{row['alpha']:.12g}", f"{row['epsilon']:.12g}",
-                 f"{row['sigma_l2']:.12g}", f"{row['rel_l2_error']:.12g}",
-                 f"{row['check_quantity']:.12g}"]
-            )
+    header = ["alpha", "epsilon", "sigma_l2", "rel_l2_error", "check_quantity"]
+    _write_csv(os.path.join(out_dir, "sweep.csv"), header,
+               [[row[name] for name in header] for row in rows])
     return rows
 
 
@@ -324,6 +307,9 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as exc:  # a run directory that cannot be made, written or read
+        print(f"cannot access run outputs: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

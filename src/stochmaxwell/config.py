@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 
 from .cgo import StabilityConstants
@@ -24,13 +25,21 @@ def _one_line(exc: Exception) -> str:
     return " ".join(str(exc).split())
 
 
+def _finite(raw: str) -> float:
+    """float() that refuses nan and +-inf, which no config value can mean."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw.strip()!r} is not a finite number")
+    return value
+
+
 def parse_bumps(text: str) -> tuple[Bump, ...]:
     bumps = []
     for part in text.split(";"):
         part = part.strip()
         if not part:
             continue
-        vals = [float(v) for v in part.split()]
+        vals = [_finite(v) for v in part.split()]
         if len(vals) != 5:
             raise ConfigurationError(
                 f"bump needs 5 numbers (cx cy cz radius amplitude), got {part!r}"
@@ -44,6 +53,33 @@ def format_bumps(bumps) -> str:
         f"{b.center[0]:g} {b.center[1]:g} {b.center[2]:g} {b.radius:g} {b.amplitude:g}"
         for b in bumps
     )
+
+
+# Every INI key once, as (section, option, field, parse, write), in the order
+# `to_text` writes them; a None field is not written.
+_KEYS = (
+    ("physics", "k", "k", _finite, repr),
+    ("physics", "R", "R", _finite, repr),
+    ("physics", "R_prime", "R_prime", _finite, repr),
+    ("grid", "n", "grid_n", int, str),
+    ("grid", "half_width", "grid_half_width", _finite, repr),
+    ("medium", "bumps", "medium_bumps", parse_bumps, format_bumps),
+    ("source", "bumps", "source_bumps", parse_bumps, format_bumps),
+    ("ensemble", "realizations", "realizations", int, str),
+    ("ensemble", "master_seed", "master_seed", int, str),
+    ("stability", "lmax", "lmax", int, str),
+    ("stability", "s", "s", _finite, repr),
+    ("stability", "M1", "M1", _finite, repr),
+    ("solver", "tol", "tol", _finite, repr),
+    ("solver", "max_iter", "max_iter", int, str),
+    ("reconstruction", "t_max", "t_max", _finite, repr),
+    ("reconstruction", "n_frames", "n_frames", int, str),
+    ("reconstruction", "rho_override", "rho_override", _finite, repr),
+    ("sweep", "alphas", "alphas",
+     lambda raw: tuple(map(_finite, raw.split())), lambda alphas: " ".join(map(repr, alphas))),
+    ("verify", "fault_scale", "fault_scale", _finite, repr),
+    ("output", "directory", "output_dir", str, str),
+)
 
 
 @dataclass(frozen=True)
@@ -110,14 +146,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        cp = configparser.ConfigParser()
         try:
-            read = cp.read(path)
-        except (configparser.Error, UnicodeDecodeError) as exc:
-            raise ConfigurationError(_one_line(exc)) from exc
-        if not read:
-            raise ConfigurationError(f"cannot read config file {path}")
-        return cls._from_parser(cp)
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"cannot read config file {path}: {_one_line(exc)}") from exc
+        return cls.from_text(text)
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -126,86 +160,33 @@ class ExperimentConfig:
             cp.read_string(text)
         except configparser.Error as exc:
             raise ConfigurationError(_one_line(exc)) from exc
-        return cls._from_parser(cp)
-
-    @classmethod
-    def _from_parser(cls, cp: configparser.ConfigParser) -> "ExperimentConfig":
-        kw = {}
-        known = set(_RETIRED_KEYS)
-
-        def get(section, option, conv, key=None):
-            known.add((section, option.lower()))
-            if cp.has_option(section, option):
-                try:
-                    raw = cp.get(section, option).strip()
-                    if raw:
-                        kw[key or option] = conv(raw)
-                except (configparser.Error, ValueError) as exc:
-                    raise ConfigurationError(f"[{section}] {option}: {_one_line(exc)}") from exc
-
-        get("physics", "k", float)
-        get("physics", "R", float)
-        get("physics", "R_prime", float)
-        get("grid", "n", int, "grid_n")
-        get("grid", "half_width", float, "grid_half_width")
-        get("medium", "bumps", parse_bumps, "medium_bumps")
-        get("source", "bumps", parse_bumps, "source_bumps")
-        get("ensemble", "realizations", int)
-        get("ensemble", "master_seed", int)
-        get("stability", "lmax", int)
-        get("stability", "s", float)
-        get("stability", "M1", float)
-        get("solver", "tol", float)
-        get("solver", "max_iter", int)
-        get("reconstruction", "t_max", float)
-        get("reconstruction", "rho_override", float)
-        get("reconstruction", "n_frames", int)
-        get(
-            "sweep",
-            "alphas",
-            lambda raw: tuple(float(v) for v in raw.split()),
-        )
-        get("verify", "fault_scale", float)
-        get("output", "directory", str, "output_dir")
         if cp.defaults():  # its keys would reach every section
             raise ConfigurationError("unknown config section [DEFAULT]")
+        known = _RETIRED_KEYS | {(section, option.lower()) for section, option, *_ in _KEYS}
         for section in cp.sections():
             if not any(s == section for s, _ in known):
                 raise ConfigurationError(f"unknown config section [{section}]")
             for option in cp.options(section):
                 if (section, option) not in known:
                     raise ConfigurationError(f"unknown config key {option!r} in [{section}]")
-        try:
-            return cls(**kw)
-        except TypeError as exc:
-            raise ConfigurationError(str(exc)) from exc
+        kw = {}
+        for section, option, field, parse, _ in _KEYS:
+            try:
+                raw = cp.get(section, option, fallback="").strip()
+                if raw:
+                    kw[field] = parse(raw)
+            except (configparser.Error, ValueError) as exc:
+                raise ConfigurationError(f"[{section}] {option}: {_one_line(exc)}") from exc
+        return cls(**kw)
 
     def to_text(self) -> str:
+        sections = {}
+        for section, option, field, _, write in _KEYS:
+            value = getattr(self, field)
+            if value is not None:
+                sections.setdefault(section, {})[option] = write(value)
         cp = configparser.ConfigParser()
-        cp["physics"] = {"k": repr(self.k), "R": repr(self.R), "R_prime": repr(self.R_prime)}
-        grid = {"n": str(self.grid_n)}
-        if self.grid_half_width is not None:
-            grid["half_width"] = repr(self.grid_half_width)
-        cp["grid"] = grid
-        cp["medium"] = {"bumps": format_bumps(self.medium_bumps)}
-        cp["source"] = {"bumps": format_bumps(self.source_bumps)}
-        cp["ensemble"] = {
-            "realizations": str(self.realizations),
-            "master_seed": str(self.master_seed),
-        }
-        cp["stability"] = {
-            "lmax": str(self.lmax),
-            "s": repr(self.s),
-            "M1": repr(self.M1),
-        }
-        cp["solver"] = {"tol": repr(self.tol), "max_iter": str(self.max_iter)}
-        recon = {"t_max": repr(self.t_max), "n_frames": str(self.n_frames)}
-        if self.rho_override is not None:
-            recon["rho_override"] = repr(self.rho_override)
-        cp["reconstruction"] = recon
-        cp["sweep"] = {"alphas": " ".join(repr(a) for a in self.alphas)}
-        cp["verify"] = {"fault_scale": repr(self.fault_scale)}
-        cp["output"] = {"directory": self.output_dir}
+        cp.read_dict(sections)
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
@@ -223,3 +204,4 @@ class ExperimentConfig:
             "lmax": self.lmax,
             "master_seed": self.master_seed,
         }
+

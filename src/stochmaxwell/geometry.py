@@ -286,16 +286,6 @@ class SphereMesh:
     def n_nodes(self) -> int:
         return self.theta.size
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SphereMesh)
-            and other.radius == self.radius
-            and other.lmax == self.lmax
-        )
-
-    def __hash__(self):
-        return hash((self.radius, self.lmax))
-
 
 def integrate_sphere(values: np.ndarray, mesh: SphereMesh):
     """Quadrature sum of scalar samples (N,) over the sphere."""

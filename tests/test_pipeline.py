@@ -121,6 +121,65 @@ class TestExperimentConfig:
         assert "M2 = 0.25" in text
         assert ExperimentConfig.from_text(text) == small_cfg
 
+    def test_written_text_is_pinned(self):
+        """Every manifest embeds `to_text()` as its config text, so the text
+        of a config that sets every key is pinned, and reads back to the
+        same config."""
+        cfg = ExperimentConfig(
+            k=2.5, R=1.0, R_prime=1.25, grid_n=17, grid_half_width=1.6,
+            medium_bumps=(Bump((0.0, 0.1, 0.0), 0.6, 0.05), Bump((0.1, 0.0, 0.0), 0.3, -0.02)),
+            source_bumps=(Bump((0.0, 0.0, 0.0), 0.95, 0.1),),
+            realizations=50, master_seed=7, lmax=9, s=1.5, M1=0.75, tol=1e-9, max_iter=80,
+            t_max=6.5, rho_override=2.25, n_frames=3, alphas=(1.0, 0.5, 0.125),
+            fault_scale=1.05, output_dir="runs/full",
+        )
+        text = """\
+[physics]
+k = 2.5
+r = 1.0
+r_prime = 1.25
+
+[grid]
+n = 17
+half_width = 1.6
+
+[medium]
+bumps = 0 0.1 0 0.6 0.05; 0.1 0 0 0.3 -0.02
+
+[source]
+bumps = 0 0 0 0.95 0.1
+
+[ensemble]
+realizations = 50
+master_seed = 7
+
+[stability]
+lmax = 9
+s = 1.5
+m1 = 0.75
+
+[solver]
+tol = 1e-09
+max_iter = 80
+
+[reconstruction]
+t_max = 6.5
+n_frames = 3
+rho_override = 2.25
+
+[sweep]
+alphas = 1.0 0.5 0.125
+
+[verify]
+fault_scale = 1.05
+
+[output]
+directory = runs/full
+
+"""
+        assert cfg.to_text() == text
+        assert ExperimentConfig.from_text(text) == cfg
+
     def test_derived_objects(self, small_cfg):
         assert small_cfg.grid().contains_ball(1.3)
         assert small_cfg.mesh().radius == 1.0
@@ -291,6 +350,15 @@ class TestCliForward:
             main(["forward", "--config", config_path, "--out", str(tmp_path), "--workers", "0"])
         assert exc.value.code == EXIT_CONFIG
 
+    def test_unwritable_out_exits_2(self, config_path, tmp_path, capsys):
+        """An --out below a regular file cannot be made: one line, exit 2."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "x")
+        assert main(["forward", "--config", config_path, "--out", out]) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "cannot access run outputs" in lines[0]
+
     @pytest.mark.parametrize("command", ["forward", "reconstruct"])
     @pytest.mark.parametrize("old, new", [
         ("k = 2.0", "k = 0"),
@@ -312,10 +380,23 @@ class TestCliForward:
         ("0 0.1 0 0.5 0.2", "0 0 0 0.5 x", "[source] bumps"),
         ("\n[physics]", "k = 2.0\n[physics]", "no section headers"),
         ("realizations = 20", "realizations = 20\nrealizations = 30", "'realizations'"),
-    ], ids=["non-numeric-value", "non-numeric-bump", "no-section-header", "repeated-key"])
+        ("rho_override = 1.5", "rho_override = nan", "[reconstruction] rho_override"),
+        ("lmax = 8", "lmax = 8\ns = nan", "[stability] s"),
+        ("lmax = 8", "lmax = 8\nM1 = -inf", "[stability] M1"),
+        ("k = 2.0", "k = inf", "[physics] k"),
+        ("0 0.1 0 0.5 0.2", "0 0.1 0 0.5 nan", "[source] bumps"),
+        ("[source]", "[medium]\nbumps = 0 0 0 nan 0.05\n\n[source]", "[medium] bumps"),
+        ("alphas = 1.0 0.1", "alphas = 1 nan", "[sweep] alphas"),
+        ("n = 25", "n = 25\nhalf_width = nan", "[grid] half_width"),
+        ("[sweep]", "[solver]\ntol = nan\n\n[sweep]", "[solver] tol"),
+        ("n_frames = 1", "n_frames = 1\nt_max = nan", "[reconstruction] t_max"),
+    ], ids=["non-numeric-value", "non-numeric-bump", "no-section-header", "repeated-key",
+            "nan-rho-override", "nan-s", "minus-inf-M1", "inf-k", "nan-source-amplitude",
+            "nan-medium-radius", "nan-alpha", "nan-half-width", "nan-tol", "nan-t-max"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, old, new, named):
-        """A value that does not convert, a file without a section header and
-        a repeated key are refused with one line naming the fault."""
+        """A value that does not convert, a non-finite number (nan, inf), a
+        file without a section header and a repeated key are refused with one
+        line naming the fault."""
         assert SMALL_CONFIG.count(old) == 1
         p = tmp_path / "bad.ini"
         p.write_text(SMALL_CONFIG.replace(old, new))

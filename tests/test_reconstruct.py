@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -494,3 +495,28 @@ class TestReconstructSigma:
                 medium=hom_medium,
                 grid=grid,
             )
+
+    def test_peak_memory_is_one_trace_product_chunk(self):
+        """The traces meet the dual vectors of 8 blocks of CGO columns at a
+        time, so the peak allocation stays within twice one chunk's dual
+        buffer and product, however many columns the lattice has (6,224
+        here: 389 xi, 8 frames, 2 members)."""
+        M, n_frames = 200, 8
+        capacity = CapacityOperator(K_DESK, VshBasis(SphereMesh(1.0, 6), 6))
+        N = capacity.basis.mesh.n_nodes
+        rng = np.random.default_rng(3)
+        traces = rng.standard_normal((M, N, 3)) + 1j * rng.standard_normal((M, N, 3))
+        kwargs = dict(k=K_DESK, R_prime=RP_DESK, medium=MediumSpec(ball_radius=1.0),
+                      grid=Grid3.for_ball(RP_DESK, 8), rho_override=5.0,
+                      n_frames=n_frames, epsilon=0.1)
+        tracemalloc.start()
+        try:
+            result = reconstruct_sigma(traces, capacity, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_cols = len(result.xi_nodes) * 2 * n_frames
+        chunk_cols = 8 * DUAL_BLOCK
+        assert n_cols > 4 * chunk_cols
+        one_chunk = chunk_cols * (3 * N + M) * 16  # duals and products, complex
+        assert peak < 2 * one_chunk, (peak, one_chunk)
