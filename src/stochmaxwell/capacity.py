@@ -75,13 +75,25 @@ def radiating_multipole(kind: str, l: int, m: int, k: float, points: np.ndarray)
     raise ValueError("kind must be 'te' or 'tm'")
 
 
+def _block_action(A: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Per-mode 2x2 blocks A (2, 2, K) acting on stacked (grad, curl)
+    coefficients (..., 2K)."""
+    K = A.shape[-1]
+    a, b = coeffs[..., :K], coeffs[..., K:]
+    out = np.empty_like(coeffs)
+    out[..., :K] = A[0, 0] * a + A[0, 1] * b
+    out[..., K:] = A[1, 0] * a + A[1, 1] * b
+    return out
+
+
 class CapacityOperator:
     """Maps E x nu to H x nu on the mesh sphere for radiating exterior fields.
 
-    Immutable after construction; `apply` is reentrant. `multipliers[l]` is the
-    2x2 complex matrix acting on the (grad, curl) coefficient pair of every
-    mode of degree l. A `fault_scale` != 1 deliberately corrupts the operator
-    and exists only as a negative control for verification runs.
+    Immutable after construction; `apply` is reentrant. Every mode of degree l
+    carries the same 2x2 complex matrix acting on its (grad, curl) coefficient
+    pair, held as one (2, 2, K) block array over the modes. A `fault_scale`
+    != 1 deliberately corrupts the operator and exists only as a negative
+    control for verification runs.
     """
 
     def __init__(self, k: float, basis: VshBasis, fault_scale: float = 1.0):
@@ -90,7 +102,7 @@ class CapacityOperator:
         self.k = float(k)
         self.basis = basis
         mesh = basis.mesh
-        self.multipliers = {}
+        self._blocks = np.empty((2, 2, basis.n_modes), dtype=np.complex128)
         for l in range(1, basis.lmax + 1):
             idx = basis.mode_index(l, 0)
             cols_in = np.empty((2, 2), dtype=np.complex128)
@@ -101,24 +113,13 @@ class CapacityOperator:
                 ch = basis.decompose(np.cross(H, mesh.normals))
                 cols_in[:, j] = ce[[idx, basis.n_modes + idx]]
                 cols_out[:, j] = ch[[idx, basis.n_modes + idx]]
-            self.multipliers[l] = fault_scale * cols_out @ np.linalg.inv(cols_in)
-
-        # expanded per-mode multiplier as a (2K x 2K)-action in block form
-        K = basis.n_modes
-        A = np.zeros((2, 2, K), dtype=np.complex128)
-        for i, (l, m) in enumerate(basis.modes):
-            A[:, :, i] = self.multipliers[l]
-        self._blocks = A
+            # modes of degree l are m = -l..l, contiguous around m = 0
+            multiplier = fault_scale * cols_out @ np.linalg.inv(cols_in)
+            self._blocks[:, :, idx - l : idx + l + 1] = multiplier[:, :, None]
 
     def apply_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Per-mode multiplier action on stacked coefficients (..., 2K)."""
-        K = self.basis.n_modes
-        a, b = coeffs[..., :K], coeffs[..., K:]
-        A = self._blocks
-        out = np.empty_like(coeffs)
-        out[..., :K] = A[0, 0] * a + A[0, 1] * b
-        out[..., K:] = A[1, 0] * a + A[1, 1] * b
-        return out
+        return _block_action(self._blocks, coeffs)
 
     def apply_coeffs_transpose(self, coeffs: np.ndarray) -> np.ndarray:
         """Transpose (non-conjugate) of `apply_coeffs` in the coefficient basis.
@@ -126,13 +127,7 @@ class CapacityOperator:
         Used to move the operator off the trace and onto the test data when a
         bilinear surface pairing is folded into a single dual vector.
         """
-        K = self.basis.n_modes
-        a, b = coeffs[..., :K], coeffs[..., K:]
-        A = self._blocks
-        out = np.empty_like(coeffs)
-        out[..., :K] = A[0, 0] * a + A[1, 0] * b
-        out[..., K:] = A[0, 1] * a + A[1, 1] * b
-        return out
+        return _block_action(self._blocks.transpose(1, 0, 2), coeffs)
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
         """Apply to tangential samples (..., N, 3) on the operator's mesh."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import numbers
 from dataclasses import dataclass
 
 from .cgo import StabilityConstants
@@ -25,21 +26,13 @@ def _one_line(exc: Exception) -> str:
     return " ".join(str(exc).split())
 
 
-def _finite(raw: str) -> float:
-    """float() that refuses nan and +-inf, which no config value can mean."""
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"{raw.strip()!r} is not a finite number")
-    return value
-
-
 def parse_bumps(text: str) -> tuple[Bump, ...]:
     bumps = []
     for part in text.split(";"):
         part = part.strip()
         if not part:
             continue
-        vals = [_finite(v) for v in part.split()]
+        vals = [float(v) for v in part.split()]
         if len(vals) != 5:
             raise ConfigurationError(
                 f"bump needs 5 numbers (cx cy cz radius amplitude), got {part!r}"
@@ -56,28 +49,29 @@ def format_bumps(bumps) -> str:
 
 
 # Every INI key once, as (section, option, field, parse, write), in the order
-# `to_text` writes them; a None field is not written.
+# `to_text` writes them; a None field is not written. `__post_init__` refuses
+# non-finite numbers by these names, and `Bump` refuses its own.
 _KEYS = (
-    ("physics", "k", "k", _finite, repr),
-    ("physics", "R", "R", _finite, repr),
-    ("physics", "R_prime", "R_prime", _finite, repr),
+    ("physics", "k", "k", float, repr),
+    ("physics", "R", "R", float, repr),
+    ("physics", "R_prime", "R_prime", float, repr),
     ("grid", "n", "grid_n", int, str),
-    ("grid", "half_width", "grid_half_width", _finite, repr),
+    ("grid", "half_width", "grid_half_width", float, repr),
     ("medium", "bumps", "medium_bumps", parse_bumps, format_bumps),
     ("source", "bumps", "source_bumps", parse_bumps, format_bumps),
     ("ensemble", "realizations", "realizations", int, str),
     ("ensemble", "master_seed", "master_seed", int, str),
     ("stability", "lmax", "lmax", int, str),
-    ("stability", "s", "s", _finite, repr),
-    ("stability", "M1", "M1", _finite, repr),
-    ("solver", "tol", "tol", _finite, repr),
+    ("stability", "s", "s", float, repr),
+    ("stability", "M1", "M1", float, repr),
+    ("solver", "tol", "tol", float, repr),
     ("solver", "max_iter", "max_iter", int, str),
-    ("reconstruction", "t_max", "t_max", _finite, repr),
+    ("reconstruction", "t_max", "t_max", float, repr),
     ("reconstruction", "n_frames", "n_frames", int, str),
-    ("reconstruction", "rho_override", "rho_override", _finite, repr),
+    ("reconstruction", "rho_override", "rho_override", float, repr),
     ("sweep", "alphas", "alphas",
-     lambda raw: tuple(map(_finite, raw.split())), lambda alphas: " ".join(map(repr, alphas))),
-    ("verify", "fault_scale", "fault_scale", _finite, repr),
+     lambda raw: tuple(map(float, raw.split())), lambda alphas: " ".join(map(repr, alphas))),
+    ("verify", "fault_scale", "fault_scale", float, repr),
     ("output", "directory", "output_dir", str, str),
 )
 
@@ -106,6 +100,13 @@ class ExperimentConfig:
     output_dir: str = "runs/out"
 
     def __post_init__(self):
+        for section, option, field, *_ in _KEYS:  # nan and +-inf mean no config value
+            value = getattr(self, field)
+            for v in value if isinstance(value, (tuple, list)) else (value,):
+                if isinstance(v, numbers.Real) and not math.isfinite(v):
+                    raise ConfigurationError(f"[{section}] {option}: {v} is not a finite number")
+        if self.master_seed < 0:
+            raise ConfigurationError(f"master seed must be non-negative, got {self.master_seed}")
         if not self.k > 0:
             raise ConfigurationError("wavenumber k must be positive")
         if not (0 < self.R < self.R_prime):

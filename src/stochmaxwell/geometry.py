@@ -4,6 +4,7 @@ Everything here is immutable after construction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,11 @@ class Grid3:
     dims: tuple[int, int, int]
 
     def __post_init__(self):
-        if self.spacing <= 0:
-            raise ConfigurationError("grid spacing must be positive")
+        object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
+        if not (all(map(math.isfinite, self.origin)) and 0 < self.spacing < math.inf):
+            raise ConfigurationError("grid origin must be finite, spacing finite and positive")
         if any(n <= 0 for n in self.dims):
             raise ConfigurationError("grid dims must be positive")
-        object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
 
     @classmethod
@@ -88,49 +89,40 @@ class Grid3:
 
 
 @dataclass(frozen=True)
-class ScalarFieldC:
-    """Complex scalar field sampled on a Grid3, values shape (nx, ny, nz)."""
+class _GridField:
+    """Complex field on a Grid3, values shape `components + grid.dims`."""
 
+    components = ()  # per class, not a field
     grid: Grid3
     values: np.ndarray
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.complex128)
-        if v.shape != self.grid.dims:
-            raise ValueError(f"value shape {v.shape} != grid dims {self.grid.dims}")
+        shape = self.components + self.grid.dims
+        if v.shape != shape:
+            raise ValueError(f"value shape {v.shape} != {shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("field contains non-finite entries")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     def l2_norm(self, within_radius: float | None = None) -> float:
-        w = np.abs(self.values) ** 2
+        w = (np.abs(self.values) ** 2).reshape((-1,) + self.grid.dims).sum(axis=0)
         if within_radius is not None:
             w = w * (self.grid.radii() <= within_radius)
         return float(np.sqrt(w.sum() * self.grid.cell_volume))
 
 
 @dataclass(frozen=True)
-class VectorFieldC3:
+class ScalarFieldC(_GridField):
+    """Complex scalar field sampled on a Grid3, values shape (nx, ny, nz)."""
+
+
+@dataclass(frozen=True)
+class VectorFieldC3(_GridField):
     """Complex 3-vector field on a Grid3, values shape (3, nx, ny, nz)."""
 
-    grid: Grid3
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.complex128)
-        if v.shape != (3,) + self.grid.dims:
-            raise ValueError(f"value shape {v.shape} != (3,)+{self.grid.dims}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite entries")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    def l2_norm(self, within_radius: float | None = None) -> float:
-        w = (np.abs(self.values) ** 2).sum(axis=0)
-        if within_radius is not None:
-            w = w * (self.grid.radii() <= within_radius)
-        return float(np.sqrt(w.sum() * self.grid.cell_volume))
+    components = (3,)
 
 
 @dataclass(frozen=True)
@@ -142,9 +134,10 @@ class Bump:
     amplitude: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ConfigurationError("bump radius must be positive")
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
+        finite = all(map(math.isfinite, self.center + (self.amplitude,)))
+        if not (finite and 0 < self.radius < math.inf):
+            raise ConfigurationError("bump numbers must be finite, radius positive")
 
     def __call__(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         c = self.center
@@ -171,54 +164,19 @@ class Bump:
         return 4.0 * np.pi * self.amplitude * self.radius ** 3 * val
 
 
-def _check_bumps_in_ball(bumps, ball_radius):
-    for b in bumps:
-        if np.linalg.norm(b.center) + b.radius > ball_radius + 1e-12:
-            raise ConfigurationError(
-                f"bump at {b.center} with radius {b.radius} exceeds ball radius {ball_radius}"
-            )
-
-
 @dataclass(frozen=True)
-class MediumSpec:
-    """Contrast m(x) = sum of bumps, refractive index n(x) = 1 - m(x).
-
-    All bumps must sit inside the ball of radius `ball_radius`, and n must stay
-    positive, i.e. the total contrast must be < 1 everywhere.
-    """
+class _BumpSum:
+    """Sum of bumps, each inside the ball of radius `ball_radius`."""
 
     bumps: tuple[Bump, ...] = ()
     ball_radius: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "bumps", tuple(self.bumps))
-        _check_bumps_in_ball(self.bumps, self.ball_radius)
-        if sum(max(b.amplitude, 0.0) for b in self.bumps) >= 1.0:
-            raise ConfigurationError("medium contrast must satisfy n = 1 - m > 0")
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return all(b.amplitude == 0.0 for b in self.bumps) or not self.bumps
-
-    def contrast(self, x, y, z) -> np.ndarray:
-        out = np.zeros(np.broadcast(x, y, z).shape, dtype=np.float64)
         for b in self.bumps:
-            out += b(x, y, z)
-        return out
-
-
-@dataclass(frozen=True)
-class SourceStrength:
-    """Nonnegative variance density of the random current, a sum of bumps."""
-
-    bumps: tuple[Bump, ...] = ()
-    ball_radius: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "bumps", tuple(self.bumps))
-        _check_bumps_in_ball(self.bumps, self.ball_radius)
-        if any(b.amplitude < 0 for b in self.bumps):
-            raise ConfigurationError("source strength bumps must have amplitude >= 0")
+            if not np.linalg.norm(b.center) + b.radius <= self.ball_radius + 1e-12:
+                raise ConfigurationError(f"bump at {b.center} with radius {b.radius} "
+                                         f"exceeds ball radius {self.ball_radius}")
 
     def __call__(self, x, y, z) -> np.ndarray:
         out = np.zeros(np.broadcast(x, y, z).shape, dtype=np.float64)
@@ -227,21 +185,44 @@ class SourceStrength:
         return out
 
 
-def evaluate_on_grid(spec, grid: Grid3) -> ScalarFieldC:
-    """Sample a MediumSpec contrast or a SourceStrength on grid nodes.
+@dataclass(frozen=True)
+class MediumSpec(_BumpSum):
+    """Contrast m(x) = sum of bumps, refractive index n(x) = 1 - m(x).
+
+    All bumps must sit inside the ball of radius `ball_radius`, and n must stay
+    positive, i.e. the total contrast must be < 1 everywhere.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        if sum(max(b.amplitude, 0.0) for b in self.bumps) >= 1.0:
+            raise ConfigurationError("medium contrast must satisfy n = 1 - m > 0")
+
+    @property
+    def is_homogeneous(self) -> bool:
+        return all(b.amplitude == 0.0 for b in self.bumps) or not self.bumps
+
+
+@dataclass(frozen=True)
+class SourceStrength(_BumpSum):
+    """Nonnegative variance density of the random current, a sum of bumps."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if any(b.amplitude < 0 for b in self.bumps):
+            raise ConfigurationError("source strength bumps must have amplitude >= 0")
+
+
+def evaluate_on_grid(spec: MediumSpec | SourceStrength, grid: Grid3) -> ScalarFieldC:
+    """Sample a bump sum (a MediumSpec contrast or a SourceStrength) on grid nodes.
 
     The result is exactly real (zero imaginary part) and deterministic.
     """
-    x, y, z = np.meshgrid(*grid.axes(), indexing="ij")
-    if isinstance(spec, MediumSpec):
-        vals = spec.contrast(x, y, z)
-        n = 1.0 - vals
-        if np.any(n <= 0):
-            raise ConfigurationError("refractive index n = 1 - m must be positive")
-    elif isinstance(spec, SourceStrength):
-        vals = spec(x, y, z)
-    else:
+    if not isinstance(spec, _BumpSum):
         raise TypeError(f"cannot evaluate {type(spec).__name__} on a grid")
+    vals = spec(*np.meshgrid(*grid.axes(), indexing="ij"))
+    if isinstance(spec, MediumSpec) and np.any(1.0 - vals <= 0):
+        raise ConfigurationError("refractive index n = 1 - m must be positive")
     return ScalarFieldC(grid, vals.astype(np.complex128))
 
 
@@ -329,13 +310,10 @@ def write_field(path, fld) -> None:
     h), then the samples as interleaved re/im float64, component-major with C
     node ordering.
     """
-    if isinstance(fld, ScalarFieldC):
-        data = fld.values[None]
-    elif isinstance(fld, VectorFieldC3):
-        data = fld.values
-    else:
+    if not isinstance(fld, _GridField):
         raise TypeError("expected ScalarFieldC or VectorFieldC3")
     g = fld.grid
+    data = fld.values.reshape((-1,) + g.dims)
     header = np.asarray(
         [*g.dims, data.shape[0], *g.origin, g.spacing], dtype="<f8"
     )
@@ -358,9 +336,7 @@ def read_field(path):
         ncomp = int(header[3])
         grid = Grid3(origin=tuple(header[4:7]), spacing=float(header[7]), dims=dims)
         raw = np.frombuffer(fh.read(), dtype="<f8").reshape((ncomp,) + dims + (2,))
-    data = raw[..., 0] + 1j * raw[..., 1]
-    if ncomp == 1:
-        return ScalarFieldC(grid, data[0])
-    if ncomp == 3:
-        return VectorFieldC3(grid, data)
-    raise ValueError(f"unsupported component count {ncomp}")
+    cls = {1: ScalarFieldC, 3: VectorFieldC3}.get(ncomp)
+    if cls is None:
+        raise ValueError(f"unsupported component count {ncomp}")
+    return cls(grid, (raw[..., 0] + 1j * raw[..., 1]).reshape(cls.components + dims))

@@ -369,8 +369,8 @@ def stability_sweep(
     constants: StabilityConstants = StabilityConstants(),
     **recon_kwargs,
 ):
-    """Scale sigma -> alpha sigma, regenerate the ensemble, and tabulate the
-    logarithmic-stability check quantity ||alpha sigma|| (-log eps)^{4s/(7+2s)}.
+    """Scale sigma -> alpha sigma, take its ensemble from the factory, and tabulate
+    the logarithmic-stability check quantity ||alpha sigma|| (-log eps)^{4s/(7+2s)}.
 
     `ensemble_factory(alpha)` must return the trace ensemble for the scaled
     source. Returns one row dict per alpha.

@@ -61,8 +61,10 @@ class VshBasis:
         inv_sin = 1.0 / np.sin(mesh.theta)
         R = mesh.radius
 
-        grad = np.empty((self.n_modes, mesh.n_nodes, 3), dtype=np.complex128)
-        curl = np.empty_like(grad)
+        # the (2K, N, 3) stack used by decompose/synthesize; the families are its halves
+        self._stack = np.empty((2 * self.n_modes, mesh.n_nodes, 3), dtype=np.complex128)
+        grad = self.grad_family = self._stack[: self.n_modes]
+        curl = self.curl_family = self._stack[self.n_modes :]
         for idx, (l, m) in enumerate(self.modes):
             norm = 1.0 / (R * np.sqrt(l * (l + 1)))
             a = dY[(l, m)] * norm                 # theta component of grad family
@@ -70,10 +72,6 @@ class VshBasis:
             grad[idx] = a[:, None] * mesh.theta_hat + b[:, None] * mesh.phi_hat
             # nu x grad: theta_hat -> phi_hat, phi_hat -> -theta_hat
             curl[idx] = a[:, None] * mesh.phi_hat - b[:, None] * mesh.theta_hat
-        self.grad_family = grad
-        self.curl_family = curl
-        # stacked (2K, N, 3) view used by decompose/synthesize
-        self._stack = np.concatenate([grad, curl], axis=0)
         self._stack_w = np.conj(self._stack) * mesh.weights[None, :, None]
 
     def mode_index(self, l: int, m: int) -> int:

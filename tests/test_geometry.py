@@ -40,6 +40,16 @@ class TestGrid3:
         with pytest.raises(ConfigurationError):
             Grid3.for_ball(1.0, n=6)
 
+    @pytest.mark.parametrize("origin, spacing", [
+        ((0, 0, 0), float("nan")),
+        ((0, 0, 0), float("inf")),
+        ((float("nan"), 0, 0), 0.1),
+    ], ids=["nan-spacing", "inf-spacing", "nan-origin"])
+    def test_nonfinite_rejected(self, origin, spacing):
+        """`spacing <= 0` is false for nan, so only a finite check refuses it."""
+        with pytest.raises(ConfigurationError, match="finite"):
+            Grid3(origin=origin, spacing=spacing, dims=(3, 3, 3))
+
     def test_nodes_shape_and_radii(self):
         g = Grid3.cube(0.5, 9)
         assert g.nodes().shape == (3, 9, 9, 9)
@@ -52,6 +62,18 @@ class TestBump:
         x = np.array([0.1, 0.7, 0.1])
         assert b(x[0], x[1], x[2]) == 0.0
         assert b(0.1, 0.0, 0.0) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("center, radius, amplitude", [
+        ((0, 0, 0), float("nan"), 0.1),
+        ((0, 0, 0), float("inf"), 0.1),
+        ((0, 0, 0), 0.5, float("nan")),
+        ((0, float("-inf"), 0), 0.5, 0.1),
+    ], ids=["nan-radius", "inf-radius", "nan-amplitude", "inf-center"])
+    def test_nonfinite_rejected(self, center, radius, amplitude):
+        """A nan radius or amplitude passes every sign check, and a bump sum
+        holding it would silently evaluate to nothing or to nan."""
+        with pytest.raises(ConfigurationError, match="finite"):
+            Bump(center=center, radius=radius, amplitude=amplitude)
 
     def test_integral_matches_grid_sum(self):
         b = Bump(center=(0.0, 0.0, 0.0), radius=0.6, amplitude=1.0)

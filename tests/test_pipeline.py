@@ -1,12 +1,24 @@
 import json
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stochmaxwell import verify
 from stochmaxwell.cgo import build_zeta_eta
-from stochmaxwell.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, main, run_forward
+from stochmaxwell.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_SOLVER,
+    EXIT_VERIFY,
+    _capacity,
+    _recon_args,
+    _traces,
+    main,
+    run_forward,
+)
 from stochmaxwell.config import ExperimentConfig, format_bumps, parse_bumps
 from stochmaxwell.ensemble import (
     _REALIZATION_CHUNK,
@@ -25,6 +37,7 @@ from stochmaxwell.geometry import (
     SphereMesh,
     evaluate_on_grid,
 )
+from stochmaxwell.reconstruct import stability_sweep
 
 
 SMALL_CONFIG = """
@@ -179,6 +192,23 @@ directory = runs/full
 """
         assert cfg.to_text() == text
         assert ExperimentConfig.from_text(text) == cfg
+
+    @pytest.mark.parametrize("changes, named", [
+        ({"s": float("nan")}, "[stability] s"),
+        ({"t_max": float("inf")}, "[reconstruction] t_max"),
+        ({"rho_override": float("nan")}, "[reconstruction] rho_override"),
+        ({"grid_half_width": float("nan")}, "[grid] half_width"),
+        ({"M1": float("-inf")}, "[stability] M1"),
+        ({"alphas": (1.0, float("nan"))}, "[sweep] alphas"),
+    ], ids=["nan-s", "inf-t-max", "nan-rho-override", "nan-half-width", "minus-inf-M1",
+            "nan-alpha"])
+    def test_code_built_nonfinite_rejected(self, small_cfg, changes, named):
+        """A config built in code, or changed by `dataclasses.replace`, passes
+        the same finite check as an INI file, named by the INI key; comparisons
+        such as `s <= 0` are false for nan and refused nothing."""
+        for build in (lambda: ExperimentConfig(**changes), lambda: replace(small_cfg, **changes)):
+            with pytest.raises(ConfigurationError, match=re.escape(named)):
+                build()
 
     def test_derived_objects(self, small_cfg):
         assert small_cfg.grid().contains_ball(1.3)
@@ -359,6 +389,16 @@ class TestCliForward:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and "cannot access run outputs" in lines[0]
 
+    def test_negative_seed_flag_exits_2(self, config_path, tmp_path, capsys):
+        """`--seed -1` reaches the config through `dataclasses.replace`: one
+        line and exit 2, where numpy's SeedSequence raised a traceback."""
+        out = tmp_path / "o"
+        argv = ["forward", "--config", config_path, "--out", str(out), "--seed", "-1"]
+        assert main(argv) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "master seed must be non-negative" in lines[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["forward", "reconstruct"])
     @pytest.mark.parametrize("old, new", [
         ("k = 2.0", "k = 0"),
@@ -390,13 +430,16 @@ class TestCliForward:
         ("n = 25", "n = 25\nhalf_width = nan", "[grid] half_width"),
         ("[sweep]", "[solver]\ntol = nan\n\n[sweep]", "[solver] tol"),
         ("n_frames = 1", "n_frames = 1\nt_max = nan", "[reconstruction] t_max"),
+        ("master_seed = 99", "master_seed = -1", "master seed must be non-negative"),
     ], ids=["non-numeric-value", "non-numeric-bump", "no-section-header", "repeated-key",
             "nan-rho-override", "nan-s", "minus-inf-M1", "inf-k", "nan-source-amplitude",
-            "nan-medium-radius", "nan-alpha", "nan-half-width", "nan-tol", "nan-t-max"])
+            "nan-medium-radius", "nan-alpha", "nan-half-width", "nan-tol", "nan-t-max",
+            "negative-seed"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, old, new, named):
         """A value that does not convert, a non-finite number (nan, inf), a
-        file without a section header and a repeated key are refused with one
-        line naming the fault."""
+        negative master seed (a SeedSequence traceback before), a file
+        without a section header and a repeated key are refused with one line
+        naming the fault."""
         assert SMALL_CONFIG.count(old) == 1
         p = tmp_path / "bad.ini"
         p.write_text(SMALL_CONFIG.replace(old, new))
@@ -588,3 +631,24 @@ class TestCliSweep:
         # traces carry sqrt(sigma), so the quadratic kernels are linear in
         # the source scale: alpha 1 -> 0.1 drops epsilon 10x
         assert eps[0] / eps[1] == pytest.approx(10.0, rel=0.05)
+
+    def test_scaled_ensemble_matches_regenerated(self, small_cfg):
+        """`run_sweep` scales one ensemble by sqrt(alpha) instead of drawing
+        one per alpha: the seed law draws the same normals for every alpha
+        with amplitude sqrt(alpha sigma). The rows agree with a factory that
+        regenerates the ensemble of each scaled source."""
+        def regenerate(alpha):
+            bumps = tuple(replace(b, amplitude=b.amplitude * alpha) for b in small_cfg.source_bumps)
+            return _traces(replace(small_cfg, source_bumps=bumps))
+
+        traces = _traces(small_cfg)
+        alphas = (1.0, 0.1, 0.001)
+        args = (small_cfg.source(), _capacity(small_cfg))
+        kwargs = dict(alphas=alphas, **_recon_args(small_cfg))
+        scaled = stability_sweep(lambda alpha: np.sqrt(alpha) * traces, *args, **kwargs)
+        fresh = stability_sweep(regenerate, *args, **kwargs)
+        assert len(scaled) == len(fresh) == len(alphas)
+        for got, want in zip(scaled, fresh):
+            assert got.keys() == want.keys()
+            for key in want:
+                assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0)
