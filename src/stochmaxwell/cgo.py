@@ -17,9 +17,10 @@ this inverse decays like 1/|Im zeta|, which is what gives the remainder
 estimate its 1/t behaviour. Phase constraints (zeta . zeta = k^2) use the
 bilinear dot product throughout.
 
-The correction enters its equation only through m W, so it is iterated on
-the bounding box of supp(m) with the same discrete operator restricted to
-the box (`greens.box_multiplier`); one full-grid apply then gives W.
+The correction enters its equation only through m W, so it is solved on
+the bounding box of supp(m), with the same discrete operator restricted to
+the box (`greens.box_multiplier`), by Neumann iteration with a hand-off to
+restarted GMRES (`forward.solve_fixed_point`); one full-grid apply gives W.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .geometry import (
     evaluate_on_grid,
     trilinear_interpolate,
 )
-from .forward import SolverError, _bounding_box, curl_grid, neumann_solve
+from .forward import _bounding_box, curl_grid, solve_fixed_point
 from .greens import _UPPER, box_multiplier, padded_fft_apply, symmetric_symbol
 
 __all__ = [
@@ -328,14 +329,15 @@ class CgoRemainderSolver:
     With U0 = eta e^{i zeta x} exact for m = 0, the amplitude correction W
     solves the conjugated fixed point W = A^{-1}(-k^2 m (eta + W)). The
     contrast and the bounding box B of its support are found once. Neumann
-    iteration with A^{-1} restricted to B (`ConjugatedResolvent.on_box`)
-    gives W_B, and one full-grid `apply` of -k^2 m (eta + W_B) gives W. The
-    first zeta of each symmetry orbit (`_orbit`) builds its resolvent
-    directly, and the near-bin data are kept for the solver's lifetime;
-    every later zeta whose canonical form agrees to 1e-12 relative borrows
-    them (see `ConjugatedResolvent`). On a cubic grid the 778 columns of a
-    389-node xi lattice fall into about 30 orbits; a non-cubic grid shares
-    only reflections and conjugation.
+    iteration with a GMRES hand-off (`forward.solve_fixed_point`) on A^{-1}
+    restricted to B (`ConjugatedResolvent.on_box`) gives W_B, and one
+    full-grid `apply` of -k^2 m (eta + W_B) gives W. The first zeta of each
+    symmetry orbit (`_orbit`) builds its resolvent directly, and the
+    near-bin data are kept for the solver's lifetime; every later zeta whose
+    canonical form agrees to 1e-12 relative borrows them (see
+    `ConjugatedResolvent`). On a cubic grid the 778 columns of a 389-node xi
+    lattice fall into about 30 orbits; a non-cubic grid shares only
+    reflections and conjugation.
     """
 
     def __init__(self, k: float, medium: MediumSpec, grid: Grid3,
@@ -370,8 +372,7 @@ class CgoRemainderSolver:
         """The correction W, shape (3, nx, ny, nz), of the CGO solution with
         phase zeta and polarization eta, and the relative fixed-point
         residual of the box system; W = 0 and residual 0 for m = 0. Raises
-        SolverError if the iteration stagnates or runs out of iterations
-        above the tolerance."""
+        SolverError when the residual misses the tolerance."""
         if self.homogeneous:
             return np.zeros((3,) + self.grid.dims, dtype=np.complex128), 0.0
         resolvent = self._resolvent(zeta)
@@ -379,15 +380,8 @@ class CgoRemainderSolver:
         on_box = resolvent.on_box(km.shape[1:])
         src = -km * eta[:, None, None, None]
         b = on_box(src)
-        W, iters, res, history = neumann_solve(
-            lambda W: W + on_box(km * W), b, self.tol, self.max_iter
-        )
-        if res > self.tol:
-            raise SolverError(
-                f"CGO remainder iteration stopped at residual {res:.3e} (tol {self.tol:.1e}) "
-                f"after {iters} iterations; the medium contrast is too strong for this t",
-                history,
-            )
+        W, _, res = solve_fixed_point(lambda W: W + on_box(km * W), b, self.tol,
+                                      self.max_iter, "CGO remainder solve")
         full = np.zeros((3,) + self.grid.dims, dtype=np.complex128)
         full[self._box] = src - km * W  # -k^2 m (eta + W_B)
         return resolvent.apply(full), float(res)

@@ -66,7 +66,7 @@ def _recon_args(cfg: ExperimentConfig) -> dict:
     return dict(
         k=cfg.k, R_prime=cfg.R_prime, medium=cfg.medium(), grid=cfg.grid(),
         constants=cfg.constants(), t_max=cfg.t_max, rho_override=cfg.rho_override,
-        n_frames=cfg.n_frames, cgo_tol=cfg.tol,
+        n_frames=cfg.n_frames, tol=cfg.tol, max_iter=cfg.max_iter,
     )
 
 

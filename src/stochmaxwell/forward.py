@@ -5,9 +5,10 @@ The inhomogeneous-medium problem is solved in Lippmann-Schwinger form
 
     E = R0(k)(source) - k^2 R0(k)(m E),
 
-by Neumann iteration with an automatic switch to restarted GMRES when the
-contrast is too strong for the fixed point to contract. The radiation
-condition is inherited from the outgoing convolution kernel.
+by `solve_fixed_point`, the solver of every contrast system (the CGO
+remainder too): Neumann iteration, handed off to restarted GMRES when the
+fixed point does not contract. The radiation condition is inherited from
+the outgoing convolution kernel.
 
 Ensembles go through `HomogeneousTraceMap`, the current-to-trace map of any
 medium; the full-grid `MaxwellSolver.solve` with `extract_trace` is the
@@ -36,6 +37,7 @@ __all__ = [
     "noise_amplitude",
     "noise_values",
     "neumann_solve",
+    "solve_fixed_point",
     "MaxwellSolver",
     "extract_trace",
     "HomogeneousTraceMap",
@@ -106,6 +108,40 @@ def neumann_solve(apply, b: np.ndarray, tol: float, max_iter: int):
     return x, max_iter, res, history
 
 
+def solve_fixed_point(apply, b: np.ndarray, tol: float, max_iter: int, what: str):
+    """Solve A x = b, A = `apply` = I + K, to the relative residual
+    ||A x - b|| / ||b|| <= tol, taken over all of b whatever its shape:
+    `neumann_solve`, then, where its iterate misses tol, restarted GMRES(30)
+    from that iterate, at most max_iter restarts.
+
+    Returns (x, iterations, residual), the iterations counting the GMRES
+    inner ones; x = b for b = 0. Raises SolverError, with the residual
+    history and a message naming `what`, when the residual misses tol.
+    """
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return b, 1, 0.0
+    x, iters, res, history = neumann_solve(apply, b, tol, max_iter)
+    if res > tol:  # stagnation or too few iterations: hand off to GMRES
+        A = LinearOperator((b.size, b.size), matvec=lambda v: apply(v.reshape(b.shape)).ravel(),
+                           dtype=np.complex128)
+        inner = []  # one residual estimate per GMRES inner iteration
+        sol, _ = gmres(
+            A, b.ravel(), x0=x.ravel(), rtol=tol, atol=0.0, restart=30,
+            maxiter=max_iter, callback=inner.append, callback_type="pr_norm",
+        )
+        x = sol.reshape(b.shape)
+        iters += len(inner)
+        res = np.linalg.norm(apply(x) - b) / bnorm
+        history.append(res)
+    if res > tol:
+        raise SolverError(
+            f"{what} stopped at residual {res:.3e} (tol {tol:.1e}) after {iters} iterations",
+            history,
+        )
+    return x, iters, res
+
+
 class MaxwellSolver:
     """Reusable solver: the kernel transforms are computed once per (k, grid)
     and shared read-only by every solve."""
@@ -113,7 +149,6 @@ class MaxwellSolver:
     def __init__(self, k: float, medium: MediumSpec, grid: Grid3):
         self.k = float(k)
         self.grid = grid
-        self.medium = medium
         self.convolver = FreeConvolver(self.k, grid)
         self.m_grid = evaluate_on_grid(medium, grid).values.real
 
@@ -126,43 +161,9 @@ class MaxwellSolver:
         if source.grid != self.grid:
             raise ValueError("source grid does not match solver grid")
         b = self.convolver.apply_resolvent_array(source.values)
-        E, iters, res = self.solve_incident(b, tol, max_iter)
+        E, iters, res = (b, 1, 0.0) if not np.any(self.m_grid) else solve_fixed_point(
+            self._apply_ls, b, tol, max_iter, "Maxwell solve")
         return ForwardSolution(field=VectorFieldC3(self.grid, E), iterations=iters, residual=res)
-
-    def solve_incident(self, b: np.ndarray, tol: float = 1e-10, max_iter: int = 60):
-        """E = b - k^2 R0(m E) for incident fields b of shape
-        (..., 3, nx, ny, nz), by Neumann iteration with a hand-off to
-        restarted GMRES on stagnation.
-
-        A batch is solved as one system: its relative residual
-        ||(I + k^2 R0 m) E - b|| / ||b|| is taken over the whole batch.
-        Returns (E, iterations, residual), the iterations counting the GMRES
-        inner ones; raises SolverError when the residual misses tol.
-        """
-        bnorm = np.linalg.norm(b)
-        if not np.any(self.m_grid) or bnorm == 0.0:
-            return b, 1, 0.0
-        E, iters, res, history = neumann_solve(self._apply_ls, b, tol, max_iter)
-        if res > tol:  # stagnation: hand off to GMRES
-            n = b.size
-            A = LinearOperator(
-                (n, n), matvec=lambda v: self._apply_ls(v.reshape(b.shape)).ravel(),
-                dtype=np.complex128,
-            )
-            inner = []  # one residual estimate per GMRES inner iteration
-            sol, _ = gmres(
-                A, b.ravel(), x0=E.ravel(), rtol=tol, atol=0.0, restart=30,
-                maxiter=max_iter, callback=inner.append, callback_type="pr_norm",
-            )
-            E = sol.reshape(b.shape)
-            iters += len(inner)
-            res = np.linalg.norm(self._apply_ls(E) - b) / bnorm
-            history.append(res)
-        if res > tol:
-            raise SolverError(
-                f"Maxwell solve stagnated at residual {res:.3e} (tol {tol:.1e})", history
-            )
-        return E, iters, res
 
 
 def extract_trace(E: VectorFieldC3, mesh: SphereMesh) -> np.ndarray:
@@ -245,13 +246,13 @@ class HomogeneousTraceMap:
 
     A contrast m adds a scattered term, by reciprocity (the discrete kernel
     is symmetric): column (n, t) over the contrast's cells is the incident
-    field of the tangential dipole u_{n,t} at node n. `MaxwellSolver.solve_incident`
-    solves a block of them at once (to tol within max_iter, SolverError
-    otherwise) on the bounding box of supp(m), and -k^2 R0(m E), read at the
-    source cells, is added to the column. Both box convolvers are the
-    full-grid operator restricted to their box, so the map is
-    T_src J + T_med(ik m E) with E the full-grid solution. Fields are taken
-    at grid cells inside the ball only, never at a mesh node.
+    field of the tangential dipole u_{n,t} at node n. `solve_fixed_point`
+    solves a block of them at once, as one system, on the bounding box of
+    supp(m) (to tol within max_iter, SolverError otherwise), and
+    -k^2 R0(m E), read at the source cells, is added to the column. Both
+    box convolvers are the full-grid operator restricted to their box, so
+    the map is T_src J + T_med(ik m E) with E the full-grid solution. Fields
+    are taken at grid cells inside the ball only, never at a mesh node.
 
     `traces` applies the map to a real current as one real matrix product
     with the map viewed as a real (3C, 4N) array, whose result, viewed as
@@ -298,7 +299,7 @@ class HomogeneousTraceMap:
             nodes = slice(lo, lo + block)
             b = np.zeros((2, len(mesh.nodes[nodes]), 3) + solver.grid.dims, dtype=np.complex128)
             b[..., cells] = _dipole_block(k, grid.cell_volume, cell_coords, mesh, nodes).T
-            E, _, _ = solver.solve_incident(b, tol, max_iter)
+            E, _, _ = solve_fixed_point(solver._apply_ls, b, tol, max_iter, "trace-map box solve")
             mE = np.zeros(b.shape[:3] + conv.grid.dims, dtype=np.complex128)
             mE[(Ellipsis,) + inner] = solver.m_grid * E
             scat = -k ** 2 * conv.apply_resolvent_array(mE)[..., sources]  # [t, n, j, c]

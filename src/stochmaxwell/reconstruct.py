@@ -254,7 +254,8 @@ def reconstruct_sigma(
     n_frames: int = 1,
     epsilon: float | None = None,
     ground_truth: SourceStrength | None = None,
-    cgo_tol: float = 1e-10,
+    tol: float = 1e-10,
+    max_iter: int = 60,
 ) -> ReconstructionResult:
     """Full pipeline: measured epsilon -> (t, rho) -> Fourier samples -> sigma.
 
@@ -266,7 +267,8 @@ def reconstruct_sigma(
     at every admissible xi, so the schedule's pessimistic cutoff needlessly
     truncates the spectrum and the override is the honest choice. `n_frames`
     averages the correlation over rotated transverse frames per realization,
-    which shrinks the Monte Carlo variance without touching the mean.
+    which shrinks the Monte Carlo variance without touching the mean. `tol`
+    and `max_iter` bound each CGO remainder solve (`CgoRemainderSolver`).
     """
     arr = _trace_array(traces)
     M = arr.shape[0]
@@ -293,7 +295,7 @@ def reconstruct_sigma(
         xi_nodes[:, None], t, k, azimuths[None], box_radius(grid)
     )
     lead = lead[:, 0]
-    solver = CgoRemainderSolver(k, medium, grid, tol=cgo_tol)
+    solver = CgoRemainderSolver(k, medium, grid, tol, max_iter)
     mesh = capacity.basis.mesh
     flat = arr.reshape(M, -1)
 

@@ -498,10 +498,29 @@ class TestContrastSolution:
             norms.append(r.l2_norm(within_radius=1.0))
         assert norms[0] / norms[1] > 1.5
 
-    def test_strong_contrast_raises(self, grid):
+    def test_strong_contrast_hands_off_to_gmres(self, grid):
+        """On a strong contrast the Neumann iteration stalls, on the full
+        grid as on the box; the box solve then hands off to GMRES, and its W
+        meets the full-grid fixed point. A tolerance GMRES cannot reach
+        within max_iter restarts still raises."""
         hard = MediumSpec((Bump((0.0, 0.0, 0.0), 0.8, 0.95),), ball_radius=1.0)
-        with pytest.raises(SolverError):
-            solve_cgo_remainder(np.array([0.5, 0.0, 0.0]), 2.2, K, 1, hard, grid, max_iter=60)
+        zeta, eta, _ = build_zeta_eta(np.array([0.5, 0.0, 0.0]), 2.2, K)
+        zeta, eta = zeta[0], eta[0]
+        res = ConjugatedResolvent(zeta, K, grid)
+        km = K ** 2 * evaluate_on_grid(hard, grid).values.real[None]
+        b = res.apply(-km * eta[:, None, None, None])
+
+        def fixed_point(W):
+            return W + res.apply(km * W)
+
+        _, _, stalled, _ = neumann_solve(fixed_point, b, 1e-10, 60)
+        assert stalled > 1e-4
+        W, residual = CgoRemainderSolver(K, hard, grid).solve(zeta, eta)
+        assert residual <= 1e-10
+        assert rel_err(fixed_point(W), b) <= 1e-9
+        with pytest.raises(SolverError) as exc:
+            CgoRemainderSolver(K, hard, grid, tol=1e-18, max_iter=2).solve(zeta, eta)
+        assert exc.value.residual_history
 
     def test_invalid_member_rejected(self, grid, contrast_medium):
         with pytest.raises(ValueError):

@@ -3,11 +3,19 @@ import importlib.util
 import os
 import pkgutil
 
+import numpy as np
 import pytest
 
 import stochmaxwell
 from stochmaxwell import cgo, ensemble, forward, reconstruct
-from stochmaxwell.geometry import Bump, Grid3, MediumSpec, SourceStrength, SphereMesh
+from stochmaxwell.geometry import (
+    Bump,
+    Grid3,
+    MediumSpec,
+    SourceStrength,
+    SphereMesh,
+    VectorFieldC3,
+)
 
 MODULES = ["stochmaxwell"] + [
     f"stochmaxwell.{m.name}" for m in pkgutil.iter_modules(stochmaxwell.__path__)
@@ -49,6 +57,30 @@ def test_reconstruction_calls_the_traced_cgo_layers():
     cover the reconstruct stage."""
     assert reconstruct.build_zeta_eta is cgo.build_zeta_eta
     assert reconstruct.cgo_on_sphere is cgo.cgo_on_sphere
+
+
+def test_every_contrast_solve_is_one_fixed_point_solve(monkeypatch):
+    """The full-grid Maxwell solve and the CGO remainder solve in a medium
+    each go through the one fixed-point solver, so the Neumann iteration and
+    its GMRES hand-off are one policy."""
+    solve = forward.solve_fixed_point
+    assert cgo.solve_fixed_point is solve
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "solve_fixed_point", counted)
+    monkeypatch.setattr(cgo, "solve_fixed_point", counted)
+    medium = MediumSpec((Bump((0.0, 0.1, 0.0), 0.6, 0.05),), ball_radius=1.0)
+    grid = Grid3.for_ball(1.3, 10)
+    source = VectorFieldC3(grid, np.ones((3,) + grid.dims))
+    forward.MaxwellSolver(2.0, medium, grid).solve(source)
+    assert len(calls) == 1
+    zeta, eta, _ = cgo.build_zeta_eta(np.array([0.5, 0.0, 0.0]), 3.0, 2.0)
+    cgo.CgoRemainderSolver(2.0, medium, grid).solve(zeta[0], eta[0])
+    assert len(calls) == 2
 
 
 def test_ensemble_of_a_medium_is_one_map_build(monkeypatch):

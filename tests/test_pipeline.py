@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stochmaxwell import verify
-from stochmaxwell.cgo import build_zeta_eta
+from stochmaxwell import reconstruct, verify
+from stochmaxwell.cgo import CgoRemainderSolver, build_zeta_eta
 from stochmaxwell.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -618,6 +618,39 @@ class TestInhomogeneousRoute:
         assert main(["forward", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_SOLVER
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("solver failure")
+
+    def test_cgo_failure_exits_3(self, tmp_path, capsys):
+        """A tolerance the CGO remainder solves cannot reach ends the
+        reconstruction in exit 3 with one line; tol is outside the physics
+        block, so the stored ensemble is reused."""
+        cfg, hard = tmp_path / "inhom.ini", tmp_path / "hard.ini"
+        cfg.write_text(INHOM_CONFIG)
+        hard.write_text(INHOM_CONFIG + "\n[solver]\ntol = 1e-18\nmax_iter = 2\n")
+        out = str(tmp_path / "o")
+        assert main(["forward", "--config", str(cfg), "--out", out]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", str(hard), "--out", out]) == EXIT_SOLVER
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("solver failure")
+        assert "CGO remainder" in lines[0]
+
+    def test_configured_max_iter_reaches_cgo_solver(self, tmp_path, monkeypatch):
+        """`[solver] max_iter` bounds the CGO remainder solves of
+        `reconstruct`, as it bounds the forward solves."""
+        seen = []
+
+        class Recording(CgoRemainderSolver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen.append((self.tol, self.max_iter))
+
+        monkeypatch.setattr(reconstruct, "CgoRemainderSolver", Recording)
+        cfg = tmp_path / "inhom.ini"
+        cfg.write_text(INHOM_CONFIG + "\n[solver]\ntol = 1e-9\nmax_iter = 50\n")
+        out = str(tmp_path / "o")
+        for command in ("forward", "reconstruct"):
+            assert main([command, "--config", str(cfg), "--out", out]) == EXIT_OK
+        assert seen == [(1e-9, 50)]
 
 
 class TestCliSweep:
