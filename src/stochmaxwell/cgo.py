@@ -2,13 +2,12 @@
 system and the product expansion used to isolate Fourier modes of the source
 strength.
 
-A CGO solution has the form U = e^{i zeta . x}(eta + f zeta + V) with complex
-zeta satisfying the bilinear constraint zeta . zeta = k^2, so that
+A CGO solution has the form U = e^{i zeta . x}(eta + W) with complex zeta
+satisfying the bilinear constraint zeta . zeta = k^2, so that
 U0 = eta e^{i zeta . x} solves curl curl U0 = k^2 U0 exactly. In an
-inhomogeneous medium the correction W = f zeta + V is solved from the
-conjugated equation e^{-i zeta x}(curl curl - k^2)(e^{i zeta x} W)
-= -k^2 m (eta + W), whose constant-coefficient part inverts in closed form
-in Fourier space:
+inhomogeneous medium the correction W is solved from the conjugated
+equation e^{-i zeta x}(curl curl - k^2)(e^{i zeta x} W) = -k^2 m (eta + W),
+whose constant-coefficient part inverts in closed form in Fourier space:
 
     A(q)^{-1} = (I - q q^T / k^2) / (s^2 + 2 s . zeta),   q = s + zeta,
 
@@ -21,6 +20,8 @@ The correction enters its equation only through m W, so it is solved on
 the bounding box of supp(m), with the same discrete operator restricted to
 the box (`greens.box_multiplier`), by Neumann iteration with a hand-off to
 restarted GMRES (`forward.solve_fixed_point`); one full-grid apply gives W.
+Every solve returns a `CgoSolution` holding W; the split W = f zeta + V of
+the remainder estimate is derived from it.
 """
 from __future__ import annotations
 
@@ -178,21 +179,35 @@ class StabilityConstants:
 
 @dataclass(frozen=True)
 class CgoSolution:
-    """A certified CGO solution U = e^{i zeta x}(eta + f zeta + V) on a grid."""
+    """A CGO solution U = e^{i zeta x}(eta + W) on a grid: the correction W,
+    shape (3, nx, ny, nz), and the relative fixed-point residual of its
+    solve. W = 0 and residual 0 for m = 0."""
 
     zeta: np.ndarray
     eta: np.ndarray
     grid: Grid3
-    f: ScalarFieldC
-    V: VectorFieldC3
+    W: np.ndarray
     residual: float
 
+    @property
+    def f(self) -> ScalarFieldC:
+        """f of the split W = f zeta + V by the pointwise minimal-norm
+        (Hermitian) projection f = W . conj(zeta)/|zeta|^2, V = W - f zeta,
+        which keeps both parts within the remainder estimate; the bilinear
+        projection does not, because the non-decaying part of W is parallel
+        to zeta and |zeta| grows with t."""
+        zh = np.conj(self.zeta) / np.sum(np.abs(self.zeta) ** 2)
+        return ScalarFieldC(self.grid, np.tensordot(zh, self.W, axes=1))
+
+    @property
+    def V(self) -> VectorFieldC3:
+        """V = W - f zeta of the split (see `f`)."""
+        fz = self.f.values[None] * self.zeta[:, None, None, None]
+        return VectorFieldC3(self.grid, self.W - fz)
+
     def amplitude(self) -> np.ndarray:
-        """eta + f zeta + V sampled on the grid, shape (3, nx, ny, nz)."""
-        amp = self.eta[:, None, None, None] + self.f.values[None] * self.zeta[
-            :, None, None, None
-        ]
-        return amp + self.V.values
+        """eta + W on the grid, shape (3, nx, ny, nz)."""
+        return self.eta[:, None, None, None] + self.W
 
 
 class ConjugatedResolvent:
@@ -368,13 +383,14 @@ class CgoRemainderSolver:
         self._lenders.append((res.near, P, conj))
         return res
 
-    def solve(self, zeta: np.ndarray, eta: np.ndarray):
-        """The correction W, shape (3, nx, ny, nz), of the CGO solution with
-        phase zeta and polarization eta, and the relative fixed-point
-        residual of the box system; W = 0 and residual 0 for m = 0. Raises
-        SolverError when the residual misses the tolerance."""
+    def solve(self, zeta: np.ndarray, eta: np.ndarray) -> CgoSolution:
+        """The CGO solution with phase zeta and polarization eta: its
+        correction W and the relative fixed-point residual of the box
+        system; W = 0 and residual 0 for m = 0. Raises SolverError when the
+        residual misses the tolerance."""
         if self.homogeneous:
-            return np.zeros((3,) + self.grid.dims, dtype=np.complex128), 0.0
+            W = np.zeros((3,) + self.grid.dims, dtype=np.complex128)
+            return CgoSolution(zeta, eta, self.grid, W, 0.0)
         resolvent = self._resolvent(zeta)
         km = self._km
         on_box = resolvent.on_box(km.shape[1:])
@@ -384,7 +400,7 @@ class CgoRemainderSolver:
                                       self.max_iter, "CGO remainder solve")
         full = np.zeros((3,) + self.grid.dims, dtype=np.complex128)
         full[self._box] = src - km * W  # -k^2 m (eta + W_B)
-        return resolvent.apply(full), float(res)
+        return CgoSolution(zeta, eta, self.grid, resolvent.apply(full), float(res))
 
 
 def solve_cgo_remainder(
@@ -397,14 +413,9 @@ def solve_cgo_remainder(
     tol: float = 1e-10,
     max_iter: int = 60,
 ) -> CgoSolution:
-    """Solve the CGO correction for member `which` (1 or 2) of the conjugate
-    pair of one frequency xi (`build_zeta_eta`, with the overflow guard
-    checked on the grid) by `CgoRemainderSolver`.
-
-    The split uses the pointwise minimal-norm (Hermitian) projection
-    f = W . conj(zeta)/|zeta|^2, V = W - f zeta, which keeps both parts
-    within the remainder estimate; the bilinear projection does not, because
-    the non-decaying part of W is parallel to zeta and |zeta| grows with t.
+    """The CGO solution of member `which` (1 or 2) of the conjugate pair of
+    one frequency xi (`build_zeta_eta`, with the overflow guard checked on
+    the grid), solved by a `CgoRemainderSolver` of its own.
 
     For m = 0 the residual is algebraically zero (curl curl of the plane
     phase reproduces k^2 U0 exactly since zeta.zeta = k^2 and zeta.eta = 0);
@@ -418,56 +429,28 @@ def solve_cgo_remainder(
     if np.shape(xi) != (3,):
         raise ValueError("xi must be a 3-vector")
     zeta, eta, _ = build_zeta_eta(xi, t, k, box_radius=box_radius(grid))
-    zeta, eta = zeta[which - 1], eta[which - 1]
-    W, res = CgoRemainderSolver(k, medium, grid, tol, max_iter).solve(zeta, eta)
-    zh = np.conj(zeta) / np.sum(np.abs(zeta) ** 2)
-    f_vals = np.tensordot(zh, W, axes=1)
-    V_vals = W - f_vals[None] * zeta[:, None, None, None]
-    return CgoSolution(
-        zeta=zeta,
-        eta=eta,
-        grid=grid,
-        f=ScalarFieldC(grid, f_vals),
-        V=VectorFieldC3(grid, V_vals),
-        residual=res,
-    )
+    solver = CgoRemainderSolver(k, medium, grid, tol, max_iter)
+    return solver.solve(zeta[which - 1], eta[which - 1])
 
 
 def cgo_product_remainder(sol1: CgoSolution, sol2: CgoSolution):
     """Leading coefficient eta1 . eta2 and remainder r of
     U1 . U2 = e^{-i xi x}(leading + r).
 
-    Expanding the bilinear product of the two amplitudes,
+    Expanding the bilinear product of the two amplitudes eta_j + W_j,
 
-        r = f2 (eta1.zeta2) + f1 (eta2.zeta1) + eta1.V2 + eta2.V1
-            + f1 f2 (zeta1.zeta2) + f1 (zeta1.V2) + f2 (zeta2.V1) + V1.V2,
+        r = eta1 . W2 + eta2 . W1 + W1 . W2,
 
-    collecting every cross term of (eta, f zeta, V). The solutions must be
-    one conjugate pair (zeta1 + zeta2 = -xi real) on one grid.
+    collecting every cross term. The solutions must be one conjugate pair
+    (zeta1 + zeta2 = -xi real) on one grid.
     """
     if np.any((sol1.zeta + sol2.zeta).imag):
         raise ValueError("solutions are not one conjugate pair (zeta1 + zeta2 is not real)")
     if sol1.grid != sol2.grid:
         raise ValueError("solutions do not share a grid")
-    z1, z2 = sol1.zeta, sol2.zeta
-    e1, e2 = sol1.eta, sol2.eta
-    f1, f2 = sol1.f.values, sol2.f.values
-    V1, V2 = sol1.V.values, sol2.V.values
-
-    def dot_vec(c, F):
-        return np.tensordot(c, F, axes=1)
-
-    r = (
-        f2 * (e1 @ z2)
-        + f1 * (e2 @ z1)
-        + dot_vec(e1, V2)
-        + dot_vec(e2, V1)
-        + f1 * f2 * (z1 @ z2)
-        + f1 * dot_vec(z1, V2)
-        + f2 * dot_vec(z2, V1)
-        + np.sum(V1 * V2, axis=0)
-    )
-    return e1 @ e2, ScalarFieldC(sol1.grid, r)
+    W1, W2 = sol1.W, sol2.W
+    r = np.tensordot(sol1.eta, W2, axes=1) + np.tensordot(sol2.eta, W1, axes=1)
+    return sol1.eta @ sol2.eta, ScalarFieldC(sol1.grid, r + np.sum(W1 * W2, axis=0))
 
 
 def cgo_on_sphere(zeta, eta, W, grid: Grid3, mesh) -> tuple[np.ndarray, np.ndarray]:

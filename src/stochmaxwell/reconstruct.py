@@ -75,7 +75,6 @@ class KernelEpsilon:
     norm1: float
     norm2: float
     norm3: float
-    sample_count: int
 
     @property
     def epsilon(self) -> float:
@@ -154,7 +153,6 @@ def measure_epsilon(traces, capacity: CapacityOperator) -> KernelEpsilon:
         norm1=kernel_norm(X0, X0),
         norm2=kernel_norm(X1, X0),
         norm3=kernel_norm(X1, X1),
-        sample_count=M,
     )
 
 
@@ -315,7 +313,7 @@ def reconstruct_sigma(
                 zs, es = zb[s : s + SPHERE_BLOCK], eb[s : s + SPHERE_BLOCK]
                 # for m = 0 the CGO pair is the exact plane-wave pair
                 W = None if solver.homogeneous else np.stack(
-                    [solver.solve(z, e)[0] for z, e in zip(zs, es)]
+                    [solver.solve(z, e).W for z, e in zip(zs, es)]
                 )
                 cols = slice(s, s + SPHERE_BLOCK)
                 U[cols], curlU[cols] = cgo_on_sphere(zs, es, W, grid, mesh)

@@ -63,8 +63,7 @@ class VshBasis:
 
         # the (2K, N, 3) stack used by decompose/synthesize; the families are its halves
         self._stack = np.empty((2 * self.n_modes, mesh.n_nodes, 3), dtype=np.complex128)
-        grad = self.grad_family = self._stack[: self.n_modes]
-        curl = self.curl_family = self._stack[self.n_modes :]
+        grad, curl = self._stack[: self.n_modes], self._stack[self.n_modes :]
         for idx, (l, m) in enumerate(self.modes):
             norm = 1.0 / (R * np.sqrt(l * (l + 1)))
             a = dY[(l, m)] * norm                 # theta component of grad family

@@ -10,6 +10,7 @@ from stochmaxwell.capacity import (
 )
 from stochmaxwell.forward import HomogeneousTraceMap
 from stochmaxwell.geometry import Grid3, SphereMesh
+from stochmaxwell.sphharm import scalar_ylm_table
 from stochmaxwell.verify import (
     capacity_identity,
     electric_dipole_field,
@@ -33,14 +34,21 @@ class TestVshBasis:
     def test_expansion_coefficient_lookup(self, desk_basis):
         """Coefficient (family, l, m) sits at mode_index(l, m), the curl family
         n_modes further on: synthesizing a unit vector there gives that
-        family's harmonic."""
-        idx = desk_basis.mode_index(3, -1)
-        assert desk_basis.modes[idx] == (3, -1)
+        family's harmonic: the normalized surface gradient of Y_lm, then its
+        rotation nu x grad."""
+        l, m = 3, -1
+        mesh = desk_basis.mesh
+        idx = desk_basis.mode_index(l, m)
+        assert desk_basis.modes[idx] == (l, m)
+        Y, dY = scalar_ylm_table(l, mesh.theta, mesh.phi)
+        grad = (dY[(l, m)][:, None] * mesh.theta_hat
+                + (1j * m * Y[(l, m)] / np.sin(mesh.theta))[:, None] * mesh.phi_hat)
+        grad /= mesh.radius * np.sqrt(l * (l + 1))
         unit = np.zeros(2 * desk_basis.n_modes, dtype=complex)
         unit[idx] = 1.0
-        assert np.allclose(desk_basis.synthesize(unit), desk_basis.grad_family[idx])
+        assert np.allclose(desk_basis.synthesize(unit), grad)
         unit = np.roll(unit, desk_basis.n_modes)
-        assert np.allclose(desk_basis.synthesize(unit), desk_basis.curl_family[idx])
+        assert np.allclose(desk_basis.synthesize(unit), np.cross(mesh.normals, grad))
 
     def test_batched_decompose_matches_loop(self, desk_basis):
         rng = np.random.default_rng(7)

@@ -33,11 +33,6 @@ K = 2.0
 BOX = Grid3(origin=(-1.6, -1.9, -1.6), spacing=0.33, dims=(10, 12, 10))
 
 
-def correction(sol):
-    """The amplitude correction W = f zeta + V of a CGO solution."""
-    return sol.f.values[None] * sol.zeta[:, None, None, None] + sol.V.values
-
-
 class TestFrame:
     @given(
         st.tuples(
@@ -287,11 +282,11 @@ class TestRemainderSolver:
         xi = np.array([0.9, 0.4, -0.2])
         zeta, eta, _ = build_zeta_eta(np.stack([xi, -xi]), 5.0, K)
         solver = CgoRemainderSolver(K, contrast_medium, self.GRID)
-        got = [solver.solve(zeta[i, w], eta[i, w])[0] for i in (0, 1) for w in (0, 1)]
+        got = [solver.solve(zeta[i, w], eta[i, w]).W for i in (0, 1) for w in (0, 1)]
         assert lent == [False, False, True, True]
         for (i, w), W in zip([(i, w) for i in (0, 1) for w in (0, 1)], got):
             fresh = CgoRemainderSolver(K, contrast_medium, self.GRID)
-            assert rel_err(W, fresh.solve(zeta[i, w], eta[i, w])[0]) <= 1e-12
+            assert rel_err(W, fresh.solve(zeta[i, w], eta[i, w]).W) <= 1e-12
 
     def test_zero_frequency_builds_directly(self, contrast_medium, lent):
         """xi = 0 builds one resolvent directly: zeta_2(0) = -zeta_1(0)
@@ -354,7 +349,7 @@ class TestRemainderSolver:
         tol = 1e-13
         zeta, eta, _ = build_zeta_eta(np.array([0.9, 0.4, -0.2]), 5.0, K)
         zeta, eta = zeta[0], eta[0]
-        W, _ = CgoRemainderSolver(K, contrast_medium, grid, tol=tol).solve(zeta, eta)
+        W = CgoRemainderSolver(K, contrast_medium, grid, tol=tol).solve(zeta, eta).W
         res = ConjugatedResolvent(zeta, K, grid)
         km = K ** 2 * evaluate_on_grid(contrast_medium, grid).values.real[None]
         b = res.apply(-km * eta[:, None, None, None])
@@ -378,7 +373,7 @@ class TestRemainderSolver:
 
         monkeypatch.setattr(cgo.ConjugatedResolvent, "apply", counted)
         zeta, eta, _ = build_zeta_eta(np.array([0.9, 0.4, -0.2]), 5.0, K)
-        W, _ = CgoRemainderSolver(K, contrast_medium, self.GRID).solve(zeta[0], eta[0])
+        W = CgoRemainderSolver(K, contrast_medium, self.GRID).solve(zeta[0], eta[0]).W
         assert np.any(W)
         assert len(calls) == 1
 
@@ -429,7 +424,7 @@ class TestHomogeneousSolution:
         zeta, eta = zeta[1], eta[1]
         assert np.array_equal(sol.zeta, zeta) and np.array_equal(sol.eta, eta)
         mesh = SphereMesh(1.0, 8)
-        for W in (correction(sol)[None], None):
+        for W in (sol.W[None], None):
             U, curlU = cgo_on_sphere(zeta[None], eta[None], W, grid, mesh)
             phase = np.exp(1j * mesh.nodes @ zeta)
             assert np.allclose(U[0], phase[:, None] * eta[None, :], atol=1e-12)
@@ -465,7 +460,7 @@ class TestContrastSolution:
             for xi in ([0.0, 0.0, 0.0], [1.2, -0.4, 0.3]) for w in (1, 2)
         ]
         zeta, eta = np.array([s.zeta for s in sols]), np.array([s.eta for s in sols])
-        W = np.array([correction(s) for s in sols])
+        W = np.array([s.W for s in sols])
         assert np.any(W)
         U, curlU = cgo_on_sphere(zeta, eta, W, grid, mesh)
         for c, sol in enumerate(sols):
@@ -515,9 +510,9 @@ class TestContrastSolution:
 
         _, _, stalled, _ = neumann_solve(fixed_point, b, 1e-10, 60)
         assert stalled > 1e-4
-        W, residual = CgoRemainderSolver(K, hard, grid).solve(zeta, eta)
-        assert residual <= 1e-10
-        assert rel_err(fixed_point(W), b) <= 1e-9
+        sol = CgoRemainderSolver(K, hard, grid).solve(zeta, eta)
+        assert sol.residual <= 1e-10
+        assert rel_err(fixed_point(sol.W), b) <= 1e-9
         with pytest.raises(SolverError) as exc:
             CgoRemainderSolver(K, hard, grid, tol=1e-18, max_iter=2).solve(zeta, eta)
         assert exc.value.residual_history
@@ -538,6 +533,29 @@ class TestProductExpansion:
         direct, expansion = cgo_product_identity(s1, s2)
         inside = grid.radii() < 1.0
         assert rel_err(direct[inside], expansion[inside]) < 1e-10
+
+    def test_matches_the_split_expansion(self, grid, contrast_medium):
+        """r from W equals the eight cross terms of (eta, f zeta, V), written
+        out here with the derived split W = f zeta + V, to 1e-12 of max|r|;
+        and f zeta + V gives W back to rounding."""
+        xi = np.array([0.9, 0.4, -0.2])
+        s1 = solve_cgo_remainder(xi, 3.5, K, 1, contrast_medium, grid)
+        s2 = solve_cgo_remainder(xi, 3.5, K, 2, contrast_medium, grid)
+        z1, z2, e1, e2 = s1.zeta, s2.zeta, s1.eta, s2.eta
+        f1, f2, V1, V2 = s1.f.values, s2.f.values, s1.V.values, s2.V.values
+        for f, z, V, s in ((f1, z1, V1, s1), (f2, z2, V2, s2)):
+            assert np.any(s.W)
+            assert np.max(np.abs(f[None] * z[:, None, None, None] + V - s.W)) <= (
+                1e-15 * np.max(np.abs(s.W)))
+
+        def dot(c, F):
+            return np.tensordot(c, F, axes=1)
+
+        want = (f2 * (e1 @ z2) + f1 * (e2 @ z1) + dot(e1, V2) + dot(e2, V1)
+                + f1 * f2 * (z1 @ z2) + f1 * dot(z1, V2) + f2 * dot(z2, V1)
+                + np.sum(V1 * V2, axis=0))
+        _, r = cgo_product_remainder(s1, s2)
+        assert np.max(np.abs(r.values - want)) <= 1e-12 * np.max(np.abs(r.values))
 
     def test_homogeneous_remainder_is_zero(self, grid):
         xi = np.array([0.3, 0.0, 0.0])

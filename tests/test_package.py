@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -8,6 +9,7 @@ import pytest
 
 import stochmaxwell
 from stochmaxwell import cgo, ensemble, forward, reconstruct
+from stochmaxwell.capacity import CapacityOperator
 from stochmaxwell.geometry import (
     Bump,
     Grid3,
@@ -16,6 +18,7 @@ from stochmaxwell.geometry import (
     SphereMesh,
     VectorFieldC3,
 )
+from stochmaxwell.sphharm import VshBasis
 
 MODULES = ["stochmaxwell"] + [
     f"stochmaxwell.{m.name}" for m in pkgutil.iter_modules(stochmaxwell.__path__)
@@ -81,6 +84,36 @@ def test_every_contrast_solve_is_one_fixed_point_solve(monkeypatch):
     zeta, eta, _ = cgo.build_zeta_eta(np.array([0.5, 0.0, 0.0]), 3.0, 2.0)
     cgo.CgoRemainderSolver(2.0, medium, grid).solve(zeta[0], eta[0])
     assert len(calls) == 2
+
+
+def test_cgo_solution_stores_one_correction():
+    """A CGO solution holds its correction W once; the split W = f zeta + V
+    is derived from it, not stored."""
+    names = tuple(f.name for f in dataclasses.fields(cgo.CgoSolution))
+    assert names == ("zeta", "eta", "grid", "W", "residual")
+
+
+def test_every_cgo_correction_comes_from_the_remainder_solver(monkeypatch):
+    """`solve_cgo_remainder` and an inhomogeneous `reconstruct_sigma` take
+    every correction from `CgoRemainderSolver.solve`: one call for the
+    column, one per (xi, member) for the reconstruction."""
+    solve = cgo.CgoRemainderSolver.solve
+    calls = []
+
+    def counted(self, zeta, eta):
+        calls.append(1)
+        return solve(self, zeta, eta)
+
+    monkeypatch.setattr(cgo.CgoRemainderSolver, "solve", counted)
+    medium = MediumSpec((Bump((0.0, 0.0, 0.0), 0.9, 0.1),), ball_radius=1.0)
+    grid = Grid3.for_ball(1.3, 8)
+    sol = cgo.solve_cgo_remainder(np.array([0.5, 0.0, 0.0]), 3.0, 2.0, 1, medium, grid)
+    assert np.any(sol.W) and len(calls) == 1
+    capacity = CapacityOperator(2.0, VshBasis(SphereMesh(1.0, 4), 4))
+    traces = np.random.default_rng(8).standard_normal((4, capacity.basis.mesh.n_nodes, 3))
+    result = reconstruct.reconstruct_sigma(traces, capacity, 2.0, 1.3, medium, grid,
+                                           epsilon=0.1)
+    assert len(calls) == 1 + 2 * len(result.xi_nodes)
 
 
 def test_ensemble_of_a_medium_is_one_map_build(monkeypatch):

@@ -485,6 +485,15 @@ class TestCliVerify:
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert "capacity_multipole_identity" in failed
 
+    def test_inhomogeneous_config_passes(self, tmp_path):
+        """The ibp pairing takes its trace from the trace map, as the
+        ensembles do, so every check passes on the 10^3 grid of the
+        inhomogeneous config; the trilinear trace of a full-grid solve
+        missed the pairing's 1e-2 bound there by about 19x."""
+        p = tmp_path / "inhom.ini"
+        p.write_text(INHOM_CONFIG)
+        assert main(["verify", "--config", str(p), "--out", str(tmp_path / "v")]) == EXIT_OK
+
     def test_unresolved_probe_exits_2(self, tmp_path, capsys):
         """On an 8^3 grid the probe source falls between the nodes: verify
         refuses the vacuous check with one line instead of passing it."""

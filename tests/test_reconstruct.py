@@ -378,8 +378,7 @@ class TestReconstructSigma:
 
         def column(xi, w):
             sol = solve_cgo_remainder(xi, result.t, K_DESK, w, medium, grid)
-            W = sol.f.values[None] * sol.zeta[:, None, None, None] + sol.V.values
-            U, curlU = cgo_on_sphere(sol.zeta[None], sol.eta[None], W[None], grid, mesh)
+            U, curlU = cgo_on_sphere(sol.zeta[None], sol.eta[None], sol.W[None], grid, mesh)
             return flat @ dual_functional_vector(capacity, U[0], curlU[0]).ravel()
 
         def sample(xi):
