@@ -350,9 +350,9 @@ class CgoRemainderSolver:
     symmetry orbit (`_orbit`) builds its resolvent directly, and the
     near-bin data are kept for the solver's lifetime; every later zeta whose
     canonical form agrees to 1e-12 relative borrows them (see
-    `ConjugatedResolvent`). On a cubic grid the 778 columns of a 389-node xi
-    lattice fall into about 30 orbits; a non-cubic grid shares only
-    reflections and conjugation.
+    `ConjugatedResolvent`). On a cubic grid the 390 columns of a 389-node xi
+    lattice (one sample per antipodal pair) fall into about 30 orbits; a
+    non-cubic grid shares only reflections and conjugation.
     """
 
     def __init__(self, k: float, medium: MediumSpec, grid: Grid3,

@@ -14,6 +14,10 @@ Each boundary functional is folded into a single dual vector D on the mesh
 hundreds of frequencies reduces to one complex matrix product. The dual
 vectors themselves are built per block of CGO columns, one stacked
 spherical-harmonic analysis and synthesis per block.
+
+sigma is real, so sigma_hat(-xi) = conj sigma_hat(xi): only the lattice
+nodes up to xi = 0 are estimated, and each antipode is filled with the
+conjugate of its node's estimate and shares its standard error.
 """
 from __future__ import annotations
 
@@ -89,8 +93,8 @@ class ReconstructionResult:
     t: float
     epsilon: float
     sample_count: int
-    sigma_hat: np.ndarray  # (n_xi,) Hermitian-symmetrized samples
-    stderr: np.ndarray  # (n_xi,) per-sample Monte Carlo standard error
+    sigma_hat: np.ndarray  # (n_xi,) samples; node n_xi - 1 - i is conj of node i
+    stderr: np.ndarray  # (n_xi,) Monte Carlo standard error, mirrored like sigma_hat
     sigma_rec: ScalarFieldC
     imag_residue: float
     l2_error: float | None = None
@@ -187,7 +191,10 @@ def build_xi_lattice(rho: float, R_prime: float) -> tuple[np.ndarray, float]:
 
     Spacing pi/R' capped so the retained ball holds at least 7^3 nodes
     (enough quadrature nodes per dimension for the synthesis even when rho is
-    small).
+    small). Node n - 1 - i is the antipode of node i bit for bit, and node
+    n // 2 is xi = 0: the axis is symmetric ((-j) dxi == -(j dxi) in IEEE
+    arithmetic), the meshgrid order reverses under negation, and the ball
+    clip is symmetric.
     """
     if rho <= 0:
         raise ConfigurationError("cutoff rho must be positive")
@@ -200,16 +207,17 @@ def build_xi_lattice(rho: float, R_prime: float) -> tuple[np.ndarray, float]:
     return nodes, float(dxi)
 
 
-def hermitian_symmetrize(xi_nodes: np.ndarray, values: np.ndarray, dxi: float) -> np.ndarray:
-    """Enforce v(-xi) = conj(v(xi)) by averaging each node with its antipode."""
-    idx = np.rint(np.asarray(xi_nodes) / dxi).astype(np.int64)
-    lookup = {tuple(row): i for i, row in enumerate(idx)}
-    out = np.array(values, dtype=np.complex128)
-    for i, row in enumerate(idx):
-        j = lookup.get(tuple(-row))
-        if j is not None:
-            out[i] = 0.5 * (values[i] + np.conj(values[j]))
-    return out
+def hermitian_symmetrize(xi_nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The samples of the whole lattice from the estimates at nodes 0 .. n // 2:
+    node n - 1 - i is conj of node i, and node n // 2 (xi = 0) keeps its real
+    part. The lattice must be ordered as `build_xi_lattice` orders it."""
+    xi_nodes = np.asarray(xi_nodes)
+    if len(xi_nodes) != 2 * len(values) - 1 or not np.array_equal(xi_nodes[::-1], -xi_nodes):
+        raise ValueError("values must be the estimates at nodes 0 .. n // 2, and node "
+                         "n - 1 - i of the xi lattice the antipode of node i")
+    half = np.array(values, dtype=np.complex128)
+    half[-1] = half[-1].real
+    return np.concatenate([half, np.conj(half[-2::-1])])
 
 
 def fourier_synthesis(
@@ -285,22 +293,22 @@ def reconstruct_sigma(
             f"cutoff rho={rho:.2f} exceeds the admissible band for t={t:.2f}"
         )
     xi_nodes, dxi = build_xi_lattice(rho, R_prime)
-    n_xi = len(xi_nodes)
+    n_est = len(xi_nodes) // 2 + 1  # nodes 0 .. n // 2; the rest are their antipodes
     azimuths = np.pi * np.arange(n_frames) / n_frames
     # one column per (xi, frame, member); the overflow guard is checked here,
     # at the largest |xi|, for every column
     zeta, eta, lead = build_zeta_eta(
-        xi_nodes[:, None], t, k, azimuths[None], box_radius(grid)
+        xi_nodes[:n_est, None], t, k, azimuths[None], box_radius(grid)
     )
     lead = lead[:, 0]
     solver = CgoRemainderSolver(k, medium, grid, tol, max_iter)
     mesh = capacity.basis.mesh
     flat = arr.reshape(M, -1)
 
-    sigma_hat = np.empty(n_xi, dtype=np.complex128)
-    stderr = np.empty(n_xi)
+    sigma_hat = np.empty(n_est, dtype=np.complex128)
+    stderr = np.empty(n_est)
     chunk = max(1, 8 * DUAL_BLOCK // (2 * n_frames))  # xi per trace product
-    for lo in range(0, n_xi, chunk):
+    for lo in range(0, n_est, chunk):
         ids = slice(lo, lo + chunk)
         z_cols = zeta[ids].reshape(-1, 3)
         e_cols = eta[ids].reshape(-1, 3)
@@ -327,7 +335,8 @@ def reconstruct_sigma(
         sigma_hat[ids] = (-mean / k ** 2) / lead[ids]
         stderr[ids] = sd / (k ** 2 * np.abs(lead[ids]))
 
-    sigma_hat = hermitian_symmetrize(xi_nodes, sigma_hat, dxi)
+    sigma_hat = hermitian_symmetrize(xi_nodes, sigma_hat)
+    stderr = hermitian_symmetrize(xi_nodes, stderr).real
     sigma_rec, residue = fourier_synthesis(xi_nodes, sigma_hat, dxi, grid)
 
     l2 = linf = rel = None

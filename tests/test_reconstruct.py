@@ -239,8 +239,8 @@ class TestParameterSchedule:
 
 class TestSigmaHatEstimator:
     def test_inverts_known_leading(self, small_ensemble, grid, hom_medium, desk_capacity):
-        """Each sample is -mean(B_1 B_2) / (k^2 lead), averaged with the
-        conjugate of its antipode's."""
+        """Each sample at nodes 0 .. n // 2 is -mean(B_1 B_2) / (k^2 lead),
+        and each node beyond holds the conjugate of its antipode's."""
         traces = small_ensemble[:100]
         result = _reconstruct(
             traces, desk_capacity, grid, hom_medium, epsilon=0.1, rho_override=1.5
@@ -253,12 +253,16 @@ class TestSigmaHatEstimator:
             return (-mean / K_DESK ** 2) / lead
 
         n = len(result.xi_nodes)
-        # two columns per xi at one frame: the last xi lies past the first block
-        assert 2 * (n - 1) >= DUAL_BLOCK
-        for i in (0, n // 3, n - 1):
-            xi = result.xi_nodes[i]
-            want = 0.5 * (sample(xi) + np.conj(sample(-xi)))
+        # two columns per xi at one frame: the last estimated xi lies past the
+        # first block
+        assert 2 * (n // 2 - 1) >= DUAL_BLOCK
+        for i in (0, n // 3, n // 2 - 1):
+            want = sample(result.xi_nodes[i])
             assert result.sigma_hat[i] == pytest.approx(want, rel=1e-10)
+            assert result.sigma_hat[n - 1 - i] == pytest.approx(np.conj(want), rel=1e-10)
+        # xi = 0 keeps the real part of its estimate
+        want = sample(result.xi_nodes[n // 2]).real
+        assert result.sigma_hat[n // 2] == pytest.approx(want, rel=1e-10)
 
     def test_guard_near_vanishing_leading(self, small_ensemble, grid, hom_medium, desk_capacity):
         """A cutoff just inside |xi| = 2t, where the leading coefficient
@@ -296,13 +300,30 @@ class TestXiLattice:
         with pytest.raises(ConfigurationError):
             build_xi_lattice(0.0, RP_DESK)
 
+    def test_antipode_is_the_reversed_node(self):
+        """Node n - 1 - i is exactly minus node i and node n // 2 is the
+        origin, on the 389-node lattices below rho = 4.5 pi / R' and on a
+        larger one above."""
+        sizes = []
+        for rho in (1.43, 1.5, 3.0, 5.0, 7.7, 12.0):
+            nodes, _ = build_xi_lattice(rho, RP_DESK)
+            assert np.array_equal(nodes[::-1], -nodes)
+            assert not np.any(nodes[len(nodes) // 2])
+            sizes.append(len(nodes))
+        assert 12.0 > 4.5 * np.pi / RP_DESK
+        assert sizes[:-1] == [389] * 5 and sizes[-1] > 389
+
 
 class TestHermitianSymmetrize:
     def test_output_is_hermitian(self):
+        """The estimates stay at nodes 0 .. n // 2 (xi = 0 keeps its real
+        part), and every node holds the conjugate of its antipode."""
         nodes, dxi = build_xi_lattice(1.5, RP_DESK)
+        h = len(nodes) // 2
         rng = np.random.default_rng(31)
-        vals = rng.standard_normal(len(nodes)) + 1j * rng.standard_normal(len(nodes))
-        out = hermitian_symmetrize(nodes, vals, dxi)
+        vals = rng.standard_normal(h + 1) + 1j * rng.standard_normal(h + 1)
+        out = hermitian_symmetrize(nodes, vals)
+        assert np.array_equal(out[:h], vals[:h]) and out[h] == vals[h].real
         lookup = {tuple(np.rint(n / dxi).astype(int)): i for i, n in enumerate(nodes)}
         for i, n in enumerate(nodes):
             j = lookup[tuple(-np.rint(n / dxi).astype(int))]
@@ -312,8 +333,19 @@ class TestHermitianSymmetrize:
         nodes, dxi = build_xi_lattice(1.5, RP_DESK)
         # exact transform of a real field is Hermitian
         vals = np.exp(-0.5 * np.einsum("ni,ni->n", nodes, nodes)) + 0j
-        out = hermitian_symmetrize(nodes, vals, dxi)
+        out = hermitian_symmetrize(nodes, vals[: len(nodes) // 2 + 1])
         assert np.allclose(out, vals, atol=1e-15)
+
+    def test_rejects_lattice_out_of_antipodal_order(self):
+        nodes, _ = build_xi_lattice(1.5, RP_DESK)
+        vals = np.ones(len(nodes) // 2 + 1, dtype=complex)
+        shuffled = nodes[np.random.default_rng(5).permutation(len(nodes))]
+        no_origin = np.delete(nodes, len(nodes) // 2, axis=0)
+        for bad in (shuffled, no_origin):
+            with pytest.raises(ValueError):
+                hermitian_symmetrize(bad, vals)
+        with pytest.raises(ValueError):  # estimates past the origin
+            hermitian_symmetrize(nodes, np.ones(len(nodes), dtype=complex))
 
 
 class TestFourierSynthesis:
@@ -370,7 +402,8 @@ class TestReconstructSigma:
         lent across symmetry orbits, stacked sphere evaluation) gives the sigma_hat of a
         column-by-column reference: one `solve_cgo_remainder`, single-column
         `cgo_on_sphere` and `dual_functional_vector` per (xi, member), then
-        the correlation and the average with the antipode."""
+        the correlation, at the estimated nodes 0 .. n // 2 and filled by
+        conjugation beyond."""
         traces, capacity, kwargs = small_inhomogeneous
         grid, medium, mesh = kwargs["grid"], kwargs["medium"], capacity.basis.mesh
         result = reconstruct_sigma(traces, capacity, **kwargs)
@@ -386,13 +419,14 @@ class TestReconstructSigma:
             return (-np.mean(column(xi, 1) * column(xi, 2)) / K_DESK ** 2) / lead
 
         n = len(result.xi_nodes)
-        # the first and last xi and their antipodes are solved in different
-        # dual blocks; n // 2 is xi = 0
-        assert 2 * n > 2 * DUAL_BLOCK
+        # the first and last estimated xi are solved in different dual
+        # blocks; n // 2 is xi = 0, and node n - 1 is the antipode of node 0
+        assert 2 * (n // 2 + 1) > 2 * DUAL_BLOCK
         ids = [0, 1, n // 5, n // 2 - 1, n // 2, n - 1]
-        want = np.array([
-            0.5 * (sample(xi) + np.conj(sample(-xi))) for xi in result.xi_nodes[ids]
-        ])
+        est = {i: sample(result.xi_nodes[i]) for i in ids[:4]}
+        est[n // 2] = sample(result.xi_nodes[n // 2]).real
+        est[n - 1] = np.conj(est[0])
+        want = np.array([est[i] for i in ids])
         scale = np.max(np.abs(result.sigma_hat))
         assert np.max(np.abs(result.sigma_hat[ids] - want)) <= 1e-12 * scale
         # the remainder matters: the plane-wave estimate is far off
@@ -427,7 +461,8 @@ class TestReconstructSigma:
         assert np.max(np.abs(lent.stderr - direct.stderr) / direct.stderr) <= 1e-11
 
         azimuths = np.array([0.0, 0.5 * np.pi])
-        cols = build_zeta_eta(lent.xi_nodes[:, None], lent.t, K_DESK, azimuths[None])[0]
+        half = lent.xi_nodes[: len(lent.xi_nodes) // 2 + 1]  # the estimated nodes
+        cols = build_zeta_eta(half[:, None], lent.t, K_DESK, azimuths[None])[0]
         cols = cols.reshape(-1, 3)
         # one build per column in each run, every one direct in the second
         assert direct_builds[len(cols):] == [True] * len(cols)
@@ -443,7 +478,22 @@ class TestReconstructSigma:
             tol = 1e-12 * np.abs(z).max()
             if not any(np.abs(images - r).max(axis=1).min() <= tol for r in orbits):
                 orbits.append(z)
-        assert len(cols) == 1556 and n_direct == len(orbits) < 80
+        assert len(cols) == 780 and n_direct == len(orbits) < 80
+
+    def test_filled_half_mirrors_estimated_half(
+        self, small_ensemble, grid, hom_medium, desk_capacity
+    ):
+        """Nodes past xi = 0 hold the conjugates of the estimates at nodes
+        0 .. n // 2 in reverse order and share their standard errors, and
+        the xi = 0 sample is real, bit for bit."""
+        result = reconstruct_sigma(
+            small_ensemble[:50], desk_capacity, k=K_DESK, R_prime=RP_DESK,
+            medium=hom_medium, grid=grid, rho_override=3.0, n_frames=2,
+        )
+        h = len(result.xi_nodes) // 2
+        assert np.array_equal(result.sigma_hat[h + 1:], np.conj(result.sigma_hat[:h][::-1]))
+        assert result.sigma_hat[h].imag == 0
+        assert np.array_equal(result.stderr[h + 1:], result.stderr[:h][::-1])
 
     def test_deterministic_rerun(self, small_ensemble, grid, hom_medium, desk_capacity):
         kwargs = dict(
@@ -498,8 +548,8 @@ class TestReconstructSigma:
     def test_peak_memory_is_one_trace_product_chunk(self):
         """The traces meet the dual vectors of 8 blocks of CGO columns at a
         time, so the peak allocation stays within twice one chunk's dual
-        buffer and product, however many columns the lattice has (6,224
-        here: 389 xi, 8 frames, 2 members)."""
+        buffer and product, however many columns are estimated (3,120 here:
+        195 estimated xi of 389, 8 frames, 2 members; four chunks)."""
         M, n_frames = 200, 8
         capacity = CapacityOperator(K_DESK, VshBasis(SphereMesh(1.0, 6), 6))
         N = capacity.basis.mesh.n_nodes
@@ -514,8 +564,8 @@ class TestReconstructSigma:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n_cols = len(result.xi_nodes) * 2 * n_frames
+        n_cols = (len(result.xi_nodes) // 2 + 1) * 2 * n_frames
         chunk_cols = 8 * DUAL_BLOCK
-        assert n_cols > 4 * chunk_cols
+        assert n_cols > 3 * chunk_cols
         one_chunk = chunk_cols * (3 * N + M) * 16  # duals and products, complex
         assert peak < 2 * one_chunk, (peak, one_chunk)
