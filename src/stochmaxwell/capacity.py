@@ -10,10 +10,11 @@ harmonic normalization convention.
 from __future__ import annotations
 
 import numpy as np
+from scipy import fft as sfft
 from scipy.special import spherical_jn, spherical_yn
 
 from .geometry import SphereMesh, integrate_sphere
-from .sphharm import VshBasis, scalar_ylm_table
+from .sphharm import VshBasis, scalar_ylm
 
 __all__ = [
     "spherical_h1",
@@ -21,6 +22,10 @@ __all__ = [
     "CapacityOperator",
     "boundary_functional",
 ]
+
+# rows of one circulant application: bounds its work arrays to a few
+# (ROW_BLOCK, 2N) blocks beside its input and output
+ROW_BLOCK = 64
 
 
 def spherical_h1(l: int, z: float | np.ndarray, derivative: bool = False):
@@ -49,15 +54,13 @@ def radiating_multipole(kind: str, l: int, m: int, k: float, points: np.ndarray)
     r = np.linalg.norm(pts, axis=1)
     theta = np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0))
     phi = np.arctan2(pts[:, 1], pts[:, 0])
-    Y, dY = scalar_ylm_table(l, theta, phi)
-    y = Y[(l, m)]
+    y, ga = scalar_ylm(l, m, theta, phi)
     st = np.sin(theta)
     ct, cp, sp = np.cos(theta), np.cos(phi), np.sin(phi)
     rhat = np.stack([st * cp, st * sp, ct], axis=1)
     that = np.stack([ct * cp, ct * sp, -st], axis=1)
     phat = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
     # surface gradient and its normal rotation (unit sphere scaling)
-    ga = dY[(l, m)]
     gb = 1j * m * y / st
     grad_s = ga[:, None] * that + gb[:, None] * phat
     rot_s = ga[:, None] * phat - gb[:, None] * that
@@ -94,6 +97,13 @@ class CapacityOperator:
     pair, held as one (2, 2, K) block array over the modes. A `fault_scale`
     != 1 deliberately corrupts the operator and exists only as a negative
     control for verification runs.
+
+    The operator commutes with the rotation of the mesh by one azimuthal
+    step, which maps node (i, j) (polar index i, azimuthal index j) to
+    (i, j + 1) and carries its (theta_hat, phi_hat) frame along. On frame
+    components it is therefore a circular convolution over j: `apply_frame`
+    applies it as one (2 n_theta)^2 block per azimuthal frequency, built once
+    from its action on the frame vectors of the meridian j = 0.
     """
 
     def __init__(self, k: float, basis: VshBasis, fault_scale: float = 1.0):
@@ -109,13 +119,21 @@ class CapacityOperator:
             cols_out = np.empty((2, 2), dtype=np.complex128)
             for j, kind in enumerate(("te", "tm")):
                 E, H = radiating_multipole(kind, l, 0, k, mesh.nodes)
-                ce = basis.decompose(np.cross(E, mesh.normals))
-                ch = basis.decompose(np.cross(H, mesh.normals))
+                ce = basis.decompose(mesh.to_frame(np.cross(E, mesh.normals)))
+                ch = basis.decompose(mesh.to_frame(np.cross(H, mesh.normals)))
                 cols_in[:, j] = ce[[idx, basis.n_modes + idx]]
                 cols_out[:, j] = ch[[idx, basis.n_modes + idx]]
             # modes of degree l are m = -l..l, contiguous around m = 0
             multiplier = fault_scale * cols_out @ np.linalg.inv(cols_in)
             self._blocks[:, :, idx - l : idx + l + 1] = multiplier[:, :, None]
+        nt, nphi = mesh.n_theta, mesh.n_phi
+        meridian = np.zeros((nt, 2, nt, nphi, 2), dtype=np.complex128)
+        for i in range(nt):
+            meridian[i, :, i, 0, :] = np.eye(2)
+        cols = basis.synthesize(self.apply_coeffs(basis.decompose(meridian.reshape(2 * nt, -1, 2))))
+        spectrum = sfft.fft(cols.reshape(nt, 2, nt, nphi, 2), axis=3)  # [i, s, i', m, t]
+        # [m, (i', t), (i, s)]: frequency m of the response to the unit at node (i, 0), component s
+        self._symbol = spectrum.transpose(3, 2, 4, 0, 1).reshape(nphi, 2 * nt, 2 * nt)
 
     def apply_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Per-mode multiplier action on stacked coefficients (..., 2K)."""
@@ -129,10 +147,28 @@ class CapacityOperator:
         """
         return _block_action(self._blocks.transpose(1, 0, 2), coeffs)
 
+    def apply_frame(self, comps: np.ndarray) -> np.ndarray:
+        """Apply to tangential samples given by their frame components
+        (..., N, 2) on the operator's mesh; returns frame components."""
+        mesh = self.basis.mesh
+        nt, nphi = mesh.n_theta, mesh.n_phi
+        if comps.shape[-2:] != (mesh.n_nodes, 2):
+            raise ValueError("frame samples do not match the mesh")
+        rows = comps.reshape(-1, nt, nphi, 2)
+        out = np.empty(rows.shape, dtype=np.complex128)
+        for lo in range(0, len(rows), ROW_BLOCK):
+            x = sfft.fft(rows[lo : lo + ROW_BLOCK], axis=2)  # [r, i, m, s]
+            y = self._symbol @ x.transpose(2, 1, 3, 0).reshape(nphi, 2 * nt, -1)
+            y = sfft.ifft(y.reshape(nphi, nt, 2, -1), axis=0, overwrite_x=True)  # [j', i', t, r]
+            out[lo : lo + ROW_BLOCK] = y.transpose(3, 1, 0, 2)
+        return out.reshape(comps.shape)
+
     def apply(self, samples: np.ndarray) -> np.ndarray:
         """Apply to tangential samples (..., N, 3) on the operator's mesh."""
-        c = self.basis.decompose(samples)
-        return self.basis.synthesize(self.apply_coeffs(c))
+        mesh = self.basis.mesh
+        if samples.shape[-2] != mesh.n_nodes:
+            raise ValueError("sample count does not match mesh")
+        return mesh.from_frame(self.apply_frame(mesh.to_frame(samples)))
 
 
 def boundary_functional(

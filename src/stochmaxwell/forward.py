@@ -317,5 +317,4 @@ class HomogeneousTraceMap:
             T = (Jb.real @ W).view(np.complex128) + 1j * (Jb.imag @ W).view(np.complex128)
         else:
             T = (Jb @ W).view(np.complex128)
-        T = T.reshape(len(Jb), self.mesh.n_nodes, 2, 1)
-        return T[:, :, 0] * self.mesh.theta_hat + T[:, :, 1] * self.mesh.phi_hat
+        return self.mesh.from_frame(T.reshape(len(Jb), self.mesh.n_nodes, 2))

@@ -262,10 +262,22 @@ class SphereMesh:
         # spherical unit vectors at each node, Cartesian components
         self.theta_hat = np.stack([ctn * cp, ctn * sp, -st], axis=1)
         self.phi_hat = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
+        # (N, 3, 2): column t of node n is theta_hat_n (t = 0) or phi_hat_n (t = 1)
+        self.frame = np.stack([self.theta_hat, self.phi_hat], axis=2)
 
     @property
     def n_nodes(self) -> int:
         return self.theta.size
+
+    def to_frame(self, samples: np.ndarray) -> np.ndarray:
+        """(theta_hat, phi_hat) components (..., N, 2) of nodal vectors
+        (..., N, 3); the normal component is dropped."""
+        return np.einsum("...nj,njt->...nt", samples, self.frame, optimize=True)
+
+    def from_frame(self, comps: np.ndarray) -> np.ndarray:
+        """Tangential nodal vectors (..., N, 3) from their frame components
+        (..., N, 2)."""
+        return comps[..., 0, None] * self.theta_hat + comps[..., 1, None] * self.phi_hat
 
 
 def integrate_sphere(values: np.ndarray, mesh: SphereMesh):

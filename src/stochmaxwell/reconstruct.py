@@ -9,11 +9,16 @@ low-pass ball and inverting the transform yields the regularized
 reconstruction, whose accuracy is logarithmic in the measured data size
 epsilon.
 
-Each boundary functional is folded into a single dual vector D on the mesh
-(F(trace) = sum_n trace_n . D_n), so evaluating 10^4-realization ensembles at
-hundreds of frequencies reduces to one complex matrix product. The dual
-vectors themselves are built per block of CGO columns, one stacked
-spherical-harmonic analysis and synthesis per block.
+The stage reads only the tangential part of the traces: every nodal
+quantity on the sphere is held by its (theta_hat, phi_hat) components, 2N
+numbers for N mesh nodes. Each boundary functional is folded into a single
+dual vector D in that frame (F(trace) = sum_{n,t} x_{n,t} D_{n,t} for the
+frame components x of the trace), so evaluating 10^4-realization ensembles
+at hundreds of frequencies reduces to one (M, 2N) x (2N, columns) complex
+matrix product. The dual vectors themselves are built per block of CGO
+columns, one stacked spherical-harmonic analysis and synthesis over the 2N
+components per block. The data size epsilon comes from one (2N)^2 Gram of
+the traces and the capacity operator acting on it.
 
 sigma is real, so sigma_hat(-xi) = conj sigma_hat(xi): only the lattice
 nodes up to xi = 0 are estimated, and each antipode is filled with the
@@ -62,12 +67,13 @@ LEADING_GUARD = 1e-3
 # CGO columns (xi, frame, member) whose test data and dual vectors are built
 # together; larger blocks gain little and raise the inhomogeneous peak memory.
 # The traces meet the duals of 8 blocks per product: more columns at once gain
-# no speed and, at desk size (M = 2000, 338 nodes), make the dual buffer and
-# the product the peak memory of the whole run.
+# no speed and, at desk size (M = 2000, 338 nodes), make the dual buffer
+# (1,024 x 2N complex, 11 MB) and the product (M x 1,024, 33 MB) the peak
+# memory of the reconstruction.
 DUAL_BLOCK = 128
 # columns of one stacked sphere evaluation; for remainder solutions a whole
 # dual block took the same CPU time and raised the peak RSS of the 10^3-grid
-# inhomogeneous reconstruction from 123 to 165 MB
+# inhomogeneous reconstruction from 108 to 158 MB
 SPHERE_BLOCK = 16
 
 
@@ -102,62 +108,78 @@ class ReconstructionResult:
     rel_l2_error: float | None = None
 
 
-def _trace_array(traces) -> np.ndarray:
-    """Normalize an ensemble to a (M, N, 3) complex array."""
+def _tangential_traces(traces, mesh) -> np.ndarray:
+    """An ensemble as (M, N, 2) complex (theta_hat, phi_hat) components: Cartesian
+    traces (M, N, 3) are projected onto the frame, frame components pass."""
     arr = np.asarray(traces, dtype=np.complex128)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ValueError("trace ensemble must have shape (M, n_nodes, 3)")
-    return arr
+    if arr.ndim != 3 or arr.shape[1] != mesh.n_nodes or arr.shape[2] not in (2, 3):
+        raise ValueError("trace ensemble must have shape (M, n_nodes, 3) or (M, n_nodes, 2)")
+    return arr if arr.shape[2] == 2 else mesh.to_frame(arr)
 
 
 def dual_functional_vector(
     capacity: CapacityOperator, u_samples: np.ndarray, curlu_samples: np.ndarray
 ) -> np.ndarray:
-    """Dual vector D of the boundary functional for fixed test data (U, curl U).
+    """Dual vector D (..., N, 2) of the boundary functional for fixed test data
+    (U, curl U) given as (..., N, 3), in the (theta_hat, phi_hat) frame.
 
-    sum_n trace_n . D_n reproduces `boundary_functional` for every tangential
-    trace: the capacity operator is moved onto the test data through its
-    coefficient-space transpose, leaving a plain bilinear nodal pairing.
+    sum_{n,t} x_{n,t} D_{n,t} reproduces `boundary_functional` for every
+    tangential trace with frame components x: the capacity operator is moved
+    onto the test data through its coefficient-space transpose, leaving a
+    plain bilinear nodal pairing.
     """
     basis = capacity.basis
     mesh = basis.mesh
     k = capacity.k
+    u, curlu = mesh.to_frame(u_samples), mesh.to_frame(curlu_samples)
     # d_p = sum_n w_n Phi_p(x_n) . U_n  (bilinear analysis of U)
-    d = np.conj(basis.decompose(np.conj(np.asarray(u_samples, dtype=np.complex128))))
+    d = np.conj(basis.decompose(np.conj(u)))
     e = capacity.apply_coeffs_transpose(d)
     proj = np.conj(basis.synthesize(np.conj(e)))
-    return -(mesh.weights[:, None] * (1j * k * proj + curlu_samples))
+    return -(mesh.weights[:, None] * (1j * k * proj + curlu))
+
+
+def _component_norm(K: np.ndarray, mesh) -> float:
+    """sum_{ij} of the Frobenius norms of the Cartesian component blocks
+    (E^T K E)_ij of a frame kernel K (2N, 2N), weighted by sqrt(w_n w_m)."""
+    N = mesh.n_nodes
+    E = np.sqrt(mesh.weights)[:, None, None] * mesh.frame  # (N, 3, 2)
+    K = K.reshape(N, 2, N, 2)
+    total = 0.0
+    for i in range(3):
+        rows = E[:, i, 0, None, None] * K[:, 0] + E[:, i, 1, None, None] * K[:, 1]
+        for j in range(3):
+            total += np.linalg.norm(rows[..., 0] * E[:, j, 0] + rows[..., 1] * E[:, j, 1])
+    return float(total)
 
 
 def measure_epsilon(traces, capacity: CapacityOperator) -> KernelEpsilon:
     """Empirical outer-product kernel norms of the boundary data.
 
     The three kernels carry zero, one, and two capacity factors on the trace;
-    each norm is sum_{ij} of the L^2(dB x dB) norms of the 3x3 components,
-    computed by double surface quadrature (weights folded into a Frobenius
-    norm of the node-space Gram).
+    each norm is sum_{ij} of the L^2(dB x dB) norms of the 3x3 Cartesian
+    components, computed by double surface quadrature (weights folded into a
+    Frobenius norm of the node-space kernel). All three come from the one
+    tangential Gram K0 = X^T X / M of the frame components X (M, 2N):
+    K1 = C K0 and K2 = C K0 C^T, with C the capacity on frame vectors (K0 is
+    symmetric, so K0 C^T is the transpose of K1).
     """
-    arr = _trace_array(traces)
-    M = arr.shape[0]
+    mesh = capacity.basis.mesh
+    X = _tangential_traces(traces, mesh)
+    M = X.shape[0]
     if M < 2:
         raise ConfigurationError("kernel estimation needs at least two realizations")
-    mesh = capacity.basis.mesh
-    sw = np.sqrt(mesh.weights)
-    X0 = arr * sw[None, :, None]
-    X1 = capacity.apply(arr) * sw[None, :, None]
+    X = X.reshape(M, -1)
+    K = (X.T @ X) / M
 
-    def kernel_norm(A, B):
-        K = (A.reshape(M, -1).T @ B.reshape(M, -1)) / M
-        K = K.reshape(A.shape[1], 3, B.shape[1], 3)
-        return float(
-            sum(np.linalg.norm(K[:, i, :, j]) for i in range(3) for j in range(3))
-        )
+    def capacity_rows(Z):  # Z C^T: the capacity applied to each row of Z
+        return capacity.apply_frame(Z.reshape(len(Z), mesh.n_nodes, 2)).reshape(Z.shape)
 
-    return KernelEpsilon(
-        norm1=kernel_norm(X0, X0),
-        norm2=kernel_norm(X1, X0),
-        norm3=kernel_norm(X1, X1),
-    )
+    norm1 = _component_norm(K, mesh)
+    K = capacity_rows(K)  # K0 C^T = K1^T
+    norm2 = _component_norm(K, mesh)
+    K = capacity_rows(K.T)  # K1 C^T = C K0 C^T
+    return KernelEpsilon(norm1=norm1, norm2=norm2, norm3=_component_norm(K, mesh))
 
 
 def select_parameters(
@@ -265,6 +287,9 @@ def reconstruct_sigma(
 ) -> ReconstructionResult:
     """Full pipeline: measured epsilon -> (t, rho) -> Fourier samples -> sigma.
 
+    `traces` holds the ensemble as Cartesian samples (M, N, 3) or as their
+    frame components (M, N, 2); only the tangential part is read.
+
     Each sample is sigma_hat(xi) = -mean(B_1 B_2) / (k^2 (1 - |xi|^2/4t^2));
     the CGO product remainder is not subtracted (it vanishes for m = 0).
 
@@ -276,14 +301,15 @@ def reconstruct_sigma(
     which shrinks the Monte Carlo variance without touching the mean. `tol`
     and `max_iter` bound each CGO remainder solve (`CgoRemainderSolver`).
     """
-    arr = _trace_array(traces)
-    M = arr.shape[0]
+    mesh = capacity.basis.mesh
+    x = _tangential_traces(traces, mesh)
+    M = x.shape[0]
     if M == 0:
         raise ValueError("trace ensemble is empty")
     if k != capacity.k:
         raise ValueError("wavenumber does not match the capacity operator")
     if epsilon is None:
-        epsilon = measure_epsilon(arr, capacity).epsilon
+        epsilon = measure_epsilon(x, capacity).epsilon
     t, rho = select_parameters(epsilon, constants.s, R_prime, k, constants.M1, t_max)
     if rho_override is not None:
         rho = float(rho_override)
@@ -302,8 +328,7 @@ def reconstruct_sigma(
     )
     lead = lead[:, 0]
     solver = CgoRemainderSolver(k, medium, grid, tol, max_iter)
-    mesh = capacity.basis.mesh
-    flat = arr.reshape(M, -1)
+    flat = x.reshape(M, -1)
 
     sigma_hat = np.empty(n_est, dtype=np.complex128)
     stderr = np.empty(n_est)
@@ -312,7 +337,7 @@ def reconstruct_sigma(
         ids = slice(lo, lo + chunk)
         z_cols = zeta[ids].reshape(-1, 3)
         e_cols = eta[ids].reshape(-1, 3)
-        duals = np.empty((len(z_cols), mesh.n_nodes, 3), dtype=np.complex128)
+        duals = np.empty((len(z_cols), mesh.n_nodes, 2), dtype=np.complex128)
         for b in range(0, len(z_cols), DUAL_BLOCK):
             zb, eb = z_cols[b : b + DUAL_BLOCK], e_cols[b : b + DUAL_BLOCK]
             U = np.empty((len(zb), mesh.n_nodes, 3), dtype=np.complex128)
@@ -392,7 +417,7 @@ def stability_sweep(
     expo = 4.0 * constants.s / (7.0 + 2.0 * constants.s)
     rows = []
     for alpha in alphas:
-        traces = ensemble_factory(alpha)
+        traces = _tangential_traces(ensemble_factory(alpha), capacity.basis.mesh)
         ke = measure_epsilon(traces, capacity)
         scaled = SourceStrength(
             tuple(replace(b, amplitude=b.amplitude * alpha) for b in sigma.bumps),

@@ -10,7 +10,7 @@ from stochmaxwell.capacity import (
 )
 from stochmaxwell.forward import HomogeneousTraceMap
 from stochmaxwell.geometry import Grid3, SphereMesh
-from stochmaxwell.sphharm import scalar_ylm_table
+from stochmaxwell.sphharm import VshBasis, scalar_ylm, scalar_ylm_table
 from stochmaxwell.verify import (
     capacity_identity,
     electric_dipole_field,
@@ -24,11 +24,11 @@ from conftest import K_DESK, rel_err
 class TestVshBasis:
     def test_roundtrip_of_tangential_field(self, desk_basis):
         """decompose/synthesize is the identity on band-limited tangential
-        fields (here: a multipole trace)."""
+        fields (here: a multipole trace, by its frame components)."""
         mesh = desk_basis.mesh
         E, _ = radiating_multipole("te", 4, -2, K_DESK, mesh.nodes)
         trace = np.cross(E, mesh.normals)
-        back = desk_basis.synthesize(desk_basis.decompose(trace))
+        back = mesh.from_frame(desk_basis.synthesize(desk_basis.decompose(mesh.to_frame(trace))))
         assert rel_err(back, trace) < 1e-12
 
     def test_expansion_coefficient_lookup(self, desk_basis):
@@ -46,13 +46,23 @@ class TestVshBasis:
         grad /= mesh.radius * np.sqrt(l * (l + 1))
         unit = np.zeros(2 * desk_basis.n_modes, dtype=complex)
         unit[idx] = 1.0
-        assert np.allclose(desk_basis.synthesize(unit), grad)
+        assert np.allclose(mesh.from_frame(desk_basis.synthesize(unit)), grad)
         unit = np.roll(unit, desk_basis.n_modes)
-        assert np.allclose(desk_basis.synthesize(unit), np.cross(mesh.normals, grad))
+        assert np.allclose(mesh.from_frame(desk_basis.synthesize(unit)), np.cross(mesh.normals, grad))
+
+    def test_single_harmonic_matches_table(self, desk_mesh):
+        """scalar_ylm, which evaluates only Y_lm and Y_l,m+1, gives the
+        table's Y_lm and dY_lm bit for bit, so the multipoles built from it
+        are unchanged."""
+        lmax = 5
+        Y, dY = scalar_ylm_table(lmax, desk_mesh.theta, desk_mesh.phi)
+        for l, m in Y:
+            y, dy = scalar_ylm(l, m, desk_mesh.theta, desk_mesh.phi)
+            assert np.array_equal(y, Y[(l, m)]) and np.array_equal(dy, dY[(l, m)])
 
     def test_batched_decompose_matches_loop(self, desk_basis):
         rng = np.random.default_rng(7)
-        batch = rng.standard_normal((4, desk_basis.mesh.n_nodes, 3)) + 0j
+        batch = rng.standard_normal((4, desk_basis.mesh.n_nodes, 2)) + 0j
         stacked = desk_basis.decompose(batch)
         for i in range(4):
             assert np.allclose(stacked[i], desk_basis.decompose(batch[i]))
@@ -91,14 +101,29 @@ class TestCoefficientAction:
     def test_apply_matches_coefficient_route(self, desk_capacity):
         rng = np.random.default_rng(12)
         basis = desk_capacity.basis
-        tr = basis.synthesize(
+        mesh = basis.mesh
+        tr = mesh.from_frame(basis.synthesize(
             rng.standard_normal(2 * basis.n_modes)
             + 1j * rng.standard_normal(2 * basis.n_modes)
-        )
-        via_coeffs = basis.synthesize(
-            desk_capacity.apply_coeffs(basis.decompose(tr))
-        )
+        ))
+        via_coeffs = mesh.from_frame(basis.synthesize(
+            desk_capacity.apply_coeffs(basis.decompose(mesh.to_frame(tr)))
+        ))
         assert np.allclose(desk_capacity.apply(tr), via_coeffs, atol=1e-12)
+
+    def test_azimuthal_convolution_matches_coefficient_route(self, desk_capacity):
+        """apply_frame, a circular convolution over the azimuthal index,
+        equals analysis, per-mode multiplier and synthesis on arbitrary frame
+        samples (not band-limited), also for a basis below the mesh degree."""
+        rng = np.random.default_rng(13)
+        truncated = CapacityOperator(K_DESK, VshBasis(SphereMesh(1.0, 8), 5))
+        for cap in (desk_capacity, truncated):
+            basis = cap.basis
+            comps = rng.standard_normal((3, basis.mesh.n_nodes, 2)) + 1j * rng.standard_normal(
+                (3, basis.mesh.n_nodes, 2))
+            want = basis.synthesize(cap.apply_coeffs(basis.decompose(comps)))
+            assert rel_err(cap.apply_frame(comps), want) < 1e-13
+            assert rel_err(cap.apply_frame(comps[0]), want[0]) < 1e-13
 
     @given(seed=st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)

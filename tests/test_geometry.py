@@ -135,6 +135,17 @@ class TestSphereMesh:
         assert np.allclose(np.linalg.norm(mesh.nodes, axis=1), 0.7)
         assert np.allclose(np.sum(mesh.theta_hat * mesh.normals, axis=1), 0.0)
 
+    def test_frame_components_drop_only_the_normal(self):
+        """to_frame keeps the tangential part of nodal vectors, which
+        from_frame rebuilds; the normal part is dropped."""
+        mesh = SphereMesh(1.0, 6)
+        rng = np.random.default_rng(4)
+        comps = rng.standard_normal((3, mesh.n_nodes, 2)) + 1j * rng.standard_normal((3, mesh.n_nodes, 2))
+        tangential = mesh.from_frame(comps)
+        assert np.allclose(np.sum(tangential * mesh.normals, axis=-1), 0.0, atol=1e-15)
+        normal = rng.standard_normal((3, mesh.n_nodes, 1)) * mesh.normals
+        assert np.allclose(mesh.to_frame(tangential + normal), comps, rtol=0.0, atol=1e-14)
+
 
 class TestInterpolation:
     def test_exact_for_trilinear_functions(self):

@@ -91,12 +91,28 @@ def _plane_pair(xi, t, mesh):
 
 def _correlation(traces, data, capacity):
     """Sample mean and standard error of B_1 B_2 over the ensemble, where
-    B_j = sum_n trace_n . D_j,n pairs each trace with the dual vector of the
-    j-th member's boundary data."""
-    flat = traces.reshape(len(traces), -1)
+    B_j = sum_n trace_n . D_j,n pairs the frame components of each trace with
+    the dual vector of the j-th member's boundary data."""
+    flat = capacity.basis.mesh.to_frame(traces).reshape(len(traces), -1)
     b1, b2 = (flat @ dual_functional_vector(capacity, *d).ravel() for d in data)
     prods = b1 * b2
     return prods.mean(), prods.std(ddof=1) / np.sqrt(len(prods))
+
+
+def _cartesian_epsilon(traces, capacity):
+    """The three kernel norms by their definition: the sums of the 3x3
+    Cartesian component norms of the (3N)^2 Grams of the weighted traces and
+    of their capacity images."""
+    M, N = traces.shape[:2]
+    sw = np.sqrt(capacity.basis.mesh.weights)[None, :, None]
+    X0 = (traces * sw).reshape(M, -1)
+    X1 = (capacity.apply(traces) * sw).reshape(M, -1)
+
+    def norm(A, B):
+        K = ((A.T @ B) / M).reshape(N, 3, N, 3)
+        return sum(np.linalg.norm(K[:, i, :, j]) for i in range(3) for j in range(3))
+
+    return norm(X0, X0), norm(X1, X0), norm(X1, X1)
 
 
 def _reconstruct(traces, capacity, grid, medium, k=K_DESK, **kwargs):
@@ -107,9 +123,10 @@ def _reconstruct(traces, capacity, grid, medium, k=K_DESK, **kwargs):
 
 class TestDualVector:
     def test_reproduces_boundary_functional(self, desk_capacity):
-        """The folded dual vector gives the identical value as the explicit
-        surface functional for arbitrary traces and test data, column by
-        column for stacked test data."""
+        """The folded dual vector, paired with the frame components of a
+        trace, gives the identical value as the explicit surface functional
+        for arbitrary tangential traces and test data, column by column for
+        stacked test data."""
         mesh = desk_capacity.basis.mesh
         rng = np.random.default_rng(21)
         U, curlU = (
@@ -119,13 +136,14 @@ class TestDualVector:
         )
         dual = dual_functional_vector(desk_capacity, U, curlU)
         for _ in range(5):
-            tr = rng.standard_normal((mesh.n_nodes, 3)) + 1j * rng.standard_normal(
-                (mesh.n_nodes, 3)
+            comps = rng.standard_normal((mesh.n_nodes, 2)) + 1j * rng.standard_normal(
+                (mesh.n_nodes, 2)
             )
+            tr = mesh.from_frame(comps)
             want = boundary_functional(
                 tr, desk_capacity.apply(tr), U, curlU, K_DESK, mesh
             )
-            got = np.sum(tr * dual)
+            got = np.sum(comps * dual)
             assert abs(got - want) < 1e-12 * abs(want)
         # a (3, N, 3) stack of test data gives each column's own dual vector
         Us, curlUs = (
@@ -134,7 +152,7 @@ class TestDualVector:
             for _ in range(2)
         )
         stacked = dual_functional_vector(desk_capacity, Us, curlUs)
-        assert stacked.shape == Us.shape
+        assert stacked.shape == (3, mesh.n_nodes, 2)
         for c in range(3):
             want = dual_functional_vector(desk_capacity, Us[c], curlUs[c])
             assert rel_err(stacked[c], want) < 1e-13
@@ -210,6 +228,39 @@ class TestEpsilon:
     def test_needs_two_realizations(self, small_ensemble, desk_capacity):
         with pytest.raises(ValueError):
             measure_epsilon(small_ensemble[:1], desk_capacity)
+
+    def test_matches_cartesian_definition(self, small_ensemble, desk_capacity):
+        """The three norms taken from the one tangential Gram equal those of
+        the three Cartesian (3N)^2 Grams, for a homogeneous ensemble and for
+        one scattered by a medium bump."""
+        grid = Grid3.for_ball(RP_DESK, 10)
+        medium = MediumSpec((Bump((0.0, 0.1, 0.0), 0.6, 0.05),), ball_radius=1.0)
+        assert np.any(evaluate_on_grid(medium, grid).values)
+        capacity = CapacityOperator(K_DESK, VshBasis(SphereMesh(1.0, 6), 6))
+        sigma = SourceStrength((Bump((0.0, 0.0, 0.0), 0.95, 0.1),), ball_radius=1.0)
+        scattered = generate_ensemble(
+            K_DESK, medium, sigma, grid, capacity.basis.mesh, M=40, master_seed=5
+        )
+        for traces, cap in ((small_ensemble, desk_capacity), (scattered, capacity)):
+            got = measure_epsilon(traces, cap)
+            want = _cartesian_epsilon(traces, cap)
+            for g, w in zip((got.norm1, got.norm2, got.norm3), want):
+                assert g == pytest.approx(w, rel=1e-12)
+
+    def test_peak_memory_is_tangential_copy_and_kernels(self, small_ensemble, desk_capacity):
+        """The traces are held once, as their (M, 2N) frame components, and
+        the kernels are (2N)^2 with at most three of them live at once: no
+        (M, 3N) weighted copy and no (3N)^2 Gram."""
+        M, N = small_ensemble.shape[:2]
+        tracemalloc.start()
+        try:
+            measure_epsilon(small_ensemble, desk_capacity)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tangential = M * 2 * N * 16
+        kernel = (2 * N) ** 2 * 16
+        assert peak < tangential + 3 * kernel, (peak, tangential, kernel)
 
 
 class TestParameterSchedule:
@@ -407,7 +458,7 @@ class TestReconstructSigma:
         traces, capacity, kwargs = small_inhomogeneous
         grid, medium, mesh = kwargs["grid"], kwargs["medium"], capacity.basis.mesh
         result = reconstruct_sigma(traces, capacity, **kwargs)
-        flat = traces.reshape(len(traces), -1)
+        flat = mesh.to_frame(traces).reshape(len(traces), -1)
 
         def column(xi, w):
             sol = solve_cgo_remainder(xi, result.t, K_DESK, w, medium, grid)
@@ -415,20 +466,25 @@ class TestReconstructSigma:
             return flat @ dual_functional_vector(capacity, U[0], curlU[0]).ravel()
 
         def sample(xi):
+            """The estimate at xi and its standard error."""
             lead = build_zeta_eta(xi, result.t, K_DESK)[2]
-            return (-np.mean(column(xi, 1) * column(xi, 2)) / K_DESK ** 2) / lead
+            prods = column(xi, 1) * column(xi, 2)
+            scale = K_DESK ** 2 * lead
+            return -np.mean(prods) / scale, prods.std(ddof=1) / np.sqrt(len(prods)) / abs(scale)
 
         n = len(result.xi_nodes)
         # the first and last estimated xi are solved in different dual
         # blocks; n // 2 is xi = 0, and node n - 1 is the antipode of node 0
         assert 2 * (n // 2 + 1) > 2 * DUAL_BLOCK
         ids = [0, 1, n // 5, n // 2 - 1, n // 2, n - 1]
-        est = {i: sample(result.xi_nodes[i]) for i in ids[:4]}
-        est[n // 2] = sample(result.xi_nodes[n // 2]).real
-        est[n - 1] = np.conj(est[0])
-        want = np.array([est[i] for i in ids])
+        est = {i: sample(result.xi_nodes[i]) for i in ids[:5]}
+        est[n // 2] = (est[n // 2][0].real, est[n // 2][1])
+        est[n - 1] = (np.conj(est[0][0]), est[0][1])
+        want = np.array([est[i][0] for i in ids])
+        want_se = np.array([est[i][1] for i in ids])
         scale = np.max(np.abs(result.sigma_hat))
         assert np.max(np.abs(result.sigma_hat[ids] - want)) <= 1e-12 * scale
+        assert np.max(np.abs(result.stderr[ids] - want_se) / want_se) <= 1e-12
         # the remainder matters: the plane-wave estimate is far off
         plane = reconstruct_sigma(traces, capacity, **dict(kwargs, medium=MediumSpec(ball_radius=1.0)))
         assert np.max(np.abs(plane.sigma_hat[ids] - want)) > 1e-3 * scale
