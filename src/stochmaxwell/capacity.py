@@ -78,17 +78,6 @@ def radiating_multipole(kind: str, l: int, m: int, k: float, points: np.ndarray)
     raise ValueError("kind must be 'te' or 'tm'")
 
 
-def _block_action(A: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Per-mode 2x2 blocks A (2, 2, K) acting on stacked (grad, curl)
-    coefficients (..., 2K)."""
-    K = A.shape[-1]
-    a, b = coeffs[..., :K], coeffs[..., K:]
-    out = np.empty_like(coeffs)
-    out[..., :K] = A[0, 0] * a + A[0, 1] * b
-    out[..., K:] = A[1, 0] * a + A[1, 1] * b
-    return out
-
-
 class CapacityOperator:
     """Maps E x nu to H x nu on the mesh sphere for radiating exterior fields.
 
@@ -134,22 +123,28 @@ class CapacityOperator:
         spectrum = sfft.fft(cols.reshape(nt, 2, nt, nphi, 2), axis=3)  # [i, s, i', m, t]
         # [m, (i', t), (i, s)]: frequency m of the response to the unit at node (i, 0), component s
         self._symbol = spectrum.transpose(3, 2, 4, 0, 1).reshape(nphi, 2 * nt, 2 * nt)
+        # C^T is the convolution with S_{-m}^T
+        self._symbol_t = self._symbol[-np.arange(nphi) % nphi].transpose(0, 2, 1)
 
     def apply_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """Per-mode multiplier action on stacked coefficients (..., 2K)."""
-        return _block_action(self._blocks, coeffs)
-
-    def apply_coeffs_transpose(self, coeffs: np.ndarray) -> np.ndarray:
-        """Transpose (non-conjugate) of `apply_coeffs` in the coefficient basis.
-
-        Used to move the operator off the trace and onto the test data when a
-        bilinear surface pairing is folded into a single dual vector.
-        """
-        return _block_action(self._blocks.transpose(1, 0, 2), coeffs)
+        """Per-mode multiplier action on stacked (grad, curl) coefficients (..., 2K)."""
+        A, K = self._blocks, self.basis.n_modes
+        a, b = coeffs[..., :K], coeffs[..., K:]
+        return np.concatenate([A[0, 0] * a + A[0, 1] * b, A[1, 0] * a + A[1, 1] * b], axis=-1)
 
     def apply_frame(self, comps: np.ndarray) -> np.ndarray:
         """Apply to tangential samples given by their frame components
         (..., N, 2) on the operator's mesh; returns frame components."""
+        return self._convolve(comps, self._symbol)
+
+    def apply_frame_transpose(self, comps: np.ndarray) -> np.ndarray:
+        """Transpose (non-conjugate) of `apply_frame` on frame components
+        (..., N, 2): the same convolution with each block transposed and its
+        frequency reflected, S_{-m}^T."""
+        return self._convolve(comps, self._symbol_t)
+
+    def _convolve(self, comps: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+        """Circular convolution over the azimuthal index by `symbol`, one block per frequency."""
         mesh = self.basis.mesh
         nt, nphi = mesh.n_theta, mesh.n_phi
         if comps.shape[-2:] != (mesh.n_nodes, 2):
@@ -158,7 +153,7 @@ class CapacityOperator:
         out = np.empty(rows.shape, dtype=np.complex128)
         for lo in range(0, len(rows), ROW_BLOCK):
             x = sfft.fft(rows[lo : lo + ROW_BLOCK], axis=2)  # [r, i, m, s]
-            y = self._symbol @ x.transpose(2, 1, 3, 0).reshape(nphi, 2 * nt, -1)
+            y = symbol @ x.transpose(2, 1, 3, 0).reshape(nphi, 2 * nt, -1)
             y = sfft.ifft(y.reshape(nphi, nt, 2, -1), axis=0, overwrite_x=True)  # [j', i', t, r]
             out[lo : lo + ROW_BLOCK] = y.transpose(3, 1, 0, 2)
         return out.reshape(comps.shape)

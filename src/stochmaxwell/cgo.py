@@ -455,23 +455,27 @@ def cgo_product_remainder(sol1: CgoSolution, sol2: CgoSolution):
 
 def cgo_on_sphere(zeta, eta, W, grid: Grid3, mesh) -> tuple[np.ndarray, np.ndarray]:
     """(U, curl U) at the mesh nodes of the CGO solutions
-    U_c = e^{i zeta_c x}(eta_c + W_c): zeta, eta (C, 3), corrections W
-    (C, 3, nx, ny, nz), or None for m = 0; returns (C, N, 3) arrays.
+    U_c = e^{i zeta_c x}(eta_c + W_c), as their (theta_hat, phi_hat) frame
+    components: zeta, eta (C, 3), corrections W (C, 3, nx, ny, nz), or None
+    for m = 0; returns (C, N, 2) arrays.
 
     The plane-phase part is analytic: curl(eta e^{i zeta x}) =
-    i zeta x eta e^{i zeta x}. The corrections are interpolated trilinearly
-    and their curls taken by grid stencils first, all columns at once; every
-    step is elementwise per column, so a column has the same bits as its own
-    single-column call.
+    i zeta x eta e^{i zeta x}, so its components are the phase times
+    eta . e_t and (i zeta x eta) . e_t, one (2C, 3) x (3, 2N) product with
+    the frame vectors e_t. The corrections are interpolated trilinearly, their
+    curls taken by grid stencils first, all columns at once, and projected.
     """
-    pts = mesh.nodes
-    U, curlU = plane_wave_on(zeta, eta, pts)
+    C, N = len(zeta), mesh.n_nodes
+    frame = mesh.frame.transpose(1, 0, 2).reshape(3, 2 * N)  # column (n, t): e_t at node n
+    amps = np.concatenate([eta, np.cross(1j * zeta, eta)]) @ frame
+    phase = np.exp(1j * sum(zeta[:, i, None] * mesh.nodes[:, i] for i in range(3)))
+    U, curlU = amps.reshape(2, C, N, 2) * phase[..., None]
     if W is not None:
         X = grid.nodes()
         phase = np.exp(1j * sum(zeta[:, i, None, None, None] * X[i] for i in range(3)))
         W = W * phase[:, None]
         both = np.concatenate([W, curl_grid(W, grid.spacing)], axis=1)
-        vals = trilinear_interpolate(both, grid, pts).swapaxes(1, 2)  # (C, N, 6)
-        U = U + vals[..., :3]
-        curlU = curlU + vals[..., 3:]
+        vals = trilinear_interpolate(both, grid, mesh.nodes).reshape(C, 2, 3, N)
+        vals = mesh.to_frame(vals.swapaxes(2, 3))  # (C, 2, N, 2): W, then curl W
+        U, curlU = U + vals[:, 0], curlU + vals[:, 1]
     return U, curlU

@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .forward import HomogeneousTraceMap, noise_amplitude, noise_values
+from .forward import HomogeneousTraceMap, noise_amplitude, noise_positions, noise_values
 from .geometry import (
     ConfigurationError,
     Grid3,
@@ -62,11 +62,12 @@ def generate_ensemble(
         return traces
     tmap = HomogeneousTraceMap(k, grid, mask, mesh, medium, tol, max_iter)
     amp = noise_amplitude(sig, grid.spacing)[mask]
+    positions = noise_positions(mask)
     J = np.empty((min(M, _REALIZATION_CHUNK), tmap.n_cells, 3))
     for lo in range(0, M, _REALIZATION_CHUNK):
         n = min(_REALIZATION_CHUNK, M - lo)
         for i in range(n):
-            J[i] = noise_values(amp, master_seed, lo + i, mask).T
+            J[i] = noise_values(amp, master_seed, lo + i, positions).T
         traces[lo : lo + n] = tmap.traces(J[:n])
     return traces
 

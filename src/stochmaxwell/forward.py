@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .geometry import (
     Grid3,
@@ -35,6 +34,7 @@ __all__ = [
     "ForwardSolution",
     "SolverError",
     "noise_amplitude",
+    "noise_positions",
     "noise_values",
     "neumann_solve",
     "solve_fixed_point",
@@ -69,22 +69,26 @@ def noise_amplitude(sigma_grid: np.ndarray, spacing: float) -> np.ndarray:
     return np.sqrt(np.maximum(np.asarray(sigma_grid).real, 0.0)) / spacing ** 1.5
 
 
-def noise_values(amplitude: np.ndarray, master_seed: int, index: int, support=None) -> np.ndarray:
+def noise_positions(support: np.ndarray) -> np.ndarray:
+    """Flat positions, in the full-grid draw of `noise_values`, of the three
+    components of the cells of a boolean grid mask, in increasing order."""
+    return (np.arange(3)[:, None] * support.size + np.flatnonzero(support)).ravel()
+
+
+def noise_values(amplitude: np.ndarray, master_seed: int, index: int, positions=None) -> np.ndarray:
     """Raw J samples: three independent real Gaussians per grid cell, scaled
     by `amplitude` (see `noise_amplitude`); shape (3,) + grid dims.
     Bit-identical regeneration from (master_seed, index).
 
-    With a boolean grid mask `support`, only its C cells are scaled and
-    returned, shape (3, C), and `amplitude` holds their C values. The draw
-    covers the whole grid either way, so the samples of a cell do not depend
-    on the mask.
+    With the draw `positions` of C support cells (`noise_positions`), only
+    those cells are returned, shape (3, C), and `amplitude` holds their C
+    values. A cell's samples are those of the full-grid draw: the generator
+    fills the draw in stream order, so it stops at the last position.
     """
-    grid_shape = np.shape(amplitude) if support is None else support.shape
     rng = np.random.default_rng([int(master_seed), int(index), NOISE_STREAM_TAG])
-    xi = rng.standard_normal((3,) + grid_shape)
-    if support is not None:  # np.take on flat indices gathers faster than a boolean mask
-        xi = np.take(xi.reshape(3, -1), np.flatnonzero(support), axis=1)
-    return xi * amplitude
+    if positions is None:
+        return rng.standard_normal((3,) + np.shape(amplitude)) * amplitude
+    return rng.standard_normal(positions[-1] + 1)[positions].reshape(3, -1) * amplitude
 
 
 def neumann_solve(apply, b: np.ndarray, tol: float, max_iter: int):
@@ -123,6 +127,7 @@ def solve_fixed_point(apply, b: np.ndarray, tol: float, max_iter: int, what: str
         return b, 1, 0.0
     x, iters, res, history = neumann_solve(apply, b, tol, max_iter)
     if res > tol:  # stagnation or too few iterations: hand off to GMRES
+        from scipy.sparse.linalg import LinearOperator, gmres  # scipy.sparse loads only here
         A = LinearOperator((b.size, b.size), matvec=lambda v: apply(v.reshape(b.shape)).ravel(),
                            dtype=np.complex128)
         inner = []  # one residual estimate per GMRES inner iteration

@@ -16,9 +16,10 @@ dual vector D in that frame (F(trace) = sum_{n,t} x_{n,t} D_{n,t} for the
 frame components x of the trace), so evaluating 10^4-realization ensembles
 at hundreds of frequencies reduces to one (M, 2N) x (2N, columns) complex
 matrix product. The dual vectors themselves are built per block of CGO
-columns, one stacked spherical-harmonic analysis and synthesis over the 2N
-components per block. The data size epsilon comes from one (2N)^2 Gram of
-the traces and the capacity operator acting on it.
+columns from the frame components of the test data, the transposed capacity
+acting on them as a circular convolution over the azimuthal mesh index. The
+data size epsilon comes from one (2N)^2 Gram of the traces and the capacity
+operator acting on it.
 
 sigma is real, so sigma_hat(-xi) = conj sigma_hat(xi): only the lattice
 nodes up to xi = 0 are estimated, and each antipode is filled with the
@@ -64,17 +65,15 @@ __all__ = [
 # to vanish and the Fourier sample is unrecoverable at this t
 LEADING_GUARD = 1e-3
 
-# CGO columns (xi, frame, member) whose test data and dual vectors are built
-# together; larger blocks gain little and raise the inhomogeneous peak memory.
-# The traces meet the duals of 8 blocks per product: more columns at once gain
-# no speed and, at desk size (M = 2000, 338 nodes), make the dual buffer
-# (1,024 x 2N complex, 11 MB) and the product (M x 1,024, 33 MB) the peak
-# memory of the reconstruction.
-DUAL_BLOCK = 128
-# columns of one stacked sphere evaluation; for remainder solutions a whole
-# dual block took the same CPU time and raised the peak RSS of the 10^3-grid
-# inhomogeneous reconstruction from 108 to 158 MB
-SPHERE_BLOCK = 16
+# CGO columns (xi, frame, member) whose duals meet the traces in one product:
+# more columns at once gain no speed and, at desk size (M = 2000, 338 nodes),
+# make the dual buffer (1,024 x 2N complex, 11 MB) and the product
+# (M x 1,024, 33 MB) the peak memory of the reconstruction.
+PRODUCT_COLUMNS = 1024
+# CGO columns whose test data and dual vectors are built together; for
+# remainder solutions 128 columns took the same CPU time and raised the peak
+# RSS of the 10^3-grid inhomogeneous reconstruction from 108 to 158 MB
+DUAL_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -117,26 +116,18 @@ def _tangential_traces(traces, mesh) -> np.ndarray:
     return arr if arr.shape[2] == 2 else mesh.to_frame(arr)
 
 
-def dual_functional_vector(
-    capacity: CapacityOperator, u_samples: np.ndarray, curlu_samples: np.ndarray
-) -> np.ndarray:
+def dual_functional_vector(capacity: CapacityOperator, u: np.ndarray,
+                           curlu: np.ndarray) -> np.ndarray:
     """Dual vector D (..., N, 2) of the boundary functional for fixed test data
-    (U, curl U) given as (..., N, 3), in the (theta_hat, phi_hat) frame.
+    (U, curl U) given by their (theta_hat, phi_hat) frame components (..., N, 2).
 
     sum_{n,t} x_{n,t} D_{n,t} reproduces `boundary_functional` for every
-    tangential trace with frame components x: the capacity operator is moved
-    onto the test data through its coefficient-space transpose, leaving a
-    plain bilinear nodal pairing.
+    tangential trace with frame components x: with C the capacity on frame
+    components, sum_n w_n U_n . (C x)_n = sum (C^T (w U)) . x, so
+    D = -(i k C^T (w U) + w curl U), a plain bilinear nodal pairing.
     """
-    basis = capacity.basis
-    mesh = basis.mesh
-    k = capacity.k
-    u, curlu = mesh.to_frame(u_samples), mesh.to_frame(curlu_samples)
-    # d_p = sum_n w_n Phi_p(x_n) . U_n  (bilinear analysis of U)
-    d = np.conj(basis.decompose(np.conj(u)))
-    e = capacity.apply_coeffs_transpose(d)
-    proj = np.conj(basis.synthesize(np.conj(e)))
-    return -(mesh.weights[:, None] * (1j * k * proj + curlu))
+    w = capacity.basis.mesh.weights[:, None]
+    return -(1j * capacity.k * capacity.apply_frame_transpose(w * u) + w * curlu)
 
 
 def _component_norm(K: np.ndarray, mesh) -> float:
@@ -201,6 +192,8 @@ def select_parameters(
         raise ConfigurationError("epsilon must be positive (degenerate data)")
     if epsilon >= 1.0:
         raise ConfigurationError("epsilon must be below 1 for the log schedule")
+    if t_max is not None and not t_max > 0:
+        raise ConfigurationError(f"t_max must be positive, got {t_max}")
     t = max(-np.log(epsilon) / (2.0 * R_prime), 1.0 + 1e-6, M1 + 2.0 * k)
     if t_max is not None:
         t = min(t, float(t_max))
@@ -332,7 +325,7 @@ def reconstruct_sigma(
 
     sigma_hat = np.empty(n_est, dtype=np.complex128)
     stderr = np.empty(n_est)
-    chunk = max(1, 8 * DUAL_BLOCK // (2 * n_frames))  # xi per trace product
+    chunk = max(1, PRODUCT_COLUMNS // (2 * n_frames))  # xi per trace product
     for lo in range(0, n_est, chunk):
         ids = slice(lo, lo + chunk)
         z_cols = zeta[ids].reshape(-1, 3)
@@ -340,18 +333,12 @@ def reconstruct_sigma(
         duals = np.empty((len(z_cols), mesh.n_nodes, 2), dtype=np.complex128)
         for b in range(0, len(z_cols), DUAL_BLOCK):
             zb, eb = z_cols[b : b + DUAL_BLOCK], e_cols[b : b + DUAL_BLOCK]
-            U = np.empty((len(zb), mesh.n_nodes, 3), dtype=np.complex128)
-            curlU = np.empty_like(U)
-            for s in range(0, len(zb), SPHERE_BLOCK):
-                zs, es = zb[s : s + SPHERE_BLOCK], eb[s : s + SPHERE_BLOCK]
-                # for m = 0 the CGO pair is the exact plane-wave pair
-                W = None if solver.homogeneous else np.stack(
-                    [solver.solve(z, e).W for z, e in zip(zs, es)]
-                )
-                cols = slice(s, s + SPHERE_BLOCK)
-                U[cols], curlU[cols] = cgo_on_sphere(zs, es, W, grid, mesh)
-            duals[b : b + len(zb)] = dual_functional_vector(capacity, U, curlU)
-        del U, curlU
+            # for m = 0 the CGO pair is the exact plane-wave pair
+            W = None if solver.homogeneous else np.stack(
+                [solver.solve(z, e).W for z, e in zip(zb, eb)]
+            )
+            test_data = cgo_on_sphere(zb, eb, W, grid, mesh)
+            duals[b : b + len(zb)] = dual_functional_vector(capacity, *test_data)
         B = flat @ duals.reshape(len(z_cols), -1).T  # (M, n_sub * n_frames * 2)
         B = B.reshape(M, -1, n_frames, 2)
         prods = (B[..., 0] * B[..., 1]).mean(axis=2)  # frame average per realization

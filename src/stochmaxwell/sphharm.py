@@ -6,7 +6,9 @@ surface measure of the mesh sphere (radius R), so every coefficient contract
 in this package is stated in that normalization. The basis is tabulated by
 its components in the (theta_hat, phi_hat) frame of each node, and analysis
 and synthesis take and give such frame components, 2N numbers for N nodes
-(`SphereMesh.to_frame` and `from_frame` convert Cartesian samples).
+(`SphereMesh.to_frame` and `from_frame` convert Cartesian samples). Only
+the capacity build analyses and synthesizes; the capacity applications and
+the dual vectors run as azimuthal convolutions on frame components.
 """
 from __future__ import annotations
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .capacity import boundary_functional, radiating_multipole
 from .cgo import CgoSolution, cgo_product_remainder, plane_wave_on, solve_cgo_remainder
-from .forward import curl_grid, noise_amplitude, noise_values
+from .forward import curl_grid, noise_amplitude, noise_positions, noise_values
 from .geometry import (
     ConfigurationError, Grid3, MediumSpec, SourceStrength, VectorFieldC3, evaluate_on_grid,
 )
@@ -226,10 +226,10 @@ def ito_isometry(k: float, sigma: SourceStrength, grid: Grid3, zeta, eta, master
     mask = sig > 0
     h3, coords, sig = grid.cell_volume, grid.nodes()[:, mask], sig[mask]
     us = np.exp(1j * (zeta @ coords))[:, :, None] * eta[..., None]  # (P, 2, 3, C)
-    amp = noise_amplitude(sig, grid.spacing)
+    amp, pos = noise_amplitude(sig, grid.spacing), noise_positions(mask)
     B = np.empty((M, len(zeta), 2), dtype=np.complex128)
     for r in range(M):
-        B[r] = 1j * k * h3 * np.einsum("pjic,ic->pj", us, noise_values(amp, master_seed, r, mask))
+        B[r] = 1j * k * h3 * np.einsum("pjic,ic->pj", us, noise_values(amp, master_seed, r, pos))
     prods = B[..., 0] * B[..., 1]
     target = -(k ** 2) * h3 * np.einsum("c,pic,pic->p", sig, us[:, 0], us[:, 1])
     stderr = np.std(prods, axis=0, ddof=1) / np.sqrt(M)

@@ -128,13 +128,14 @@ class TestCoefficientAction:
     @given(seed=st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_transpose_is_bilinear_adjoint(self, seed, desk_capacity):
-        """y . (A x) == (A^T y) . x for the non-conjugate pairing."""
+        """y . (C x) == (C^T y) . x for the non-conjugate pairing of frame
+        components (N, 2)."""
         rng = np.random.default_rng(seed)
-        n = 2 * desk_capacity.basis.n_modes
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        lhs = np.sum(y * desk_capacity.apply_coeffs(x))
-        rhs = np.sum(desk_capacity.apply_coeffs_transpose(y) * x)
+        shape = (desk_capacity.basis.mesh.n_nodes, 2)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        lhs = np.sum(y * desk_capacity.apply_frame(x))
+        rhs = np.sum(desk_capacity.apply_frame_transpose(y) * x)
         assert abs(lhs - rhs) < 1e-10 * abs(lhs)
 
     def test_linearity(self, desk_capacity):

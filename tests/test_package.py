@@ -3,6 +3,8 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -52,6 +54,18 @@ def test_benchmark_tracer_targets_exist():
         if not callable(getattr(getattr(mod(owner), cls_name, None), meth, None)):
             missing.append(span)
     assert not missing, f"tracer targets missing from the program: {missing}"
+
+
+def test_cli_import_leaves_out_scipy_sparse():
+    """Importing the command line in a fresh interpreter loads no
+    scipy.sparse (nor the scipy.linalg it pulls in): the fixed-point solver
+    imports GMRES only when it hands off to it."""
+    src = os.path.dirname(os.path.dirname(stochmaxwell.__file__))
+    code = "import sys, stochmaxwell.cli; print({'scipy.sparse', 'scipy.linalg'} & set(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "set()"
 
 
 def test_reconstruction_calls_the_traced_cgo_layers():

@@ -430,14 +430,17 @@ class TestCliForward:
         ("n = 25", "n = 25\nhalf_width = nan", "[grid] half_width"),
         ("[sweep]", "[solver]\ntol = nan\n\n[sweep]", "[solver] tol"),
         ("n_frames = 1", "n_frames = 1\nt_max = nan", "[reconstruction] t_max"),
+        ("n_frames = 1", "n_frames = 1\nt_max = -1", "[reconstruction] t_max"),
+        ("n_frames = 1", "n_frames = 1\nt_max = 0", "[reconstruction] t_max"),
         ("master_seed = 99", "master_seed = -1", "master seed must be non-negative"),
     ], ids=["non-numeric-value", "non-numeric-bump", "no-section-header", "repeated-key",
             "nan-rho-override", "nan-s", "minus-inf-M1", "inf-k", "nan-source-amplitude",
             "nan-medium-radius", "nan-alpha", "nan-half-width", "nan-tol", "nan-t-max",
-            "negative-seed"])
+            "negative-t-max", "zero-t-max", "negative-seed"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, old, new, named):
         """A value that does not convert, a non-finite number (nan, inf), a
-        negative master seed (a SeedSequence traceback before), a file
+        negative master seed (a SeedSequence traceback before), a t_max <= 0
+        (a complex-power traceback, or a message about rho, before), a file
         without a section header and a repeated key are refused with one line
         naming the fault."""
         assert SMALL_CONFIG.count(old) == 1

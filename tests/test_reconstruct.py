@@ -26,6 +26,7 @@ from stochmaxwell.geometry import (
 from stochmaxwell.sphharm import VshBasis
 from stochmaxwell.reconstruct import (
     DUAL_BLOCK,
+    PRODUCT_COLUMNS,
     build_xi_lattice,
     dual_functional_vector,
     fourier_synthesis,
@@ -93,8 +94,10 @@ def _correlation(traces, data, capacity):
     """Sample mean and standard error of B_1 B_2 over the ensemble, where
     B_j = sum_n trace_n . D_j,n pairs the frame components of each trace with
     the dual vector of the j-th member's boundary data."""
-    flat = capacity.basis.mesh.to_frame(traces).reshape(len(traces), -1)
-    b1, b2 = (flat @ dual_functional_vector(capacity, *d).ravel() for d in data)
+    mesh = capacity.basis.mesh
+    flat = mesh.to_frame(traces).reshape(len(traces), -1)
+    b1, b2 = (flat @ dual_functional_vector(capacity, *mesh.to_frame(np.stack(d))).ravel()
+              for d in data)
     prods = b1 * b2
     return prods.mean(), prods.std(ddof=1) / np.sqrt(len(prods))
 
@@ -134,7 +137,7 @@ class TestDualVector:
             + 1j * rng.standard_normal((mesh.n_nodes, 3))
             for _ in range(2)
         )
-        dual = dual_functional_vector(desk_capacity, U, curlU)
+        dual = dual_functional_vector(desk_capacity, mesh.to_frame(U), mesh.to_frame(curlU))
         for _ in range(5):
             comps = rng.standard_normal((mesh.n_nodes, 2)) + 1j * rng.standard_normal(
                 (mesh.n_nodes, 2)
@@ -151,11 +154,34 @@ class TestDualVector:
             + 1j * rng.standard_normal((3, mesh.n_nodes, 3))
             for _ in range(2)
         )
-        stacked = dual_functional_vector(desk_capacity, Us, curlUs)
+        us, curlus = mesh.to_frame(Us), mesh.to_frame(curlUs)
+        stacked = dual_functional_vector(desk_capacity, us, curlus)
         assert stacked.shape == (3, mesh.n_nodes, 2)
         for c in range(3):
-            want = dual_functional_vector(desk_capacity, Us[c], curlUs[c])
+            want = dual_functional_vector(desk_capacity, us[c], curlus[c])
             assert rel_err(stacked[c], want) < 1e-13
+
+    def test_matches_coefficient_route(self, desk_capacity):
+        """The dual through the transposed azimuthal convolution equals the
+        one through the harmonic coefficients: bilinear analysis of w U,
+        the transposed per-mode multiplier, synthesis."""
+        basis = desk_capacity.basis
+        mesh, K = basis.mesh, basis.n_modes
+        rng = np.random.default_rng(22)
+        u, curlu = (
+            rng.standard_normal((4, mesh.n_nodes, 2))
+            + 1j * rng.standard_normal((4, mesh.n_nodes, 2))
+            for _ in range(2)
+        )
+        # columns (A00, A10) and (A01, A11) of the per-mode 2x2 multipliers
+        a = desk_capacity.apply_coeffs(np.repeat([1.0, 0.0], K).astype(complex))
+        b = desk_capacity.apply_coeffs(np.repeat([0.0, 1.0], K).astype(complex))
+        d = np.conj(basis.decompose(np.conj(u)))  # sum_n w_n Phi_p(x_n) . u_n
+        e = np.concatenate([a[:K] * d[:, :K] + a[K:] * d[:, K:],
+                            b[:K] * d[:, :K] + b[K:] * d[:, K:]], axis=1)
+        w = mesh.weights[:, None]
+        want = -(1j * K_DESK * w * np.conj(basis.synthesize(np.conj(e))) + w * curlu)
+        assert rel_err(dual_functional_vector(desk_capacity, u, curlu), want) < 1e-12
 
 
 class TestCorrelation:
@@ -286,6 +312,13 @@ class TestParameterSchedule:
             select_parameters(0.0, 1.0, 1.3, 2.0)
         with pytest.raises(ConfigurationError):
             select_parameters(1.5, 1.0, 1.3, 2.0)
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0])
+    def test_non_positive_t_max_rejected(self, t_max):
+        """A cap t_max <= 0 is refused by name; a negative one took a
+        fractional power of a negative t before."""
+        with pytest.raises(ConfigurationError, match="t_max"):
+            select_parameters(0.1, 1.0, 1.3, 2.0, t_max=t_max)
 
 
 class TestSigmaHatEstimator:
@@ -602,7 +635,7 @@ class TestReconstructSigma:
             )
 
     def test_peak_memory_is_one_trace_product_chunk(self):
-        """The traces meet the dual vectors of 8 blocks of CGO columns at a
+        """The traces meet the dual vectors of 1,024 CGO columns at a
         time, so the peak allocation stays within twice one chunk's dual
         buffer and product, however many columns are estimated (3,120 here:
         195 estimated xi of 389, 8 frames, 2 members; four chunks)."""
@@ -621,7 +654,7 @@ class TestReconstructSigma:
         finally:
             tracemalloc.stop()
         n_cols = (len(result.xi_nodes) // 2 + 1) * 2 * n_frames
-        chunk_cols = 8 * DUAL_BLOCK
+        chunk_cols = PRODUCT_COLUMNS
         assert n_cols > 3 * chunk_cols
         one_chunk = chunk_cols * (3 * N + M) * 16  # duals and products, complex
         assert peak < 2 * one_chunk, (peak, one_chunk)
