@@ -119,8 +119,9 @@ class ExperimentConfig:
             raise ConfigurationError("tolerances and smoothness must be positive")
         if self.lmax < 1 or self.n_frames < 1:
             raise ConfigurationError("lmax and n_frames must be at least 1")
-        if self.t_max <= 0:
-            raise ConfigurationError(f"[reconstruction] t_max must be positive, got {self.t_max}")
+        for option in ("t_max", "rho_override"):  # rho's upper bound needs t: reconstruct_sigma
+            if (v := getattr(self, option)) is not None and v <= 0:
+                raise ConfigurationError(f"[reconstruction] {option} must be positive, got {v}")
         # constructing the grid and specs validates them (bump geometry against B_R)
         self.grid()
         self.medium()

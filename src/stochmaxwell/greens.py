@@ -12,6 +12,14 @@ singular Hessian is not a convergent quadrature near the origin, so cells
 within a small correction radius carry exact cell averages instead (product
 integration); the singular cell's average includes the distributional
 -delta/3 of the identity hess(g) = PV part - (1/3) delta I.
+
+Those averages are integrated on the wedge 0 <= o_x <= o_y <= o_z of cell
+offsets only. G(P d) = P G(d) P^T for every signed permutation P, and the
+Gauss-Legendre nodes are antisymmetric and the weights symmetric bit for
+bit, so the rule on cell P o is P applied to the rule on cell o and
+avg(P o) = P avg(o) P^T. The singular cell's (u, phi) direction grid is
+invariant under u -> -u, phi -> -phi and phi -> pi - phi, so one octant of
+it carries the whole sum and the off-diagonal entries are exactly 0.
 """
 from __future__ import annotations
 
@@ -144,41 +152,50 @@ def _near_cell_averages(lam: float, h: float, nc: int):
     of the origin: the integer offsets (n, 3) and the averages (6, n) of the
     entries in `_UPPER` order; cached per (lam, h, nc), so both read-only.
 
-    Regular cells use tensor Gauss-Legendre quadrature; the singular cell is
-    integrated in spherical coordinates about the origin, where the traceless
-    part of the Hessian vanishes identically over the inscribed ball (its
-    angular mean is zero) and the isotropic part carries (1/3)(Delta g - delta)
-    = -(lam^2 g + delta)/3.
+    Regular cells use tensor Gauss-Legendre quadrature on the wedge (module
+    docstring), each made exactly invariant under the signed permutations
+    that fix its offset. The singular cell is integrated in spherical
+    coordinates about the origin, where the traceless part of the Hessian
+    vanishes identically over the inscribed ball (its angular mean is zero)
+    and the isotropic part carries (1/3)(Delta g - delta) = -(lam^2 g + delta)/3.
     """
     def cube(x):  # tensor-product nodes of the 1D nodes x, (len(x)^3, 3)
         return np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
 
-    side = 2 * nc + 1
     offs = cube(np.arange(-nc, nc + 1))
+    wedge = offs[(offs[:, 0] >= 0) & (offs[:, 0] <= offs[:, 1]) & (offs[:, 1] <= offs[:, 2])]
     x, w = np.polynomial.legendre.leggauss(12)
-    pts_ref = cube(x)  # Gauss nodes of the reference cube [-1, 1]^3
+    pts = wedge[:, None, :] * h + 0.5 * h * cube(x)
     wn = np.prod(cube(w), axis=1) / 8.0  # weights of the average over the cell
-    iu, ju = np.array(_UPPER).T
-    avg = np.empty((6, len(offs)), dtype=np.complex128)
-    # one line of offsets at a time bounds the quadrature temporaries; the
-    # singular cell's value here is finite (no Gauss node at the origin) and
-    # is replaced below
-    for lo in range(0, len(offs), side):
-        sl = slice(lo, lo + side)
-        pts = offs[sl, None, :] * h + 0.5 * h * pts_ref  # (S, q, 3)
-        a, b = _green_coeffs(lam, np.linalg.norm(pts, axis=2))
-        avg[:, sl] = np.einsum("sq,sqe->es", b * wn, pts[..., iu] * pts[..., ju])
-        avg[iu == ju, sl] += a @ wn
+    # the singular cell's value here is finite (no Gauss node at the origin)
+    # and is replaced below
+    a, b = _green_coeffs(lam, np.linalg.norm(pts, axis=2))
+    bw, X = b * wn, pts.transpose(0, 2, 1)  # sum_q bw_q d_q d_q^T as real products
+    quad = X @ (bw.real[..., None] * pts) + 1j * (X @ (bw.imag[..., None] * pts))
+    quad = 0.5 * (quad + quad.transpose(0, 2, 1))  # symmetric bit for bit
+    quad[:, [0, 1, 2], [0, 1, 2]] += (a @ wn)[:, None]
 
-    # singular cell: directions x radial closed form / quadrature
-    nu, nphi = 64, 128
-    u, wu = np.polynomial.legendre.leggauss(nu)
-    phi = (np.arange(nphi) + 0.5) * (2.0 * np.pi / nphi)
-    U, P = np.meshgrid(u, phi, indexing="ij")
-    su = np.sqrt(1.0 - U ** 2)
-    omega = np.stack([su * np.cos(P), su * np.sin(P), U], axis=-1).reshape(-1, 3)
-    wang = np.repeat(wu, nphi) * (2.0 * np.pi / nphi)  # sums to 4 pi
-    rho = 0.5 * h / np.max(np.abs(omega), axis=1)
+    # cell o is P w, w = sorted |o| in the wedge, (P w)_i = s_i w_{k_i}, so
+    # avg(o)_ij = s_i s_j avg(w)_{k_i k_j}, read where the exact symmetry of w
+    # puts it: equal coordinates share entries (c_i is the first k with
+    # w_k = |o_i|), and a zero o_i zeroes the off-diagonal entries of row i
+    mag, off = np.abs(offs), ~np.eye(3, dtype=bool)
+    c = np.sum(mag[:, None, :] < mag[:, :, None], axis=2)
+    same = off & (c[:, :, None] == c[:, None, :])  # off-diagonal within one run
+    key = np.array([(nc + 1) ** 2, nc + 1, 1])  # the wedge is sorted by key
+    rep = np.searchsorted(wedge @ key, np.sort(mag, axis=1) @ key)
+    sgn = np.where(offs < 0, -1.0, 1.0)
+    val = quad[rep[:, None, None], c[:, :, None], c[:, None, :] + same]
+    val *= sgn[:, :, None] * sgn[:, None, :]
+    full = np.where(off & ((offs == 0)[:, :, None] | (offs == 0)[:, None, :]), 0.0, val)
+
+    # singular cell: directions x radial closed form / quadrature, over the
+    # octant u > 0, 0 < phi < pi/2 of the 64 x 128 (u, phi) grid, weights x 8
+    u, wu = (v[32:] for v in np.polynomial.legendre.leggauss(64))
+    phi = (np.arange(32) + 0.5) * (np.pi / 64)
+    su = np.sqrt(1.0 - u[:, None] ** 2)
+    rho = (0.5 * h / np.maximum(np.maximum(su * np.cos(phi), su * np.sin(phi)), u[:, None])).ravel()
+    wang = np.repeat(wu, 32) * (np.pi / 8)  # sums to 4 pi over the 8 octants
 
     # int_0^rho r e^{i lam r} dr, closed form
     e = np.exp(1j * lam * rho)
@@ -186,17 +203,18 @@ def _near_cell_averages(lam: float, h: float, nc: int):
     int_g = np.sum(wang * rad_g) / (4.0 * np.pi)
 
     # traceless part: int_{h/2}^{rho} b r^4 dr = (i/lam) int (g'' - g'/r) r^2 dr
-    # per direction
+    # per direction; the octant's sum of wt omega omega^T is diag(t, t, z)
     xg, wg = np.polynomial.legendre.leggauss(24)
-    mid = 0.5 * (rho + 0.5 * h)
     half = 0.5 * (rho - 0.5 * h)
-    rr = mid[:, None] + half[:, None] * xg[None, :]
-    rad_tl = np.sum(wg[None, :] * _green_coeffs(lam, rr)[1] * rr ** 4, axis=1) * half
-    wt = wang * rad_tl
-    T = np.einsum("q,qi,qj->ij", wt, omega, omega) - np.eye(3) * np.sum(wt) / 3.0
+    rr = (0.5 * (rho + 0.5 * h))[:, None] + half[:, None] * xg
+    rad_tl = np.sum(wg * _green_coeffs(lam, rr)[1] * rr ** 4, axis=1) * half
+    wt, u2 = wang * rad_tl, np.repeat(u ** 2, 32)
+    T = np.diag([-1.0, -1.0, 2.0]) * (np.sum(wt * u2) - np.sum(wt * (1.0 - u2)) / 2.0) / 3.0
     iso = (-(lam ** 2) * int_g - 1.0) / 3.0
-    G0 = (T + (1j * lam * int_g + (1j / lam) * iso) * np.eye(3)) / h ** 3
-    avg[:, len(offs) // 2] = G0[iu, ju]
+    full[len(offs) // 2] = (T + (1j * lam * int_g + (1j / lam) * iso) * np.eye(3)) / h ** 3
+
+    iu, ju = np.array(_UPPER).T
+    avg = np.ascontiguousarray(full[:, iu, ju].T)
     offs.flags.writeable = avg.flags.writeable = False
     return offs, avg
 

@@ -301,6 +301,9 @@ def reconstruct_sigma(
         raise ValueError("trace ensemble is empty")
     if k != capacity.k:
         raise ValueError("wavenumber does not match the capacity operator")
+    if rho_override is not None and rho_override <= 0:
+        raise ConfigurationError(
+            f"[reconstruction] rho_override must be positive, got {rho_override}")
     if epsilon is None:
         epsilon = measure_epsilon(x, capacity).epsilon
     t, rho = select_parameters(epsilon, constants.s, R_prime, k, constants.M1, t_max)

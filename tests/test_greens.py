@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,57 @@ class TestSymmetricSymbol:
         assert np.array_equal(symmetric_symbol(S)(f), want)
 
 
+def full_block_near_cell_averages(lam, h, nc):
+    """The near-cell table with a Gauss rule on every one of the (2 nc + 1)^3
+    cells and the singular cell over the whole 64 x 128 (u, phi) direction
+    grid, no symmetry used: the reference for `greens._near_cell_averages`."""
+    def cube(x):
+        return np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
+
+    offs = cube(np.arange(-nc, nc + 1))
+    x, w = np.polynomial.legendre.leggauss(12)
+    wn = np.prod(cube(w), axis=1) / 8.0
+    iu, ju = np.array(greens._UPPER).T
+    avg = np.empty((6, len(offs)), dtype=np.complex128)
+    for s, o in enumerate(offs):
+        pts = o * h + 0.5 * h * cube(x)
+        a, b = greens._green_coeffs(lam, np.linalg.norm(pts, axis=1))
+        avg[:, s] = (b * wn) @ (pts[:, iu] * pts[:, ju])
+        avg[iu == ju, s] += a @ wn
+
+    u, wu = np.polynomial.legendre.leggauss(64)
+    U, P = np.meshgrid(u, (np.arange(128) + 0.5) * (2.0 * np.pi / 128), indexing="ij")
+    su = np.sqrt(1.0 - U ** 2)
+    omega = np.stack([su * np.cos(P), su * np.sin(P), U], axis=-1).reshape(-1, 3)
+    wang = np.repeat(wu, 128) * (2.0 * np.pi / 128)
+    rho = 0.5 * h / np.max(np.abs(omega), axis=1)
+    e = np.exp(1j * lam * rho)
+    int_g = np.sum(wang * (rho * e / (1j * lam) + (e - 1.0) / lam ** 2)) / (4.0 * np.pi)
+    xg, wg = np.polynomial.legendre.leggauss(24)
+    half = 0.5 * (rho - 0.5 * h)
+    rr = (0.5 * (rho + 0.5 * h))[:, None] + half[:, None] * xg
+    wt = wang * np.sum(wg * greens._green_coeffs(lam, rr)[1] * rr ** 4, axis=1) * half
+    T = np.einsum("q,qi,qj->ij", wt, omega, omega) - np.eye(3) * np.sum(wt) / 3.0
+    iso = (-(lam ** 2) * int_g - 1.0) / 3.0
+    G0 = (T + (1j * lam * int_g + (1j / lam) * iso) * np.eye(3)) / h ** 3
+    avg[:, len(offs) // 2] = G0[iu, ju]
+    return offs, avg
+
+
+def full_tensors(avg):
+    """(n, 3, 3) symmetric tensors from the six stored entries (6, n)."""
+    iu, ju = np.array(greens._UPPER).T
+    M = np.empty((avg.shape[1], 3, 3), dtype=avg.dtype)
+    M[:, iu, ju] = avg.T
+    M[:, ju, iu] = avg.T
+    return M
+
+
+SIGNED_PERMUTATIONS = [(np.array(p), np.array(s))
+                       for p in itertools.permutations(range(3))
+                       for s in itertools.product((1, -1), repeat=3)]
+
+
 class TestNearCellAverages:
     def test_cached_equals_uncached_and_is_read_only(self):
         offs, avg = greens._near_cell_averages(1.7, 0.11, 2)
@@ -125,6 +178,56 @@ class TestNearCellAverages:
         for arr in (offs, avg):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+    @pytest.mark.parametrize("lam, h, nc", [(2.0, 0.52, 3), (2.0, 0.0929, 3), (1.7, 0.11, 2),
+                                            (5.0, 0.26, 3), (2.0, 0.52, 1)],
+                             ids=["inhom-grid", "desk-grid", "nc2", "k5", "nc1"])
+    def test_matches_the_full_block_quadrature(self, lam, h, nc):
+        """The wedge table equals the one integrated cell by cell over the
+        whole block and the whole direction grid, offsets in the same order."""
+        offs, avg = greens._near_cell_averages.__wrapped__(lam, h, nc)
+        want_offs, want = full_block_near_cell_averages(lam, h, nc)
+        assert np.array_equal(offs, want_offs)
+        c = len(offs) // 2
+        assert np.array_equal(offs[c], [0, 0, 0])
+        reg = np.arange(len(offs)) != c
+        assert np.max(np.abs(avg[:, reg] - want[:, reg])) <= 1e-13 * np.max(np.abs(want[:, reg]))
+        assert np.max(np.abs(avg[:, c] - want[:, c])) <= 1e-13 * np.max(np.abs(want[:, c]))
+
+    @pytest.mark.parametrize("lam, h, nc", [(2.0, 0.52, 3), (1.7, 0.11, 2)])
+    def test_signed_permutation_covariance_is_exact(self, lam, h, nc):
+        """table[P o] == P table[o] P^T bit for bit for all 48 signed
+        permutations P and every regular cell o. The singular cell is exactly
+        invariant under the 16 that keep the z axis, the symmetries of its
+        (u, phi) direction grid: its off-diagonal entries are 0 and xx == yy."""
+        offs, avg = greens._near_cell_averages.__wrapped__(lam, h, nc)
+        M = full_tensors(avg)
+        side = 2 * nc + 1
+        key = np.array([side * side, side, 1])
+        assert np.array_equal((offs + nc) @ key, np.arange(len(offs)))
+        c = len(offs) // 2
+        keep = np.arange(len(offs)) != c
+        for p, s in SIGNED_PERMUTATIONS:
+            moved = offs[:, p] * s  # (P o)_i = s_i o_{p(i)}
+            turned = s[:, None] * s * M[:, p[:, None], p]  # P M P^T
+            assert np.array_equal(M[(moved[keep] + nc) @ key], turned[keep])
+            if p[2] == 2:
+                assert np.array_equal(turned[c], M[c])
+
+    def test_work_is_the_wedge_and_one_octant(self, monkeypatch):
+        """One uncached table evaluates G on 12^3 Gauss points per wedge cell
+        (0 <= o_x <= o_y <= o_z) and 24 radial points per direction of one
+        octant of the 64 x 128 grid, not the whole block and grid."""
+        points = []
+        coeffs = greens._green_coeffs
+        monkeypatch.setattr(greens, "_green_coeffs",
+                            lambda lam, r: points.append(np.size(r)) or coeffs(lam, r))
+        nc = 3
+        greens._near_cell_averages.__wrapped__(2.0, 0.52, nc)
+        wedge = sum(1 for o in itertools.product(range(nc + 1), repeat=3) if o[0] <= o[1] <= o[2])
+        assert wedge == 20
+        assert sum(points) == wedge * 12 ** 3 + 32 * 32 * 24
+        assert sum(points) < (2 * nc + 1) ** 3 * 12 ** 3 + 64 * 128 * 24
 
 
 class TestFreeConvolver:

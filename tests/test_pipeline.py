@@ -197,15 +197,16 @@ directory = runs/full
         ({"s": float("nan")}, "[stability] s"),
         ({"t_max": float("inf")}, "[reconstruction] t_max"),
         ({"rho_override": float("nan")}, "[reconstruction] rho_override"),
+        ({"rho_override": -1.0}, "[reconstruction] rho_override"),
         ({"grid_half_width": float("nan")}, "[grid] half_width"),
         ({"M1": float("-inf")}, "[stability] M1"),
         ({"alphas": (1.0, float("nan"))}, "[sweep] alphas"),
-    ], ids=["nan-s", "inf-t-max", "nan-rho-override", "nan-half-width", "minus-inf-M1",
-            "nan-alpha"])
+    ], ids=["nan-s", "inf-t-max", "nan-rho-override", "negative-rho-override",
+            "nan-half-width", "minus-inf-M1", "nan-alpha"])
     def test_code_built_nonfinite_rejected(self, small_cfg, changes, named):
         """A config built in code, or changed by `dataclasses.replace`, passes
-        the same finite check as an INI file, named by the INI key; comparisons
-        such as `s <= 0` are false for nan and refused nothing."""
+        the same finite and range checks as an INI file, named by the INI key;
+        comparisons such as `s <= 0` are false for nan and refused nothing."""
         for build in (lambda: ExperimentConfig(**changes), lambda: replace(small_cfg, **changes)):
             with pytest.raises(ConfigurationError, match=re.escape(named)):
                 build()
@@ -433,22 +434,27 @@ class TestCliForward:
         ("n_frames = 1", "n_frames = 1\nt_max = -1", "[reconstruction] t_max"),
         ("n_frames = 1", "n_frames = 1\nt_max = 0", "[reconstruction] t_max"),
         ("master_seed = 99", "master_seed = -1", "master seed must be non-negative"),
+        ("rho_override = 1.5", "rho_override = -1", "[reconstruction] rho_override"),
+        ("rho_override = 1.5", "rho_override = 0", "[reconstruction] rho_override"),
     ], ids=["non-numeric-value", "non-numeric-bump", "no-section-header", "repeated-key",
             "nan-rho-override", "nan-s", "minus-inf-M1", "inf-k", "nan-source-amplitude",
             "nan-medium-radius", "nan-alpha", "nan-half-width", "nan-tol", "nan-t-max",
-            "negative-t-max", "zero-t-max", "negative-seed"])
+            "negative-t-max", "zero-t-max", "negative-seed", "negative-rho-override",
+            "zero-rho-override"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, old, new, named):
         """A value that does not convert, a non-finite number (nan, inf), a
         negative master seed (a SeedSequence traceback before), a t_max <= 0
-        (a complex-power traceback, or a message about rho, before), a file
-        without a section header and a repeated key are refused with one line
-        naming the fault."""
+        (a complex-power traceback, or a message about rho, before), a
+        rho_override <= 0 (a message naming no key, after the whole forward
+        stage, before), a file without a section header and a repeated key are
+        refused with one line naming the fault, before any ensemble is written."""
         assert SMALL_CONFIG.count(old) == 1
         p = tmp_path / "bad.ini"
         p.write_text(SMALL_CONFIG.replace(old, new))
         assert main(["forward", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and named in lines[0]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("old, new, named", [
         ("n_frames = 1", "n_frame = 1", "'n_frame' in [reconstruction]"),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stochmaxwell import cgo
+from stochmaxwell import reconstruct as reconstruct_module
 from stochmaxwell.capacity import CapacityOperator, boundary_functional
 from stochmaxwell.cgo import (
     CgoRemainderSolver,
@@ -360,6 +361,19 @@ class TestSigmaHatEstimator:
                 epsilon=0.1,
                 rho_override=2.0 * 5.0 * (1.0 - 1e-9),
             )
+
+    @pytest.mark.parametrize("rho", [-1.0, 0.0])
+    def test_non_positive_rho_override_rejected_first(
+        self, small_ensemble, grid, hom_medium, desk_capacity, monkeypatch, rho
+    ):
+        """A cutoff override <= 0 is refused, naming the config key, before
+        epsilon is measured or any CGO solve runs."""
+        def never(*args, **kwargs):
+            raise AssertionError("measure_epsilon ran")
+
+        monkeypatch.setattr(reconstruct_module, "measure_epsilon", never)
+        with pytest.raises(ConfigurationError, match=r"\[reconstruction\] rho_override"):
+            _reconstruct(small_ensemble, desk_capacity, grid, hom_medium, rho_override=rho)
 
 
 class TestXiLattice:
