@@ -60,6 +60,13 @@ def _traces(cfg: ExperimentConfig) -> np.ndarray:
     )
 
 
+def _check_realizations(cfg: ExperimentConfig) -> None:
+    """Refuse, before any draw, an ensemble too small to estimate the kernels."""
+    if cfg.realizations < 2:
+        raise ConfigurationError(
+            f"[ensemble] realizations must be at least 2 to reconstruct, got {cfg.realizations}")
+
+
 def _recon_args(cfg: ExperimentConfig) -> dict:
     """The reconstruction arguments that `reconstruct` and `sweep` share."""
     return dict(
@@ -176,6 +183,7 @@ def run_reconstruct(cfg: ExperimentConfig, out_dir: str) -> dict:
                 "stored ensemble does not match the config physics block"
             )
     else:
+        _check_realizations(cfg)
         manifest = run_forward(cfg, ens_dir)
         traces, _ = read_ensemble(ens_dir)
 
@@ -225,6 +233,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str) -> list:
     quantity per alpha. The seed law draws the same normals for every alpha
     and scales them by sqrt(alpha sigma), so one ensemble times sqrt(alpha)
     is the ensemble of alpha sigma."""
+    _check_realizations(cfg)
     traces = _traces(cfg)
     rows = stability_sweep(lambda alpha: np.sqrt(alpha) * traces, cfg.source(), _capacity(cfg),
                            alphas=cfg.alphas, **_recon_args(cfg))

@@ -122,6 +122,11 @@ class ExperimentConfig:
         for option in ("t_max", "rho_override"):  # rho's upper bound needs t: reconstruct_sigma
             if (v := getattr(self, option)) is not None and v <= 0:
                 raise ConfigurationError(f"[reconstruction] {option} must be positive, got {v}")
+        if any(a <= 0 for a in self.alphas):
+            raise ConfigurationError(f"[sweep] alphas must be positive, got {list(self.alphas)}")
+        if any(b >= a for a, b in zip(self.alphas, self.alphas[1:])):
+            raise ConfigurationError(
+                f"[sweep] alphas must be strictly decreasing, got {list(self.alphas)}")
         # constructing the grid and specs validates them (bump geometry against B_R)
         self.grid()
         self.medium()

@@ -9,17 +9,19 @@ low-pass ball and inverting the transform yields the regularized
 reconstruction, whose accuracy is logarithmic in the measured data size
 epsilon.
 
-The stage reads only the tangential part of the traces: every nodal
-quantity on the sphere is held by its (theta_hat, phi_hat) components, 2N
-numbers for N mesh nodes. Each boundary functional is folded into a single
-dual vector D in that frame (F(trace) = sum_{n,t} x_{n,t} D_{n,t} for the
-frame components x of the trace), so evaluating 10^4-realization ensembles
-at hundreds of frequencies reduces to one (M, 2N) x (2N, columns) complex
-matrix product. The dual vectors themselves are built per block of CGO
+The stage reads only the tangential part of the traces: every nodal quantity
+on the sphere is held by its (theta_hat, phi_hat) components, 2N numbers for
+N mesh nodes. Each boundary functional is folded into a single dual vector D
+in that frame (F(trace) = sum_{n,t} x_{n,t} D_{n,t} for the frame components
+x of the trace), so evaluating 10^4-realization ensembles at hundreds of
+frequencies reduces to (M, 2N) x (2N, 1,024) complex matrix products, one
+per chunk of CGO columns. The dual vectors themselves are built per block of
 columns from the frame components of the test data, the transposed capacity
 acting on them as a circular convolution over the azimuthal mesh index. The
-data size epsilon comes from one (2N)^2 Gram of the traces and the capacity
-operator acting on it.
+lattice, the columns, their remainder solves and the duals depend on the
+schedule (t, rho) only, so ensembles on one schedule (the source scalings of
+a stability sweep) share them. The data size epsilon comes from one (2N)^2
+Gram of the traces and the capacity operator acting on it.
 
 sigma is real, so sigma_hat(-xi) = conj sigma_hat(xi): only the lattice
 nodes up to xi = 0 are estimated, and each antipode is filled with the
@@ -294,91 +296,106 @@ def reconstruct_sigma(
     which shrinks the Monte Carlo variance without touching the mean. `tol`
     and `max_iter` bound each CGO remainder solve (`CgoRemainderSolver`).
     """
+    return _reconstruct([traces], [epsilon], [ground_truth], capacity, k, R_prime, medium,
+                        grid, constants, t_max, rho_override, n_frames, tol, max_iter)[0]
+
+
+def _reconstruct(ensembles, epsilons, truths, capacity, k, R_prime, medium, grid,
+                 constants=StabilityConstants(), t_max=8.0, rho_override=None, n_frames=1,
+                 tol=1e-10, max_iter=60) -> list[ReconstructionResult]:
+    """`reconstruct_sigma` of several ensembles, each with its epsilon (None:
+    measured) and ground truth. The lattice, CGO columns, remainder solves and
+    dual vectors depend only on (t, rho): they are built once per distinct
+    schedule, and each chunk of dual vectors meets every ensemble on it."""
     mesh = capacity.basis.mesh
-    x = _tangential_traces(traces, mesh)
-    M = x.shape[0]
-    if M == 0:
+    xs = [_tangential_traces(traces, mesh) for traces in ensembles]
+    if any(len(x) == 0 for x in xs):
         raise ValueError("trace ensemble is empty")
     if k != capacity.k:
         raise ValueError("wavenumber does not match the capacity operator")
     if rho_override is not None and rho_override <= 0:
         raise ConfigurationError(
             f"[reconstruction] rho_override must be positive, got {rho_override}")
-    if epsilon is None:
-        epsilon = measure_epsilon(x, capacity).epsilon
-    t, rho = select_parameters(epsilon, constants.s, R_prime, k, constants.M1, t_max)
-    if rho_override is not None:
-        rho = float(rho_override)
-    # |xi| <= rho keeps the leading coefficient 1 - |xi|^2/4t^2 above the guard
-    if rho > 2.0 * t * np.sqrt(1.0 - LEADING_GUARD):
-        raise ConfigurationError(
-            f"cutoff rho={rho:.2f} exceeds the admissible band for t={t:.2f}"
-        )
-    xi_nodes, dxi = build_xi_lattice(rho, R_prime)
-    n_est = len(xi_nodes) // 2 + 1  # nodes 0 .. n // 2; the rest are their antipodes
-    azimuths = np.pi * np.arange(n_frames) / n_frames
-    # one column per (xi, frame, member); the overflow guard is checked here,
-    # at the largest |xi|, for every column
-    zeta, eta, lead = build_zeta_eta(
-        xi_nodes[:n_est, None], t, k, azimuths[None], box_radius(grid)
-    )
-    lead = lead[:, 0]
-    solver = CgoRemainderSolver(k, medium, grid, tol, max_iter)
-    flat = x.reshape(M, -1)
-
-    sigma_hat = np.empty(n_est, dtype=np.complex128)
-    stderr = np.empty(n_est)
-    chunk = max(1, PRODUCT_COLUMNS // (2 * n_frames))  # xi per trace product
-    for lo in range(0, n_est, chunk):
-        ids = slice(lo, lo + chunk)
-        z_cols = zeta[ids].reshape(-1, 3)
-        e_cols = eta[ids].reshape(-1, 3)
-        duals = np.empty((len(z_cols), mesh.n_nodes, 2), dtype=np.complex128)
-        for b in range(0, len(z_cols), DUAL_BLOCK):
-            zb, eb = z_cols[b : b + DUAL_BLOCK], e_cols[b : b + DUAL_BLOCK]
-            # for m = 0 the CGO pair is the exact plane-wave pair
-            W = None if solver.homogeneous else np.stack(
-                [solver.solve(z, e).W for z, e in zip(zb, eb)]
+    epsilons = [measure_epsilon(x, capacity).epsilon if epsilon is None else epsilon
+                for x, epsilon in zip(xs, epsilons)]
+    schedules = {}  # (t, rho) -> indices of the ensembles on it
+    for i, epsilon in enumerate(epsilons):
+        t, rho = select_parameters(epsilon, constants.s, R_prime, k, constants.M1, t_max)
+        if rho_override is not None:
+            rho = float(rho_override)
+        # |xi| <= rho keeps the leading coefficient 1 - |xi|^2/4t^2 above the guard
+        if rho > 2.0 * t * np.sqrt(1.0 - LEADING_GUARD):
+            raise ConfigurationError(
+                f"cutoff rho={rho:.2f} exceeds the admissible band for t={t:.2f}"
             )
-            test_data = cgo_on_sphere(zb, eb, W, grid, mesh)
-            duals[b : b + len(zb)] = dual_functional_vector(capacity, *test_data)
-        B = flat @ duals.reshape(len(z_cols), -1).T  # (M, n_sub * n_frames * 2)
-        B = B.reshape(M, -1, n_frames, 2)
-        prods = (B[..., 0] * B[..., 1]).mean(axis=2)  # frame average per realization
-        mean = prods.mean(axis=0)
-        sd = prods.std(axis=0, ddof=1) / np.sqrt(M) if M > 1 else np.full(len(mean), np.inf)
-        sigma_hat[ids] = (-mean / k ** 2) / lead[ids]
-        stderr[ids] = sd / (k ** 2 * np.abs(lead[ids]))
+        schedules.setdefault((t, rho), []).append(i)
 
-    sigma_hat = hermitian_symmetrize(xi_nodes, sigma_hat)
-    stderr = hermitian_symmetrize(xi_nodes, stderr).real
-    sigma_rec, residue = fourier_synthesis(xi_nodes, sigma_hat, dxi, grid)
+    azimuths = np.pi * np.arange(n_frames) / n_frames
+    results = [None] * len(xs)
+    for (t, rho), members in schedules.items():
+        xi_nodes, dxi = build_xi_lattice(rho, R_prime)
+        n_est = len(xi_nodes) // 2 + 1  # nodes 0 .. n // 2; the rest are their antipodes
+        # one column per (xi, frame, member); the overflow guard is checked here,
+        # at the largest |xi|, for every column
+        zeta, eta, lead = build_zeta_eta(
+            xi_nodes[:n_est, None], t, k, azimuths[None], box_radius(grid)
+        )
+        solver = CgoRemainderSolver(k, medium, grid, tol, max_iter)  # lending stays in one schedule
 
-    l2 = linf = rel = None
-    if ground_truth is not None:
-        gt = evaluate_on_grid(ground_truth, grid).values.real
-        diff = sigma_rec.values.real - gt
-        h3 = grid.cell_volume
-        l2 = float(np.linalg.norm(diff) * np.sqrt(h3))
-        linf = float(np.max(np.abs(diff)))
-        gt_norm = np.linalg.norm(gt) * np.sqrt(h3)
-        rel = float(l2 / gt_norm) if gt_norm > 0 else float("inf")
+        sigma_hat = np.empty((len(members), n_est), dtype=np.complex128)
+        stderr = np.empty((len(members), n_est))
+        chunk = max(1, PRODUCT_COLUMNS // (2 * n_frames))  # xi per trace product
+        for lo in range(0, n_est, chunk):
+            ids = slice(lo, lo + chunk)
+            z_cols = zeta[ids].reshape(-1, 3)
+            e_cols = eta[ids].reshape(-1, 3)
+            duals = np.empty((len(z_cols), mesh.n_nodes, 2), dtype=np.complex128)
+            for b in range(0, len(z_cols), DUAL_BLOCK):
+                zb, eb = z_cols[b : b + DUAL_BLOCK], e_cols[b : b + DUAL_BLOCK]
+                # for m = 0 the CGO pair is the exact plane-wave pair
+                W = None if solver.homogeneous else np.stack(
+                    [solver.solve(z, e).W for z, e in zip(zb, eb)]
+                )
+                test_data = cgo_on_sphere(zb, eb, W, grid, mesh)
+                duals[b : b + len(zb)] = dual_functional_vector(capacity, *test_data)
+            for j, i in enumerate(members):
+                M = len(xs[i])
+                B = xs[i].reshape(M, -1) @ duals.reshape(len(z_cols), -1).T
+                B = B.reshape(M, -1, n_frames, 2)  # (M, n_sub, n_frames, 2)
+                prods = (B[..., 0] * B[..., 1]).mean(axis=2)  # frame average per realization
+                mean = prods.mean(axis=0)
+                sd = prods.std(axis=0, ddof=1) / np.sqrt(M) if M > 1 else np.full(len(mean), np.inf)
+                sigma_hat[j, ids] = (-mean / k ** 2) / lead[ids, 0]
+                stderr[j, ids] = sd / (k ** 2 * np.abs(lead[ids, 0]))
 
-    return ReconstructionResult(
-        xi_nodes=xi_nodes,
-        dxi=dxi,
-        rho=rho,
-        t=t,
-        epsilon=float(epsilon),
-        sample_count=M,
-        sigma_hat=sigma_hat,
-        stderr=stderr,
-        sigma_rec=sigma_rec,
-        imag_residue=residue,
-        l2_error=l2,
-        linf_error=linf,
-        rel_l2_error=rel,
-    )
+        for j, i in enumerate(members):
+            samples = hermitian_symmetrize(xi_nodes, sigma_hat[j])
+            sigma_rec, residue = fourier_synthesis(xi_nodes, samples, dxi, grid)
+            l2 = linf = rel = None
+            if truths[i] is not None:
+                gt = evaluate_on_grid(truths[i], grid).values.real
+                diff = sigma_rec.values.real - gt
+                h3 = grid.cell_volume
+                l2 = float(np.linalg.norm(diff) * np.sqrt(h3))
+                linf = float(np.max(np.abs(diff)))
+                gt_norm = np.linalg.norm(gt) * np.sqrt(h3)
+                rel = float(l2 / gt_norm) if gt_norm > 0 else float("inf")
+            results[i] = ReconstructionResult(
+                xi_nodes=xi_nodes,
+                dxi=dxi,
+                rho=rho,
+                t=t,
+                epsilon=float(epsilons[i]),
+                sample_count=len(xs[i]),
+                sigma_hat=samples,
+                stderr=hermitian_symmetrize(xi_nodes, stderr[j]).real,
+                sigma_rec=sigma_rec,
+                imag_residue=residue,
+                l2_error=l2,
+                linf_error=linf,
+                rel_l2_error=rel,
+            )
+    return results
 
 
 def stability_sweep(
@@ -397,42 +414,25 @@ def stability_sweep(
     the logarithmic-stability check quantity ||alpha sigma|| (-log eps)^{4s/(7+2s)}.
 
     `ensemble_factory(alpha)` must return the trace ensemble for the scaled
-    source. Returns one row dict per alpha.
+    source. Every alpha's frame components are held at once; alphas on one
+    (t, rho) share its CGO solves and dual vectors. Returns one row per alpha.
     """
     alphas = [float(a) for a in alphas]
     if any(a <= 0 for a in alphas):
-        raise ConfigurationError("alphas must be positive")
+        raise ConfigurationError(f"[sweep] alphas must be positive, got {alphas}")
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
-        raise ConfigurationError("alphas must be strictly decreasing")
+        raise ConfigurationError(f"[sweep] alphas must be strictly decreasing, got {alphas}")
     expo = 4.0 * constants.s / (7.0 + 2.0 * constants.s)
+    scaled = [SourceStrength(tuple(replace(b, amplitude=b.amplitude * alpha) for b in sigma.bumps),
+                             sigma.ball_radius) for alpha in alphas]
+    ensembles = [_tangential_traces(ensemble_factory(alpha), capacity.basis.mesh)
+                 for alpha in alphas]
+    results = _reconstruct(ensembles, [None] * len(alphas), scaled, capacity, k, R_prime,
+                           medium, grid, constants, **recon_kwargs)
     rows = []
-    for alpha in alphas:
-        traces = _tangential_traces(ensemble_factory(alpha), capacity.basis.mesh)
-        ke = measure_epsilon(traces, capacity)
-        scaled = SourceStrength(
-            tuple(replace(b, amplitude=b.amplitude * alpha) for b in sigma.bumps),
-            sigma.ball_radius,
-        )
-        result = reconstruct_sigma(
-            traces,
-            capacity,
-            k=k,
-            R_prime=R_prime,
-            medium=medium,
-            grid=grid,
-            constants=constants,
-            epsilon=ke.epsilon,
-            ground_truth=scaled,
-            **recon_kwargs,
-        )
-        sig_l2 = evaluate_on_grid(scaled, grid).l2_norm()
-        rows.append(
-            {
-                "alpha": alpha,
-                "epsilon": ke.epsilon,
-                "sigma_l2": sig_l2,
-                "rel_l2_error": result.rel_l2_error,
-                "check_quantity": sig_l2 * (-np.log(ke.epsilon)) ** expo,
-            }
-        )
+    for alpha, source, result in zip(alphas, scaled, results):
+        sig_l2 = evaluate_on_grid(source, grid).l2_norm()
+        check = sig_l2 * (-np.log(result.epsilon)) ** expo
+        rows.append({"alpha": alpha, "epsilon": result.epsilon, "sigma_l2": sig_l2,
+                     "rel_l2_error": result.rel_l2_error, "check_quantity": check})
     return rows

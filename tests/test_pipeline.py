@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stochmaxwell import reconstruct, verify
+from stochmaxwell import cli, reconstruct, verify
 from stochmaxwell.cgo import CgoRemainderSolver, build_zeta_eta
 from stochmaxwell.cli import (
     EXIT_CONFIG,
@@ -436,17 +436,21 @@ class TestCliForward:
         ("master_seed = 99", "master_seed = -1", "master seed must be non-negative"),
         ("rho_override = 1.5", "rho_override = -1", "[reconstruction] rho_override"),
         ("rho_override = 1.5", "rho_override = 0", "[reconstruction] rho_override"),
+        ("alphas = 1.0 0.1", "alphas = 1.0 2.0", "[sweep] alphas"),
+        ("alphas = 1.0 0.1", "alphas = 1.0 -0.5", "[sweep] alphas"),
+        ("alphas = 1.0 0.1", "alphas = 1.0 0.5 0.5", "[sweep] alphas"),
     ], ids=["non-numeric-value", "non-numeric-bump", "no-section-header", "repeated-key",
             "nan-rho-override", "nan-s", "minus-inf-M1", "inf-k", "nan-source-amplitude",
             "nan-medium-radius", "nan-alpha", "nan-half-width", "nan-tol", "nan-t-max",
             "negative-t-max", "zero-t-max", "negative-seed", "negative-rho-override",
-            "zero-rho-override"])
+            "zero-rho-override", "increasing-alphas", "non-positive-alpha", "repeated-alpha"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, old, new, named):
         """A value that does not convert, a non-finite number (nan, inf), a
         negative master seed (a SeedSequence traceback before), a t_max <= 0
         (a complex-power traceback, or a message about rho, before), a
-        rho_override <= 0 (a message naming no key, after the whole forward
-        stage, before), a file without a section header and a repeated key are
+        rho_override <= 0 or sweep alphas that are not positive and strictly
+        decreasing (a message naming no key, after the whole forward stage,
+        before), a file without a section header and a repeated key are
         refused with one line naming the fault, before any ensemble is written."""
         assert SMALL_CONFIG.count(old) == 1
         p = tmp_path / "bad.ini"
@@ -580,6 +584,24 @@ class TestCliReconstruct:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and "two realizations" in lines[0]
 
+    @pytest.mark.parametrize("command", ["reconstruct", "sweep"])
+    def test_single_realization_refused_before_drawing(self, tmp_path, capsys, monkeypatch,
+                                                       command):
+        """With no stored ensemble, `reconstruct` and `sweep` refuse a
+        one-realization config, naming the key, before any draw (before, both
+        drew the ensemble and `reconstruct` left it on disk)."""
+        def never(*args, **kwargs):
+            raise AssertionError("the ensemble was drawn")
+
+        monkeypatch.setattr(cli, "generate_ensemble", never)
+        cfg = tmp_path / "one.ini"
+        cfg.write_text(SMALL_CONFIG.replace("realizations = 20", "realizations = 1"))
+        out = tmp_path / "r"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "[ensemble] realizations" in lines[0]
+        assert not (out / "ensemble").exists()
+
 
 INHOM_CONFIG = """
 [physics]
@@ -682,6 +704,14 @@ class TestCliSweep:
         # traces carry sqrt(sigma), so the quadratic kernels are linear in
         # the source scale: alpha 1 -> 0.1 drops epsilon 10x
         assert eps[0] / eps[1] == pytest.approx(10.0, rel=0.05)
+
+    def test_rerun_is_bit_identical(self, config_path, tmp_path):
+        """Two sweeps with the same config and seed write the same bytes."""
+        blobs = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main(["sweep", "--config", config_path, "--out", str(out)]) == EXIT_OK
+            blobs.append((out / "sweep.csv").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_scaled_ensemble_matches_regenerated(self, small_cfg):
         """`run_sweep` scales one ensemble by sqrt(alpha) instead of drawing

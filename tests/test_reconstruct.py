@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from stochmaxwell.reconstruct import (
     measure_epsilon,
     reconstruct_sigma,
     select_parameters,
+    stability_sweep,
 )
 
 from conftest import K_DESK, RP_DESK, rel_err
@@ -672,3 +674,106 @@ class TestReconstructSigma:
         assert n_cols > 3 * chunk_cols
         one_chunk = chunk_cols * (3 * N + M) * 16  # duals and products, complex
         assert peak < 2 * one_chunk, (peak, one_chunk)
+
+
+# alphas whose epsilon (alpha times about 8.5e-3 for the scaled traces of
+# `small_inhomogeneous`) gives t = 5 for every alpha, and alphas whose last
+# epsilon (8.5e-7) is small enough that -log(eps)/(2 R') = 5.4 lifts t above
+# the t = 5 floor, below t_max = 8: one schedule, then two
+ONE_SCHEDULE = (1.0, 0.5, 0.25)
+TWO_SCHEDULES = (1.0, 0.25, 1e-4)
+
+
+class TestStabilitySweep:
+    """`stability_sweep` runs every alpha through the one reconstruction
+    core, which builds the schedule's work once for all alphas on it."""
+
+    @pytest.fixture(scope="class")
+    def sweep_case(self, small_inhomogeneous):
+        traces, capacity, kwargs = small_inhomogeneous
+        kwargs = {key: v for key, v in kwargs.items() if key != "epsilon"}
+        sigma = SourceStrength((Bump((0.0, 0.0, 0.0), 0.95, 0.1),), ball_radius=1.0)
+        return (lambda alpha: np.sqrt(alpha) * 0.01 * traces), sigma, capacity, kwargs
+
+    @staticmethod
+    def per_alpha_sweep(factory, sigma, capacity, alphas, grid, **kwargs):
+        """The sweep as one full reconstruction per alpha: its own epsilon
+        pass, then `reconstruct_sigma` with that epsilon and alpha sigma as
+        the ground truth. Also returns each alpha's t."""
+        rows, ts = [], []
+        for alpha in alphas:
+            traces = factory(alpha)
+            epsilon = measure_epsilon(traces, capacity).epsilon
+            scaled = SourceStrength(
+                tuple(replace(b, amplitude=b.amplitude * alpha) for b in sigma.bumps),
+                sigma.ball_radius,
+            )
+            result = reconstruct_sigma(traces, capacity, grid=grid, epsilon=epsilon,
+                                       ground_truth=scaled, **kwargs)
+            sig_l2 = evaluate_on_grid(scaled, grid).l2_norm()
+            rows.append({"alpha": alpha, "epsilon": epsilon, "sigma_l2": sig_l2,
+                         "rel_l2_error": result.rel_l2_error,
+                         "check_quantity": sig_l2 * (-np.log(epsilon)) ** (4.0 / 9.0)})  # s = 1
+            ts.append(result.t)
+        return rows, ts
+
+    @pytest.mark.parametrize("alphas, n_schedules", [(ONE_SCHEDULE, 1), (TWO_SCHEDULES, 2)],
+                             ids=["one-schedule", "two-schedules"])
+    def test_rows_equal_per_alpha_reconstructions(self, sweep_case, alphas, n_schedules):
+        """Bit for bit, whether the alphas share one (t, rho) or not."""
+        factory, sigma, capacity, kwargs = sweep_case
+        rows = stability_sweep(factory, sigma, capacity, alphas=alphas, **kwargs)
+        want, ts = self.per_alpha_sweep(factory, sigma, capacity, alphas, **kwargs)
+        assert len(set(ts)) == n_schedules and max(ts) < 8.0
+        assert rows == want
+
+    @pytest.mark.parametrize("alphas", [ONE_SCHEDULE, TWO_SCHEDULES],
+                             ids=["one-schedule", "two-schedules"])
+    def test_cgo_solves_run_once_per_schedule(self, sweep_case, alphas, monkeypatch):
+        """Two remainder solves (one per CGO member) per estimated xi of each
+        distinct schedule's lattice, however many alphas share it."""
+        factory, sigma, capacity, kwargs = sweep_case
+        solves = []
+        solve = CgoRemainderSolver.solve
+
+        def counting(self, zeta, eta):
+            solves.append(zeta)
+            return solve(self, zeta, eta)
+
+        monkeypatch.setattr(CgoRemainderSolver, "solve", counting)
+        stability_sweep(factory, sigma, capacity, alphas=alphas, **kwargs)
+        schedules = {  # the default constants s = 1, M1 = 1 and t_max = 8
+            select_parameters(measure_epsilon(factory(alpha), capacity).epsilon, s=1.0,
+                              R_prime=RP_DESK, k=K_DESK, M1=1.0, t_max=8.0)
+            for alpha in alphas
+        }
+        per_schedule = [2 * (len(build_xi_lattice(rho, RP_DESK)[0]) // 2 + 1)
+                        for _, rho in schedules]
+        assert len(solves) == sum(per_schedule) < len(alphas) * max(per_schedule)
+
+    def test_peak_memory_is_the_frame_copies_and_one_product_chunk(self):
+        """All alphas share one schedule here; the sweep holds each alpha's
+        frame components and streams the dual chunks through every
+        ensemble, so its peak stays within those copies plus twice one
+        chunk's dual buffer and product, as one reconstruction's does."""
+        M, n_frames, alphas = 200, 8, (1.0, 0.5, 0.25, 0.125)
+        capacity = CapacityOperator(K_DESK, VshBasis(SphereMesh(1.0, 6), 6))
+        mesh = capacity.basis.mesh
+        N = mesh.n_nodes
+        rng = np.random.default_rng(3)
+        traces = rng.standard_normal((M, N, 3)) + 1j * rng.standard_normal((M, N, 3))
+        frames = 0.01 * mesh.to_frame(traces)
+        sigma = SourceStrength((Bump((0.0, 0.0, 0.0), 0.95, 0.1),), ball_radius=1.0)
+        kwargs = dict(k=K_DESK, R_prime=RP_DESK, medium=MediumSpec(ball_radius=1.0),
+                      grid=Grid3.for_ball(RP_DESK, 8), rho_override=5.0, n_frames=n_frames)
+        tracemalloc.start()
+        try:
+            rows = stability_sweep(lambda alpha: np.sqrt(alpha) * frames, sigma, capacity,
+                                   alphas=alphas, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == len(alphas)
+        frame_copies = len(alphas) * frames.nbytes
+        one_chunk = PRODUCT_COLUMNS * (3 * N + M) * 16  # duals and products, complex
+        assert peak < frame_copies + 2 * one_chunk, (peak, frame_copies, one_chunk)
