@@ -17,15 +17,16 @@ estimate its 1/t behaviour. Phase constraints (zeta . zeta = k^2) use the
 bilinear dot product throughout.
 
 The correction enters its equation only through m W, so it is solved on
-the bounding box of supp(m), with the same discrete operator restricted to
-the box (`greens.box_multiplier`), by Neumann iteration with a hand-off to
-restarted GMRES (`forward.solve_fixed_point`); one full-grid apply gives W.
-Every solve returns a `CgoSolution` holding W; the split W = f zeta + V of
-the remainder estimate is derived from it.
+the bounding box of supp(m), a block of columns at a time, with the same
+discrete operator restricted to the box, by Neumann iteration with a
+hand-off to restarted GMRES (`forward.solve_fixed_point`); one full-grid
+apply per column gives W. A `CgoSolution` holds one column's W; the split
+W = f zeta + V of the remainder estimate is derived from it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import fft as sfft
@@ -40,7 +41,7 @@ from .geometry import (
     trilinear_interpolate,
 )
 from .forward import _bounding_box, curl_grid, solve_fixed_point
-from .greens import _UPPER, box_multiplier, padded_fft_apply, symmetric_symbol
+from .greens import padded_fft_apply, symmetric_symbol
 
 __all__ = [
     "CgoSolution",
@@ -210,23 +211,39 @@ class CgoSolution:
         return self.eta[:, None, None, None] + self.W
 
 
+@lru_cache(maxsize=8)
+def _lattice(padded: tuple, h: float):
+    """Spectral lattice s of a padded grid (axes broadcast) and |s|^2; cached."""
+    s = [2.0 * np.pi * sfft.fftfreq(v, d=h) for v in padded]
+    s = (s[0][:, None, None], s[1][None, :, None], s[2][None, None, :])
+    return s, s[0] ** 2 + s[1] ** 2 + s[2] ** 2
+
+
+@lru_cache(maxsize=16)
+def _truncated_dft(p: int, s: int) -> np.ndarray:
+    """(2s, p) matrix taking a p-point multiplier to the 2s-point symbol of its
+    kernel on a box of s cells: the inverse DFT at displacements -(s - 1) ..
+    s - 1, embedded circulantly in 2s points, then the forward DFT; cached."""
+    d = np.arange(1 - s, s)
+    pruned = np.exp(2j * np.pi * (np.outer(d, np.arange(p)) % p) / p) / p
+    return np.exp(-2j * np.pi * (np.outer(np.arange(2 * s), d) % (2 * s)) / (2 * s)) @ pruned
+
+
 class ConjugatedResolvent:
-    """Fourier-multiplier inverse of e^{-i zeta x}(curl curl - k^2) e^{i zeta x}.
+    """Fourier-multiplier inverse of e^{-i zeta x}(curl curl - k^2) e^{i zeta x},
+    held by its scalar symbol inv = 1/(s^2 + 2 s.zeta) on the padded lattice:
+    `apply` computes inv (f - q (q.f)/k^2), q = s + zeta.
 
     Bins within one spectral cell of the characteristic set s^2 + 2 s.zeta = 0
-    carry the cell average of the reciprocal symbol (the set has codimension
-    two, so the average is finite); this tames the otherwise arbitrarily large
-    near-resonant multipliers of the coarse s-lattice.
-
-    The cell average is the midpoint rule on a _SUBSAMPLE^3 grid of offsets o
-    about the bin centre s0. With c = s0 + zeta the symbol there is
-    d0 + X(o_x) + Y(o_y) + Z(o_z), each term 2 o_i c_i + o_i^2, so the
-    samples are an outer sum; the offsets are symmetric about 0, so each
-    antipodal pair in x folds into one division,
+    carry the cell average of inv (the set has codimension two, so it is
+    finite), which tames the near-resonant multipliers of the coarse lattice:
+    the midpoint rule on a _SUBSAMPLE^3 grid of offsets o about the bin
+    centre s0. With c = s0 + zeta the symbol there is d0 + X(o_x) + Y(o_y) +
+    Z(o_z), each term 2 o_i c_i + o_i^2, an outer sum; the offsets are
+    symmetric about 0, so each antipodal pair in x folds into one division,
     1/(B + L) + 1/(B - L) = 2B / (B^2 - L^2) with L = 2 o_x c_x. Bins go in
-    chunks of _CHUNK to keep the tensor in cache. The result differs from a
-    pointwise mean only by rounding (about 1e-10 relative at worst, from
-    the s^2 + 2 s.zeta cancellation near the characteristic set).
+    chunks of _CHUNK. The result differs from a pointwise mean only by
+    rounding (about 1e-10 relative at worst, near the characteristic set).
 
     Lending: a signed axis permutation P keeps (P c).(P c) = c.c and maps the
     offset grid onto itself, so the cell averages obey
@@ -238,31 +255,22 @@ class ConjugatedResolvent:
     equal padded length, which share a lattice, and -s is off the lattice
     on the Nyquist plane (index p/2) of a reflected axis: bins lent from
     there, and near bins the lender lacks, are averaged directly.
-
-    The projection I - q q^T/k^2 of the inverse is folded in at build time:
-    the symmetric multiplier inv (I - q q^T/k^2) is stored as its six entries.
     """
 
     _SUBSAMPLE = 12
     _CHUNK = 16
 
     def __init__(self, zeta: np.ndarray, k: float, grid: Grid3, lend=None):
-        self.zeta = np.asarray(zeta, dtype=np.complex128)
+        z = self.zeta = np.asarray(zeta, dtype=np.complex128)
         self.k = float(k)
-        n = grid.dims
-        self.padded = p = tuple(2 * v for v in n)
-        h = grid.spacing
-        kv = [2.0 * np.pi * sfft.fftfreq(v, d=h) for v in p]
-        sx = kv[0][:, None, None]
-        sy = kv[1][None, :, None]
-        sz = kv[2][None, None, :]
-        z = self.zeta
-        denom = sx ** 2 + sy ** 2 + sz ** 2 + 2.0 * (sx * z[0] + sy * z[1] + sz * z[2])
-        ds = [kv[a][1] - kv[a][0] for a in range(3)]  # spectral cell widths
+        self.padded = p = tuple(2 * v for v in grid.dims)
+        (sx, sy, sz), s2 = _lattice(p, grid.spacing)
+        denom = s2 + (2.0 * sx * z[0] + 2.0 * sy * z[1] + 2.0 * sz * z[2])
+        ds = [sx[1, 0, 0], sy[0, 1, 0], sz[0, 0, 1]]  # spectral cell widths
         grad_scale = 4.0 * (abs(z).max() + k)
         near = np.abs(denom) < grad_scale * max(ds)
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(near, 0.0, 1.0 / np.where(near, 1.0, denom))
+            inv = 1.0 / denom  # every near bin is lent or averaged below
         todo = near
         if lend is not None:  # a lent near bin of source index j lands at P j
             (l_idx, l_avg), P, conj = lend
@@ -274,85 +282,94 @@ class ConjugatedResolvent:
             inv.ravel()[dst[ok]] = np.conj(l_avg[ok]) if conj else l_avg[ok]
             todo = near.copy()
             todo.ravel()[dst[ok]] = False
-        S = self._SUBSAMPLE
-        qx, qy, qz = (((np.arange(S) + 0.5) / S - 0.5) * d for d in ds)
-        half = qx[S // 2:]  # the offsets are symmetric about 0: fold x onto +half
         idx = np.nonzero(todo)
-        c = np.stack([kv[a][idx[a]] for a in range(3)], axis=1) + z
-        L2 = (2.0 * half * c[:, :1]) ** 2
-        X = denom[idx][:, None] + half ** 2
-        Y = 2.0 * qy * c[:, 1:2] + qy ** 2
-        Z = 2.0 * qz * c[:, 2:3] + qz ** 2
-        YZ = (Y[:, :, None] + Z[:, None, :]).reshape(len(c), S * S)
-        avg = np.empty(len(c), dtype=np.complex128)
-        for b in range(0, len(c), self._CHUNK):
-            e = slice(b, b + self._CHUNK)
-            B = X[e, :, None] + YZ[e, None, :]
-            D = B * B
-            D -= L2[e, :, None]
-            B /= D
-            avg[e] = B.sum(axis=(1, 2))
-        inv[idx] = avg * (2.0 / S ** 3)
+        if idx[0].size:
+            S = self._SUBSAMPLE
+            qx, qy, qz = (((np.arange(S) + 0.5) / S - 0.5) * d for d in ds)
+            half = qx[S // 2:]  # the offsets are symmetric about 0: fold x onto +half
+            c = np.stack([sx.ravel()[idx[0]], sy.ravel()[idx[1]], sz.ravel()[idx[2]]], axis=1) + z
+            L2 = (2.0 * half * c[:, :1]) ** 2
+            X = denom[idx][:, None] + half ** 2
+            Y = 2.0 * qy * c[:, 1:2] + qy ** 2
+            Z = 2.0 * qz * c[:, 2:3] + qz ** 2
+            avg = np.empty(len(c), dtype=np.complex128)
+            for b in range(0, len(c), self._CHUNK):
+                e = slice(b, b + self._CHUNK)
+                B = X[e, :, None] + (Y[e, :, None] + Z[e, None, :]).reshape(-1, 1, S * S)
+                D = B * B
+                D -= L2[e, :, None]
+                B /= D
+                avg[e] = B.sum(axis=(1, 2))
+            inv[idx] = avg * (2.0 / S ** 3)
         self._inv = inv
         near_idx = np.flatnonzero(near)
         self.near = (near_idx, inv.ravel()[near_idx])
-        q = (sx + z[0], sy + z[1], sz + z[2])
-        self._mult = np.empty((6,) + p, dtype=np.complex128)
-        for e, (i, j) in enumerate(_UPPER):  # inv (delta_ij - q_i q_j / k^2)
-            np.multiply(-q[i] * q[j] / self.k ** 2, inv, out=self._mult[e])
-            if i == j:
-                self._mult[e] += inv
+        self._q = (sx + z[0], sy + z[1], sz + z[2])
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """A^{-1} f for amplitude-level values of shape (3, nx, ny, nz)."""
-        return padded_fft_apply(f, self.padded, symmetric_symbol(self._mult))
+        """A^{-1} f for amplitude-level values of shape (..., 3, nx, ny, nz)."""
+        return padded_fft_apply(f, self.padded, self._symbol)
 
-    def on_box(self, dims: tuple):
-        """A^{-1} restricted to a box of `dims` cells anywhere in the grid, as
-        a function of values of shape (3,) + dims (`box_multiplier`)."""
-        padded = tuple(2 * s for s in dims)
-        symbol = symmetric_symbol(box_multiplier(self._mult, dims))
-        return lambda f: padded_fft_apply(f, padded, symbol)
+    def _symbol(self, g: np.ndarray) -> np.ndarray:
+        """inv (g - q (q.g)/k^2), in place on the transforms g."""
+        q, f = self._q, np.moveaxis(g, -4, 0)  # f[a]: component a of g
+        qf = (q[0] * f[0] + q[1] * f[1] + q[2] * f[2]) / self.k ** 2
+        for a in range(3):
+            f[a] -= q[a] * qf
+        g *= self._inv
+        return g
+
+    def box_symbol(self, dims: tuple) -> np.ndarray:
+        """`symmetric_symbol` entries of A^{-1} restricted to a box of `dims`
+        cells, on its 2 x dims lattice: inv (delta_ij - q_i q_j / k^2) through
+        `_truncated_dft` on each axis. q_a varies along axis a only, so this
+        needs the moments q_a^m inv, m <= 2: one matrix product per axis."""
+        p, q, n = self.padded, self._q, [2 * s for s in dims]
+        T = [_truncated_dft(p[a], dims[a]) * q[a].reshape(1, 1, -1) ** np.arange(3)[:, None, None]
+             for a in range(3)]  # (3, 2 s_a, p_a), block m weighted by q_a^m
+        M = T[0].reshape(-1, p[0]) @ self._inv.reshape(p[0], -1)
+        M = T[1].reshape(-1, p[1]) @ M.reshape(-1, p[1], p[2])
+        M = (M @ T[2].reshape(-1, p[2]).T).reshape(3, n[0], 3, n[1], 3, n[2])
+        # M[m0, :, m1, :, m2] is the moment q_0^m0 q_1^m1 q_2^m2 inv; q_i q_j for i <= j:
+        qq = M[[2, 1, 1, 0, 0, 0], :, [0, 1, 0, 2, 1, 0], :, [0, 0, 1, 0, 1, 2]] / self.k ** 2
+        return np.array([1, 0, 0, 1, 0, 1])[:, None, None, None] * M[0, :, 0, :, 0] - qq
 
 
 def _orbit(zeta: np.ndarray, dims: tuple):
-    """Canonical form c of zeta under conjugation and signed permutations P
-    of axes of equal length in `dims`, with P and conj: c = P zeta,
-    conjugated when conj. Components are sign-normalised (real part, else
-    imaginary part, positive) and sorted within each group of equal lengths,
-    and the smaller of the results for zeta and conj zeta is taken. The
-    decisions compare values rounded to 9 digits of max|zeta|, so orbit
-    members that differ only by rounding reach the same form."""
-    group = [dims.index(n) for n in dims]
+    """Canonical forms c of stacked zeta (B, 3) under conjugation and signed
+    permutations P of equal-length axes of `dims`, with P and conj: c = P
+    zeta, conjugated when conj. Components are sign-normalised (real part,
+    else imaginary part, positive) and sorted within each group of equal
+    lengths; the smaller form of zeta and conj zeta wins (zeta on a tie), on
+    values rounded to 9 digits of max|zeta|, so rounding cannot split orbits."""
+    rows, scale = np.arange(len(zeta))[:, None], np.abs(zeta).max(axis=1)[:, None, None]
+    group = np.broadcast_to([dims.index(n) for n in dims], zeta.shape)
     cands = []
-    for conj in (False, True):
-        z = np.conj(zeta) if conj else zeta
-        key = np.round(np.stack([z.real, z.imag]) / np.abs(zeta).max(), 9)
-        sign = np.where((key[0] < 0) | ((key[0] == 0) & (key[1] < 0)), -1.0, 1.0)
-        key *= sign
-        order = np.lexsort((key[1], key[0], group))
-        cands.append((tuple(key[:, order].T.ravel()), conj, order, sign))
-    _, conj, order, sign = min(cands, key=lambda c: c[0])
-    P = np.zeros((3, 3))
-    P[np.arange(3), order] = sign[order]
-    return (np.conj(P @ zeta) if conj else P @ zeta), P, conj
+    for z in (zeta, np.conj(zeta)):
+        key = np.round(np.stack([z.real, z.imag], axis=1) / scale, 9)
+        sign = np.where((key[:, 0] < 0) | ((key[:, 0] == 0) & (key[:, 1] < 0)), -1.0, 1.0)
+        key *= sign[:, None]
+        order = np.lexsort((key[:, 1], key[:, 0], group), axis=-1)
+        flat = key[rows[:, None], :, order[:, None]].reshape(-1, 6).tolist()  # sorted (re, im)
+        cands.append((flat, order, sign[rows, order], z))
+    (k0, o0, s0, z0), (k1, o1, s1, z1) = cands
+    conj = np.array([b < a for a, b in zip(k0, k1)])[:, None]  # lexicographic, as lists
+    order, sign = np.where(conj, o1, o0), np.where(conj, s1, s0)
+    P = np.zeros((len(zeta), 3, 3))
+    P[rows, np.arange(3), order] = sign
+    return sign * np.where(conj, z1, z0)[rows, order], P, conj[:, 0]
 
 
 class CgoRemainderSolver:
-    """CGO remainder solves for one (k, medium, grid).
-
-    With U0 = eta e^{i zeta x} exact for m = 0, the amplitude correction W
-    solves the conjugated fixed point W = A^{-1}(-k^2 m (eta + W)). The
-    contrast and the bounding box B of its support are found once. Neumann
-    iteration with a GMRES hand-off (`forward.solve_fixed_point`) on A^{-1}
-    restricted to B (`ConjugatedResolvent.on_box`) gives W_B, and one
-    full-grid `apply` of -k^2 m (eta + W_B) gives W. The first zeta of each
-    symmetry orbit (`_orbit`) builds its resolvent directly, and the
-    near-bin data are kept for the solver's lifetime; every later zeta whose
-    canonical form agrees to 1e-12 relative borrows them (see
-    `ConjugatedResolvent`). On a cubic grid the 390 columns of a 389-node xi
-    lattice (one sample per antipodal pair) fall into about 30 orbits; a
-    non-cubic grid shares only reflections and conjugation.
+    """CGO remainder solves for one (k, medium, grid), a block of columns at a
+    time. The correction W solves W = A^{-1}(-k^2 m (eta + W)). The block is
+    iterated on the bounding box B of supp(m), with A^{-1} restricted to B
+    (`ConjugatedResolvent.box_symbol`), by `forward.solve_fixed_point`; one
+    full-grid `apply` per column of -k^2 m (eta + W_B) gives W. The first
+    zeta of each symmetry orbit (`_orbit`) builds its resolvent directly, and
+    its near-bin data are kept for the solver's lifetime; every later zeta
+    whose canonical form agrees to 1e-12 relative borrows them. On a cubic
+    grid the 390 columns of a 389-node xi lattice fall into about 30 orbits.
     """
 
     def __init__(self, k: float, medium: MediumSpec, grid: Grid3,
@@ -369,38 +386,42 @@ class CgoRemainderSolver:
         self._canon = np.empty((0, 3), dtype=np.complex128)  # one row per orbit
         self._lenders = []  # per orbit: (near data, P, conj) of its direct build
 
-    def _resolvent(self, zeta: np.ndarray) -> ConjugatedResolvent:
-        canon, P, conj = _orbit(zeta, self.grid.dims)
-        gap = np.abs(self._canon - canon).max(axis=1) / np.abs(canon).max()
-        hit = np.flatnonzero(gap <= 1e-12)
-        if hit.size:
-            # canon = P zeta = P0 zeta0 (conjugations aside): zeta = P^T P0 zeta0
-            near, P0, conj0 = self._lenders[hit[0]]
-            lend = (near, P.T @ P0, conj != conj0)
-            return ConjugatedResolvent(zeta, self.k, self.grid, lend=lend)
-        res = ConjugatedResolvent(zeta, self.k, self.grid)
-        self._canon = np.vstack([self._canon, canon])
-        self._lenders.append((res.near, P, conj))
-        return res
+    def _resolvents(self, zeta: np.ndarray) -> list:
+        """Resolvents of stacked zeta (B, 3), each lent its orbit's data if any."""
+        out = []
+        for z, canon, P, cj in zip(zeta, *_orbit(zeta, self.grid.dims)):
+            gap = np.abs(self._canon - canon).max(axis=1) / np.abs(canon).max()
+            hit = np.flatnonzero(gap <= 1e-12)
+            if hit.size:  # canon = P zeta = P0 zeta0 (conjugations aside): zeta = P^T P0 zeta0
+                near, P0, conj0 = self._lenders[hit[0]]
+                out.append(ConjugatedResolvent(z, self.k, self.grid, (near, P.T @ P0, cj ^ conj0)))
+                continue
+            out.append(ConjugatedResolvent(z, self.k, self.grid))
+            self._canon = np.vstack([self._canon, canon])
+            self._lenders.append((out[-1].near, P, cj))
+        return out
 
-    def solve(self, zeta: np.ndarray, eta: np.ndarray) -> CgoSolution:
-        """The CGO solution with phase zeta and polarization eta: its
-        correction W and the relative fixed-point residual of the box
-        system; W = 0 and residual 0 for m = 0. Raises SolverError when the
-        residual misses the tolerance."""
+    def solve(self, zeta: np.ndarray, eta: np.ndarray):
+        """Corrections W (B, 3, nx, ny, nz) of the CGO solutions with stacked
+        phases zeta and polarizations eta (B, 3), and the relative residual
+        of each column's box system (0 for m = 0, where W = 0). Raises
+        SolverError, naming the column, when a residual misses tol."""
+        W = np.zeros((len(zeta), 3) + self.grid.dims, dtype=np.complex128)
         if self.homogeneous:
-            W = np.zeros((3,) + self.grid.dims, dtype=np.complex128)
-            return CgoSolution(zeta, eta, self.grid, W, 0.0)
-        resolvent = self._resolvent(zeta)
-        km = self._km
-        on_box = resolvent.on_box(km.shape[1:])
-        src = -km * eta[:, None, None, None]
-        b = on_box(src)
-        W, _, res = solve_fixed_point(lambda W: W + on_box(km * W), b, self.tol,
-                                      self.max_iter, "CGO remainder solve")
+            return W, np.zeros(len(zeta))
+        km, resolvents = self._km, self._resolvents(zeta)
+        padded = tuple(2 * s for s in km.shape[1:])
+        S = np.stack([r.box_symbol(km.shape[1:]) for r in resolvents], axis=1)  # (6, B, ...)
+        src = -km * eta[:, :, None, None, None]
+        b = padded_fft_apply(src, padded, symmetric_symbol(S))
+        WB, _, res = solve_fixed_point(
+            lambda x, sel: x + padded_fft_apply(km * x, padded, symmetric_symbol(S[:, sel])),
+            b, self.tol, self.max_iter, "CGO remainder solve")
         full = np.zeros((3,) + self.grid.dims, dtype=np.complex128)
-        full[self._box] = src - km * W  # -k^2 m (eta + W_B)
-        return CgoSolution(zeta, eta, self.grid, resolvent.apply(full), float(res))
+        for c, resolvent in enumerate(resolvents):  # one column at a time on the full grid
+            full[self._box] = src[c] - km * WB[c]  # -k^2 m (eta + W_B)
+            W[c] = resolvent.apply(full)
+        return W, res
 
 
 def solve_cgo_remainder(
@@ -429,8 +450,9 @@ def solve_cgo_remainder(
     if np.shape(xi) != (3,):
         raise ValueError("xi must be a 3-vector")
     zeta, eta, _ = build_zeta_eta(xi, t, k, box_radius=box_radius(grid))
-    solver = CgoRemainderSolver(k, medium, grid, tol, max_iter)
-    return solver.solve(zeta[which - 1], eta[which - 1])
+    zeta, eta = zeta[which - 1], eta[which - 1]
+    W, res = CgoRemainderSolver(k, medium, grid, tol, max_iter).solve(zeta[None], eta[None])
+    return CgoSolution(zeta, eta, grid, W[0], float(res[0]))
 
 
 def cgo_product_remainder(sol1: CgoSolution, sol2: CgoSolution):

@@ -92,58 +92,56 @@ def noise_values(amplitude: np.ndarray, master_seed: int, index: int, positions=
 
 
 def neumann_solve(apply, b: np.ndarray, tol: float, max_iter: int):
-    """Neumann iteration x <- b - (A x - x) for A x = b, with A = `apply`.
-
-    Stops when the relative residual ||A x - b|| / ||b|| reaches tol or stops
-    contracting (above 0.9 times the previous one), and returns the current
-    iterate with the iteration count, the residual and the residual history;
-    the caller decides what a stagnated or unconverged iterate means.
-    """
-    bnorm = np.linalg.norm(b)
-    x = b.copy()
-    history = []
-    for it in range(1, max_iter + 1):
-        Ax = apply(x)
-        res = np.linalg.norm(Ax - b) / bnorm
-        history.append(res)
-        if res <= tol or (it > 1 and res > 0.9 * history[-2]):
-            return x, it, res, history
-        x = b - (Ax - x)  # x <- b - K x, reusing Ax = x + K x
-    return x, max_iter, res, history
+    """Neumann iteration x <- b - (A x - x) on a stack of systems A x = b
+    (leading axis of b); `apply(x, sel)` applies A to the iterates x of the
+    systems sel. A system leaves with its iterate when its residual
+    ||A x - b|| / ||b|| reaches tol or stops contracting (above 0.9 times the
+    previous one); b = 0 stops at once. Returns the iterates and, per system,
+    the iteration count, residual and history, for the caller to judge."""
+    bnorm, history = [np.linalg.norm(bi) for bi in b], [[] for _ in b]
+    x, act = b.copy(), np.flatnonzero(bnorm)
+    xa = ba = b if act.size == len(b) else b[act]  # the systems still in the batch
+    for _ in range(max_iter):
+        if not act.size:
+            break
+        Ax, go = apply(xa, act), []
+        for j, i in enumerate(act):
+            (h := history[i]).append(np.linalg.norm(Ax[j] - ba[j]) / bnorm[i])
+            if not (h[-1] <= tol or (len(h) > 1 and h[-1] > 0.9 * h[-2])):
+                go.append(j)
+        if len(go) < len(act):  # the stopped systems leave with their current iterates
+            x[act] = xa
+            act, xa, ba, Ax = act[go], xa[go], ba[go], Ax[go]
+        xa = ba - (Ax - xa)  # x <- b - K x, reusing Ax = x + K x
+    x[act] = xa
+    iters = np.array([max(len(h), 1) for h in history])
+    return x, iters, np.array([h[-1] if h else 0.0 for h in history]), history
 
 
 def solve_fixed_point(apply, b: np.ndarray, tol: float, max_iter: int, what: str):
-    """Solve A x = b, A = `apply` = I + K, to the relative residual
-    ||A x - b|| / ||b|| <= tol, taken over all of b whatever its shape:
-    `neumann_solve`, then, where its iterate misses tol, restarted GMRES(30)
-    from that iterate, at most max_iter restarts.
-
-    Returns (x, iterations, residual), the iterations counting the GMRES
-    inner ones; x = b for b = 0. Raises SolverError, with the residual
-    history and a message naming `what`, when the residual misses tol.
-    """
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return b, 1, 0.0
+    """Solve the stack of systems A x = b, A = `apply` = I + K, each to
+    ||A x - b|| / ||b|| <= tol: `neumann_solve`, then restarted GMRES(30)
+    from the iterate, at most max_iter restarts, for each system alone that
+    missed tol. Returns x and, per system, the iterations (GMRES inner ones
+    included) and the residual. Raises SolverError, with the residual
+    history and a message naming `what` (and the system, in a stack), when a
+    residual misses tol."""
     x, iters, res, history = neumann_solve(apply, b, tol, max_iter)
-    if res > tol:  # stagnation or too few iterations: hand off to GMRES
+    for i in np.flatnonzero(res > tol):  # stagnation or too few iterations: hand off to GMRES
         from scipy.sparse.linalg import LinearOperator, gmres  # scipy.sparse loads only here
-        A = LinearOperator((b.size, b.size), matvec=lambda v: apply(v.reshape(b.shape)).ravel(),
-                           dtype=np.complex128)
+        shape, sel = b.shape[1:], np.array([i])
+        A = LinearOperator((b[i].size, b[i].size), dtype=np.complex128,
+                           matvec=lambda v: apply(v.reshape((1,) + shape), sel)[0].ravel())
         inner = []  # one residual estimate per GMRES inner iteration
-        sol, _ = gmres(
-            A, b.ravel(), x0=x.ravel(), rtol=tol, atol=0.0, restart=30,
-            maxiter=max_iter, callback=inner.append, callback_type="pr_norm",
-        )
-        x = sol.reshape(b.shape)
-        iters += len(inner)
-        res = np.linalg.norm(apply(x) - b) / bnorm
-        history.append(res)
-    if res > tol:
-        raise SolverError(
-            f"{what} stopped at residual {res:.3e} (tol {tol:.1e}) after {iters} iterations",
-            history,
-        )
+        sol, _ = gmres(A, b[i].ravel(), x0=x[i].ravel(), rtol=tol, atol=0.0, restart=30,
+                       maxiter=max_iter, callback=inner.append, callback_type="pr_norm")
+        x[i], iters[i] = sol.reshape(shape), iters[i] + len(inner)
+        res[i] = np.linalg.norm(apply(x[i][None], sel)[0] - b[i]) / np.linalg.norm(b[i])
+        history[i].append(res[i])
+        if res[i] > tol:
+            raise SolverError(f"{what}{f' of system {i}' if len(b) > 1 else ''} stopped at "
+                              f"residual {res[i]:.3e} (tol {tol:.1e}) after {iters[i]} iterations",
+                              history[i])
     return x, iters, res
 
 
@@ -157,8 +155,9 @@ class MaxwellSolver:
         self.convolver = FreeConvolver(self.k, grid)
         self.m_grid = evaluate_on_grid(medium, grid).values.real
 
-    def _apply_ls(self, E: np.ndarray) -> np.ndarray:
-        """(I + k^2 R0 M) E with R0 the true resolvent (curl curl - k^2)^{-1}."""
+    def _apply_ls(self, E: np.ndarray, sel=None) -> np.ndarray:
+        """(I + k^2 R0 M) E with R0 the true resolvent (curl curl - k^2)^{-1},
+        the operator of every system `sel` of a stack."""
         return E + self.k ** 2 * self.convolver.apply_resolvent_array(self.m_grid * E)
 
     def solve(self, source: VectorFieldC3, tol: float = 1e-10,
@@ -166,9 +165,9 @@ class MaxwellSolver:
         if source.grid != self.grid:
             raise ValueError("source grid does not match solver grid")
         b = self.convolver.apply_resolvent_array(source.values)
-        E, iters, res = (b, 1, 0.0) if not np.any(self.m_grid) else solve_fixed_point(
-            self._apply_ls, b, tol, max_iter, "Maxwell solve")
-        return ForwardSolution(field=VectorFieldC3(self.grid, E), iterations=iters, residual=res)
+        E, iters, res = (b[None], [1], [0.0]) if not np.any(self.m_grid) else solve_fixed_point(
+            self._apply_ls, b[None], tol, max_iter, "Maxwell solve")
+        return ForwardSolution(VectorFieldC3(self.grid, E[0]), int(iters[0]), float(res[0]))
 
 
 def extract_trace(E: VectorFieldC3, mesh: SphereMesh) -> np.ndarray:
@@ -180,26 +179,22 @@ def extract_trace(E: VectorFieldC3, mesh: SphereMesh) -> np.ndarray:
     return np.cross(Ev, mesh.normals)
 
 
-def _diff4(f: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """4th-order central difference along a grid axis (wrap layers are trimmed
-    by the caller's interior collar)."""
-    return (
-        8.0 * (np.roll(f, -1, axis) - np.roll(f, 1, axis))
-        - (np.roll(f, -2, axis) - np.roll(f, 2, axis))
-    ) / (12.0 * h)
-
-
 def curl_grid(F: np.ndarray, h: float) -> np.ndarray:
-    """Curl of (..., 3, nx, ny, nz) samples with compact 4th-order stencils."""
-    dF = [[_diff4(F[..., c, :, :, :], ax, h) for ax in (-3, -2, -1)] for c in range(3)]
-    return np.stack(
-        [
-            dF[2][1] - dF[1][2],
-            dF[0][2] - dF[2][0],
-            dF[1][0] - dF[0][1],
-        ],
-        axis=-4,
-    )
+    """Curl of (..., 3, nx, ny, nz) samples with compact 4th-order stencils,
+    read from one copy wrap-padded by two cells per axis (wrap layers are
+    trimmed by the caller's interior collar)."""
+    n = F.shape[-3:]
+    G = np.pad(F, [(0, 0)] * (F.ndim - 3) + [(2, 2)] * 3, mode="wrap")
+
+    def at(c, ax, o):  # component c at offset o along grid axis ax
+        sl = [slice(2, 2 + v) for v in n]
+        sl[ax] = slice(2 + o, 2 + o + n[ax])
+        return G[(Ellipsis, c) + tuple(sl)]
+
+    def d(c, ax):
+        return (8.0 * (at(c, ax, 1) - at(c, ax, -1)) - (at(c, ax, 2) - at(c, ax, -2))) / (12.0 * h)
+
+    return np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)], axis=-4)
 
 
 def _dipole_block(k: float, weight: float, coords: np.ndarray, mesh: SphereMesh, nodes: slice):
@@ -302,11 +297,11 @@ class HomogeneousTraceMap:
         out = self._flat.reshape(self.n_cells, 3, mesh.n_nodes, 2)
         for lo in range(0, mesh.n_nodes, block):
             nodes = slice(lo, lo + block)
-            b = np.zeros((2, len(mesh.nodes[nodes]), 3) + solver.grid.dims, dtype=np.complex128)
+            b = np.zeros((1, 2, len(mesh.nodes[nodes]), 3) + solver.grid.dims, dtype=np.complex128)
             b[..., cells] = _dipole_block(k, grid.cell_volume, cell_coords, mesh, nodes).T
-            E, _, _ = solve_fixed_point(solver._apply_ls, b, tol, max_iter, "trace-map box solve")
-            mE = np.zeros(b.shape[:3] + conv.grid.dims, dtype=np.complex128)
-            mE[(Ellipsis,) + inner] = solver.m_grid * E
+            E = solve_fixed_point(solver._apply_ls, b, tol, max_iter, "trace-map box solve")[0]
+            mE = np.zeros(b.shape[1:4] + conv.grid.dims, dtype=np.complex128)
+            mE[(Ellipsis,) + inner] = solver.m_grid * E[0]
             scat = -k ** 2 * conv.apply_resolvent_array(mE)[..., sources]  # [t, n, j, c]
             out[:, :, nodes, :] += scat.T
 

@@ -76,21 +76,6 @@ def symmetric_symbol(S: np.ndarray):
     return symbol
 
 
-def box_multiplier(S: np.ndarray, dims: tuple) -> np.ndarray:
-    """Symbol on the 2s lattice of the padded multiplier S (..., p0, p1, p2)
-    restricted to a box of s = `dims` cells: the kernel (inverse transform of
-    S) pruned axis by axis to the box's displacements -(s_a - 1) .. s_a - 1,
-    embedded circulantly in 2 s_a points (s_a never occurs) and transformed,
-    so `padded_fft_apply(f, 2s, ...)` with it is the padded apply on the box."""
-    K = S
-    for ax in (-1, -2, -3):
-        K = np.moveaxis(sfft.ifft(K, axis=ax), ax, 0)  # displacements first
-        s, p = dims[ax], len(K)
-        K = np.concatenate([K[:s], np.zeros_like(K[:1]), K[p - s + 1:]])
-        K = np.moveaxis(K, 0, ax)
-    return sfft.fftn(K, axes=(-3, -2, -1), overwrite_x=True)
-
-
 class SingularityError(ValueError):
     """Kernel evaluated at a singular point (r = 0 or x = y)."""
 

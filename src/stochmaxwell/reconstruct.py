@@ -72,9 +72,9 @@ LEADING_GUARD = 1e-3
 # make the dual buffer (1,024 x 2N complex, 11 MB) and the product
 # (M x 1,024, 33 MB) the peak memory of the reconstruction.
 PRODUCT_COLUMNS = 1024
-# CGO columns whose test data and dual vectors are built together; for
-# remainder solutions 128 columns took the same CPU time and raised the peak
-# RSS of the 10^3-grid inhomogeneous reconstruction from 108 to 158 MB
+# CGO columns whose remainder solves, test data and dual vectors are built
+# together; the block holds one (2n)^3 complex reciprocal symbol per column
+# (128 columns once raised the 10^3-grid inhomogeneous peak RSS to 158 MB)
 DUAL_BLOCK = 16
 
 
@@ -353,9 +353,7 @@ def _reconstruct(ensembles, epsilons, truths, capacity, k, R_prime, medium, grid
             for b in range(0, len(z_cols), DUAL_BLOCK):
                 zb, eb = z_cols[b : b + DUAL_BLOCK], e_cols[b : b + DUAL_BLOCK]
                 # for m = 0 the CGO pair is the exact plane-wave pair
-                W = None if solver.homogeneous else np.stack(
-                    [solver.solve(z, e).W for z, e in zip(zb, eb)]
-                )
+                W = None if solver.homogeneous else solver.solve(zb, eb)[0]
                 test_data = cgo_on_sphere(zb, eb, W, grid, mesh)
                 duals[b : b + len(zb)] = dual_functional_vector(capacity, *test_data)
             for j, i in enumerate(members):

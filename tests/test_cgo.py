@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
+from scipy.sparse.linalg import gmres
 
 from stochmaxwell import cgo
 from stochmaxwell.cgo import (
@@ -15,6 +19,7 @@ from stochmaxwell.cgo import (
     solve_cgo_remainder,
 )
 from stochmaxwell.forward import SolverError, curl_grid, neumann_solve
+from stochmaxwell.greens import padded_fft_apply, symmetric_symbol
 from stochmaxwell.geometry import (
     Bump,
     ConfigurationError,
@@ -199,7 +204,9 @@ class TestConjugatedResolvent:
         box = (slice(None),) + tuple(slice(a, a + s) for a, s in zip(lo, dims))
         full = np.zeros((3,) + grid.dims, dtype=np.complex128)
         full[box] = f
-        assert rel_err(res.on_box(dims)(f), res.apply(full)[box]) <= 1e-13
+        symbol = symmetric_symbol(res.box_symbol(dims))
+        box_apply = padded_fft_apply(f, tuple(2 * s for s in dims), symbol)
+        assert rel_err(box_apply, res.apply(full)[box]) <= 1e-13
 
 
     @pytest.mark.parametrize(
@@ -282,11 +289,11 @@ class TestRemainderSolver:
         xi = np.array([0.9, 0.4, -0.2])
         zeta, eta, _ = build_zeta_eta(np.stack([xi, -xi]), 5.0, K)
         solver = CgoRemainderSolver(K, contrast_medium, self.GRID)
-        got = [solver.solve(zeta[i, w], eta[i, w]).W for i in (0, 1) for w in (0, 1)]
+        got, _ = solver.solve(zeta.reshape(-1, 3), eta.reshape(-1, 3))
         assert lent == [False, False, True, True]
         for (i, w), W in zip([(i, w) for i in (0, 1) for w in (0, 1)], got):
             fresh = CgoRemainderSolver(K, contrast_medium, self.GRID)
-            assert rel_err(W, fresh.solve(zeta[i, w], eta[i, w]).W) <= 1e-12
+            assert rel_err(W, fresh.solve(zeta[i, w][None], eta[i, w][None])[0][0]) <= 1e-12
 
     def test_zero_frequency_builds_directly(self, contrast_medium, lent):
         """xi = 0 builds one resolvent directly: zeta_2(0) = -zeta_1(0)
@@ -295,7 +302,7 @@ class TestRemainderSolver:
         assert np.array_equal(zeta[1], -zeta[0])
         solver = CgoRemainderSolver(K, contrast_medium, self.GRID)
         for w in (0, 1, 0):
-            solver.solve(zeta[w], eta[w])
+            solver.solve(zeta[w][None], eta[w][None])
         assert lent == [False, True, True]
 
     def test_lends_only_within_the_match_tolerance(self, contrast_medium, lent):
@@ -303,8 +310,7 @@ class TestRemainderSolver:
         builds directly; one 1e-14 off borrows."""
         zeta = build_zeta_eta(np.array([0.6, -0.3, 0.2]), 5.0, K)[0][0]
         solver = CgoRemainderSolver(K, contrast_medium, self.GRID)
-        for z in (zeta, (1.0 + 1e-10) * zeta, (1.0 + 1e-14) * zeta):
-            solver._resolvent(z)
+        solver._resolvents(np.array([zeta, (1.0 + 1e-10) * zeta, (1.0 + 1e-14) * zeta]))
         assert lent == [False, False, True]
 
     SWAP = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
@@ -335,7 +341,7 @@ class TestRemainderSolver:
         xi = np.array(xi)
         solver = CgoRemainderSolver(K, contrast_medium, grid)
         zetas = [z for x in (xi, P @ xi) for z in build_zeta_eta(x, 5.0, K, azimuth=azimuth)[0]]
-        got = [solver._resolvent(z) for z in zetas]
+        got = solver._resolvents(np.array(zetas))
         assert lent == want
         for zeta, res in zip(zetas, got):
             direct = ConjugatedResolvent(zeta, K, grid)
@@ -349,7 +355,7 @@ class TestRemainderSolver:
         tol = 1e-13
         zeta, eta, _ = build_zeta_eta(np.array([0.9, 0.4, -0.2]), 5.0, K)
         zeta, eta = zeta[0], eta[0]
-        W = CgoRemainderSolver(K, contrast_medium, grid, tol=tol).solve(zeta, eta).W
+        W = CgoRemainderSolver(K, contrast_medium, grid, tol=tol).solve(zeta[None], eta[None])[0][0]
         res = ConjugatedResolvent(zeta, K, grid)
         km = K ** 2 * evaluate_on_grid(contrast_medium, grid).values.real[None]
         b = res.apply(-km * eta[:, None, None, None])
@@ -357,13 +363,14 @@ class TestRemainderSolver:
         def fixed_point(W):
             return W + res.apply(km * W)
 
-        want, _, _, _ = neumann_solve(fixed_point, b, tol, 60)
+        want = neumann_solve(lambda W, _: fixed_point(W), b[None], tol, 60)[0][0]
         assert rel_err(W, want) <= 10 * tol
         assert rel_err(fixed_point(W), b) <= 10 * tol
 
     def test_one_full_grid_apply_per_solve(self, contrast_medium, monkeypatch):
         """The iteration runs on the support box; only the final evaluation
-        of W on the whole grid goes through the full-grid apply."""
+        of W on the whole grid goes through the full-grid apply, once per
+        column of the block and one column at a time."""
         calls = []
         apply = ConjugatedResolvent.apply
 
@@ -372,10 +379,68 @@ class TestRemainderSolver:
             return apply(self, f)
 
         monkeypatch.setattr(cgo.ConjugatedResolvent, "apply", counted)
-        zeta, eta, _ = build_zeta_eta(np.array([0.9, 0.4, -0.2]), 5.0, K)
-        W = CgoRemainderSolver(K, contrast_medium, self.GRID).solve(zeta[0], eta[0]).W
-        assert np.any(W)
-        assert len(calls) == 1
+        zeta, eta, _ = build_zeta_eta(np.array([[0.9, 0.4, -0.2], [0.3, 0.0, 0.5]]), 5.0, K)
+        W, _ = CgoRemainderSolver(K, contrast_medium, self.GRID).solve(zeta.reshape(-1, 3),
+                                                                       eta.reshape(-1, 3))
+        assert np.all(np.any(W, axis=(1, 2, 3, 4)))
+        assert calls == [(3,) + self.GRID.dims] * 4
+
+    # xi, a signed permutation of it, its antipode and 0: the 16 columns of
+    # their two members and two frames share orbits
+    BLOCK_XI = np.array([[0.6, -0.3, 0.2], [-0.2, 0.6, 0.3], [-0.6, 0.3, -0.2], [0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("order", ["lattice", "reversed", "shuffled"])
+    def test_block_equals_single_column_calls(self, contrast_medium, lent, order):
+        """16 columns solved as one block equal, bit for bit, 16 single-column
+        calls on a solver of their own in the same order, whichever column
+        of an orbit comes first and lends to the rest: each column leaves
+        the Neumann batch on its own residual, and lending follows the
+        column order in both."""
+        zeta, eta, _ = build_zeta_eta(self.BLOCK_XI[:, None], 5.0, K, np.array([0.0, 0.9])[None])
+        zeta, eta = zeta.reshape(-1, 3), eta.reshape(-1, 3)
+        perm = {"lattice": np.arange(16), "reversed": np.arange(16)[::-1],
+                "shuffled": np.random.default_rng(4).permutation(16)}[order]
+        zeta, eta = zeta[perm], eta[perm]
+        W, res = CgoRemainderSolver(K, contrast_medium, self.GRID).solve(zeta, eta)
+        assert len(lent) == 16 and 0 < lent.count(True) < 16, lent
+        single = CgoRemainderSolver(K, contrast_medium, self.GRID)
+        for c in range(16):
+            Wc, rc = single.solve(zeta[c : c + 1], eta[c : c + 1])
+            assert np.array_equal(W[c], Wc[0]) and res[c] == rc[0]
+        assert lent[16:] == lent[:16]
+
+    def test_block_peak_memory_is_its_symbols_and_one_column(self, contrast_medium):
+        """A 16-column block on the 10^3 grid holds what it returns, W
+        (16 x 3 n^3 complex), and each column's reciprocal symbol inv (p^3
+        complex on the 20^3 padded lattice) with its near-bin data, from the
+        column's build to its full-grid apply. Everything else is one
+        column's work at a time: a direct build (measured here for the
+        column with the most near bins, its own symbol included) or a
+        full-grid apply, whose padded transforms (3 p^3 complex) are live
+        with the next stage's output, of the same size at most. Applying the
+        16 columns at once would add 15 columns' transforms (11.5 MB);
+        symbols held as six-entry multipliers would add 16 x 6 p^3 complex
+        (12.3 MB)."""
+        zeta, eta, _ = build_zeta_eta(self.BLOCK_XI[:, None], 5.0, K, np.array([0.0, 0.9])[None])
+        zeta, eta = zeta.reshape(-1, 3), eta.reshape(-1, 3)
+        resolvents = CgoRemainderSolver(K, contrast_medium, self.GRID)._resolvents(zeta)
+        held = sum(r._inv.nbytes + r.near[0].nbytes + r.near[1].nbytes for r in resolvents)
+        widest = zeta[np.argmax([len(r.near[0]) for r in resolvents])]
+        del resolvents
+        CgoRemainderSolver(K, contrast_medium, self.GRID).solve(zeta[:1], eta[:1])  # warm caches
+        tracemalloc.start()
+        try:
+            ConjugatedResolvent(widest, K, self.GRID)
+            build = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            CgoRemainderSolver(K, contrast_medium, self.GRID).solve(zeta, eta)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        W = 16 * 3 * 10 ** 3 * 16
+        transforms = 2 * 3 * 20 ** 3 * 16
+        assert peak <= W + held + max(build, transforms)
 
     def test_stacked_pairs_match_single_builds(self):
         xis = np.array([[0.0, 0.0, 0.0], [0.9, 0.4, -0.2], [-1e-300, 0.0, 2e-300]])
@@ -494,27 +559,33 @@ class TestContrastSolution:
             norms.append(r.l2_norm(within_radius=1.0))
         assert norms[0] / norms[1] > 1.5
 
-    def test_strong_contrast_hands_off_to_gmres(self, grid):
+    def test_strong_contrast_hands_off_to_gmres(self, grid, monkeypatch):
         """On a strong contrast the Neumann iteration stalls, on the full
-        grid as on the box; the box solve then hands off to GMRES, and its W
-        meets the full-grid fixed point. A tolerance GMRES cannot reach
-        within max_iter restarts still raises."""
+        grid as on the box; each column of the block then goes to GMRES on
+        its own, and its W meets the full-grid fixed point. A tolerance
+        GMRES cannot reach within max_iter restarts still raises, naming the
+        column."""
         hard = MediumSpec((Bump((0.0, 0.0, 0.0), 0.8, 0.95),), ball_radius=1.0)
         zeta, eta, _ = build_zeta_eta(np.array([0.5, 0.0, 0.0]), 2.2, K)
-        zeta, eta = zeta[0], eta[0]
-        res = ConjugatedResolvent(zeta, K, grid)
+        sizes = []
+        monkeypatch.setattr(scipy.sparse.linalg, "gmres",
+                            lambda A, b, **kw: sizes.append(b.size) or gmres(A, b, **kw))
+        solver = CgoRemainderSolver(K, hard, grid)
+        W, residual = solver.solve(zeta, eta)
+        assert sizes == [3 * solver._km.size] * 2
         km = K ** 2 * evaluate_on_grid(hard, grid).values.real[None]
-        b = res.apply(-km * eta[:, None, None, None])
+        for z, e, Wc, r in zip(zeta, eta, W, residual):
+            res = ConjugatedResolvent(z, K, grid)
+            b = res.apply(-km * e[:, None, None, None])
 
-        def fixed_point(W):
-            return W + res.apply(km * W)
+            def fixed_point(W):
+                return W + res.apply(km * W)
 
-        _, _, stalled, _ = neumann_solve(fixed_point, b, 1e-10, 60)
-        assert stalled > 1e-4
-        sol = CgoRemainderSolver(K, hard, grid).solve(zeta, eta)
-        assert sol.residual <= 1e-10
-        assert rel_err(fixed_point(sol.W), b) <= 1e-9
-        with pytest.raises(SolverError) as exc:
+            stalled = neumann_solve(lambda W, _: fixed_point(W), b[None], 1e-10, 60)[2][0]
+            assert stalled > 1e-4
+            assert r <= 1e-10
+            assert rel_err(fixed_point(Wc), b) <= 1e-9
+        with pytest.raises(SolverError, match="system 0") as exc:
             CgoRemainderSolver(K, hard, grid, tol=1e-18, max_iter=2).solve(zeta, eta)
         assert exc.value.residual_history
 

@@ -15,6 +15,7 @@ from stochmaxwell.forward import (
     noise_amplitude,
     noise_positions,
     noise_values,
+    solve_fixed_point,
 )
 from stochmaxwell.geometry import (
     Bump,
@@ -156,8 +157,8 @@ class TestSolver:
         def ls(E):
             return E + conv.apply_resolvent_array(km * E)
 
-        _, n_neumann, stalled, _ = neumann_solve(ls, b, 1e-10, 60)
-        assert stalled > 0.1
+        _, n_neumann, stalled, _ = neumann_solve(lambda E, _: ls(E), b[None], 1e-10, 60)
+        assert stalled[0] > 0.1
 
         solver = MaxwellSolver(k, medium, grid)
         applies = []
@@ -170,8 +171,32 @@ class TestSolver:
         monkeypatch.setattr(solver.convolver, "apply_resolvent_array", counting)
         sol = solver.solve(src)
         assert rel_err(ls(sol.field.values), b) <= 1e-10
-        assert n_neumann < sol.iterations
+        assert n_neumann[0] < sol.iterations
         assert len(applies) - 4 <= sol.iterations < len(applies)
+
+    def test_stacked_systems_stop_on_their_own_residuals(self, monkeypatch):
+        """Two diagonal systems x + d_i x = b_i solved as one stack: the
+        contracting one (|d| <= 0.5) converges by Neumann iteration, the
+        other (d up to -1.6, where the iteration diverges) stops on its own
+        residual and goes to GMRES alone. Each result equals its own
+        single-system solve bit for bit."""
+        rng = np.random.default_rng(2)
+        d = np.stack([rng.uniform(-0.5, 0.5, 40), rng.uniform(-1.6, 0.5, 40)])
+        b = rng.standard_normal((2, 40)) + 1j * rng.standard_normal((2, 40))
+        sizes = []
+        monkeypatch.setattr(scipy.sparse.linalg, "gmres",
+                            lambda A, rhs, **kw: sizes.append(rhs.copy()) or gmres(A, rhs, **kw))
+
+        def solve(sel):
+            return solve_fixed_point(lambda x, s: x + d[sel][s] * x, b[sel], 1e-12, 60, "test")
+
+        x, iters, res = solve(np.array([0, 1]))
+        assert len(sizes) == 1 and np.array_equal(sizes[0], b[1])
+        assert np.all(res <= 1e-12)
+        for i in (0, 1):
+            xi, iters_i, res_i = solve(np.array([i]))
+            assert np.array_equal(x[i], xi[0]) and iters[i] == iters_i[0] and res[i] == res_i[0]
+        assert len(sizes) == 2
 
     def test_solver_failure_raises(self, grid, sigma):
         """An unattainable tolerance must raise instead of silently
@@ -216,6 +241,21 @@ class TestCurl:
         got = curl_grid(F, g.spacing)
         sl = (slice(None), slice(4, -4), slice(4, -4), slice(4, -4))
         assert rel_err(got[sl], want[sl]) < 2e-5
+
+    def test_equals_the_rolled_stencils(self):
+        """The stencils read from one wrap-padded copy equal, bit for bit,
+        the periodic stencils written with np.roll, on stacked fields."""
+        rng = np.random.default_rng(3)
+        F = rng.standard_normal((2, 3, 5, 6, 7)) + 1j * rng.standard_normal((2, 3, 5, 6, 7))
+        h = 0.3
+
+        def diff(f, axis):
+            return (8.0 * (np.roll(f, -1, axis) - np.roll(f, 1, axis))
+                    - (np.roll(f, -2, axis) - np.roll(f, 2, axis))) / (12.0 * h)
+
+        dF = [[diff(F[:, c], ax) for ax in (-3, -2, -1)] for c in range(3)]
+        want = np.stack([dF[2][1] - dF[1][2], dF[0][2] - dF[2][0], dF[1][0] - dF[0][1]], axis=1)
+        assert np.array_equal(curl_grid(F, h), want)
 
 
 class TestHomogeneousTraceMap:

@@ -96,7 +96,7 @@ def test_every_contrast_solve_is_one_fixed_point_solve(monkeypatch):
     forward.MaxwellSolver(2.0, medium, grid).solve(source)
     assert len(calls) == 1
     zeta, eta, _ = cgo.build_zeta_eta(np.array([0.5, 0.0, 0.0]), 3.0, 2.0)
-    cgo.CgoRemainderSolver(2.0, medium, grid).solve(zeta[0], eta[0])
+    cgo.CgoRemainderSolver(2.0, medium, grid).solve(zeta[:1], eta[:1])
     assert len(calls) == 2
 
 
@@ -109,14 +109,15 @@ def test_cgo_solution_stores_one_correction():
 
 def test_every_cgo_correction_comes_from_the_remainder_solver(monkeypatch):
     """`solve_cgo_remainder` and an inhomogeneous `reconstruct_sigma` take
-    every correction from `CgoRemainderSolver.solve`: one call for the
-    column, one per (xi, member) for the reconstruction, whose estimated xi
-    are the nodes 0 .. n // 2 of the lattice."""
+    every correction from `CgoRemainderSolver.solve`, which takes a block
+    of columns per call: one column for `solve_cgo_remainder`, one per
+    (xi, member) for the reconstruction, whose estimated xi are the nodes
+    0 .. n // 2 of the lattice."""
     solve = cgo.CgoRemainderSolver.solve
     calls = []
 
     def counted(self, zeta, eta):
-        calls.append(1)
+        calls.extend(zeta)
         return solve(self, zeta, eta)
 
     monkeypatch.setattr(cgo.CgoRemainderSolver, "solve", counted)

@@ -558,8 +558,9 @@ class TestReconstructSigma:
         monkeypatch.setattr(cgo.ConjugatedResolvent, "__init__", counting)
         lent = reconstruct_sigma(traces, capacity, **kwargs)
         n_direct = sum(direct_builds)
-        monkeypatch.setattr(CgoRemainderSolver, "_resolvent",
-                            lambda self, zeta: ConjugatedResolvent(zeta, self.k, self.grid))
+        monkeypatch.setattr(CgoRemainderSolver, "_resolvents",
+                            lambda self, zeta: [ConjugatedResolvent(z, self.k, self.grid)
+                                                for z in zeta])
         direct = reconstruct_sigma(traces, capacity, **kwargs)
         scale = np.max(np.abs(direct.sigma_hat))
         assert np.max(np.abs(lent.sigma_hat - direct.sigma_hat)) <= 1e-11 * scale
@@ -731,13 +732,14 @@ class TestStabilitySweep:
                              ids=["one-schedule", "two-schedules"])
     def test_cgo_solves_run_once_per_schedule(self, sweep_case, alphas, monkeypatch):
         """Two remainder solves (one per CGO member) per estimated xi of each
-        distinct schedule's lattice, however many alphas share it."""
+        distinct schedule's lattice, however many alphas share it; the
+        solver takes them a block of columns per call."""
         factory, sigma, capacity, kwargs = sweep_case
         solves = []
         solve = CgoRemainderSolver.solve
 
         def counting(self, zeta, eta):
-            solves.append(zeta)
+            solves.extend(zeta)
             return solve(self, zeta, eta)
 
         monkeypatch.setattr(CgoRemainderSolver, "solve", counting)
