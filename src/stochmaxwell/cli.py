@@ -186,9 +186,11 @@ def run_reconstruct(cfg: ExperimentConfig, out_dir: str) -> dict:
         _check_realizations(cfg)
         manifest = run_forward(cfg, ens_dir)
         traces, _ = read_ensemble(ens_dir)
+    capacity = _capacity(cfg)
+    traces = capacity.basis.mesh.to_frame(traces)  # releases the Cartesian ensemble
 
     result = reconstruct_sigma(
-        traces, _capacity(cfg), ground_truth=cfg.source() if cfg.source_bumps else None,
+        traces, capacity, ground_truth=cfg.source() if cfg.source_bumps else None,
         **_recon_args(cfg),
     )
 
@@ -231,11 +233,12 @@ def run_reconstruct(cfg: ExperimentConfig, out_dir: str) -> dict:
 def run_sweep(cfg: ExperimentConfig, out_dir: str) -> list:
     """Source-strength sweep: tabulate the logarithmic-stability check
     quantity per alpha. The seed law draws the same normals for every alpha
-    and scales them by sqrt(alpha sigma), so one ensemble times sqrt(alpha)
-    is the ensemble of alpha sigma."""
+    and scales them by sqrt(alpha sigma), so one ensemble's frame components
+    times sqrt(alpha) are those of the ensemble of alpha sigma."""
     _check_realizations(cfg)
-    traces = _traces(cfg)
-    rows = stability_sweep(lambda alpha: np.sqrt(alpha) * traces, cfg.source(), _capacity(cfg),
+    capacity = _capacity(cfg)
+    frames = capacity.basis.mesh.to_frame(_traces(cfg))  # the Cartesian ensemble is not kept
+    rows = stability_sweep(lambda alpha: np.sqrt(alpha) * frames, cfg.source(), capacity,
                            alphas=cfg.alphas, **_recon_args(cfg))
     os.makedirs(out_dir, exist_ok=True)
     header = ["alpha", "epsilon", "sigma_l2", "rel_l2_error", "check_quantity"]

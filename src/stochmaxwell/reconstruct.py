@@ -13,15 +13,16 @@ The stage reads only the tangential part of the traces: every nodal quantity
 on the sphere is held by its (theta_hat, phi_hat) components, 2N numbers for
 N mesh nodes. Each boundary functional is folded into a single dual vector D
 in that frame (F(trace) = sum_{n,t} x_{n,t} D_{n,t} for the frame components
-x of the trace), so evaluating 10^4-realization ensembles at hundreds of
-frequencies reduces to (M, 2N) x (2N, 1,024) complex matrix products, one
-per chunk of CGO columns. The dual vectors themselves are built per block of
-columns from the frame components of the test data, the transposed capacity
-acting on them as a circular convolution over the azimuthal mesh index. The
-lattice, the columns, their remainder solves and the duals depend on the
-schedule (t, rho) only, so ensembles on one schedule (the source scalings of
-a stability sweep) share them. The data size epsilon comes from one (2N)^2
-Gram of the traces and the capacity operator acting on it.
+x of the trace). The traces are linear in Gaussian noise, so an ensemble X
+(M, 2N) enters only through its two (2N)^2 Grams K0 = X^T X / M and
+Kc = X^T conj(X) / M: each sample mean is a bilinear form D_1^T K0 D_2 and its
+Gaussian (Isserlis) standard error a form in Kc. The data size epsilon comes
+from K0 and the capacity operator acting on it. The dual vectors are built
+per block of CGO columns from the frame components of the test data, the
+transposed capacity acting on them as a circular convolution over the
+azimuthal mesh index. The lattice, the columns, their remainder solves and
+the duals depend on the schedule (t, rho) only, so ensembles on one schedule
+(the source scalings of a stability sweep) share them.
 
 sigma is real, so sigma_hat(-xi) = conj sigma_hat(xi): only the lattice
 nodes up to xi = 0 are estimated, and each antipode is filled with the
@@ -34,44 +35,23 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .capacity import CapacityOperator
-from .cgo import (
-    CgoRemainderSolver,
-    StabilityConstants,
-    box_radius,
-    build_zeta_eta,
-    cgo_on_sphere,
-)
-from .geometry import (
-    ConfigurationError,
-    Grid3,
-    MediumSpec,
-    ScalarFieldC,
-    SourceStrength,
-    evaluate_on_grid,
-)
+from .cgo import CgoRemainderSolver, StabilityConstants, box_radius, build_zeta_eta, cgo_on_sphere
+from .geometry import (ConfigurationError, Grid3, MediumSpec, ScalarFieldC, SourceStrength,
+                       evaluate_on_grid)
 
-__all__ = [
-    "KernelEpsilon",
-    "ReconstructionResult",
-    "dual_functional_vector",
-    "measure_epsilon",
-    "select_parameters",
-    "build_xi_lattice",
-    "hermitian_symmetrize",
-    "fourier_synthesis",
-    "reconstruct_sigma",
-    "stability_sweep",
-]
+__all__ = ["KernelEpsilon", "ReconstructionResult", "dual_functional_vector", "measure_epsilon",
+           "select_parameters", "build_xi_lattice", "hermitian_symmetrize", "fourier_synthesis",
+           "reconstruct_sigma", "stability_sweep"]
 
 # |1 - |xi|^2/4t^2| below this means the leading product coefficient is about
 # to vanish and the Fourier sample is unrecoverable at this t
 LEADING_GUARD = 1e-3
 
-# CGO columns (xi, frame, member) whose duals meet the traces in one product:
-# more columns at once gain no speed and, at desk size (M = 2000, 338 nodes),
-# make the dual buffer (1,024 x 2N complex, 11 MB) and the product
-# (M x 1,024, 33 MB) the peak memory of the reconstruction.
+# CGO columns (xi, frame, member) whose duals are built together and meet the
+# Grams in one product: one chunk holds its dual buffer and a buffer of half
+# its size (at 338 nodes, 11 and 5.5 MB), whatever the number of realizations
 PRODUCT_COLUMNS = 1024
+GRAM_BLOCK = 128  # rows of Kc per product: conj(X) is never copied whole
 # CGO columns whose remainder solves, test data and dual vectors are built
 # together; the block holds one (2n)^3 complex reciprocal symbol per column
 # (128 columns once raised the 10^3-grid inhomogeneous peak RSS to 158 MB)
@@ -113,8 +93,8 @@ def _tangential_traces(traces, mesh) -> np.ndarray:
     """An ensemble as (M, N, 2) complex (theta_hat, phi_hat) components: Cartesian
     traces (M, N, 3) are projected onto the frame, frame components pass."""
     arr = np.asarray(traces, dtype=np.complex128)
-    if arr.ndim != 3 or arr.shape[1] != mesh.n_nodes or arr.shape[2] not in (2, 3):
-        raise ValueError("trace ensemble must have shape (M, n_nodes, 3) or (M, n_nodes, 2)")
+    if arr.ndim != 3 or not len(arr) or arr.shape[1] != mesh.n_nodes or arr.shape[2] not in (2, 3):
+        raise ValueError("trace ensemble must have shape (M, n_nodes, 3) or (M, n_nodes, 2), M > 0")
     return arr if arr.shape[2] == 2 else mesh.to_frame(arr)
 
 
@@ -139,10 +119,13 @@ def _component_norm(K: np.ndarray, mesh) -> float:
     E = np.sqrt(mesh.weights)[:, None, None] * mesh.frame  # (N, 3, 2)
     K = K.reshape(N, 2, N, 2)
     total = 0.0
-    for i in range(3):
-        rows = E[:, i, 0, None, None] * K[:, 0] + E[:, i, 1, None, None] * K[:, 1]
+    for i in range(3):  # sums taken in place, so one (N, N, 2) and one (N, N) temporary
+        rows = E[:, i, 0, None, None] * K[:, 0]
+        rows += E[:, i, 1, None, None] * K[:, 1]
         for j in range(3):
-            total += np.linalg.norm(rows[..., 0] * E[:, j, 0] + rows[..., 1] * E[:, j, 1])
+            block = rows[..., 0] * E[:, j, 0]
+            block += rows[..., 1] * E[:, j, 1]
+            total += np.linalg.norm(block)
     return float(total)
 
 
@@ -157,13 +140,21 @@ def measure_epsilon(traces, capacity: CapacityOperator) -> KernelEpsilon:
     K1 = C K0 and K2 = C K0 C^T, with C the capacity on frame vectors (K0 is
     symmetric, so K0 C^T is the transpose of K1).
     """
-    mesh = capacity.basis.mesh
-    X = _tangential_traces(traces, mesh)
-    M = X.shape[0]
+    X = _tangential_traces(traces, capacity.basis.mesh)
+    return _kernel_epsilon(_gram(X), len(X), capacity)
+
+
+def _gram(X: np.ndarray) -> np.ndarray:
+    """K0 = X^T X / M (2N, 2N) of frame components X (M, N, 2)."""
+    X = X.reshape(len(X), -1)
+    return (X.T @ X) / len(X)
+
+
+def _kernel_epsilon(K: np.ndarray, M: int, capacity: CapacityOperator) -> KernelEpsilon:
+    """`measure_epsilon` from the Gram K0 of an M-realization ensemble."""
     if M < 2:
         raise ConfigurationError("kernel estimation needs at least two realizations")
-    X = X.reshape(M, -1)
-    K = (X.T @ X) / M
+    mesh = capacity.basis.mesh
 
     def capacity_rows(Z):  # Z C^T: the capacity applied to each row of Z
         return capacity.apply_frame(Z.reshape(len(Z), mesh.n_nodes, 2)).reshape(Z.shape)
@@ -264,29 +255,43 @@ def fourier_synthesis(
     return ScalarFieldC(grid, rec.real.astype(np.complex128)), residue
 
 
-def reconstruct_sigma(
-    traces,
-    capacity: CapacityOperator,
-    k: float,
-    R_prime: float,
-    medium: MediumSpec,
-    grid: Grid3,
-    constants: StabilityConstants = StabilityConstants(),
-    t_max: float | None = 8.0,
-    rho_override: float | None = None,
-    n_frames: int = 1,
-    epsilon: float | None = None,
-    ground_truth: SourceStrength | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 60,
-) -> ReconstructionResult:
+def _frame_moments(D: np.ndarray, M: int, K0: np.ndarray, Kc: np.ndarray):
+    """Per xi, the frame average of mean(B_1 B_2) = D_1^T K0 D_2 and its
+    Gaussian standard error, from the duals D (xi, frame, member, 2N) and the
+    Grams K0 = X^T X / M, Kc = X^T conj(X) / M of an M-realization ensemble X.
+    By Isserlis' theorem one realization's frame average has variance
+    sum_fg (H11 H22 + H12 H21)_fg / F^2 with H^ab = D_a Kc D_b^H (H21 = H12^H);
+    the G^ab formed are their conjugates, which leave that real sum as it is.
+    One (xi, F, 2N) buffer takes each product with a Gram in turn."""
+    F = D.shape[1]
+    D1, D2 = D[:, :, 0], D[:, :, 1]
+    P = np.empty(D1.shape, dtype=np.complex128)
+    flat = P.reshape(-1, D.shape[-1])
+    np.matmul(D2.reshape(flat.shape), K0, out=flat)
+    mean = np.einsum("xfn,xfn->x", D1, P) / F
+    np.conjugate(np.matmul(D1.reshape(flat.shape), Kc, out=flat), out=flat)
+    G11, G12 = P @ D1.transpose(0, 2, 1), P @ D2.transpose(0, 2, 1)
+    np.conjugate(np.matmul(D2.reshape(flat.shape), Kc, out=flat), out=flat)
+    G22 = P @ D2.transpose(0, 2, 1)
+    var = np.sum(G11 * G22 + G12 * G12.conj().transpose(0, 2, 1), axis=(1, 2)).real
+    return mean, (np.sqrt(var / M) / F if M > 1 else np.inf)
+
+
+def reconstruct_sigma(traces, capacity: CapacityOperator, k: float, R_prime: float,
+                      medium: MediumSpec, grid: Grid3,
+                      constants: StabilityConstants = StabilityConstants(),
+                      t_max: float | None = 8.0, rho_override: float | None = None,
+                      n_frames: int = 1, epsilon: float | None = None,
+                      ground_truth: SourceStrength | None = None, tol: float = 1e-10,
+                      max_iter: int = 60) -> ReconstructionResult:
     """Full pipeline: measured epsilon -> (t, rho) -> Fourier samples -> sigma.
 
     `traces` holds the ensemble as Cartesian samples (M, N, 3) or as their
     frame components (M, N, 2); only the tangential part is read.
 
     Each sample is sigma_hat(xi) = -mean(B_1 B_2) / (k^2 (1 - |xi|^2/4t^2));
-    the CGO product remainder is not subtracted (it vanishes for m = 0).
+    the CGO product remainder is not subtracted (it vanishes for m = 0). Its
+    stderr is the Gaussian plug-in of `_frame_moments` (infinite for M = 1).
 
     `rho_override` widens (or narrows) the low-pass ball beyond the worst-case
     schedule value; for a homogeneous medium the Fourier estimator is unbiased
@@ -304,22 +309,35 @@ def _reconstruct(ensembles, epsilons, truths, capacity, k, R_prime, medium, grid
                  constants=StabilityConstants(), t_max=8.0, rho_override=None, n_frames=1,
                  tol=1e-10, max_iter=60) -> list[ReconstructionResult]:
     """`reconstruct_sigma` of several ensembles, each with its epsilon (None:
-    measured) and ground truth. The lattice, CGO columns, remainder solves and
-    dual vectors depend only on (t, rho): they are built once per distinct
-    schedule, and each chunk of dual vectors meets every ensemble on it."""
+    measured) and ground truth. Each ensemble is read once, into its moments,
+    before the next is drawn from `ensembles` (which may be an iterator). The
+    lattice, CGO columns, remainder solves and dual vectors depend only on
+    (t, rho): they are built once per distinct schedule, and each chunk of
+    dual vectors meets the moments of every ensemble on it."""
     mesh = capacity.basis.mesh
-    xs = [_tangential_traces(traces, mesh) for traces in ensembles]
-    if any(len(x) == 0 for x in xs):
-        raise ValueError("trace ensemble is empty")
     if k != capacity.k:
         raise ValueError("wavenumber does not match the capacity operator")
     if rho_override is not None and rho_override <= 0:
         raise ConfigurationError(
             f"[reconstruction] rho_override must be positive, got {rho_override}")
-    epsilons = [measure_epsilon(x, capacity).epsilon if epsilon is None else epsilon
-                for x, epsilon in zip(xs, epsilons)]
-    schedules = {}  # (t, rho) -> indices of the ensembles on it
-    for i, epsilon in enumerate(epsilons):
+    moments, schedules = [], {}  # (M, K0, Kc) per ensemble; (t, rho) -> its ensembles
+    for traces in ensembles:  # no zip or enumerate: their result tuples would hold the
+        # last ensemble while the iterator makes the next
+        i, epsilon = len(moments), epsilons[len(moments)]
+        X = _tangential_traces(traces, mesh)
+        M, K0 = len(X), _gram(X)
+        if epsilon is None:
+            epsilons[i] = epsilon = _kernel_epsilon(K0, M, capacity).epsilon
+        X = X.reshape(M, -1)
+        Kc = np.empty_like(K0)  # conj(X^H X) / M; X^H X is Hermitian, so each block
+        for lo in range(0, len(Kc), GRAM_BLOCK):  # row is formed from the diagonal on
+            hi = lo + GRAM_BLOCK
+            Kc[lo:hi, lo:] = X[:, lo:hi].conj().T @ X[:, lo:]
+            Kc[hi:, lo:hi] = Kc[lo:hi, hi:].conj().T
+        np.conjugate(Kc, out=Kc)
+        Kc /= M
+        moments.append((M, K0, Kc))
+        del traces, X  # before the iterator makes the next ensemble
         t, rho = select_parameters(epsilon, constants.s, R_prime, k, constants.M1, t_max)
         if rho_override is not None:
             rho = float(rho_override)
@@ -331,7 +349,7 @@ def _reconstruct(ensembles, epsilons, truths, capacity, k, R_prime, medium, grid
         schedules.setdefault((t, rho), []).append(i)
 
     azimuths = np.pi * np.arange(n_frames) / n_frames
-    results = [None] * len(xs)
+    results = [None] * len(moments)
     for (t, rho), members in schedules.items():
         xi_nodes, dxi = build_xi_lattice(rho, R_prime)
         n_est = len(xi_nodes) // 2 + 1  # nodes 0 .. n // 2; the rest are their antipodes
@@ -352,17 +370,14 @@ def _reconstruct(ensembles, epsilons, truths, capacity, k, R_prime, medium, grid
             duals = np.empty((len(z_cols), mesh.n_nodes, 2), dtype=np.complex128)
             for b in range(0, len(z_cols), DUAL_BLOCK):
                 zb, eb = z_cols[b : b + DUAL_BLOCK], e_cols[b : b + DUAL_BLOCK]
-                # for m = 0 the CGO pair is the exact plane-wave pair
-                W = None if solver.homogeneous else solver.solve(zb, eb)[0]
-                test_data = cgo_on_sphere(zb, eb, W, grid, mesh)
+                # for m = 0 the CGO pair is the exact plane-wave pair; W is not kept
+                # beside the next block's
+                test_data = cgo_on_sphere(zb, eb, None if solver.homogeneous
+                                          else solver.solve(zb, eb)[0], grid, mesh)
                 duals[b : b + len(zb)] = dual_functional_vector(capacity, *test_data)
+            D = duals.reshape(len(duals) // (2 * n_frames), n_frames, 2, -1)
             for j, i in enumerate(members):
-                M = len(xs[i])
-                B = xs[i].reshape(M, -1) @ duals.reshape(len(z_cols), -1).T
-                B = B.reshape(M, -1, n_frames, 2)  # (M, n_sub, n_frames, 2)
-                prods = (B[..., 0] * B[..., 1]).mean(axis=2)  # frame average per realization
-                mean = prods.mean(axis=0)
-                sd = prods.std(axis=0, ddof=1) / np.sqrt(M) if M > 1 else np.full(len(mean), np.inf)
+                mean, sd = _frame_moments(D, *moments[i])
                 sigma_hat[j, ids] = (-mean / k ** 2) / lead[ids, 0]
                 stderr[j, ids] = sd / (k ** 2 * np.abs(lead[ids, 0]))
 
@@ -379,41 +394,23 @@ def _reconstruct(ensembles, epsilons, truths, capacity, k, R_prime, medium, grid
                 gt_norm = np.linalg.norm(gt) * np.sqrt(h3)
                 rel = float(l2 / gt_norm) if gt_norm > 0 else float("inf")
             results[i] = ReconstructionResult(
-                xi_nodes=xi_nodes,
-                dxi=dxi,
-                rho=rho,
-                t=t,
-                epsilon=float(epsilons[i]),
-                sample_count=len(xs[i]),
-                sigma_hat=samples,
-                stderr=hermitian_symmetrize(xi_nodes, stderr[j]).real,
-                sigma_rec=sigma_rec,
-                imag_residue=residue,
-                l2_error=l2,
-                linf_error=linf,
-                rel_l2_error=rel,
-            )
+                xi_nodes=xi_nodes, dxi=dxi, rho=rho, t=t, epsilon=float(epsilons[i]),
+                sample_count=moments[i][0], sigma_hat=samples,
+                stderr=hermitian_symmetrize(xi_nodes, stderr[j]).real, sigma_rec=sigma_rec,
+                imag_residue=residue, l2_error=l2, linf_error=linf, rel_l2_error=rel)
     return results
 
 
-def stability_sweep(
-    ensemble_factory,
-    sigma: SourceStrength,
-    capacity: CapacityOperator,
-    k: float,
-    R_prime: float,
-    medium: MediumSpec,
-    grid: Grid3,
-    alphas,
-    constants: StabilityConstants = StabilityConstants(),
-    **recon_kwargs,
-):
+def stability_sweep(ensemble_factory, sigma: SourceStrength, capacity: CapacityOperator,
+                    k: float, R_prime: float, medium: MediumSpec, grid: Grid3, alphas,
+                    constants: StabilityConstants = StabilityConstants(), **recon_kwargs):
     """Scale sigma -> alpha sigma, take its ensemble from the factory, and tabulate
     the logarithmic-stability check quantity ||alpha sigma|| (-log eps)^{4s/(7+2s)}.
 
     `ensemble_factory(alpha)` must return the trace ensemble for the scaled
-    source. Every alpha's frame components are held at once; alphas on one
-    (t, rho) share its CGO solves and dual vectors. Returns one row per alpha.
+    source. Each ensemble is reduced to its moments before the next is made;
+    alphas on one (t, rho) share its CGO solves and dual vectors. Returns one
+    row per alpha.
     """
     alphas = [float(a) for a in alphas]
     if any(a <= 0 for a in alphas):
@@ -423,10 +420,8 @@ def stability_sweep(
     expo = 4.0 * constants.s / (7.0 + 2.0 * constants.s)
     scaled = [SourceStrength(tuple(replace(b, amplitude=b.amplitude * alpha) for b in sigma.bumps),
                              sigma.ball_radius) for alpha in alphas]
-    ensembles = [_tangential_traces(ensemble_factory(alpha), capacity.basis.mesh)
-                 for alpha in alphas]
-    results = _reconstruct(ensembles, [None] * len(alphas), scaled, capacity, k, R_prime,
-                           medium, grid, constants, **recon_kwargs)
+    results = _reconstruct((ensemble_factory(alpha) for alpha in alphas), [None] * len(alphas),
+                           scaled, capacity, k, R_prime, medium, grid, constants, **recon_kwargs)
     rows = []
     for alpha, source, result in zip(alphas, scaled, results):
         sig_l2 = evaluate_on_grid(source, grid).l2_norm()

@@ -59,13 +59,29 @@ def test_benchmark_tracer_targets_exist():
 def test_cli_import_leaves_out_scipy_sparse():
     """Importing the command line in a fresh interpreter loads no
     scipy.sparse (nor the scipy.linalg it pulls in): the fixed-point solver
-    imports GMRES only when it hands off to it."""
+    imports GMRES only when it hands off to it. A whole inhomogeneous
+    `reconstruct_sigma` call (measured epsilon, remainder solves, Grams and
+    their quadratic forms) loads neither: its linear algebra is numpy's."""
     src = os.path.dirname(os.path.dirname(stochmaxwell.__file__))
-    code = "import sys, stochmaxwell.cli; print({'scipy.sparse', 'scipy.linalg'} & set(sys.modules))"
+    code = """if True:
+        import sys
+        import numpy as np
+        import stochmaxwell.cli
+        loaded = {'scipy.sparse', 'scipy.linalg'} & set(sys.modules)
+        from stochmaxwell import CapacityOperator, Grid3, MediumSpec, SphereMesh, VshBasis, Bump
+        capacity = CapacityOperator(2.0, VshBasis(SphereMesh(1.0, 6), 6))
+        rng = np.random.default_rng(8)
+        shape = (20, capacity.basis.mesh.n_nodes, 3)
+        traces = 0.01 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        medium = MediumSpec((Bump((0.0, 0.0, 0.0), 0.9, 0.1),), ball_radius=1.0)
+        stochmaxwell.reconstruct_sigma(traces, capacity, k=2.0, R_prime=1.3, medium=medium,
+                                       grid=Grid3.for_ball(1.3, 8))
+        print(loaded, {'scipy.sparse', 'scipy.linalg'} & set(sys.modules))
+    """
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "set()"
+    assert out.stdout.strip() == "set() set()"
 
 
 def test_reconstruction_calls_the_traced_cgo_layers():

@@ -240,6 +240,48 @@ class TestCorrelation:
             _reconstruct(small_ensemble, desk_capacity, grid, hom_medium, k=3.0)
 
 
+class TestGaussianStderr:
+    """The reported standard error is the Gaussian (Isserlis) plug-in taken
+    from the ensemble's second moments, not the sample spread of the
+    per-realization products."""
+
+    def test_plug_in_matches_sample_stderr(self, small_ensemble, grid, hom_medium, desk_capacity):
+        """On 400 homogeneous realizations the plug-in agrees with the sample
+        stderr of the same products P = B_1 B_2 within four standard
+        deviations of the sample stderr's own spread. That spread is derived,
+        not fitted: the sample variance of P has relative standard deviation
+        sqrt((kappa - 1) / M), kappa = mean|P - mean P|^4 / (mean|P - mean P|^2)^2,
+        and its square root half of that."""
+        M = len(small_ensemble)
+        mesh = desk_capacity.basis.mesh
+        result = _reconstruct(small_ensemble, desk_capacity, grid, hom_medium, epsilon=0.1,
+                              rho_override=2.0)
+        flat = mesh.to_frame(small_ensemble).reshape(M, -1)
+        n = len(result.xi_nodes)
+        for i in (0, n // 5, n // 3, n // 2):
+            lead, data = _plane_pair(result.xi_nodes[i], result.t, mesh)
+            duals = (dual_functional_vector(desk_capacity, *mesh.to_frame(np.stack(d)))
+                     for d in data)
+            a, b = (flat @ dual.ravel() for dual in duals)  # B_1 and B_2 per realization
+            c = a * b - np.mean(a * b)
+            kappa = np.mean(abs(c) ** 4) / np.mean(abs(c) ** 2) ** 2
+            sample = np.std(a * b, ddof=1) / np.sqrt(M) / (K_DESK ** 2 * abs(lead))
+            assert abs(result.stderr[i] / sample - 1) <= 4 * 0.5 * np.sqrt((kappa - 1) / M)
+
+    def test_one_realization_with_given_epsilon(self, small_ensemble, grid, hom_medium,
+                                                desk_capacity):
+        """One realization and an explicit epsilon give finite samples and an
+        infinite stderr: a one-sample plug-in is no error estimate. Without
+        epsilon the kernels cannot be estimated, which is refused."""
+        one = small_ensemble[:1]
+        result = _reconstruct(one, desk_capacity, grid, hom_medium, epsilon=0.1, rho_override=2.0)
+        assert np.all(np.isfinite(result.sigma_hat)) and np.all(result.stderr == np.inf)
+        for call in (lambda: measure_epsilon(one, desk_capacity),
+                     lambda: _reconstruct(one, desk_capacity, grid, hom_medium, rho_override=2.0)):
+            with pytest.raises(ConfigurationError, match="at least two realizations"):
+                call()
+
+
 class TestEpsilon:
     def test_quadratic_in_trace_scale(self, small_ensemble, desk_capacity):
         """Scaling every trace by alpha scales each kernel norm (and epsilon)
@@ -515,11 +557,12 @@ class TestReconstructSigma:
             return flat @ dual_functional_vector(capacity, U[0], curlU[0]).ravel()
 
         def sample(xi):
-            """The estimate at xi and its standard error."""
+            """The estimate at xi and its Gaussian (Isserlis) standard error."""
             lead = build_zeta_eta(xi, result.t, K_DESK)[2]
-            prods = column(xi, 1) * column(xi, 2)
+            a, b = column(xi, 1), column(xi, 2)
             scale = K_DESK ** 2 * lead
-            return -np.mean(prods) / scale, prods.std(ddof=1) / np.sqrt(len(prods)) / abs(scale)
+            var = np.mean(abs(a) ** 2) * np.mean(abs(b) ** 2) + abs(np.mean(a * np.conj(b))) ** 2
+            return -np.mean(a * b) / scale, np.sqrt(var / len(a)) / abs(scale)
 
         n = len(result.xi_nodes)
         # the first and last estimated xi are solved in different dual
@@ -675,6 +718,33 @@ class TestReconstructSigma:
         assert n_cols > 3 * chunk_cols
         one_chunk = chunk_cols * (3 * N + M) * 16  # duals and products, complex
         assert peak < 2 * one_chunk, (peak, one_chunk)
+
+    def test_working_memory_does_not_grow_with_realizations(self):
+        """The traces enter only through their two (2N)^2 Grams, so 4M
+        realizations peak above M by at most the extra rows of the frame copy
+        X (M, 2N), the one M-row array the reconstruction makes, and of the
+        (M, 3N) intermediate that projecting Cartesian traces onto the frame
+        may hold beside it: 3M (3N + 2N) complex numbers. The rest (Grams,
+        epsilon kernels, dual chunks, lattice) does not depend on M. An M-row
+        product of the traces with a chunk of duals (M x 1,024 here) would
+        exceed that bound."""
+        capacity = CapacityOperator(K_DESK, VshBasis(SphereMesh(1.0, 6), 6))
+        N = capacity.basis.mesh.n_nodes
+        kwargs = dict(k=K_DESK, R_prime=RP_DESK, medium=MediumSpec(ball_radius=1.0),
+                      grid=Grid3.for_ball(RP_DESK, 8), rho_override=5.0, n_frames=8)
+        rng = np.random.default_rng(4)
+        peaks = []
+        for M in (100, 400):
+            traces = 0.01 * (rng.standard_normal((M, N, 3)) + 1j * rng.standard_normal((M, N, 3)))
+            tracemalloc.start()
+            try:
+                result = reconstruct_sigma(traces, capacity, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert result.t == 5.0  # one lattice for both ensembles
+        extra = 300 * (3 * N + 2 * N) * 16
+        assert peaks[1] - peaks[0] <= extra, (peaks, extra)
 
 
 # alphas whose epsilon (alpha times about 8.5e-3 for the scaled traces of
