@@ -125,6 +125,7 @@ class CapacityOperator:
         self._symbol = spectrum.transpose(3, 2, 4, 0, 1).reshape(nphi, 2 * nt, 2 * nt)
         # C^T is the convolution with S_{-m}^T
         self._symbol_t = self._symbol[-np.arange(nphi) % nphi].transpose(0, 2, 1)
+        basis.release()  # nothing here analyses or synthesizes again
 
     def apply_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Per-mode multiplier action on stacked (grad, curl) coefficients (..., 2K)."""

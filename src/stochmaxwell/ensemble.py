@@ -49,9 +49,10 @@ def generate_ensemble(
 
     One `HomogeneousTraceMap` of the medium (its scattered term solved to
     tol within max_iter iterations) is applied to _REALIZATION_CHUNK
-    currents at a time, one matrix product per chunk, so memory is the map,
-    one chunk and the output. A solver failure in the map build raises
-    SolverError (failure budget is zero).
+    currents at a time, one matrix product per symmetry block and chunk, so
+    memory is the map, one chunk, its symmetry-adapted copy and the output.
+    A solver failure in the map build raises SolverError (failure budget is
+    zero).
     """
     if M < 1:
         raise ConfigurationError("ensemble size must be at least 1")
@@ -90,7 +91,7 @@ def write_ensemble(out_dir, traces: np.ndarray, manifest: dict) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     arr = np.ascontiguousarray(traces, dtype="<c16")
     M, N, _ = arr.shape
-    payload = arr.tobytes()
+    payload = arr.reshape(-1).view(np.uint8)  # the records' bytes, not a copy
     bin_path = os.path.join(out_dir, "traces.bin")
     with open(bin_path, "wb") as fh:
         fh.write(_TRACE_MAGIC)

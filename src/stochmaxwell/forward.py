@@ -46,6 +46,8 @@ __all__ = [
 NOISE_STREAM_TAG = 0x57484E53  # stream tag for white-noise draws in the seed law
 _NODE_BLOCK = 16  # mesh nodes per block of the trace-map build
 _SCATTER_BYTES = 1 << 25  # padded transforms per node block of the scattered term
+_SLICE_BYTES = 1 << 20  # symmetry-adapted currents per slice of the trace-map apply
+_CENTRED = 1e-14  # |lo + hi| / (hi - lo) of a grid axis centred to rounding
 
 
 class SolverError(RuntimeError):
@@ -197,12 +199,14 @@ def curl_grid(F: np.ndarray, h: float) -> np.ndarray:
     return np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)], axis=-4)
 
 
-def _dipole_block(k: float, weight: float, coords: np.ndarray, mesh: SphereMesh, nodes: slice):
-    """Trace-map rows of the cells at `coords` (C, 3) for a block of mesh
-    nodes, (C, 3, B, 2): [c, j, n, t] = (E x nu) . e_t = E . (nu x e_t) at node n
-    (e_0, e_1 = theta_hat_n, phi_hat_n) per unit current J_j in cell c, which is
-    `weight` (G(x_n - y_c) u)_j for u = nu_n x e_t = phi_hat_n, -theta_hat_n:
-    column (n, t) is the field in the cells of the dipole u at x_n (G is symmetric)."""
+def _dipole_block(k: float, weight: float, coords: np.ndarray, mesh: SphereMesh, nodes):
+    """Trace-map rows of the cells at `coords` (C, 3) for the mesh nodes
+    `nodes` (an index array or slice), (C, 3, B, 2): [c, j, n, t] =
+    (E x nu) . e_t = E . (nu x e_t) at node n (e_0, e_1 = theta_hat_n,
+    phi_hat_n) per unit current J_j in cell c, which is `weight`
+    (G(x_n - y_c) u)_j for u = nu_n x e_t = phi_hat_n, -theta_hat_n: column
+    (n, t) is the field in the cells of the dipole u at x_n (G is
+    symmetric)."""
     u = np.stack([mesh.phi_hat[nodes], -mesh.theta_hat[nodes]], axis=2)  # (B, 3, 2)
     d = mesh.nodes[nodes][None, :, :] - coords[:, None, :]  # (C, B, 3)
     a, b = (weight * c[:, :, None] for c in _green_coeffs(k, np.linalg.norm(d, axis=2)))
@@ -212,6 +216,45 @@ def _dipole_block(k: float, weight: float, coords: np.ndarray, mesh: SphereMesh,
         np.multiply(a, u[:, j], out=out[:, j])
         out[:, j] += bdu * d[:, :, j, None]
     return out
+
+
+def _mirror_axes(grid: Grid3, mask: np.ndarray) -> list:
+    """The coordinate axes whose mirror maps the grid and the mask onto
+    themselves: the grid centred on the axis to rounding, and the mask equal
+    to its flip along it."""
+    lo = np.asarray(grid.origin)
+    hi = lo + (np.asarray(grid.dims) - 1) * grid.spacing
+    return [a for a in range(3) if abs(lo[a] + hi[a]) <= _CENTRED * (hi[a] - lo[a])
+            and np.array_equal(mask, np.flip(mask, a))]
+
+
+def _node_mirror(mesh: SphereMesh, a: int) -> np.ndarray:
+    """Mesh node of the mirror image of each node in axis a: node
+    (i_theta, j_phi) goes to (n_theta - 1 - i, j) for z, (i, -j) for y and
+    (i, n_phi / 2 - j) for x, azimuths modulo n_phi."""
+    i, j = np.divmod(np.arange(mesh.n_nodes), mesh.n_phi)
+    if a == 2:
+        i = mesh.n_theta - 1 - i
+    else:
+        j = ((mesh.n_phi // 2 if a == 0 else 0) - j) % mesh.n_phi
+    return i * mesh.n_phi + j
+
+
+def _orbits(n: int, mirrors: list):
+    """Orbits of n points under the group of 2^g elements generated by g
+    commuting mirror permutations, element h applying mirror b when bit b of
+    h is set: the representatives (each orbit's least point), the (2^g, R)
+    table of their images, their stabilizer sizes and, for every point p,
+    the h and r with h rep_r = p."""
+    perms = np.arange(n)[None]
+    for m in mirrors:
+        perms = np.concatenate([perms, m[perms]])
+    least = perms.min(axis=0)
+    reps = np.flatnonzero(least == np.arange(n))
+    table = perms[:, reps]
+    # the elements are involutions: h maps rep_r to p when it maps p to rep_r
+    return (reps, table, (table == reps).sum(axis=0), np.argmax(perms == least, axis=0),
+            np.searchsorted(reps, least))
 
 
 def _sub_grid(grid: Grid3, box: tuple) -> Grid3:
@@ -229,20 +272,42 @@ def _bounding_box(mask: np.ndarray) -> tuple:
 class HomogeneousTraceMap:
     """Linear map from current samples on the source support to the boundary
     trace, in any medium: E = R0(k)(i k J) - k^2 R0(k)(m E) is linear in J,
-    so the trace of every current is one matrix product, which makes large
-    Monte Carlo ensembles cheap.
+    so the trace of every current is a few matrix products, which makes
+    large Monte Carlo ensembles cheap.
 
-    The map is one C-contiguous complex (3C, 2N) array, 3C * 2N * 16 bytes
-    for C support cells and N mesh nodes: row 3c + j takes component j of the
-    current in cell c, column 2n + t gives the trace E x nu at node n along
-    theta_hat_n (t = 0) or phi_hat_n (t = 1). Each entry carries the h^3 cell
-    weight; the ik source factor cancels the 1/(ik) of R0 = G/(ik).
+    Entry [(c, j), (n, t)] of the map takes component j of the current in
+    cell c to the trace E x nu at node n along theta_hat_n (t = 0) or
+    phi_hat_n (t = 1). Each entry carries the h^3 cell weight; the ik source
+    factor cancels the 1/(ik) of R0 = G/(ik).
+
+    The map is held on the blocks of the group of coordinate mirrors that
+    it commutes with (Bossavit, CMAME 56, 1986). Mirror a (x -> S x, S
+    flipping axis a) counts when the support mask equals its flip along a,
+    the grid is centred on a to rounding and the medium has no contrast on
+    the grid; the mesh always has all three. Then G(S d) = S G(d) S, and
+    with S e_t(x) = sigma_t e_t(S x) for the frame vectors the map obeys
+    W[(h c, j), (h n, t)] = a(h, t) psi_j(h) W[(c, j), (n, t)], psi_j(h) = -1
+    when h flips axis j, a(h, t) = det(h) sigma_t(h). For the 2^g group
+    elements h and characters chi, cell and node orbit representatives c_r
+    and n_r, the map is the 2^g complex blocks
+
+        Y_chi[(r, j), (n_r, t)] = sum_h chi(h) psi_j(h) W[(h c_r, j), (n_r, t)]
+                                  / (2^g |Stab c_r|),
+
+    each (3R, 2N_r) for R cell and N_r node orbits, and a current J gives
+    F_chi[r, j] = sum_h chi(h) psi_j(h) J[h c_r, j] and the trace
+    T[g n_r, t] = a(g, t) sum_chi chi(g) (F_chi Y_chi)[n_r, t]. Contrasts
+    are left out: grid coordinates mirror only to rounding, so a sampled
+    medium rarely equals its flip, and a medium run keeps g = 0, where the
+    one block is the dense (3C, 2N) map (rows 3c + j, columns 2n + t) and
+    the apply is its one product.
 
     In the homogeneous medium (m = 0 on the grid) the map is the direct
     superposition of closed-form Green-tensor columns, with no FFT and no
-    interpolation. The build fills it in blocks of _NODE_BLOCK mesh nodes,
-    writing G u = a u + b d (d . u) for each node's two tangential dipoles u
-    into its final layout, so the build needs the map and one block more.
+    interpolation. The build evaluates G u = a u + b d (d . u) for the two
+    tangential dipoles u of _NODE_BLOCK representative nodes at a time over
+    all cells, and folds them into the blocks, so it needs the blocks and
+    a node block more.
 
     A contrast m adds a scattered term, by reciprocity (the discrete kernel
     is symmetric): column (n, t) over the contrast's cells is the incident
@@ -255,9 +320,9 @@ class HomogeneousTraceMap:
     are taken at grid cells inside the ball only, never at a mesh node.
 
     `traces` applies the map to a real current as one real matrix product
-    with the map viewed as a real (3C, 4N) array, whose result, viewed as
-    complex, gives the trace T_theta theta_hat + T_phi phi_hat; a complex
-    current takes two such products, one for its real and one for its
+    per block, with the block viewed as a real (3R, 4N_r) array, whose
+    result, viewed as complex, gives the trace T_theta theta_hat +
+    T_phi phi_hat; a complex current takes this twice, for its real and its
     imaginary part.
     """
 
@@ -266,23 +331,46 @@ class HomogeneousTraceMap:
         self.k = float(k)
         self.grid = grid
         self.mesh = mesh
-        self.support_mask = np.asarray(support_mask, dtype=bool)
-        coords = grid.nodes()[:, self.support_mask].T  # (C, 3)
+        self.support_mask = mask = np.asarray(support_mask, dtype=bool)
+        coords = grid.nodes()[:, mask].T  # (C, 3)
         self.n_cells = C = coords.shape[0]
-        N = mesh.n_nodes
-        self._flat = np.empty((3 * C, 2 * N), dtype=np.complex128)
-        out = self._flat.reshape(C, 3, N, 2)  # [c, j, n, t]
-        for lo in range(0, N, _NODE_BLOCK):
-            nodes = slice(lo, lo + _NODE_BLOCK)
-            out[:, :, nodes, :] = _dipole_block(self.k, grid.cell_volume, coords, mesh, nodes)
-        if medium is not None:
-            self._add_scattering(medium, tol, max_iter)
+        contrast = (np.zeros(grid.dims, dtype=bool) if medium is None
+                    else evaluate_on_grid(medium, grid).values.real != 0)
+        axes = [] if np.any(contrast) else _mirror_axes(grid, mask)
+        index = np.full(grid.dims, -1)
+        index[mask] = np.arange(C)
+        node_mirrors = [_node_mirror(mesh, a) for a in axes]
+        _, cells, stab = _orbits(C, [np.flip(index, a)[mask] for a in axes])[:3]
+        node_reps, _, _, h_of, r_of = _orbits(mesh.n_nodes, node_mirrors)
+        G, R, Nr = len(cells), len(stab), len(node_reps)
+        bit = (np.arange(G)[:, None] >> np.arange(len(axes))) & 1  # (G, g)
+        # the character table: chi_s(h) = (-1)^popcount(s & h), symmetric
+        self._chars = (-1.0) ** (bit @ bit.T)
+        psi, alpha = np.ones((G, 3)), np.ones((G, 2))
+        for b, (a, perm) in enumerate(zip(axes, node_mirrors)):
+            S = np.where(np.arange(3) == a, -1.0, 1.0)
+            # sigma_t: e_t(S x_n) = sigma_t S e_t(x_n), +-1 alike at every node
+            sigma = np.rint(np.einsum("nit,i,nit->t", mesh.frame[perm], S, mesh.frame)
+                            / mesh.n_nodes)
+            psi[bit[:, b] == 1] *= S
+            alpha[bit[:, b] == 1] *= -sigma  # det = -1 per mirror
+        # current rows (h c_r, j) of each (h, (r, j)), and their signs psi_j(h)
+        self._rows = (3 * cells[:, :, None] + np.arange(3)).reshape(G, 3 * R)
+        self._psi = np.tile(psi, R)
+        self._node_src, self._node_sign = h_of * Nr + r_of, alpha[h_of]  # (N,), (N, 2)
+        scale = psi[:, None, :, None, None] / (G * stab[None, :, None, None, None])  # exact
+        self._blocks = np.empty((G, R, 3, Nr, 2), dtype=np.complex128)  # [chi, r, j, n_r, t]
+        for lo in range(0, Nr, _NODE_BLOCK):
+            nodes = node_reps[lo : lo + _NODE_BLOCK]
+            blk = _dipole_block(self.k, grid.cell_volume, coords, mesh, nodes)[cells] * scale
+            chi = self._chars @ blk.reshape(G, -1).view(np.float64)  # sum over h, real parts apart
+            self._blocks[:, :, :, lo : lo + len(nodes)] = chi.view(np.complex128).reshape(blk.shape)
+        if np.any(contrast):
+            self._add_scattering(medium, contrast, tol, max_iter)
 
-    def _add_scattering(self, medium: MediumSpec, tol: float, max_iter: int) -> None:
+    def _add_scattering(self, medium: MediumSpec, contrast: np.ndarray, tol: float,
+                        max_iter: int) -> None:
         grid, mesh, k = self.grid, self.mesh, self.k
-        contrast = evaluate_on_grid(medium, grid).values.real != 0
-        if not np.any(contrast):
-            return
         box = _bounding_box(contrast)
         solver = MaxwellSolver(k, medium, _sub_grid(grid, box))
         cells = solver.m_grid != 0
@@ -294,7 +382,7 @@ class HomogeneousTraceMap:
         # nodes per block: the padded transforms of one node's two dipoles
         # take 6 * prod(padded) complex values
         block = int(np.clip(_SCATTER_BYTES // (96 * np.prod(conv.padded)), 1, _NODE_BLOCK))
-        out = self._flat.reshape(self.n_cells, 3, mesh.n_nodes, 2)
+        out = self._blocks[0]  # a contrast leaves one block, the dense map [c, j, n, t]
         for lo in range(0, mesh.n_nodes, block):
             nodes = slice(lo, lo + block)
             b = np.zeros((1, 2, len(mesh.nodes[nodes]), 3) + solver.grid.dims, dtype=np.complex128)
@@ -305,6 +393,27 @@ class HomogeneousTraceMap:
             scat = -k ** 2 * conv.apply_resolvent_array(mE)[..., sources]  # [t, n, j, c]
             out[:, :, nodes, :] += scat.T
 
+    def _frame_traces(self, Jb: np.ndarray) -> np.ndarray:
+        """Frame components (M, N, 2) of the traces of real currents (M, 3C).
+        The currents are gathered to their orbits and transformed to the
+        characters a slice of realizations at a time, then each block takes
+        one product over all of them."""
+        (G, R3), Nr, M = self._rows.shape, self._blocks.shape[3], len(Jb)
+        F = np.empty((M, G, R3))  # [m, chi, (r, j)]
+        X = np.empty((max(1, _SLICE_BYTES // max(1, F[0].nbytes)), G, R3))  # [m, h, (r, j)]
+        for lo in range(0, M, len(X)):
+            n = min(len(X), M - lo)
+            np.take(Jb[lo : lo + n], self._rows, axis=1, out=X[:n], mode="clip")  # unbuffered
+            X[:n] *= self._psi
+            np.matmul(self._chars, X[:n], out=F[lo : lo + n])
+        P = np.empty((M, G, 4 * Nr))  # [m, chi, (n_r, t, re/im)]
+        for s in range(G):
+            np.matmul(F[:, s], self._blocks[s].view(np.float64).reshape(R3, 4 * Nr), out=P[:, s])
+        T = (self._chars @ P).view(np.complex128).reshape(M, G * Nr, 2)  # [m, (g, n_r), t]
+        T = np.take(T, self._node_src, axis=1, mode="clip")
+        T *= self._node_sign
+        return T
+
     def traces(self, J_support: np.ndarray) -> np.ndarray:
         """Boundary traces E x nu for a batch of currents restricted to the
         support.
@@ -312,9 +421,8 @@ class HomogeneousTraceMap:
         J_support: (M, C, 3) real or complex -> traces (M, N, 3).
         """
         Jb = np.reshape(J_support, (len(J_support), -1))
-        W = self._flat.view(np.float64)  # (3C, 4N): re/im interleaved per column
         if np.iscomplexobj(Jb):
-            T = (Jb.real @ W).view(np.complex128) + 1j * (Jb.imag @ W).view(np.complex128)
+            T = self._frame_traces(Jb.real) + 1j * self._frame_traces(Jb.imag)
         else:
-            T = (Jb @ W).view(np.complex128)
-        return self.mesh.from_frame(T.reshape(len(Jb), self.mesh.n_nodes, 2))
+            T = self._frame_traces(Jb)
+        return self.mesh.from_frame(T)

@@ -27,19 +27,21 @@ from stochmaxwell.verify import (
     capacity_identity,
     cgo_residual,
     convolution_vs_direct,
-    electric_dipole_field,
     green_reciprocity,
-    helmholtz_residual,
     ibp_identity,
     ito_isometry,
     multipoles,
-    pde_residual,
     plane_waves,
-    remainder_norm,
-    resolvent_decay_probe,
 )
 
 from conftest import K_DESK, RP_DESK, rel_err
+from oracles import (
+    electric_dipole_field,
+    helmholtz_residual,
+    pde_residual,
+    remainder_norm,
+    resolvent_decay_probe,
+)
 
 PDE_RESIDUAL_CONSTANT = 10.0  # frozen envelope constant for criterion 3
 M2_FROZEN = 0.5  # frozen remainder constant for criterion 7

@@ -11,14 +11,10 @@ from stochmaxwell.capacity import (
 from stochmaxwell.forward import HomogeneousTraceMap
 from stochmaxwell.geometry import Grid3, SphereMesh
 from stochmaxwell.sphharm import VshBasis, scalar_ylm, scalar_ylm_table
-from stochmaxwell.verify import (
-    capacity_identity,
-    electric_dipole_field,
-    ibp_identity,
-    multipoles,
-)
+from stochmaxwell.verify import capacity_identity, ibp_identity, multipoles
 
 from conftest import K_DESK, rel_err
+from oracles import electric_dipole_field
 
 
 class TestVshBasis:
@@ -66,6 +62,22 @@ class TestVshBasis:
         stacked = desk_basis.decompose(batch)
         for i in range(4):
             assert np.allclose(stacked[i], desk_basis.decompose(batch[i]))
+
+
+    def test_capacity_build_releases_the_mode_tables(self):
+        """Once the capacity operator has its symbol the basis holds no mode
+        tables, and the next decompose and synthesize rebuild them: their
+        results equal those before the build bit for bit."""
+        basis = VshBasis(SphereMesh(1.0, 6), 6)
+        rng = np.random.default_rng(5)
+        comps = rng.standard_normal((3, basis.mesh.n_nodes, 2)) + 1j * rng.standard_normal(
+            (3, basis.mesh.n_nodes, 2))
+        coeffs = basis.decompose(comps)
+        fields = basis.synthesize(coeffs)
+        CapacityOperator(K_DESK, basis)
+        assert basis._tables is None
+        assert np.array_equal(basis.decompose(comps), coeffs)
+        assert np.array_equal(basis.synthesize(coeffs), fields)
 
 
 class TestMultipoleIdentity:

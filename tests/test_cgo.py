@@ -29,9 +29,10 @@ from stochmaxwell.geometry import (
     evaluate_on_grid,
     trilinear_interpolate,
 )
-from stochmaxwell.verify import cgo_product_identity, cgo_stencil_residual, remainder_norm
+from stochmaxwell.verify import cgo_product_identity, cgo_stencil_residual
 
 from conftest import rel_err
+from oracles import remainder_norm
 
 K = 2.0
 # a non-cubic grid: its axes have spectral cells of two widths

@@ -9,6 +9,7 @@ from stochmaxwell.forward import (
     HomogeneousTraceMap,
     MaxwellSolver,
     SolverError,
+    _dipole_block,
     curl_grid,
     extract_trace,
     neumann_solve,
@@ -27,9 +28,9 @@ from stochmaxwell.geometry import (
     evaluate_on_grid,
 )
 from stochmaxwell.greens import FreeConvolver, dyadic_green
-from stochmaxwell.verify import electric_dipole_field, pde_residual
 
 from conftest import rel_err
+from oracles import electric_dipole_field, pde_residual
 
 K = 2.0
 
@@ -258,6 +259,10 @@ class TestCurl:
         assert np.array_equal(curl_grid(F, h), want)
 
 
+# a source bump that no coordinate mirror keeps
+ASYMMETRIC = SourceStrength((Bump((0.2, 0.25, 0.3), 0.45, 0.2),), ball_radius=1.0)
+
+
 class TestHomogeneousTraceMap:
     def test_matches_volume_solver(self, grid, sigma):
         """Green-superposition traces equal solver-plus-interpolation traces
@@ -329,18 +334,80 @@ class TestHomogeneousTraceMap:
 
     def test_map_holds_two_complex_columns_per_node(self, sigma):
         """The built map keeps the two tangential trace components of each
-        node, 3C * 2N complex values, not a third (normal) column."""
+        node: on the asymmetric mask, the dense 3C * 2N complex values, not a
+        third (normal) column; on the fixture's mask, which the x and z
+        mirrors keep, exactly its symmetry blocks, 2^g (3R, 2N_r) complex
+        arrays for R cell and N_r node orbits, counted here from the index
+        tuples."""
         g = Grid3.for_ball(1.3, 13)
-        mask = evaluate_on_grid(sigma, g).values.real > 0
         mesh = SphereMesh(1.0, 8)
-        tracemalloc.start()
-        try:
-            tmap = HomogeneousTraceMap(K, g, mask, mesh)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        node_bytes = 3 * tmap.n_cells * 16  # one complex column over the cells
-        assert 2 * mesh.n_nodes * node_bytes <= held < 2.5 * mesh.n_nodes * node_bytes
+        for spec in (sigma, ASYMMETRIC):
+            mask = evaluate_on_grid(spec, g).values.real > 0
+            tracemalloc.start()
+            try:
+                tmap = HomogeneousTraceMap(K, g, mask, mesh)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            node_bytes = 3 * tmap.n_cells * 16  # one complex column over the cells
+            axes = [a for a in range(3) if np.array_equal(mask, np.flip(mask, a))]
+            if spec is ASYMMETRIC:
+                assert not axes
+                assert 2 * mesh.n_nodes * node_bytes <= held < 2.5 * mesh.n_nodes * node_bytes
+                continue
+            assert axes == [0, 2]
+            ijk = np.argwhere(mask)
+            cells = {min(tuple(np.where(np.isin(range(3), f), np.array(g.dims) - 1 - c, c))
+                          for f in ([], [0], [2], [0, 2])) for c in ijk}
+            it, jp = np.divmod(np.arange(mesh.n_nodes), mesh.n_phi)
+            nodes = {min((i, j), (mesh.n_theta - 1 - i, j), (i, (mesh.n_phi // 2 - j) % mesh.n_phi),
+                         (mesh.n_theta - 1 - i, (mesh.n_phi // 2 - j) % mesh.n_phi))
+                     for i, j in zip(it, jp)}
+            block_bytes = 4 * 3 * len(cells) * 2 * len(nodes) * 16
+            assert block_bytes <= held < 1.25 * block_bytes
+
+    @pytest.mark.parametrize("lmax", [7, 8])
+    @pytest.mark.parametrize("spec, n_mirrors", [
+        (SourceStrength((Bump((0.0, 0.0, 0.0), 0.5, 0.2),), ball_radius=1.0), 3),
+        (SourceStrength((Bump((0.0, 0.25, 0.3), 0.45, 0.2),), ball_radius=1.0), 1),
+        (ASYMMETRIC, 0),
+    ], ids=["centred", "off-centre-in-y-and-z", "asymmetric"])
+    def test_blocks_equal_the_dense_superposition(self, spec, n_mirrors, lmax):
+        """The map on its 2^g symmetry blocks gives the traces of the dense
+        superposition of `_dipole_block` columns over all cells and nodes,
+        within 1e-13 of max|T|. lmax 8 puts a ring of nodes on z = 0 and
+        lmax 7 puts nodes on x = 0, so both kinds of node stabilizer are met
+        (nodes on y = 0 exist at every lmax); the centred bump has cells on
+        all three mirror planes."""
+        g, mesh = Grid3.for_ball(1.3, 17), SphereMesh(1.0, lmax)
+        on_plane = np.abs(mesh.nodes[:, 2 if lmax % 2 == 0 else 0]) < 1e-12
+        assert on_plane.sum() == 2 * lmax + 2  # a ring of n_phi, or n_theta rings of two
+        mask = evaluate_on_grid(spec, g).values.real > 0
+        tmap = HomogeneousTraceMap(K, g, mask, mesh)
+        assert len(tmap._blocks) == 2 ** n_mirrors
+        coords = g.nodes()[:, mask].T
+        W = _dipole_block(K, g.cell_volume, coords, mesh, np.arange(mesh.n_nodes))
+        J = np.random.default_rng(lmax).standard_normal((5, len(coords), 3))
+        want = mesh.from_frame(np.einsum("mcj,cjnt->mnt", J, W))
+        got = tmap.traces(J)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_no_mirror_is_the_dense_product(self):
+        """With no usable mirror the one block is the dense (3C, 2N) map,
+        built by node blocks of 16 as `_dipole_block` columns, and the traces
+        are its one real product, bit for bit."""
+        g, mesh = Grid3.for_ball(1.3, 17), SphereMesh(1.0, 8)
+        mask = evaluate_on_grid(ASYMMETRIC, g).values.real > 0
+        tmap = HomogeneousTraceMap(K, g, mask, mesh)
+        coords, N = g.nodes()[:, mask].T, mesh.n_nodes
+        W = np.empty((len(coords), 3, N, 2), dtype=np.complex128)
+        for lo in range(0, N, 16):
+            W[:, :, lo : lo + 16] = _dipole_block(K, g.cell_volume, coords, mesh,
+                                                  np.arange(lo, min(lo + 16, N)))
+        J = np.random.default_rng(6).standard_normal((7, len(coords), 3))
+        T = J.reshape(7, -1) @ W.reshape(3 * len(coords), 2 * N).view(np.float64)
+        want = mesh.from_frame(T.view(np.complex128).reshape(7, N, 2))
+        assert np.array_equal(tmap.traces(J), want)
 
     def test_traces_are_tangential(self, sigma):
         g = Grid3.for_ball(1.3, 13)

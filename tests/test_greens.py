@@ -17,15 +17,13 @@ from stochmaxwell.greens import (
 )
 from stochmaxwell.verify import (
     convolution_vs_direct,
-    electric_dipole_field,
     green_hessian_fd,
     green_reciprocity,
-    helmholtz_residual,
     near_cell_probe,
-    resolvent_decay_probe,
 )
 
 from conftest import rel_err
+from oracles import electric_dipole_field, helmholtz_residual, resolvent_decay_probe
 
 
 class TestScalarKernel:

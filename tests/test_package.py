@@ -19,6 +19,7 @@ from stochmaxwell.geometry import (
     SourceStrength,
     SphereMesh,
     VectorFieldC3,
+    evaluate_on_grid,
 )
 from stochmaxwell.sphharm import VshBasis
 
@@ -54,6 +55,15 @@ def test_benchmark_tracer_targets_exist():
         if not callable(getattr(getattr(mod(owner), cls_name, None), meth, None)):
             missing.append(span)
     assert not missing, f"tracer targets missing from the program: {missing}"
+    # the trace-map counter reads the map's n_cells and mesh.n_nodes
+    grid, mesh = Grid3.for_ball(1.3, 9), SphereMesh(1.0, 4)
+    sigma = SourceStrength((Bump((0.0, 0.0, 0.0), 0.9, 0.1),), ball_radius=1.0)
+    tmap = forward.HomogeneousTraceMap(2.0, grid, evaluate_on_grid(sigma, grid).values.real > 0,
+                                       mesh)
+    assert isinstance(tmap.n_cells, int) and tmap.mesh.n_nodes == mesh.n_nodes
+    J = np.ones((2, tmap.n_cells, 3))
+    flops = tracer._trace_map_flops((tmap, J), {}, tmap.traces(J))
+    assert flops["forward.trace_map_apply.gflop_computed"] > 0
 
 
 def test_cli_import_leaves_out_scipy_sparse():

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -230,6 +232,25 @@ class TestEnsembleStore:
         assert np.array_equal(back, traces)
         assert m2 == manifest
         assert manifest["hash"] == manifest_hash(manifest)
+
+    def test_records_are_written_from_the_array(self, tmp_path):
+        """traces.bin holds the little-endian complex128 bytes of the traces
+        and data_sha256 is their digest, written and hashed from the array's
+        own buffer: the write's tracemalloc peak stays under half the
+        records (a copy of them would double it)."""
+        traces = self._traces(M=64, N=500)
+        records = np.asarray(traces, dtype="<c16").tobytes()
+        tracemalloc.start()
+        try:
+            manifest = write_ensemble(tmp_path, traces, {"kind": "trace-ensemble"})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "traces.bin").read_bytes()[24:] == records
+        assert manifest["data_sha256"] == hashlib.sha256(records).hexdigest()
+        assert peak < 0.5 * len(records)
+        write_ensemble(tmp_path / "strided", traces[::2], {"kind": "trace-ensemble"})
+        assert np.array_equal(read_ensemble(tmp_path / "strided")[0], traces[::2])
 
     def test_corrupt_data_detected(self, tmp_path):
         write_ensemble(tmp_path, self._traces(), {"kind": "trace-ensemble"})
