@@ -87,6 +87,9 @@ class CapacityOperator:
     != 1 deliberately corrupts the operator and exists only as a negative
     control for verification runs.
 
+    It owns `k` and the mesh, and builds a `VshBasis` of degree `lmax`
+    (default: the mesh's) only to set up its multipliers and symbols.
+
     The operator commutes with the rotation of the mesh by one azimuthal
     step, which maps node (i, j) (polar index i, azimuthal index j) to
     (i, j + 1) and carries its (theta_hat, phi_hat) frame along. On frame
@@ -95,12 +98,13 @@ class CapacityOperator:
     from its action on the frame vectors of the meridian j = 0.
     """
 
-    def __init__(self, k: float, basis: VshBasis, fault_scale: float = 1.0):
+    def __init__(self, k: float, mesh: SphereMesh, lmax: int | None = None,
+                 fault_scale: float = 1.0):
         if k <= 0:
             raise ValueError("wavenumber must be positive")
         self.k = float(k)
-        self.basis = basis
-        mesh = basis.mesh
+        self.mesh = mesh
+        basis = VshBasis(mesh, lmax)  # its mode tables go when this build returns
         self._blocks = np.empty((2, 2, basis.n_modes), dtype=np.complex128)
         for l in range(1, basis.lmax + 1):
             idx = basis.mode_index(l, 0)
@@ -125,11 +129,11 @@ class CapacityOperator:
         self._symbol = spectrum.transpose(3, 2, 4, 0, 1).reshape(nphi, 2 * nt, 2 * nt)
         # C^T is the convolution with S_{-m}^T
         self._symbol_t = self._symbol[-np.arange(nphi) % nphi].transpose(0, 2, 1)
-        basis.release()  # nothing here analyses or synthesizes again
 
     def apply_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """Per-mode multiplier action on stacked (grad, curl) coefficients (..., 2K)."""
-        A, K = self._blocks, self.basis.n_modes
+        """Per-mode multiplier action on stacked (grad, curl) coefficients
+        (..., 2K) in the mode order of `VshBasis(mesh, lmax)`."""
+        A, K = self._blocks, self._blocks.shape[-1]
         a, b = coeffs[..., :K], coeffs[..., K:]
         return np.concatenate([A[0, 0] * a + A[0, 1] * b, A[1, 0] * a + A[1, 1] * b], axis=-1)
 
@@ -146,7 +150,7 @@ class CapacityOperator:
 
     def _convolve(self, comps: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         """Circular convolution over the azimuthal index by `symbol`, one block per frequency."""
-        mesh = self.basis.mesh
+        mesh = self.mesh
         nt, nphi = mesh.n_theta, mesh.n_phi
         if comps.shape[-2:] != (mesh.n_nodes, 2):
             raise ValueError("frame samples do not match the mesh")
@@ -161,7 +165,7 @@ class CapacityOperator:
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
         """Apply to tangential samples (..., N, 3) on the operator's mesh."""
-        mesh = self.basis.mesh
+        mesh = self.mesh
         if samples.shape[-2] != mesh.n_nodes:
             raise ValueError("sample count does not match mesh")
         return mesh.from_frame(self.apply_frame(mesh.to_frame(samples)))

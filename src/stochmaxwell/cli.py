@@ -37,7 +37,6 @@ from .geometry import (
     write_field,
 )
 from .reconstruct import reconstruct_sigma, stability_sweep
-from .sphharm import VshBasis
 
 __all__ = ["main", "run_forward", "run_verify", "run_reconstruct", "run_sweep"]
 
@@ -48,9 +47,8 @@ EXIT_VERIFY = 4
 
 
 def _capacity(cfg: ExperimentConfig, fault: bool = False) -> CapacityOperator:
-    basis = VshBasis(cfg.mesh(), cfg.lmax)
     scale = cfg.fault_scale if fault else 1.0
-    return CapacityOperator(cfg.k, basis, fault_scale=scale)
+    return CapacityOperator(cfg.k, cfg.mesh(), cfg.lmax, fault_scale=scale)
 
 
 def _traces(cfg: ExperimentConfig) -> np.ndarray:
@@ -70,7 +68,7 @@ def _check_realizations(cfg: ExperimentConfig) -> None:
 def _recon_args(cfg: ExperimentConfig) -> dict:
     """The reconstruction arguments that `reconstruct` and `sweep` share."""
     return dict(
-        k=cfg.k, R_prime=cfg.R_prime, medium=cfg.medium(), grid=cfg.grid(),
+        R_prime=cfg.R_prime, medium=cfg.medium(), grid=cfg.grid(),
         constants=cfg.constants(), t_max=cfg.t_max, rho_override=cfg.rho_override,
         n_frames=cfg.n_frames, tol=cfg.tol, max_iter=cfg.max_iter,
     )
@@ -107,7 +105,7 @@ def _verify_table(cfg: ExperimentConfig) -> list:
     # fault scale applied: a perturbed operator must fail the capacity and
     # ibp checks
     cap = _capacity(cfg, fault=True)
-    mesh = cap.basis.mesh
+    mesh = cap.mesh
     medium = MediumSpec(ball_radius=cfg.R)
     bumpy = MediumSpec((Bump((0.0, 0.1, 0.0), 0.6, 0.05),), ball_radius=cfg.R)
     sig = SourceStrength((Bump((0.0, 0.1, 0.0), 0.5, 0.1),), ball_radius=cfg.R)
@@ -116,7 +114,8 @@ def _verify_table(cfg: ExperimentConfig) -> list:
     # the plane-wave probe scales with k, so |zeta| h and the stencil error do not
     pw_zeta, pw_eta, _ = build_zeta_eta(0.5 * k * xi, 1.25 * k, k)
     pw_grid = Grid3.cube(2.0 / k, 33)
-    contrast = functools.cache(lambda: verify.cgo_residual(xi, t, k, bumpy, grid, tol))
+    residual = functools.partial(verify.cgo_residual, tol=tol, max_iter=cfg.max_iter)
+    contrast = functools.cache(lambda: residual(xi, t, k, bumpy, grid))
 
     def capacity():
         fields = verify.multipoles(k, mesh.nodes, [(l, 1) for l in range(1, cfg.lmax + 1)])
@@ -140,7 +139,7 @@ def _verify_table(cfg: ExperimentConfig) -> list:
         ("capacity_multipole_identity", capacity, 1e-10),
         ("ibp_identity", ibp, 1e-2),
         ("cgo_homogeneous_residual",
-         lambda: verify.cgo_residual(xi, t, k, medium, grid, tol, members=(1,))[0], 1e-10),
+         lambda: residual(xi, t, k, medium, grid, members=(1,))[0], 1e-10),
         ("cgo_plane_wave_stencil",
          lambda: max(verify.cgo_stencil_residual(z, e, k, pw_grid)
                      for z, e in zip(pw_zeta, pw_eta)), 1e-3),
@@ -178,7 +177,7 @@ def run_reconstruct(cfg: ExperimentConfig, out_dir: str) -> dict:
     ens_dir = os.path.join(out_dir, "ensemble")
     if os.path.exists(os.path.join(ens_dir, "manifest.json")):
         traces, manifest = read_ensemble(ens_dir)
-        if manifest["physics"] != cfg.physics_block():
+        if manifest.get("physics") != cfg.physics_block():  # a store without one matches nothing
             raise ConfigurationError(
                 "stored ensemble does not match the config physics block"
             )
@@ -187,7 +186,7 @@ def run_reconstruct(cfg: ExperimentConfig, out_dir: str) -> dict:
         manifest = run_forward(cfg, ens_dir)
         traces, _ = read_ensemble(ens_dir)
     capacity = _capacity(cfg)
-    traces = capacity.basis.mesh.to_frame(traces)  # releases the Cartesian ensemble
+    traces = capacity.mesh.to_frame(traces)  # releases the Cartesian ensemble
 
     result = reconstruct_sigma(
         traces, capacity, ground_truth=cfg.source() if cfg.source_bumps else None,
@@ -237,7 +236,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str) -> list:
     times sqrt(alpha) are those of the ensemble of alpha sigma."""
     _check_realizations(cfg)
     capacity = _capacity(cfg)
-    frames = capacity.basis.mesh.to_frame(_traces(cfg))  # the Cartesian ensemble is not kept
+    frames = capacity.mesh.to_frame(_traces(cfg))  # the Cartesian ensemble is not kept
     rows = stability_sweep(lambda alpha: np.sqrt(alpha) * frames, cfg.source(), capacity,
                            alphas=cfg.alphas, **_recon_args(cfg))
     os.makedirs(out_dir, exist_ok=True)

@@ -74,6 +74,10 @@ _KEYS = (
     ("verify", "fault_scale", "fault_scale", float, repr),
     ("output", "directory", "output_dir", str, str),
 )
+# fields refused unless positive (None, where allowed, is no value); the upper
+# bound of rho_override needs t, so reconstruct_sigma checks it
+_POSITIVE = {"k", "realizations", "lmax", "s", "M1", "tol", "max_iter", "t_max", "n_frames",
+             "rho_override"}
 
 
 @dataclass(frozen=True)
@@ -105,23 +109,14 @@ class ExperimentConfig:
             for v in value if isinstance(value, (tuple, list)) else (value,):
                 if isinstance(v, numbers.Real) and not math.isfinite(v):
                     raise ConfigurationError(f"[{section}] {option}: {v} is not a finite number")
+            if field in _POSITIVE and value is not None and value <= 0:
+                raise ConfigurationError(f"[{section}] {option} must be positive, got {value}")
         if self.master_seed < 0:
             raise ConfigurationError(f"master seed must be non-negative, got {self.master_seed}")
-        if not self.k > 0:
-            raise ConfigurationError("wavenumber k must be positive")
         if not (0 < self.R < self.R_prime):
             raise ConfigurationError("need 0 < R < R'")
         if self.grid_half_width is not None and self.grid_half_width <= self.R_prime:
             raise ConfigurationError("grid half-width must exceed R'")
-        if self.realizations < 1:
-            raise ConfigurationError("need at least one realization")
-        if self.s <= 0 or self.tol <= 0 or self.max_iter < 1:
-            raise ConfigurationError("tolerances and smoothness must be positive")
-        if self.lmax < 1 or self.n_frames < 1:
-            raise ConfigurationError("lmax and n_frames must be at least 1")
-        for option in ("t_max", "rho_override"):  # rho's upper bound needs t: reconstruct_sigma
-            if (v := getattr(self, option)) is not None and v <= 0:
-                raise ConfigurationError(f"[reconstruction] {option} must be positive, got {v}")
         if any(a <= 0 for a in self.alphas):
             raise ConfigurationError(f"[sweep] alphas must be positive, got {list(self.alphas)}")
         if any(b >= a for a, b in zip(self.alphas, self.alphas[1:])):

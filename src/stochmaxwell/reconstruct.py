@@ -9,20 +9,23 @@ low-pass ball and inverting the transform yields the regularized
 reconstruction, whose accuracy is logarithmic in the measured data size
 epsilon.
 
-The stage reads only the tangential part of the traces: every nodal quantity
-on the sphere is held by its (theta_hat, phi_hat) components, 2N numbers for
-N mesh nodes. Each boundary functional is folded into a single dual vector D
-in that frame (F(trace) = sum_{n,t} x_{n,t} D_{n,t} for the frame components
-x of the trace). The traces are linear in Gaussian noise, so an ensemble X
-(M, 2N) enters only through its two (2N)^2 Grams K0 = X^T X / M and
-Kc = X^T conj(X) / M: each sample mean is a bilinear form D_1^T K0 D_2 and its
-Gaussian (Isserlis) standard error a form in Kc. The data size epsilon comes
-from K0 and the capacity operator acting on it. The dual vectors are built
-per block of CGO columns from the frame components of the test data, the
-transposed capacity acting on them as a circular convolution over the
-azimuthal mesh index. The lattice, the columns, their remainder solves and
-the duals depend on the schedule (t, rho) only, so ensembles on one schedule
-(the source scalings of a stability sweep) share them.
+The stage works at the wavenumber and on the sphere mesh of its capacity
+operator, and reads only the tangential part of the traces: every nodal
+quantity on the sphere is held by its (theta_hat, phi_hat) components, 2N
+numbers for N mesh nodes. Each boundary functional is folded into a single
+dual vector D in that frame (F(trace) = sum_{n,t} x_{n,t} D_{n,t} for the
+frame components x of the trace). The traces are linear in Gaussian noise, so
+an ensemble X (M, 2N) enters only through its two (2N)^2 Grams K0 = X^T X / M
+and Kc = X^T conj(X) / M: each sample mean is a bilinear form D_1^T K0 D_2 and
+its Gaussian (Isserlis) standard error a form in Kc. The data size epsilon
+comes from K0 and the capacity operator acting on it. `_moments` reduces each
+ensemble to (M, K0, Kc, epsilon), and the estimator core takes only these. The
+dual vectors are built per block of CGO columns from the frame components of
+the test data, the transposed capacity acting on them as a circular
+convolution over the azimuthal mesh index. The lattice, the columns, their
+remainder solves and the duals depend on the schedule (t, rho) only, so
+ensembles on one schedule (the source scalings of a stability sweep) share
+them.
 
 sigma is real, so sigma_hat(-xi) = conj sigma_hat(xi): only the lattice
 nodes up to xi = 0 are estimated, and each antipode is filled with the
@@ -108,7 +111,7 @@ def dual_functional_vector(capacity: CapacityOperator, u: np.ndarray,
     components, sum_n w_n U_n . (C x)_n = sum (C^T (w U)) . x, so
     D = -(i k C^T (w U) + w curl U), a plain bilinear nodal pairing.
     """
-    w = capacity.basis.mesh.weights[:, None]
+    w = capacity.mesh.weights[:, None]
     return -(1j * capacity.k * capacity.apply_frame_transpose(w * u) + w * curlu)
 
 
@@ -140,7 +143,7 @@ def measure_epsilon(traces, capacity: CapacityOperator) -> KernelEpsilon:
     K1 = C K0 and K2 = C K0 C^T, with C the capacity on frame vectors (K0 is
     symmetric, so K0 C^T is the transpose of K1).
     """
-    X = _tangential_traces(traces, capacity.basis.mesh)
+    X = _tangential_traces(traces, capacity.mesh)
     return _kernel_epsilon(_gram(X), len(X), capacity)
 
 
@@ -154,7 +157,7 @@ def _kernel_epsilon(K: np.ndarray, M: int, capacity: CapacityOperator) -> Kernel
     """`measure_epsilon` from the Gram K0 of an M-realization ensemble."""
     if M < 2:
         raise ConfigurationError("kernel estimation needs at least two realizations")
-    mesh = capacity.basis.mesh
+    mesh = capacity.mesh
 
     def capacity_rows(Z):  # Z C^T: the capacity applied to each row of Z
         return capacity.apply_frame(Z.reshape(len(Z), mesh.n_nodes, 2)).reshape(Z.shape)
@@ -277,14 +280,34 @@ def _frame_moments(D: np.ndarray, M: int, K0: np.ndarray, Kc: np.ndarray):
     return mean, (np.sqrt(var / M) / F if M > 1 else np.inf)
 
 
-def reconstruct_sigma(traces, capacity: CapacityOperator, k: float, R_prime: float,
+def _moments(traces, capacity: CapacityOperator, epsilon: float | None = None):
+    """An ensemble reduced to what the estimator reads, (M, K0, Kc, epsilon):
+    the Grams K0 = X^T X / M and Kc = X^T conj(X) / M (2N, 2N) of its frame
+    components X (M, 2N) and its data size, measured from K0 when None."""
+    X = _tangential_traces(traces, capacity.mesh)
+    M, K0 = len(X), _gram(X)
+    if epsilon is None:
+        epsilon = _kernel_epsilon(K0, M, capacity).epsilon
+    X = X.reshape(M, -1)
+    Kc = np.empty_like(K0)  # conj(X^H X) / M; X^H X is Hermitian, so each block
+    for lo in range(0, len(Kc), GRAM_BLOCK):  # row is formed from the diagonal on
+        hi = lo + GRAM_BLOCK
+        Kc[lo:hi, lo:] = X[:, lo:hi].conj().T @ X[:, lo:]
+        Kc[hi:, lo:hi] = Kc[lo:hi, hi:].conj().T
+    np.conjugate(Kc, out=Kc)
+    Kc /= M
+    return M, K0, Kc, epsilon
+
+
+def reconstruct_sigma(traces, capacity: CapacityOperator, R_prime: float,
                       medium: MediumSpec, grid: Grid3,
                       constants: StabilityConstants = StabilityConstants(),
                       t_max: float | None = 8.0, rho_override: float | None = None,
                       n_frames: int = 1, epsilon: float | None = None,
                       ground_truth: SourceStrength | None = None, tol: float = 1e-10,
                       max_iter: int = 60) -> ReconstructionResult:
-    """Full pipeline: measured epsilon -> (t, rho) -> Fourier samples -> sigma.
+    """Full pipeline: measured epsilon -> (t, rho) -> Fourier samples -> sigma,
+    at the wavenumber and on the mesh of `capacity`.
 
     `traces` holds the ensemble as Cartesian samples (M, N, 3) or as their
     frame components (M, N, 2); only the tangential part is read.
@@ -301,44 +324,30 @@ def reconstruct_sigma(traces, capacity: CapacityOperator, k: float, R_prime: flo
     which shrinks the Monte Carlo variance without touching the mean. `tol`
     and `max_iter` bound each CGO remainder solve (`CgoRemainderSolver`).
     """
-    return _reconstruct([traces], [epsilon], [ground_truth], capacity, k, R_prime, medium,
-                        grid, constants, t_max, rho_override, n_frames, tol, max_iter)[0]
+    moments = (_moments(X, capacity, epsilon) for X in (traces,))  # read after the checks
+    return _reconstruct(moments, [ground_truth], capacity, R_prime, medium, grid, constants,
+                        t_max, rho_override, n_frames, tol, max_iter)[0]
 
 
-def _reconstruct(ensembles, epsilons, truths, capacity, k, R_prime, medium, grid,
+def _reconstruct(moments, truths, capacity, R_prime, medium, grid,
                  constants=StabilityConstants(), t_max=8.0, rho_override=None, n_frames=1,
                  tol=1e-10, max_iter=60) -> list[ReconstructionResult]:
-    """`reconstruct_sigma` of several ensembles, each with its epsilon (None:
-    measured) and ground truth. Each ensemble is read once, into its moments,
-    before the next is drawn from `ensembles` (which may be an iterator). The
-    lattice, CGO columns, remainder solves and dual vectors depend only on
-    (t, rho): they are built once per distinct schedule, and each chunk of
-    dual vectors meets the moments of every ensemble on it."""
-    mesh = capacity.basis.mesh
-    if k != capacity.k:
-        raise ValueError("wavenumber does not match the capacity operator")
+    """`reconstruct_sigma` of several ensembles, each given by its `_moments`
+    and its ground truth (or None). `moments` may be an iterator, read after
+    the options are checked, so an ensemble made for it can be dropped before
+    the next is made. The lattice, CGO columns, remainder solves and dual
+    vectors depend only on (t, rho): they are built once per distinct
+    schedule, and each chunk of dual vectors meets the moments of every
+    ensemble on it."""
+    k, mesh = capacity.k, capacity.mesh
     if rho_override is not None and rho_override <= 0:
         raise ConfigurationError(
             f"[reconstruction] rho_override must be positive, got {rho_override}")
-    moments, schedules = [], {}  # (M, K0, Kc) per ensemble; (t, rho) -> its ensembles
-    for traces in ensembles:  # no zip or enumerate: their result tuples would hold the
-        # last ensemble while the iterator makes the next
-        i, epsilon = len(moments), epsilons[len(moments)]
-        X = _tangential_traces(traces, mesh)
-        M, K0 = len(X), _gram(X)
-        if epsilon is None:
-            epsilons[i] = epsilon = _kernel_epsilon(K0, M, capacity).epsilon
-        X = X.reshape(M, -1)
-        Kc = np.empty_like(K0)  # conj(X^H X) / M; X^H X is Hermitian, so each block
-        for lo in range(0, len(Kc), GRAM_BLOCK):  # row is formed from the diagonal on
-            hi = lo + GRAM_BLOCK
-            Kc[lo:hi, lo:] = X[:, lo:hi].conj().T @ X[:, lo:]
-            Kc[hi:, lo:hi] = Kc[lo:hi, hi:].conj().T
-        np.conjugate(Kc, out=Kc)
-        Kc /= M
-        moments.append((M, K0, Kc))
-        del traces, X  # before the iterator makes the next ensemble
-        t, rho = select_parameters(epsilon, constants.s, R_prime, k, constants.M1, t_max)
+    if n_frames < 1:
+        raise ConfigurationError(f"[reconstruction] n_frames must be at least 1, got {n_frames}")
+    reduced, schedules = [], {}  # (M, K0, Kc, epsilon) per ensemble; (t, rho) -> its ensembles
+    for m in moments:
+        t, rho = select_parameters(m[3], constants.s, R_prime, k, constants.M1, t_max)
         if rho_override is not None:
             rho = float(rho_override)
         # |xi| <= rho keeps the leading coefficient 1 - |xi|^2/4t^2 above the guard
@@ -346,10 +355,11 @@ def _reconstruct(ensembles, epsilons, truths, capacity, k, R_prime, medium, grid
             raise ConfigurationError(
                 f"cutoff rho={rho:.2f} exceeds the admissible band for t={t:.2f}"
             )
-        schedules.setdefault((t, rho), []).append(i)
+        schedules.setdefault((t, rho), []).append(len(reduced))
+        reduced.append(m)
 
     azimuths = np.pi * np.arange(n_frames) / n_frames
-    results = [None] * len(moments)
+    results = [None] * len(reduced)
     for (t, rho), members in schedules.items():
         xi_nodes, dxi = build_xi_lattice(rho, R_prime)
         n_est = len(xi_nodes) // 2 + 1  # nodes 0 .. n // 2; the rest are their antipodes
@@ -377,7 +387,7 @@ def _reconstruct(ensembles, epsilons, truths, capacity, k, R_prime, medium, grid
                 duals[b : b + len(zb)] = dual_functional_vector(capacity, *test_data)
             D = duals.reshape(len(duals) // (2 * n_frames), n_frames, 2, -1)
             for j, i in enumerate(members):
-                mean, sd = _frame_moments(D, *moments[i])
+                mean, sd = _frame_moments(D, *reduced[i][:3])
                 sigma_hat[j, ids] = (-mean / k ** 2) / lead[ids, 0]
                 stderr[j, ids] = sd / (k ** 2 * np.abs(lead[ids, 0]))
 
@@ -394,15 +404,15 @@ def _reconstruct(ensembles, epsilons, truths, capacity, k, R_prime, medium, grid
                 gt_norm = np.linalg.norm(gt) * np.sqrt(h3)
                 rel = float(l2 / gt_norm) if gt_norm > 0 else float("inf")
             results[i] = ReconstructionResult(
-                xi_nodes=xi_nodes, dxi=dxi, rho=rho, t=t, epsilon=float(epsilons[i]),
-                sample_count=moments[i][0], sigma_hat=samples,
+                xi_nodes=xi_nodes, dxi=dxi, rho=rho, t=t, epsilon=float(reduced[i][3]),
+                sample_count=reduced[i][0], sigma_hat=samples,
                 stderr=hermitian_symmetrize(xi_nodes, stderr[j]).real, sigma_rec=sigma_rec,
                 imag_residue=residue, l2_error=l2, linf_error=linf, rel_l2_error=rel)
     return results
 
 
 def stability_sweep(ensemble_factory, sigma: SourceStrength, capacity: CapacityOperator,
-                    k: float, R_prime: float, medium: MediumSpec, grid: Grid3, alphas,
+                    R_prime: float, medium: MediumSpec, grid: Grid3, alphas,
                     constants: StabilityConstants = StabilityConstants(), **recon_kwargs):
     """Scale sigma -> alpha sigma, take its ensemble from the factory, and tabulate
     the logarithmic-stability check quantity ||alpha sigma|| (-log eps)^{4s/(7+2s)}.
@@ -420,8 +430,8 @@ def stability_sweep(ensemble_factory, sigma: SourceStrength, capacity: CapacityO
     expo = 4.0 * constants.s / (7.0 + 2.0 * constants.s)
     scaled = [SourceStrength(tuple(replace(b, amplitude=b.amplitude * alpha) for b in sigma.bumps),
                              sigma.ball_radius) for alpha in alphas]
-    results = _reconstruct((ensemble_factory(alpha) for alpha in alphas), [None] * len(alphas),
-                           scaled, capacity, k, R_prime, medium, grid, constants, **recon_kwargs)
+    results = _reconstruct((_moments(ensemble_factory(alpha), capacity) for alpha in alphas),
+                           scaled, capacity, R_prime, medium, grid, constants, **recon_kwargs)
     rows = []
     for alpha, source, result in zip(alphas, scaled, results):
         sig_l2 = evaluate_on_grid(source, grid).l2_norm()

@@ -6,9 +6,12 @@ surface measure of the mesh sphere (radius R), so every coefficient contract
 in this package is stated in that normalization. The basis is tabulated by
 its components in the (theta_hat, phi_hat) frame of each node, and analysis
 and synthesis take and give such frame components, 2N numbers for N nodes
-(`SphereMesh.to_frame` and `from_frame` convert Cartesian samples). Only
-the capacity build analyses and synthesizes; the capacity applications and
-the dual vectors run as azimuthal convolutions on frame components.
+(`SphereMesh.to_frame` and `from_frame` convert Cartesian samples). A
+basis tabulates its modes once, when it is built, and holds the tables for
+its life. Only the capacity build analyses and synthesizes: the capacity
+operator builds a basis, reads its per-degree multipliers and azimuthal
+symbols through it and drops it, and its applications and the dual vectors
+run as azimuthal convolutions on frame components.
 """
 from __future__ import annotations
 
@@ -74,35 +77,20 @@ class VshBasis:
         self.modes = [(l, m) for l in range(1, lmax + 1) for m in range(-l, l + 1)]
         self.n_modes = len(self.modes)
 
-        self._tables = None
-        self._mode_tables()
-
-    def _mode_tables(self):
-        """The (2K, N, 2) stack of frame components (theta_hat, phi_hat) used
-        by synthesize, the families its halves, and its conjugate times the
-        quadrature weights used by decompose; built with the basis and again,
-        bit for bit, on first use after `release`."""
-        if self._tables is not None:
-            return self._tables
-        mesh, R = self.mesh, self.mesh.radius
-        Y, dY = scalar_ylm_table(self.lmax, mesh.theta, mesh.phi)
+        # frame components (theta_hat, phi_hat) of every mode, (2K, N, 2), the
+        # families its halves; decompose reads its conjugate times the weights
+        Y, dY = scalar_ylm_table(lmax, mesh.theta, mesh.phi)
         inv_sin = 1.0 / np.sin(mesh.theta)
         stack = np.empty((2 * self.n_modes, mesh.n_nodes, 2), dtype=np.complex128)
         grad, curl = stack[: self.n_modes], stack[self.n_modes :]
         for idx, (l, m) in enumerate(self.modes):
-            norm = 1.0 / (R * np.sqrt(l * (l + 1)))
+            norm = 1.0 / (mesh.radius * np.sqrt(l * (l + 1)))
             a = dY[(l, m)] * norm                 # theta component of grad family
             b = 1j * m * Y[(l, m)] * inv_sin * norm  # phi component
             grad[idx, :, 0], grad[idx, :, 1] = a, b
             # nu x grad: theta_hat -> phi_hat, phi_hat -> -theta_hat
             curl[idx, :, 0], curl[idx, :, 1] = -b, a
-        self._tables = stack, np.conj(stack) * mesh.weights[None, :, None]
-        return self._tables
-
-    def release(self) -> None:
-        """Drop the mode tables (2 * 2K * N * 2 complex values) once their
-        last user is built; decompose and synthesize rebuild them."""
-        self._tables = None
+        self._stack, self._stack_w = stack, np.conj(stack) * mesh.weights[None, :, None]
 
     def mode_index(self, l: int, m: int) -> int:
         return self.modes.index((l, m))
@@ -112,11 +100,11 @@ class VshBasis:
         components (..., N, 2)."""
         if comps.shape[-2:] != (self.mesh.n_nodes, 2):
             raise ValueError("frame samples do not match the mesh")
-        return np.tensordot(comps, self._mode_tables()[1], axes=([-2, -1], [1, 2]))
+        return np.tensordot(comps, self._stack_w, axes=([-2, -1], [1, 2]))
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Frame components (..., N, 2) of the tangential field with
         coefficients (..., 2K)."""
         if coeffs.shape[-1] != 2 * self.n_modes:
             raise ValueError("coefficient vector has wrong length")
-        return np.tensordot(coeffs, self._mode_tables()[0], axes=([-1], [0]))
+        return np.tensordot(coeffs, self._stack, axes=([-1], [0]))

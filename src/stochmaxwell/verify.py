@@ -107,7 +107,7 @@ def multipoles(k: float, points, modes) -> list:
 def capacity_identity(capacity, fields) -> list:
     """(T(E x nu), H x nu) for each radiating field (E, H) at the mesh nodes;
     the capacity operator T maps the one onto the other."""
-    nu = capacity.basis.mesh.normals
+    nu = capacity.mesh.normals
     return [(capacity.apply(np.cross(E, nu)), np.cross(H, nu)) for E, H in fields]
 
 
@@ -128,7 +128,7 @@ def ibp_identity(capacity, grid: Grid3, source, trace, waves) -> float:
     and the volume pairing int source . U over plane waves U = eta e^{i d.x}."""
     if not np.any(source):
         raise ConfigurationError("the probe source samples to zero on this grid")
-    mesh = capacity.basis.mesh
+    mesh = capacity.mesh
     tm, nodes = capacity.apply(trace), grid.nodes()
     worst = 0.0
     for d, eta in waves:
@@ -140,13 +140,13 @@ def ibp_identity(capacity, grid: Grid3, source, trace, waves) -> float:
 
 
 def cgo_residual(xi, t: float, k: float, medium: MediumSpec, grid: Grid3, tol: float = 1e-10,
-                 members=(1, 2)):
+                 members=(1, 2), max_iter: int = 60):
     """Worst fixed-point residual of the CGO solutions of `members` of the
     conjugate pair of (xi, t), with the solutions; zero for m = 0, where the
     plane-wave pair is exact."""
     if not medium.is_homogeneous and not np.any(evaluate_on_grid(medium, grid).values):
         raise ConfigurationError("the medium contrast samples to zero on this grid")
-    sols = [solve_cgo_remainder(xi, t, k, which, medium, grid, tol=tol) for which in members]
+    sols = [solve_cgo_remainder(xi, t, k, which, medium, grid, tol, max_iter) for which in members]
     return max(s.residual for s in sols), sols
 
 

@@ -22,8 +22,8 @@ def desk_basis(desk_mesh):
 
 
 @pytest.fixture(scope="session")
-def desk_capacity(desk_basis):
-    return CapacityOperator(K_DESK, desk_basis)
+def desk_capacity(desk_mesh):
+    return CapacityOperator(K_DESK, desk_mesh, LMAX_DESK)
 
 
 @pytest.fixture(scope="session")

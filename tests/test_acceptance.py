@@ -74,7 +74,7 @@ def hom_medium():
 @pytest.fixture(scope="module")
 def big_ensemble(grid, desk_sigma, hom_medium, desk_capacity):
     """10^4 boundary-trace realizations through the program's ensemble path."""
-    mesh = desk_capacity.basis.mesh
+    mesh = desk_capacity.mesh
     return generate_ensemble(K_DESK, hom_medium, desk_sigma, grid, mesh, BIG_M, BIG_SEED)
 
 
@@ -166,7 +166,7 @@ class TestCriterion4CapacityOperator:
 class TestCriterion5IntegralIdentity:
     def test_boundary_equals_volume(self, grid, desk_capacity):
         k = K_DESK
-        mesh = desk_capacity.basis.mesh
+        mesh = desk_capacity.mesh
         x, y, z = grid.nodes()
         prof = np.exp(-((x - 0.05) ** 2 + y ** 2 + (z + 0.1) ** 2) / (2 * 0.25 ** 2))
         prof = prof * (np.sqrt(x ** 2 + y ** 2 + z ** 2) < 0.85)
@@ -237,7 +237,6 @@ class TestCriterion8EndToEnd:
             result = reconstruct_sigma(
                 big_ensemble[:M],
                 desk_capacity,
-                k=K_DESK,
                 R_prime=RP_DESK,
                 medium=hom_medium,
                 grid=grid,
@@ -263,7 +262,7 @@ class TestCriterion9StabilityInequality:
     def test_check_quantity_bounded_and_epsilon_quadratic(
         self, grid, desk_sigma, hom_medium, desk_capacity
     ):
-        mesh = desk_capacity.basis.mesh
+        mesh = desk_capacity.mesh
         sig_grid = evaluate_on_grid(desk_sigma, grid).values.real
         mask = sig_grid > 0
         tmap = HomogeneousTraceMap(K_DESK, grid, mask, mesh)
@@ -281,7 +280,6 @@ class TestCriterion9StabilityInequality:
             factory,
             desk_sigma,
             desk_capacity,
-            k=K_DESK,
             R_prime=RP_DESK,
             medium=hom_medium,
             grid=grid,

@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stochmaxwell import capacity as capacity_module
 from stochmaxwell.capacity import (
     CapacityOperator,
     boundary_functional,
@@ -64,20 +67,23 @@ class TestVshBasis:
             assert np.allclose(stacked[i], desk_basis.decompose(batch[i]))
 
 
-    def test_capacity_build_releases_the_mode_tables(self):
-        """Once the capacity operator has its symbol the basis holds no mode
-        tables, and the next decompose and synthesize rebuild them: their
-        results equal those before the build bit for bit."""
-        basis = VshBasis(SphereMesh(1.0, 6), 6)
-        rng = np.random.default_rng(5)
-        comps = rng.standard_normal((3, basis.mesh.n_nodes, 2)) + 1j * rng.standard_normal(
-            (3, basis.mesh.n_nodes, 2))
-        coeffs = basis.decompose(comps)
-        fields = basis.synthesize(coeffs)
-        CapacityOperator(K_DESK, basis)
-        assert basis._tables is None
-        assert np.array_equal(basis.decompose(comps), coeffs)
-        assert np.array_equal(basis.synthesize(coeffs), fields)
+    def test_capacity_build_drops_its_basis(self, monkeypatch):
+        """The capacity operator builds its basis of degree lmax on its mesh
+        and holds it, with its mode tables, only while it builds its
+        symbols: once the operator exists no basis built for it is alive,
+        without a garbage collection."""
+        built = []
+
+        def spy(*args):
+            basis = VshBasis(*args)
+            built.append(weakref.ref(basis))
+            return basis
+
+        monkeypatch.setattr(capacity_module, "VshBasis", spy)
+        mesh = SphereMesh(1.0, 6)
+        cap = CapacityOperator(K_DESK, mesh, 5)
+        assert len(built) == 1 and built[0]() is None
+        assert cap.mesh is mesh and cap._blocks.shape == (2, 2, 5 * 7)
 
 
 class TestMultipoleIdentity:
@@ -89,11 +95,11 @@ class TestMultipoleIdentity:
         for got, want in capacity_identity(desk_capacity, fields):
             assert rel_err(got, want) < 1e-10
 
-    def test_fault_scale_breaks_identity(self, desk_basis):
+    def test_fault_scale_breaks_identity(self, desk_mesh):
         """The deliberate-corruption knob must actually corrupt: negative
         control for the verification harness."""
-        bad = CapacityOperator(K_DESK, desk_basis, fault_scale=1.05)
-        mesh = desk_basis.mesh
+        bad = CapacityOperator(K_DESK, desk_mesh, fault_scale=1.05)
+        mesh = desk_mesh
         E, H = radiating_multipole("te", 2, 1, K_DESK, mesh.nodes)
         got = bad.apply(np.cross(E, mesh.normals))
         assert rel_err(got, np.cross(H, mesh.normals)) > 1e-3
@@ -105,14 +111,14 @@ class TestOffCenterDipole:
         construction; the operator must map its traces correctly too."""
         src = np.array([0.2, -0.1, 0.15])
         p = np.array([0.4, 1.0, -0.3])
-        dipole = electric_dipole_field(K_DESK, src, p, desk_capacity.basis.mesh.nodes)
+        dipole = electric_dipole_field(K_DESK, src, p, desk_capacity.mesh.nodes)
         assert rel_err(*capacity_identity(desk_capacity, [dipole])[0]) < 1e-6
 
 
 class TestCoefficientAction:
-    def test_apply_matches_coefficient_route(self, desk_capacity):
+    def test_apply_matches_coefficient_route(self, desk_basis, desk_capacity):
         rng = np.random.default_rng(12)
-        basis = desk_capacity.basis
+        basis = desk_basis  # the capacity's mesh and degree
         mesh = basis.mesh
         tr = mesh.from_frame(basis.synthesize(
             rng.standard_normal(2 * basis.n_modes)
@@ -123,14 +129,14 @@ class TestCoefficientAction:
         ))
         assert np.allclose(desk_capacity.apply(tr), via_coeffs, atol=1e-12)
 
-    def test_azimuthal_convolution_matches_coefficient_route(self, desk_capacity):
+    def test_azimuthal_convolution_matches_coefficient_route(self, desk_basis, desk_capacity):
         """apply_frame, a circular convolution over the azimuthal index,
         equals analysis, per-mode multiplier and synthesis on arbitrary frame
         samples (not band-limited), also for a basis below the mesh degree."""
         rng = np.random.default_rng(13)
-        truncated = CapacityOperator(K_DESK, VshBasis(SphereMesh(1.0, 8), 5))
-        for cap in (desk_capacity, truncated):
-            basis = cap.basis
+        mesh = SphereMesh(1.0, 8)
+        truncated = CapacityOperator(K_DESK, mesh, 5)
+        for cap, basis in ((desk_capacity, desk_basis), (truncated, VshBasis(mesh, 5))):
             comps = rng.standard_normal((3, basis.mesh.n_nodes, 2)) + 1j * rng.standard_normal(
                 (3, basis.mesh.n_nodes, 2))
             want = basis.synthesize(cap.apply_coeffs(basis.decompose(comps)))
@@ -143,7 +149,7 @@ class TestCoefficientAction:
         """y . (C x) == (C^T y) . x for the non-conjugate pairing of frame
         components (N, 2)."""
         rng = np.random.default_rng(seed)
-        shape = (desk_capacity.basis.mesh.n_nodes, 2)
+        shape = (desk_capacity.mesh.n_nodes, 2)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         lhs = np.sum(y * desk_capacity.apply_frame(x))
@@ -152,7 +158,7 @@ class TestCoefficientAction:
 
     def test_linearity(self, desk_capacity):
         rng = np.random.default_rng(3)
-        mesh = desk_capacity.basis.mesh
+        mesh = desk_capacity.mesh
         a = rng.standard_normal((mesh.n_nodes, 3)) + 0j
         b = rng.standard_normal((mesh.n_nodes, 3)) + 0j
         lhs = desk_capacity.apply(2.0 * a - 1j * b)
@@ -166,9 +172,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             desk_capacity.apply(np.zeros((other.n_nodes, 3), dtype=complex))
 
-    def test_nonpositive_wavenumber_rejected(self, desk_basis):
+    def test_nonpositive_wavenumber_rejected(self, desk_mesh):
         with pytest.raises(ValueError):
-            CapacityOperator(0.0, desk_basis)
+            CapacityOperator(0.0, desk_mesh)
 
     def test_hankel_overflow_guard(self):
         with pytest.raises(OverflowError):
@@ -192,7 +198,7 @@ class TestBoundaryFunctional:
         field with smooth interior source f and a homogeneous test solution U
         (plane wave with |d| = k)."""
         k = K_DESK
-        mesh = desk_capacity.basis.mesh
+        mesh = desk_capacity.mesh
         grid = Grid3.for_ball(1.3, 33)
         x, y, z = grid.nodes()
         prof = np.exp(-((x - 0.05) ** 2 + y ** 2 + (z + 0.1) ** 2) / (2 * 0.25 ** 2))
@@ -207,7 +213,7 @@ class TestBoundaryFunctional:
         assert ibp_identity(desk_capacity, grid, 1j * k * J, trace, [(d, eta)]) < 1e-2
 
     def test_linearity_in_trace(self, desk_capacity):
-        mesh = desk_capacity.basis.mesh
+        mesh = desk_capacity.mesh
         rng = np.random.default_rng(9)
         t1, t2, U, cU = (
             rng.standard_normal((mesh.n_nodes, 3))
@@ -221,7 +227,7 @@ class TestBoundaryFunctional:
         assert abs(c - (a + 2.0 * b)) < 1e-10 * abs(c)
 
     def test_shape_validation(self, desk_capacity):
-        mesh = desk_capacity.basis.mesh
+        mesh = desk_capacity.mesh
         good = np.zeros((mesh.n_nodes, 3), dtype=complex)
         with pytest.raises(ValueError):
             boundary_functional(good[:-1], good, good, good, K_DESK, mesh)

@@ -21,7 +21,6 @@ from stochmaxwell.geometry import (
     VectorFieldC3,
     evaluate_on_grid,
 )
-from stochmaxwell.sphharm import VshBasis
 
 MODULES = ["stochmaxwell"] + [
     f"stochmaxwell.{m.name}" for m in pkgutil.iter_modules(stochmaxwell.__path__)
@@ -78,13 +77,13 @@ def test_cli_import_leaves_out_scipy_sparse():
         import numpy as np
         import stochmaxwell.cli
         loaded = {'scipy.sparse', 'scipy.linalg'} & set(sys.modules)
-        from stochmaxwell import CapacityOperator, Grid3, MediumSpec, SphereMesh, VshBasis, Bump
-        capacity = CapacityOperator(2.0, VshBasis(SphereMesh(1.0, 6), 6))
+        from stochmaxwell import CapacityOperator, Grid3, MediumSpec, SphereMesh, Bump
+        capacity = CapacityOperator(2.0, SphereMesh(1.0, 6))
         rng = np.random.default_rng(8)
-        shape = (20, capacity.basis.mesh.n_nodes, 3)
+        shape = (20, capacity.mesh.n_nodes, 3)
         traces = 0.01 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         medium = MediumSpec((Bump((0.0, 0.0, 0.0), 0.9, 0.1),), ball_radius=1.0)
-        stochmaxwell.reconstruct_sigma(traces, capacity, k=2.0, R_prime=1.3, medium=medium,
+        stochmaxwell.reconstruct_sigma(traces, capacity, R_prime=1.3, medium=medium,
                                        grid=Grid3.for_ball(1.3, 8))
         print(loaded, {'scipy.sparse', 'scipy.linalg'} & set(sys.modules))
     """
@@ -151,9 +150,9 @@ def test_every_cgo_correction_comes_from_the_remainder_solver(monkeypatch):
     grid = Grid3.for_ball(1.3, 8)
     sol = cgo.solve_cgo_remainder(np.array([0.5, 0.0, 0.0]), 3.0, 2.0, 1, medium, grid)
     assert np.any(sol.W) and len(calls) == 1
-    capacity = CapacityOperator(2.0, VshBasis(SphereMesh(1.0, 4), 4))
-    traces = np.random.default_rng(8).standard_normal((4, capacity.basis.mesh.n_nodes, 3))
-    result = reconstruct.reconstruct_sigma(traces, capacity, 2.0, 1.3, medium, grid,
+    capacity = CapacityOperator(2.0, SphereMesh(1.0, 4))
+    traces = np.random.default_rng(8).standard_normal((4, capacity.mesh.n_nodes, 3))
+    result = reconstruct.reconstruct_sigma(traces, capacity, 1.3, medium, grid,
                                            epsilon=0.1)
     assert len(calls) == 1 + 2 * (len(result.xi_nodes) // 2 + 1)
 

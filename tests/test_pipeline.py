@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stochmaxwell import cli, reconstruct, verify
+from stochmaxwell import cgo, cli, reconstruct, verify
 from stochmaxwell.cgo import CgoRemainderSolver, build_zeta_eta
 from stochmaxwell.cli import (
     EXIT_CONFIG,
@@ -203,8 +203,10 @@ directory = runs/full
         ({"grid_half_width": float("nan")}, "[grid] half_width"),
         ({"M1": float("-inf")}, "[stability] M1"),
         ({"alphas": (1.0, float("nan"))}, "[sweep] alphas"),
+        ({"M1": 0.0}, "[stability] M1"),
+        ({"s": -1.0}, "[stability] s"),
     ], ids=["nan-s", "inf-t-max", "nan-rho-override", "negative-rho-override",
-            "nan-half-width", "minus-inf-M1", "nan-alpha"])
+            "nan-half-width", "minus-inf-M1", "nan-alpha", "zero-M1", "negative-s"])
     def test_code_built_nonfinite_rejected(self, small_cfg, changes, named):
         """A config built in code, or changed by `dataclasses.replace`, passes
         the same finite and range checks as an INI file, named by the INI key;
@@ -537,6 +539,21 @@ class TestCliVerify:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and "ibp_identity" in lines[0]
 
+    def test_configured_max_iter_reaches_cgo_rows(self, small_cfg, tmp_path, monkeypatch):
+        """`[solver] max_iter` bounds the CGO solves of the verify rows, as it
+        bounds those of `reconstruct`."""
+        seen = []
+        solve = cgo.solve_fixed_point
+
+        def recording(apply, b, tol, max_iter, what):
+            seen.append(max_iter)
+            return solve(apply, b, tol, max_iter, what)
+
+        monkeypatch.setattr(cgo, "solve_fixed_point", recording)
+        report, _ = cli.run_verify(replace(small_cfg, max_iter=7), str(tmp_path / "v"))
+        assert seen and set(seen) == {7}
+        assert "cgo_contrast_residual" in {c["name"] for c in report["checks"]}
+
     def test_unresolved_contrast_and_source_rejected(self):
         grid = Grid3.for_ball(1.3, 8)  # the bump falls between the nodes
         xi, t = np.array([1.0, 0.0, 0.5]), 5.0
@@ -590,6 +607,42 @@ class TestCliReconstruct:
         other = tmp_path / "other.ini"
         other.write_text(SMALL_CONFIG.replace("0 0.1 0 0.5 0.2", "0 0 0 0.4 0.3"))
         assert main(["reconstruct", "--config", str(other), "--out", out]) == EXIT_CONFIG
+
+    def test_store_without_physics_block_exits_2(self, small_cfg, config_path, tmp_path,
+                                                  capsys):
+        """A stored manifest with a valid hash but no physics block matches
+        no config: one line and exit 2, where a KeyError traceback ended the
+        run before."""
+        out = str(tmp_path / "r")
+        run_forward(small_cfg, os.path.join(out, "ensemble"))
+        path = tmp_path / "r" / "ensemble" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["physics"]
+        manifest["hash"] = manifest_hash(manifest)
+        path.write_text(json.dumps(manifest))
+        assert main(["reconstruct", "--config", config_path, "--out", out]) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "physics block" in lines[0]
+
+    @pytest.mark.parametrize("command", ["reconstruct", "sweep"])
+    @pytest.mark.parametrize("new, named", [
+        ("M1 = -1", "[stability] M1"),
+        ("M1 = 0", "[stability] M1"),
+        ("s = 0", "[stability] s"),
+    ], ids=["negative-M1", "zero-M1", "zero-s"])
+    def test_non_positive_stability_constant_refused_before_drawing(
+        self, tmp_path, capsys, command, new, named
+    ):
+        """`[stability] M1` or `s` <= 0 is refused when the config loads,
+        naming the key, and no ensemble is drawn or written (before, M1 <= 0
+        reached the reconstruction only after the ensemble was on disk)."""
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(SMALL_CONFIG.replace("lmax = 8", f"lmax = 8\n{new}"))
+        out = tmp_path / "r"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and named in lines[0]
+        assert not (out / "ensemble").exists()
 
     def test_single_realization_exits_2(self, tmp_path, capsys):
         """One realization gives no kernel estimate: one line, not a traceback."""

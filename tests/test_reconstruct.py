@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,6 @@ from stochmaxwell.geometry import (
     SphereMesh,
     evaluate_on_grid,
 )
-from stochmaxwell.sphharm import VshBasis
 from stochmaxwell.reconstruct import (
     DUAL_BLOCK,
     PRODUCT_COLUMNS,
@@ -59,7 +59,7 @@ def hom_medium():
 
 @pytest.fixture(scope="module")
 def small_ensemble(grid, wide_sigma, hom_medium, desk_capacity):
-    mesh = desk_capacity.basis.mesh
+    mesh = desk_capacity.mesh
     return generate_ensemble(
         K_DESK, hom_medium, wide_sigma, grid, mesh, M=400, master_seed=77
     )
@@ -72,11 +72,11 @@ def small_inhomogeneous():
     grid = Grid3.for_ball(RP_DESK, 8)
     medium = MediumSpec((Bump((0.0, 0.0, 0.0), 0.9, 0.1),), ball_radius=1.0)
     assert np.any(evaluate_on_grid(medium, grid).values)
-    capacity = CapacityOperator(K_DESK, VshBasis(SphereMesh(1.0, 6), 6))
+    capacity = CapacityOperator(K_DESK, SphereMesh(1.0, 6))
     rng = np.random.default_rng(8)
-    shape = (6, capacity.basis.mesh.n_nodes, 3)
+    shape = (6, capacity.mesh.n_nodes, 3)
     traces = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    kwargs = dict(k=K_DESK, R_prime=RP_DESK, grid=grid, medium=medium, epsilon=0.1)
+    kwargs = dict(R_prime=RP_DESK, grid=grid, medium=medium, epsilon=0.1)
     return traces, capacity, kwargs
 
 
@@ -97,7 +97,7 @@ def _correlation(traces, data, capacity):
     """Sample mean and standard error of B_1 B_2 over the ensemble, where
     B_j = sum_n trace_n . D_j,n pairs the frame components of each trace with
     the dual vector of the j-th member's boundary data."""
-    mesh = capacity.basis.mesh
+    mesh = capacity.mesh
     flat = mesh.to_frame(traces).reshape(len(traces), -1)
     b1, b2 = (flat @ dual_functional_vector(capacity, *mesh.to_frame(np.stack(d))).ravel()
               for d in data)
@@ -110,7 +110,7 @@ def _cartesian_epsilon(traces, capacity):
     Cartesian component norms of the (3N)^2 Grams of the weighted traces and
     of their capacity images."""
     M, N = traces.shape[:2]
-    sw = np.sqrt(capacity.basis.mesh.weights)[None, :, None]
+    sw = np.sqrt(capacity.mesh.weights)[None, :, None]
     X0 = (traces * sw).reshape(M, -1)
     X1 = (capacity.apply(traces) * sw).reshape(M, -1)
 
@@ -121,9 +121,9 @@ def _cartesian_epsilon(traces, capacity):
     return norm(X0, X0), norm(X1, X0), norm(X1, X1)
 
 
-def _reconstruct(traces, capacity, grid, medium, k=K_DESK, **kwargs):
+def _reconstruct(traces, capacity, grid, medium, **kwargs):
     return reconstruct_sigma(
-        traces, capacity, k=k, R_prime=RP_DESK, medium=medium, grid=grid, **kwargs
+        traces, capacity, R_prime=RP_DESK, medium=medium, grid=grid, **kwargs
     )
 
 
@@ -133,7 +133,7 @@ class TestDualVector:
         trace, gives the identical value as the explicit surface functional
         for arbitrary tangential traces and test data, column by column for
         stacked test data."""
-        mesh = desk_capacity.basis.mesh
+        mesh = desk_capacity.mesh
         rng = np.random.default_rng(21)
         U, curlU = (
             rng.standard_normal((mesh.n_nodes, 3))
@@ -164,11 +164,11 @@ class TestDualVector:
             want = dual_functional_vector(desk_capacity, us[c], curlus[c])
             assert rel_err(stacked[c], want) < 1e-13
 
-    def test_matches_coefficient_route(self, desk_capacity):
+    def test_matches_coefficient_route(self, desk_basis, desk_capacity):
         """The dual through the transposed azimuthal convolution equals the
         one through the harmonic coefficients: bilinear analysis of w U,
         the transposed per-mode multiplier, synthesis."""
-        basis = desk_capacity.basis
+        basis = desk_basis  # the capacity's mesh and degree
         mesh, K = basis.mesh, basis.n_modes
         rng = np.random.default_rng(22)
         u, curlu = (
@@ -189,7 +189,7 @@ class TestDualVector:
 
 class TestCorrelation:
     def test_zero_traces_give_zero(self, grid, hom_medium, desk_capacity):
-        mesh = desk_capacity.basis.mesh
+        mesh = desk_capacity.mesh
         zeros = np.zeros((8, mesh.n_nodes, 3), dtype=complex)
         result = _reconstruct(zeros, desk_capacity, grid, hom_medium, epsilon=0.1)
         assert np.all(result.sigma_hat == 0.0)
@@ -198,7 +198,7 @@ class TestCorrelation:
     def test_empty_ensemble_rejected(self, grid, hom_medium, desk_capacity):
         """Rejected before any estimate even when epsilon is given, so the
         empty check does not lean on measure_epsilon."""
-        mesh = desk_capacity.basis.mesh
+        mesh = desk_capacity.mesh
         with pytest.raises(ValueError):
             _reconstruct(
                 np.zeros((0, mesh.n_nodes, 3), dtype=complex),
@@ -211,7 +211,7 @@ class TestCorrelation:
     def test_pooling_halves_matches_full(self, small_ensemble, desk_capacity):
         """The estimator is a plain sample mean, so pooling two half-ensemble
         estimates reproduces the full-ensemble value exactly."""
-        mesh = desk_capacity.basis.mesh
+        mesh = desk_capacity.mesh
         _, data = _plane_pair([1.0, -0.5, 0.0], 5.0, mesh)
         full, _ = _correlation(small_ensemble, data, desk_capacity)
         a, _ = _correlation(small_ensemble[:200], data, desk_capacity)
@@ -223,7 +223,7 @@ class TestCorrelation:
     ):
         """Empirical correlation of the two boundary functionals matches
         -k^2 int sigma U1 . U2 dx within 3 Monte Carlo standard errors."""
-        mesh = desk_capacity.basis.mesh
+        mesh = desk_capacity.mesh
         sig = evaluate_on_grid(wide_sigma, grid).values.real
         nodes = grid.nodes()
         for xi in ([0.0, 0.0, 0.0], [1.0, 0.5, -0.5]):
@@ -232,12 +232,6 @@ class TestCorrelation:
             phase = np.exp(-1j * np.tensordot(np.asarray(xi, float), nodes, axes=(0, 0)))
             volume = -K_DESK ** 2 * lead * np.sum(sig * phase) * grid.cell_volume
             assert abs(mean - volume) < 3.0 * stderr
-
-    def test_wavenumber_mismatch_rejected(
-        self, small_ensemble, grid, hom_medium, desk_capacity
-    ):
-        with pytest.raises(ValueError):
-            _reconstruct(small_ensemble, desk_capacity, grid, hom_medium, k=3.0)
 
 
 class TestGaussianStderr:
@@ -253,7 +247,7 @@ class TestGaussianStderr:
         sqrt((kappa - 1) / M), kappa = mean|P - mean P|^4 / (mean|P - mean P|^2)^2,
         and its square root half of that."""
         M = len(small_ensemble)
-        mesh = desk_capacity.basis.mesh
+        mesh = desk_capacity.mesh
         result = _reconstruct(small_ensemble, desk_capacity, grid, hom_medium, epsilon=0.1,
                               rho_override=2.0)
         flat = mesh.to_frame(small_ensemble).reshape(M, -1)
@@ -307,10 +301,10 @@ class TestEpsilon:
         grid = Grid3.for_ball(RP_DESK, 10)
         medium = MediumSpec((Bump((0.0, 0.1, 0.0), 0.6, 0.05),), ball_radius=1.0)
         assert np.any(evaluate_on_grid(medium, grid).values)
-        capacity = CapacityOperator(K_DESK, VshBasis(SphereMesh(1.0, 6), 6))
+        capacity = CapacityOperator(K_DESK, SphereMesh(1.0, 6))
         sigma = SourceStrength((Bump((0.0, 0.0, 0.0), 0.95, 0.1),), ball_radius=1.0)
         scattered = generate_ensemble(
-            K_DESK, medium, sigma, grid, capacity.basis.mesh, M=40, master_seed=5
+            K_DESK, medium, sigma, grid, capacity.mesh, M=40, master_seed=5
         )
         for traces, cap in ((small_ensemble, desk_capacity), (scattered, capacity)):
             got = measure_epsilon(traces, cap)
@@ -374,7 +368,7 @@ class TestSigmaHatEstimator:
         result = _reconstruct(
             traces, desk_capacity, grid, hom_medium, epsilon=0.1, rho_override=1.5
         )
-        mesh = desk_capacity.basis.mesh
+        mesh = desk_capacity.mesh
 
         def sample(xi):
             lead, data = _plane_pair(xi, result.t, mesh)
@@ -418,6 +412,20 @@ class TestSigmaHatEstimator:
         monkeypatch.setattr(reconstruct_module, "measure_epsilon", never)
         with pytest.raises(ConfigurationError, match=r"\[reconstruction\] rho_override"):
             _reconstruct(small_ensemble, desk_capacity, grid, hom_medium, rho_override=rho)
+
+    @pytest.mark.parametrize("n_frames", [0, -2])
+    def test_frame_count_below_one_rejected_first(
+        self, small_ensemble, grid, hom_medium, desk_capacity, monkeypatch, n_frames
+    ):
+        """A library caller's n_frames < 1 is refused, naming the config key,
+        before the ensemble is read; 0 divided by zero in the chunk size."""
+        def never(*args, **kwargs):
+            raise AssertionError("the ensemble was read")
+
+        monkeypatch.setattr(reconstruct_module, "_moments", never)
+        with pytest.raises(ConfigurationError, match=r"\[reconstruction\] n_frames"):
+            _reconstruct(small_ensemble, desk_capacity, grid, hom_medium, epsilon=0.1,
+                         n_frames=n_frames)
 
 
 class TestXiLattice:
@@ -520,7 +528,6 @@ class TestReconstructSigma:
         result = reconstruct_sigma(
             small_ensemble,
             desk_capacity,
-            k=K_DESK,
             R_prime=RP_DESK,
             medium=hom_medium,
             grid=grid,
@@ -547,7 +554,7 @@ class TestReconstructSigma:
         the correlation, at the estimated nodes 0 .. n // 2 and filled by
         conjugation beyond."""
         traces, capacity, kwargs = small_inhomogeneous
-        grid, medium, mesh = kwargs["grid"], kwargs["medium"], capacity.basis.mesh
+        grid, medium, mesh = kwargs["grid"], kwargs["medium"], capacity.mesh
         result = reconstruct_sigma(traces, capacity, **kwargs)
         flat = mesh.to_frame(traces).reshape(len(traces), -1)
 
@@ -636,7 +643,7 @@ class TestReconstructSigma:
         0 .. n // 2 in reverse order and share their standard errors, and
         the xi = 0 sample is real, bit for bit."""
         result = reconstruct_sigma(
-            small_ensemble[:50], desk_capacity, k=K_DESK, R_prime=RP_DESK,
+            small_ensemble[:50], desk_capacity, R_prime=RP_DESK,
             medium=hom_medium, grid=grid, rho_override=3.0, n_frames=2,
         )
         h = len(result.xi_nodes) // 2
@@ -646,7 +653,6 @@ class TestReconstructSigma:
 
     def test_deterministic_rerun(self, small_ensemble, grid, hom_medium, desk_capacity):
         kwargs = dict(
-            k=K_DESK,
             R_prime=RP_DESK,
             medium=hom_medium,
             grid=grid,
@@ -662,7 +668,7 @@ class TestReconstructSigma:
         self, small_ensemble, grid, hom_medium, desk_capacity
     ):
         kwargs = dict(
-            k=K_DESK, R_prime=RP_DESK, medium=hom_medium, grid=grid, rho_override=2.0
+            R_prime=RP_DESK, medium=hom_medium, grid=grid, rho_override=2.0
         )
         one = reconstruct_sigma(small_ensemble, desk_capacity, n_frames=1, **kwargs)
         eight = reconstruct_sigma(small_ensemble, desk_capacity, n_frames=8, **kwargs)
@@ -675,7 +681,6 @@ class TestReconstructSigma:
             reconstruct_sigma(
                 small_ensemble,
                 desk_capacity,
-                k=K_DESK,
                 R_prime=RP_DESK,
                 medium=hom_medium,
                 grid=grid,
@@ -683,12 +688,11 @@ class TestReconstructSigma:
             )
 
     def test_empty_ensemble_rejected(self, grid, hom_medium, desk_capacity):
-        mesh = desk_capacity.basis.mesh
+        mesh = desk_capacity.mesh
         with pytest.raises(ValueError):
             reconstruct_sigma(
                 np.zeros((0, mesh.n_nodes, 3), dtype=complex),
                 desk_capacity,
-                k=K_DESK,
                 R_prime=RP_DESK,
                 medium=hom_medium,
                 grid=grid,
@@ -700,11 +704,11 @@ class TestReconstructSigma:
         buffer and product, however many columns are estimated (3,120 here:
         195 estimated xi of 389, 8 frames, 2 members; four chunks)."""
         M, n_frames = 200, 8
-        capacity = CapacityOperator(K_DESK, VshBasis(SphereMesh(1.0, 6), 6))
-        N = capacity.basis.mesh.n_nodes
+        capacity = CapacityOperator(K_DESK, SphereMesh(1.0, 6))
+        N = capacity.mesh.n_nodes
         rng = np.random.default_rng(3)
         traces = rng.standard_normal((M, N, 3)) + 1j * rng.standard_normal((M, N, 3))
-        kwargs = dict(k=K_DESK, R_prime=RP_DESK, medium=MediumSpec(ball_radius=1.0),
+        kwargs = dict(R_prime=RP_DESK, medium=MediumSpec(ball_radius=1.0),
                       grid=Grid3.for_ball(RP_DESK, 8), rho_override=5.0,
                       n_frames=n_frames, epsilon=0.1)
         tracemalloc.start()
@@ -728,9 +732,9 @@ class TestReconstructSigma:
         epsilon kernels, dual chunks, lattice) does not depend on M. An M-row
         product of the traces with a chunk of duals (M x 1,024 here) would
         exceed that bound."""
-        capacity = CapacityOperator(K_DESK, VshBasis(SphereMesh(1.0, 6), 6))
-        N = capacity.basis.mesh.n_nodes
-        kwargs = dict(k=K_DESK, R_prime=RP_DESK, medium=MediumSpec(ball_radius=1.0),
+        capacity = CapacityOperator(K_DESK, SphereMesh(1.0, 6))
+        N = capacity.mesh.n_nodes
+        kwargs = dict(R_prime=RP_DESK, medium=MediumSpec(ball_radius=1.0),
                       grid=Grid3.for_ball(RP_DESK, 8), rho_override=5.0, n_frames=8)
         rng = np.random.default_rng(4)
         peaks = []
@@ -798,6 +802,21 @@ class TestStabilitySweep:
         assert len(set(ts)) == n_schedules and max(ts) < 8.0
         assert rows == want
 
+    def test_each_ensemble_dies_before_the_next_is_made(self, sweep_case):
+        """The sweep reduces each factory ensemble to its moments and keeps
+        no reference to it when it asks the factory for the next."""
+        factory, sigma, capacity, kwargs = sweep_case
+        made = []
+
+        def tracked(alpha):
+            assert all(ref() is None for ref in made), "an earlier ensemble is alive"
+            ensemble = factory(alpha)
+            made.append(weakref.ref(ensemble))
+            return ensemble
+
+        rows = stability_sweep(tracked, sigma, capacity, alphas=TWO_SCHEDULES, **kwargs)
+        assert len(rows) == len(made) == len(TWO_SCHEDULES) and made[-1]() is None
+
     @pytest.mark.parametrize("alphas", [ONE_SCHEDULE, TWO_SCHEDULES],
                              ids=["one-schedule", "two-schedules"])
     def test_cgo_solves_run_once_per_schedule(self, sweep_case, alphas, monkeypatch):
@@ -829,14 +848,14 @@ class TestStabilitySweep:
         ensemble, so its peak stays within those copies plus twice one
         chunk's dual buffer and product, as one reconstruction's does."""
         M, n_frames, alphas = 200, 8, (1.0, 0.5, 0.25, 0.125)
-        capacity = CapacityOperator(K_DESK, VshBasis(SphereMesh(1.0, 6), 6))
-        mesh = capacity.basis.mesh
+        capacity = CapacityOperator(K_DESK, SphereMesh(1.0, 6))
+        mesh = capacity.mesh
         N = mesh.n_nodes
         rng = np.random.default_rng(3)
         traces = rng.standard_normal((M, N, 3)) + 1j * rng.standard_normal((M, N, 3))
         frames = 0.01 * mesh.to_frame(traces)
         sigma = SourceStrength((Bump((0.0, 0.0, 0.0), 0.95, 0.1),), ball_radius=1.0)
-        kwargs = dict(k=K_DESK, R_prime=RP_DESK, medium=MediumSpec(ball_radius=1.0),
+        kwargs = dict(R_prime=RP_DESK, medium=MediumSpec(ball_radius=1.0),
                       grid=Grid3.for_ball(RP_DESK, 8), rho_override=5.0, n_frames=n_frames)
         tracemalloc.start()
         try:
