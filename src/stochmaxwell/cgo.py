@@ -378,7 +378,7 @@ class CgoRemainderSolver:
         self.grid = grid
         self.tol = tol
         self.max_iter = max_iter
-        m_grid = evaluate_on_grid(medium, grid).values.real
+        m_grid = evaluate_on_grid(medium, grid)
         self.homogeneous = not np.any(m_grid)
         if not self.homogeneous:  # m W vanishes off supp(m): iterate on its bounding box
             self._box = (slice(None), *_bounding_box(m_grid))

@@ -123,7 +123,7 @@ def _verify_table(cfg: ExperimentConfig) -> list:
         return max(_sup_gap(got, want) / np.max(np.abs(want)) for got, want in pairs)
 
     def ibp():
-        prof = evaluate_on_grid(sig, grid).values
+        prof = evaluate_on_grid(sig, grid)
         J, mask = np.stack([prof, np.zeros_like(prof), 0.5 * prof]), prof != 0
         trace = HomogeneousTraceMap(k, grid, mask, mesh).traces(J[:, mask].T[None])[0]
         return verify.ibp_identity(cap, grid, 1j * k * J, trace, verify.plane_waves(rng, k, 5))

@@ -56,7 +56,7 @@ def generate_ensemble(
     """
     if M < 1:
         raise ConfigurationError("ensemble size must be at least 1")
-    sig = evaluate_on_grid(sigma, grid).values.real
+    sig = evaluate_on_grid(sigma, grid)
     mask = sig > 0
     traces = np.zeros((M, mesh.n_nodes, 3), dtype=np.complex128)
     if not np.any(mask):

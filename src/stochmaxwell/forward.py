@@ -155,7 +155,7 @@ class MaxwellSolver:
         self.k = float(k)
         self.grid = grid
         self.convolver = FreeConvolver(self.k, grid)
-        self.m_grid = evaluate_on_grid(medium, grid).values.real
+        self.m_grid = evaluate_on_grid(medium, grid)
 
     def _apply_ls(self, E: np.ndarray, sel=None) -> np.ndarray:
         """(I + k^2 R0 M) E with R0 the true resolvent (curl curl - k^2)^{-1},
@@ -167,8 +167,7 @@ class MaxwellSolver:
         if source.grid != self.grid:
             raise ValueError("source grid does not match solver grid")
         b = self.convolver.apply_resolvent_array(source.values)
-        E, iters, res = (b[None], [1], [0.0]) if not np.any(self.m_grid) else solve_fixed_point(
-            self._apply_ls, b[None], tol, max_iter, "Maxwell solve")
+        E, iters, res = solve_fixed_point(self._apply_ls, b[None], tol, max_iter, "Maxwell solve")
         return ForwardSolution(VectorFieldC3(self.grid, E[0]), int(iters[0]), float(res[0]))
 
 
@@ -335,7 +334,7 @@ class HomogeneousTraceMap:
         coords = grid.nodes()[:, mask].T  # (C, 3)
         self.n_cells = C = coords.shape[0]
         contrast = (np.zeros(grid.dims, dtype=bool) if medium is None
-                    else evaluate_on_grid(medium, grid).values.real != 0)
+                    else evaluate_on_grid(medium, grid) != 0)
         axes = [] if np.any(contrast) else _mirror_axes(grid, mask)
         index = np.full(grid.dims, -1)
         index[mask] = np.arange(C)

@@ -22,7 +22,6 @@ __all__ = [
     "integrate_sphere",
     "trilinear_interpolate",
     "write_field",
-    "read_field",
     "ConfigurationError",
 ]
 
@@ -78,10 +77,6 @@ class Grid3:
         ax = self.axes()
         return np.stack(np.meshgrid(*ax, indexing="ij"))
 
-    def radii(self) -> np.ndarray:
-        x, y, z = np.meshgrid(*self.axes(), indexing="ij")
-        return np.sqrt(x * x + y * y + z * z)
-
     def contains_ball(self, radius: float) -> bool:
         lo = np.asarray(self.origin)
         hi = lo + (np.asarray(self.dims) - 1) * self.spacing
@@ -105,12 +100,6 @@ class _GridField:
             raise ValueError("field contains non-finite entries")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    def l2_norm(self, within_radius: float | None = None) -> float:
-        w = (np.abs(self.values) ** 2).reshape((-1,) + self.grid.dims).sum(axis=0)
-        if within_radius is not None:
-            w = w * (self.grid.radii() <= within_radius)
-        return float(np.sqrt(w.sum() * self.grid.cell_volume))
 
 
 @dataclass(frozen=True)
@@ -148,20 +137,6 @@ class Bump:
         inside = u2 < 1.0
         out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - u2[inside]))
         return out
-
-    def integral(self) -> float:
-        """Closed-form-free but exact-to-quadrature integral of the bump.
-
-        The radial profile has no elementary antiderivative; a fixed high-order
-        Gauss rule on [0, 1) is exact to machine precision for this analytic
-        integrand and serves as the reference value for grid-sum checks.
-        """
-        u, w = leggauss(200)
-        u = 0.5 * (u + 1.0)
-        w = 0.5 * w
-        prof = np.exp(1.0 - 1.0 / (1.0 - u ** 2))
-        val = np.sum(w * prof * u ** 2)
-        return 4.0 * np.pi * self.amplitude * self.radius ** 3 * val
 
 
 @dataclass(frozen=True)
@@ -213,17 +188,17 @@ class SourceStrength(_BumpSum):
             raise ConfigurationError("source strength bumps must have amplitude >= 0")
 
 
-def evaluate_on_grid(spec: MediumSpec | SourceStrength, grid: Grid3) -> ScalarFieldC:
-    """Sample a bump sum (a MediumSpec contrast or a SourceStrength) on grid nodes.
-
-    The result is exactly real (zero imaginary part) and deterministic.
-    """
+def evaluate_on_grid(spec: MediumSpec | SourceStrength, grid: Grid3) -> np.ndarray:
+    """Real float64 samples, shape grid.dims, of a bump sum (a MediumSpec
+    contrast or a SourceStrength) at the grid nodes; deterministic."""
     if not isinstance(spec, _BumpSum):
         raise TypeError(f"cannot evaluate {type(spec).__name__} on a grid")
     vals = spec(*np.meshgrid(*grid.axes(), indexing="ij"))
+    if not np.all(np.isfinite(vals)):
+        raise ConfigurationError("bump sum is not finite on the grid")
     if isinstance(spec, MediumSpec) and np.any(1.0 - vals <= 0):
         raise ConfigurationError("refractive index n = 1 - m must be positive")
-    return ScalarFieldC(grid, vals.astype(np.complex128))
+    return vals
 
 
 class SphereMesh:
@@ -337,18 +312,3 @@ def write_field(path, fld) -> None:
         fh.write(header.tobytes())
         fh.write(inter.tobytes())
 
-
-def read_field(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _FIELD_MAGIC:
-            raise ValueError(f"bad field magic {magic!r}")
-        header = np.frombuffer(fh.read(8 * 8), dtype="<f8")
-        dims = tuple(int(v) for v in header[:3])
-        ncomp = int(header[3])
-        grid = Grid3(origin=tuple(header[4:7]), spacing=float(header[7]), dims=dims)
-        raw = np.frombuffer(fh.read(), dtype="<f8").reshape((ncomp,) + dims + (2,))
-    cls = {1: ScalarFieldC, 3: VectorFieldC3}.get(ncomp)
-    if cls is None:
-        raise ValueError(f"unsupported component count {ncomp}")
-    return cls(grid, (raw[..., 0] + 1j * raw[..., 1]).reshape(cls.components + dims))

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import fft as sfft
 
-from .geometry import Grid3, VectorFieldC3
+from .geometry import Grid3
 
 __all__ = ["helmholtz_g", "dyadic_green", "FreeConvolver", "padded_fft_apply", "SingularityError"]
 
@@ -253,11 +253,6 @@ class FreeConvolver:
         if not np.all(np.isfinite(f)):
             raise ValueError("non-finite values in resolvent input")
         return padded_fft_apply(f, self.padded, symmetric_symbol(self._green_hat))
-
-    def apply(self, f: VectorFieldC3) -> VectorFieldC3:
-        if f.grid != self.grid:
-            raise ValueError("field grid does not match convolver grid")
-        return VectorFieldC3(self.grid, self.apply_array(f.values))
 
     def apply_resolvent_array(self, f: np.ndarray) -> np.ndarray:
         """True free resolvent (curl curl - lam^2)^{-1} f = (G * f) / (i lam).

@@ -396,7 +396,7 @@ def _reconstruct(moments, truths, capacity, R_prime, medium, grid,
             sigma_rec, residue = fourier_synthesis(xi_nodes, samples, dxi, grid)
             l2 = linf = rel = None
             if truths[i] is not None:
-                gt = evaluate_on_grid(truths[i], grid).values.real
+                gt = evaluate_on_grid(truths[i], grid)
                 diff = sigma_rec.values.real - gt
                 h3 = grid.cell_volume
                 l2 = float(np.linalg.norm(diff) * np.sqrt(h3))
@@ -434,7 +434,8 @@ def stability_sweep(ensemble_factory, sigma: SourceStrength, capacity: CapacityO
                            scaled, capacity, R_prime, medium, grid, constants, **recon_kwargs)
     rows = []
     for alpha, source, result in zip(alphas, scaled, results):
-        sig_l2 = evaluate_on_grid(source, grid).l2_norm()
+        sig = evaluate_on_grid(source, grid)
+        sig_l2 = float(np.sqrt((sig ** 2).sum() * grid.cell_volume))
         check = sig_l2 * (-np.log(result.epsilon)) ** expo
         rows.append({"alpha": alpha, "epsilon": result.epsilon, "sigma_l2": sig_l2,
                      "rel_l2_error": result.rel_l2_error, "check_quantity": check})

@@ -144,7 +144,7 @@ def cgo_residual(xi, t: float, k: float, medium: MediumSpec, grid: Grid3, tol: f
     """Worst fixed-point residual of the CGO solutions of `members` of the
     conjugate pair of (xi, t), with the solutions; zero for m = 0, where the
     plane-wave pair is exact."""
-    if not medium.is_homogeneous and not np.any(evaluate_on_grid(medium, grid).values):
+    if not medium.is_homogeneous and not np.any(evaluate_on_grid(medium, grid)):
         raise ConfigurationError("the medium contrast samples to zero on this grid")
     sols = [solve_cgo_remainder(xi, t, k, which, medium, grid, tol, max_iter) for which in members]
     return max(s.residual for s in sols), sols
@@ -175,7 +175,7 @@ def ito_isometry(k: float, sigma: SourceStrength, grid: Grid3, zeta, eta, master
     0..M-1 of strength sigma and its Ito-isometry value -k^2 int sigma U1.U2,
     in standard errors; B_j = ik int J . U_j, U_j = eta_j e^{i zeta_j . x},
     for stacked pairs zeta, eta of shape (P, 2, 3)."""
-    sig = evaluate_on_grid(sigma, grid).values.real
+    sig = evaluate_on_grid(sigma, grid)
     if not np.any(sig):
         raise ConfigurationError("the probe source strength samples to zero on this grid")
     # J vanishes off the support of sigma, so the pairings run over its cells

@@ -1,3 +1,6 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
@@ -33,3 +36,13 @@ def desk_grid():
 
 def rel_err(a, b):
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)) / np.linalg.norm(b))
+
+
+def load_bench(name):
+    """The module `bench/<name>.py`, loaded by path: the benchmark's files
+    are not installed."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -263,7 +263,7 @@ class TestCriterion9StabilityInequality:
         self, grid, desk_sigma, hom_medium, desk_capacity
     ):
         mesh = desk_capacity.mesh
-        sig_grid = evaluate_on_grid(desk_sigma, grid).values.real
+        sig_grid = evaluate_on_grid(desk_sigma, grid)
         mask = sig_grid > 0
         tmap = HomogeneousTraceMap(K_DESK, grid, mask, mesh)
         M = 200

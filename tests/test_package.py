@@ -1,6 +1,6 @@
+import ast
 import dataclasses
 import importlib
-import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -22,6 +22,8 @@ from stochmaxwell.geometry import (
     evaluate_on_grid,
 )
 
+from conftest import load_bench
+
 MODULES = ["stochmaxwell"] + [
     f"stochmaxwell.{m.name}" for m in pkgutil.iter_modules(stochmaxwell.__path__)
 ]
@@ -34,14 +36,47 @@ def test_every_export_resolves(name):
     assert not missing, f"{name}.__all__ names undefined {missing}"
 
 
+def _names_read(tree, skip=None) -> set:
+    """Every name a module reads, as a bare name or an attribute, outside
+    the subtree `skip`."""
+    read, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            read.add(node.id if isinstance(node, ast.Name) else node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return read
+
+
+def test_every_export_has_a_caller_in_the_program():
+    """No public API that only tests call: each name in a module's `__all__`
+    is read somewhere in `src/` outside its own definition and outside the
+    package `__init__.py`, which only re-exports. Module-level names only,
+    not methods. The benchmark tracer's targets are exempt: they are the
+    layers the benchmark times, under those names, whoever calls them."""
+    tracer = load_bench("tracer")
+    exempt = {target[1] for target in (*tracer.FUNCTIONS.values(), *tracer.METHODS.values())}
+    names = [n for n in MODULES if n != "stochmaxwell"]
+    trees = {n: ast.parse(open(importlib.import_module(n).__file__).read()) for n in names}
+    read = {n: _names_read(tree) for n, tree in trees.items()}
+    unread = []
+    for name, tree in trees.items():
+        for export in set(importlib.import_module(name).__all__) - exempt:
+            if any(export in read[n] for n in names if n != name):
+                continue
+            own = next((d for d in tree.body if getattr(d, "name", None) == export), None)
+            if export not in _names_read(tree, own):
+                unread.append(f"{name}.{export}")
+    assert not unread, f"exported but read by no program code: {sorted(unread)}"
+
+
 def test_benchmark_tracer_targets_exist():
     """Every layer the benchmark tracer wraps exists under its name, so a
     refactor that drops one fails here rather than only in a traced run.
     The tracer module is loaded by path and not installed."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_bench("tracer")
 
     def mod(name):
         return importlib.import_module(f"stochmaxwell.{name}")
@@ -57,7 +92,7 @@ def test_benchmark_tracer_targets_exist():
     # the trace-map counter reads the map's n_cells and mesh.n_nodes
     grid, mesh = Grid3.for_ball(1.3, 9), SphereMesh(1.0, 4)
     sigma = SourceStrength((Bump((0.0, 0.0, 0.0), 0.9, 0.1),), ball_radius=1.0)
-    tmap = forward.HomogeneousTraceMap(2.0, grid, evaluate_on_grid(sigma, grid).values.real > 0,
+    tmap = forward.HomogeneousTraceMap(2.0, grid, evaluate_on_grid(sigma, grid) > 0,
                                        mesh)
     assert isinstance(tmap.n_cells, int) and tmap.mesh.n_nodes == mesh.n_nodes
     J = np.ones((2, tmap.n_cells, 3))

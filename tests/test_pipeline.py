@@ -316,7 +316,7 @@ class TestEnsembleStore:
         args = (2.0, MediumSpec(ball_radius=1.0), sigma, grid, mesh, M, 5)
         traces = generate_ensemble(*args)
         assert np.array_equal(traces, generate_ensemble(*args))
-        sig = evaluate_on_grid(sigma, grid).values.real
+        sig = evaluate_on_grid(sigma, grid)
         tmap = HomogeneousTraceMap(2.0, grid, sig > 0, mesh)
         single = np.stack([
             tmap.traces(noise_values(noise_amplitude(sig, grid.spacing), 5, r)[:, sig > 0].T[None])[0]
@@ -359,7 +359,7 @@ class TestEnsembleStore:
         to m = 0, so the ensemble is the homogeneous one, bit for bit."""
         grid, mesh = Grid3.for_ball(1.3, 8), SphereMesh(1.0, 6)
         medium = MediumSpec((Bump((0.0, 0.1, 0.0), 0.6, 0.05),), ball_radius=1.0)
-        assert not np.any(evaluate_on_grid(medium, grid).values)
+        assert not np.any(evaluate_on_grid(medium, grid))
         sigma = SourceStrength((Bump((0.0, 0.0, 0.0), 0.95, 0.1),), ball_radius=1.0)
         args = (sigma, grid, mesh, 5, 3)
         assert np.array_equal(

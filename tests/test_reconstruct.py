@@ -40,6 +40,7 @@ from stochmaxwell.reconstruct import (
 )
 
 from conftest import K_DESK, RP_DESK, rel_err
+from oracles import l2_norm
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +72,7 @@ def small_inhomogeneous():
     six random traces on an lmax-6 mesh, t = 5 and 389 xi nodes."""
     grid = Grid3.for_ball(RP_DESK, 8)
     medium = MediumSpec((Bump((0.0, 0.0, 0.0), 0.9, 0.1),), ball_radius=1.0)
-    assert np.any(evaluate_on_grid(medium, grid).values)
+    assert np.any(evaluate_on_grid(medium, grid))
     capacity = CapacityOperator(K_DESK, SphereMesh(1.0, 6))
     rng = np.random.default_rng(8)
     shape = (6, capacity.mesh.n_nodes, 3)
@@ -224,7 +225,7 @@ class TestCorrelation:
         """Empirical correlation of the two boundary functionals matches
         -k^2 int sigma U1 . U2 dx within 3 Monte Carlo standard errors."""
         mesh = desk_capacity.mesh
-        sig = evaluate_on_grid(wide_sigma, grid).values.real
+        sig = evaluate_on_grid(wide_sigma, grid)
         nodes = grid.nodes()
         for xi in ([0.0, 0.0, 0.0], [1.0, 0.5, -0.5]):
             lead, data = _plane_pair(xi, 5.0, mesh)
@@ -300,7 +301,7 @@ class TestEpsilon:
         one scattered by a medium bump."""
         grid = Grid3.for_ball(RP_DESK, 10)
         medium = MediumSpec((Bump((0.0, 0.1, 0.0), 0.6, 0.05),), ball_radius=1.0)
-        assert np.any(evaluate_on_grid(medium, grid).values)
+        assert np.any(evaluate_on_grid(medium, grid))
         capacity = CapacityOperator(K_DESK, SphereMesh(1.0, 6))
         sigma = SourceStrength((Bump((0.0, 0.0, 0.0), 0.95, 0.1),), ball_radius=1.0)
         scattered = generate_ensemble(
@@ -405,11 +406,11 @@ class TestSigmaHatEstimator:
         self, small_ensemble, grid, hom_medium, desk_capacity, monkeypatch, rho
     ):
         """A cutoff override <= 0 is refused, naming the config key, before
-        epsilon is measured or any CGO solve runs."""
+        the ensemble is read (its moments and epsilon) or any CGO solve runs."""
         def never(*args, **kwargs):
-            raise AssertionError("measure_epsilon ran")
+            raise AssertionError("the ensemble was read")
 
-        monkeypatch.setattr(reconstruct_module, "measure_epsilon", never)
+        monkeypatch.setattr(reconstruct_module, "_moments", never)
         with pytest.raises(ConfigurationError, match=r"\[reconstruction\] rho_override"):
             _reconstruct(small_ensemble, desk_capacity, grid, hom_medium, rho_override=rho)
 
@@ -502,7 +503,7 @@ class TestFourierSynthesis:
     def test_exact_samples_recover_wide_bump(self, grid, wide_sigma):
         """With exact Fourier samples the only error is low-pass truncation;
         it shrinks as the cutoff grows."""
-        vals = evaluate_on_grid(wide_sigma, grid).values.real
+        vals = evaluate_on_grid(wide_sigma, grid)
         nodes = grid.nodes()
         errs = {}
         for rho in (5.0, 8.0):
@@ -538,7 +539,7 @@ class TestReconstructSigma:
         # sigma_hat(0) is the total mass of sigma
         origin = int(np.argmin(np.linalg.norm(result.xi_nodes, axis=1)))
         mass = float(
-            np.sum(evaluate_on_grid(wide_sigma, grid).values.real) * grid.cell_volume
+            np.sum(evaluate_on_grid(wide_sigma, grid)) * grid.cell_volume
         )
         assert abs(result.sigma_hat[origin] - mass) < 4.0 * result.stderr[origin]
         # Monte Carlo noise at M=400 on top of the 0.26 truncation floor
@@ -785,7 +786,7 @@ class TestStabilitySweep:
             )
             result = reconstruct_sigma(traces, capacity, grid=grid, epsilon=epsilon,
                                        ground_truth=scaled, **kwargs)
-            sig_l2 = evaluate_on_grid(scaled, grid).l2_norm()
+            sig_l2 = l2_norm(evaluate_on_grid(scaled, grid), grid)
             rows.append({"alpha": alpha, "epsilon": epsilon, "sigma_l2": sig_l2,
                          "rel_l2_error": result.rel_l2_error,
                          "check_quantity": sig_l2 * (-np.log(epsilon)) ** (4.0 / 9.0)})  # s = 1
