@@ -22,7 +22,7 @@ from .geometry import (
 from .greens import FreeConvolver, dyadic_green, helmholtz_g
 from .forward import MaxwellSolver, SolverError
 from .sphharm import VshBasis
-from .capacity import CapacityOperator, boundary_functional
+from .capacity import CapacityOperator
 from .ensemble import generate_ensemble, read_ensemble, write_ensemble
 from .cgo import CgoSolution, StabilityConstants, build_zeta_eta, solve_cgo_remainder
 from .reconstruct import (
@@ -52,7 +52,6 @@ __all__ = [
     "SolverError",
     "VshBasis",
     "CapacityOperator",
-    "boundary_functional",
     "generate_ensemble",
     "read_ensemble",
     "write_ensemble",

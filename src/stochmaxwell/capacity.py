@@ -1,5 +1,4 @@
-"""Electromagnetic Dirichlet-to-Neumann (capacity) operator on the sphere and
-the boundary functional pairing traces with homogeneous test solutions.
+"""Electromagnetic Dirichlet-to-Neumann (capacity) operator on the sphere.
 
 The per-degree multipliers are not transcribed from a closed form. Instead the
 two radiating multipole families are evaluated analytically on the mesh and the
@@ -13,14 +12,13 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.special import spherical_jn, spherical_yn
 
-from .geometry import SphereMesh, integrate_sphere
+from .geometry import SphereMesh
 from .sphharm import VshBasis, scalar_ylm
 
 __all__ = [
     "spherical_h1",
     "radiating_multipole",
     "CapacityOperator",
-    "boundary_functional",
 ]
 
 # rows of one circulant application: bounds its work arrays to a few
@@ -170,31 +168,3 @@ class CapacityOperator:
             raise ValueError("sample count does not match mesh")
         return mesh.from_frame(self.apply_frame(mesh.to_frame(samples)))
 
-
-def boundary_functional(
-    trace: np.ndarray,
-    tm_trace: np.ndarray,
-    u_samples: np.ndarray,
-    curlu_samples: np.ndarray,
-    k: float,
-    mesh: SphereMesh,
-) -> complex:
-    """Surface functional equal to the volume pairing of the source with U.
-
-    For E radiating with source f inside the sphere and U solving the
-    homogeneous equation, integration by parts twice gives
-
-        int_{B_R} f . U dx
-            = - int_{dB_R} [ i k T(E x nu) . U + (E x nu) . (curl U) ] ds,
-
-    and this function returns the right-hand side (the overall sign is fixed
-    against the direct volume quadrature, see the deterministic tests).
-    Linear in the trace pair.
-    """
-    for arr in (trace, tm_trace, u_samples, curlu_samples):
-        if np.asarray(arr).shape != (mesh.n_nodes, 3):
-            raise ValueError("all boundary samples must have shape (n_nodes, 3)")
-    integrand = 1j * k * np.sum(tm_trace * u_samples, axis=1) + np.sum(
-        trace * curlu_samples, axis=1
-    )
-    return -integrate_sphere(integrand, mesh)

@@ -49,7 +49,6 @@ __all__ = [
     "build_frame",
     "build_zeta_eta",
     "box_radius",
-    "plane_wave_on",
     "solve_cgo_remainder",
     "cgo_product_remainder",
     "cgo_on_sphere",
@@ -151,19 +150,6 @@ def box_radius(grid: Grid3) -> float:
     """Distance from the origin to the farthest grid-box corner, the radius the
     overflow guard of `build_zeta_eta` is checked at."""
     return float(np.sqrt(3.0) * max(abs(ax[0]) for ax in grid.axes()))
-
-
-def plane_wave_on(zeta: np.ndarray, eta: np.ndarray, points: np.ndarray):
-    """(U, curl U) of the exact plane-wave part U = eta e^{i zeta . x} at
-    points (N, 3); curl U = i zeta x eta e^{i zeta . x}.
-
-    Stacked pairs zeta, eta of shape (C, 3) give (C, N, 3) arrays. The phase
-    is an elementwise sum over the three coordinates, so each column has the
-    same bits as its own single-pair call.
-    """
-    arg = sum(zeta[..., i, None] * points[:, i] for i in range(3))
-    phase = np.exp(1j * arg)[..., None]
-    return phase * eta[..., None, :], phase * np.cross(1j * zeta, eta)[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -456,7 +442,7 @@ def solve_cgo_remainder(
 
 
 def cgo_product_remainder(sol1: CgoSolution, sol2: CgoSolution):
-    """Leading coefficient eta1 . eta2 and remainder r of
+    """Leading coefficient eta1 . eta2 and remainder r (nx, ny, nz) of
     U1 . U2 = e^{-i xi x}(leading + r).
 
     Expanding the bilinear product of the two amplitudes eta_j + W_j,
@@ -472,7 +458,7 @@ def cgo_product_remainder(sol1: CgoSolution, sol2: CgoSolution):
         raise ValueError("solutions do not share a grid")
     W1, W2 = sol1.W, sol2.W
     r = np.tensordot(sol1.eta, W2, axes=1) + np.tensordot(sol2.eta, W1, axes=1)
-    return sol1.eta @ sol2.eta, ScalarFieldC(sol1.grid, r + np.sum(W1 * W2, axis=0))
+    return sol1.eta @ sol2.eta, r + np.sum(W1 * W2, axis=0)
 
 
 def cgo_on_sphere(zeta, eta, W, grid: Grid3, mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -481,11 +467,13 @@ def cgo_on_sphere(zeta, eta, W, grid: Grid3, mesh) -> tuple[np.ndarray, np.ndarr
     components: zeta, eta (C, 3), corrections W (C, 3, nx, ny, nz), or None
     for m = 0; returns (C, N, 2) arrays.
 
-    The plane-phase part is analytic: curl(eta e^{i zeta x}) =
-    i zeta x eta e^{i zeta x}, so its components are the phase times
-    eta . e_t and (i zeta x eta) . e_t, one (2C, 3) x (3, 2N) product with
-    the frame vectors e_t. The corrections are interpolated trilinearly, their
-    curls taken by grid stencils first, all columns at once, and projected.
+    The phase is exact at the nodes: curl(e^{i zeta x} A) =
+    e^{i zeta x}(i zeta x A + curl A). For the plane-wave part A = eta, so its
+    components are the phase times eta . e_t and (i zeta x eta) . e_t, one
+    (2C, 3) x (3, 2N) product with the frame vectors e_t. The corrections
+    and their curls (by grid stencils, all columns at once) are interpolated
+    trilinearly, then multiplied by the same nodal phase; the grid samples
+    never carry it.
     """
     C, N = len(zeta), mesh.n_nodes
     frame = mesh.frame.transpose(1, 0, 2).reshape(3, 2 * N)  # column (n, t): e_t at node n
@@ -493,11 +481,9 @@ def cgo_on_sphere(zeta, eta, W, grid: Grid3, mesh) -> tuple[np.ndarray, np.ndarr
     phase = np.exp(1j * sum(zeta[:, i, None] * mesh.nodes[:, i] for i in range(3)))
     U, curlU = amps.reshape(2, C, N, 2) * phase[..., None]
     if W is not None:
-        X = grid.nodes()
-        phase = np.exp(1j * sum(zeta[:, i, None, None, None] * X[i] for i in range(3)))
-        W = W * phase[:, None]
         both = np.concatenate([W, curl_grid(W, grid.spacing)], axis=1)
-        vals = trilinear_interpolate(both, grid, mesh.nodes).reshape(C, 2, 3, N)
-        vals = mesh.to_frame(vals.swapaxes(2, 3))  # (C, 2, N, 2): W, then curl W
-        U, curlU = U + vals[:, 0], curlU + vals[:, 1]
+        Wn, cWn = trilinear_interpolate(both, grid, mesh.nodes).reshape(C, 2, 3, N).swapaxes(0, 1)
+        cWn += np.cross(1j * zeta[:, :, None], Wn, axis=1)  # i zeta x W + curl W
+        vals = mesh.to_frame(np.stack([Wn, cWn]).swapaxes(2, 3)) * phase[..., None]
+        U, curlU = U + vals[0], curlU + vals[1]
     return U, curlU

@@ -201,7 +201,7 @@ def run_reconstruct(cfg: ExperimentConfig, out_dir: str) -> dict:
         [(*xi, sh.real, sh.imag, se)
          for xi, sh, se in zip(result.xi_nodes, result.sigma_hat, result.stderr)],
     )
-    write_field(os.path.join(rec_dir, "sigma_rec.bin"), result.sigma_rec)
+    write_field(os.path.join(rec_dir, "sigma_rec.bin"), result.sigma_rec, cfg.grid())
     run_manifest = {
         "kind": "reconstruction",
         "config_text": cfg.to_text(),

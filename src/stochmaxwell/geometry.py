@@ -19,7 +19,6 @@ __all__ = [
     "SourceStrength",
     "SphereMesh",
     "evaluate_on_grid",
-    "integrate_sphere",
     "trilinear_interpolate",
     "write_field",
     "ConfigurationError",
@@ -255,14 +254,6 @@ class SphereMesh:
         return comps[..., 0, None] * self.theta_hat + comps[..., 1, None] * self.phi_hat
 
 
-def integrate_sphere(values: np.ndarray, mesh: SphereMesh):
-    """Quadrature sum of scalar samples (N,) over the sphere."""
-    v = np.asarray(values)
-    if v.shape != (mesh.n_nodes,):
-        raise ValueError(f"got samples of shape {v.shape} for a {mesh.n_nodes}-node mesh")
-    return complex(np.sum(mesh.weights * v))
-
-
 def trilinear_interpolate(values: np.ndarray, grid: Grid3, points: np.ndarray) -> np.ndarray:
     """Trilinear interpolation of grid samples at arbitrary points.
 
@@ -290,19 +281,20 @@ def trilinear_interpolate(values: np.ndarray, grid: Grid3, points: np.ndarray) -
 _FIELD_MAGIC = b"EMFLD001"
 
 
-def write_field(path, fld) -> None:
-    """Little-endian binary field dump.
+def write_field(path, values: np.ndarray, grid: Grid3) -> None:
+    """Little-endian binary dump of samples `components + grid.dims`, real or
+    complex.
 
     Layout: 8-byte magic, then 8 float64 values (nx, ny, nz, ncomp, ox, oy, oz,
-    h), then the samples as interleaved re/im float64, component-major with C
-    node ordering.
+    h), then the samples as interleaved re/im float64 (im = 0 for real
+    samples), component-major with C node ordering.
     """
-    if not isinstance(fld, _GridField):
-        raise TypeError("expected ScalarFieldC or VectorFieldC3")
-    g = fld.grid
-    data = fld.values.reshape((-1,) + g.dims)
+    values = np.asarray(values)
+    if values.shape[-3:] != grid.dims:
+        raise ValueError(f"value shape {values.shape} does not end in the grid dims {grid.dims}")
+    data = values.reshape((-1,) + grid.dims)
     header = np.asarray(
-        [*g.dims, data.shape[0], *g.origin, g.spacing], dtype="<f8"
+        [*grid.dims, data.shape[0], *grid.origin, grid.spacing], dtype="<f8"
     )
     inter = np.empty(data.shape + (2,), dtype="<f8")
     inter[..., 0] = data.real
@@ -311,4 +303,3 @@ def write_field(path, fld) -> None:
         fh.write(_FIELD_MAGIC)
         fh.write(header.tobytes())
         fh.write(inter.tobytes())
-

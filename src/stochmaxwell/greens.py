@@ -17,9 +17,11 @@ Those averages are integrated on the wedge 0 <= o_x <= o_y <= o_z of cell
 offsets only. G(P d) = P G(d) P^T for every signed permutation P, and the
 Gauss-Legendre nodes are antisymmetric and the weights symmetric bit for
 bit, so the rule on cell P o is P applied to the rule on cell o and
-avg(P o) = P avg(o) P^T. The singular cell's (u, phi) direction grid is
-invariant under u -> -u, phi -> -phi and phi -> pi - phi, so one octant of
-it carries the whole sum and the off-diagonal entries are exactly 0.
+avg(P o) = P avg(o) P^T. The singular cell is fixed by all 48 signed
+permutations, so its average commutes with each of them and is a multiple of
+I: the traceless part of the Hessian integrates to 0 over it. Its one scalar
+is integrated on one octant of a (u, phi) direction grid that is invariant
+under u -> -u, phi -> -phi and phi -> pi - phi.
 """
 from __future__ import annotations
 
@@ -139,10 +141,9 @@ def _near_cell_averages(lam: float, h: float, nc: int):
 
     Regular cells use tensor Gauss-Legendre quadrature on the wedge (module
     docstring), each made exactly invariant under the signed permutations
-    that fix its offset. The singular cell is integrated in spherical
-    coordinates about the origin, where the traceless part of the Hessian
-    vanishes identically over the inscribed ball (its angular mean is zero)
-    and the isotropic part carries (1/3)(Delta g - delta) = -(lam^2 g + delta)/3.
+    that fix its offset. The singular cell is isotropic (module docstring):
+    integrated in spherical coordinates about the origin, its trace part
+    carries (1/3)(Delta g - delta) = -(lam^2 g + delta)/3.
     """
     def cube(x):  # tensor-product nodes of the 1D nodes x, (len(x)^3, 3)
         return np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -174,8 +175,8 @@ def _near_cell_averages(lam: float, h: float, nc: int):
     val *= sgn[:, :, None] * sgn[:, None, :]
     full = np.where(off & ((offs == 0)[:, :, None] | (offs == 0)[:, None, :]), 0.0, val)
 
-    # singular cell: directions x radial closed form / quadrature, over the
-    # octant u > 0, 0 < phi < pi/2 of the 64 x 128 (u, phi) grid, weights x 8
+    # singular cell: directions x radial closed form, over the octant u > 0,
+    # 0 < phi < pi/2 of the 64 x 128 (u, phi) grid, weights x 8
     u, wu = (v[32:] for v in np.polynomial.legendre.leggauss(64))
     phi = (np.arange(32) + 0.5) * (np.pi / 64)
     su = np.sqrt(1.0 - u[:, None] ** 2)
@@ -186,17 +187,8 @@ def _near_cell_averages(lam: float, h: float, nc: int):
     e = np.exp(1j * lam * rho)
     rad_g = rho * e / (1j * lam) + (e - 1.0) / lam ** 2
     int_g = np.sum(wang * rad_g) / (4.0 * np.pi)
-
-    # traceless part: int_{h/2}^{rho} b r^4 dr = (i/lam) int (g'' - g'/r) r^2 dr
-    # per direction; the octant's sum of wt omega omega^T is diag(t, t, z)
-    xg, wg = np.polynomial.legendre.leggauss(24)
-    half = 0.5 * (rho - 0.5 * h)
-    rr = (0.5 * (rho + 0.5 * h))[:, None] + half[:, None] * xg
-    rad_tl = np.sum(wg * _green_coeffs(lam, rr)[1] * rr ** 4, axis=1) * half
-    wt, u2 = wang * rad_tl, np.repeat(u ** 2, 32)
-    T = np.diag([-1.0, -1.0, 2.0]) * (np.sum(wt * u2) - np.sum(wt * (1.0 - u2)) / 2.0) / 3.0
     iso = (-(lam ** 2) * int_g - 1.0) / 3.0
-    full[len(offs) // 2] = (T + (1j * lam * int_g + (1j / lam) * iso) * np.eye(3)) / h ** 3
+    full[len(offs) // 2] = (1j * lam * int_g + (1j / lam) * iso) * np.eye(3) / h ** 3
 
     iu, ju = np.array(_UPPER).T
     avg = np.ascontiguousarray(full[:, iu, ju].T)

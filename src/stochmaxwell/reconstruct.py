@@ -39,8 +39,7 @@ import numpy as np
 
 from .capacity import CapacityOperator
 from .cgo import CgoRemainderSolver, StabilityConstants, box_radius, build_zeta_eta, cgo_on_sphere
-from .geometry import (ConfigurationError, Grid3, MediumSpec, ScalarFieldC, SourceStrength,
-                       evaluate_on_grid)
+from .geometry import ConfigurationError, Grid3, MediumSpec, SourceStrength, evaluate_on_grid
 
 __all__ = ["KernelEpsilon", "ReconstructionResult", "dual_functional_vector", "measure_epsilon",
            "select_parameters", "build_xi_lattice", "hermitian_symmetrize", "fourier_synthesis",
@@ -85,7 +84,7 @@ class ReconstructionResult:
     sample_count: int
     sigma_hat: np.ndarray  # (n_xi,) samples; node n_xi - 1 - i is conj of node i
     stderr: np.ndarray  # (n_xi,) Monte Carlo standard error, mirrored like sigma_hat
-    sigma_rec: ScalarFieldC
+    sigma_rec: np.ndarray  # grid.dims, real float64
     imag_residue: float
     l2_error: float | None = None
     linf_error: float | None = None
@@ -106,10 +105,17 @@ def dual_functional_vector(capacity: CapacityOperator, u: np.ndarray,
     """Dual vector D (..., N, 2) of the boundary functional for fixed test data
     (U, curl U) given by their (theta_hat, phi_hat) frame components (..., N, 2).
 
-    sum_{n,t} x_{n,t} D_{n,t} reproduces `boundary_functional` for every
-    tangential trace with frame components x: with C the capacity on frame
-    components, sum_n w_n U_n . (C x)_n = sum (C^T (w U)) . x, so
-    D = -(i k C^T (w U) + w curl U), a plain bilinear nodal pairing.
+    The functional is integration by parts against U: for E radiating with
+    source f inside the sphere and U solving the homogeneous equation,
+
+        int_{B_R} f . U dx = - int_{dB_R} [ i k T(E x nu) . U + (E x nu) . curl U ] ds
+
+    with T the capacity operator. With x the frame components of E x nu, C
+    the capacity on frame components and w the quadrature weights,
+    sum_n w_n U_n . (C x)_n = sum (C^T (w U)) . x, so sum_{n,t} x_{n,t} D_{n,t}
+    is the quadrature of the right-hand side for D = -(i k C^T (w U) + w curl U),
+    a plain bilinear nodal pairing. `verify.ibp_identity` checks it against
+    the volume side.
     """
     w = capacity.mesh.weights[:, None]
     return -(1j * capacity.k * capacity.apply_frame_transpose(w * u) + w * curlu)
@@ -233,14 +239,14 @@ def hermitian_symmetrize(xi_nodes: np.ndarray, values: np.ndarray) -> np.ndarray
 
 def fourier_synthesis(
     xi_nodes: np.ndarray, sigma_hat: np.ndarray, dxi: float, grid: Grid3
-) -> tuple[ScalarFieldC, float]:
+) -> tuple[np.ndarray, float]:
     """Trapezoidal inverse transform (2pi)^{-3} sum sigma_hat e^{i xi . x} dxi^3.
 
     The nodes lie on the dxi lattice and the grid is Cartesian, so the phase
     factors per axis: the samples are scattered into the (2 nmax + 1)^3 index
     cube, which is contracted with one (2 nmax + 1, n) phase table per axis.
-    Returns the real part as a field plus the relative norm of the discarded
-    imaginary residue.
+    Returns the real part, float64 of shape grid.dims, plus the relative norm
+    of the discarded imaginary residue.
     """
     idx = np.rint(np.asarray(xi_nodes) / dxi).astype(np.int64)
     if not np.allclose(idx * dxi, xi_nodes, rtol=0.0, atol=1e-9 * dxi):
@@ -255,7 +261,7 @@ def fourier_synthesis(
     rec *= dxi ** 3 / (2.0 * np.pi) ** 3
     norm = np.linalg.norm(rec)
     residue = float(np.linalg.norm(rec.imag) / norm) if norm > 0 else 0.0
-    return ScalarFieldC(grid, rec.real.astype(np.complex128)), residue
+    return rec.real.copy(), residue
 
 
 def _frame_moments(D: np.ndarray, M: int, K0: np.ndarray, Kc: np.ndarray):
@@ -397,7 +403,7 @@ def _reconstruct(moments, truths, capacity, R_prime, medium, grid,
             l2 = linf = rel = None
             if truths[i] is not None:
                 gt = evaluate_on_grid(truths[i], grid)
-                diff = sigma_rec.values.real - gt
+                diff = sigma_rec - gt
                 h3 = grid.cell_volume
                 l2 = float(np.linalg.norm(diff) * np.sqrt(h3))
                 linf = float(np.max(np.abs(diff)))

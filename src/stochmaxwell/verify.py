@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .capacity import boundary_functional, radiating_multipole
-from .cgo import CgoSolution, cgo_product_remainder, plane_wave_on, solve_cgo_remainder
+from .capacity import radiating_multipole
+from .cgo import CgoSolution, cgo_on_sphere, cgo_product_remainder, solve_cgo_remainder
 from .forward import curl_grid, noise_amplitude, noise_positions, noise_values
 from .geometry import (
     ConfigurationError, Grid3, MediumSpec, SourceStrength, evaluate_on_grid,
 )
 from .greens import FreeConvolver, dyadic_green, helmholtz_g
+from .reconstruct import dual_functional_vector
 
 __all__ = [
     "green_reciprocity", "green_hessian_fd", "near_cell_probe", "convolution_vs_direct",
@@ -125,17 +126,21 @@ def plane_waves(rng, k: float, n: int) -> list:
 def ibp_identity(capacity, grid: Grid3, source, trace, waves) -> float:
     """Worst relative gap between the boundary functional of `trace` (E x nu
     on the capacity mesh of the field radiated by `source`, given on the grid)
-    and the volume pairing int source . U over plane waves U = eta e^{i d.x}."""
+    and the volume pairing int source . U over plane waves U = eta e^{i d.x}.
+    The boundary side takes the reconstruction's route: a plane wave is a CGO
+    pair with real zeta, sampled by `cgo_on_sphere` and paired with the
+    trace's frame components through `dual_functional_vector`."""
     if not np.any(source):
         raise ConfigurationError("the probe source samples to zero on this grid")
-    mesh = capacity.mesh
-    tm, nodes = capacity.apply(trace), grid.nodes()
+    ds, etas = (np.array(v) for v in zip(*waves))
+    mesh, nodes = capacity.mesh, grid.nodes()
+    duals = dual_functional_vector(capacity, *cgo_on_sphere(ds, etas, None, grid, mesh))
+    bnd = np.einsum("cnt,nt->c", duals, mesh.to_frame(trace))
     worst = 0.0
-    for d, eta in waves:
+    for (d, eta), b in zip(waves, bnd):
         phase = np.exp(1j * np.tensordot(d, nodes, axes=1))
         vol = np.sum(source * phase[None] * eta[:, None, None, None]) * grid.cell_volume
-        bnd = boundary_functional(trace, tm, *plane_wave_on(d, eta, mesh.nodes), capacity.k, mesh)
-        worst = max(worst, float(abs(bnd - vol) / abs(vol)))
+        worst = max(worst, float(abs(b - vol) / abs(vol)))
     return worst
 
 
@@ -166,7 +171,7 @@ def cgo_product_identity(sol1: CgoSolution, sol2: CgoSolution):
     the grid: the amplitude product, and leading + r from the cross-term
     expansion `cgo_product_remainder`."""
     lead, rem = cgo_product_remainder(sol1, sol2)
-    return np.sum(sol1.amplitude() * sol2.amplitude(), axis=0), lead + rem.values
+    return np.sum(sol1.amplitude() * sol2.amplitude(), axis=0), lead + rem
 
 
 def ito_isometry(k: float, sigma: SourceStrength, grid: Grid3, zeta, eta, master_seed: int,

@@ -1,6 +1,7 @@
 """Test-only oracles: identities the suite checks that `stochmaxwell verify`
-does not probe. Each takes its probe data and returns the measured
-quantity."""
+does not probe, and Cartesian reference copies of quantities the program
+computes on frame components. Each takes its probe data and returns the
+measured or reference quantity."""
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -80,3 +81,22 @@ def remainder_norm(sol: CgoSolution, radius: float) -> float:
     """||f||_L2 + ||V||_L2 of a CGO correction over the ball of `radius`."""
     return (l2_norm(sol.f.values, sol.grid, within_radius=radius)
             + l2_norm(sol.V.values, sol.grid, within_radius=radius))
+
+
+def plane_wave_on(zeta, eta, points):
+    """(U, curl U) of the plane wave U = eta e^{i zeta . x} at points (N, 3),
+    Cartesian, with curl U = i zeta x eta e^{i zeta . x}: the reference for
+    the plane-wave part of `cgo.cgo_on_sphere`."""
+    phase = np.exp(1j * (np.asarray(points) @ zeta))[:, None]
+    return phase * eta[None, :], phase * np.cross(1j * zeta, eta)[None, :]
+
+
+def boundary_functional(capacity, trace, u, curlu) -> complex:
+    """-int_{dB_R} [i k T(E x nu) . U + (E x nu) . curl U] ds by the mesh
+    quadrature, for a Cartesian trace E x nu and test data (U, curl U) at the
+    capacity's mesh nodes (N, 3): integration by parts against U, written
+    out in Cartesian components as the reference for
+    `reconstruct.dual_functional_vector`."""
+    integrand = 1j * capacity.k * np.sum(capacity.apply(trace) * u, axis=1)
+    integrand += np.sum(trace * curlu, axis=1)
+    return -complex(np.sum(capacity.mesh.weights * integrand))

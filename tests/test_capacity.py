@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from stochmaxwell import capacity as capacity_module
 from stochmaxwell.capacity import (
     CapacityOperator,
-    boundary_functional,
     radiating_multipole,
     spherical_h1,
 )
@@ -194,9 +193,9 @@ class TestConstruction:
 
 class TestBoundaryFunctional:
     def test_equals_volume_pairing(self, desk_capacity):
-        """The surface functional reproduces int f . U dx for a radiating
-        field with smooth interior source f and a homogeneous test solution U
-        (plane wave with |d| = k)."""
+        """The surface functional, through the dual vectors, reproduces
+        int f . U dx for a radiating field with smooth interior source f and
+        a homogeneous test solution U (plane wave with |d| = k)."""
         k = K_DESK
         mesh = desk_capacity.mesh
         grid = Grid3.for_ball(1.3, 33)
@@ -211,23 +210,3 @@ class TestBoundaryFunctional:
         eta = np.array([2.0, -1.0, 0.0]) / np.sqrt(5.0)  # eta . d = 0
         # the source of the radiating field E = G * J is ik J
         assert ibp_identity(desk_capacity, grid, 1j * k * J, trace, [(d, eta)]) < 1e-2
-
-    def test_linearity_in_trace(self, desk_capacity):
-        mesh = desk_capacity.mesh
-        rng = np.random.default_rng(9)
-        t1, t2, U, cU = (
-            rng.standard_normal((mesh.n_nodes, 3))
-            + 1j * rng.standard_normal((mesh.n_nodes, 3))
-            for _ in range(4)
-        )
-        a = boundary_functional(t1, desk_capacity.apply(t1), U, cU, K_DESK, mesh)
-        b = boundary_functional(t2, desk_capacity.apply(t2), U, cU, K_DESK, mesh)
-        tr = t1 + 2.0 * t2
-        c = boundary_functional(tr, desk_capacity.apply(tr), U, cU, K_DESK, mesh)
-        assert abs(c - (a + 2.0 * b)) < 1e-10 * abs(c)
-
-    def test_shape_validation(self, desk_capacity):
-        mesh = desk_capacity.mesh
-        good = np.zeros((mesh.n_nodes, 3), dtype=complex)
-        with pytest.raises(ValueError):
-            boundary_functional(good[:-1], good, good, good, K_DESK, mesh)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import stochmaxwell
-from stochmaxwell import cgo, ensemble, forward, reconstruct
+from stochmaxwell import cgo, ensemble, forward, reconstruct, verify
 from stochmaxwell.capacity import CapacityOperator
 from stochmaxwell.geometry import (
     Bump,
@@ -134,6 +134,15 @@ def test_reconstruction_calls_the_traced_cgo_layers():
     cover the reconstruct stage."""
     assert reconstruct.build_zeta_eta is cgo.build_zeta_eta
     assert reconstruct.cgo_on_sphere is cgo.cgo_on_sphere
+
+
+def test_verify_pairs_through_the_reconstruction_functional():
+    """The ibp row of `stochmaxwell verify` samples its plane waves and
+    pairs them with the trace through the reconstruction's own functions, so
+    it certifies the route the Fourier samples take and cannot drift to a
+    private copy."""
+    assert verify.dual_functional_vector is reconstruct.dual_functional_vector
+    assert verify.cgo_on_sphere is cgo.cgo_on_sphere
 
 
 def test_every_contrast_solve_is_one_fixed_point_solve(monkeypatch):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from stochmaxwell import cgo, cli, reconstruct, verify
+from stochmaxwell.capacity import CapacityOperator
 from stochmaxwell.cgo import CgoRemainderSolver, build_zeta_eta
 from stochmaxwell.cli import (
     EXIT_CONFIG,
@@ -519,7 +520,20 @@ class TestCliVerify:
         assert main(["verify", "--config", str(p), "--out", out]) == EXIT_VERIFY
         report = json.loads((tmp_path / "v" / "verify.json").read_text())
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
-        assert "capacity_multipole_identity" in failed
+        assert {"capacity_multipole_identity", "ibp_identity"} <= failed
+
+    def test_broken_transpose_fails_the_ibp_row(self, small_cfg, tmp_path, monkeypatch):
+        """The ibp row pairs through the reconstruction's dual vectors, so a
+        transposed capacity that drops its frequency reflection, S_m^T for
+        S_{-m}^T, fails it; the capacity row, which applies C itself, still
+        passes."""
+        def unreflected(self, comps):
+            return self._convolve(comps, self._symbol.transpose(0, 2, 1))
+
+        monkeypatch.setattr(CapacityOperator, "apply_frame_transpose", unreflected)
+        report, ok = cli.run_verify(small_cfg, str(tmp_path / "v"))
+        failed = {c["name"] for c in report["checks"] if not c["passed"]}
+        assert not ok and failed == {"ibp_identity"}
 
     def test_inhomogeneous_config_passes(self, tmp_path):
         """The ibp pairing takes its trace from the trace map, as the

@@ -8,7 +8,7 @@ import pytest
 
 from stochmaxwell import cgo
 from stochmaxwell import reconstruct as reconstruct_module
-from stochmaxwell.capacity import CapacityOperator, boundary_functional
+from stochmaxwell.capacity import CapacityOperator
 from stochmaxwell.cgo import (
     CgoRemainderSolver,
     ConjugatedResolvent,
@@ -40,7 +40,7 @@ from stochmaxwell.reconstruct import (
 )
 
 from conftest import K_DESK, RP_DESK, rel_err
-from oracles import l2_norm
+from oracles import boundary_functional, l2_norm
 
 
 @pytest.fixture(scope="module")
@@ -131,9 +131,9 @@ def _reconstruct(traces, capacity, grid, medium, **kwargs):
 class TestDualVector:
     def test_reproduces_boundary_functional(self, desk_capacity):
         """The folded dual vector, paired with the frame components of a
-        trace, gives the identical value as the explicit surface functional
-        for arbitrary tangential traces and test data, column by column for
-        stacked test data."""
+        trace, gives the identical value as the explicit Cartesian surface
+        functional of `oracles` for arbitrary tangential traces and test
+        data, column by column for stacked test data."""
         mesh = desk_capacity.mesh
         rng = np.random.default_rng(21)
         U, curlU = (
@@ -147,9 +147,7 @@ class TestDualVector:
                 (mesh.n_nodes, 2)
             )
             tr = mesh.from_frame(comps)
-            want = boundary_functional(
-                tr, desk_capacity.apply(tr), U, curlU, K_DESK, mesh
-            )
+            want = boundary_functional(desk_capacity, tr, U, curlU)
             got = np.sum(comps * dual)
             assert abs(got - want) < 1e-12 * abs(want)
         # a (3, N, 3) stack of test data gives each column's own dual vector
@@ -517,7 +515,7 @@ class TestFourierSynthesis:
             )
             rec, residue = fourier_synthesis(xi_nodes, sh, dxi, grid)
             assert residue < 1e-12
-            errs[rho] = rel_err(rec.values.real, vals)
+            errs[rho] = rel_err(rec, vals)
         assert errs[8.0] < 0.2
         assert errs[8.0] < errs[5.0]
 
@@ -663,7 +661,7 @@ class TestReconstructSigma:
         a = reconstruct_sigma(small_ensemble[:50], desk_capacity, **kwargs)
         b = reconstruct_sigma(small_ensemble[:50], desk_capacity, **kwargs)
         assert np.array_equal(a.sigma_hat, b.sigma_hat)
-        assert np.array_equal(a.sigma_rec.values, b.sigma_rec.values)
+        assert np.array_equal(a.sigma_rec, b.sigma_rec)
 
     def test_frame_average_reduces_stderr(
         self, small_ensemble, grid, hom_medium, desk_capacity
