@@ -14,17 +14,15 @@ from .geometry import (
     ConfigurationError,
     Grid3,
     MediumSpec,
-    ScalarFieldC,
     SourceStrength,
     SphereMesh,
-    VectorFieldC3,
 )
 from .greens import FreeConvolver, dyadic_green, helmholtz_g
 from .forward import MaxwellSolver, SolverError
 from .sphharm import VshBasis
 from .capacity import CapacityOperator
 from .ensemble import generate_ensemble, read_ensemble, write_ensemble
-from .cgo import CgoSolution, StabilityConstants, build_zeta_eta, solve_cgo_remainder
+from .cgo import CgoSolution, build_zeta_eta, solve_cgo_remainder
 from .reconstruct import (
     ReconstructionResult,
     measure_epsilon,
@@ -41,10 +39,8 @@ __all__ = [
     "ConfigurationError",
     "Grid3",
     "MediumSpec",
-    "ScalarFieldC",
     "SourceStrength",
     "SphereMesh",
-    "VectorFieldC3",
     "FreeConvolver",
     "dyadic_green",
     "helmholtz_g",
@@ -56,7 +52,6 @@ __all__ = [
     "read_ensemble",
     "write_ensemble",
     "CgoSolution",
-    "StabilityConstants",
     "build_zeta_eta",
     "solve_cgo_remainder",
     "ReconstructionResult",

@@ -85,8 +85,8 @@ class CapacityOperator:
     != 1 deliberately corrupts the operator and exists only as a negative
     control for verification runs.
 
-    It owns `k` and the mesh, and builds a `VshBasis` of degree `lmax`
-    (default: the mesh's) only to set up its multipliers and symbols.
+    It owns `k` and the mesh, and builds a `VshBasis` of the mesh's degree
+    only to set up its multipliers and symbols.
 
     The operator commutes with the rotation of the mesh by one azimuthal
     step, which maps node (i, j) (polar index i, azimuthal index j) to
@@ -96,15 +96,14 @@ class CapacityOperator:
     from its action on the frame vectors of the meridian j = 0.
     """
 
-    def __init__(self, k: float, mesh: SphereMesh, lmax: int | None = None,
-                 fault_scale: float = 1.0):
+    def __init__(self, k: float, mesh: SphereMesh, fault_scale: float = 1.0):
         if k <= 0:
             raise ValueError("wavenumber must be positive")
         self.k = float(k)
         self.mesh = mesh
-        basis = VshBasis(mesh, lmax)  # its mode tables go when this build returns
+        basis = VshBasis(mesh)  # its mode tables go when this build returns
         self._blocks = np.empty((2, 2, basis.n_modes), dtype=np.complex128)
-        for l in range(1, basis.lmax + 1):
+        for l in range(1, mesh.lmax + 1):
             idx = basis.mode_index(l, 0)
             cols_in = np.empty((2, 2), dtype=np.complex128)
             cols_out = np.empty((2, 2), dtype=np.complex128)
@@ -130,7 +129,7 @@ class CapacityOperator:
 
     def apply_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Per-mode multiplier action on stacked (grad, curl) coefficients
-        (..., 2K) in the mode order of `VshBasis(mesh, lmax)`."""
+        (..., 2K) in the mode order of `VshBasis(mesh)`."""
         A, K = self._blocks, self._blocks.shape[-1]
         a, b = coeffs[..., :K], coeffs[..., K:]
         return np.concatenate([A[0, 0] * a + A[0, 1] * b, A[1, 0] * a + A[1, 1] * b], axis=-1)

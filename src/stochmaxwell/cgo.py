@@ -35,8 +35,6 @@ from .geometry import (
     ConfigurationError,
     Grid3,
     MediumSpec,
-    ScalarFieldC,
-    VectorFieldC3,
     evaluate_on_grid,
     trilinear_interpolate,
 )
@@ -45,7 +43,6 @@ from .greens import padded_fft_apply, symmetric_symbol
 
 __all__ = [
     "CgoSolution",
-    "StabilityConstants",
     "build_frame",
     "build_zeta_eta",
     "box_radius",
@@ -153,18 +150,6 @@ def box_radius(grid: Grid3) -> float:
 
 
 @dataclass(frozen=True)
-class StabilityConstants:
-    """Frozen constants of the stability theory (calibrated, not derived)."""
-
-    M1: float = 1.0
-    s: float = 1.0
-
-    def __post_init__(self):
-        if min(self.M1, self.s) <= 0:
-            raise ConfigurationError("stability constants must be positive")
-
-
-@dataclass(frozen=True)
 class CgoSolution:
     """A CGO solution U = e^{i zeta x}(eta + W) on a grid: the correction W,
     shape (3, nx, ny, nz), and the relative fixed-point residual of its
@@ -177,20 +162,19 @@ class CgoSolution:
     residual: float
 
     @property
-    def f(self) -> ScalarFieldC:
-        """f of the split W = f zeta + V by the pointwise minimal-norm
-        (Hermitian) projection f = W . conj(zeta)/|zeta|^2, V = W - f zeta,
-        which keeps both parts within the remainder estimate; the bilinear
-        projection does not, because the non-decaying part of W is parallel
-        to zeta and |zeta| grows with t."""
+    def f(self) -> np.ndarray:
+        """f (nx, ny, nz) of the split W = f zeta + V by the pointwise
+        minimal-norm (Hermitian) projection f = W . conj(zeta)/|zeta|^2,
+        V = W - f zeta, which keeps both parts within the remainder estimate;
+        the bilinear projection does not, because the non-decaying part of W
+        is parallel to zeta and |zeta| grows with t."""
         zh = np.conj(self.zeta) / np.sum(np.abs(self.zeta) ** 2)
-        return ScalarFieldC(self.grid, np.tensordot(zh, self.W, axes=1))
+        return np.tensordot(zh, self.W, axes=1)
 
     @property
-    def V(self) -> VectorFieldC3:
-        """V = W - f zeta of the split (see `f`)."""
-        fz = self.f.values[None] * self.zeta[:, None, None, None]
-        return VectorFieldC3(self.grid, self.W - fz)
+    def V(self) -> np.ndarray:
+        """V = W - f zeta (3, nx, ny, nz) of the split (see `f`)."""
+        return self.W - self.f[None] * self.zeta[:, None, None, None]
 
     def amplitude(self) -> np.ndarray:
         """eta + W on the grid, shape (3, nx, ny, nz)."""

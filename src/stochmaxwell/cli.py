@@ -48,7 +48,7 @@ EXIT_VERIFY = 4
 
 def _capacity(cfg: ExperimentConfig, fault: bool = False) -> CapacityOperator:
     scale = cfg.fault_scale if fault else 1.0
-    return CapacityOperator(cfg.k, cfg.mesh(), cfg.lmax, fault_scale=scale)
+    return CapacityOperator(cfg.k, cfg.mesh(), fault_scale=scale)
 
 
 def _traces(cfg: ExperimentConfig) -> np.ndarray:
@@ -69,7 +69,7 @@ def _recon_args(cfg: ExperimentConfig) -> dict:
     """The reconstruction arguments that `reconstruct` and `sweep` share."""
     return dict(
         R_prime=cfg.R_prime, medium=cfg.medium(), grid=cfg.grid(),
-        constants=cfg.constants(), t_max=cfg.t_max, rho_override=cfg.rho_override,
+        s=cfg.s, M1=cfg.M1, t_max=cfg.t_max, rho_override=cfg.rho_override,
         n_frames=cfg.n_frames, tol=cfg.tol, max_iter=cfg.max_iter,
     )
 

@@ -13,7 +13,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .cgo import StabilityConstants
 from .geometry import Bump, ConfigurationError, Grid3, MediumSpec, SourceStrength, SphereMesh
 
 __all__ = ["ExperimentConfig", "parse_bumps", "format_bumps"]
@@ -142,9 +141,6 @@ class ExperimentConfig:
 
     def mesh(self) -> SphereMesh:
         return SphereMesh(self.R, self.lmax)
-
-    def constants(self) -> StabilityConstants:
-        return StabilityConstants(M1=self.M1, s=self.s)
 
     # -- serialization -----------------------------------------------------
 

@@ -45,12 +45,14 @@ def generate_ensemble(
     tol: float = 1e-10,
     max_iter: int = 60,
 ) -> np.ndarray:
-    """Boundary traces E x nu of M independent white-noise realizations.
+    """Boundary traces E x nu (M, N, 3) of M independent white-noise
+    realizations, in the Cartesian layout of the store.
 
     One `HomogeneousTraceMap` of the medium (its scattered term solved to
     tol within max_iter iterations) is applied to _REALIZATION_CHUNK
-    currents at a time, one matrix product per symmetry block and chunk, so
-    memory is the map, one chunk, its symmetry-adapted copy and the output.
+    currents at a time, one matrix product per symmetry block and chunk, and
+    each chunk's frame components are expanded into the output, so memory
+    is the map, one chunk, its symmetry-adapted copy and the output.
     A solver failure in the map build raises SolverError (failure budget is
     zero).
     """
@@ -69,7 +71,7 @@ def generate_ensemble(
         n = min(_REALIZATION_CHUNK, M - lo)
         for i in range(n):
             J[i] = noise_values(amp, master_seed, lo + i, positions).T
-        traces[lo : lo + n] = tmap.traces(J[:n])
+        traces[lo : lo + n] = mesh.from_frame(tmap.traces(J[:n]))
     return traces
 
 

@@ -11,8 +11,9 @@ fixed point does not contract. The radiation condition is inherited from
 the outgoing convolution kernel.
 
 Ensembles go through `HomogeneousTraceMap`, the current-to-trace map of any
-medium; the full-grid `MaxwellSolver.solve` with `extract_trace` is the
-reference it is checked against.
+medium, which gives each trace by its (theta_hat, phi_hat) frame components;
+the full-grid `MaxwellSolver.solve` with `extract_trace` is the reference it
+is checked against. Grid samples are ndarrays `(3,) + grid.dims`.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from .geometry import (
     Grid3,
     MediumSpec,
     SphereMesh,
-    VectorFieldC3,
     evaluate_on_grid,
     trilinear_interpolate,
 )
@@ -60,7 +60,7 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class ForwardSolution:
-    field: VectorFieldC3
+    field: np.ndarray  # (3,) + grid.dims complex
     iterations: int  # Neumann iterations plus GMRES inner iterations
     residual: float
 
@@ -162,22 +162,29 @@ class MaxwellSolver:
         the operator of every system `sel` of a stack."""
         return E + self.k ** 2 * self.convolver.apply_resolvent_array(self.m_grid * E)
 
-    def solve(self, source: VectorFieldC3, tol: float = 1e-10,
+    def solve(self, source: np.ndarray, tol: float = 1e-10,
               max_iter: int = 60) -> ForwardSolution:
-        if source.grid != self.grid:
-            raise ValueError("source grid does not match solver grid")
-        b = self.convolver.apply_resolvent_array(source.values)
+        """The field E (3,) + grid.dims radiated by the finite current source
+        (3,) + grid.dims in the solver's medium."""
+        _check_grid_vector(source, self.grid)
+        b = self.convolver.apply_resolvent_array(source)
         E, iters, res = solve_fixed_point(self._apply_ls, b[None], tol, max_iter, "Maxwell solve")
-        return ForwardSolution(VectorFieldC3(self.grid, E[0]), int(iters[0]), float(res[0]))
+        return ForwardSolution(E[0], int(iters[0]), float(res[0]))
 
 
-def extract_trace(E: VectorFieldC3, mesh: SphereMesh) -> np.ndarray:
-    """Tangential trace E x nu at the mesh nodes, (N, 3), with E interpolated
-    trilinearly."""
-    if not E.grid.contains_ball(mesh.radius):
+def _check_grid_vector(values: np.ndarray, grid: Grid3) -> None:
+    if np.shape(values) != (3,) + grid.dims:
+        raise ValueError(f"vector samples of shape {np.shape(values)}, "
+                         f"not {(3,) + grid.dims} on this grid")
+
+
+def extract_trace(E: np.ndarray, grid: Grid3, mesh: SphereMesh) -> np.ndarray:
+    """Tangential trace E x nu at the mesh nodes, (N, 3), of the samples E
+    (3,) + grid.dims interpolated trilinearly."""
+    _check_grid_vector(E, grid)
+    if not grid.contains_ball(mesh.radius):
         raise ValueError("measurement sphere is not inside the grid box")
-    Ev = trilinear_interpolate(E.values, E.grid, mesh.nodes).T  # (N, 3)
-    return np.cross(Ev, mesh.normals)
+    return np.cross(trilinear_interpolate(E, grid, mesh.nodes).T, mesh.normals)
 
 
 def curl_grid(F: np.ndarray, h: float) -> np.ndarray:
@@ -320,8 +327,8 @@ class HomogeneousTraceMap:
 
     `traces` applies the map to a real current as one real matrix product
     per block, with the block viewed as a real (3R, 4N_r) array, whose
-    result, viewed as complex, gives the trace T_theta theta_hat +
-    T_phi phi_hat; a complex current takes this twice, for its real and its
+    result, viewed as complex, gives the frame components (T_theta, T_phi)
+    of the trace; a complex current takes this twice, for its real and its
     imaginary part.
     """
 
@@ -414,14 +421,12 @@ class HomogeneousTraceMap:
         return T
 
     def traces(self, J_support: np.ndarray) -> np.ndarray:
-        """Boundary traces E x nu for a batch of currents restricted to the
-        support.
-
-        J_support: (M, C, 3) real or complex -> traces (M, N, 3).
-        """
+        """Frame components (M, N, 2) of the boundary traces E x nu of a batch
+        of currents on the support cells, (M, n_cells, 3) real or complex."""
+        if np.shape(J_support)[1:] != (self.n_cells, 3):
+            raise ValueError(f"currents of shape {np.shape(J_support)}, "
+                             f"not (M, {self.n_cells}, 3) on the support")
         Jb = np.reshape(J_support, (len(J_support), -1))
         if np.iscomplexobj(Jb):
-            T = self._frame_traces(Jb.real) + 1j * self._frame_traces(Jb.imag)
-        else:
-            T = self._frame_traces(Jb)
-        return self.mesh.from_frame(T)
+            return self._frame_traces(Jb.real) + 1j * self._frame_traces(Jb.imag)
+        return self._frame_traces(Jb)

@@ -1,4 +1,5 @@
-"""Grids, complex fields, bump-parameterized media/sources, and sphere quadrature.
+"""Grids, bump-parameterized media/sources, and sphere quadrature with its
+tangential frame. Grid samples are plain ndarrays `components + grid.dims`.
 
 Everything here is immutable after construction.
 """
@@ -12,8 +13,6 @@ from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "Grid3",
-    "ScalarFieldC",
-    "VectorFieldC3",
     "Bump",
     "MediumSpec",
     "SourceStrength",
@@ -80,37 +79,6 @@ class Grid3:
         lo = np.asarray(self.origin)
         hi = lo + (np.asarray(self.dims) - 1) * self.spacing
         return bool(np.all(lo < -radius) and np.all(hi > radius))
-
-
-@dataclass(frozen=True)
-class _GridField:
-    """Complex field on a Grid3, values shape `components + grid.dims`."""
-
-    components = ()  # per class, not a field
-    grid: Grid3
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.complex128)
-        shape = self.components + self.grid.dims
-        if v.shape != shape:
-            raise ValueError(f"value shape {v.shape} != {shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite entries")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class ScalarFieldC(_GridField):
-    """Complex scalar field sampled on a Grid3, values shape (nx, ny, nz)."""
-
-
-@dataclass(frozen=True)
-class VectorFieldC3(_GridField):
-    """Complex 3-vector field on a Grid3, values shape (3, nx, ny, nz)."""
-
-    components = (3,)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .capacity import CapacityOperator
-from .cgo import CgoRemainderSolver, StabilityConstants, box_radius, build_zeta_eta, cgo_on_sphere
+from .cgo import CgoRemainderSolver, box_radius, build_zeta_eta, cgo_on_sphere
 from .geometry import ConfigurationError, Grid3, MediumSpec, SourceStrength, evaluate_on_grid
 
 __all__ = ["KernelEpsilon", "ReconstructionResult", "dual_functional_vector", "measure_epsilon",
@@ -92,12 +92,12 @@ class ReconstructionResult:
 
 
 def _tangential_traces(traces, mesh) -> np.ndarray:
-    """An ensemble as (M, N, 2) complex (theta_hat, phi_hat) components: Cartesian
-    traces (M, N, 3) are projected onto the frame, frame components pass."""
+    """An ensemble of (theta_hat, phi_hat) trace components as complex
+    (M, N, 2), M > 0."""
     arr = np.asarray(traces, dtype=np.complex128)
-    if arr.ndim != 3 or not len(arr) or arr.shape[1] != mesh.n_nodes or arr.shape[2] not in (2, 3):
-        raise ValueError("trace ensemble must have shape (M, n_nodes, 3) or (M, n_nodes, 2), M > 0")
-    return arr if arr.shape[2] == 2 else mesh.to_frame(arr)
+    if arr.shape[1:] != (mesh.n_nodes, 2) or not len(arr):
+        raise ValueError("trace ensemble must be frame components (M, n_nodes, 2), M > 0")
+    return arr
 
 
 def dual_functional_vector(capacity: CapacityOperator, u: np.ndarray,
@@ -188,8 +188,11 @@ def select_parameters(
     t = max(-log(eps)/(2 R'), 1 + 1e-6, M1 + 2k), optionally capped at t_max
     (the cap trades theoretical resolution for bounded exponential dynamic
     range on a fixed grid), then rho = t^{2/(7+2s)}. Always returns rho > 1
-    and a t admissible for every |xi| <= rho.
+    and a t admissible for every |xi| <= rho. The constants s and M1 must be
+    positive.
     """
+    if not (s > 0 and M1 > 0):
+        raise ConfigurationError(f"stability constants must be positive, got s={s}, M1={M1}")
     if epsilon <= 0.0:
         raise ConfigurationError("epsilon must be positive (degenerate data)")
     if epsilon >= 1.0:
@@ -306,8 +309,7 @@ def _moments(traces, capacity: CapacityOperator, epsilon: float | None = None):
 
 
 def reconstruct_sigma(traces, capacity: CapacityOperator, R_prime: float,
-                      medium: MediumSpec, grid: Grid3,
-                      constants: StabilityConstants = StabilityConstants(),
+                      medium: MediumSpec, grid: Grid3, s: float = 1.0, M1: float = 1.0,
                       t_max: float | None = 8.0, rho_override: float | None = None,
                       n_frames: int = 1, epsilon: float | None = None,
                       ground_truth: SourceStrength | None = None, tol: float = 1e-10,
@@ -315,8 +317,8 @@ def reconstruct_sigma(traces, capacity: CapacityOperator, R_prime: float,
     """Full pipeline: measured epsilon -> (t, rho) -> Fourier samples -> sigma,
     at the wavenumber and on the mesh of `capacity`.
 
-    `traces` holds the ensemble as Cartesian samples (M, N, 3) or as their
-    frame components (M, N, 2); only the tangential part is read.
+    `traces` holds the ensemble as its frame components (M, N, 2); `s` and
+    `M1` are the stability constants of `select_parameters`.
 
     Each sample is sigma_hat(xi) = -mean(B_1 B_2) / (k^2 (1 - |xi|^2/4t^2));
     the CGO product remainder is not subtracted (it vanishes for m = 0). Its
@@ -331,13 +333,13 @@ def reconstruct_sigma(traces, capacity: CapacityOperator, R_prime: float,
     and `max_iter` bound each CGO remainder solve (`CgoRemainderSolver`).
     """
     moments = (_moments(X, capacity, epsilon) for X in (traces,))  # read after the checks
-    return _reconstruct(moments, [ground_truth], capacity, R_prime, medium, grid, constants,
+    return _reconstruct(moments, [ground_truth], capacity, R_prime, medium, grid, s, M1,
                         t_max, rho_override, n_frames, tol, max_iter)[0]
 
 
-def _reconstruct(moments, truths, capacity, R_prime, medium, grid,
-                 constants=StabilityConstants(), t_max=8.0, rho_override=None, n_frames=1,
-                 tol=1e-10, max_iter=60) -> list[ReconstructionResult]:
+def _reconstruct(moments, truths, capacity, R_prime, medium, grid, s=1.0, M1=1.0, t_max=8.0,
+                 rho_override=None, n_frames=1, tol=1e-10,
+                 max_iter=60) -> list[ReconstructionResult]:
     """`reconstruct_sigma` of several ensembles, each given by its `_moments`
     and its ground truth (or None). `moments` may be an iterator, read after
     the options are checked, so an ensemble made for it can be dropped before
@@ -353,7 +355,7 @@ def _reconstruct(moments, truths, capacity, R_prime, medium, grid,
         raise ConfigurationError(f"[reconstruction] n_frames must be at least 1, got {n_frames}")
     reduced, schedules = [], {}  # (M, K0, Kc, epsilon) per ensemble; (t, rho) -> its ensembles
     for m in moments:
-        t, rho = select_parameters(m[3], constants.s, R_prime, k, constants.M1, t_max)
+        t, rho = select_parameters(m[3], s, R_prime, k, M1, t_max)
         if rho_override is not None:
             rho = float(rho_override)
         # |xi| <= rho keeps the leading coefficient 1 - |xi|^2/4t^2 above the guard
@@ -418,26 +420,26 @@ def _reconstruct(moments, truths, capacity, R_prime, medium, grid,
 
 
 def stability_sweep(ensemble_factory, sigma: SourceStrength, capacity: CapacityOperator,
-                    R_prime: float, medium: MediumSpec, grid: Grid3, alphas,
-                    constants: StabilityConstants = StabilityConstants(), **recon_kwargs):
+                    R_prime: float, medium: MediumSpec, grid: Grid3, alphas, s: float = 1.0,
+                    **recon_kwargs):
     """Scale sigma -> alpha sigma, take its ensemble from the factory, and tabulate
     the logarithmic-stability check quantity ||alpha sigma|| (-log eps)^{4s/(7+2s)}.
 
-    `ensemble_factory(alpha)` must return the trace ensemble for the scaled
-    source. Each ensemble is reduced to its moments before the next is made;
-    alphas on one (t, rho) share its CGO solves and dual vectors. Returns one
-    row per alpha.
+    `ensemble_factory(alpha)` must return the frame components of the trace
+    ensemble for the scaled source. Each ensemble is reduced to its moments
+    before the next is made; alphas on one (t, rho) share its CGO solves and
+    dual vectors. Returns one row per alpha.
     """
     alphas = [float(a) for a in alphas]
     if any(a <= 0 for a in alphas):
         raise ConfigurationError(f"[sweep] alphas must be positive, got {alphas}")
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise ConfigurationError(f"[sweep] alphas must be strictly decreasing, got {alphas}")
-    expo = 4.0 * constants.s / (7.0 + 2.0 * constants.s)
     scaled = [SourceStrength(tuple(replace(b, amplitude=b.amplitude * alpha) for b in sigma.bumps),
                              sigma.ball_radius) for alpha in alphas]
     results = _reconstruct((_moments(ensemble_factory(alpha), capacity) for alpha in alphas),
-                           scaled, capacity, R_prime, medium, grid, constants, **recon_kwargs)
+                           scaled, capacity, R_prime, medium, grid, s, **recon_kwargs)
+    expo = 4.0 * s / (7.0 + 2.0 * s)  # s > 0: select_parameters refuses the rest
     rows = []
     for alpha, source, result in zip(alphas, scaled, results):
         sig = evaluate_on_grid(source, grid)

@@ -61,19 +61,14 @@ def scalar_ylm_table(lmax: int, theta: np.ndarray, phi: np.ndarray):
 class VshBasis:
     """Tangential vector spherical harmonic basis tabulated on one mesh.
 
-    Mode order: l = 1..lmax, m = -l..l; the coefficient vector of a tangential
-    field stacks the gradient-family coefficients first, then the
-    normal-rotated family, each of length lmax*(lmax+2).
+    Mode order: l = 1..lmax, m = -l..l, lmax the mesh's; the coefficient
+    vector of a tangential field stacks the gradient-family coefficients
+    first, then the normal-rotated family, each of length lmax*(lmax+2).
     """
 
-    def __init__(self, mesh: SphereMesh, lmax: int | None = None):
-        lmax = mesh.lmax if lmax is None else int(lmax)
-        if lmax > mesh.lmax:
-            raise ValueError(
-                f"lmax={lmax} exceeds mesh quadrature exactness (lmax={mesh.lmax})"
-            )
+    def __init__(self, mesh: SphereMesh):
         self.mesh = mesh
-        self.lmax = lmax
+        lmax = mesh.lmax
         self.modes = [(l, m) for l in range(1, lmax + 1) for m in range(-l, l + 1)]
         self.n_modes = len(self.modes)
 

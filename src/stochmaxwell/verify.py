@@ -124,18 +124,19 @@ def plane_waves(rng, k: float, n: int) -> list:
 
 
 def ibp_identity(capacity, grid: Grid3, source, trace, waves) -> float:
-    """Worst relative gap between the boundary functional of `trace` (E x nu
-    on the capacity mesh of the field radiated by `source`, given on the grid)
-    and the volume pairing int source . U over plane waves U = eta e^{i d.x}.
+    """Worst relative gap between the boundary functional of `trace` (the
+    frame components (N, 2) of E x nu on the capacity mesh, for the field
+    radiated by `source`, given on the grid) and the volume pairing
+    int source . U over plane waves U = eta e^{i d.x}.
     The boundary side takes the reconstruction's route: a plane wave is a CGO
     pair with real zeta, sampled by `cgo_on_sphere` and paired with the
-    trace's frame components through `dual_functional_vector`."""
+    trace through `dual_functional_vector`."""
     if not np.any(source):
         raise ConfigurationError("the probe source samples to zero on this grid")
     ds, etas = (np.array(v) for v in zip(*waves))
     mesh, nodes = capacity.mesh, grid.nodes()
     duals = dual_functional_vector(capacity, *cgo_on_sphere(ds, etas, None, grid, mesh))
-    bnd = np.einsum("cnt,nt->c", duals, mesh.to_frame(trace))
+    bnd = np.einsum("cnt,nt->c", duals, trace)
     worst = 0.0
     for (d, eta), b in zip(waves, bnd):
         phase = np.exp(1j * np.tensordot(d, nodes, axes=1))

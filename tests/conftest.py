@@ -21,12 +21,12 @@ def desk_mesh():
 
 @pytest.fixture(scope="session")
 def desk_basis(desk_mesh):
-    return VshBasis(desk_mesh, LMAX_DESK)
+    return VshBasis(desk_mesh)
 
 
 @pytest.fixture(scope="session")
 def desk_capacity(desk_mesh):
-    return CapacityOperator(K_DESK, desk_mesh, LMAX_DESK)
+    return CapacityOperator(K_DESK, desk_mesh)
 
 
 @pytest.fixture(scope="session")

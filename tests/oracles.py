@@ -7,7 +7,7 @@ from numpy.polynomial.legendre import leggauss
 
 from stochmaxwell.cgo import CgoSolution
 from stochmaxwell.forward import curl_grid
-from stochmaxwell.geometry import Bump, Grid3, MediumSpec, VectorFieldC3, evaluate_on_grid
+from stochmaxwell.geometry import Bump, Grid3, MediumSpec, evaluate_on_grid
 from stochmaxwell.greens import FreeConvolver, dyadic_green, helmholtz_g
 
 
@@ -49,11 +49,12 @@ def helmholtz_residual(lam: float, x0, h: float) -> float:
     return float(abs(acc / h ** 2 + lam ** 2 * helmholtz_g(lam, np.linalg.norm(x0))))
 
 
-def resolvent_decay_probe(lams, f: VectorFieldC3) -> list[tuple[float, float]]:
-    """(lam, ||chi R0(lam) chi f|| / ||f||) on the grid box for each lam; lam
-    times the ratio stays bounded (1/|lam| decay of the cut-off resolvent)."""
-    return [(lam, l2_norm(FreeConvolver(lam, f.grid).apply_array(f.values), f.grid)
-             / l2_norm(f.values, f.grid)) for lam in lams]
+def resolvent_decay_probe(lams, f: np.ndarray, grid: Grid3) -> list[tuple[float, float]]:
+    """(lam, ||chi R0(lam) chi f|| / ||f||) on the grid box for each lam, f
+    (3,) + grid.dims; lam times the ratio stays bounded (1/|lam| decay of the
+    cut-off resolvent)."""
+    return [(lam, l2_norm(FreeConvolver(lam, grid).apply_array(f), grid) / l2_norm(f, grid))
+            for lam in lams]
 
 
 def electric_dipole_field(k: float, source, moment, points):
@@ -67,20 +68,22 @@ def electric_dipole_field(k: float, source, moment, points):
     return E, np.cross((gp / r)[:, None] * d, np.asarray(moment)[None, :])
 
 
-def pde_residual(E: VectorFieldC3, k: float, medium: MediumSpec, source: VectorFieldC3) -> float:
-    """||curl curl E - k^2 n E - source|| / ||source|| on the interior, curls
-    by compact 4th-order stencils; the 5-cell outer collar, where the stencil
-    wraps and the box truncates the radiating field, is left out."""
-    h = E.grid.spacing
-    n_grid = 1.0 - evaluate_on_grid(medium, E.grid)
-    res = curl_grid(curl_grid(E.values, h), h) - k ** 2 * n_grid[None] * E.values - source.values
-    return float(np.linalg.norm(res[:, 5:-5, 5:-5, 5:-5]) / np.linalg.norm(source.values))
+def pde_residual(E: np.ndarray, grid: Grid3, k: float, medium: MediumSpec,
+                 source: np.ndarray) -> float:
+    """||curl curl E - k^2 n E - source|| / ||source|| on the interior of the
+    grid, for samples (3,) + grid.dims, curls by compact 4th-order stencils;
+    the 5-cell outer collar, where the stencil wraps and the box truncates
+    the radiating field, is left out."""
+    h = grid.spacing
+    n_grid = 1.0 - evaluate_on_grid(medium, grid)
+    res = curl_grid(curl_grid(E, h), h) - k ** 2 * n_grid[None] * E - source
+    return float(np.linalg.norm(res[:, 5:-5, 5:-5, 5:-5]) / np.linalg.norm(source))
 
 
 def remainder_norm(sol: CgoSolution, radius: float) -> float:
     """||f||_L2 + ||V||_L2 of a CGO correction over the ball of `radius`."""
-    return (l2_norm(sol.f.values, sol.grid, within_radius=radius)
-            + l2_norm(sol.V.values, sol.grid, within_radius=radius))
+    return (l2_norm(sol.f, sol.grid, within_radius=radius)
+            + l2_norm(sol.V, sol.grid, within_radius=radius))
 
 
 def plane_wave_on(zeta, eta, points):

@@ -67,10 +67,10 @@ class TestVshBasis:
 
 
     def test_capacity_build_drops_its_basis(self, monkeypatch):
-        """The capacity operator builds its basis of degree lmax on its mesh
-        and holds it, with its mode tables, only while it builds its
-        symbols: once the operator exists no basis built for it is alive,
-        without a garbage collection."""
+        """The capacity operator builds its basis on its mesh and holds it,
+        with its mode tables, only while it builds its symbols: once the
+        operator exists no basis built for it is alive, without a garbage
+        collection."""
         built = []
 
         def spy(*args):
@@ -79,8 +79,8 @@ class TestVshBasis:
             return basis
 
         monkeypatch.setattr(capacity_module, "VshBasis", spy)
-        mesh = SphereMesh(1.0, 6)
-        cap = CapacityOperator(K_DESK, mesh, 5)
+        mesh = SphereMesh(1.0, 5)
+        cap = CapacityOperator(K_DESK, mesh)
         assert len(built) == 1 and built[0]() is None
         assert cap.mesh is mesh and cap._blocks.shape == (2, 2, 5 * 7)
 
@@ -89,7 +89,7 @@ class TestMultipoleIdentity:
     def test_all_degrees_and_orders(self, desk_basis, desk_capacity):
         """apply maps E x nu to H x nu for every radiating multipole with
         l <= lmax; this is the defining property of the operator."""
-        modes = [(l, m) for l in range(1, desk_basis.lmax + 1) for m in (-l, 0, min(l, 2))]
+        modes = [(l, m) for l in range(1, desk_basis.mesh.lmax + 1) for m in (-l, 0, min(l, 2))]
         fields = multipoles(K_DESK, desk_basis.mesh.nodes, modes)
         for got, want in capacity_identity(desk_capacity, fields):
             assert rel_err(got, want) < 1e-10
@@ -131,11 +131,11 @@ class TestCoefficientAction:
     def test_azimuthal_convolution_matches_coefficient_route(self, desk_basis, desk_capacity):
         """apply_frame, a circular convolution over the azimuthal index,
         equals analysis, per-mode multiplier and synthesis on arbitrary frame
-        samples (not band-limited), also for a basis below the mesh degree."""
+        samples (not band-limited), on the desk mesh and on a coarser one."""
         rng = np.random.default_rng(13)
-        mesh = SphereMesh(1.0, 8)
-        truncated = CapacityOperator(K_DESK, mesh, 5)
-        for cap, basis in ((desk_capacity, desk_basis), (truncated, VshBasis(mesh, 5))):
+        mesh = SphereMesh(1.0, 5)
+        coarse = CapacityOperator(K_DESK, mesh)
+        for cap, basis in ((desk_capacity, desk_basis), (coarse, VshBasis(mesh))):
             comps = rng.standard_normal((3, basis.mesh.n_nodes, 2)) + 1j * rng.standard_normal(
                 (3, basis.mesh.n_nodes, 2))
             want = basis.synthesize(cap.apply_coeffs(basis.decompose(comps)))

@@ -10,7 +10,6 @@ from stochmaxwell import cgo
 from stochmaxwell.cgo import (
     CgoRemainderSolver,
     ConjugatedResolvent,
-    StabilityConstants,
     build_frame,
     build_zeta_eta,
     cgo_on_sphere,
@@ -28,6 +27,7 @@ from stochmaxwell.geometry import (
     evaluate_on_grid,
     trilinear_interpolate,
 )
+from stochmaxwell.reconstruct import select_parameters
 from stochmaxwell.verify import cgo_product_identity, cgo_stencil_residual
 
 from conftest import rel_err
@@ -109,14 +109,18 @@ class TestZetaEta:
 
 
 class TestStabilityConstants:
+    """The stability constants s and M1 are plain floats, checked by the
+    parameter schedule that reads them."""
+
     def test_defaults_valid(self):
-        c = StabilityConstants()
-        assert c.M1 == 1.0 and c.s == 1.0
+        t, rho = select_parameters(0.1, 1.0, 1.3, K)
+        assert (t, rho) == select_parameters(0.1, s=1.0, R_prime=1.3, k=K, M1=1.0)
+        assert t == 1.0 + 2.0 * K and rho == t ** (2.0 / 9.0)
 
     def test_nonpositive_rejected(self):
-        for kwargs in ({"M1": 0.0}, {"s": -1.0}):
+        for kwargs in ({"M1": 0.0}, {"s": -1.0}, {"s": 0.0}, {"M1": -3.5}):
             with pytest.raises(ConfigurationError):
-                StabilityConstants(**kwargs)
+                select_parameters(0.1, **{"s": 1.0, **kwargs}, R_prime=1.3, k=K)
 
 
 @pytest.fixture(scope="module")
@@ -647,7 +651,7 @@ class TestProductExpansion:
         s1 = solve_cgo_remainder(xi, 3.5, K, 1, contrast_medium, grid)
         s2 = solve_cgo_remainder(xi, 3.5, K, 2, contrast_medium, grid)
         z1, z2, e1, e2 = s1.zeta, s2.zeta, s1.eta, s2.eta
-        f1, f2, V1, V2 = s1.f.values, s2.f.values, s1.V.values, s2.V.values
+        f1, f2, V1, V2 = s1.f, s2.f, s1.V, s2.V
         for f, z, V, s in ((f1, z1, V1, s1), (f2, z2, V2, s2)):
             assert np.any(s.W)
             assert np.max(np.abs(f[None] * z[:, None, None, None] + V - s.W)) <= (

@@ -24,7 +24,6 @@ from stochmaxwell.geometry import (
     MediumSpec,
     SourceStrength,
     SphereMesh,
-    VectorFieldC3,
     evaluate_on_grid,
 )
 from stochmaxwell.greens import FreeConvolver, dyadic_green
@@ -45,8 +44,8 @@ def sigma():
     return SourceStrength((Bump((0.0, 0.1, 0.0), 0.5, 0.2),), ball_radius=1.0)
 
 
-def solve(medium, src, **kwargs):
-    return MaxwellSolver(K, medium, src.grid).solve(src, **kwargs)
+def solve(medium, grid, src, **kwargs):
+    return MaxwellSolver(K, medium, grid).solve(src, **kwargs)
 
 
 class TestNoise:
@@ -109,13 +108,13 @@ class TestSolver:
         src = np.zeros((3,) + grid.dims, dtype=np.complex128)
         src[:, c, c, c] = 1j * K * p / grid.cell_volume
         solver = MaxwellSolver(K, medium, grid)
-        sol = solver.solve(VectorFieldC3(grid, src))
-        assert np.array_equal(sol.field.values, solver.convolver.apply_resolvent_array(src))
+        sol = solver.solve(src)
+        assert np.array_equal(sol.field, solver.convolver.apply_resolvent_array(src))
         assert sol.iterations == 1 and sol.residual == 0.0
         probe_idx = (c + 7, c, c)  # 7h from the source along x
         x = grid.nodes()[(slice(None),) + probe_idx]
         E_ref, _ = electric_dipole_field(K, src_pos, p, np.array([x]))
-        assert rel_err(sol.field.values[(slice(None),) + probe_idx], E_ref[0]) < 2e-2
+        assert rel_err(sol.field[(slice(None),) + probe_idx], E_ref[0]) < 2e-2
 
     def test_pde_residual_second_order(self):
         """Interior residual of converged solves scales like h^2 for a
@@ -126,9 +125,9 @@ class TestSolver:
             g = Grid3.for_ball(1.3, n)
             x, y, z = g.nodes()
             prof = np.exp(-(x ** 2 + y ** 2 + z ** 2) / (2 * 0.35 ** 2))
-            src = VectorFieldC3(g, np.stack([prof, np.zeros_like(prof), 0.4 * prof]) + 0j)
-            sol = solve(medium, src)
-            res[n] = pde_residual(sol.field, K, medium, src)
+            src = np.stack([prof, np.zeros_like(prof), 0.4 * prof]) + 0j
+            sol = solve(medium, g, src)
+            res[n] = pde_residual(sol.field, g, K, medium, src)
         # C h^2 with a stable constant: scaling between successive grids
         h25, h33, h49 = (Grid3.for_ball(1.3, n).spacing for n in (25, 33, 49))
         c_vals = [res[25] / h25 ** 2, res[33] / h33 ** 2, res[49] / h49 ** 2]
@@ -138,11 +137,11 @@ class TestSolver:
     def test_inhomogeneous_converges_and_differs(self, grid, sigma):
         medium = MediumSpec((Bump((0.0, 0.1, 0.0), 0.6, 0.05),), ball_radius=1.0)
         prof = evaluate_on_grid(sigma, grid)
-        src = VectorFieldC3(grid, np.stack([prof, prof, prof]))
-        hom = solve(MediumSpec(ball_radius=1.0), src)
-        inh = solve(medium, src)
+        src = np.stack([prof, prof, prof])
+        hom = solve(MediumSpec(ball_radius=1.0), grid, src)
+        inh = solve(medium, grid, src)
         assert inh.residual <= 1e-10
-        assert rel_err(inh.field.values, hom.field.values) > 1e-3
+        assert rel_err(inh.field, hom.field) > 1e-3
 
     def test_gmres_hand_off_converges(self, sigma, monkeypatch):
         """At k = 6 with a 0.95 contrast the Neumann iteration stagnates, and
@@ -155,10 +154,10 @@ class TestSolver:
         k, grid = 6.0, Grid3.for_ball(1.3, 13)
         medium = MediumSpec((Bump((0.0, 0.0, 0.0), 0.95, 0.95),), ball_radius=1.0)
         prof = evaluate_on_grid(sigma, grid)
-        src = VectorFieldC3(grid, np.stack([prof, prof, prof]))
+        src = np.stack([prof, prof, prof])
         conv = FreeConvolver(k, grid)
         km = k ** 2 * evaluate_on_grid(medium, grid)[None]
-        b = conv.apply_resolvent_array(src.values)
+        b = conv.apply_resolvent_array(src)
 
         def ls(E):
             return E + conv.apply_resolvent_array(km * E)
@@ -176,7 +175,7 @@ class TestSolver:
 
         monkeypatch.setattr(solver.convolver, "apply_resolvent_array", counting)
         sol = solver.solve(src)
-        assert rel_err(ls(sol.field.values), b) <= 1e-10
+        assert rel_err(ls(sol.field), b) <= 1e-10
         assert n_neumann[0] < sol.iterations
         assert len(applies) - 4 <= sol.iterations < len(applies)
 
@@ -209,31 +208,52 @@ class TestSolver:
         returning a field that misses the requested accuracy."""
         medium = MediumSpec((Bump((0.0, 0.1, 0.0), 0.6, 0.9),), ball_radius=1.0)
         prof = evaluate_on_grid(sigma, grid)
-        src = VectorFieldC3(grid, np.stack([prof, prof, prof]))
+        src = np.stack([prof, prof, prof])
         with pytest.raises(SolverError) as exc:
-            solve(medium, src, tol=1e-18, max_iter=2)
+            solve(medium, grid, src, tol=1e-18, max_iter=2)
         assert exc.value.residual_history
+
+    def test_source_not_on_the_grid_rejected(self):
+        """The source must be samples (3,) + grid.dims of the solver's grid."""
+        grid = Grid3.for_ball(1.3, 9)
+        solver = MaxwellSolver(K, MediumSpec(ball_radius=1.0), grid)
+        for shape in (grid.dims, (2,) + grid.dims, (3, 9, 9, 8), (1, 3) + grid.dims):
+            with pytest.raises(ValueError):
+                solver.solve(np.ones(shape))
+
+    def test_nonfinite_source_rejected(self):
+        """A nan or inf in the source is refused, not propagated into the
+        field (the check of `FreeConvolver.apply_array`)."""
+        grid = Grid3.for_ball(1.3, 9)
+        solver = MaxwellSolver(K, MediumSpec(ball_radius=1.0), grid)
+        for bad in (np.nan, np.inf):
+            src = np.zeros((3,) + grid.dims, dtype=complex)
+            src[1, 4, 4, 4] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                solver.solve(src)
 
 
 class TestTrace:
     def test_tangentiality(self, grid):
         mesh = SphereMesh(1.0, 10)
         rng = np.random.default_rng(8)
-        E = VectorFieldC3(
-            grid,
-            rng.standard_normal((3,) + grid.dims)
-            + 1j * rng.standard_normal((3,) + grid.dims),
-        )
-        tr = extract_trace(E, mesh)
+        E = rng.standard_normal((3,) + grid.dims) + 1j * rng.standard_normal((3,) + grid.dims)
+        tr = extract_trace(E, grid, mesh)
         assert tr.shape == (mesh.n_nodes, 3)
         assert np.max(np.abs(np.sum(tr * mesh.normals, axis=1))) < 1e-12
 
     def test_sphere_outside_grid_rejected(self):
         g = Grid3.cube(0.9, 17)
         mesh = SphereMesh(1.0, 6)
-        E = VectorFieldC3(g, np.zeros((3,) + g.dims, dtype=complex))
+        E = np.zeros((3,) + g.dims, dtype=complex)
         with pytest.raises(ValueError):
-            extract_trace(E, mesh)
+            extract_trace(E, g, mesh)
+
+    def test_samples_not_on_the_grid_rejected(self, grid):
+        mesh = SphereMesh(1.0, 6)
+        for shape in (grid.dims, (2,) + grid.dims, (3, 33, 33, 32), (4, 3) + grid.dims):
+            with pytest.raises(ValueError):
+                extract_trace(np.zeros(shape, dtype=complex), grid, mesh)
 
 
 class TestCurl:
@@ -277,9 +297,9 @@ class TestHomogeneousTraceMap:
         mask = sig > 0
         tmap = HomogeneousTraceMap(K, grid, mask, mesh)
         J = noise_values(noise_amplitude(sig, grid.spacing), 12, 0)
-        direct = tmap.traces(J[:, mask].T[None])[0]
-        src = VectorFieldC3(grid, 1j * K * J.astype(complex))
-        solved = extract_trace(solve(MediumSpec(ball_radius=1.0), src).field, mesh)
+        direct = mesh.from_frame(tmap.traces(J[:, mask].T[None])[0])
+        src = 1j * K * J.astype(complex)
+        solved = extract_trace(solve(MediumSpec(ball_radius=1.0), grid, src).field, grid, mesh)
         # trilinear interpolation of the near-singular field limits agreement
         assert rel_err(solved, direct) < 0.05
 
@@ -308,7 +328,7 @@ class TestHomogeneousTraceMap:
         for n, (x, nu) in enumerate(zip(mesh.nodes, mesh.normals)):
             E = sum(dyadic_green(K, x, y) @ Jc for y, Jc in zip(coords, J[0]))
             want[n] = np.cross(g.cell_volume * E, nu)
-        assert rel_err(tmap.traces(J)[0], want) < 1e-12
+        assert rel_err(mesh.from_frame(tmap.traces(J)[0]), want) < 1e-12
 
     def test_complex_current(self, sigma):
         g = Grid3.for_ball(1.3, 17)
@@ -393,7 +413,7 @@ class TestHomogeneousTraceMap:
         coords = g.nodes()[:, mask].T
         W = _dipole_block(K, g.cell_volume, coords, mesh, np.arange(mesh.n_nodes))
         J = np.random.default_rng(lmax).standard_normal((5, len(coords), 3))
-        want = mesh.from_frame(np.einsum("mcj,cjnt->mnt", J, W))
+        want = np.einsum("mcj,cjnt->mnt", J, W)
         got = tmap.traces(J)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -411,7 +431,7 @@ class TestHomogeneousTraceMap:
                                                   np.arange(lo, min(lo + 16, N)))
         J = np.random.default_rng(6).standard_normal((7, len(coords), 3))
         T = J.reshape(7, -1) @ W.reshape(3 * len(coords), 2 * N).view(np.float64)
-        want = mesh.from_frame(T.view(np.complex128).reshape(7, N, 2))
+        want = T.view(np.complex128).reshape(7, N, 2)
         assert np.array_equal(tmap.traces(J), want)
 
     def test_traces_are_tangential(self, sigma):
@@ -420,7 +440,21 @@ class TestHomogeneousTraceMap:
         mask = evaluate_on_grid(sigma, g) > 0
         tmap = HomogeneousTraceMap(K, g, mask, mesh)
         T = tmap.traces(np.random.default_rng(7).standard_normal((4, tmap.n_cells, 3)))
-        assert np.max(np.abs(np.einsum("mni,ni->mn", T, mesh.normals))) <= 1e-14 * np.max(np.abs(T))
+        assert T.shape == (4, mesh.n_nodes, 2)  # (theta_hat, phi_hat): no normal part
+        normal = np.einsum("mni,ni->mn", mesh.from_frame(T), mesh.normals)
+        assert np.max(np.abs(normal)) <= 1e-14 * np.max(np.abs(T))
+
+    def test_currents_of_another_cell_count_rejected(self):
+        """The currents must be (M, n_cells, 3): too few or too many cells,
+        or a missing axis, are refused rather than clipped or ignored."""
+        g, mesh = Grid3.for_ball(1.3, 9), SphereMesh(1.0, 4)
+        spec = SourceStrength((Bump((0.0, 0.0, 0.0), 0.9, 0.1),), ball_radius=1.0)
+        tmap = HomogeneousTraceMap(K, g, evaluate_on_grid(spec, g) > 0, mesh)
+        assert tmap.n_cells == 7
+        assert tmap.traces(np.ones((2, 7, 3))).shape == (2, mesh.n_nodes, 2)
+        for shape in ((2, 6, 3), (2, 12, 3), (2, 7, 2), (2, 21), (7, 3), (1, 2, 7, 3)):
+            with pytest.raises(ValueError):
+                tmap.traces(np.ones(shape))
 
 
 # the benchmark's medium bump
@@ -444,7 +478,7 @@ def scattering_reference(k, medium, sigma, grid, mesh, seeds, tol):
     for i, Ji in enumerate(J):
         full = np.zeros((3,) + grid.dims)
         full[:, src] = Ji.T
-        E = solver.solve(VectorFieldC3(grid, 1j * k * full), tol=tol).field.values
+        E = solver.solve(1j * k * full, tol=tol).field
         want[i] += t_med.traces((1j * k * m * E)[:, med].T[None])[0]
     return J, want
 
@@ -469,7 +503,9 @@ class TestMediumTraceMap:
         mask = evaluate_on_grid(BENCH_SIGMA, grid) > 0
         tmap = HomogeneousTraceMap(K, grid, mask, mesh, BENCH_MEDIUM)
         T = tmap.traces(np.random.default_rng(8).standard_normal((4, tmap.n_cells, 3)))
-        assert np.max(np.abs(np.einsum("mni,ni->mn", T, mesh.normals))) <= 1e-14 * np.max(np.abs(T))
+        assert T.shape == (4, mesh.n_nodes, 2)  # (theta_hat, phi_hat): no normal part
+        normal = np.einsum("mni,ni->mn", mesh.from_frame(T), mesh.normals)
+        assert np.max(np.abs(normal)) <= 1e-14 * np.max(np.abs(T))
 
     def test_gmres_hand_off_in_map_build(self, sigma, monkeypatch):
         """On the medium of `test_gmres_hand_off_converges` the batched

@@ -7,10 +7,8 @@ from stochmaxwell.geometry import (
     ConfigurationError,
     Grid3,
     MediumSpec,
-    ScalarFieldC,
     SourceStrength,
     SphereMesh,
-    VectorFieldC3,
     evaluate_on_grid,
     trilinear_interpolate,
     write_field,
@@ -194,10 +192,3 @@ class TestFieldIO:
             assert np.array_equal(back.reshape(values.shape), values)
         with pytest.raises(ValueError):
             write_field(tmp_path / "field.bin", np.zeros((3, 3, 3)), g)
-
-    def test_nonfinite_rejected(self):
-        g = Grid3.cube(0.5, 8)
-        bad = np.zeros(g.dims)
-        bad[0, 0, 0] = np.nan
-        with pytest.raises(ValueError):
-            ScalarFieldC(g, bad)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from stochmaxwell.geometry import Grid3, VectorFieldC3
+from stochmaxwell.geometry import Grid3
 from scipy import fft as sfft
 
 from stochmaxwell import greens, verify
@@ -329,7 +329,7 @@ class TestResolventDecay:
         grid = Grid3.cube(1.0, 24)
         x, y, z = grid.nodes()
         prof = np.exp(-((x ** 2 + y ** 2 + z ** 2)) / (2 * 0.3 ** 2))
-        f = VectorFieldC3(grid, np.stack([prof, 0.5 * prof, np.zeros_like(prof)]) + 0j)
-        pairs = resolvent_decay_probe([4.0, 8.0, 16.0], f)
+        f = np.stack([prof, 0.5 * prof, np.zeros_like(prof)]) + 0j
+        pairs = resolvent_decay_probe([4.0, 8.0, 16.0], f, grid)
         scaled = [lam * ratio for lam, ratio in pairs]
         assert max(scaled) / min(scaled) < 3.0

@@ -18,7 +18,6 @@ from stochmaxwell.geometry import (
     MediumSpec,
     SourceStrength,
     SphereMesh,
-    VectorFieldC3,
     evaluate_on_grid,
 )
 
@@ -115,7 +114,7 @@ def test_cli_import_leaves_out_scipy_sparse():
         from stochmaxwell import CapacityOperator, Grid3, MediumSpec, SphereMesh, Bump
         capacity = CapacityOperator(2.0, SphereMesh(1.0, 6))
         rng = np.random.default_rng(8)
-        shape = (20, capacity.mesh.n_nodes, 3)
+        shape = (20, capacity.mesh.n_nodes, 2)
         traces = 0.01 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         medium = MediumSpec((Bump((0.0, 0.0, 0.0), 0.9, 0.1),), ball_radius=1.0)
         stochmaxwell.reconstruct_sigma(traces, capacity, R_prime=1.3, medium=medium,
@@ -161,8 +160,7 @@ def test_every_contrast_solve_is_one_fixed_point_solve(monkeypatch):
     monkeypatch.setattr(cgo, "solve_fixed_point", counted)
     medium = MediumSpec((Bump((0.0, 0.1, 0.0), 0.6, 0.05),), ball_radius=1.0)
     grid = Grid3.for_ball(1.3, 10)
-    source = VectorFieldC3(grid, np.ones((3,) + grid.dims))
-    forward.MaxwellSolver(2.0, medium, grid).solve(source)
+    forward.MaxwellSolver(2.0, medium, grid).solve(np.ones((3,) + grid.dims))
     assert len(calls) == 1
     zeta, eta, _ = cgo.build_zeta_eta(np.array([0.5, 0.0, 0.0]), 3.0, 2.0)
     cgo.CgoRemainderSolver(2.0, medium, grid).solve(zeta[:1], eta[:1])
@@ -195,7 +193,7 @@ def test_every_cgo_correction_comes_from_the_remainder_solver(monkeypatch):
     sol = cgo.solve_cgo_remainder(np.array([0.5, 0.0, 0.0]), 3.0, 2.0, 1, medium, grid)
     assert np.any(sol.W) and len(calls) == 1
     capacity = CapacityOperator(2.0, SphereMesh(1.0, 4))
-    traces = np.random.default_rng(8).standard_normal((4, capacity.mesh.n_nodes, 3))
+    traces = np.random.default_rng(8).standard_normal((4, capacity.mesh.n_nodes, 2))
     result = reconstruct.reconstruct_sigma(traces, capacity, 1.3, medium, grid,
                                            epsilon=0.1)
     assert len(calls) == 1 + 2 * (len(result.xi_nodes) // 2 + 1)

@@ -220,7 +220,8 @@ directory = runs/full
         assert small_cfg.grid().contains_ball(1.3)
         assert small_cfg.mesh().radius == 1.0
         assert small_cfg.medium().is_homogeneous
-        assert small_cfg.constants().M1 == 1.0
+        args = _recon_args(small_cfg)
+        assert (args["s"], args["M1"]) == (small_cfg.s, small_cfg.M1) == (1.0, 1.0)
 
 
 class TestEnsembleStore:
@@ -319,10 +320,10 @@ class TestEnsembleStore:
         assert np.array_equal(traces, generate_ensemble(*args))
         sig = evaluate_on_grid(sigma, grid)
         tmap = HomogeneousTraceMap(2.0, grid, sig > 0, mesh)
-        single = np.stack([
+        single = mesh.from_frame(np.stack([
             tmap.traces(noise_values(noise_amplitude(sig, grid.spacing), 5, r)[:, sig > 0].T[None])[0]
             for r in range(M)
-        ])
+        ]))
         assert np.linalg.norm(traces - single) <= 1e-13 * np.linalg.norm(single)
 
     def test_zero_source_gives_zero_traces(self):
@@ -808,9 +809,10 @@ class TestCliSweep:
         regenerates the ensemble of each scaled source."""
         def regenerate(alpha):
             bumps = tuple(replace(b, amplitude=b.amplitude * alpha) for b in small_cfg.source_bumps)
-            return _traces(replace(small_cfg, source_bumps=bumps))
+            return mesh.to_frame(_traces(replace(small_cfg, source_bumps=bumps)))
 
-        traces = _traces(small_cfg)
+        mesh = small_cfg.mesh()
+        traces = mesh.to_frame(_traces(small_cfg))
         alphas = (1.0, 0.1, 0.001)
         args = (small_cfg.source(), _capacity(small_cfg))
         kwargs = dict(alphas=alphas, **_recon_args(small_cfg))

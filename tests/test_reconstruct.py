@@ -61,9 +61,9 @@ def hom_medium():
 @pytest.fixture(scope="module")
 def small_ensemble(grid, wide_sigma, hom_medium, desk_capacity):
     mesh = desk_capacity.mesh
-    return generate_ensemble(
+    return mesh.to_frame(generate_ensemble(
         K_DESK, hom_medium, wide_sigma, grid, mesh, M=400, master_seed=77
-    )
+    ))
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,7 @@ def small_inhomogeneous():
     capacity = CapacityOperator(K_DESK, SphereMesh(1.0, 6))
     rng = np.random.default_rng(8)
     shape = (6, capacity.mesh.n_nodes, 3)
-    traces = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    traces = capacity.mesh.to_frame(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     kwargs = dict(R_prime=RP_DESK, grid=grid, medium=medium, epsilon=0.1)
     return traces, capacity, kwargs
 
@@ -99,7 +99,7 @@ def _correlation(traces, data, capacity):
     B_j = sum_n trace_n . D_j,n pairs the frame components of each trace with
     the dual vector of the j-th member's boundary data."""
     mesh = capacity.mesh
-    flat = mesh.to_frame(traces).reshape(len(traces), -1)
+    flat = traces.reshape(len(traces), -1)
     b1, b2 = (flat @ dual_functional_vector(capacity, *mesh.to_frame(np.stack(d))).ravel()
               for d in data)
     prods = b1 * b2
@@ -189,7 +189,7 @@ class TestDualVector:
 class TestCorrelation:
     def test_zero_traces_give_zero(self, grid, hom_medium, desk_capacity):
         mesh = desk_capacity.mesh
-        zeros = np.zeros((8, mesh.n_nodes, 3), dtype=complex)
+        zeros = np.zeros((8, mesh.n_nodes, 2), dtype=complex)
         result = _reconstruct(zeros, desk_capacity, grid, hom_medium, epsilon=0.1)
         assert np.all(result.sigma_hat == 0.0)
         assert result.sample_count == 8
@@ -200,7 +200,7 @@ class TestCorrelation:
         mesh = desk_capacity.mesh
         with pytest.raises(ValueError):
             _reconstruct(
-                np.zeros((0, mesh.n_nodes, 3), dtype=complex),
+                np.zeros((0, mesh.n_nodes, 2), dtype=complex),
                 desk_capacity,
                 grid,
                 hom_medium,
@@ -249,7 +249,7 @@ class TestGaussianStderr:
         mesh = desk_capacity.mesh
         result = _reconstruct(small_ensemble, desk_capacity, grid, hom_medium, epsilon=0.1,
                               rho_override=2.0)
-        flat = mesh.to_frame(small_ensemble).reshape(M, -1)
+        flat = small_ensemble.reshape(M, -1)
         n = len(result.xi_nodes)
         for i in (0, n // 5, n // 3, n // 2):
             lead, data = _plane_pair(result.xi_nodes[i], result.t, mesh)
@@ -293,6 +293,13 @@ class TestEpsilon:
         with pytest.raises(ValueError):
             measure_epsilon(small_ensemble[:1], desk_capacity)
 
+    def test_cartesian_traces_rejected(self, small_ensemble, desk_capacity):
+        """The inverse stage takes frame components only; Cartesian traces
+        are the store's layout, projected by the caller."""
+        cartesian = desk_capacity.mesh.from_frame(small_ensemble[:4])
+        with pytest.raises(ValueError, match="frame components"):
+            measure_epsilon(cartesian, desk_capacity)
+
     def test_matches_cartesian_definition(self, small_ensemble, desk_capacity):
         """The three norms taken from the one tangential Gram equal those of
         the three Cartesian (3N)^2 Grams, for a homogeneous ensemble and for
@@ -302,12 +309,12 @@ class TestEpsilon:
         assert np.any(evaluate_on_grid(medium, grid))
         capacity = CapacityOperator(K_DESK, SphereMesh(1.0, 6))
         sigma = SourceStrength((Bump((0.0, 0.0, 0.0), 0.95, 0.1),), ball_radius=1.0)
-        scattered = generate_ensemble(
+        scattered = capacity.mesh.to_frame(generate_ensemble(
             K_DESK, medium, sigma, grid, capacity.mesh, M=40, master_seed=5
-        )
+        ))
         for traces, cap in ((small_ensemble, desk_capacity), (scattered, capacity)):
             got = measure_epsilon(traces, cap)
-            want = _cartesian_epsilon(traces, cap)
+            want = _cartesian_epsilon(cap.mesh.from_frame(traces), cap)
             for g, w in zip((got.norm1, got.norm2, got.norm3), want):
                 assert g == pytest.approx(w, rel=1e-12)
 
@@ -555,7 +562,7 @@ class TestReconstructSigma:
         traces, capacity, kwargs = small_inhomogeneous
         grid, medium, mesh = kwargs["grid"], kwargs["medium"], capacity.mesh
         result = reconstruct_sigma(traces, capacity, **kwargs)
-        flat = mesh.to_frame(traces).reshape(len(traces), -1)
+        flat = traces.reshape(len(traces), -1)
 
         def column(xi, w):
             sol = solve_cgo_remainder(xi, result.t, K_DESK, w, medium, grid)
@@ -690,7 +697,7 @@ class TestReconstructSigma:
         mesh = desk_capacity.mesh
         with pytest.raises(ValueError):
             reconstruct_sigma(
-                np.zeros((0, mesh.n_nodes, 3), dtype=complex),
+                np.zeros((0, mesh.n_nodes, 2), dtype=complex),
                 desk_capacity,
                 R_prime=RP_DESK,
                 medium=hom_medium,
@@ -706,7 +713,8 @@ class TestReconstructSigma:
         capacity = CapacityOperator(K_DESK, SphereMesh(1.0, 6))
         N = capacity.mesh.n_nodes
         rng = np.random.default_rng(3)
-        traces = rng.standard_normal((M, N, 3)) + 1j * rng.standard_normal((M, N, 3))
+        traces = capacity.mesh.to_frame(rng.standard_normal((M, N, 3))
+                                        + 1j * rng.standard_normal((M, N, 3)))
         kwargs = dict(R_prime=RP_DESK, medium=MediumSpec(ball_radius=1.0),
                       grid=Grid3.for_ball(RP_DESK, 8), rho_override=5.0,
                       n_frames=n_frames, epsilon=0.1)
@@ -723,14 +731,13 @@ class TestReconstructSigma:
         assert peak < 2 * one_chunk, (peak, one_chunk)
 
     def test_working_memory_does_not_grow_with_realizations(self):
-        """The traces enter only through their two (2N)^2 Grams, so 4M
-        realizations peak above M by at most the extra rows of the frame copy
-        X (M, 2N), the one M-row array the reconstruction makes, and of the
-        (M, 3N) intermediate that projecting Cartesian traces onto the frame
-        may hold beside it: 3M (3N + 2N) complex numbers. The rest (Grams,
-        epsilon kernels, dual chunks, lattice) does not depend on M. An M-row
-        product of the traces with a chunk of duals (M x 1,024 here) would
-        exceed that bound."""
+        """The traces enter only through their two (2N)^2 Grams, and complex
+        frame components are read in place, so 4M realizations peak above M
+        by at most the extra rows of one (M, 2N) array, which the Gram
+        products may hold as a temporary: 3M 2N complex numbers. The rest
+        (Grams, epsilon kernels, dual chunks, lattice) does not depend on M.
+        An M-row product of the traces with a chunk of duals (M x 1,024
+        here) would exceed that bound."""
         capacity = CapacityOperator(K_DESK, SphereMesh(1.0, 6))
         N = capacity.mesh.n_nodes
         kwargs = dict(R_prime=RP_DESK, medium=MediumSpec(ball_radius=1.0),
@@ -738,7 +745,8 @@ class TestReconstructSigma:
         rng = np.random.default_rng(4)
         peaks = []
         for M in (100, 400):
-            traces = 0.01 * (rng.standard_normal((M, N, 3)) + 1j * rng.standard_normal((M, N, 3)))
+            traces = 0.01 * capacity.mesh.to_frame(rng.standard_normal((M, N, 3))
+                                                   + 1j * rng.standard_normal((M, N, 3)))
             tracemalloc.start()
             try:
                 result = reconstruct_sigma(traces, capacity, **kwargs)
@@ -746,7 +754,7 @@ class TestReconstructSigma:
             finally:
                 tracemalloc.stop()
             assert result.t == 5.0  # one lattice for both ensembles
-        extra = 300 * (3 * N + 2 * N) * 16
+        extra = 300 * 2 * N * 16
         assert peaks[1] - peaks[0] <= extra, (peaks, extra)
 
 
