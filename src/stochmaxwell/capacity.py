@@ -26,27 +26,28 @@ __all__ = [
 ROW_BLOCK = 64
 
 
-def spherical_h1(l: int, z: float | np.ndarray, derivative: bool = False):
-    """Spherical Hankel function of the first kind (or its derivative),
-    elementwise over z. Raises OverflowError if any value is not finite."""
+def spherical_h1(l: int | np.ndarray, z: float | np.ndarray, derivative: bool = False):
+    """Spherical Hankel function of the first kind (or its derivative), elementwise
+    over l and z broadcast. Raises OverflowError if any value is not finite."""
     with np.errstate(invalid="ignore"):  # 1j * -inf; reported below
         val = spherical_jn(l, z, derivative) + 1j * spherical_yn(l, z, derivative)
     bad = ~np.isfinite(val)
     if np.any(bad):
+        l_bad, z_bad = (np.broadcast_to(a, val.shape)[bad][0] for a in (l, z))
         raise OverflowError(
-            f"spherical Hankel overflow at l={l}, z={np.asarray(z)[bad][0]}; "
-            "use a smaller degree cutoff"
+            f"spherical Hankel overflow at l={l_bad}, z={z_bad}; use a smaller degree cutoff"
         )
     return val
 
 
-def radiating_multipole(kind: str, l: int, m: int, k: float, points: np.ndarray):
+def radiating_multipole(kind: str, l, m: int, k: float, points: np.ndarray):
     """Radiating Maxwell multipole (E, H) evaluated at points (N, 3).
 
     kind 'te': E = curl(x u) with u = h_l(k r) Y_lm, purely tangential.
     kind 'tm': E = (1/k) curl of the 'te' field.
     In both cases H = curl(E) / (i k). Closed forms use h_l(kr) and the
-    Riccati-Hankel derivative psi_l'(z) = h_l(z) + z h_l'(z).
+    Riccati-Hankel derivative psi_l'(z) = h_l(z) + z h_l'(z). The degree may
+    be an array broadcast against the points, (L, 1) say.
     """
     pts = np.asarray(points, dtype=np.float64)
     r = np.linalg.norm(pts, axis=1)
@@ -60,15 +61,15 @@ def radiating_multipole(kind: str, l: int, m: int, k: float, points: np.ndarray)
     phat = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
     # surface gradient and its normal rotation (unit sphere scaling)
     gb = 1j * m * y / st
-    grad_s = ga[:, None] * that + gb[:, None] * phat
-    rot_s = ga[:, None] * phat - gb[:, None] * that
+    grad_s = ga[..., None] * that + gb[..., None] * phat
+    rot_s = ga[..., None] * phat - gb[..., None] * that
 
     z = k * r
     h = spherical_h1(l, z)
     psi_p = h + z * spherical_h1(l, z, derivative=True)
 
-    M = -h[:, None] * rot_s
-    N = (l * (l + 1) * h / z)[:, None] * y[:, None] * rhat + (psi_p / z)[:, None] * grad_s
+    M = -h[..., None] * rot_s
+    N = (l * (l + 1) * h / z)[..., None] * y[..., None] * rhat + (psi_p / z)[..., None] * grad_s
     if kind == "te":
         return M, -1j * N
     if kind == "tm":
@@ -102,20 +103,17 @@ class CapacityOperator:
         self.k = float(k)
         self.mesh = mesh
         basis = VshBasis(mesh)  # its mode tables go when this build returns
-        self._blocks = np.empty((2, 2, basis.n_modes), dtype=np.complex128)
-        for l in range(1, mesh.lmax + 1):
-            idx = basis.mode_index(l, 0)
-            cols_in = np.empty((2, 2), dtype=np.complex128)
-            cols_out = np.empty((2, 2), dtype=np.complex128)
-            for j, kind in enumerate(("te", "tm")):
-                E, H = radiating_multipole(kind, l, 0, k, mesh.nodes)
-                ce = basis.decompose(mesh.to_frame(np.cross(E, mesh.normals)))
-                ch = basis.decompose(mesh.to_frame(np.cross(H, mesh.normals)))
-                cols_in[:, j] = ce[[idx, basis.n_modes + idx]]
-                cols_out[:, j] = ch[[idx, basis.n_modes + idx]]
-            # modes of degree l are m = -l..l, contiguous around m = 0
-            multiplier = fault_scale * cols_out @ np.linalg.inv(cols_in)
-            self._blocks[:, :, idx - l : idx + l + 1] = multiplier[:, :, None]
+        degrees = np.arange(1, mesh.lmax + 1)
+        # [kind, E/H, l]: frame components of E x nu and H x nu of the m = 0 multipoles
+        traces = np.array([[mesh.to_frame(np.cross(F, mesh.normals)) for F in
+                            radiating_multipole(kind, degrees[:, None], 0, k, mesh.nodes)]
+                           for kind in ("te", "tm")])
+        idx = np.array([basis.mode_index(l, 0) for l in degrees])
+        cols = basis.decompose(traces)[:, :, degrees - 1, np.stack([idx, idx + basis.n_modes])]
+        cols = cols.transpose(1, 3, 2, 0)  # [E/H, l, family, kind]: (grad, curl) of mode (l, 0)
+        multiplier = fault_scale * cols[1] @ np.linalg.inv(cols[0])  # (l, 2, 2)
+        # modes of degree l are m = -l..l, contiguous and in order of l
+        self._blocks = np.repeat(multiplier.transpose(1, 2, 0), 2 * degrees + 1, axis=-1)
         nt, nphi = mesh.n_theta, mesh.n_phi
         meridian = np.zeros((nt, 2, nt, nphi, 2), dtype=np.complex128)
         for i in range(nt):

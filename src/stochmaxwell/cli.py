@@ -66,7 +66,7 @@ def _check_realizations(cfg: ExperimentConfig) -> None:
 
 
 def _recon_args(cfg: ExperimentConfig) -> dict:
-    """The reconstruction arguments that `reconstruct` and `sweep` share."""
+    """The reconstruction arguments of `sweep` (`reconstruct` names them)."""
     return dict(
         R_prime=cfg.R_prime, medium=cfg.medium(), grid=cfg.grid(),
         s=cfg.s, M1=cfg.M1, t_max=cfg.t_max, rho_override=cfg.rho_override,
@@ -186,12 +186,12 @@ def run_reconstruct(cfg: ExperimentConfig, out_dir: str) -> dict:
         manifest = run_forward(cfg, ens_dir)
         traces, _ = read_ensemble(ens_dir)
     capacity = _capacity(cfg)
-    traces = capacity.mesh.to_frame(traces)  # releases the Cartesian ensemble
-
+    traces = [capacity.mesh.to_frame(traces)]  # drops the Cartesian ensemble
+    # popped, and named rather than unpacked (`**` keeps a reference): freed in `_moments`
     result = reconstruct_sigma(
-        traces, capacity, ground_truth=cfg.source() if cfg.source_bumps else None,
-        **_recon_args(cfg),
-    )
+        traces.pop(), capacity, cfg.R_prime, cfg.medium(), cfg.grid(), s=cfg.s, M1=cfg.M1,
+        t_max=cfg.t_max, rho_override=cfg.rho_override, n_frames=cfg.n_frames, tol=cfg.tol,
+        max_iter=cfg.max_iter, ground_truth=cfg.source() if cfg.source_bumps else None)
 
     rec_dir = os.path.join(out_dir, "reconstruction")
     os.makedirs(rec_dir, exist_ok=True)

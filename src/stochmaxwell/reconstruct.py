@@ -53,7 +53,8 @@ LEADING_GUARD = 1e-3
 # Grams in one product: one chunk holds its dual buffer and a buffer of half
 # its size (at 338 nodes, 11 and 5.5 MB), whatever the number of realizations
 PRODUCT_COLUMNS = 1024
-GRAM_BLOCK = 128  # rows of Kc per product: conj(X) is never copied whole
+# Gram and kernel rows per block (even: whole nodes); 64 bounds epsilon's peak at 338 nodes
+GRAM_BLOCK = 64
 # CGO columns whose remainder solves, test data and dual vectors are built
 # together; the block holds one (2n)^3 complex reciprocal symbol per column
 # (128 columns once raised the 10^3-grid inhomogeneous peak RSS to 158 MB)
@@ -91,13 +92,16 @@ class ReconstructionResult:
     rel_l2_error: float | None = None
 
 
-def _tangential_traces(traces, mesh) -> np.ndarray:
-    """An ensemble of (theta_hat, phi_hat) trace components as complex
-    (M, N, 2), M > 0."""
-    arr = np.asarray(traces, dtype=np.complex128)
-    if arr.shape[1:] != (mesh.n_nodes, 2) or not len(arr):
+def _real_rows(traces, mesh) -> np.ndarray:
+    """Real rows Y (4N, M), Y[2p] = Re x_p and Y[2p + 1] = Im x_p for the columns
+    x_p of an ensemble of (theta_hat, phi_hat) trace components X (M, N, 2), M > 0."""
+    X = np.asarray(traces, dtype=np.complex128)
+    if X.shape[1:] != (mesh.n_nodes, 2) or not len(X):
         raise ValueError("trace ensemble must be frame components (M, n_nodes, 2), M > 0")
-    return arr
+    Xt = X.reshape(len(X), -1).T  # C-ordered for the layout `SphereMesh.to_frame` returns
+    Y = np.empty((len(Xt), 2, len(X)))
+    Y[:, 0], Y[:, 1] = Xt.real, Xt.imag
+    return Y.reshape(-1, len(X))
 
 
 def dual_functional_vector(capacity: CapacityOperator, u: np.ndarray,
@@ -121,21 +125,21 @@ def dual_functional_vector(capacity: CapacityOperator, u: np.ndarray,
     return -(1j * capacity.k * capacity.apply_frame_transpose(w * u) + w * curlu)
 
 
-def _component_norm(K: np.ndarray, mesh) -> float:
-    """sum_{ij} of the Frobenius norms of the Cartesian component blocks
-    (E^T K E)_ij of a frame kernel K (2N, 2N), weighted by sqrt(w_n w_m)."""
-    N = mesh.n_nodes
-    E = np.sqrt(mesh.weights)[:, None, None] * mesh.frame  # (N, 3, 2)
-    K = K.reshape(N, 2, N, 2)
-    total = 0.0
-    for i in range(3):  # sums taken in place, so one (N, N, 2) and one (N, N) temporary
-        rows = E[:, i, 0, None, None] * K[:, 0]
-        rows += E[:, i, 1, None, None] * K[:, 1]
+def _component_squares(K: np.ndarray, E: np.ndarray, n0: int) -> np.ndarray:
+    """(3, 3) sums of squares of the Cartesian blocks (E^T K E)_ij of the rows K (2 nb, 2N)
+    of a frame kernel at nodes n0 .., E (3, 2, N) real: the frames times sqrt(w)."""
+    N, nb = E.shape[-1], len(K) // 2
+    K = K.view(np.float64).reshape(nb, 2, N, 2, 2).transpose(0, 1, 3, 4, 2).copy()
+    En = E[:, :, n0 : n0 + nb, None, None, None]  # K is [n, s, t, re/im, m]
+    squares = np.empty((3, 3))
+    for i in range(3):
+        part = En[i, 0] * K[:, 0]
+        part += En[i, 1] * K[:, 1]
         for j in range(3):
-            block = rows[..., 0] * E[:, j, 0]
-            block += rows[..., 1] * E[:, j, 1]
-            total += np.linalg.norm(block)
-    return float(total)
+            block = part[:, 0] * E[j, 0]
+            block += part[:, 1] * E[j, 1]
+            squares[i, j] = np.dot(block.ravel(), block.ravel())
+    return squares
 
 
 def measure_epsilon(traces, capacity: CapacityOperator) -> KernelEpsilon:
@@ -149,30 +153,55 @@ def measure_epsilon(traces, capacity: CapacityOperator) -> KernelEpsilon:
     K1 = C K0 and K2 = C K0 C^T, with C the capacity on frame vectors (K0 is
     symmetric, so K0 C^T is the transpose of K1).
     """
-    X = _tangential_traces(traces, capacity.mesh)
-    return _kernel_epsilon(_gram(X), len(X), capacity)
+    Y = _real_rows(traces, capacity.mesh)
+    return _kernel_epsilon(_grams(Y)[0], Y.shape[1], capacity)
 
 
-def _gram(X: np.ndarray) -> np.ndarray:
-    """K0 = X^T X / M (2N, 2N) of frame components X (M, N, 2)."""
-    X = X.reshape(len(X), -1)
-    return (X.T @ X) / len(X)
+def _grams(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K0 = X^T X / M and Kc = X^T conj(X) / M (2N, 2N) from the real Gram of
+    the real rows Y of X: with aa, ab, ba, bb its (re, re), (re, im), (im, re)
+    and (im, im) entries, K0 = (aa - bb) + i (ab + ba) and Kc = (aa + bb) +
+    i (ba - ab). Each block of rows is one real product from the diagonal on, its
+    diagonal block symmetrized and the rest mirrored: K0 and Kc are exactly
+    symmetric and Hermitian."""
+    n, M = len(Y) // 2, Y.shape[1]
+    K0 = np.empty((n, n), dtype=np.complex128)
+    Kc = np.empty_like(K0)
+    for lo in range(0, n, GRAM_BLOCK):
+        hi = min(lo + GRAM_BLOCK, n)
+        G = Y[2 * lo : 2 * hi] @ Y[2 * lo :].T / M
+        lower = np.tril_indices(2 * (hi - lo), -1)
+        G[lower] = G.T[lower]
+        aa, ab, ba, bb = G[0::2, 0::2], G[0::2, 1::2], G[1::2, 0::2], G[1::2, 1::2]
+        np.subtract(aa, bb, out=K0.real[lo:hi, lo:])
+        np.add(ab, ba, out=K0.imag[lo:hi, lo:])
+        np.add(aa, bb, out=Kc.real[lo:hi, lo:])
+        np.subtract(ba, ab, out=Kc.imag[lo:hi, lo:])
+        K0[hi:, lo:hi] = K0[lo:hi, hi:].T
+        np.conjugate(Kc[lo:hi, hi:].T, out=Kc[hi:, lo:hi])
+    return K0, Kc
 
 
-def _kernel_epsilon(K: np.ndarray, M: int, capacity: CapacityOperator) -> KernelEpsilon:
-    """`measure_epsilon` from the Gram K0 of an M-realization ensemble."""
+def _kernel_epsilon(K0: np.ndarray, M: int, capacity: CapacityOperator) -> KernelEpsilon:
+    """`measure_epsilon` from the Gram K0 of an M-realization ensemble. Each
+    norm sums its squares over blocks of GRAM_BLOCK rows, so beside K0 only
+    K0 C^T is held: rows of C K0 C^T are the capacity on columns of K0 C^T."""
     if M < 2:
         raise ConfigurationError("kernel estimation needs at least two realizations")
     mesh = capacity.mesh
+    E = np.sqrt(mesh.weights) * mesh.frame.transpose(1, 2, 0)  # (3, 2, N)
 
     def capacity_rows(Z):  # Z C^T: the capacity applied to each row of Z
         return capacity.apply_frame(Z.reshape(len(Z), mesh.n_nodes, 2)).reshape(Z.shape)
 
-    norm1 = _component_norm(K, mesh)
-    K = capacity_rows(K)  # K0 C^T = K1^T
-    norm2 = _component_norm(K, mesh)
-    K = capacity_rows(K.T)  # K1 C^T = C K0 C^T
-    return KernelEpsilon(norm1=norm1, norm2=norm2, norm3=_component_norm(K, mesh))
+    def norm(rows):  # rows(lo): the kernel's rows lo .. lo + GRAM_BLOCK, made when read
+        return float(np.sqrt(sum(_component_squares(rows(lo), E, lo // 2)
+                                 for lo in range(0, len(K0), GRAM_BLOCK))).sum())
+
+    K1t = capacity_rows(K0)  # K0 C^T = K1^T
+    return KernelEpsilon(norm1=norm(lambda lo: K0[lo : lo + GRAM_BLOCK]),
+                         norm2=norm(lambda lo: K1t[lo : lo + GRAM_BLOCK]),
+                         norm3=norm(lambda lo: capacity_rows(K1t[:, lo : lo + GRAM_BLOCK].T)))
 
 
 def select_parameters(
@@ -290,21 +319,15 @@ def _frame_moments(D: np.ndarray, M: int, K0: np.ndarray, Kc: np.ndarray):
 
 
 def _moments(traces, capacity: CapacityOperator, epsilon: float | None = None):
-    """An ensemble reduced to what the estimator reads, (M, K0, Kc, epsilon):
-    the Grams K0 = X^T X / M and Kc = X^T conj(X) / M (2N, 2N) of its frame
-    components X (M, 2N) and its data size, measured from K0 when None."""
-    X = _tangential_traces(traces, capacity.mesh)
-    M, K0 = len(X), _gram(X)
+    """An ensemble reduced to what the estimator reads, (M, K0, Kc, epsilon): the Grams
+    K0 = X^T X / M and Kc = X^T conj(X) / M (2N, 2N) of its frame components X (M, 2N)
+    and its data size, measured from K0 when None, after the real rows are dropped."""
+    Y = _real_rows(traces, capacity.mesh)
+    del traces  # an ensemble handed over as a temporary of the call is freed here
+    M, (K0, Kc) = Y.shape[1], _grams(Y)
+    del Y
     if epsilon is None:
         epsilon = _kernel_epsilon(K0, M, capacity).epsilon
-    X = X.reshape(M, -1)
-    Kc = np.empty_like(K0)  # conj(X^H X) / M; X^H X is Hermitian, so each block
-    for lo in range(0, len(Kc), GRAM_BLOCK):  # row is formed from the diagonal on
-        hi = lo + GRAM_BLOCK
-        Kc[lo:hi, lo:] = X[:, lo:hi].conj().T @ X[:, lo:]
-        Kc[hi:, lo:hi] = Kc[lo:hi, hi:].conj().T
-    np.conjugate(Kc, out=Kc)
-    Kc /= M
     return M, K0, Kc, epsilon
 
 
@@ -317,7 +340,8 @@ def reconstruct_sigma(traces, capacity: CapacityOperator, R_prime: float,
     """Full pipeline: measured epsilon -> (t, rho) -> Fourier samples -> sigma,
     at the wavenumber and on the mesh of `capacity`.
 
-    `traces` holds the ensemble as its frame components (M, N, 2); `s` and
+    `traces` holds the ensemble as its frame components (M, N, 2); passed as
+    a temporary of the call, it is freed once copied to its real rows. `s` and
     `M1` are the stability constants of `select_parameters`.
 
     Each sample is sigma_hat(xi) = -mean(B_1 B_2) / (k^2 (1 - |xi|^2/4t^2));
@@ -332,7 +356,8 @@ def reconstruct_sigma(traces, capacity: CapacityOperator, R_prime: float,
     which shrinks the Monte Carlo variance without touching the mean. `tol`
     and `max_iter` bound each CGO remainder solve (`CgoRemainderSolver`).
     """
-    moments = (_moments(X, capacity, epsilon) for X in (traces,))  # read after the checks
+    traces = [traces]  # popped into `_moments`, which drops it once it is copied
+    moments = (_moments(traces.pop(), capacity, epsilon) for _ in range(1))  # read after the checks
     return _reconstruct(moments, [ground_truth], capacity, R_prime, medium, grid, s, M1,
                         t_max, rho_override, n_frames, tol, max_iter)[0]
 

@@ -20,42 +20,21 @@ from scipy.special import sph_harm_y
 
 from .geometry import SphereMesh
 
-__all__ = ["VshBasis", "scalar_ylm", "scalar_ylm_table"]
+__all__ = ["VshBasis", "scalar_ylm"]
 
 
-def _dtheta(l: int, m: int, y, y_next, cot, emphi):
-    """dY_lm/dtheta by the stable ladder recurrence, from Y_lm and Y_l,m+1
-    (unused when m = l)."""
-    val = m * cot * y
-    if m < l:
-        val = val + np.sqrt((l - m) * (l + m + 1)) * emphi * y_next
-    return val
+def _dtheta(l, m, y, y_next, theta, phi):
+    """dY_lm/dtheta by the stable ladder recurrence from Y_lm and Y_l,m+1 (zero
+    for m = l): m cot(theta) Y_lm + sqrt((l-m)(l+m+1)) e^{-i phi} Y_l,m+1."""
+    cot, emphi = np.cos(theta) / np.sin(theta), np.exp(-1j * phi)
+    return m * cot * y + np.sqrt((l - m) * (l + m + 1)) * emphi * y_next
 
 
-def scalar_ylm(l: int, m: int, theta: np.ndarray, phi: np.ndarray):
-    """Orthonormal (unit-sphere) Y_lm and its theta-derivative at the nodes,
-    from Y_lm and Y_l,m+1 alone; equal bit for bit to the entries of
-    `scalar_ylm_table`."""
+def scalar_ylm(l, m, theta: np.ndarray, phi: np.ndarray):
+    """Orthonormal (unit-sphere) Y_lm and dY_lm/dtheta (`_dtheta`) at the nodes;
+    degrees and orders may be arrays broadcast against the nodes."""
     y = sph_harm_y(l, m, theta, phi)
-    y_next = sph_harm_y(l, m + 1, theta, phi) if m < l else None
-    return y, _dtheta(l, m, y, y_next, np.cos(theta) / np.sin(theta), np.exp(-1j * phi))
-
-
-def scalar_ylm_table(lmax: int, theta: np.ndarray, phi: np.ndarray):
-    """Orthonormal (unit-sphere) Y_lm and their theta-derivatives at the nodes.
-
-    Returns two dicts keyed by (l, m) with 0 <= l <= lmax, |m| <= l.
-    dtheta is computed with the stable ladder recurrence
-    dY_lm/dtheta = m*cot(theta)*Y_lm + sqrt((l-m)(l+m+1)) e^{-i phi} Y_{l,m+1}.
-    """
-    Y = {}
-    for l in range(lmax + 1):
-        for m in range(-l, l + 1):
-            Y[(l, m)] = sph_harm_y(l, m, theta, phi)
-    cot = np.cos(theta) / np.sin(theta)
-    emphi = np.exp(-1j * phi)
-    dY = {(l, m): _dtheta(l, m, y, Y.get((l, m + 1)), cot, emphi) for (l, m), y in Y.items()}
-    return Y, dY
+    return y, _dtheta(l, m, y, sph_harm_y(l, m + 1, theta, phi), theta, phi)
 
 
 class VshBasis:
@@ -74,17 +53,15 @@ class VshBasis:
 
         # frame components (theta_hat, phi_hat) of every mode, (2K, N, 2), the
         # families its halves; decompose reads its conjugate times the weights
-        Y, dY = scalar_ylm_table(lmax, mesh.theta, mesh.phi)
+        l, m = np.array(self.modes).T[:, :, None]
+        Y = sph_harm_y(l, m, mesh.theta, mesh.phi)  # Y_l,m+1 is the next row, or 0 at m = l
+        dY = _dtheta(l, m, Y, np.where(m < l, np.roll(Y, -1, axis=0), 0), mesh.theta, mesh.phi)
         inv_sin = 1.0 / np.sin(mesh.theta)
-        stack = np.empty((2 * self.n_modes, mesh.n_nodes, 2), dtype=np.complex128)
-        grad, curl = stack[: self.n_modes], stack[self.n_modes :]
-        for idx, (l, m) in enumerate(self.modes):
-            norm = 1.0 / (mesh.radius * np.sqrt(l * (l + 1)))
-            a = dY[(l, m)] * norm                 # theta component of grad family
-            b = 1j * m * Y[(l, m)] * inv_sin * norm  # phi component
-            grad[idx, :, 0], grad[idx, :, 1] = a, b
-            # nu x grad: theta_hat -> phi_hat, phi_hat -> -theta_hat
-            curl[idx, :, 0], curl[idx, :, 1] = -b, a
+        norm = 1.0 / (mesh.radius * np.sqrt(l * (l + 1)))
+        a = dY * norm                 # theta component of grad family
+        b = 1j * m * Y * inv_sin * norm  # phi component
+        # nu x grad: theta_hat -> phi_hat, phi_hat -> -theta_hat
+        stack = np.concatenate([np.stack([a, b], axis=-1), np.stack([-b, a], axis=-1)])
         self._stack, self._stack_w = stack, np.conj(stack) * mesh.weights[None, :, None]
 
     def mode_index(self, l: int, m: int) -> int:

@@ -12,7 +12,7 @@ from stochmaxwell.capacity import (
 )
 from stochmaxwell.forward import HomogeneousTraceMap
 from stochmaxwell.geometry import Grid3, SphereMesh
-from stochmaxwell.sphharm import VshBasis, scalar_ylm, scalar_ylm_table
+from stochmaxwell.sphharm import VshBasis, scalar_ylm
 from stochmaxwell.verify import capacity_identity, ibp_identity, multipoles
 
 from conftest import K_DESK, rel_err
@@ -38,9 +38,9 @@ class TestVshBasis:
         mesh = desk_basis.mesh
         idx = desk_basis.mode_index(l, m)
         assert desk_basis.modes[idx] == (l, m)
-        Y, dY = scalar_ylm_table(l, mesh.theta, mesh.phi)
-        grad = (dY[(l, m)][:, None] * mesh.theta_hat
-                + (1j * m * Y[(l, m)] / np.sin(mesh.theta))[:, None] * mesh.phi_hat)
+        y, dy = scalar_ylm(l, m, mesh.theta, mesh.phi)
+        grad = (dy[:, None] * mesh.theta_hat
+                + (1j * m * y / np.sin(mesh.theta))[:, None] * mesh.phi_hat)
         grad /= mesh.radius * np.sqrt(l * (l + 1))
         unit = np.zeros(2 * desk_basis.n_modes, dtype=complex)
         unit[idx] = 1.0
@@ -48,15 +48,20 @@ class TestVshBasis:
         unit = np.roll(unit, desk_basis.n_modes)
         assert np.allclose(mesh.from_frame(desk_basis.synthesize(unit)), np.cross(mesh.normals, grad))
 
-    def test_single_harmonic_matches_table(self, desk_mesh):
-        """scalar_ylm, which evaluates only Y_lm and Y_l,m+1, gives the
-        table's Y_lm and dY_lm bit for bit, so the multipoles built from it
-        are unchanged."""
-        lmax = 5
-        Y, dY = scalar_ylm_table(lmax, desk_mesh.theta, desk_mesh.phi)
-        for l, m in Y:
-            y, dy = scalar_ylm(l, m, desk_mesh.theta, desk_mesh.phi)
-            assert np.array_equal(y, Y[(l, m)]) and np.array_equal(dy, dY[(l, m)])
+    def test_harmonics_of_all_modes_match_single_calls(self, desk_basis):
+        """scalar_ylm over arrays of degrees and orders, and the basis's
+        gradient tables (one evaluation of every Y_lm, the next mode's
+        standing in for Y_l,m+1), give every mode's Y_lm and dY_lm bit for
+        bit as a call for that mode alone, m = l (Y_l,l+1 = 0) included."""
+        mesh = desk_basis.mesh
+        degree, order = np.array(desk_basis.modes).T[:, :, None]
+        Y, dY = scalar_ylm(degree, order, mesh.theta, mesh.phi)
+        grad = desk_basis._stack[: desk_basis.n_modes]
+        for row, (l, m) in enumerate(desk_basis.modes):
+            y, dy = scalar_ylm(l, m, mesh.theta, mesh.phi)
+            assert np.array_equal(y, Y[row]) and np.array_equal(dy, dY[row])
+            norm = 1.0 / (mesh.radius * np.sqrt(l * (l + 1)))
+            assert np.array_equal(grad[row, :, 0], dy * norm)
 
     def test_batched_decompose_matches_loop(self, desk_basis):
         rng = np.random.default_rng(7)
@@ -102,6 +107,39 @@ class TestMultipoleIdentity:
         E, H = radiating_multipole("te", 2, 1, K_DESK, mesh.nodes)
         got = bad.apply(np.cross(E, mesh.normals))
         assert rel_err(got, np.cross(H, mesh.normals)) > 1e-3
+
+
+class TestOnePassBuild:
+    """The capacity build evaluates the m = 0 multipoles of every degree in
+    one call per kind and decomposes all their traces in one product."""
+
+    def test_multipoles_of_all_degrees_equal_per_degree(self, desk_mesh):
+        degrees = np.arange(1, desk_mesh.lmax + 1)
+        for kind in ("te", "tm"):
+            E, H = radiating_multipole(kind, degrees[:, None], 0, K_DESK, desk_mesh.nodes)
+            for l in degrees:
+                e, h = radiating_multipole(kind, int(l), 0, K_DESK, desk_mesh.nodes)
+                assert np.array_equal(E[l - 1], e) and np.array_equal(H[l - 1], h)
+
+    @pytest.mark.parametrize("k, lmax, fault_scale", [(K_DESK, 12, 1.0), (3.7, 5, 1.05)])
+    def test_multipliers_match_the_per_degree_build(self, k, lmax, fault_scale):
+        """Each degree's multiplier is within 1e-14 relative of the one
+        solved from that degree's two multipoles alone, each trace
+        decomposed on its own, and every mode of the degree carries it."""
+        mesh = SphereMesh(1.0, lmax)
+        cap = CapacityOperator(k, mesh, fault_scale)
+        basis = VshBasis(mesh)
+        for l in range(1, lmax + 1):
+            idx = basis.mode_index(l, 0)
+            cols = np.empty((2, 2, 2), dtype=complex)  # [E/H, family, kind]
+            for j, kind in enumerate(("te", "tm")):
+                for e, field in enumerate(radiating_multipole(kind, l, 0, k, mesh.nodes)):
+                    coeffs = basis.decompose(mesh.to_frame(np.cross(field, mesh.normals)))
+                    cols[e, :, j] = coeffs[[idx, basis.n_modes + idx]]
+            want = fault_scale * cols[1] @ np.linalg.inv(cols[0])
+            got = cap._blocks[:, :, idx - l : idx + l + 1]
+            assert np.array_equal(got, np.broadcast_to(got[:, :, :1], got.shape))
+            assert rel_err(got[:, :, 0], want) < 1e-14
 
 
 class TestOffCenterDipole:
@@ -180,6 +218,8 @@ class TestConstruction:
             spherical_h1(120, 0.1)
         with pytest.raises(OverflowError):
             spherical_h1(120, np.array([2.0, 0.1, 3.0]))
+        with pytest.raises(OverflowError, match=r"l=120, z=0\.1;"):
+            spherical_h1(np.array([[1], [120]]), np.array([2.0, 0.1, 3.0]))
 
     @pytest.mark.parametrize("derivative", [False, True])
     def test_hankel_array_matches_scalar(self, derivative):

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -600,6 +601,26 @@ class TestCliReconstruct:
         main(["reconstruct", "--config", config_path, "--out", out])
         for f, blob in first.items():
             assert (rec / f).read_bytes() == blob
+
+    def test_frame_ensemble_freed_before_the_grams(self, small_cfg, tmp_path, monkeypatch):
+        """`run_reconstruct` hands the frame components to the
+        reconstruction without keeping them, so they are freed once their
+        real rows are copied, before the Grams are formed."""
+        refs, alive = [], []
+        real_rows, grams = reconstruct._real_rows, reconstruct._grams
+
+        def rows_spy(traces, mesh):
+            refs.append(weakref.ref(traces))
+            return real_rows(traces, mesh)
+
+        def grams_spy(Y):
+            alive.append(refs[-1]() is not None)
+            return grams(Y)
+
+        monkeypatch.setattr(reconstruct, "_real_rows", rows_spy)
+        monkeypatch.setattr(reconstruct, "_grams", grams_spy)
+        cli.run_reconstruct(small_cfg, str(tmp_path / "r"))
+        assert alive == [False]
 
     def test_corrupt_store_exits_2(self, config_path, tmp_path):
         out = str(tmp_path / "r")

@@ -8,7 +8,7 @@ import pytest
 
 from stochmaxwell import cgo
 from stochmaxwell import reconstruct as reconstruct_module
-from stochmaxwell.capacity import CapacityOperator
+from stochmaxwell.capacity import ROW_BLOCK, CapacityOperator
 from stochmaxwell.cgo import (
     CgoRemainderSolver,
     ConjugatedResolvent,
@@ -28,6 +28,7 @@ from stochmaxwell.geometry import (
 )
 from stochmaxwell.reconstruct import (
     DUAL_BLOCK,
+    GRAM_BLOCK,
     PRODUCT_COLUMNS,
     build_xi_lattice,
     dual_functional_vector,
@@ -332,6 +333,116 @@ class TestEpsilon:
         tangential = M * 2 * N * 16
         kernel = (2 * N) ** 2 * 16
         assert peak < tangential + 3 * kernel, (peak, tangential, kernel)
+
+
+class TestMoments:
+    """`_moments` forms both Grams from one blocked real Gram of the
+    ensemble's real rows, and epsilon sums its kernel norms over blocks of
+    rows. The lmax-6 mesh has 98 nodes, so 2N = 196 rows end in a partial
+    block of GRAM_BLOCK."""
+
+    @pytest.fixture(scope="class")
+    def capacity(self):
+        return CapacityOperator(K_DESK, SphereMesh(1.0, 6))
+
+    @staticmethod
+    def _ensemble(mesh, M, layout, seed):
+        rng = np.random.default_rng(seed)
+        if layout == "contiguous":
+            shape = (M, mesh.n_nodes, 2)
+            X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert X.flags.c_contiguous
+        else:  # realization index innermost, as `to_frame` lays out a trace ensemble
+            shape = (M, mesh.n_nodes, 3)
+            X = mesh.to_frame(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            assert X.strides == (16, 2 * 16 * M, 16 * M)
+        return X
+
+    @pytest.mark.parametrize("layout", ["contiguous", "to_frame"])
+    @pytest.mark.parametrize("M", [40, 300], ids=["M<2N", "M>2N"])
+    def test_grams_match_their_definitions(self, capacity, M, layout):
+        """K0 = X^T X / M and Kc = X^T conj(X) / M to 1e-13 relative, K0
+        exactly symmetric and Kc exactly Hermitian."""
+        X = self._ensemble(capacity.mesh, M, layout, seed=M)
+        assert (M < 2 * capacity.mesh.n_nodes) == (M == 40)
+        count, K0, Kc, epsilon = reconstruct_module._moments(X, capacity, epsilon=0.1)
+        flat = X.reshape(M, -1)
+        assert (count, epsilon) == (M, 0.1)
+        assert rel_err(K0, flat.T @ flat / M) < 1e-13
+        assert rel_err(Kc, flat.T @ flat.conj() / M) < 1e-13
+        assert np.array_equal(K0, K0.T) and np.array_equal(Kc, Kc.conj().T)
+
+    def test_streamed_epsilon_matches_materialized_kernels(self, capacity):
+        """The three norms, summed over blocks of rows with C K0 C^T formed
+        a block at a time, equal those of the materialized K0, K0 C^T and
+        C K0 C^T taken from their (N, 3, N, 3) Cartesian components."""
+        mesh = capacity.mesh
+        N = mesh.n_nodes
+        X = self._ensemble(mesh, 60, "to_frame", seed=6)
+        _, K0, _, epsilon = reconstruct_module._moments(X, capacity)
+
+        def capacity_rows(Z):
+            return capacity.apply_frame(Z.reshape(len(Z), N, 2)).reshape(Z.shape)
+
+        K1t = capacity_rows(K0)
+        kernels = (K0, K1t, capacity_rows(K1t.T))
+        E = np.sqrt(mesh.weights)[:, None, None] * mesh.frame  # (N, 3, 2)
+
+        def norm(K):
+            cart = np.einsum("nis,nsmt,mjt->nimj", E, K.reshape(N, 2, N, 2), E)
+            return sum(np.linalg.norm(cart[:, i, :, j]) for i in range(3) for j in range(3))
+
+        got = reconstruct_module._kernel_epsilon(K0, len(X), capacity)
+        for g, K in zip((got.norm1, got.norm2, got.norm3), kernels):
+            assert g == pytest.approx(norm(K), rel=1e-13)
+        assert epsilon == got.epsilon
+
+    def test_peak_memory_is_grams_one_kernel_copy_and_blocks(self, small_ensemble,
+                                                             desk_capacity):
+        """The caller keeps the ensemble here, so `_moments` holds at most
+        K0, Kc, one more (2N)^2 kernel (K0 C^T), one (M, 2N) copy (the real
+        rows) and four arrays of max(GRAM_BLOCK, ROW_BLOCK) rows of 2N
+        complex numbers: the real product's rows, or a capacity
+        application's three work arrays and its output. An unblocked real
+        Gram, or C K0 C^T held whole, exceeds the bound."""
+        M, N = small_ensemble.shape[:2]
+        tracemalloc.start()
+        try:
+            reconstruct_module._moments(small_ensemble, desk_capacity)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kernel = (2 * N) ** 2 * 16
+        copy = M * 2 * N * 16
+        block = max(GRAM_BLOCK, ROW_BLOCK) * 2 * N * 16
+        bound = 3 * kernel + copy + 4 * block
+        assert peak < bound, (peak, bound)
+        assert bound < 2 * kernel + copy + (4 * N) ** 2 * 8  # an unblocked real Gram
+
+    def test_ensemble_freed_before_the_grams(self, small_ensemble, grid, hom_medium,
+                                             desk_capacity, monkeypatch):
+        """An ensemble passed to `reconstruct_sigma` as a temporary of the
+        call is freed once its real rows are copied, before the Grams are
+        formed; one the caller keeps is not."""
+        refs, alive = [], []
+        real_rows, grams = reconstruct_module._real_rows, reconstruct_module._grams
+
+        def rows_spy(traces, mesh):
+            refs.append(weakref.ref(traces))
+            return real_rows(traces, mesh)
+
+        def grams_spy(Y):
+            alive.append(refs[-1]() is not None)
+            return grams(Y)
+
+        monkeypatch.setattr(reconstruct_module, "_real_rows", rows_spy)
+        monkeypatch.setattr(reconstruct_module, "_grams", grams_spy)
+        kept = small_ensemble[:50].copy()
+        reconstruct_sigma(kept, desk_capacity, RP_DESK, hom_medium, grid, epsilon=0.1,
+                          rho_override=2.0)
+        reconstruct_sigma(kept.copy(), desk_capacity, RP_DESK, hom_medium, grid, epsilon=0.1,
+                          rho_override=2.0)
+        assert alive == [True, False]
 
 
 class TestParameterSchedule:
