@@ -7,7 +7,8 @@ satisfying the bilinear constraint zeta . zeta = k^2, so that
 U0 = eta e^{i zeta . x} solves curl curl U0 = k^2 U0 exactly. In an
 inhomogeneous medium the correction W is solved from the conjugated
 equation e^{-i zeta x}(curl curl - k^2)(e^{i zeta x} W) = -k^2 m (eta + W),
-whose constant-coefficient part inverts in closed form in Fourier space:
+whose constant-coefficient part inverts in closed form in Fourier space
+(`resolvent.ConjugatedResolvent`):
 
     A(q)^{-1} = (I - q q^T / k^2) / (s^2 + 2 s . zeta),   q = s + zeta,
 
@@ -26,20 +27,20 @@ W = f zeta + V of the remainder estimate is derived from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 
 from .geometry import (
     ConfigurationError,
     Grid3,
     MediumSpec,
+    _trilinear_stencil,
+    _trilinear_sum,
     evaluate_on_grid,
-    trilinear_interpolate,
 )
-from .forward import _bounding_box, curl_grid, solve_fixed_point
+from .forward import _bounding_box, curl_at, solve_fixed_point
 from .greens import padded_fft_apply, symmetric_symbol
+from .resolvent import ConjugatedResolvent
 
 __all__ = [
     "CgoSolution",
@@ -181,130 +182,6 @@ class CgoSolution:
         return self.eta[:, None, None, None] + self.W
 
 
-@lru_cache(maxsize=8)
-def _lattice(padded: tuple, h: float):
-    """Spectral lattice s of a padded grid (axes broadcast) and |s|^2; cached."""
-    s = [2.0 * np.pi * sfft.fftfreq(v, d=h) for v in padded]
-    s = (s[0][:, None, None], s[1][None, :, None], s[2][None, None, :])
-    return s, s[0] ** 2 + s[1] ** 2 + s[2] ** 2
-
-
-@lru_cache(maxsize=16)
-def _truncated_dft(p: int, s: int) -> np.ndarray:
-    """(2s, p) matrix taking a p-point multiplier to the 2s-point symbol of its
-    kernel on a box of s cells: the inverse DFT at displacements -(s - 1) ..
-    s - 1, embedded circulantly in 2s points, then the forward DFT; cached."""
-    d = np.arange(1 - s, s)
-    pruned = np.exp(2j * np.pi * (np.outer(d, np.arange(p)) % p) / p) / p
-    return np.exp(-2j * np.pi * (np.outer(np.arange(2 * s), d) % (2 * s)) / (2 * s)) @ pruned
-
-
-class ConjugatedResolvent:
-    """Fourier-multiplier inverse of e^{-i zeta x}(curl curl - k^2) e^{i zeta x},
-    held by its scalar symbol inv = 1/(s^2 + 2 s.zeta) on the padded lattice:
-    `apply` computes inv (f - q (q.f)/k^2), q = s + zeta.
-
-    Bins within one spectral cell of the characteristic set s^2 + 2 s.zeta = 0
-    carry the cell average of inv (the set has codimension two, so it is
-    finite), which tames the near-resonant multipliers of the coarse lattice:
-    the midpoint rule on a _SUBSAMPLE^3 grid of offsets o about the bin
-    centre s0. With c = s0 + zeta the symbol there is d0 + X(o_x) + Y(o_y) +
-    Z(o_z), each term 2 o_i c_i + o_i^2, an outer sum; the offsets are
-    symmetric about 0, so each antipodal pair in x folds into one division,
-    1/(B + L) + 1/(B - L) = 2B / (B^2 - L^2) with L = 2 o_x c_x. Bins go in
-    chunks of _CHUNK. The result differs from a pointwise mean only by
-    rounding (about 1e-10 relative at worst, near the characteristic set).
-
-    Lending: a signed axis permutation P keeps (P c).(P c) = c.c and maps the
-    offset grid onto itself, so the cell averages obey
-    A_{P zeta}(P s) = A_zeta(s), and A_{conj zeta}(s) = conj A_zeta(s).
-    `lend = (near, P, conj)`, with `near` the (flat bin indices, cell
-    averages) of a resolvent for zeta' on this grid and zeta = P zeta'
-    (conjugated when `conj`), lends those averages by index permutation,
-    reflection (i -> -i mod p) and conjugation. P may exchange only axes of
-    equal padded length, which share a lattice, and -s is off the lattice
-    on the Nyquist plane (index p/2) of a reflected axis: bins lent from
-    there, and near bins the lender lacks, are averaged directly.
-    """
-
-    _SUBSAMPLE = 12
-    _CHUNK = 16
-
-    def __init__(self, zeta: np.ndarray, k: float, grid: Grid3, lend=None):
-        z = self.zeta = np.asarray(zeta, dtype=np.complex128)
-        self.k = float(k)
-        self.padded = p = tuple(2 * v for v in grid.dims)
-        (sx, sy, sz), s2 = _lattice(p, grid.spacing)
-        denom = s2 + (2.0 * sx * z[0] + 2.0 * sy * z[1] + 2.0 * sz * z[2])
-        ds = [sx[1, 0, 0], sy[0, 1, 0], sz[0, 0, 1]]  # spectral cell widths
-        grad_scale = 4.0 * (abs(z).max() + k)
-        near = np.abs(denom) < grad_scale * max(ds)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / denom  # every near bin is lent or averaged below
-        todo = near
-        if lend is not None:  # a lent near bin of source index j lands at P j
-            (l_idx, l_avg), P, conj = lend
-            src = np.unravel_index(l_idx, p)
-            axis, sign = np.abs(P).argmax(axis=1), P.sum(axis=1).astype(int)
-            dst = np.ravel_multi_index([sign[a] * src[axis[a]] % p[a] for a in range(3)], p)
-            nyq = np.any([(sign[a] < 0) & (src[axis[a]] == p[a] // 2) for a in range(3)], axis=0)
-            ok = ~nyq & near.ravel()[dst]
-            inv.ravel()[dst[ok]] = np.conj(l_avg[ok]) if conj else l_avg[ok]
-            todo = near.copy()
-            todo.ravel()[dst[ok]] = False
-        idx = np.nonzero(todo)
-        if idx[0].size:
-            S = self._SUBSAMPLE
-            qx, qy, qz = (((np.arange(S) + 0.5) / S - 0.5) * d for d in ds)
-            half = qx[S // 2:]  # the offsets are symmetric about 0: fold x onto +half
-            c = np.stack([sx.ravel()[idx[0]], sy.ravel()[idx[1]], sz.ravel()[idx[2]]], axis=1) + z
-            L2 = (2.0 * half * c[:, :1]) ** 2
-            X = denom[idx][:, None] + half ** 2
-            Y = 2.0 * qy * c[:, 1:2] + qy ** 2
-            Z = 2.0 * qz * c[:, 2:3] + qz ** 2
-            avg = np.empty(len(c), dtype=np.complex128)
-            for b in range(0, len(c), self._CHUNK):
-                e = slice(b, b + self._CHUNK)
-                B = X[e, :, None] + (Y[e, :, None] + Z[e, None, :]).reshape(-1, 1, S * S)
-                D = B * B
-                D -= L2[e, :, None]
-                B /= D
-                avg[e] = B.sum(axis=(1, 2))
-            inv[idx] = avg * (2.0 / S ** 3)
-        self._inv = inv
-        near_idx = np.flatnonzero(near)
-        self.near = (near_idx, inv.ravel()[near_idx])
-        self._q = (sx + z[0], sy + z[1], sz + z[2])
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """A^{-1} f for amplitude-level values of shape (..., 3, nx, ny, nz)."""
-        return padded_fft_apply(f, self.padded, self._symbol)
-
-    def _symbol(self, g: np.ndarray) -> np.ndarray:
-        """inv (g - q (q.g)/k^2), in place on the transforms g."""
-        q, f = self._q, np.moveaxis(g, -4, 0)  # f[a]: component a of g
-        qf = (q[0] * f[0] + q[1] * f[1] + q[2] * f[2]) / self.k ** 2
-        for a in range(3):
-            f[a] -= q[a] * qf
-        g *= self._inv
-        return g
-
-    def box_symbol(self, dims: tuple) -> np.ndarray:
-        """`symmetric_symbol` entries of A^{-1} restricted to a box of `dims`
-        cells, on its 2 x dims lattice: inv (delta_ij - q_i q_j / k^2) through
-        `_truncated_dft` on each axis. q_a varies along axis a only, so this
-        needs the moments q_a^m inv, m <= 2: one matrix product per axis."""
-        p, q, n = self.padded, self._q, [2 * s for s in dims]
-        T = [_truncated_dft(p[a], dims[a]) * q[a].reshape(1, 1, -1) ** np.arange(3)[:, None, None]
-             for a in range(3)]  # (3, 2 s_a, p_a), block m weighted by q_a^m
-        M = T[0].reshape(-1, p[0]) @ self._inv.reshape(p[0], -1)
-        M = T[1].reshape(-1, p[1]) @ M.reshape(-1, p[1], p[2])
-        M = (M @ T[2].reshape(-1, p[2]).T).reshape(3, n[0], 3, n[1], 3, n[2])
-        # M[m0, :, m1, :, m2] is the moment q_0^m0 q_1^m1 q_2^m2 inv; q_i q_j for i <= j:
-        qq = M[[2, 1, 1, 0, 0, 0], :, [0, 1, 0, 2, 1, 0], :, [0, 0, 1, 0, 1, 2]] / self.k ** 2
-        return np.array([1, 0, 0, 1, 0, 1])[:, None, None, None] * M[0, :, 0, :, 0] - qq
-
-
 def _orbit(zeta: np.ndarray, dims: tuple):
     """Canonical forms c of stacked zeta (B, 3) under conjugation and signed
     permutations P of equal-length axes of `dims`, with P and conj: c = P
@@ -335,11 +212,14 @@ class CgoRemainderSolver:
     time. The correction W solves W = A^{-1}(-k^2 m (eta + W)). The block is
     iterated on the bounding box B of supp(m), with A^{-1} restricted to B
     (`ConjugatedResolvent.box_symbol`), by `forward.solve_fixed_point`; one
-    full-grid `apply` per column of -k^2 m (eta + W_B) gives W. The first
-    zeta of each symmetry orbit (`_orbit`) builds its resolvent directly, and
-    its near-bin data are kept for the solver's lifetime; every later zeta
-    whose canonical form agrees to 1e-12 relative borrows them. On a cubic
-    grid the 390 columns of a 389-node xi lattice fall into about 30 orbits.
+    full-grid `apply`
+    per column of -k^2 m (eta + W_B) gives W. The first zeta of each
+    symmetry orbit (`_orbit`) builds its resolvent directly, and its
+    near-bin data are kept for the solver's lifetime, with a store of the
+    orbit's off-lattice Nyquist averages; every later zeta whose canonical
+    form agrees to 1e-12 relative borrows both, and adds to the store what
+    it averages. On a cubic grid the 390 columns of a 389-node xi lattice
+    fall into about 30 orbits.
     """
 
     def __init__(self, k: float, medium: MediumSpec, grid: Grid3,
@@ -354,7 +234,7 @@ class CgoRemainderSolver:
             self._box = (slice(None), *_bounding_box(m_grid))
             self._km = self.k ** 2 * m_grid[None][self._box]
         self._canon = np.empty((0, 3), dtype=np.complex128)  # one row per orbit
-        self._lenders = []  # per orbit: (near data, P, conj) of its direct build
+        self._lenders = []  # per orbit: ((near data, Nyquist store), P, conj) of its direct build
 
     def _resolvents(self, zeta: np.ndarray) -> list:
         """Resolvents of stacked zeta (B, 3), each lent its orbit's data if any."""
@@ -368,7 +248,8 @@ class CgoRemainderSolver:
                 continue
             out.append(ConjugatedResolvent(z, self.k, self.grid))
             self._canon = np.vstack([self._canon, canon])
-            self._lenders.append((out[-1].near, P, cj))
+            store = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.complex128)]
+            self._lenders.append(((*out[-1].near, store), P, cj))
         return out
 
     def solve(self, zeta: np.ndarray, eta: np.ndarray):
@@ -387,10 +268,10 @@ class CgoRemainderSolver:
         WB, _, res = solve_fixed_point(
             lambda x, sel: x + padded_fft_apply(km * x, padded, symmetric_symbol(S[:, sel])),
             b, self.tol, self.max_iter, "CGO remainder solve")
-        full = np.zeros((3,) + self.grid.dims, dtype=np.complex128)
+        del S, b  # not held through the full-grid applies
         for c, resolvent in enumerate(resolvents):  # one column at a time on the full grid
-            full[self._box] = src[c] - km * WB[c]  # -k^2 m (eta + W_B)
-            W[c] = resolvent.apply(full)
+            W[c][self._box] = src[c] - km * WB[c]  # -k^2 m (eta + W_B), then W
+            W[c] = resolvent.apply(W[c])
         return W, res
 
 
@@ -456,8 +337,8 @@ def cgo_on_sphere(zeta, eta, W, grid: Grid3, mesh) -> tuple[np.ndarray, np.ndarr
     components are the phase times eta . e_t and (i zeta x eta) . e_t, one
     (2C, 3) x (3, 2N) product with the frame vectors e_t. The corrections
     and their curls (by grid stencils, all columns at once) are interpolated
-    trilinearly, then multiplied by the same nodal phase; the grid samples
-    never carry it.
+    trilinearly (`_corner_samples`), then multiplied by the same nodal
+    phase; the grid samples never carry it.
     """
     C, N = len(zeta), mesh.n_nodes
     frame = mesh.frame.transpose(1, 0, 2).reshape(3, 2 * N)  # column (n, t): e_t at node n
@@ -465,9 +346,20 @@ def cgo_on_sphere(zeta, eta, W, grid: Grid3, mesh) -> tuple[np.ndarray, np.ndarr
     phase = np.exp(1j * sum(zeta[:, i, None] * mesh.nodes[:, i] for i in range(3)))
     U, curlU = amps.reshape(2, C, N, 2) * phase[..., None]
     if W is not None:
-        both = np.concatenate([W, curl_grid(W, grid.spacing)], axis=1)
-        Wn, cWn = trilinear_interpolate(both, grid, mesh.nodes).reshape(C, 2, 3, N).swapaxes(0, 1)
+        Wn, cWn = _corner_samples(W, grid, mesh.nodes).reshape(N, C, 2, 3).transpose(2, 1, 3, 0)
         cWn += np.cross(1j * zeta[:, :, None], Wn, axis=1)  # i zeta x W + curl W
         vals = mesh.to_frame(np.stack([Wn, cWn]).swapaxes(2, 3)) * phase[..., None]
         U, curlU = U + vals[0], curlU + vals[1]
     return U, curlU
+
+
+def _corner_samples(W: np.ndarray, grid: Grid3, points: np.ndarray) -> np.ndarray:
+    """W (C, 3) + grid.dims and its stencil curl (`curl_grid`), interpolated
+    trilinearly at points (N, 3): (N, C, 6), W first. Both are formed only at
+    the corner cells the interpolation reads, bit for bit as on the whole
+    grid."""
+    cells, weights = _trilinear_stencil(grid, points)
+    used, corner = np.unique(cells, return_inverse=True)
+    at = np.concatenate([W.reshape(W.shape[:-3] + (-1,))[..., used],
+                         curl_at(W, grid.spacing, used)], axis=-2)
+    return _trilinear_sum(np.moveaxis(at, -1, 0), corner.reshape(cells.shape), weights)

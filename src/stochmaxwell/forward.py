@@ -98,8 +98,9 @@ def neumann_solve(apply, b: np.ndarray, tol: float, max_iter: int):
     (leading axis of b); `apply(x, sel)` applies A to the iterates x of the
     systems sel. A system leaves with its iterate when its residual
     ||A x - b|| / ||b|| reaches tol or stops contracting (above 0.9 times the
-    previous one); b = 0 stops at once. Returns the iterates and, per system,
-    the iteration count, residual and history, for the caller to judge."""
+    previous one) or is not finite; b = 0 stops at once. Returns the iterates
+    and, per system, the iteration count, residual and history, for the
+    caller to judge."""
     bnorm, history = [np.linalg.norm(bi) for bi in b], [[] for _ in b]
     x, act = b.copy(), np.flatnonzero(bnorm)
     xa = ba = b if act.size == len(b) else b[act]  # the systems still in the batch
@@ -109,7 +110,7 @@ def neumann_solve(apply, b: np.ndarray, tol: float, max_iter: int):
         Ax, go = apply(xa, act), []
         for j, i in enumerate(act):
             (h := history[i]).append(np.linalg.norm(Ax[j] - ba[j]) / bnorm[i])
-            if not (h[-1] <= tol or (len(h) > 1 and h[-1] > 0.9 * h[-2])):
+            if tol < h[-1] < np.inf and (len(h) == 1 or h[-1] <= 0.9 * h[-2]):
                 go.append(j)
         if len(go) < len(act):  # the stopped systems leave with their current iterates
             x[act] = xa
@@ -127,9 +128,13 @@ def solve_fixed_point(apply, b: np.ndarray, tol: float, max_iter: int, what: str
     missed tol. Returns x and, per system, the iterations (GMRES inner ones
     included) and the residual. Raises SolverError, with the residual
     history and a message naming `what` (and the system, in a stack), when a
-    residual misses tol."""
+    residual misses tol or is not finite (then without the GMRES hand-off)."""
     x, iters, res, history = neumann_solve(apply, b, tol, max_iter)
-    for i in np.flatnonzero(res > tol):  # stagnation or too few iterations: hand off to GMRES
+    for i in np.flatnonzero(~(res <= tol)):  # stagnation, too few iterations or nan
+        system = f" of system {i}" if len(b) > 1 else ""
+        if not np.isfinite(res[i]):
+            raise SolverError(f"{what}{system} has the non-finite residual {res[i]} after "
+                              f"{iters[i]} iterations", history[i])
         from scipy.sparse.linalg import LinearOperator, gmres  # scipy.sparse loads only here
         shape, sel = b.shape[1:], np.array([i])
         A = LinearOperator((b[i].size, b[i].size), dtype=np.complex128,
@@ -140,10 +145,9 @@ def solve_fixed_point(apply, b: np.ndarray, tol: float, max_iter: int, what: str
         x[i], iters[i] = sol.reshape(shape), iters[i] + len(inner)
         res[i] = np.linalg.norm(apply(x[i][None], sel)[0] - b[i]) / np.linalg.norm(b[i])
         history[i].append(res[i])
-        if res[i] > tol:
-            raise SolverError(f"{what}{f' of system {i}' if len(b) > 1 else ''} stopped at "
-                              f"residual {res[i]:.3e} (tol {tol:.1e}) after {iters[i]} iterations",
-                              history[i])
+        if not res[i] <= tol:
+            raise SolverError(f"{what}{system} stopped at residual {res[i]:.3e} "
+                              f"(tol {tol:.1e}) after {iters[i]} iterations", history[i])
     return x, iters, res
 
 
@@ -199,10 +203,34 @@ def curl_grid(F: np.ndarray, h: float) -> np.ndarray:
         sl[ax] = slice(2 + o, 2 + o + n[ax])
         return G[(Ellipsis, c) + tuple(sl)]
 
+    return _curl_stencil(at, h, axis=-4)
+
+
+def curl_at(F: np.ndarray, h: float, cells: np.ndarray) -> np.ndarray:
+    """`curl_grid(F, h)` at the flat grid cells `cells` (K,) only, as
+    (..., 3, K), bit for bit: each cell reads its stencil neighbours, which
+    wrap at the box faces as in `curl_grid`."""
+    n = F.shape[-3:]
+    flat, ijk, shifted = F.reshape(F.shape[:-3] + (-1,)), np.unravel_index(cells, n), {}
+
+    def at(c, ax, o):  # component c at offset o along grid axis ax
+        if (ax, o) not in shifted:
+            idx = list(ijk)
+            idx[ax] = (idx[ax] + o) % n[ax]
+            shifted[ax, o] = np.ravel_multi_index(idx, n)
+        return flat[..., c, shifted[ax, o]]
+
+    return _curl_stencil(at, h, axis=-2)
+
+
+def _curl_stencil(at, h: float, axis: int) -> np.ndarray:
+    """The curl from the samples at(c, ax, o) of component c at offset o
+    along grid axis ax, by the compact 4th-order difference, components
+    stacked on `axis`."""
     def d(c, ax):
         return (8.0 * (at(c, ax, 1) - at(c, ax, -1)) - (at(c, ax, 2) - at(c, ax, -2))) / (12.0 * h)
 
-    return np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)], axis=-4)
+    return np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)], axis=axis)
 
 
 def _dipole_block(k: float, weight: float, coords: np.ndarray, mesh: SphereMesh, nodes):

@@ -228,21 +228,42 @@ def trilinear_interpolate(values: np.ndarray, grid: Grid3, points: np.ndarray) -
     values: (..., nx, ny, nz); points: (N, 3). Returns (..., N).
     Points must lie inside the grid box.
     """
+    flat = np.moveaxis(values.reshape(values.shape[:-3] + (-1,)), -1, 0)
+    return np.moveaxis(_trilinear_sum(flat, *_trilinear_stencil(grid, points)), 0, -1)
+
+
+def _trilinear_stencil(grid: Grid3, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Corner cells (8, N), as flat indices into grid.dims, and weights (8, N)
+    of trilinear interpolation at points (N, 3) inside the grid box."""
     pts = np.asarray(points, dtype=np.float64)
     u = (pts - np.asarray(grid.origin)) / grid.spacing
     if np.any(u < -1e-9) or np.any(u > np.asarray(grid.dims) - 1 + 1e-9):
         raise ValueError("interpolation point outside grid box")
     i0 = np.clip(np.floor(u).astype(np.int64), 0, np.asarray(grid.dims) - 2)
     f = u - i0
-    out = np.zeros(values.shape[:-3] + (pts.shape[0],), dtype=values.dtype)
+    n, cells, weights = grid.dims, [], []
     for dx in (0, 1):
         wx = f[:, 0] if dx else 1.0 - f[:, 0]
         for dy in (0, 1):
             wy = f[:, 1] if dy else 1.0 - f[:, 1]
             for dz in (0, 1):
                 wz = f[:, 2] if dz else 1.0 - f[:, 2]
-                w = wx * wy * wz
-                out += w * values[..., i0[:, 0] + dx, i0[:, 1] + dy, i0[:, 2] + dz]
+                weights.append(wx * wy * wz)
+                cells.append(((i0[:, 0] + dx) * n[1] + i0[:, 1] + dy) * n[2] + i0[:, 2] + dz)
+    return np.array(cells), np.array(weights)
+
+
+def _trilinear_sum(flat: np.ndarray, cells: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Samples (K, ...) interpolated with the corners `cells` (8, N), indices
+    into the first axis, and the `weights` (8, N) of `_trilinear_stencil`:
+    (N, ...), summed corner by corner."""
+    flat = np.ascontiguousarray(flat)
+    out = np.zeros((cells.shape[1],) + flat.shape[1:], dtype=flat.dtype)
+    corner, w = np.empty_like(out), weights.reshape(weights.shape + (1,) * (flat.ndim - 1))
+    for c, wc in zip(cells, w):
+        np.take(flat, c, axis=0, out=corner)
+        corner *= wc
+        out += corner
     return out
 
 

@@ -6,7 +6,7 @@ import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import gmres
 
-from stochmaxwell import cgo
+from stochmaxwell import cgo, resolvent
 from stochmaxwell.cgo import (
     CgoRemainderSolver,
     ConjugatedResolvent,
@@ -27,7 +27,7 @@ from stochmaxwell.geometry import (
     evaluate_on_grid,
     trilinear_interpolate,
 )
-from stochmaxwell.reconstruct import select_parameters
+from stochmaxwell.reconstruct import DUAL_BLOCK, build_xi_lattice, select_parameters
 from stochmaxwell.verify import cgo_product_identity, cgo_stencil_residual
 
 from conftest import rel_err
@@ -193,6 +193,20 @@ class TestConjugatedResolvent:
         cells."""
         self.assert_cell_means(BOX, (0.6, -0.3, 0.2), 0.0)
 
+    def test_average_on_the_characteristic_set_raises(self):
+        """A cell one of whose subsamples is s = 0, where s^2 + 2 s.zeta
+        vanishes for every zeta, raises SolverError naming zeta instead of
+        writing inf into the symbol. With cells 24 wide the offsets include
+        -11, -9 and -3 exactly, so the centre (11, 9, 3) has the subsample 0;
+        the centre (12, 0, 6) has none. With a dyadic zeta every term is then
+        exact, and the folded denominator is exactly 0."""
+        zeta = np.array([1.0, 0.5j, -0.25])
+        ds = (24.0, 24.0, 24.0)
+        assert np.all(np.isfinite(resolvent._cell_averages(zeta, np.array([[12.0, 0.0, 6.0]]), ds)))
+        with pytest.raises(SolverError, match=r"not finite.*characteristic set") as exc:
+            resolvent._cell_averages(zeta, np.array([[12.0, 0.0, 6.0], [11.0, 9.0, 3.0]]), ds)
+        assert str(zeta) in str(exc.value)
+
     @pytest.mark.parametrize(
         "grid, lo, dims",
         [(GRID, (4, 5, 3), (1, 1, 1)), (BOX, (0, 7, 3), (3, 5, 2)), (GRID, (0, 0, 0), (10, 10, 10))],
@@ -350,6 +364,59 @@ class TestRemainderSolver:
         for zeta, res in zip(zetas, got):
             direct = ConjugatedResolvent(zeta, K, grid)
             assert np.max(np.abs(res._inv - direct._inv) / np.abs(direct._inv)) <= 1e-9
+
+    def test_bench_schedule_averages_each_bin_once_per_orbit(self, monkeypatch):
+        """The inhomogeneous bench schedule (10^3 grid, t = 5, rho = 5^(2/9),
+        390 columns in blocks of DUAL_BLOCK): every resolvent the solver
+        builds equals, within 1e-9 relative on every bin, a build that
+        averages all its near bins itself; and the bins averaged directly are
+        one per pair {s, Q s} of near bins of each orbit's first build, whose
+        zeta an involution Q fixes (or conjugates), plus each distinct
+        off-lattice Nyquist point of an orbit once. Those points are P^T s,
+        in the first build's frequencies, of the near bins s on the Nyquist
+        planes of the axes a lent build's P reflects."""
+        grid = Grid3.for_ball(1.3, 10)
+        xi = build_xi_lattice(5.0 ** (2.0 / 9.0), 1.3)[0]
+        zeta = build_zeta_eta(xi[: len(xi) // 2 + 1, None], 5.0, K, np.zeros((1, 1)))[0]
+        zeta = zeta.reshape(-1, 3)
+        assert len(zeta) == 390
+        averaged, lends = [], []
+        kernel, init, involution = resolvent._cell_averages, ConjugatedResolvent.__init__, resolvent._involution
+        monkeypatch.setattr(resolvent, "_cell_averages",
+                            lambda z, s0, ds: averaged.append(len(s0)) or kernel(z, s0, ds))
+
+        def recording(self, zeta, k, grid, lend=None):
+            lends.append(lend)
+            init(self, zeta, k, grid, lend)
+
+        monkeypatch.setattr(cgo.ConjugatedResolvent, "__init__", recording)
+        solver = CgoRemainderSolver(K, MediumSpec(ball_radius=1.0), grid)
+        built = [r for b in range(0, len(zeta), DUAL_BLOCK)
+                 for r in solver._resolvents(zeta[b : b + DUAL_BLOCK])]
+        n_averaged, lends = sum(averaged), lends[: len(built)]
+        monkeypatch.setattr(resolvent, "_involution", lambda zeta, dims: None)
+        p = np.array(built[0].padded)
+        first, paired, points = 0, 0, set()
+        for z, res, lend in zip(zeta, built, lends):
+            plain = ConjugatedResolvent(z, K, grid)
+            assert np.max(np.abs(res._inv - plain._inv) / np.abs(plain._inv)) <= 1e-9
+            # frequencies of the near bins in cell widths (index p/2 is -p/2)
+            f = (np.array(np.unravel_index(plain.near[0], plain.padded)).T + p // 2) % p - p // 2
+            if lend is None:
+                first += len(f)
+                own = involution(z, grid.dims)
+                if own is not None:  # pairs of distinct near bins s, Q s on the lattice
+                    Qf, on = f @ own[0].T, set(map(tuple, f))
+                    off = np.any((own[0].sum(axis=1) < 0) & (Qf == p // 2), axis=1)
+                    twin = [not o and tuple(q) in on and tuple(q) != tuple(v)
+                            for v, q, o in zip(f, Qf.astype(int), off)]
+                    paired += sum(twin) // 2
+                continue
+            (lender_idx, _, _), P, _ = lend
+            on_plane = np.any((P.sum(axis=1) < 0) & (f == -(p // 2)), axis=1)
+            points |= {(id(lender_idx), tuple(v)) for v in (f[on_plane] @ P).astype(int)}
+        assert paired > 0 and first - paired + len(points) == n_averaged
+        assert 0 < len(points) < sum(len(r.near[0]) for r, l in zip(built, lends) if l is not None)
 
     @pytest.mark.parametrize("grid", [GRID, BOX], ids=["cube", "non-cubic"])
     def test_box_solve_matches_full_grid_iteration(self, contrast_medium, grid):
@@ -540,6 +607,26 @@ class TestHomogeneousSolution:
             amp = eta[c] + w
             assert rel_err(U[c], mesh.to_frame(phase * amp)) <= 1e-13
             assert rel_err(curlU[c], mesh.to_frame(phase * np.cross(1j * zeta[c], amp))) <= 1e-13
+
+
+class TestCornerSampling:
+    @pytest.mark.parametrize("radius, lmax, lo, hi", [(1.0, 12, 2, 7), (2.1, 6, 0, 9)],
+                             ids=["bench-sphere", "wrapping-stencil"])
+    def test_equals_curl_and_interpolation_on_the_whole_grid(self, radius, lmax, lo, hi):
+        """W and its stencil curl formed at the interpolation's corner cells
+        only equal `curl_grid` on the whole grid followed by
+        `trilinear_interpolate`, bit for bit: on the bench's 10^3 grid, where
+        the lmax-12 sphere's corners span cells 2-7, and on a sphere whose
+        corners reach the box faces, where the stencils wrap."""
+        grid = Grid3.for_ball(1.3, 10)
+        nodes = SphereMesh(radius, lmax).nodes
+        cells = np.array(np.unravel_index(cgo._trilinear_stencil(grid, nodes)[0], grid.dims))
+        assert cells.min() == lo and cells.max() == hi
+        rng = np.random.default_rng(8)
+        W = rng.standard_normal((5, 3) + grid.dims) + 1j * rng.standard_normal((5, 3) + grid.dims)
+        want = trilinear_interpolate(np.concatenate([W, curl_grid(W, grid.spacing)], axis=1),
+                                     grid, nodes)
+        assert np.array_equal(np.moveaxis(cgo._corner_samples(W, grid, nodes), 0, -1), want)
 
 
 class TestContrastSolution:

@@ -203,6 +203,23 @@ class TestSolver:
             assert np.array_equal(x[i], xi[0]) and iters[i] == iters_i[0] and res[i] == res_i[0]
         assert len(sizes) == 2
 
+    def test_nonfinite_residual_raises(self):
+        """A stack whose operator puts a nan into every system's image raises
+        SolverError naming the system, instead of returning nan iterates
+        with nan residuals as converged."""
+        b = np.ones((2, 8), dtype=complex)
+
+        def apply(x, sel):
+            y = 1.1 * x
+            y[:, 0] = np.nan
+            return y
+
+        with pytest.raises(SolverError, match="system 0 has the non-finite residual nan") as exc:
+            solve_fixed_point(apply, b, 1e-10, 60, "test")
+        assert np.isnan(exc.value.residual_history[-1])
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_fixed_point(apply, b[:1], 1e-10, 60, "test")
+
     def test_solver_failure_raises(self, grid, sigma):
         """An unattainable tolerance must raise instead of silently
         returning a field that misses the requested accuracy."""
