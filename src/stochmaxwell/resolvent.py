@@ -7,13 +7,12 @@ Lippmann-Schwinger equation", 2000),
 
 held by its scalar symbol. Near-resonant bins carry cell averages of the
 symbol, computed once per symmetry orbit of bins: lent across the signed
-axis permutations and conjugation that relate two zeta, and within one zeta
-across the involution that fixes it. The operator restricted to a box of
-cells is formed from truncated DFTs of the symbol's axis moments.
+axis permutations and conjugation that relate two zeta. The operator
+restricted to a box of cells is formed from truncated DFTs of the symbol's
+axis moments.
 """
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -125,10 +124,7 @@ class ConjugatedResolvent:
     and near bins the lender lacks, are averaged directly. A third entry of
     `near`, a list [sorted keys, averages] (keys as `_borrow` says), holds the
     lender's averages at such off-lattice points: the build reads them, and
-    adds the ones it averages, so each is averaged once per lender. A build
-    without `lend` lends to itself the same way when an involution Q of the
-    axes fixes zeta or conjugates it (`_involution`): it averages one bin of
-    each pair {s, Q s} of near bins and copies the other.
+    adds the ones it averages, so each is averaged once per lender.
     """
 
     def __init__(self, zeta: np.ndarray, k: float, grid: Grid3, lend=None):
@@ -143,21 +139,13 @@ class ConjugatedResolvent:
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / denom  # every near bin is lent or averaged below
         flat, near_idx = inv.reshape(-1), np.flatnonzero(near)
-        todo, pair = near_idx, None
+        todo = near_idx
         if lend is not None:
             todo, keys, store = self._borrow(flat, near, *lend)
-        elif (own := _involution(z, grid.dims)) is not None:  # one average per pair {s, Q s}
-            img = _images(p, own[0])[near_idx]
-            twin = (img >= 0) & (img != near_idx)
-            twin[twin] = near.ravel()[img[twin]]
-            pair = twin & (img > near_idx)  # the lower bin of each pair: averaged, then copied
-            todo = near_idx[~twin | pair]
         if todo.size:
             i = np.unravel_index(todo, p)
             s0 = np.stack([sx.ravel()[i[0]], sy.ravel()[i[1]], sz.ravel()[i[2]]], axis=1)
             flat[todo] = _cell_averages(z, s0, ds)
-        if pair is not None:
-            flat[img[pair]] = np.conj(flat[near_idx[pair]]) if own[1] else flat[near_idx[pair]]
         if lend is not None and store is not None:  # kept sorted; the lender's value is conj'd back
             new = flat[todo[: len(keys)]]
             known = np.concatenate([store[0], keys])
@@ -205,22 +193,17 @@ class ConjugatedResolvent:
     def box_symbol(self, dims: tuple) -> np.ndarray:
         """`symmetric_symbol` entries of A^{-1} restricted to a box of `dims`
         cells, on its 2 x dims lattice: inv (delta_ij - q_i q_j / k^2) through
-        `_truncated_dft` on each axis. q_a varies along axis a only, so entry
-        ij needs the axis moments q_0^m0 q_1^m1 q_2^m2 inv: the seven with
-        m = (0, 0, 0) or m0 + m1 + m2 = 2, formed one axis at a time."""
+        `_truncated_dft` on each axis. q_a varies along axis a only, so this
+        needs the moments q_a^m inv, m <= 2: one matrix product per axis."""
         p, q, n = self.padded, self._q, [2 * s for s in dims]
         T = [_truncated_dft(p[a], dims[a]) * q[a].reshape(1, 1, -1) ** np.arange(3)[:, None, None]
              for a in range(3)]  # (3, 2 s_a, p_a), block m weighted by q_a^m
-        M = (T[0].reshape(-1, p[0]) @ self._inv.reshape(p[0], -1)).reshape(3, n[0], p[1], p[2])
-        # M01[m0][:, m1] is the moment q_0^m0 q_1^m1 inv on (n0, n1, p2), m0 + m1 <= 2
-        M01 = [(T[1][: 3 - m0].reshape(-1, p[1]) @ M[m0]).reshape(n[0], 3 - m0, n[1], p[2])
-               for m0 in range(3)]
-
-        def moment(m0, m1, m2):
-            return M01[m0][:, m1] @ T[2][m2].T
-
-        qq = np.stack([moment(*m) for m in ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))])
-        return np.array([1, 0, 0, 1, 0, 1])[:, None, None, None] * moment(0, 0, 0) - qq / self.k ** 2
+        M = T[0].reshape(-1, p[0]) @ self._inv.reshape(p[0], -1)
+        M = T[1].reshape(-1, p[1]) @ M.reshape(-1, p[1], p[2])
+        M = (M @ T[2].reshape(-1, p[2]).T).reshape(3, n[0], 3, n[1], 3, n[2])
+        # M[m0, :, m1, :, m2] is the moment q_0^m0 q_1^m1 q_2^m2 inv; q_i q_j for i <= j:
+        qq = M[[2, 1, 1, 0, 0, 0], :, [0, 1, 0, 2, 1, 0], :, [0, 0, 1, 0, 1, 2]] / self.k ** 2
+        return np.array([1, 0, 0, 1, 0, 1])[:, None, None, None] * M[0, :, 0, :, 0] - qq
 
     def _borrow(self, flat, near, lent, P, conj):
         """Write the lender's averages `lent` into the near bins of `flat` they
@@ -280,30 +263,3 @@ def _images(p: tuple, P: np.ndarray) -> np.ndarray:
         if sign[a] < 0:
             m[p[a] // 2] = -size  # every sum with it is negative
     return (maps[0][:, None, None] + maps[1][None, :, None] + maps[2][None, None, :]).ravel()
-
-
-@lru_cache(maxsize=4)
-def _involutions(dims: tuple) -> np.ndarray:
-    """The signed permutations Q != I with Q Q = I that exchange only axes of
-    equal length in `dims`, (K, 3, 3), fewest reflections first."""
-    out = []
-    for perm in itertools.permutations(range(3)):
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            Q = np.zeros((3, 3))
-            Q[range(3), perm] = signs
-            if (all(dims[a] == dims[b] for a, b in enumerate(perm))
-                    and np.array_equal(Q @ Q, np.eye(3)) and not np.array_equal(Q, np.eye(3))):
-                out.append(Q)
-    return np.array(sorted(out, key=lambda Q: int(np.sum(Q < 0))))
-
-
-def _involution(zeta: np.ndarray, dims: tuple):
-    """(Q, conj) for the first involution Q of `_involutions(dims)` with
-    Q zeta = zeta (conj zeta when conj) to 1e-12 relative, or None. Then zeta
-    lends to itself: A_zeta(Q s) = A_zeta(s), conjugated when conj."""
-    Qs = _involutions(dims)  # never empty: the single-axis reflections are in it
-    Qz, tol = Qs @ zeta, 1e-12 * np.abs(zeta).max()
-    same = np.abs(Qz - zeta).max(axis=1) <= tol
-    conj = np.abs(Qz - np.conj(zeta)).max(axis=1) <= tol
-    hit = np.flatnonzero(same | conj)
-    return (Qs[hit[0]], not same[hit[0]]) if hit.size else None

@@ -370,8 +370,7 @@ class TestRemainderSolver:
         390 columns in blocks of DUAL_BLOCK): every resolvent the solver
         builds equals, within 1e-9 relative on every bin, a build that
         averages all its near bins itself; and the bins averaged directly are
-        one per pair {s, Q s} of near bins of each orbit's first build, whose
-        zeta an involution Q fixes (or conjugates), plus each distinct
+        the near bins of each orbit's first build plus each distinct
         off-lattice Nyquist point of an orbit once. Those points are P^T s,
         in the first build's frequencies, of the near bins s on the Nyquist
         planes of the axes a lent build's P reflects."""
@@ -381,7 +380,7 @@ class TestRemainderSolver:
         zeta = zeta.reshape(-1, 3)
         assert len(zeta) == 390
         averaged, lends = [], []
-        kernel, init, involution = resolvent._cell_averages, ConjugatedResolvent.__init__, resolvent._involution
+        kernel, init = resolvent._cell_averages, ConjugatedResolvent.__init__
         monkeypatch.setattr(resolvent, "_cell_averages",
                             lambda z, s0, ds: averaged.append(len(s0)) or kernel(z, s0, ds))
 
@@ -394,9 +393,8 @@ class TestRemainderSolver:
         built = [r for b in range(0, len(zeta), DUAL_BLOCK)
                  for r in solver._resolvents(zeta[b : b + DUAL_BLOCK])]
         n_averaged, lends = sum(averaged), lends[: len(built)]
-        monkeypatch.setattr(resolvent, "_involution", lambda zeta, dims: None)
         p = np.array(built[0].padded)
-        first, paired, points = 0, 0, set()
+        first, points = 0, set()
         for z, res, lend in zip(zeta, built, lends):
             plain = ConjugatedResolvent(z, K, grid)
             assert np.max(np.abs(res._inv - plain._inv) / np.abs(plain._inv)) <= 1e-9
@@ -404,18 +402,11 @@ class TestRemainderSolver:
             f = (np.array(np.unravel_index(plain.near[0], plain.padded)).T + p // 2) % p - p // 2
             if lend is None:
                 first += len(f)
-                own = involution(z, grid.dims)
-                if own is not None:  # pairs of distinct near bins s, Q s on the lattice
-                    Qf, on = f @ own[0].T, set(map(tuple, f))
-                    off = np.any((own[0].sum(axis=1) < 0) & (Qf == p // 2), axis=1)
-                    twin = [not o and tuple(q) in on and tuple(q) != tuple(v)
-                            for v, q, o in zip(f, Qf.astype(int), off)]
-                    paired += sum(twin) // 2
                 continue
             (lender_idx, _, _), P, _ = lend
             on_plane = np.any((P.sum(axis=1) < 0) & (f == -(p // 2)), axis=1)
             points |= {(id(lender_idx), tuple(v)) for v in (f[on_plane] @ P).astype(int)}
-        assert paired > 0 and first - paired + len(points) == n_averaged
+        assert first + len(points) == n_averaged
         assert 0 < len(points) < sum(len(r.near[0]) for r, l in zip(built, lends) if l is not None)
 
     @pytest.mark.parametrize("grid", [GRID, BOX], ids=["cube", "non-cubic"])
