@@ -21,8 +21,7 @@ The correction enters its equation only through m W, so it is solved on
 the bounding box of supp(m), a block of columns at a time, with the same
 discrete operator restricted to the box, by Neumann iteration with a
 hand-off to restarted GMRES (`forward.solve_fixed_point`); one full-grid
-apply per column gives W. A `CgoSolution` holds one column's W; the split
-W = f zeta + V of the remainder estimate is derived from it.
+apply per column gives W. A `CgoSolution` holds one column's W.
 """
 from __future__ import annotations
 
@@ -162,21 +161,6 @@ class CgoSolution:
     W: np.ndarray
     residual: float
 
-    @property
-    def f(self) -> np.ndarray:
-        """f (nx, ny, nz) of the split W = f zeta + V by the pointwise
-        minimal-norm (Hermitian) projection f = W . conj(zeta)/|zeta|^2,
-        V = W - f zeta, which keeps both parts within the remainder estimate;
-        the bilinear projection does not, because the non-decaying part of W
-        is parallel to zeta and |zeta| grows with t."""
-        zh = np.conj(self.zeta) / np.sum(np.abs(self.zeta) ** 2)
-        return np.tensordot(zh, self.W, axes=1)
-
-    @property
-    def V(self) -> np.ndarray:
-        """V = W - f zeta (3, nx, ny, nz) of the split (see `f`)."""
-        return self.W - self.f[None] * self.zeta[:, None, None, None]
-
     def amplitude(self) -> np.ndarray:
         """eta + W on the grid, shape (3, nx, ny, nz)."""
         return self.eta[:, None, None, None] + self.W
@@ -215,11 +199,9 @@ class CgoRemainderSolver:
     full-grid `apply`
     per column of -k^2 m (eta + W_B) gives W. The first zeta of each
     symmetry orbit (`_orbit`) builds its resolvent directly, and its
-    near-bin data are kept for the solver's lifetime, with a store of the
-    orbit's off-lattice Nyquist averages; every later zeta whose canonical
-    form agrees to 1e-12 relative borrows both, and adds to the store what
-    it averages. On a cubic grid the 390 columns of a 389-node xi lattice
-    fall into about 30 orbits.
+    near-bin data are kept for the solver's lifetime; every later zeta whose
+    canonical form agrees to 1e-12 relative borrows them. On a cubic grid
+    the 390 columns of a 389-node xi lattice fall into about 30 orbits.
     """
 
     def __init__(self, k: float, medium: MediumSpec, grid: Grid3,
@@ -234,7 +216,7 @@ class CgoRemainderSolver:
             self._box = (slice(None), *_bounding_box(m_grid))
             self._km = self.k ** 2 * m_grid[None][self._box]
         self._canon = np.empty((0, 3), dtype=np.complex128)  # one row per orbit
-        self._lenders = []  # per orbit: ((near data, Nyquist store), P, conj) of its direct build
+        self._lenders = []  # per orbit: (near data, P, conj) of its direct build
 
     def _resolvents(self, zeta: np.ndarray) -> list:
         """Resolvents of stacked zeta (B, 3), each lent its orbit's data if any."""
@@ -248,8 +230,7 @@ class CgoRemainderSolver:
                 continue
             out.append(ConjugatedResolvent(z, self.k, self.grid))
             self._canon = np.vstack([self._canon, canon])
-            store = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.complex128)]
-            self._lenders.append(((*out[-1].near, store), P, cj))
+            self._lenders.append((out[-1].near, P, cj))
         return out
 
     def solve(self, zeta: np.ndarray, eta: np.ndarray):

@@ -47,8 +47,15 @@ EXIT_VERIFY = 4
 
 
 def _capacity(cfg: ExperimentConfig, fault: bool = False) -> CapacityOperator:
+    """The capacity operator on the config's mesh; Hankel values that overflow
+    at k R are a degree cutoff the config must lower."""
     scale = cfg.fault_scale if fault else 1.0
-    return CapacityOperator(cfg.k, cfg.mesh(), fault_scale=scale)
+    try:
+        return CapacityOperator(cfg.k, cfg.mesh(), fault_scale=scale)
+    except OverflowError as exc:
+        raise ConfigurationError(
+            f"[stability] lmax = {cfg.lmax} is too high for k R = {cfg.k * cfg.R:.3g}: {exc}"
+        ) from exc
 
 
 def _traces(cfg: ExperimentConfig) -> np.ndarray:

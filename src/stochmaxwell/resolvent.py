@@ -5,11 +5,11 @@ Lippmann-Schwinger equation", 2000),
 
     A(q)^{-1} = (I - q q^T / k^2) / (s^2 + 2 s . zeta),   q = s + zeta,
 
-held by its scalar symbol. Near-resonant bins carry cell averages of the
-symbol, computed once per symmetry orbit of bins: lent across the signed
-axis permutations and conjugation that relate two zeta. The operator
-restricted to a box of cells is formed from truncated DFTs of the symbol's
-axis moments.
+held by its scalar symbol on an odd padded lattice. Near-resonant bins
+carry cell averages of the symbol, computed once per symmetry orbit of bins:
+lent across the signed axis permutations and conjugation that relate two
+zeta. The operator restricted to a box of cells is formed from truncated
+DFTs of the symbol's axis moments.
 """
 from __future__ import annotations
 
@@ -23,6 +23,17 @@ from .geometry import Grid3
 from .greens import _cropped_ifft
 
 __all__ = ["ConjugatedResolvent"]
+
+
+def _padded_length(n: int) -> int:
+    """Padded length of an axis of n cells: the smallest odd m >= 2n - 1, so
+    the apply does not wrap, with `next_fast_len(m) == m`. An odd lattice
+    holds the frequency -f of each of its frequencies f, so every signed
+    permutation of equal-length axes maps it onto itself."""
+    m = 2 * n - 1
+    while sfft.next_fast_len(m) != m:
+        m += 2
+    return m
 
 
 @lru_cache(maxsize=8)
@@ -117,20 +128,15 @@ class ConjugatedResolvent:
     `lend = (near, P, conj)`, with `near` the (flat bin indices, cell
     averages) of a resolvent for zeta' on this grid and zeta = P zeta'
     (conjugated when `conj`), lends those averages through per-axis index
-    maps, reflection (i -> -i mod p) and conjugation. P may exchange only
-    axes of equal padded length, which share a lattice. On the Nyquist plane
-    (index p/2, frequency -p/2) of an axis that P reflects, P^T s is off the
-    lender's lattice (frequency +p/2 on the lender's axis); near bins there,
-    and near bins the lender lacks, are averaged directly. A third entry of
-    `near`, a list [sorted keys, averages] (keys as `_borrow` says), holds the
-    lender's averages at such off-lattice points: the build reads them, and
-    adds the ones it averages, so each is averaged once per lender.
+    maps, reflection (i -> -i mod p) and conjugation; near bins the lender
+    lacks (by rounding at the near threshold) are averaged directly. P may
+    exchange only axes of equal padded length, which share a lattice.
     """
 
     def __init__(self, zeta: np.ndarray, k: float, grid: Grid3, lend=None):
         z = self.zeta = np.asarray(zeta, dtype=np.complex128)
         self.k = float(k)
-        self.padded = p = tuple(2 * v for v in grid.dims)
+        self.padded = p = tuple(_padded_length(v) for v in grid.dims)
         (sx, sy, sz), s2 = _lattice(p, grid.spacing)
         denom = s2 + (2.0 * sx * z[0] + 2.0 * sy * z[1] + 2.0 * sz * z[2])
         ds = [sx[1, 0, 0], sy[0, 1, 0], sz[0, 0, 1]]  # spectral cell widths
@@ -139,18 +145,10 @@ class ConjugatedResolvent:
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / denom  # every near bin is lent or averaged below
         flat, near_idx = inv.reshape(-1), np.flatnonzero(near)
-        todo = near_idx
-        if lend is not None:
-            todo, keys, store = self._borrow(flat, near, *lend)
-        if todo.size:
-            i = np.unravel_index(todo, p)
-            s0 = np.stack([sx.ravel()[i[0]], sy.ravel()[i[1]], sz.ravel()[i[2]]], axis=1)
-            flat[todo] = _cell_averages(z, s0, ds)
-        if lend is not None and store is not None:  # kept sorted; the lender's value is conj'd back
-            new = flat[todo[: len(keys)]]
-            known = np.concatenate([store[0], keys])
-            order = np.argsort(known, kind="stable")
-            store[:] = known[order], np.concatenate([store[1], np.conj(new) if lend[2] else new])[order]
+        todo = near_idx if lend is None else self._borrow(flat, near.reshape(-1), *lend)
+        i = np.unravel_index(todo, p)
+        s0 = np.stack([sx.ravel()[i[0]], sy.ravel()[i[1]], sz.ravel()[i[2]]], axis=1)
+        flat[todo] = _cell_averages(z, s0, ds)
         self._inv = inv
         self.near = (near_idx, flat[near_idx])
         self._s = (sx, sy, sz)  # the cached lattice
@@ -178,16 +176,19 @@ class ConjugatedResolvent:
         return _cropped_ifft(self._symbol(g), n)
 
     def _symbol(self, g: np.ndarray) -> np.ndarray:
-        """inv g - q (inv q.g/k^2), in place on the transforms g, through one
-        work array of a component's size."""
-        q, f, inv = self._q, np.moveaxis(g, -4, 0), self._inv  # f[a]: component a of g
-        qf, work = (q[0] / self.k ** 2) * f[0], np.empty(f.shape[1:], dtype=np.complex128)
-        for a in (1, 2):
-            qf += np.multiply(q[a] / self.k ** 2, f[a], out=work)
-        qf *= inv
-        for a in range(3):
-            f[a] *= inv
-            f[a] -= np.multiply(q[a], qf, out=work)
+        """inv g - q (inv q.g/k^2), in place on the transforms g, one half of
+        the first axis at a time, so its two work arrays together take one
+        component's size."""
+        q, h = self._q, (self.padded[0] + 1) // 2
+        for e in (slice(0, h), slice(h, None)):
+            f, inv, qe = np.moveaxis(g[..., e, :, :], -4, 0), self._inv[e], (q[0][e], q[1], q[2])
+            qf, work = (qe[0] / self.k ** 2) * f[0], np.empty(f.shape[1:], dtype=np.complex128)
+            for a in (1, 2):
+                qf += np.multiply(qe[a] / self.k ** 2, f[a], out=work)
+            qf *= inv
+            for a in range(3):
+                f[a] *= inv
+                f[a] -= np.multiply(qe[a], qf, out=work)
         return g
 
     def box_symbol(self, dims: tuple) -> np.ndarray:
@@ -207,40 +208,13 @@ class ConjugatedResolvent:
 
     def _borrow(self, flat, near, lent, P, conj):
         """Write the lender's averages `lent` into the near bins of `flat` they
-        reach through P. Returns the bins left to average directly (the
-        off-lattice Nyquist bins missing from the lender's store first), the
-        store keys of those Nyquist bins, and the store (None if `lent` has
-        none). A store key is 8 times the lender's flat index of P^T s, whose
-        index p/2 on a reflected axis stands for the frequency +p/2, plus bit
-        b for each lender axis b where it does."""
-        p, stride = self.padded, (self.padded[1] * self.padded[2], self.padded[2], 1)
-        axis, sign = np.abs(P).argmax(axis=1).tolist(), P.sum(axis=1).astype(int).tolist()
-        dst = _images(p, P)[lent[0]]
-        ok = dst >= 0
-        ok[ok] = near.ravel()[dst[ok]]
-        dst = dst[ok]
-        flat[dst] = np.conj(lent[1][ok]) if conj else lent[1][ok]
-        plane = np.zeros(p, dtype=bool)  # the Nyquist planes of the reflected axes
-        for a in range(3):
-            if sign[a] < 0:
-                plane[(slice(None),) * a + (p[a] // 2,)] = True
-        nyq = np.flatnonzero(plane & near)
-        j, keys = np.unravel_index(nyq, p), np.zeros(len(nyq), dtype=np.int64)
-        for a in range(3):
-            keys += 8 * stride[axis[a]] * (sign[a] * j[a] % p[a])
-            if sign[a] < 0:
-                keys += (j[a] == p[a] // 2) << axis[a]
-        store, hit = lent[2] if len(lent) > 2 else None, np.zeros(len(nyq), dtype=bool)
-        if store is not None and nyq.size and store[0].size:
-            pos = np.minimum(np.searchsorted(store[0], keys), store[0].size - 1)
-            hit = store[0][pos] == keys
-            flat[nyq[hit]] = np.conj(store[1][pos[hit]]) if conj else store[1][pos[hit]]
-        todo, keys = nyq[~hit], keys[~hit]
-        if np.count_nonzero(near) > dst.size + nyq.size:  # near bins the lender lacks
-            rest = near.copy().reshape(-1)
-            rest[dst] = rest[nyq] = False
-            todo = np.concatenate([todo, np.flatnonzero(rest)])
-        return todo, keys, store
+        reach through P, clearing those bins in the flat mask `near`. Returns
+        the near bins left, to average directly."""
+        dst = _images(self.padded, P)[lent[0]]
+        ok = near[dst]
+        flat[dst[ok]] = np.conj(lent[1][ok]) if conj else lent[1][ok]
+        near[dst] = False
+        return np.flatnonzero(near)
 
 
 @lru_cache(maxsize=8)
@@ -252,14 +226,10 @@ def _box_dft(p: int, lo: int, hi: int) -> np.ndarray:
 
 def _images(p: tuple, P: np.ndarray) -> np.ndarray:
     """Flat index of the bin P s for each bin s of the padded lattice p (both
-    flat, C order), through one index map per axis; negative where P s is off
-    the lattice, on the Nyquist plane (index p/2, frequency -p/2) of an axis
-    that P reflects."""
-    size, stride = p[0] * p[1] * p[2], (p[1] * p[2], p[2], 1)
+    flat, C order), through one index map per axis."""
+    stride = (p[1] * p[2], p[2], 1)
     axis, sign = np.abs(P).argmax(axis=1).tolist(), P.sum(axis=1).astype(int).tolist()
     maps = [None] * 3  # index along axis axis[a] -> flat offset of its image on axis a
     for a in range(3):
-        maps[axis[a]] = m = (sign[a] * np.arange(p[a]) % p[a]) * stride[a]
-        if sign[a] < 0:
-            m[p[a] // 2] = -size  # every sum with it is negative
+        maps[axis[a]] = (sign[a] * np.arange(p[a]) % p[a]) * stride[a]
     return (maps[0][:, None, None] + maps[1][None, :, None] + maps[2][None, None, :]).ravel()

@@ -1,9 +1,11 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
+from scipy.fft import next_fast_len
 from scipy.sparse.linalg import gmres
 
 from stochmaxwell import cgo, resolvent
@@ -31,7 +33,7 @@ from stochmaxwell.reconstruct import DUAL_BLOCK, build_xi_lattice, select_parame
 from stochmaxwell.verify import cgo_product_identity, cgo_stencil_residual
 
 from conftest import rel_err
-from oracles import l2_norm, plane_wave_on, radii, remainder_norm
+from oracles import l2_norm, plane_wave_on, radii, remainder_norm, remainder_split
 
 K = 2.0
 # a non-cubic grid: its axes have spectral cells of two widths
@@ -141,8 +143,8 @@ class TestConjugatedResolvent:
     GRID = Grid3.for_ball(1.3, 10)
 
     @staticmethod
-    def symbol_lattice(zeta, grid):
-        kv = [2.0 * np.pi * np.fft.fftfreq(2 * n, d=grid.spacing) for n in grid.dims]
+    def symbol_lattice(zeta, grid, padded):
+        kv = [2.0 * np.pi * np.fft.fftfreq(p, d=grid.spacing) for p in padded]
         sx, sy, sz = np.meshgrid(*kv, indexing="ij")
         denom = sx ** 2 + sy ** 2 + sz ** 2 + 2.0 * (
             sx * zeta[0] + sy * zeta[1] + sz * zeta[2]
@@ -165,7 +167,7 @@ class TestConjugatedResolvent:
         spectral cell, are within 1e-9 of the mean over each axis's cell."""
         for zeta in build_zeta_eta(np.array(xi), 5.0, K, azimuth=azimuth)[0]:
             res = ConjugatedResolvent(zeta, K, grid)
-            kv, denom = cls.symbol_lattice(zeta, grid)
+            kv, denom = cls.symbol_lattice(zeta, grid, res.padded)
             ds = [v[1] - v[0] for v in kv]
             near = np.abs(denom) < 4.0 * (np.abs(zeta).max() + K) * max(ds)
             assert 0 < near.sum() < near.size
@@ -192,6 +194,35 @@ class TestConjugatedResolvent:
         """On the 10 x 12 x 10 box the y cells are narrower than the x and z
         cells."""
         self.assert_cell_means(BOX, (0.6, -0.3, 0.2), 0.0)
+
+    def test_padded_lattice_is_the_smallest_odd_fast_length(self):
+        """An axis of n cells pads to the smallest odd m >= 2n - 1 with
+        next_fast_len(m) == m. Its frequencies are closed under negation, so
+        on an n^3 grid every signed axis permutation maps the lattice onto
+        itself; on the 10 x 12 x 10 box, checked point by point, every one
+        that exchanges only the two axes of length 10 does."""
+        for n in range(2, 41):
+            m = resolvent._padded_length(n)
+            assert m % 2 == 1 and m >= 2 * n - 1 and next_fast_len(m) == m
+            assert all(next_fast_len(j) != j for j in range(2 * n - 1, m, 2))
+            f = np.fft.fftfreq(m) * m
+            assert np.array_equal(np.sort(f), np.sort(-f))
+        zeta = build_zeta_eta(np.array([0.6, -0.3, 0.2]), 5.0, K)[0][0]
+        assert ConjugatedResolvent(zeta, K, self.GRID).padded == (21, 21, 21)
+        p = ConjugatedResolvent(zeta, K, BOX).padded
+        assert p == tuple(resolvent._padded_length(n) for n in BOX.dims) == (21, 25, 21)
+        freqs = np.meshgrid(*(np.rint(np.fft.fftfreq(m) * m) for m in p), indexing="ij")
+        lattice = np.stack([a.ravel() for a in freqs], axis=1)
+        want, n_maps = np.unique(lattice, axis=0), 0
+        for perm in itertools.permutations(range(3)):
+            if [p[a] for a in perm] != list(p):
+                continue
+            for signs in itertools.product((-1.0, 1.0), repeat=3):
+                P = np.zeros((3, 3))
+                P[range(3), perm] = signs
+                assert np.array_equal(np.unique(lattice @ P.T, axis=0), want)
+                n_maps += 1
+        assert n_maps == 16
 
     def test_average_on_the_characteristic_set_raises(self):
         """A cell one of whose subsamples is s = 0, where s^2 + 2 s.zeta
@@ -235,8 +266,7 @@ class TestConjugatedResolvent:
     def test_mirror_matches_direct_build(self, xi, azimuth, which):
         """The resolvent of zeta' = -conj(zeta), lent the near data of the
         resolvent of zeta with P = -I and conjugation, equals a direct build
-        on every bin; the bins it borrows are exactly the near bins off the
-        Nyquist planes."""
+        on every bin; the bins it borrows are exactly its near bins."""
         grid = self.GRID
         xi = np.array(xi)
         zp = build_zeta_eta(xi, 5.0, K, azimuth=azimuth)[0][which - 1]
@@ -246,14 +276,12 @@ class TestConjugatedResolvent:
         direct = ConjugatedResolvent(zeta, K, grid)
         mirrored = ConjugatedResolvent(zeta, K, grid, lend=(near, -np.eye(3), True))
         assert np.max(np.abs(mirrored._inv - direct._inv) / np.abs(direct._inv)) <= 1e-12
-        assert np.array_equal(borrowed_bins(zeta, grid, near, -np.eye(3), True),
-                              near_off_nyquist(direct, -np.eye(3)))
+        assert np.array_equal(borrowed_bins(zeta, grid, near, -np.eye(3), True), near_mask(direct))
 
-    def test_signed_permutation_borrows_off_flipped_nyquist_planes(self):
+    def test_signed_permutation_borrows_every_near_bin(self):
         """Lent through a permutation that reflects two of three axes, the
         resolvent equals a direct build within 1e-9 relative, and the bins it
-        borrows are the near bins off the Nyquist planes of the reflected
-        axes only."""
+        borrows are exactly its near bins."""
         grid = self.GRID
         P = np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
         zp = build_zeta_eta(np.array([0.6, -0.3, 0.2]), 5.0, K)[0][0]
@@ -262,11 +290,8 @@ class TestConjugatedResolvent:
         direct = ConjugatedResolvent(zeta, K, grid)
         lent = ConjugatedResolvent(zeta, K, grid, lend=(near, P, True))
         assert np.max(np.abs(lent._inv - direct._inv) / np.abs(direct._inv)) <= 1e-9
-        want = near_off_nyquist(direct, P)
-        assert np.array_equal(borrowed_bins(zeta, grid, near, P, True), want)
-        # the unreflected axis keeps its Nyquist plane
-        half = [p_ax // 2 for p_ax in direct.padded]
-        assert np.any(want[:, half[1]]) and not np.any(want[half[0]])
+        want = near_mask(direct)
+        assert want.any() and np.array_equal(borrowed_bins(zeta, grid, near, P, True), want)
 
 
 def borrowed_bins(zeta, grid, near, P, conj):
@@ -276,15 +301,11 @@ def borrowed_bins(zeta, grid, near, P, conj):
     return doubled._inv != lent._inv
 
 
-def near_off_nyquist(res, P):
-    """The near bins of `res` off the Nyquist planes of the axes P reflects."""
+def near_mask(res):
+    """The near bins of `res` on its padded lattice."""
     mask = np.zeros(res._inv.size, dtype=bool)
     mask[res.near[0]] = True
-    mask = mask.reshape(res._inv.shape)
-    for axis, p_ax in enumerate(res.padded):
-        if P[axis].sum() < 0:
-            mask[(slice(None),) * axis + (p_ax // 2,)] = False
-    return mask
+    return mask.reshape(res.padded)
 
 
 class TestRemainderSolver:
@@ -370,10 +391,8 @@ class TestRemainderSolver:
         390 columns in blocks of DUAL_BLOCK): every resolvent the solver
         builds equals, within 1e-9 relative on every bin, a build that
         averages all its near bins itself; and the bins averaged directly are
-        the near bins of each orbit's first build plus each distinct
-        off-lattice Nyquist point of an orbit once. Those points are P^T s,
-        in the first build's frequencies, of the near bins s on the Nyquist
-        planes of the axes a lent build's P reflects."""
+        exactly the near bins of each orbit's first build: a lent build
+        averages none."""
         grid = Grid3.for_ball(1.3, 10)
         xi = build_xi_lattice(5.0 ** (2.0 / 9.0), 1.3)[0]
         zeta = build_zeta_eta(xi[: len(xi) // 2 + 1, None], 5.0, K, np.zeros((1, 1)))[0]
@@ -393,21 +412,14 @@ class TestRemainderSolver:
         built = [r for b in range(0, len(zeta), DUAL_BLOCK)
                  for r in solver._resolvents(zeta[b : b + DUAL_BLOCK])]
         n_averaged, lends = sum(averaged), lends[: len(built)]
-        p = np.array(built[0].padded)
-        first, points = 0, set()
+        assert 0 < lends.count(None) < len(built)
+        first = 0
         for z, res, lend in zip(zeta, built, lends):
             plain = ConjugatedResolvent(z, K, grid)
             assert np.max(np.abs(res._inv - plain._inv) / np.abs(plain._inv)) <= 1e-9
-            # frequencies of the near bins in cell widths (index p/2 is -p/2)
-            f = (np.array(np.unravel_index(plain.near[0], plain.padded)).T + p // 2) % p - p // 2
             if lend is None:
-                first += len(f)
-                continue
-            (lender_idx, _, _), P, _ = lend
-            on_plane = np.any((P.sum(axis=1) < 0) & (f == -(p // 2)), axis=1)
-            points |= {(id(lender_idx), tuple(v)) for v in (f[on_plane] @ P).astype(int)}
-        assert first + len(points) == n_averaged
-        assert 0 < len(points) < sum(len(r.near[0]) for r, l in zip(built, lends) if l is not None)
+                first += len(plain.near[0])
+        assert first == n_averaged
 
     @pytest.mark.parametrize("grid", [GRID, BOX], ids=["cube", "non-cubic"])
     def test_box_solve_matches_full_grid_iteration(self, contrast_medium, grid):
@@ -474,20 +486,21 @@ class TestRemainderSolver:
     def test_block_peak_memory_is_its_symbols_and_one_column(self, contrast_medium):
         """A 16-column block on the 10^3 grid holds what it returns, W
         (16 x 3 n^3 complex), and each column's reciprocal symbol inv (p^3
-        complex on the 20^3 padded lattice) with its near-bin data, from the
+        complex on the 21^3 padded lattice) with its near-bin data, from the
         column's build to its full-grid apply. Everything else is one
         column's work at a time: a direct build (measured here for the
         column with the most near bins, its own symbol included) or a
         full-grid apply, whose padded transforms (3 p^3 complex) are live
         with the next stage's output, of the same size at most. Applying the
-        16 columns at once would add 15 columns' transforms (11.5 MB);
+        16 columns at once would add 15 columns' transforms (13.3 MB);
         symbols held as six-entry multipliers would add 16 x 6 p^3 complex
-        (12.3 MB)."""
+        (14.2 MB)."""
         zeta, eta, _ = build_zeta_eta(self.BLOCK_XI[:, None], 5.0, K, np.array([0.0, 0.9])[None])
         zeta, eta = zeta.reshape(-1, 3), eta.reshape(-1, 3)
         resolvents = CgoRemainderSolver(K, contrast_medium, self.GRID)._resolvents(zeta)
         held = sum(r._inv.nbytes + r.near[0].nbytes + r.near[1].nbytes for r in resolvents)
         widest = zeta[np.argmax([len(r.near[0]) for r in resolvents])]
+        p = resolvents[0].padded
         del resolvents
         CgoRemainderSolver(K, contrast_medium, self.GRID).solve(zeta[:1], eta[:1])  # warm caches
         tracemalloc.start()
@@ -501,7 +514,7 @@ class TestRemainderSolver:
         finally:
             tracemalloc.stop()
         W = 16 * 3 * 10 ** 3 * 16
-        transforms = 2 * 3 * 20 ** 3 * 16
+        transforms = 2 * 3 * np.prod(p) * 16
         assert peak <= W + held + max(build, transforms)
 
     def test_stacked_pairs_match_single_builds(self):
@@ -729,7 +742,7 @@ class TestProductExpansion:
         s1 = solve_cgo_remainder(xi, 3.5, K, 1, contrast_medium, grid)
         s2 = solve_cgo_remainder(xi, 3.5, K, 2, contrast_medium, grid)
         z1, z2, e1, e2 = s1.zeta, s2.zeta, s1.eta, s2.eta
-        f1, f2, V1, V2 = s1.f, s2.f, s1.V, s2.V
+        (f1, V1), (f2, V2) = remainder_split(s1), remainder_split(s2)
         for f, z, V, s in ((f1, z1, V1, s1), (f2, z2, V2, s2)):
             assert np.any(s.W)
             assert np.max(np.abs(f[None] * z[:, None, None, None] + V - s.W)) <= (

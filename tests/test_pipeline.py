@@ -546,6 +546,16 @@ class TestCliVerify:
         p.write_text(INHOM_CONFIG)
         assert main(["verify", "--config", str(p), "--out", str(tmp_path / "v")]) == EXIT_OK
 
+    def test_overflowing_capacity_exits_2(self, tmp_path, capsys):
+        """At k R = 1e-30 the Hankel functions of degree 10 overflow: verify
+        refuses the degree cutoff with one line naming `[stability] lmax` and
+        k R instead of a traceback."""
+        p = tmp_path / "tiny-k.ini"
+        p.write_text(INHOM_CONFIG.replace("k = 2.0", "k = 1e-30").replace("lmax = 4", "lmax = 12"))
+        assert main(["verify", "--config", str(p), "--out", str(tmp_path / "v")]) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "[stability] lmax" in lines[0] and "k R = 1e-30" in lines[0]
+
     def test_unresolved_probe_exits_2(self, tmp_path, capsys):
         """On an 8^3 grid the probe source falls between the nodes: verify
         refuses the vacuous check with one line instead of passing it."""
