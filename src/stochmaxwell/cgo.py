@@ -26,6 +26,7 @@ apply per column gives W. A `CgoSolution` holds one column's W.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .geometry import (
     _trilinear_sum,
     evaluate_on_grid,
 )
-from .forward import _bounding_box, curl_at, solve_fixed_point
+from .forward import _bounding_box, curl_at, solve_fixed_point, stencil_cells
 from .greens import padded_fft_apply, symmetric_symbol
 from .resolvent import ConjugatedResolvent
 
@@ -199,9 +200,10 @@ class CgoRemainderSolver:
     full-grid `apply`
     per column of -k^2 m (eta + W_B) gives W. The first zeta of each
     symmetry orbit (`_orbit`) builds its resolvent directly, and its
-    near-bin data are kept for the solver's lifetime; every later zeta whose
-    canonical form agrees to 1e-12 relative borrows them. On a cubic grid
-    the 390 columns of a 389-node xi lattice fall into about 30 orbits.
+    near-bin data and box symbol are kept for the solver's lifetime; every
+    later zeta whose canonical form agrees to 1e-12 relative borrows them.
+    On a cubic grid the 390 columns of a 389-node xi lattice fall into about
+    30 orbits.
     """
 
     def __init__(self, k: float, medium: MediumSpec, grid: Grid3,
@@ -213,10 +215,10 @@ class CgoRemainderSolver:
         m_grid = evaluate_on_grid(medium, grid)
         self.homogeneous = not np.any(m_grid)
         if not self.homogeneous:  # m W vanishes off supp(m): iterate on its bounding box
-            self._box = (slice(None), *_bounding_box(m_grid))
-            self._km = self.k ** 2 * m_grid[None][self._box]
+            self._box = _bounding_box(m_grid)
+            self._km = self.k ** 2 * m_grid[None][(slice(None),) + self._box]
         self._canon = np.empty((0, 3), dtype=np.complex128)  # one row per orbit
-        self._lenders = []  # per orbit: (near data, P, conj) of its direct build
+        self._lenders = []  # per orbit: (near data, box symbol, P, conj) of its direct build
 
     def _resolvents(self, zeta: np.ndarray) -> list:
         """Resolvents of stacked zeta (B, 3), each lent its orbit's data if any."""
@@ -225,12 +227,14 @@ class CgoRemainderSolver:
             gap = np.abs(self._canon - canon).max(axis=1) / np.abs(canon).max()
             hit = np.flatnonzero(gap <= 1e-12)
             if hit.size:  # canon = P zeta = P0 zeta0 (conjugations aside): zeta = P^T P0 zeta0
-                near, P0, conj0 = self._lenders[hit[0]]
-                out.append(ConjugatedResolvent(z, self.k, self.grid, (near, P.T @ P0, cj ^ conj0)))
+                near, box, P0, conj0 = self._lenders[hit[0]]
+                out.append(ConjugatedResolvent(z, self.k, self.grid,
+                                               (near, box, P.T @ P0, cj ^ conj0)))
                 continue
             out.append(ConjugatedResolvent(z, self.k, self.grid))
+            box = None if self.homogeneous else out[-1].box_symbol(self._km.shape[1:])
             self._canon = np.vstack([self._canon, canon])
-            self._lenders.append((out[-1].near, P, cj))
+            self._lenders.append((out[-1].near, box, P, cj))
         return out
 
     def solve(self, zeta: np.ndarray, eta: np.ndarray):
@@ -251,8 +255,7 @@ class CgoRemainderSolver:
             b, self.tol, self.max_iter, "CGO remainder solve")
         del S, b  # not held through the full-grid applies
         for c, resolvent in enumerate(resolvents):  # one column at a time on the full grid
-            W[c][self._box] = src[c] - km * WB[c]  # -k^2 m (eta + W_B), then W
-            W[c] = resolvent.apply(W[c])
+            W[c] = resolvent.apply(src[c] - km * WB[c], self._box)  # -k^2 m (eta + W_B), then W
         return W, res
 
 
@@ -339,8 +342,17 @@ def _corner_samples(W: np.ndarray, grid: Grid3, points: np.ndarray) -> np.ndarra
     trilinearly at points (N, 3): (N, C, 6), W first. Both are formed only at
     the corner cells the interpolation reads, bit for bit as on the whole
     grid."""
-    cells, weights = _trilinear_stencil(grid, points)
-    used, corner = np.unique(cells, return_inverse=True)
+    shifted, used, corner, weights = _corner_stencil(grid, np.asarray(points, np.float64).tobytes())
     at = np.concatenate([W.reshape(W.shape[:-3] + (-1,))[..., used],
-                         curl_at(W, grid.spacing, used)], axis=-2)
-    return _trilinear_sum(np.moveaxis(at, -1, 0), corner.reshape(cells.shape), weights)
+                         curl_at(W, grid.spacing, shifted)], axis=-2)
+    return _trilinear_sum(np.moveaxis(at, -1, 0), corner, weights)
+
+
+@lru_cache(maxsize=2)
+def _corner_stencil(grid: Grid3, points: bytes):
+    """Trilinear stencil of points (N, 3), as float64 bytes: `stencil_cells` of
+    its cells, the cells, each corner's index among them and the weights
+    (8, N); cached."""
+    cells, weights = _trilinear_stencil(grid, np.frombuffer(points).reshape(-1, 3))
+    used, corner = np.unique(cells, return_inverse=True)
+    return stencil_cells(grid.dims, used), used, corner.reshape(cells.shape), weights

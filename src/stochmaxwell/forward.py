@@ -101,15 +101,16 @@ def neumann_solve(apply, b: np.ndarray, tol: float, max_iter: int):
     previous one) or is not finite; b = 0 stops at once. Returns the iterates
     and, per system, the iteration count, residual and history, for the
     caller to judge."""
-    bnorm, history = [np.linalg.norm(bi) for bi in b], [[] for _ in b]
+    bnorm, history = np.linalg.norm(b.reshape(len(b), -1), axis=1), [[] for _ in b]
     x, act = b.copy(), np.flatnonzero(bnorm)
     xa = ba = b if act.size == len(b) else b[act]  # the systems still in the batch
     for _ in range(max_iter):
         if not act.size:
             break
         Ax, go = apply(xa, act), []
-        for j, i in enumerate(act):
-            (h := history[i]).append(np.linalg.norm(Ax[j] - ba[j]) / bnorm[i])
+        res = np.linalg.norm((Ax - ba).reshape(len(act), -1), axis=1) / bnorm[act]
+        for j, (i, r) in enumerate(zip(act, res.tolist())):  # every residual in one reduction
+            (h := history[i]).append(r)
             if tol < h[-1] < np.inf and (len(h) == 1 or h[-1] <= 0.9 * h[-2]):
                 go.append(j)
         if len(go) < len(act):  # the stopped systems leave with their current iterates
@@ -206,21 +207,23 @@ def curl_grid(F: np.ndarray, h: float) -> np.ndarray:
     return _curl_stencil(at, h, axis=-4)
 
 
-def curl_at(F: np.ndarray, h: float, cells: np.ndarray) -> np.ndarray:
-    """`curl_grid(F, h)` at the flat grid cells `cells` (K,) only, as
-    (..., 3, K), bit for bit: each cell reads its stencil neighbours, which
-    wrap at the box faces as in `curl_grid`."""
-    n = F.shape[-3:]
-    flat, ijk, shifted = F.reshape(F.shape[:-3] + (-1,)), np.unravel_index(cells, n), {}
+def curl_at(F: np.ndarray, h: float, shifted: dict) -> np.ndarray:
+    """`curl_grid(F, h)` at K flat cells only, as (..., 3, K), bit for bit,
+    from their stencil neighbours `shifted` (`stencil_cells`)."""
+    flat = F.reshape(F.shape[:-3] + (-1,))
+    return _curl_stencil(lambda c, ax, o: flat[..., c, shifted[ax, o]], h, axis=-2)
 
-    def at(c, ax, o):  # component c at offset o along grid axis ax
-        if (ax, o) not in shifted:
+
+def stencil_cells(n: tuple, cells: np.ndarray) -> dict:
+    """Flat index {(ax, o): (K,)} of the neighbour at offset o along axis ax
+    of each flat cell (K,) of an n grid that `curl_grid` reads, wrapping."""
+    ijk, shifted = np.unravel_index(cells, n), {}
+    for ax in range(3):
+        for o in (-2, -1, 1, 2):
             idx = list(ijk)
             idx[ax] = (idx[ax] + o) % n[ax]
             shifted[ax, o] = np.ravel_multi_index(idx, n)
-        return flat[..., c, shifted[ax, o]]
-
-    return _curl_stencil(at, h, axis=-2)
+    return shifted
 
 
 def _curl_stencil(at, h: float, axis: int) -> np.ndarray:
@@ -433,6 +436,9 @@ class HomogeneousTraceMap:
         characters a slice of realizations at a time, then each block takes
         one product over all of them."""
         (G, R3), Nr, M = self._rows.shape, self._blocks.shape[3], len(Jb)
+        if G == 1:  # one block (a medium run): the gathers, signs and characters are identities
+            T = np.ascontiguousarray(Jb) @ self._blocks[0].view(np.float64).reshape(R3, 4 * Nr)
+            return T.view(np.complex128).reshape(M, Nr, 2)
         F = np.empty((M, G, R3))  # [m, chi, (r, j)]
         X = np.empty((max(1, _SLICE_BYTES // max(1, F[0].nbytes)), G, R3))  # [m, h, (r, j)]
         for lo in range(0, M, len(X)):

@@ -256,14 +256,14 @@ def _trilinear_stencil(grid: Grid3, points: np.ndarray) -> tuple[np.ndarray, np.
 def _trilinear_sum(flat: np.ndarray, cells: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Samples (K, ...) interpolated with the corners `cells` (8, N), indices
     into the first axis, and the `weights` (8, N) of `_trilinear_stencil`:
-    (N, ...), summed corner by corner."""
-    flat = np.ascontiguousarray(flat)
-    out = np.zeros((cells.shape[1],) + flat.shape[1:], dtype=flat.dtype)
-    corner, w = np.empty_like(out), weights.reshape(weights.shape + (1,) * (flat.ndim - 1))
-    for c, wc in zip(cells, w):
-        np.take(flat, c, axis=0, out=corner)
-        corner *= wc
-        out += corner
+    (N, ...), summed corner by corner: rows gathered from `flat` as laid
+    out, weighted on their float64 view (the bits of a complex product)."""
+    out = np.zeros(cells.shape[1:] + flat.shape[1:], dtype=np.result_type(flat, np.float64))
+    acc = out.view(np.float64).reshape(len(out), -1)
+    for c, wc in zip(cells, weights[:, :, None]):
+        part = flat[c].astype(out.dtype, copy=False).view(np.float64).reshape(len(out), -1)
+        part *= wc
+        acc += part
     return out
 
 

@@ -53,12 +53,7 @@ def padded_fft_apply(f: np.ndarray, padded: tuple, symbol) -> np.ndarray:
     n = g.shape
     for ax in (-1, -2, -3):
         g = sfft.fft(g, n=padded[ax], axis=ax)
-    return _cropped_ifft(symbol(g), n[-3:])
-
-
-def _cropped_ifft(g: np.ndarray, n: tuple) -> np.ndarray:
-    """The inverse transform of padded transforms g over the last three axes,
-    each axis cropped to the base grid n right after its transform."""
+    g = symbol(g)
     for ax in (-3, -2, -1):
         g = sfft.ifft(g, axis=ax, overwrite_x=True)
         crop = [slice(None)] * g.ndim

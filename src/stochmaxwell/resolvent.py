@@ -6,10 +6,11 @@ Lippmann-Schwinger equation", 2000),
     A(q)^{-1} = (I - q q^T / k^2) / (s^2 + 2 s . zeta),   q = s + zeta,
 
 held by its scalar symbol on an odd padded lattice. Near-resonant bins
-carry cell averages of the symbol, computed once per symmetry orbit of bins:
-lent across the signed axis permutations and conjugation that relate two
-zeta. The operator restricted to a box of cells is formed from truncated
-DFTs of the symbol's axis moments.
+carry cell averages of the symbol, computed once per symmetry orbit of bins
+and lent, with the operator restricted to a box of cells (formed from
+truncated DFTs of the symbol's axis moments), across the signed axis
+permutations and conjugation that relate two zeta. The full-grid apply
+transforms by one DFT matrix per axis both ways.
 """
 from __future__ import annotations
 
@@ -18,9 +19,9 @@ from functools import lru_cache
 import numpy as np
 from scipy import fft as sfft
 
-from .forward import SolverError, _bounding_box
+from .forward import SolverError
 from .geometry import Grid3
-from .greens import _cropped_ifft
+from .greens import _ENTRY, _UPPER
 
 __all__ = ["ConjugatedResolvent"]
 
@@ -55,7 +56,7 @@ def _truncated_dft(p: int, s: int) -> np.ndarray:
 
 
 _SUBSAMPLE = 12  # midpoint offsets per axis of a near-resonant cell average
-_CHUNK = 16  # near bins per pass of `_cell_averages`
+_CHUNK = 32  # near bins per pass of `_cell_averages`
 
 
 def _cell_averages(zeta: np.ndarray, s0: np.ndarray, ds) -> np.ndarray:
@@ -123,19 +124,23 @@ class ConjugatedResolvent:
     coarse lattice.
 
     Lending: a signed axis permutation P keeps (P c).(P c) = c.c and maps the
-    offset grid onto itself, so the cell averages obey
-    A_{P zeta}(P s) = A_zeta(s), and A_{conj zeta}(s) = conj A_zeta(s).
-    `lend = (near, P, conj)`, with `near` the (flat bin indices, cell
-    averages) of a resolvent for zeta' on this grid and zeta = P zeta'
-    (conjugated when `conj`), lends those averages through per-axis index
-    maps, reflection (i -> -i mod p) and conjugation; near bins the lender
-    lacks (by rounding at the near threshold) are averaged directly. P may
-    exchange only axes of equal padded length, which share a lattice.
+    offset grid onto itself, so the cell averages obey A_{P zeta}(P s) =
+    A_zeta(s) and A_{conj zeta}(s) = conj A_zeta(s), and the box symbols
+    S_{P zeta}(w) = P S_zeta(P^T w) P^T and S_{conj zeta}(w) = conj S_zeta(w).
+    `lend = (near, box, P, conj)`, with `near` the (flat bin indices, cell
+    averages) and `box` the `box_symbol` (or None) of a resolvent for zeta'
+    on this grid and zeta = P zeta' (conjugated when `conj`), lends both
+    through per-axis index maps, reflection (i -> -i mod p) and conjugation;
+    near bins the lender lacks (by rounding at the near threshold) are
+    averaged directly. P may exchange only axes of equal padded length,
+    which share a lattice, and the box symbol goes to a box of its dims
+    that P maps onto itself only.
     """
 
     def __init__(self, zeta: np.ndarray, k: float, grid: Grid3, lend=None):
         z = self.zeta = np.asarray(zeta, dtype=np.complex128)
         self.k = float(k)
+        self.dims = grid.dims
         self.padded = p = tuple(_padded_length(v) for v in grid.dims)
         (sx, sy, sz), s2 = _lattice(p, grid.spacing)
         denom = s2 + (2.0 * sx * z[0] + 2.0 * sy * z[1] + 2.0 * sz * z[2])
@@ -145,58 +150,69 @@ class ConjugatedResolvent:
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / denom  # every near bin is lent or averaged below
         flat, near_idx = inv.reshape(-1), np.flatnonzero(near)
-        todo = near_idx if lend is None else self._borrow(flat, near.reshape(-1), *lend)
-        i = np.unravel_index(todo, p)
-        s0 = np.stack([sx.ravel()[i[0]], sy.ravel()[i[1]], sz.ravel()[i[2]]], axis=1)
-        flat[todo] = _cell_averages(z, s0, ds)
+        todo = near_idx
+        if lend is not None:  # the lender's averages, in the near bins they reach through P
+            (src, avg), _, P, conj = lend
+            dst, mask = _images(p, P, src), near.reshape(-1)
+            ok = mask[dst]
+            flat[dst[ok]] = np.conj(avg[ok]) if conj else avg[ok]
+            mask[dst] = False
+            todo = np.flatnonzero(mask)  # near bins the lender lacks
+        if todo.size:
+            i = np.unravel_index(todo, p)
+            s0 = np.stack([sx.ravel()[i[0]], sy.ravel()[i[1]], sz.ravel()[i[2]]], axis=1)
+            flat[todo] = _cell_averages(z, s0, ds)
         self._inv = inv
         self.near = (near_idx, flat[near_idx])
-        self._s = (sx, sy, sz)  # the cached lattice
+        self._q = tuple(s + c for s, c in zip((sx, sy, sz), z))  # q = s + zeta, axes broadcast
+        self._box_lend = None if lend is None or lend[1] is None else lend[1:]  # (S0, P, conj)
 
-    @property
-    def _q(self) -> tuple:
-        """q = s + zeta on the padded lattice, its axes broadcast."""
-        return tuple(s + z for s, z in zip(self._s, self.zeta))
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """A^{-1} f for amplitude-level values of shape (..., 3, nx, ny, nz),
-        as `padded_fft_apply` computes it, except that the forward transform
-        starts from the bounding box of f's nonzero cells, one DFT matrix
-        per axis (`_box_dft`): a CGO source lives on the contrast's support
-        box."""
-        n = f.shape[-3:]
-        cells = np.any(f != 0, axis=tuple(range(f.ndim - 3)))
-        if not np.any(cells):
-            return np.zeros(f.shape, dtype=np.complex128)
-        box = _bounding_box(cells)
-        E = [_box_dft(self.padded[a], box[a].start, box[a].stop) for a in range(3)]
-        g = f[(Ellipsis,) + box] @ E[2].T
-        g = np.matmul(E[1], g)
-        g = (E[0] @ g.reshape(g.shape[:-2] + (-1,))).reshape(g.shape[:-3] + self.padded)
-        return _cropped_ifft(self._symbol(g), n)
+    def apply(self, f: np.ndarray, box: tuple | None = None) -> np.ndarray:
+        """A^{-1} f on the whole grid for amplitude-level values f (..., 3) +
+        dims of `box` (index slices; the whole grid by default), zero off it,
+        as `padded_fft_apply` computes it but with each transform one DFT
+        matrix per axis: forward from the box (`_box_dft`), inverse onto the
+        grid (`_grid_idft`). A CGO source lives on the contrast's box."""
+        p, n = self.padded, self.dims
+        box = box or tuple(slice(0, v) for v in n)
+        E = [_box_dft(p[a], box[a].start, box[a].stop) for a in range(3)]
+        D = [_grid_idft(p[a], n[a]) for a in range(3)]
+        g = np.matmul(E[1], f @ E[2].T)
+        g = self._symbol((E[0] @ g.reshape(g.shape[:-2] + (-1,))).reshape(g.shape[:-3] + p))
+        g = (D[0] @ g.reshape(g.shape[:-3] + (p[0], -1))).reshape(g.shape[:-3] + (n[0],) + p[1:])
+        return np.matmul(D[1], g @ D[2].T)
 
     def _symbol(self, g: np.ndarray) -> np.ndarray:
-        """inv g - q (inv q.g/k^2), in place on the transforms g, one half of
-        the first axis at a time, so its two work arrays together take one
-        component's size."""
-        q, h = self._q, (self.padded[0] + 1) // 2
-        for e in (slice(0, h), slice(h, None)):
-            f, inv, qe = np.moveaxis(g[..., e, :, :], -4, 0), self._inv[e], (q[0][e], q[1], q[2])
-            qf, work = (qe[0] / self.k ** 2) * f[0], np.empty(f.shape[1:], dtype=np.complex128)
+        """inv (g - q (q.g)/k^2) in place on the transforms g, in one pass:
+        g *= inv, h = q.g/k^2, g_a -= q_a h, one half of the first axis at a
+        time, so its two work arrays together take one component's size."""
+        q, half = self._q, (self.padded[0] + 1) // 2
+        for e in (slice(0, half), slice(half, None)):
+            f, qe = np.moveaxis(g[..., e, :, :], -4, 0), (q[0][e], q[1], q[2])
+            f *= self._inv[e]
+            h, work = (qe[0] / self.k ** 2) * f[0], np.empty(f.shape[1:], dtype=np.complex128)
             for a in (1, 2):
-                qf += np.multiply(qe[a] / self.k ** 2, f[a], out=work)
-            qf *= inv
+                h += np.multiply(qe[a] / self.k ** 2, f[a], out=work)
             for a in range(3):
-                f[a] *= inv
-                f[a] -= np.multiply(qe[a], qf, out=work)
+                f[a] -= np.multiply(qe[a], h, out=work)
         return g
 
     def box_symbol(self, dims: tuple) -> np.ndarray:
         """`symmetric_symbol` entries of A^{-1} restricted to a box of `dims`
         cells, on its 2 x dims lattice: inv (delta_ij - q_i q_j / k^2) through
         `_truncated_dft` on each axis. q_a varies along axis a only, so this
-        needs the moments q_a^m inv, m <= 2: one matrix product per axis."""
-        p, q, n = self.padded, self._q, [2 * s for s in dims]
+        needs the moments q_a^m inv, m <= 2: one matrix product per axis. A
+        lent symbol of these dims is mapped instead; one formed here is kept
+        as the build's own lend (P = I)."""
+        n = tuple(2 * s for s in dims)
+        S0, P, conj = self._box_lend or (None, None, False)
+        if S0 is not None and S0.shape[1:] == n and np.array_equal(np.abs(P) @ n, n):
+            axis, sign = np.abs(P).argmax(axis=1), P.sum(axis=1)  # P maps the lattice onto itself
+            S = S0.reshape(6, -1)[[[_ENTRY[axis[i]][axis[j]]] for i, j in _UPPER],
+                                  _images(n, P.T, np.arange(S0[0].size))]  # S0 at P^T w
+            S *= np.array([sign[i] * sign[j] for i, j in _UPPER])[:, None]
+            return (np.conj(S, out=S) if conj else S).reshape((6,) + n)
+        p, q = self.padded, self._q
         T = [_truncated_dft(p[a], dims[a]) * q[a].reshape(1, 1, -1) ** np.arange(3)[:, None, None]
              for a in range(3)]  # (3, 2 s_a, p_a), block m weighted by q_a^m
         M = T[0].reshape(-1, p[0]) @ self._inv.reshape(p[0], -1)
@@ -204,17 +220,9 @@ class ConjugatedResolvent:
         M = (M @ T[2].reshape(-1, p[2]).T).reshape(3, n[0], 3, n[1], 3, n[2])
         # M[m0, :, m1, :, m2] is the moment q_0^m0 q_1^m1 q_2^m2 inv; q_i q_j for i <= j:
         qq = M[[2, 1, 1, 0, 0, 0], :, [0, 1, 0, 2, 1, 0], :, [0, 0, 1, 0, 1, 2]] / self.k ** 2
-        return np.array([1, 0, 0, 1, 0, 1])[:, None, None, None] * M[0, :, 0, :, 0] - qq
-
-    def _borrow(self, flat, near, lent, P, conj):
-        """Write the lender's averages `lent` into the near bins of `flat` they
-        reach through P, clearing those bins in the flat mask `near`. Returns
-        the near bins left, to average directly."""
-        dst = _images(self.padded, P)[lent[0]]
-        ok = near[dst]
-        flat[dst[ok]] = np.conj(lent[1][ok]) if conj else lent[1][ok]
-        near[dst] = False
-        return np.flatnonzero(near)
+        S = np.array([1, 0, 0, 1, 0, 1])[:, None, None, None] * M[0, :, 0, :, 0] - qq
+        self._box_lend = (S, np.eye(3), False)
+        return S
 
 
 @lru_cache(maxsize=8)
@@ -224,12 +232,19 @@ def _box_dft(p: int, lo: int, hi: int) -> np.ndarray:
     return np.exp(-2j * np.pi * (np.outer(np.arange(p), np.arange(lo, hi)) % p) / p)
 
 
-def _images(p: tuple, P: np.ndarray) -> np.ndarray:
-    """Flat index of the bin P s for each bin s of the padded lattice p (both
-    flat, C order), through one index map per axis."""
+@lru_cache(maxsize=8)
+def _grid_idft(p: int, n: int) -> np.ndarray:
+    """(n, p) matrix of the p-point inverse DFT onto indices 0 .. n - 1; cached."""
+    return np.conj(_box_dft(p, 0, n)).T / p
+
+
+def _images(p: tuple, P: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Flat index of the bin P s for each flat bin s (C order) of the lattice
+    p, through one index map per axis: (P s)_a = sign_a s_{axis_a}."""
     stride = (p[1] * p[2], p[2], 1)
     axis, sign = np.abs(P).argmax(axis=1).tolist(), P.sum(axis=1).astype(int).tolist()
     maps = [None] * 3  # index along axis axis[a] -> flat offset of its image on axis a
     for a in range(3):
         maps[axis[a]] = (sign[a] * np.arange(p[a]) % p[a]) * stride[a]
-    return (maps[0][:, None, None] + maps[1][None, :, None] + maps[2][None, None, :]).ravel()
+    i = np.unravel_index(s, p)
+    return maps[0][i[0]] + maps[1][i[1]] + maps[2][i[2]]

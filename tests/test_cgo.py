@@ -258,6 +258,56 @@ class TestConjugatedResolvent:
         assert rel_err(box_apply, res.apply(full)[box]) <= 1e-13
 
 
+    @pytest.mark.parametrize("grid, lo, dims",
+                             [(GRID, (4, 5, 3), (2, 3, 4)), (BOX, (3, 5, 4), (4, 3, 3))],
+                             ids=["cube", "non-cubic"])
+    @pytest.mark.parametrize("filled", [False, True], ids=["box-supported", "grid-filling"])
+    def test_apply_is_the_padded_apply_of_its_multiplier(self, grid, lo, dims, filled):
+        """The full-grid apply, from the input's box or from the whole grid,
+        equals `padded_fft_apply` on the padded lattice with the six entries
+        of the multiplier inv (I - q q^T / k^2), q = s + zeta."""
+        zeta = build_zeta_eta(np.array([0.6, -0.3, 0.2]), 5.0, K)[0][0]
+        res = ConjugatedResolvent(zeta, K, grid)
+        q = np.meshgrid(*(2.0 * np.pi * np.fft.fftfreq(p, d=grid.spacing) for p in res.padded),
+                        indexing="ij") + zeta[:, None, None, None]
+        S = np.stack([res._inv * ((i == j) - q[i] * q[j] / K ** 2) for i, j in resolvent._UPPER])
+        rng = np.random.default_rng(6)
+        box = tuple(slice(a, a + s) for a, s in zip(lo, dims)) if not filled else None
+        shape = (3,) + (dims if not filled else grid.dims)
+        f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        full = np.zeros((3,) + grid.dims, dtype=np.complex128)
+        full[(slice(None),) + (box or ())] = f
+        want = padded_fft_apply(full, res.padded, symmetric_symbol(S))
+        assert rel_err(res.apply(f, box), want) <= 1e-13
+        assert rel_err(res.apply(full), want) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "P, dims, unmapped",
+        [(-np.eye(3), (2, 3, 4), None),
+         (np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]), (3, 3, 3), (3, 3, 4))],
+        ids=["mirror", "two-reflections"],
+    )
+    def test_lent_box_symbol_matches_direct_build(self, P, dims, unmapped):
+        """A build lent a box symbol through P and conjugation maps it,
+        S(w) = conj(P S0(P^T w) P^T): within 1e-13 relative of a direct
+        build's, and twice the lent one when the lender's is doubled. On a
+        box whose lattice P does not map onto itself it forms its own."""
+        grid = self.GRID
+        zp = build_zeta_eta(np.array([0.6, -0.3, 0.2]), 5.0, K)[0][0]
+        zeta = np.conj(P @ zp)
+        lender = ConjugatedResolvent(zp, K, grid)
+        S0 = lender.box_symbol(dims)
+        lent = ConjugatedResolvent(zeta, K, grid, lend=(lender.near, S0, P, True))
+        doubled = ConjugatedResolvent(zeta, K, grid, lend=(lender.near, 2.0 * S0, P, True))
+        want = ConjugatedResolvent(zeta, K, grid).box_symbol(dims)
+        assert rel_err(lent.box_symbol(dims), want) <= 1e-13
+        assert np.array_equal(doubled.box_symbol(dims), 2.0 * lent.box_symbol(dims))
+        if unmapped is not None:
+            S0 = lender.box_symbol(unmapped)
+            lent = ConjugatedResolvent(zeta, K, grid, lend=(lender.near, S0, P, True))
+            doubled = ConjugatedResolvent(zeta, K, grid, lend=(lender.near, 2.0 * S0, P, True))
+            assert np.array_equal(doubled.box_symbol(unmapped), lent.box_symbol(unmapped))
+
     @pytest.mark.parametrize(
         "xi, azimuth",
         [((0.0, 0.0, 0.7), 0.0), ((0.6, -0.3, 0.2), 0.0), ((1.43, 0.0, 0.0), 0.0)],
@@ -274,7 +324,7 @@ class TestConjugatedResolvent:
         assert np.array_equal(zeta, -np.conj(zp))
         near = ConjugatedResolvent(zp, K, grid).near
         direct = ConjugatedResolvent(zeta, K, grid)
-        mirrored = ConjugatedResolvent(zeta, K, grid, lend=(near, -np.eye(3), True))
+        mirrored = ConjugatedResolvent(zeta, K, grid, lend=(near, None, -np.eye(3), True))
         assert np.max(np.abs(mirrored._inv - direct._inv) / np.abs(direct._inv)) <= 1e-12
         assert np.array_equal(borrowed_bins(zeta, grid, near, -np.eye(3), True), near_mask(direct))
 
@@ -288,7 +338,7 @@ class TestConjugatedResolvent:
         zeta = np.conj(P @ zp)
         near = ConjugatedResolvent(zp, K, grid).near
         direct = ConjugatedResolvent(zeta, K, grid)
-        lent = ConjugatedResolvent(zeta, K, grid, lend=(near, P, True))
+        lent = ConjugatedResolvent(zeta, K, grid, lend=(near, None, P, True))
         assert np.max(np.abs(lent._inv - direct._inv) / np.abs(direct._inv)) <= 1e-9
         want = near_mask(direct)
         assert want.any() and np.array_equal(borrowed_bins(zeta, grid, near, P, True), want)
@@ -296,8 +346,8 @@ class TestConjugatedResolvent:
 
 def borrowed_bins(zeta, grid, near, P, conj):
     """Bins whose multiplier changes when the lender's averages are doubled."""
-    lent = ConjugatedResolvent(zeta, K, grid, lend=(near, P, conj))
-    doubled = ConjugatedResolvent(zeta, K, grid, lend=((near[0], 2.0 * near[1]), P, conj))
+    lent = ConjugatedResolvent(zeta, K, grid, lend=(near, None, P, conj))
+    doubled = ConjugatedResolvent(zeta, K, grid, lend=((near[0], 2.0 * near[1]), None, P, conj))
     return doubled._inv != lent._inv
 
 
@@ -421,6 +471,37 @@ class TestRemainderSolver:
                 first += len(plain.near[0])
         assert first == n_averaged
 
+    def test_bench_schedule_forms_each_box_symbol_once_per_orbit(self, monkeypatch):
+        """On the inhomogeneous bench schedule and medium, `box_symbol`'s
+        products run once per orbit (31 times for 390 columns) and
+        `_cell_averages` runs for each orbit's first build only: a lent
+        build borrows its box symbol and every near bin."""
+        grid = Grid3.for_ball(1.3, 10)
+        medium = MediumSpec((Bump((0.0, 0.1, 0.0), 0.6, 0.05),), ball_radius=1.0)
+        xi = build_xi_lattice(5.0 ** (2.0 / 9.0), 1.3)[0]
+        zeta, eta, _ = build_zeta_eta(xi[: len(xi) // 2 + 1, None], 5.0, K, np.zeros((1, 1)))
+        zeta, eta = zeta.reshape(-1, 3), eta.reshape(-1, 3)
+        averaged, products, builds = [], [], []
+        kernel, dft = resolvent._cell_averages, resolvent._truncated_dft
+        init = ConjugatedResolvent.__init__
+        monkeypatch.setattr(resolvent, "_cell_averages",
+                            lambda z, s0, ds: averaged.append(len(s0)) or kernel(z, s0, ds))
+        monkeypatch.setattr(resolvent, "_truncated_dft",
+                            lambda p, s: products.append(p) or dft(p, s))
+
+        def recording(self, zeta, k, grid, lend=None):
+            before = len(averaged)
+            init(self, zeta, k, grid, lend)
+            builds.append((lend is None, len(averaged) > before))
+
+        monkeypatch.setattr(cgo.ConjugatedResolvent, "__init__", recording)
+        solver = CgoRemainderSolver(K, medium, grid)
+        for b in range(0, len(zeta), DUAL_BLOCK):
+            solver.solve(zeta[b : b + DUAL_BLOCK], eta[b : b + DUAL_BLOCK])
+        assert len(builds) == 390 and all(first == averages for first, averages in builds)
+        assert len(products) == 3 * 31 and sum(first for first, _ in builds) == 31
+        assert all(averaged)
+
     @pytest.mark.parametrize("grid", [GRID, BOX], ids=["cube", "non-cubic"])
     def test_box_solve_matches_full_grid_iteration(self, contrast_medium, grid):
         """The solve on the contrast's support box agrees with the Neumann
@@ -444,20 +525,22 @@ class TestRemainderSolver:
     def test_one_full_grid_apply_per_solve(self, contrast_medium, monkeypatch):
         """The iteration runs on the support box; only the final evaluation
         of W on the whole grid goes through the full-grid apply, once per
-        column of the block and one column at a time."""
+        column of the block and one column at a time, from the values on the
+        support box."""
         calls = []
         apply = ConjugatedResolvent.apply
 
-        def counted(self, f):
-            calls.append(f.shape)
-            return apply(self, f)
+        def counted(self, f, box=None):
+            out = apply(self, f, box)
+            calls.append((f.shape, out.shape))
+            return out
 
         monkeypatch.setattr(cgo.ConjugatedResolvent, "apply", counted)
         zeta, eta, _ = build_zeta_eta(np.array([[0.9, 0.4, -0.2], [0.3, 0.0, 0.5]]), 5.0, K)
-        W, _ = CgoRemainderSolver(K, contrast_medium, self.GRID).solve(zeta.reshape(-1, 3),
-                                                                       eta.reshape(-1, 3))
+        solver = CgoRemainderSolver(K, contrast_medium, self.GRID)
+        W, _ = solver.solve(zeta.reshape(-1, 3), eta.reshape(-1, 3))
         assert np.all(np.any(W, axis=(1, 2, 3, 4)))
-        assert calls == [(3,) + self.GRID.dims] * 4
+        assert calls == [((3,) + solver._km.shape[1:], (3,) + self.GRID.dims)] * 4
 
     # xi, a signed permutation of it, its antipode and 0: the 16 columns of
     # their two members and two frames share orbits
