@@ -39,7 +39,7 @@ from .geometry import (
     evaluate_on_grid,
 )
 from .forward import _bounding_box, curl_at, solve_fixed_point, stencil_cells
-from .greens import padded_fft_apply, symmetric_symbol
+from .greens import padded_apply, symmetric_symbol
 from .resolvent import ConjugatedResolvent
 
 __all__ = [
@@ -245,13 +245,13 @@ class CgoRemainderSolver:
         W = np.zeros((len(zeta), 3) + self.grid.dims, dtype=np.complex128)
         if self.homogeneous:
             return W, np.zeros(len(zeta))
-        km, resolvents = self._km, self._resolvents(zeta)
-        padded = tuple(2 * s for s in km.shape[1:])
-        S = np.stack([r.box_symbol(km.shape[1:]) for r in resolvents], axis=1)  # (6, B, ...)
+        km, resolvents, dims = self._km, self._resolvents(zeta), self._km.shape[1:]
+        padded = tuple(2 * s for s in dims)
+        S = np.stack([r.box_symbol(dims) for r in resolvents], axis=1)  # (6, B, ...)
         src = -km * eta[:, :, None, None, None]
-        b = padded_fft_apply(src, padded, symmetric_symbol(S))
+        b = padded_apply(src, padded, symmetric_symbol(S), dims)
         WB, _, res = solve_fixed_point(
-            lambda x, sel: x + padded_fft_apply(km * x, padded, symmetric_symbol(S[:, sel])),
+            lambda x, sel: x + padded_apply(km * x, padded, symmetric_symbol(S[:, sel]), dims),
             b, self.tol, self.max_iter, "CGO remainder solve")
         del S, b  # not held through the full-grid applies
         for c, resolvent in enumerate(resolvents):  # one column at a time on the full grid
@@ -330,9 +330,9 @@ def cgo_on_sphere(zeta, eta, W, grid: Grid3, mesh) -> tuple[np.ndarray, np.ndarr
     phase = np.exp(1j * sum(zeta[:, i, None] * mesh.nodes[:, i] for i in range(3)))
     U, curlU = amps.reshape(2, C, N, 2) * phase[..., None]
     if W is not None:
-        Wn, cWn = _corner_samples(W, grid, mesh.nodes).reshape(N, C, 2, 3).transpose(2, 1, 3, 0)
-        cWn += np.cross(1j * zeta[:, :, None], Wn, axis=1)  # i zeta x W + curl W
-        vals = mesh.to_frame(np.stack([Wn, cWn]).swapaxes(2, 3)) * phase[..., None]
+        X = _corner_samples(W, grid, mesh.nodes).reshape(N, C, 2, 3)  # [n, c, (W, curl W), i]
+        X[:, :, 1] += np.cross(1j * zeta, X[:, :, 0])  # i zeta x W + curl W
+        vals = np.einsum("ncwi,nit->wcnt", X, mesh.frame, optimize=True) * phase[..., None]
         U, curlU = U + vals[0], curlU + vals[1]
     return U, curlU
 

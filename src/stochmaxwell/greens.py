@@ -1,12 +1,12 @@
-"""Scalar Helmholtz kernel, dyadic Maxwell Green tensor, and the FFT-based
-free resolvent restricted to the grid box.
+"""Scalar Helmholtz kernel, dyadic Maxwell Green tensor, and the padded
+Fourier-multiplier free resolvent restricted to the grid box.
 
 The convolution computes G * f with the full dyadic kernel
 
     G = i*lam*g*I + (i/lam) * hess(g)
 
-sampled in closed form on the zero-padded displacement grid, so the FFT
-route is bit-for-bit a direct summation (no spectral differentiation, hence
+sampled in closed form on the zero-padded displacement grid, so the Fourier
+route is a direct summation to rounding (no spectral differentiation, hence
 no aliasing of the hypersingular part). Point sampling of the strongly
 singular Hessian is not a convergent quadrature near the origin, so cells
 within a small correction radius carry exact cell averages instead (product
@@ -32,38 +32,46 @@ from scipy import fft as sfft
 
 from .geometry import Grid3
 
-__all__ = ["helmholtz_g", "dyadic_green", "FreeConvolver", "padded_fft_apply", "SingularityError"]
+__all__ = ["helmholtz_g", "dyadic_green", "FreeConvolver", "padded_apply", "SingularityError"]
 
 
-def padded_fft_apply(f: np.ndarray, padded: tuple, symbol) -> np.ndarray:
-    """Aperiodic Fourier-multiplier action on base-grid values (..., nx, ny, nz).
+def padded_apply(f: np.ndarray, padded: tuple, symbol, dims: tuple, box=None) -> np.ndarray:
+    """Aperiodic Fourier-multiplier action on a grid of `dims` cells: values f
+    (...,) + box shape, zero off the index slices `box` (the whole grid by
+    default), are zero-padded to `padded`, transformed over the last three
+    axes, passed through `symbol` (transforms in and out, same shape),
+    transformed back and read on the grid, (...,) + dims.
 
-    The values are zero-padded to `padded`, transformed over the last three
-    axes, passed through `symbol` (transforms in, transforms out, same shape),
-    transformed back and cropped to the base grid. The complex cast keeps real
-    inputs on the complex transform path.
+    Each transform is one cached DFT matrix per axis, forward from the box
+    (`_box_dft`) and inverse onto the grid (`_grid_idft`), so padding is
+    never transformed: the last axis as one product over all lines, the
+    others batched over the leading axes. This equals zero-padded `fftn`,
+    the symbol, `ifftn` and a crop to rounding; a real f gives the bits of
+    its complex cast."""
+    box = box or tuple(slice(0, n) for n in dims)
+    E = [_box_dft(p, b.start, b.stop) for p, b in zip(padded, box)]
+    D = [_grid_idft(p, 0, n) for p, n in zip(padded, dims)]
+    lead, p = f.shape[:-3], padded
+    g = np.matmul(E[1], (f.reshape(-1, f.shape[-1]) @ E[2].T).reshape(f.shape[:-1] + p[2:]))
+    g = symbol((E[0] @ g.reshape(lead + (g.shape[-3], -1))).reshape(lead + p))
+    g = np.matmul(D[1], (D[0] @ g.reshape(lead + (p[0], -1))).reshape(lead + dims[:1] + p[1:]))
+    return (g.reshape(-1, p[2]) @ D[2].T).reshape(lead + dims)
 
-    The transforms go one axis at a time, padding that axis as it is
-    transformed and cropping each inverse axis right after its transform, so
-    lines that hold only padding are never transformed: a 2x padding of an
-    n^3 grid takes 7 n^2 lines each way instead of 12 n^2. The result equals
-    the full padded `fftn`/`ifftn` pair to rounding.
-    """
-    g = np.asarray(f, dtype=np.complex128)
-    n = g.shape
-    for ax in (-1, -2, -3):
-        g = sfft.fft(g, n=padded[ax], axis=ax)
-    g = symbol(g)
-    for ax in (-3, -2, -1):
-        g = sfft.ifft(g, axis=ax, overwrite_x=True)
-        crop = [slice(None)] * g.ndim
-        crop[ax] = slice(n[ax])
-        g = g[tuple(crop)]
-    return g
+
+@lru_cache(maxsize=64)
+def _box_dft(p: int, lo: int, hi: int) -> np.ndarray:
+    """(p, hi - lo) p-point DFT matrix of values at indices lo .. hi - 1 of an axis; cached."""
+    return np.exp(-2j * np.pi * (np.outer(np.arange(p), np.arange(lo, hi)) % p) / p)
+
+
+@lru_cache(maxsize=64)
+def _grid_idft(p: int, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, p) matrix of the p-point inverse DFT onto indices lo .. hi - 1; cached."""
+    return np.conj(_box_dft(p, lo, hi)).T / p
 
 
 def symmetric_symbol(S: np.ndarray):
-    """Multiplier callback for `padded_fft_apply` of the symmetric 3x3 symbol
+    """Multiplier callback for `padded_apply` of the symmetric 3x3 symbol
     stored as its six distinct entries S (6, ...) in `_UPPER` order; the
     transforms (..., 3, p0, p1, p2) may carry leading batch axes."""
     def symbol(f_hat):
@@ -244,7 +252,7 @@ class FreeConvolver:
         (..., 3, nx, ny, nz)."""
         if not np.all(np.isfinite(f)):
             raise ValueError("non-finite values in resolvent input")
-        return padded_fft_apply(f, self.padded, symmetric_symbol(self._green_hat))
+        return padded_apply(f, self.padded, symmetric_symbol(self._green_hat), self.grid.dims)
 
     def apply_resolvent_array(self, f: np.ndarray) -> np.ndarray:
         """True free resolvent (curl curl - lam^2)^{-1} f = (G * f) / (i lam).

@@ -56,8 +56,9 @@ PRODUCT_COLUMNS = 1024
 # Gram and kernel rows per block (even: whole nodes); 64 bounds epsilon's peak at 338 nodes
 GRAM_BLOCK = 64
 # CGO columns whose remainder solves, test data and dual vectors are built
-# together; the block holds one (2n)^3 complex reciprocal symbol per column
-# (128 columns once raised the 10^3-grid inhomogeneous peak RSS to 158 MB)
+# together; the block holds one complex reciprocal symbol per column on the
+# resolvent's odd padded lattice (21^3 for the bench's 10^3 grid; 128 columns
+# once raised that run's peak RSS to 158 MB)
 DUAL_BLOCK = 16
 
 

@@ -1,6 +1,6 @@
 """The conjugated Faddeev resolvent of the CGO remainder equation: the
 Fourier-multiplier inverse of e^{-i zeta x}(curl curl - k^2) e^{i zeta x} on
-the padded FFT lattice of a grid (Vainikko, "Fast solvers of the
+the padded Fourier lattice of a grid (Vainikko, "Fast solvers of the
 Lippmann-Schwinger equation", 2000),
 
     A(q)^{-1} = (I - q q^T / k^2) / (s^2 + 2 s . zeta),   q = s + zeta,
@@ -9,8 +9,8 @@ held by its scalar symbol on an odd padded lattice. Near-resonant bins
 carry cell averages of the symbol, computed once per symmetry orbit of bins
 and lent, with the operator restricted to a box of cells (formed from
 truncated DFTs of the symbol's axis moments), across the signed axis
-permutations and conjugation that relate two zeta. The full-grid apply
-transforms by one DFT matrix per axis both ways.
+permutations and conjugation that relate two zeta. The full-grid apply is
+`greens.padded_apply`.
 """
 from __future__ import annotations
 
@@ -21,16 +21,18 @@ from scipy import fft as sfft
 
 from .forward import SolverError
 from .geometry import Grid3
-from .greens import _ENTRY, _UPPER
+from .greens import _ENTRY, _UPPER, _box_dft, _grid_idft, padded_apply
 
 __all__ = ["ConjugatedResolvent"]
 
 
 def _padded_length(n: int) -> int:
     """Padded length of an axis of n cells: the smallest odd m >= 2n - 1, so
-    the apply does not wrap, with `next_fast_len(m) == m`. An odd lattice
-    holds the frequency -f of each of its frequencies f, so every signed
-    permutation of equal-length axes maps it onto itself."""
+    the apply does not wrap, with `next_fast_len(m) == m`. The apply is DFT
+    matrices, which need no fast length, but the rule fixes the lattice the
+    symbol is sampled on, and W depends on that lattice by several percent.
+    An odd lattice holds the frequency -f of each of its frequencies f, so
+    every signed permutation of equal-length axes maps it onto itself."""
     m = 2 * n - 1
     while sfft.next_fast_len(m) != m:
         m += 2
@@ -43,16 +45,6 @@ def _lattice(padded: tuple, h: float):
     s = [2.0 * np.pi * sfft.fftfreq(v, d=h) for v in padded]
     s = (s[0][:, None, None], s[1][None, :, None], s[2][None, None, :])
     return s, s[0] ** 2 + s[1] ** 2 + s[2] ** 2
-
-
-@lru_cache(maxsize=16)
-def _truncated_dft(p: int, s: int) -> np.ndarray:
-    """(2s, p) matrix taking a p-point multiplier to the 2s-point symbol of its
-    kernel on a box of s cells: the inverse DFT at displacements -(s - 1) ..
-    s - 1, embedded circulantly in 2s points, then the forward DFT; cached."""
-    d = np.arange(1 - s, s)
-    pruned = np.exp(2j * np.pi * (np.outer(d, np.arange(p)) % p) / p) / p
-    return np.exp(-2j * np.pi * (np.outer(np.arange(2 * s), d) % (2 * s)) / (2 * s)) @ pruned
 
 
 _SUBSAMPLE = 12  # midpoint offsets per axis of a near-resonant cell average
@@ -168,19 +160,10 @@ class ConjugatedResolvent:
         self._box_lend = None if lend is None or lend[1] is None else lend[1:]  # (S0, P, conj)
 
     def apply(self, f: np.ndarray, box: tuple | None = None) -> np.ndarray:
-        """A^{-1} f on the whole grid for amplitude-level values f (..., 3) +
-        dims of `box` (index slices; the whole grid by default), zero off it,
-        as `padded_fft_apply` computes it but with each transform one DFT
-        matrix per axis: forward from the box (`_box_dft`), inverse onto the
-        grid (`_grid_idft`). A CGO source lives on the contrast's box."""
-        p, n = self.padded, self.dims
-        box = box or tuple(slice(0, v) for v in n)
-        E = [_box_dft(p[a], box[a].start, box[a].stop) for a in range(3)]
-        D = [_grid_idft(p[a], n[a]) for a in range(3)]
-        g = np.matmul(E[1], f @ E[2].T)
-        g = self._symbol((E[0] @ g.reshape(g.shape[:-2] + (-1,))).reshape(g.shape[:-3] + p))
-        g = (D[0] @ g.reshape(g.shape[:-3] + (p[0], -1))).reshape(g.shape[:-3] + (n[0],) + p[1:])
-        return np.matmul(D[1], g @ D[2].T)
+        """A^{-1} f on the whole grid (`padded_apply`) for amplitude-level values
+        f (..., 3) + dims of `box` (index slices; the whole grid by default),
+        zero off it: a CGO source lives on the contrast's box."""
+        return padded_apply(f, self.padded, self._symbol, self.dims, box)
 
     def _symbol(self, g: np.ndarray) -> np.ndarray:
         """inv (g - q (q.g)/k^2) in place on the transforms g, in one pass:
@@ -199,11 +182,12 @@ class ConjugatedResolvent:
 
     def box_symbol(self, dims: tuple) -> np.ndarray:
         """`symmetric_symbol` entries of A^{-1} restricted to a box of `dims`
-        cells, on its 2 x dims lattice: inv (delta_ij - q_i q_j / k^2) through
-        `_truncated_dft` on each axis. q_a varies along axis a only, so this
-        needs the moments q_a^m inv, m <= 2: one matrix product per axis. A
-        lent symbol of these dims is mapped instead; one formed here is kept
-        as the build's own lend (P = I)."""
+        cells, on its 2 x dims lattice: inv (delta_ij - q_i q_j / k^2) taken
+        on each axis of s cells to the kernel's displacements -(s - 1) .. s - 1
+        (`_grid_idft`) and forward on 2s points (`_box_dft`). q_a varies along
+        axis a only, so this needs the moments q_a^m inv, m <= 2: one matrix
+        product per axis. A lent symbol of these dims is mapped instead; one
+        formed here is kept as the build's own lend (P = I)."""
         n = tuple(2 * s for s in dims)
         S0, P, conj = self._box_lend or (None, None, False)
         if S0 is not None and S0.shape[1:] == n and np.array_equal(np.abs(P) @ n, n):
@@ -213,8 +197,9 @@ class ConjugatedResolvent:
             S *= np.array([sign[i] * sign[j] for i, j in _UPPER])[:, None]
             return (np.conj(S, out=S) if conj else S).reshape((6,) + n)
         p, q = self.padded, self._q
-        T = [_truncated_dft(p[a], dims[a]) * q[a].reshape(1, 1, -1) ** np.arange(3)[:, None, None]
-             for a in range(3)]  # (3, 2 s_a, p_a), block m weighted by q_a^m
+        T = [(_box_dft(2 * s, 1 - s, s) @ _grid_idft(v, 1 - s, s))
+             * q[a].reshape(1, 1, -1) ** np.arange(3)[:, None, None]
+             for a, (v, s) in enumerate(zip(p, dims))]  # (3, 2 s_a, p_a), block m weighted by q_a^m
         M = T[0].reshape(-1, p[0]) @ self._inv.reshape(p[0], -1)
         M = T[1].reshape(-1, p[1]) @ M.reshape(-1, p[1], p[2])
         M = (M @ T[2].reshape(-1, p[2]).T).reshape(3, n[0], 3, n[1], 3, n[2])
@@ -223,19 +208,6 @@ class ConjugatedResolvent:
         S = np.array([1, 0, 0, 1, 0, 1])[:, None, None, None] * M[0, :, 0, :, 0] - qq
         self._box_lend = (S, np.eye(3), False)
         return S
-
-
-@lru_cache(maxsize=8)
-def _box_dft(p: int, lo: int, hi: int) -> np.ndarray:
-    """(p, hi - lo) matrix of the p-point DFT of values at indices lo .. hi - 1
-    of a zero-padded axis; cached."""
-    return np.exp(-2j * np.pi * (np.outer(np.arange(p), np.arange(lo, hi)) % p) / p)
-
-
-@lru_cache(maxsize=8)
-def _grid_idft(p: int, n: int) -> np.ndarray:
-    """(n, p) matrix of the p-point inverse DFT onto indices 0 .. n - 1; cached."""
-    return np.conj(_box_dft(p, 0, n)).T / p
 
 
 def _images(p: tuple, P: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -55,7 +55,7 @@ def green_hessian_fd(k: float, x, y, h: float) -> float:
 
 
 def near_cell_probe(k: float, grid: Grid3, v, offsets) -> float:
-    """Worst relative gap between the FFT convolution of a one-cell source v
+    """Worst relative gap between the padded convolution of a one-cell source v
     at the grid centre, read at node `offsets` (in cells, inside the
     product-integrated 7^3 block, off the singular cell), and v times the
     mean of dyadic_green over the displaced cell by 16^3 Gauss-Legendre
@@ -75,11 +75,11 @@ def near_cell_probe(k: float, grid: Grid3, v, offsets) -> float:
     return worst
 
 
-def convolution_vs_direct(k: float, rng, probes=None) -> float:
-    """Worst relative gap between the FFT convolution G * f and direct Green
-    summation at grid nodes `probes` (default: ten drawn from rng in the 4^3
-    corner block), for f a random complex 4^3 block drawn from rng at the
-    centre of the 24^3 cube of half-width 1."""
+def convolution_vs_direct(k: float, rng) -> float:
+    """Worst relative gap between the padded convolution G * f and direct
+    Green summation at ten grid nodes drawn from rng in the 4^3 corner block,
+    for f a random complex 4^3 block drawn from rng at the centre of the
+    24^3 cube of half-width 1."""
     grid = Grid3.cube(1.0, 24)
     f = np.zeros((3,) + grid.dims, dtype=np.complex128)
     c = grid.dims[0] // 2
@@ -90,10 +90,8 @@ def convolution_vs_direct(k: float, rng, probes=None) -> float:
     nodes = grid.nodes()
     sup = np.abs(f).sum(axis=0) > 0
     ys, fy = nodes[:, sup].T, f[:, sup].T
-    if probes is None:
-        probes = [tuple(rng.integers(0, 4, 3)) for _ in range(10)]
     worst = 0.0
-    for idx in probes:
+    for idx in [tuple(rng.integers(0, 4, 3)) for _ in range(10)]:
         at = (slice(None),) + tuple(idx)
         direct = sum(dyadic_green(k, nodes[at], y) @ v for y, v in zip(ys, fy)) * grid.cell_volume
         worst = max(worst, float(np.linalg.norm(conv[at] - direct) / np.linalg.norm(direct)))

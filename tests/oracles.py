@@ -4,6 +4,7 @@ computes on frame components. Each takes its probe data and returns the
 measured or reference quantity."""
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy import fft as sfft
 
 from stochmaxwell.cgo import CgoSolution
 from stochmaxwell.forward import curl_grid
@@ -55,6 +56,19 @@ def resolvent_decay_probe(lams, f: np.ndarray, grid: Grid3) -> list[tuple[float,
     cut-off resolvent)."""
     return [(lam, l2_norm(FreeConvolver(lam, grid).apply_array(f), grid) / l2_norm(f, grid))
             for lam in lams]
+
+
+def padded_fft_reference(f: np.ndarray, padded: tuple, symbol, dims: tuple,
+                         box: tuple | None = None) -> np.ndarray:
+    """`greens.padded_apply` by full transforms: f (...,) + box shape set
+    into zeros (...,) + dims at the index slices `box` (the whole grid by
+    default), zero-padded `fftn` to `padded`, `symbol`, `ifftn` and a crop
+    to dims."""
+    g = np.zeros(f.shape[:-3] + tuple(dims), dtype=np.complex128)
+    g[(Ellipsis,) + (box or ())] = f
+    axes = (-3, -2, -1)
+    g = sfft.ifftn(symbol(sfft.fftn(g, s=padded, axes=axes)), axes=axes)
+    return g[(Ellipsis,) + tuple(slice(0, n) for n in dims)]
 
 
 def electric_dipole_field(k: float, source, moment, points):

@@ -19,7 +19,7 @@ from stochmaxwell.cgo import (
     solve_cgo_remainder,
 )
 from stochmaxwell.forward import SolverError, curl_grid, neumann_solve
-from stochmaxwell.greens import padded_fft_apply, symmetric_symbol
+from stochmaxwell.greens import padded_apply, symmetric_symbol
 from stochmaxwell.geometry import (
     Bump,
     ConfigurationError,
@@ -33,7 +33,14 @@ from stochmaxwell.reconstruct import DUAL_BLOCK, build_xi_lattice, select_parame
 from stochmaxwell.verify import cgo_product_identity, cgo_stencil_residual
 
 from conftest import rel_err
-from oracles import l2_norm, plane_wave_on, radii, remainder_norm, remainder_split
+from oracles import (
+    l2_norm,
+    padded_fft_reference,
+    plane_wave_on,
+    radii,
+    remainder_norm,
+    remainder_split,
+)
 
 K = 2.0
 # a non-cubic grid: its axes have spectral cells of two widths
@@ -254,7 +261,7 @@ class TestConjugatedResolvent:
         full = np.zeros((3,) + grid.dims, dtype=np.complex128)
         full[box] = f
         symbol = symmetric_symbol(res.box_symbol(dims))
-        box_apply = padded_fft_apply(f, tuple(2 * s for s in dims), symbol)
+        box_apply = padded_apply(f, tuple(2 * s for s in dims), symbol, dims)
         assert rel_err(box_apply, res.apply(full)[box]) <= 1e-13
 
 
@@ -264,8 +271,9 @@ class TestConjugatedResolvent:
     @pytest.mark.parametrize("filled", [False, True], ids=["box-supported", "grid-filling"])
     def test_apply_is_the_padded_apply_of_its_multiplier(self, grid, lo, dims, filled):
         """The full-grid apply, from the input's box or from the whole grid,
-        equals `padded_fft_apply` on the padded lattice with the six entries
-        of the multiplier inv (I - q q^T / k^2), q = s + zeta."""
+        equals zero-padded fftn, the multiplier, ifftn and a crop on the
+        padded lattice, with the six entries of the multiplier
+        inv (I - q q^T / k^2), q = s + zeta."""
         zeta = build_zeta_eta(np.array([0.6, -0.3, 0.2]), 5.0, K)[0][0]
         res = ConjugatedResolvent(zeta, K, grid)
         q = np.meshgrid(*(2.0 * np.pi * np.fft.fftfreq(p, d=grid.spacing) for p in res.padded),
@@ -277,7 +285,7 @@ class TestConjugatedResolvent:
         f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         full = np.zeros((3,) + grid.dims, dtype=np.complex128)
         full[(slice(None),) + (box or ())] = f
-        want = padded_fft_apply(full, res.padded, symmetric_symbol(S))
+        want = padded_fft_reference(full, res.padded, symmetric_symbol(S), grid.dims)
         assert rel_err(res.apply(f, box), want) <= 1e-13
         assert rel_err(res.apply(full), want) <= 1e-13
 
@@ -482,12 +490,12 @@ class TestRemainderSolver:
         zeta, eta, _ = build_zeta_eta(xi[: len(xi) // 2 + 1, None], 5.0, K, np.zeros((1, 1)))
         zeta, eta = zeta.reshape(-1, 3), eta.reshape(-1, 3)
         averaged, products, builds = [], [], []
-        kernel, dft = resolvent._cell_averages, resolvent._truncated_dft
+        kernel, dft = resolvent._cell_averages, resolvent._grid_idft
         init = ConjugatedResolvent.__init__
         monkeypatch.setattr(resolvent, "_cell_averages",
                             lambda z, s0, ds: averaged.append(len(s0)) or kernel(z, s0, ds))
-        monkeypatch.setattr(resolvent, "_truncated_dft",
-                            lambda p, s: products.append(p) or dft(p, s))
+        monkeypatch.setattr(resolvent, "_grid_idft",
+                            lambda p, lo, hi: products.append(p) or dft(p, lo, hi))
 
         def recording(self, zeta, k, grid, lend=None):
             before = len(averaged)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from stochmaxwell.geometry import Grid3
-from scipy import fft as sfft
 
 from stochmaxwell import greens, verify
 from stochmaxwell.greens import (
@@ -12,18 +11,22 @@ from stochmaxwell.greens import (
     SingularityError,
     dyadic_green,
     helmholtz_g,
-    padded_fft_apply,
+    padded_apply,
     symmetric_symbol,
 )
 from stochmaxwell.verify import (
-    convolution_vs_direct,
     green_hessian_fd,
     green_reciprocity,
     near_cell_probe,
 )
 
 from conftest import rel_err
-from oracles import electric_dipole_field, helmholtz_residual, resolvent_decay_probe
+from oracles import (
+    electric_dipole_field,
+    helmholtz_residual,
+    padded_fft_reference,
+    resolvent_decay_probe,
+)
 
 
 class TestScalarKernel:
@@ -88,19 +91,32 @@ class TestVerifyProbes:
         assert near_cell_probe(*probe) > 1e-3
 
 
-class TestPaddedFftApply:
-    def test_matches_full_padded_transforms(self):
-        """The axis-by-axis pruned transform equals zero-padded fftn, the
-        symbol, ifftn and a crop, on a non-cubic grid with a batch axis."""
+class TestPaddedApply:
+    @pytest.mark.parametrize(
+        "lead, padded, dims, box",
+        [((2, 3), (10, 12, 14), (5, 6, 7), None),
+         ((3,), (11, 13, 15), (6, 7, 8), None),
+         ((4, 3), (9, 11, 21), (5, 6, 12), (slice(3, 5), slice(1, 4), slice(6, 10))),
+         ((), (21, 21, 25), (10, 10, 12), (slice(2, 9), slice(0, 3), slice(11, 12)))],
+        ids=["even-2n", "odd", "box-off-origin", "odd-box-unbatched"],
+    )
+    def test_matches_full_padded_transforms(self, lead, padded, dims, box):
+        """The DFT-matrix apply equals zero-padded fftn, the symbol, ifftn
+        and a crop on non-cubic grids, with or without batch axes, on even
+        (2n) and odd padded lengths, and from an input box that does not
+        start at 0; a real input gives the bits of its complex cast."""
         rng = np.random.default_rng(3)
-        f = rng.standard_normal((2, 5, 6, 7)) + 1j * rng.standard_normal((2, 5, 6, 7))
-        padded = (10, 12, 15)
+        shape = lead + (dims if box is None else tuple(b.stop - b.start for b in box))
+        f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         mult = rng.standard_normal(padded) + 1j * rng.standard_normal(padded)
-        got = padded_fft_apply(f, padded, lambda fh: fh * mult)
-        axes = (-3, -2, -1)
-        want = sfft.ifftn(sfft.fftn(f, s=padded, axes=axes) * mult, axes=axes)[..., :5, :6, :7]
-        assert got.shape == f.shape
-        assert rel_err(got, want) <= 1e-14
+        def symbol(fh):
+            return fh * mult
+
+        got = padded_apply(f, padded, symbol, dims, box)
+        assert got.shape == lead + dims
+        assert rel_err(got, padded_fft_reference(f, padded, symbol, dims, box)) <= 1e-14
+        real = padded_apply(f.real, padded, symbol, dims, box)
+        assert np.array_equal(real, padded_apply(f.real.astype(complex), padded, symbol, dims, box))
 
 
 class TestSymmetricSymbol:
@@ -231,10 +247,22 @@ class TestNearCellAverages:
 
 class TestFreeConvolver:
     def test_matches_direct_summation(self):
-        """FFT convolution equals direct Green summation at exterior probes."""
+        """The padded convolution equals direct Green summation at exterior
+        probes spread over the grid (`convolution_vs_direct` draws its probes
+        in one corner block), for `convolution_vs_direct`'s source block."""
         probes = [(0, 0, 0), (23, 23, 23), (0, 12, 23), (3, 1, 2), (20, 2, 11),
                   (1, 22, 3), (12, 0, 1), (23, 11, 0), (2, 3, 22), (22, 21, 1)]
-        assert convolution_vs_direct(2.0, np.random.default_rng(9), probes) < 1e-2
+        k, grid, rng = 2.0, Grid3.cube(1.0, 24), np.random.default_rng(9)
+        f = np.zeros((3,) + grid.dims, dtype=np.complex128)
+        f[:, 10:14, 10:14, 10:14] = (rng.standard_normal((3, 4, 4, 4))
+                                     + 1j * rng.standard_normal((3, 4, 4, 4)))
+        conv = FreeConvolver(k, grid).apply_array(f)
+        nodes, sup = grid.nodes(), np.abs(f).sum(axis=0) > 0
+        for idx in probes:
+            at = (slice(None),) + idx
+            direct = sum(dyadic_green(k, nodes[at], y) @ v
+                         for y, v in zip(nodes[:, sup].T, f[:, sup].T)) * grid.cell_volume
+            assert np.linalg.norm(conv[at] - direct) < 1e-2 * np.linalg.norm(direct)
 
     def test_far_field_is_exact_green_column(self):
         """A unit current in one cell off the grid centre reproduces

@@ -71,6 +71,59 @@ def test_every_export_has_a_caller_in_the_program():
     assert not unread, f"exported but read by no program code: {sorted(unread)}"
 
 
+def _fft_transform_calls(tree) -> set:
+    """(enclosing `Class.function`, callee) of each call of a `scipy.fft`,
+    `scipy.fftpack` or `numpy.fft` transform in a module, with the imports'
+    aliases resolved; the frequency, shift, length and worker helpers are
+    not transforms."""
+    alias, calls = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):  # `import a.b` binds a, `import a.b as c` binds a.b
+            for a in node.names:
+                top = a.name.split(".")[0]
+                alias[a.asname or top] = a.name if a.asname else top
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            alias.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            parts, f = [], node.func
+            while isinstance(f, ast.Attribute):
+                parts, f = [f.attr] + parts, f.value
+            if isinstance(f, ast.Name):
+                module, _, name = ".".join([alias.get(f.id, f.id)] + parts).rpartition(".")
+                if (module in ("scipy.fft", "scipy.fftpack", "numpy.fft")
+                        and not name.endswith(("freq", "shift", "fast_len", "workers", "backend"))):
+                    calls.add((scope, f"{module}.{name}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return calls
+
+
+def test_padded_transforms_go_through_the_one_apply():
+    """Every aperiodic Fourier-multiplier apply in `src/` goes through
+    `greens.padded_apply`, whose transforms are DFT matrices: the only
+    FFT-library transform calls are the kernel transform of the convolver's
+    build and the capacity operator's azimuthal convolution, so a second
+    padded-apply route fails here."""
+    allowed = {
+        ("stochmaxwell.greens", "FreeConvolver.__init__", "scipy.fft.fftn"),
+        ("stochmaxwell.capacity", "CapacityOperator.__init__", "scipy.fft.fft"),
+        ("stochmaxwell.capacity", "CapacityOperator._convolve", "scipy.fft.fft"),
+        ("stochmaxwell.capacity", "CapacityOperator._convolve", "scipy.fft.ifft"),
+    }
+    found = set()
+    for name in MODULES:
+        tree = ast.parse(open(importlib.import_module(name).__file__).read())
+        found |= {(name, scope, callee) for scope, callee in _fft_transform_calls(tree)}
+    assert found - allowed == set(), f"FFT transforms outside the allowed places: {found - allowed}"
+    assert found == allowed
+
+
 def test_benchmark_tracer_targets_exist():
     """Every layer the benchmark tracer wraps exists under its name, so a
     refactor that drops one fails here rather than only in a traced run.
