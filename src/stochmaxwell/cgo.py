@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations, product
 
 import numpy as np
 
@@ -167,29 +168,14 @@ class CgoSolution:
         return self.eta[:, None, None, None] + self.W
 
 
-def _orbit(zeta: np.ndarray, dims: tuple):
-    """Canonical forms c of stacked zeta (B, 3) under conjugation and signed
-    permutations P of equal-length axes of `dims`, with P and conj: c = P
-    zeta, conjugated when conj. Components are sign-normalised (real part,
-    else imaginary part, positive) and sorted within each group of equal
-    lengths; the smaller form of zeta and conj zeta wins (zeta on a tie), on
-    values rounded to 9 digits of max|zeta|, so rounding cannot split orbits."""
-    rows, scale = np.arange(len(zeta))[:, None], np.abs(zeta).max(axis=1)[:, None, None]
-    group = np.broadcast_to([dims.index(n) for n in dims], zeta.shape)
-    cands = []
-    for z in (zeta, np.conj(zeta)):
-        key = np.round(np.stack([z.real, z.imag], axis=1) / scale, 9)
-        sign = np.where((key[:, 0] < 0) | ((key[:, 0] == 0) & (key[:, 1] < 0)), -1.0, 1.0)
-        key *= sign[:, None]
-        order = np.lexsort((key[:, 1], key[:, 0], group), axis=-1)
-        flat = key[rows[:, None], :, order[:, None]].reshape(-1, 6).tolist()  # sorted (re, im)
-        cands.append((flat, order, sign[rows, order], z))
-    (k0, o0, s0, z0), (k1, o1, s1, z1) = cands
-    conj = np.array([b < a for a, b in zip(k0, k1)])[:, None]  # lexicographic, as lists
-    order, sign = np.where(conj, o1, o0), np.where(conj, s1, s0)
-    P = np.zeros((len(zeta), 3, 3))
-    P[rows, np.arange(3), order] = sign
-    return sign * np.where(conj, z1, z0)[rows, order], P, conj[:, 0]
+@lru_cache(maxsize=4)
+def _symmetries(dims: tuple) -> np.ndarray:
+    """The signed permutations P (G, 3, 3) that exchange only axes of equal
+    length in `dims`, (P z)_a = +-z_{p(a)}, the identity first: 48 on a cube,
+    16 on (10, 12, 10)."""
+    perms = [p for p in permutations(range(3)) if [dims[a] for a in p] == list(dims)]
+    return np.array([np.eye(3)[list(p)] * np.array(s)[:, None]
+                     for p in perms for s in product((1.0, -1.0), repeat=3)])
 
 
 class CgoRemainderSolver:
@@ -197,11 +183,11 @@ class CgoRemainderSolver:
     time. The correction W solves W = A^{-1}(-k^2 m (eta + W)). The block is
     iterated on the bounding box B of supp(m), with A^{-1} restricted to B
     (`ConjugatedResolvent.box_symbol`), by `forward.solve_fixed_point`; one
-    full-grid `apply`
-    per column of -k^2 m (eta + W_B) gives W. The first zeta of each
-    symmetry orbit (`_orbit`) builds its resolvent directly, and its
-    near-bin data and box symbol are kept for the solver's lifetime; every
-    later zeta whose canonical form agrees to 1e-12 relative borrows them.
+    full-grid `apply` per column of -k^2 m (eta + W_B) gives W. A zeta builds
+    its resolvent directly unless an earlier direct build's zeta0 is P zeta,
+    or else P conj(zeta), for a signed permutation P of equal-length axes
+    (`_symmetries`) to 1e-12 of max|zeta|; then it borrows that build's
+    near-bin data and box symbol, which are kept for the solver's lifetime.
     On a cubic grid the 390 columns of a 389-node xi lattice fall into about
     30 orbits.
     """
@@ -217,24 +203,32 @@ class CgoRemainderSolver:
         if not self.homogeneous:  # m W vanishes off supp(m): iterate on its bounding box
             self._box = _bounding_box(m_grid)
             self._km = self.k ** 2 * m_grid[None][(slice(None),) + self._box]
-        self._canon = np.empty((0, 3), dtype=np.complex128)  # one row per orbit
-        self._lenders = []  # per orbit: (near data, box symbol, P, conj) of its direct build
+        self._keys = np.empty((0, 6))  # per direct build: its zeta's invariant key
+        self._lenders = []  # per direct build: (zeta0, near data, box symbol)
 
     def _resolvents(self, zeta: np.ndarray) -> list:
-        """Resolvents of stacked zeta (B, 3), each lent its orbit's data if any."""
-        out = []
-        for z, canon, P, cj in zip(zeta, *_orbit(zeta, self.grid.dims)):
-            gap = np.abs(self._canon - canon).max(axis=1) / np.abs(canon).max()
-            hit = np.flatnonzero(gap <= 1e-12)
-            if hit.size:  # canon = P zeta = P0 zeta0 (conjugations aside): zeta = P^T P0 zeta0
-                near, box, P0, conj0 = self._lenders[hit[0]]
-                out.append(ConjugatedResolvent(z, self.k, self.grid,
-                                               (near, box, P.T @ P0, cj ^ conj0)))
-                continue
-            out.append(ConjugatedResolvent(z, self.k, self.grid))
-            box = None if self.homogeneous else out[-1].box_symbol(self._km.shape[1:])
-            self._canon = np.vstack([self._canon, canon])
-            self._lenders.append((out[-1].near, box, P, cj))
+        """Resolvents of stacked zeta (B, 3), each lent the data of the first
+        direct build in its orbit, if any. The lenders are narrowed first by a
+        key that every P and conjugation keep: the sorted moduli of the real
+        parts and of the imaginary parts."""
+        syms, out = _symmetries(self.grid.dims), []
+        keys = np.sort(np.abs(np.stack([zeta.real, zeta.imag], axis=1)), axis=2).reshape(-1, 6)
+        images = syms.reshape(-1, 3) @ np.concatenate([zeta, np.conj(zeta)]).T  # one 2-d product
+        images = np.moveaxis(images.reshape(len(syms), 3, 2, -1), -1, 0)  # [column, P, a, conj]
+        for z, Pz, key, tol in zip(zeta, images, keys, 1e-12 * np.abs(zeta).max(axis=1)):
+            lend = None
+            for i in np.flatnonzero(np.abs(self._keys - key).max(axis=1) <= tol):
+                zeta0, near, box = self._lenders[i]
+                gap = np.abs(Pz - zeta0[:, None]).max(axis=1)
+                hit = np.flatnonzero(gap.T.ravel() <= tol)  # every P zeta, then every P conj(zeta)
+                if hit.size:  # zeta0 = P zeta (P conj(zeta) for hit >= G): zeta = P^T zeta0
+                    lend = (near, box, syms[hit[0] % len(syms)].T, hit[0] >= len(syms))
+                    break
+            out.append(ConjugatedResolvent(z, self.k, self.grid, lend))
+            if lend is None:
+                box = None if self.homogeneous else out[-1].box_symbol(self._km.shape[1:])
+                self._keys = np.vstack([self._keys, key])
+                self._lenders.append((z, out[-1].near, box))
         return out
 
     def solve(self, zeta: np.ndarray, eta: np.ndarray):

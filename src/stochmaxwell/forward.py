@@ -194,24 +194,25 @@ def extract_trace(E: np.ndarray, grid: Grid3, mesh: SphereMesh) -> np.ndarray:
 
 def curl_grid(F: np.ndarray, h: float) -> np.ndarray:
     """Curl of (..., 3, nx, ny, nz) samples with compact 4th-order stencils,
-    read from one copy wrap-padded by two cells per axis (wrap layers are
-    trimmed by the caller's interior collar)."""
+    wrapping at the faces (the wrap layers are trimmed by the caller's
+    interior collar): `curl_at` on every cell."""
     n = F.shape[-3:]
-    G = np.pad(F, [(0, 0)] * (F.ndim - 3) + [(2, 2)] * 3, mode="wrap")
-
-    def at(c, ax, o):  # component c at offset o along grid axis ax
-        sl = [slice(2, 2 + v) for v in n]
-        sl[ax] = slice(2 + o, 2 + o + n[ax])
-        return G[(Ellipsis, c) + tuple(sl)]
-
-    return _curl_stencil(at, h, axis=-4)
+    return curl_at(F, h, stencil_cells(n, np.arange(np.prod(n)))).reshape(F.shape)
 
 
 def curl_at(F: np.ndarray, h: float, shifted: dict) -> np.ndarray:
-    """`curl_grid(F, h)` at K flat cells only, as (..., 3, K), bit for bit,
-    from their stencil neighbours `shifted` (`stencil_cells`)."""
+    """Curl of (..., 3, nx, ny, nz) samples at K flat cells only, as
+    (..., 3, K), by the compact 4th-order difference of their stencil
+    neighbours `shifted` (`stencil_cells`)."""
     flat = F.reshape(F.shape[:-3] + (-1,))
-    return _curl_stencil(lambda c, ax, o: flat[..., c, shifted[ax, o]], h, axis=-2)
+
+    def at(c, ax, o):  # component c at offset o along grid axis ax
+        return flat[..., c, shifted[ax, o]]
+
+    def d(c, ax):
+        return (8.0 * (at(c, ax, 1) - at(c, ax, -1)) - (at(c, ax, 2) - at(c, ax, -2))) / (12.0 * h)
+
+    return np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)], axis=-2)
 
 
 def stencil_cells(n: tuple, cells: np.ndarray) -> dict:
@@ -224,16 +225,6 @@ def stencil_cells(n: tuple, cells: np.ndarray) -> dict:
             idx[ax] = (idx[ax] + o) % n[ax]
             shifted[ax, o] = np.ravel_multi_index(idx, n)
     return shifted
-
-
-def _curl_stencil(at, h: float, axis: int) -> np.ndarray:
-    """The curl from the samples at(c, ax, o) of component c at offset o
-    along grid axis ax, by the compact 4th-order difference, components
-    stacked on `axis`."""
-    def d(c, ax):
-        return (8.0 * (at(c, ax, 1) - at(c, ax, -1)) - (at(c, ax, 2) - at(c, ax, -2))) / (12.0 * h)
-
-    return np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)], axis=axis)
 
 
 def _dipole_block(k: float, weight: float, coords: np.ndarray, mesh: SphereMesh, nodes):
@@ -265,29 +256,25 @@ def _mirror_axes(grid: Grid3, mask: np.ndarray) -> list:
             and np.array_equal(mask, np.flip(mask, a))]
 
 
-def _node_mirror(mesh: SphereMesh, a: int) -> np.ndarray:
-    """Mesh node of the mirror image of each node in axis a: node
-    (i_theta, j_phi) goes to (n_theta - 1 - i, j) for z, (i, -j) for y and
-    (i, n_phi / 2 - j) for x, azimuths modulo n_phi."""
+def _node_image(mesh: SphereMesh, d: np.ndarray) -> np.ndarray:
+    """Mesh node of the image d * x_n of each node n under the sign vector
+    d: node (i_theta, j_phi) goes to (n_theta - 1 - i, .) when d flips z,
+    and to (., -j), (., n_phi / 2 - j) or (., n_phi / 2 + j) when it flips
+    y, x or both, azimuths modulo n_phi."""
     i, j = np.divmod(np.arange(mesh.n_nodes), mesh.n_phi)
-    if a == 2:
-        i = mesh.n_theta - 1 - i
-    else:
-        j = ((mesh.n_phi // 2 if a == 0 else 0) - j) % mesh.n_phi
+    i = mesh.n_theta - 1 - i if d[2] < 0 else i
+    j = ((mesh.n_phi // 2 if d[0] < 0 else 0) + int(d[0] * d[1]) * j) % mesh.n_phi
     return i * mesh.n_phi + j
 
 
-def _orbits(n: int, mirrors: list):
-    """Orbits of n points under the group of 2^g elements generated by g
-    commuting mirror permutations, element h applying mirror b when bit b of
-    h is set: the representatives (each orbit's least point), the (2^g, R)
-    table of their images, their stabilizer sizes and, for every point p,
-    the h and r with h rep_r = p."""
-    perms = np.arange(n)[None]
-    for m in mirrors:
-        perms = np.concatenate([perms, m[perms]])
+def _orbits(perms: np.ndarray):
+    """Orbits of n points under a group of commuting involutions, given as
+    the (G, n) permutations of its elements (the identity first): the
+    representatives (each orbit's least point), the (G, R) table of their
+    images, their stabilizer sizes and, for every point p, the h and r with
+    h rep_r = p."""
     least = perms.min(axis=0)
-    reps = np.flatnonzero(least == np.arange(n))
+    reps = np.flatnonzero(least == np.arange(perms.shape[1]))
     table = perms[:, reps]
     # the elements are involutions: h maps rep_r to p when it maps p to rep_r
     return (reps, table, (table == reps).sum(axis=0), np.argmax(perms == least, axis=0),
@@ -374,23 +361,21 @@ class HomogeneousTraceMap:
         contrast = (np.zeros(grid.dims, dtype=bool) if medium is None
                     else evaluate_on_grid(medium, grid) != 0)
         axes = [] if np.any(contrast) else _mirror_axes(grid, mask)
+        bit = (np.arange(2 ** len(axes))[:, None] >> np.arange(len(axes))) & 1  # (G, g)
+        psi = 1.0 - 2.0 * (bit @ np.eye(3)[axes])  # (G, 3): element h flips the axes psi < 0
         index = np.full(grid.dims, -1)
         index[mask] = np.arange(C)
-        node_mirrors = [_node_mirror(mesh, a) for a in axes]
-        _, cells, stab = _orbits(C, [np.flip(index, a)[mask] for a in axes])[:3]
-        node_reps, _, _, h_of, r_of = _orbits(mesh.n_nodes, node_mirrors)
+        _, cells, stab = _orbits(np.array([np.flip(index, tuple(np.flatnonzero(d < 0)))[mask]
+                                           for d in psi]))[:3]
+        node_perms = np.array([_node_image(mesh, d) for d in psi])
+        node_reps, _, _, h_of, r_of = _orbits(node_perms)
         G, R, Nr = len(cells), len(stab), len(node_reps)
-        bit = (np.arange(G)[:, None] >> np.arange(len(axes))) & 1  # (G, g)
         # the character table: chi_s(h) = (-1)^popcount(s & h), symmetric
         self._chars = (-1.0) ** (bit @ bit.T)
-        psi, alpha = np.ones((G, 3)), np.ones((G, 2))
-        for b, (a, perm) in enumerate(zip(axes, node_mirrors)):
-            S = np.where(np.arange(3) == a, -1.0, 1.0)
-            # sigma_t: e_t(S x_n) = sigma_t S e_t(x_n), +-1 alike at every node
-            sigma = np.rint(np.einsum("nit,i,nit->t", mesh.frame[perm], S, mesh.frame)
-                            / mesh.n_nodes)
-            psi[bit[:, b] == 1] *= S
-            alpha[bit[:, b] == 1] *= -sigma  # det = -1 per mirror
+        # sigma_t(h): e_t(h x_n) = sigma_t h e_t(x_n), +-1 alike at every node
+        sigma = np.rint(np.einsum("hnit,hi,nit->ht", mesh.frame[node_perms], psi, mesh.frame)
+                        / mesh.n_nodes)
+        alpha = np.prod(psi, axis=1)[:, None] * sigma  # det(h) sigma_t(h)
         # current rows (h c_r, j) of each (h, (r, j)), and their signs psi_j(h)
         self._rows = (3 * cells[:, :, None] + np.arange(3)).reshape(G, 3 * R)
         self._psi = np.tile(psi, R)

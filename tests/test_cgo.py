@@ -12,6 +12,7 @@ from stochmaxwell import cgo, resolvent
 from stochmaxwell.cgo import (
     CgoRemainderSolver,
     ConjugatedResolvent,
+    _symmetries,
     build_frame,
     build_zeta_eta,
     cgo_on_sphere,
@@ -403,12 +404,35 @@ class TestRemainderSolver:
         assert lent == [False, True, True]
 
     def test_lends_only_within_the_match_tolerance(self, contrast_medium, lent):
-        """A zeta whose canonical form is 1e-10 relative off every orbit's
-        builds directly; one 1e-14 off borrows."""
+        """A zeta 1e-10 relative off every image of an earlier build builds
+        directly; one 1e-14 off borrows."""
         zeta = build_zeta_eta(np.array([0.6, -0.3, 0.2]), 5.0, K)[0][0]
         solver = CgoRemainderSolver(K, contrast_medium, self.GRID)
         solver._resolvents(np.array([zeta, (1.0 + 1e-10) * zeta, (1.0 + 1e-14) * zeta]))
         assert lent == [False, False, True]
+
+    def test_lends_across_a_rounding_boundary(self, contrast_medium, lent):
+        """Two zetas 2e-13 of max|zeta| apart borrow one build although the
+        real part that differs, (3.5e-9 +- 1e-13) max|zeta|, straddles a
+        boundary of 9 rounded digits: matching compares the vectors, not
+        rounded forms of them."""
+        top = (1.0 + 0.2j) * 5.0
+        zetas = [abs(top) * np.array([3.5e-9 + e + 0.5j, 3.2e-9 + 0.1j, 0.0]) + [0.0, 0.0, top]
+                 for e in (1e-13, -1e-13)]
+        CgoRemainderSolver(K, contrast_medium, self.GRID)._resolvents(np.array(zetas))
+        assert lent == [False, True]
+
+    @pytest.mark.parametrize("dims, size", [((10, 10, 10), 48), ((10, 12, 10), 16)])
+    def test_symmetries_keep_the_grid(self, dims, size):
+        """The signed permutations of equal-length axes: 48 on a cube, 16 when
+        one axis differs, each orthogonal and mapping the dims onto
+        themselves, the identity first."""
+        syms = _symmetries(dims)
+        assert len(syms) == size and len(np.unique(syms, axis=0)) == size
+        assert np.array_equal(syms[0], np.eye(3))
+        for P in syms:
+            assert np.array_equal(P @ P.T, np.eye(3))
+            assert np.array_equal(np.abs(P) @ dims, dims)
 
     SWAP = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
     CYCLE = np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from stochmaxwell.forward import (
     MaxwellSolver,
     SolverError,
     _dipole_block,
+    _node_image,
     curl_grid,
     extract_trace,
     neumann_solve,
@@ -286,7 +288,7 @@ class TestCurl:
         assert rel_err(got[sl], want[sl]) < 2e-5
 
     def test_equals_the_rolled_stencils(self):
-        """The stencils read from one wrap-padded copy equal, bit for bit,
+        """The stencils read through `stencil_cells` equal, bit for bit,
         the periodic stencils written with np.roll, on stacked fields."""
         rng = np.random.default_rng(3)
         F = rng.standard_normal((2, 3, 5, 6, 7)) + 1j * rng.standard_normal((2, 3, 5, 6, 7))
@@ -407,6 +409,17 @@ class TestHomogeneousTraceMap:
                      for i, j in zip(it, jp)}
             block_bytes = 4 * 3 * len(cells) * 2 * len(nodes) * 16
             assert block_bytes <= held < 1.25 * block_bytes
+
+    @pytest.mark.parametrize("lmax", [7, 8])
+    def test_node_image_is_the_signed_node(self, lmax):
+        """`_node_image(mesh, d)` takes each node x_n to the node at d * x_n,
+        for all 8 sign vectors d, to the rounding of the nodes' cosines and
+        sines (1.1e-15 at worst, for d = (-1, 1, 1) at lmax 8); lmax 8 has a
+        ring of nodes on z = 0."""
+        mesh = SphereMesh(1.0, lmax)
+        for d in itertools.product((1.0, -1.0), repeat=3):
+            image = mesh.nodes[_node_image(mesh, np.array(d))]
+            assert np.max(np.abs(image - np.array(d) * mesh.nodes)) <= 2e-15
 
     @pytest.mark.parametrize("lmax", [7, 8])
     @pytest.mark.parametrize("spec, n_mirrors", [

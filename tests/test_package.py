@@ -71,6 +71,18 @@ def test_every_export_has_a_caller_in_the_program():
     assert not unread, f"exported but read by no program code: {sorted(unread)}"
 
 
+def test_every_private_helper_is_read_by_the_program():
+    """No orphaned helper: each private module-level function and class in
+    `src/` is read somewhere in `src/` outside its own definition, so a
+    refactor that stops calling one must delete it."""
+    names = [n for n in MODULES if n != "stochmaxwell"]
+    trees = {n: ast.parse(open(importlib.import_module(n).__file__).read()) for n in names}
+    unread = [f"{name}.{d.name}" for name, tree in trees.items() for d in tree.body
+              if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and d.name.startswith("_")
+              and not any(d.name in _names_read(t, d) for t in trees.values())]
+    assert not unread, f"private helpers read by no program code: {sorted(unread)}"
+
+
 def _fft_transform_calls(tree) -> set:
     """(enclosing `Class.function`, callee) of each call of a `scipy.fft`,
     `scipy.fftpack` or `numpy.fft` transform in a module, with the imports'

@@ -711,8 +711,8 @@ class TestReconstructSigma:
         directly, and averages directly once per orbit: per distinct image
         set of the columns under the 48 signed axis permutations and
         conjugation, counted here by brute force. Two frames: the rotated
-        pairs have components that tie up to rounding, which the canonical
-        form must not split into separate orbits."""
+        pairs have components that tie up to rounding, which the matching
+        must not split into separate orbits."""
         traces, capacity, kwargs = small_inhomogeneous
         kwargs = dict(kwargs, n_frames=2)
         direct_builds = []
